@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test docs-check perf-smoke recovery-smoke byzantine-smoke client-abuse-smoke partition-smoke membership-smoke fuzz-smoke live-smoke obs-smoke fig5-smoke bench
+.PHONY: test docs-check perf-smoke recovery-smoke byzantine-smoke client-abuse-smoke partition-smoke membership-smoke fuzz-smoke live-smoke obs-smoke bench
 
 # Tier-1 test suite (the CI gate; see ROADMAP.md).
 test:
@@ -56,8 +56,8 @@ partition-smoke:
 membership-smoke:
 	$(PYTHON) -m repro.membership_smoke
 
-# Seeded random scenarios on both simulator engines: safety invariants must
-# hold and the engines must stay bit-identical (see repro.fuzz_smoke).
+# Seeded random scenarios: the standing safety invariants must hold on
+# every one (see repro.fuzz_smoke).
 fuzz-smoke:
 	$(PYTHON) -m repro.fuzz_smoke
 
@@ -75,13 +75,6 @@ live-smoke:
 # (see repro.obs_smoke).  Writes BENCH_obs_overhead.json.
 obs-smoke:
 	$(PYTHON) -m repro.obs_smoke
-
-# Fig. 5 engine sweep at small node counts: single-queue vs sharded engine,
-# both must agree on every counted figure.  Writes BENCH_fig5_smoke.json;
-# drop --smoke (or set REPRO_FIG5_NODES) for the full sweep to
-# BENCH_fig5.json (see benchmarks/bench_fig5_scalability.py).
-fig5-smoke:
-	$(PYTHON) benchmarks/bench_fig5_scalability.py --smoke
 
 # Hot-path microbenchmarks (diagnose what perf-smoke flags).
 bench:

@@ -10,15 +10,11 @@ EXPERIMENTS.md): single-leader peak throughput falls as nodes are added, the
 ISS variants sustain their throughput, and the ISS/single-leader improvement
 factor grows with the node count.
 
-Run as a script, this file additionally sweeps the two simulator engines
-(single-queue vs sharded, see ``repro.sim.sharded``) over the Figure-5 node
-counts and writes ``BENCH_fig5.json``::
+Run as a script, this file additionally times the simulator over the
+Figure-5 node counts — events executed and events per wall-second at each
+``n`` — and writes ``BENCH_fig5.json``::
 
-    PYTHONPATH=src python benchmarks/bench_fig5_scalability.py [--smoke]
-
-The sweep doubles as a differential check: both engines must execute the
-exact same number of events and complete the same number of requests at
-every node count, or the sweep fails.
+    PYTHONPATH=src python benchmarks/bench_fig5_scalability.py [--reps N]
 """
 
 import argparse
@@ -133,41 +129,40 @@ def test_fig5_raft_scalability(benchmark):
 
 
 # ----------------------------------------------------------------------------
-# Engine sweep CLI: single-queue vs sharded simulator over Fig. 5 node counts.
+# Node-count sweep CLI: simulator events/s over the Fig. 5 node counts.
 # ----------------------------------------------------------------------------
 
 #: Full Figure-5 sweep (paper scale); REPRO_FIG5_NODES overrides.
 DEFAULT_NODE_COUNTS = (8, 16, 32, 64, 128)
-#: CI smoke subset (kept small enough for the perf-smoke gate).
-SMOKE_NODE_COUNTS = (8, 16)
-#: Timed repetitions per engine per node count (min is reported).
+#: Timed repetitions per node count (min is reported).
 DEFAULT_REPS = 3
+#: Virtual seconds and offered load of every datapoint.
+DURATION = 3.0
+RATE = 300.0
 
 OUTPUT_PATH = "BENCH_fig5.json"
 
 
-def _engine_deployment(engine, num_nodes, duration, rate):
+def _deployment(num_nodes):
     """One Fig. 5 datapoint: recovery-armed ISS-PBFT on the 8-region WAN."""
-    from repro.core.config import SimConfig
     from repro.harness.runner import Deployment
 
     return Deployment(
         config=scenarios.chaos_config("pbft", num_nodes, random_seed=1),
         network_config=scenarios.wan_regions(min(8, num_nodes)),
-        workload=scenarios._workload(rate=rate, duration=duration, clients=8),
-        sim_config=SimConfig(engine=engine),
+        workload=scenarios._workload(rate=RATE, duration=DURATION, clients=8),
         recovery_poll=0.25,
         probe_stagger=0.5,
     )
 
 
-def _timed_run(engine, num_nodes, duration, rate):
+def _timed_run(num_nodes):
     """Build and run one deployment; returns (wall_seconds, figures).
 
     GC is disabled around the timed region (the ``timeit`` convention):
-    collector pauses otherwise dominate engine-level differences.
+    collector pauses otherwise dominate run-to-run differences.
     """
-    deployment = _engine_deployment(engine, num_nodes, duration, rate)
+    deployment = _deployment(num_nodes)
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -180,61 +175,36 @@ def _timed_run(engine, num_nodes, duration, rate):
     wall = time.perf_counter() - start
     return wall, {
         "events": deployment.sim.events_executed,
-        "completed": result.report.completed,
-        "virtual_throughput_rps": result.report.completed / duration,
+        "virtual_throughput_rps": result.report.completed / DURATION,
     }
 
 
-def sweep_engines(node_counts, reps=DEFAULT_REPS, duration=3.0, rate=300.0):
-    """Time both engines at each node count; alternate run order per rep.
+def sweep_nodes(node_counts, reps=DEFAULT_REPS):
+    """Time the simulator at each node count.
 
-    Returns one row per node count with per-engine wall time (min over
-    reps), events/s, and the virtual (simulated) request throughput.
-    Raises ``RuntimeError`` if the engines diverge on any counted figure —
-    the sweep is also a cross-engine differential check.
+    Returns one row per node count: events executed, the virtual
+    (simulated) request throughput, wall time (min over reps) and
+    events per wall-second.
     """
     rows = []
     for num_nodes in node_counts:
-        walls = {"single": [], "sharded": []}
-        figures = {}
-        for rep in range(reps):
-            order = ("single", "sharded") if rep % 2 == 0 else ("sharded", "single")
-            for engine in order:
-                wall, figs = _timed_run(engine, num_nodes, duration, rate)
-                walls[engine].append(wall)
-                if engine in figures and figures[engine] != figs:
-                    raise RuntimeError(
-                        f"n={num_nodes}: {engine} engine not deterministic "
-                        f"across reps: {figures[engine]} vs {figs}"
-                    )
-                figures[engine] = figs
-        if figures["single"] != figures["sharded"]:
-            raise RuntimeError(
-                f"n={num_nodes}: engines diverged: single={figures['single']} "
-                f"sharded={figures['sharded']}"
-            )
-        events = figures["single"]["events"]
+        walls = []
+        for _ in range(reps):
+            wall, figures = _timed_run(num_nodes)
+            walls.append(wall)
+        best = min(walls)
         row = {
             "nodes": num_nodes,
-            "events": events,
-            "virtual_throughput_rps": figures["single"]["virtual_throughput_rps"],
+            **figures,
+            "wall_seconds": round(best, 3),
+            "events_per_sec": round(figures["events"] / best, 1),
+            "all_wall_seconds": [round(w, 3) for w in walls],
         }
-        for engine in ("single", "sharded"):
-            best = min(walls[engine])
-            row[engine] = {
-                "wall_seconds": round(best, 3),
-                "events_per_sec": round(events / best, 1),
-                "all_wall_seconds": [round(w, 3) for w in walls[engine]],
-            }
-        row["sharded_speedup"] = round(
-            row["single"]["wall_seconds"] / row["sharded"]["wall_seconds"], 3
-        )
         rows.append(row)
         print(
-            f"n={num_nodes:4d}  events={events:9d}  "
-            f"single={row['single']['events_per_sec']:9.0f} ev/s  "
-            f"sharded={row['sharded']['events_per_sec']:9.0f} ev/s  "
-            f"speedup={row['sharded_speedup']:.3f}x"
+            f"n={num_nodes:4d}  events={row['events']:9d}  "
+            f"wall={row['wall_seconds']:8.3f} s  "
+            f"{row['events_per_sec']:9.0f} ev/s"
         )
     return rows
 
@@ -248,44 +218,33 @@ def _node_counts_from_env(default):
 
 
 def main(argv=None):
-    """CLI entry point: engine sweep over Fig. 5 node counts → BENCH_fig5.json."""
+    """CLI entry point: node-count sweep → BENCH_fig5.json."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--smoke", action="store_true",
-        help=f"CI subset: nodes {SMOKE_NODE_COUNTS}, one rep, short runs",
+        "--reps", type=int, default=DEFAULT_REPS, help="timed reps per node count"
     )
-    parser.add_argument("--reps", type=int, default=None, help="timed reps per engine")
     parser.add_argument(
-        "--output", default=None,
-        help=f"JSON output path (default {OUTPUT_PATH}, or a separate "
-        "smoke file under --smoke so CI never clobbers the full sweep)",
+        "--output", default=OUTPUT_PATH, help=f"JSON output path (default {OUTPUT_PATH})"
     )
     args = parser.parse_args(argv)
-    if args.output is None:
-        args.output = "BENCH_fig5_smoke.json" if args.smoke else OUTPUT_PATH
 
-    node_counts = _node_counts_from_env(SMOKE_NODE_COUNTS if args.smoke else DEFAULT_NODE_COUNTS)
-    reps = args.reps if args.reps is not None else (1 if args.smoke else DEFAULT_REPS)
-    duration = 2.0 if args.smoke else 3.0
-    print_banner(
-        f"Fig. 5 engine sweep: nodes {node_counts}, {reps} rep(s) per engine"
-    )
+    node_counts = _node_counts_from_env(DEFAULT_NODE_COUNTS)
+    print_banner(f"Fig. 5 node-count sweep: nodes {node_counts}, {args.reps} rep(s) each")
     started = time.time()
-    rows = sweep_engines(node_counts, reps=reps, duration=duration)
+    rows = sweep_nodes(node_counts, reps=args.reps)
     payload = {
-        "benchmark": "fig5-engine-sweep",
+        "benchmark": "fig5-node-count-sweep",
         "scenario": {
             "protocol": "pbft",
             "network": "wan_regions (8-region geo-latency matrix)",
-            "workload_rps": 300.0,
-            "duration_virtual_s": duration,
+            "workload_rps": RATE,
+            "duration_virtual_s": DURATION,
             "recovery_armed": True,
             "seed": 1,
         },
         "methodology": (
-            "per node count: both engines timed in alternating order, "
-            f"{reps} rep(s) each, GC disabled during timed regions, min wall "
-            "reported; engines must agree on events and completed requests"
+            f"per node count: {args.reps} rep(s), GC disabled during timed "
+            "regions, min wall reported"
         ),
         "wall_clock_total_s": round(time.time() - started, 1),
         "rows": rows,

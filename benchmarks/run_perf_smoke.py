@@ -4,8 +4,8 @@
 Runs, in order:
 
 * ``python -m repro.perf_smoke`` — profiling scenario, unbatched and
-  batched (see that module and PERF.md for the output format and
-  regression semantics),
+  batched; batching must keep cutting wire messages by at least 30 %
+  (see that module and PERF.md for the output format),
 * ``python -m repro.recovery_smoke`` — seeded crash→restart scenario;
   the restarted node must catch up, stay log-identical to its peers, and
   replay deterministically against the recovery golden trace,
@@ -30,8 +30,7 @@ Runs, in order:
   must catch up via state transfer, every client must complete, and the
   run must replay deterministically against the membership golden trace,
 * ``python -m repro.fuzz_smoke`` (reduced count) — seeded random
-  scenarios run on both simulator engines; safety invariants must hold
-  and the engines must stay bit-identical,
+  scenarios; the standing safety invariants must hold on every one,
 * ``python -m repro.live_smoke`` — a **real** 4-node localhost cluster
   (one OS process per replica, TCP, fsync'd storage) driven with KV
   traffic through one ``kill -9`` + restart; every operation must
@@ -42,9 +41,6 @@ Runs, in order:
   request must close a valid span chain, the artifacts must round-trip
   through the exporters, and enabled-mode overhead must stay under 10%
   (writes ``BENCH_obs_overhead.json``),
-* ``benchmarks/bench_fig5_scalability.py --smoke`` — the Fig. 5 engine
-  sweep at small node counts; the two engines must agree on every
-  counted figure (writes ``BENCH_fig5.json``),
 * ``python -m repro.doccheck`` — docstring audit + README and
   docs/SCENARIOS.md code-block execution.
 
@@ -54,15 +50,13 @@ regressions in one step.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_perf_smoke.py [--update-baseline]
+    PYTHONPATH=src python benchmarks/run_perf_smoke.py
 """
 
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.byzantine_smoke import main as byzantine_main  # noqa: E402
 from repro.client_abuse_smoke import main as client_abuse_main  # noqa: E402
@@ -75,8 +69,6 @@ from repro.partition_smoke import main as partition_main  # noqa: E402
 from repro.perf_smoke import main as perf_main  # noqa: E402
 from repro.recovery_smoke import main as recovery_main  # noqa: E402
 
-from bench_fig5_scalability import main as fig5_main  # noqa: E402
-
 if __name__ == "__main__":
     perf_status = perf_main()
     recovery_status = recovery_main([])
@@ -84,10 +76,9 @@ if __name__ == "__main__":
     client_abuse_status = client_abuse_main([])
     partition_status = partition_main([])
     membership_status = membership_main([])
-    fuzz_status = fuzz_main(["--count", "6"])
+    fuzz_status = fuzz_main(["--count", "12"])
     live_status = live_main([])
     obs_status = obs_main([])
-    fig5_status = fig5_main(["--smoke"])
     doc_status = doccheck_main([])
     sys.exit(
         perf_status
@@ -99,6 +90,5 @@ if __name__ == "__main__":
         or fuzz_status
         or live_status
         or obs_status
-        or fig5_status
         or doc_status
     )

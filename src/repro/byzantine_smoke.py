@@ -101,7 +101,6 @@ def run_smoke() -> Dict[str, object]:
     adversary = deployment.injector.adversary_for(SCENARIO["adversary"])
     return {
         "scenario": dict(SCENARIO),
-        "engine": report.engine,
         "completed": report.completed,
         "prefixes_identical": prefixes_identical(correct),
         "adversary_evicted": SCENARIO["adversary"] not in final_leaders,

@@ -147,7 +147,6 @@ def run_smoke() -> Dict[str, object]:
 
     return {
         "scenario": dict(SCENARIO),
-        "engine": report.engine,
         "completed": report.completed,
         "correct_all_complete": all(
             c.requests_completed == c.requests_submitted for c in correct_clients

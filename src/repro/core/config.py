@@ -7,7 +7,6 @@ whole system runs on the discrete-event simulator in :mod:`repro.sim`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
@@ -281,58 +280,23 @@ def paper_config(protocol: str, num_nodes: int, **overrides) -> ISSConfig:
     return ISSConfig(num_nodes=num_nodes, protocol=protocol, **params)
 
 
-#: Simulator engines selectable via :class:`SimConfig` (see
-#: :mod:`repro.sim.simulator` and :mod:`repro.sim.sharded`).
-ENGINE_SINGLE = "single"
-ENGINE_SHARDED = "sharded"
-
-SUPPORTED_ENGINES = (ENGINE_SINGLE, ENGINE_SHARDED)
-
-
 @dataclass
 class SimConfig:
-    """Selection and tuning of the discrete-event engine.
+    """Vestigial engine selector; ``"single"`` is the only legal value.
 
-    Both engines execute the identical global ``(time, seq)`` event order,
-    so every seeded run produces a bit-identical schedule on either —
-    the differential suite (``tests/test_sharded_equivalence.py``) pins
-    this.  The sharded engine trades per-event heap cost for per-shard
-    queues merged at conservative-lookahead horizons, which pays off at
-    32+ nodes (see docs/ARCHITECTURE.md).
+    Exists solely because the frozen ``benchmarks/e2e/sim_runner.py`` passes
+    ``SimConfig(engine="single")`` to :class:`~repro.harness.runner.Deployment`;
+    delete it at the next benchmark re-anchor.
     """
 
-    #: ``"single"`` (one global heap) or ``"sharded"`` (per-shard queues
-    #: under a lookahead horizon).
-    engine: str = ENGINE_SINGLE
-    #: Shard count for the sharded engine; ``0`` derives one shard per
-    #: datacenter, capped at 8 (measured sweet spot for 32–128 nodes).
-    num_shards: int = 0
-    #: Floor on the sharded engine's horizon window (seconds); the window
-    #: itself derives from the minimum inter-shard link latency.
-    min_window: float = 0.005
+    engine: str = "single"
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigError` on inconsistent engine settings."""
-        if self.engine not in SUPPORTED_ENGINES:
-            raise ConfigError(f"unknown simulator engine {self.engine!r}")
-        if self.num_shards < 0:
-            raise ConfigError("num_shards must be >= 0 (0 = auto)")
-        if self.min_window < 0:
-            raise ConfigError("min_window must be >= 0")
-
-    @staticmethod
-    def from_env() -> "SimConfig":
-        """Build from the environment: ``REPRO_ENGINE`` selects the engine.
-
-        Unknown or unset values fall back to the single engine, so existing
-        workflows (and every golden trace) keep their default behaviour.
-        """
-        raw = os.environ.get("REPRO_ENGINE", ENGINE_SINGLE).strip().lower()
-        engine = raw if raw in SUPPORTED_ENGINES else ENGINE_SINGLE
-        return SimConfig(engine=engine)
+        if self.engine != "single":
+            raise ConfigError(
+                f"unknown simulator engine {self.engine!r}: the sharded engine "
+                f"was removed in PR 12, 'single' is the only engine"
+            )
 
 
 @dataclass
@@ -355,7 +319,7 @@ class NetworkConfig:
     processing_delay: float = 0.00002
     #: Width of the wire-batching flush tick (seconds).  When positive, small
     #: batchable messages (protocol votes, client requests/acknowledgements —
-    #: see :mod:`repro.sim.batching`) sent on the same (src, dst) link within
+    #: see :mod:`repro.runtime.wire`) sent on the same (src, dst) link within
     #: one tick are coalesced into a single wire message flushed at the tick
     #: boundary.  ``0`` (the default) disables batching entirely.
     batch_flush_interval: float = 0.0
@@ -364,8 +328,7 @@ class NetworkConfig:
     #: *after* the sender's NIC: back-to-back traffic on one link queues up
     #: behind it (see ``Network._send_now``).  ``0`` (the default) disables
     #: link queueing entirely — the pre-existing NIC-only model, which every
-    #: golden trace pins.  Engine-independent: both simulator engines see
-    #: identical arrival times.
+    #: golden trace pins.
     link_bandwidth_bps: float = 0.0
     #: Optional explicit one-way datacenter latency matrix (seconds),
     #: ``num_datacenters`` × ``num_datacenters``.  ``None`` (the default)

@@ -23,7 +23,7 @@ Wire efficiency: client acknowledgements are aggregated per (client, commit
 step) into :class:`~repro.core.messages.ClientResponseBatchMsg` here, and —
 one layer below — the network coalesces protocol votes, checkpoint votes and
 client requests per (sender, receiver, flush tick) into single wire frames
-when :mod:`repro.sim.batching` is enabled.  Neither changes what any node
+when :mod:`repro.runtime.wire` is enabled.  Neither changes what any node
 delivers; both only reduce the number of messages on the simulated wire.
 """
 

@@ -148,7 +148,7 @@ class SBContext:
 
         Vote-sized messages may be coalesced with other traffic on each
         (sender, receiver) link by the network's wire-batching layer (see
-        :mod:`repro.sim.batching`); every recipient still handles the vote
+        :mod:`repro.runtime.wire`); every recipient still handles the vote
         individually, so implementations need not care.
         """
         for node in self.all_nodes:

@@ -4,16 +4,9 @@ Generates a fixed, reproducible population of small random scenarios —
 random protocol, node count, latency geometry (synthetic ring or WAN
 regions), wire batching, and a random mix of crash / straggler / lossy-link
 / forged-signature-client / membership-change (mid-run join and removal)
-faults — then runs every scenario on **both** simulator engines and checks
-two things:
-
-* the standing safety invariants hold on each run (prefix identity, no
-  double delivery, completed ≤ submitted, rejections ≥ forgeries; see
-  :mod:`repro.harness.invariants`), and
-* the two engines produce bit-identical runs (same per-node delivered
-  traces, same event/message totals), which is the sharded engine's
-  equivalence contract exercised over a far wider scenario space than the
-  hand-written differential tests.
+faults — then runs every scenario once and checks that the standing safety
+invariants hold (prefix identity, no double delivery, completed ≤ submitted,
+rejections ≥ forgeries; see :mod:`repro.harness.invariants`).
 
 Everything derives from one master seed (``--seed``), so a reported
 violation is replayable: ``python -m repro.fuzz_smoke --seed S --count N``
@@ -22,7 +15,7 @@ regenerates the exact same scenarios.  The default population is
 ``benchmarks/run_perf_smoke.py``), the nightly default sweeps all of them.
 
 Exit code 1 (with one line per violation) when any scenario violates an
-invariant or the engines diverge.
+invariant.
 """
 
 from __future__ import annotations
@@ -32,9 +25,9 @@ import random
 import sys
 from typing import Dict, List, Optional
 
-from .core.config import ENGINE_SHARDED, ENGINE_SINGLE, NetworkConfig, SimConfig
+from .core.config import NetworkConfig
 from .harness import scenarios
-from .harness.invariants import check_invariants, check_runs_equivalent
+from .harness.invariants import check_invariants
 from .harness.runner import Deployment
 from .obs import ObsConfig
 from .sim.chaos import LinkFaultSpec
@@ -49,7 +42,7 @@ from .sim.faults import (
 )
 
 #: Scenarios generated by a full fuzz run (``--count`` overrides).
-DEFAULT_SCENARIOS = 20
+DEFAULT_SCENARIOS = 40
 
 #: Master seed of the default population (``--seed`` overrides).  Fixed so
 #: every CI run fuzzes the same scenarios; bump it deliberately to rotate
@@ -113,12 +106,12 @@ def random_scenario(rng: random.Random, index: int) -> Dict[str, object]:
     }
 
 
-def build_deployment(spec: Dict[str, object], engine: str) -> Deployment:
+def build_deployment(spec: Dict[str, object]) -> Deployment:
     """Materialise one fuzz scenario description into a Deployment.
 
     All env-sensitive knobs (recovery poll, probe stagger, flush tick) are
-    pinned explicitly so the two engine runs — and any replay — see the
-    exact same configuration regardless of the environment.
+    pinned explicitly so a replay sees the exact same configuration
+    regardless of the environment.
     """
     flush = scenarios.DEFAULT_FLUSH_INTERVAL if spec["batching"] else 0.0
     if spec["wan_regions"]:
@@ -190,31 +183,19 @@ def build_deployment(spec: Dict[str, object], engine: str) -> Deployment:
         membership_specs=membership_specs,
         recovery_poll=0.25,
         probe_stagger=0.5,
-        sim_config=SimConfig(engine=engine),
         obs=ObsConfig.disabled(),
     )
 
 
 def check_scenario(spec: Dict[str, object]) -> List[str]:
-    """Run one scenario on both engines; return every violation found.
+    """Run one scenario; return every invariant violation found.
 
-    Violations are prefixed with the scenario index and engine so a mixed
-    batch of failures still reads unambiguously.
+    Violations are prefixed with the scenario index so a mixed batch of
+    failures still reads unambiguously.
     """
     label = f"scenario {spec['index']} ({spec['protocol']} n={spec['num_nodes']})"
-    violations: List[str] = []
-    results = {}
-    for engine in (ENGINE_SINGLE, ENGINE_SHARDED):
-        result = build_deployment(spec, engine).run()
-        results[engine] = result
-        violations.extend(
-            f"{label} [{engine}]: {v}" for v in check_invariants(result)
-        )
-    violations.extend(
-        f"{label} [cross-engine]: {v}"
-        for v in check_runs_equivalent(results[ENGINE_SINGLE], results[ENGINE_SHARDED])
-    )
-    return violations
+    result = build_deployment(spec).run()
+    return [f"{label}: {v}" for v in check_invariants(result)]
 
 
 def generate_scenarios(

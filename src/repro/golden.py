@@ -37,19 +37,6 @@ def check_against_golden(
             f"to record one"
         )
     golden = json.loads(path.read_text())
-    # Wall-clock-derived figures (and thus the scheduling shape behind the
-    # pinned counters) are only comparable within one simulator engine;
-    # traces recorded before the engine field existed are all single-queue.
-    golden_engine = golden.get("engine", "single")
-    measured_engine = figures.get("engine", "single")
-    if golden_engine != measured_engine:
-        return (
-            f"golden trace {path} was recorded under engine="
-            f"{golden_engine!r} but this run used engine="
-            f"{measured_engine!r} — cross-engine comparisons are refused; "
-            f"re-run under the recorded engine or re-record with "
-            f"--update-golden"
-        )
     if golden.get("scenario") != figures["scenario"]:
         return (
             f"golden trace {path} was recorded for a different scenario — "

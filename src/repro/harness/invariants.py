@@ -1,7 +1,7 @@
-"""Standing invariants every run must satisfy, engine and scenario aside.
+"""Standing invariants every run must satisfy, whatever the scenario.
 
-The smoke gates, the scenario fuzzer and the cross-engine differential
-tests all assert the same safety properties — delivered prefixes agree,
+The smoke gates, the scenario fuzzer and the integration tests all
+assert the same safety properties — delivered prefixes agree,
 no request is delivered twice, forged signatures never outnumber the
 rejections that caught them.  This module owns those checks once, so a
 new gate cannot quietly redefine what (say) "no double delivery" means.
@@ -10,14 +10,12 @@ Two layers:
 
 * per-run checks (:func:`check_invariants`) — safety properties of one
   :class:`~repro.harness.runner.DeploymentResult`;
-* cross-run equivalence (:func:`assert_runs_equivalent`) — the bit-identity
-  contract between the single-queue and sharded engines: identical
-  delivered traces per node, identical event/message counters, identical
-  completion figures.
+* cross-run equivalence (:func:`check_runs_equivalent`) — the same-seed
+  determinism contract: identical delivered traces per node, identical
+  event/message counters, identical completion figures.
 
 All checkers return a list of human-readable violation strings (empty =
-clean); the ``assert_*`` wrappers raise ``AssertionError`` with the full
-list, which is the form the tests and ``python -m repro.fuzz_smoke`` use.
+clean).
 """
 
 from __future__ import annotations
@@ -255,24 +253,16 @@ def check_invariants(result) -> List[str]:
     )
 
 
-def assert_invariants(result, context: str = "") -> None:
-    """Raise ``AssertionError`` listing every violated per-run invariant."""
-    violations = check_invariants(result)
-    if violations:
-        prefix = f"{context}: " if context else ""
-        raise AssertionError(prefix + "; ".join(violations))
-
-
 def check_runs_equivalent(a, b) -> List[str]:
     """Bit-identity contract between two runs of the same scenario.
 
-    ``a`` and ``b`` are DeploymentResults from different engines (or the
-    same engine twice, for determinism checks).  Equivalence means: the
-    same per-node delivered trace — sequence numbers and entry digests —
-    plus identical submitted/completed counts and identical simulator and
-    network totals (``events_executed``, ``messages_sent``, payload
-    counters).  The counters are included deliberately: the sharded engine
-    claims the *same schedule*, not just the same outcome.
+    ``a`` and ``b`` are DeploymentResults of the same seeded scenario run
+    twice.  Equivalence means: the same per-node delivered trace — sequence
+    numbers and entry digests — plus identical submitted/completed counts
+    and identical simulator and network totals (``events_executed``,
+    ``messages_sent``, payload counters).  The counters are included
+    deliberately: determinism means the *same schedule*, not just the same
+    outcome.
     """
     violations = []
     if len(a.nodes) != len(b.nodes):
@@ -296,11 +286,3 @@ def check_runs_equivalent(a, b) -> List[str]:
         if va != vb:
             violations.append(f"network stats {key} differs: {va} vs {vb}")
     return violations
-
-
-def assert_runs_equivalent(a, b, context: str = "") -> None:
-    """Raise ``AssertionError`` listing every cross-run divergence."""
-    violations = check_runs_equivalent(a, b)
-    if violations:
-        prefix = f"{context}: " if context else ""
-        raise AssertionError(prefix + "; ".join(violations))

@@ -27,13 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Type
 
 from ..baselines.mirbft import MirBFTNode
 from ..core.client import Client
-from ..core.config import (
-    ENGINE_SHARDED,
-    ISSConfig,
-    NetworkConfig,
-    SimConfig,
-    WorkloadConfig,
-)
+from ..core.config import ISSConfig, NetworkConfig, SimConfig, WorkloadConfig
 from ..core.iss import ISSNode
 from ..core.leader_policy import LeaderSelectionPolicy
 from ..core.membership import ACTION_REMOVE, ConfigTx, encode_config_tx
@@ -62,7 +56,6 @@ from ..sim.faults import (
 )
 from ..sim.latency import LatencyModel
 from ..sim.network import Network
-from ..sim.sharded import ShardedSimulator
 from ..sim.simulator import Simulator
 from ..storage.node_storage import NodeStorage
 from ..storage.recovery import RecoveryInfo, RecoveryManager
@@ -73,11 +66,6 @@ PolicyFactory = Callable[[ISSConfig], LeaderSelectionPolicy]
 
 #: Default virtual-time tick of the post-restart catch-up watcher (seconds).
 DEFAULT_RECOVERY_POLL_INTERVAL = 0.25
-
-#: Shard-count cap when ``SimConfig.num_shards`` is 0 (auto): one shard per
-#: datacenter up to this many.  More shards shrink per-queue sort batches
-#: without shrinking the active heap, so returns diminish quickly.
-DEFAULT_MAX_SHARDS = 8
 
 
 def recovery_poll_interval() -> float:
@@ -197,31 +185,15 @@ class Deployment:
             probe_stagger if probe_stagger is not None else probe_stagger_interval()
         )
 
-        #: Engine selection: an explicit SimConfig wins; otherwise the
-        #: ``REPRO_ENGINE`` env var (default: the single-queue engine).
-        self.sim_config = sim_config if sim_config is not None else SimConfig.from_env()
-        self.sim_config.validate()
-        self.engine = self.sim_config.engine
-        # The latency model is built first so the sharded engine can derive
-        # its shard map and lookahead from datacenter placement; the two
-        # objects have independent RNGs, so construction order changes no
-        # schedule (golden traces pin this).
+        # ``sim_config`` is accepted and ignored: it exists solely for the
+        # frozen benchmarks/e2e/sim_runner.py caller and goes at the next
+        # benchmark re-anchor.
         self.latency = LatencyModel(self.network_config, config.num_nodes)
         # Joining replicas get their datacenter placement up front (same
-        # deterministic rule as genesis nodes), so the sharded engine can
-        # assign their endpoints before the run starts.
+        # deterministic rule as genesis nodes).
         if self._joining_ids:
             self.latency.register_extra_nodes(self._joining_ids)
-        #: Datacenter → shard map (empty on the single engine).
-        self._shard_of_dc: Dict[int, int] = {}
-        if self.engine == ENGINE_SHARDED:
-            self.sim = self._build_sharded_sim()
-            for node in self._joining_ids:
-                self.sim.assign_endpoint(
-                    node, self._shard_of_dc[self.latency.datacenter_of(node)]
-                )
-        else:
-            self.sim = Simulator(seed=config.random_seed)
+        self.sim = Simulator(seed=config.random_seed)
         self.network = Network(self.sim, self.network_config, self.latency)
         self.key_store = KeyStore(deployment_seed=config.random_seed)
         self.injector = FaultInjector(self.sim, self.network)
@@ -363,12 +335,6 @@ class Deployment:
             )
             endpoint_clients.append(self.admin_client)
         self.latency.register_extra_endpoints([c.endpoint for c in endpoint_clients])
-        if self.engine == ENGINE_SHARDED:
-            for client in endpoint_clients:
-                self.sim.assign_endpoint(
-                    client.endpoint,
-                    self._shard_of_dc[self.latency.datacenter_of(client.endpoint)],
-                )
         # Scheduled last: a spec at time 0 fires immediately and needs the
         # admin client (and every endpoint) in place.
         if self.membership_specs:
@@ -392,47 +358,6 @@ class Deployment:
             sim=self.sim,
             on_submit=lambda request, time: self.collector.record_submit(request.rid, time),
         )
-
-    # -------------------------------------------------------- engine builds
-    def _build_sharded_sim(self) -> ShardedSimulator:
-        """Construct the sharded engine for this deployment's topology.
-
-        Shards follow datacenter placement: every datacenter maps to one
-        shard (``dc % num_shards``), so intra-DC traffic — the sub-
-        millisecond deliveries that dominate event volume — stays within a
-        shard's queue.  The conservative lookahead is the minimum one-way
-        base latency between datacenters living in *different* shards:
-        jitter is multiplicative and drops only remove events, so no
-        cross-shard send can ever be delivered earlier than that bound.
-        """
-        num_dcs = self.network_config.num_datacenters
-        num_shards = self.sim_config.num_shards
-        if num_shards == 0:
-            num_shards = min(num_dcs, DEFAULT_MAX_SHARDS, max(1, self.config.num_nodes))
-        num_shards = max(1, min(num_shards, num_dcs))
-        shard_of_dc = {dc: dc % num_shards for dc in range(num_dcs)}
-        lookahead = None
-        for dc_a in range(num_dcs):
-            for dc_b in range(dc_a + 1, num_dcs):
-                if shard_of_dc[dc_a] == shard_of_dc[dc_b]:
-                    continue
-                latency = self.latency.dc_latency(dc_a, dc_b)
-                if lookahead is None or latency < lookahead:
-                    lookahead = latency
-        if lookahead is None:
-            # Single shard: no cross-shard edge constrains the horizon, so
-            # any positive window is conservative.
-            lookahead = self.network_config.inter_dc_latency or 0.02
-        sim = ShardedSimulator(
-            seed=self.config.random_seed,
-            num_shards=num_shards,
-            lookahead=lookahead,
-            min_window=self.sim_config.min_window,
-        )
-        self._shard_of_dc = shard_of_dc
-        for node in range(self.config.num_nodes):
-            sim.assign_endpoint(node, shard_of_dc[self.latency.datacenter_of(node)])
-        return sim
 
     # ----------------------------------------------------------- node builds
     def _build_node(self, node_id: int) -> ISSNode:
@@ -909,7 +834,6 @@ class Deployment:
             client_abuse=self._client_abuse_stats(),
             partitions=self._partition_stats(),
             membership=self._membership_stats(),
-            engine=self.engine,
         )
         if self.sampler is not None:
             report.throughput_timeline = self.sampler.throughput_timeline(

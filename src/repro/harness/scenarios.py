@@ -196,10 +196,8 @@ def wan_regions(
     measured one-way latencies between named cloud regions
     (:data:`WAN_ONE_WAY_LATENCY`), which is what the Figure 5 scalability
     sweeps use: nodes spread round-robin over regions, so growing ``n``
-    adds replicas without changing the latency geometry.  The asymmetric
-    spread between region pairs (13 ms Dublin–Frankfurt vs 163 ms
-    Singapore–São Paulo) also gives the sharded engine a realistic
-    minimum cross-shard latency to derive its lookahead from.
+    adds replicas without changing the latency geometry.  Region pairs
+    spread from 13 ms (Dublin–Frankfurt) to 163 ms (Singapore–São Paulo).
 
     ``batch_flush_interval`` defaults to the benchmark flush tick
     (:func:`bench_flush_interval`); pass ``0.0`` to disable wire batching.

@@ -127,7 +127,6 @@ def run_smoke() -> Dict[str, object]:
     joins = membership.get("joins", [])
     return {
         "scenario": dict(SCENARIO),
-        "engine": report.engine,
         "activations": [
             [a["epoch"], list(a["added"]), list(a["removed"])]
             for a in membership.get("activations", [])

@@ -64,11 +64,6 @@ class RunReport:
     completed: int
     throughput: float
     latency: LatencySummary
-    #: Simulator engine that produced this report (``"single"`` or
-    #: ``"sharded"``) — recorded so downstream golden-trace gates can refuse
-    #: to compare runs across engines instead of failing with an opaque
-    #: diff when wall-clock-dependent figures differ.
-    engine: str = "single"
     #: Requests completed per one-second interval (Figure 9/10/12 style).
     #: Populated by the harness from the observability sampler when a run
     #: enables ``ObsConfig.metrics_interval``; empty otherwise.
@@ -226,7 +221,6 @@ class MetricsCollector:
         client_abuse: Optional[Dict[str, object]] = None,
         partitions: Optional[Dict[str, object]] = None,
         membership: Optional[Dict[str, object]] = None,
-        engine: str = "single",
     ) -> RunReport:
         """Summarise the run; ``byzantine`` carries the harness's per-node
         misbehaviour counters and is merged with the collector's own
@@ -234,8 +228,7 @@ class MetricsCollector:
         counters of runs with malicious clients, ``partitions`` the
         network-chaos diagnostics of runs with partitions or link faults,
         ``membership`` the reconfiguration diagnostics of runs with
-        dynamic membership, ``engine`` names the simulator engine that
-        produced the run."""
+        dynamic membership."""
         measured = max(1e-9, duration - self.warmup)
         completed = len(self._latencies)
         byz: Dict[str, object] = dict(byzantine or {})
@@ -248,7 +241,6 @@ class MetricsCollector:
             }
         return RunReport(
             duration=duration,
-            engine=engine,
             submitted=self.submitted_count(),
             completed=completed,
             throughput=completed / measured,

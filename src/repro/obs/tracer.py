@@ -14,10 +14,10 @@ call site is guarded by ``if tracer is not None:``.  The tracer is never
 consulted, never allocated, and schedules nothing in that case, which keeps
 golden traces bit-identical.
 
-Sampling is deterministic and engine-independent: a request is traced iff
+Sampling is deterministic and process-independent: a request is traced iff
 the cached integer mix of its :class:`~repro.core.types.RequestId` falls
 under the sampling threshold.  The same request is therefore traced (or
-not) on every node, in every engine, and across crash/restart — no RNG
+not) on every node and across crash/restart — no RNG
 stream is consumed, so enabling tracing cannot perturb the simulation.
 
 Event record layout (flat 5-tuples, ``(kind, time, actor, key, detail)``):
@@ -88,7 +88,7 @@ class RequestTracer:
         self.events: List[Tuple] = []
         self._sample_all = sample >= 1.0
         # Compare against the low 32 bits of RequestId._mix: deterministic,
-        # process-independent, identical across engines and restarts.
+        # process-independent, identical across restarts.
         self._threshold = int(min(1.0, max(0.0, sample)) * 2**32)
         self._traced: Set[RequestId] = set()
 

@@ -39,7 +39,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import golden, perf_smoke, smokelib
-from .core.config import SimConfig
 from .obs import ObsConfig
 from .obs.export import (
     CHROME_TRACE_FILE,
@@ -69,7 +68,7 @@ def _timed_run(obs: ObsConfig):
     otherwise a traced run's retained events get collected inside the next
     timed region and the measured "overhead" is mostly cross-run GC noise.
     The collector is then disabled inside the timed region (the ``timeit``
-    convention, same as the Fig. 5 engine sweep): the traced run allocates
+    convention, same as the Fig. 5 node-count sweep): the traced run allocates
     more, so with GC live it pays extra full-heap passes whose cost scales
     with whatever else the process has ever allocated (in the CI chain this
     smoke runs after six others), not with the tracing hooks under test.
@@ -144,7 +143,6 @@ def measure(repetitions: int = REPETITIONS) -> Dict[str, object]:
     enabled_figs["wall_time_s"] = round(min(enabled_walls), 4)
     return {
         "scenario": dict(perf_smoke.SCENARIO),
-        "engine": SimConfig.from_env().engine,
         "repetitions": repetitions,
         "disabled": disabled_figs,
         "enabled": enabled_figs,

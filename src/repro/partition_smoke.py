@@ -159,7 +159,6 @@ def run_smoke() -> Dict[str, object]:
     drops = partitions["drops_by_cause"]
     return {
         "scenario": dict(SCENARIO),
-        "engine": report.engine,
         "completed": report.completed,
         "all_complete": all(
             c.requests_completed == c.requests_submitted for c in result.clients

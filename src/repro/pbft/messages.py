@@ -44,7 +44,7 @@ class Prepare:
     """Follower vote echoing the proposal digest.
 
     Batchable: votes for different slots/instances travelling the same link
-    within one flush tick share a wire frame (see :mod:`repro.sim.batching`).
+    within one flush tick share a wire frame (see :mod:`repro.runtime.wire`).
     """
 
     view: ViewNr

@@ -4,25 +4,18 @@ Runs the canonical profiling scenario — 8 ISS nodes, 16 clients pushing an
 aggregate 2,000 req/s for 10 virtual seconds over the simulated 1 Gbps WAN —
 twice: once with wire batching disabled and once with the batched-vote
 configuration (``NetworkConfig.batch_flush_interval = 20 ms``, see
-:mod:`repro.sim.batching`).  For each run it records how fast the *simulator
+:mod:`repro.runtime.wire`).  For each run it records how fast the *simulator
 itself* ran (wall-clock time, events per second of wall time, requests
 completed per second of wall time) plus the wire-message counters, and
 derives the message/event reduction the batching layer achieves.  The result
 is written to ``BENCH_hotpath.json`` so the perf trajectory is tracked
 across PRs (see PERF.md for the methodology).
 
-The script fails loudly (exit code 1) when
-
-* throughput-per-second-of-wall of the unbatched run regresses by more than
-  the allowed fraction versus the checked-in baseline
-  (``benchmarks/bench_hotpath_baseline.json``), or
-* the batched run no longer cuts total wire messages by at least
-  ``MIN_MESSAGE_REDUCTION`` (this check is deterministic: message counts do
-  not depend on machine speed).
-
-Pass ``--update-baseline`` after an intentional perf change, or
-``--no-check`` on machines whose speed is not comparable to the baseline
-recorder's (the deterministic reduction check still runs).
+The script fails loudly (exit code 1) when the batched run no longer cuts
+total wire messages by at least ``MIN_MESSAGE_REDUCTION`` (this check is
+deterministic: message counts do not depend on machine speed).  Speed
+regressions on this scenario are gated by the repo benchmark's ``sim_n8``
+workload (``benchmarks/e2e``), not here.
 """
 
 from __future__ import annotations
@@ -34,13 +27,13 @@ import time
 from pathlib import Path
 from typing import Dict, Optional
 
-from .core.config import ISSConfig, NetworkConfig, SimConfig, WorkloadConfig
+from .core.config import ISSConfig, NetworkConfig, WorkloadConfig
 from .harness.runner import Deployment
 from .harness.scenarios import DEFAULT_FLUSH_INTERVAL
 from .obs import ObsConfig
 from .smokelib import print_figures
 
-#: The profiling scenario (keep in sync with PERF.md and the baseline file).
+#: The profiling scenario (keep in sync with PERF.md).
 SCENARIO = dict(
     num_nodes=8,
     random_seed=42,
@@ -52,11 +45,8 @@ SCENARIO = dict(
 #: Flush tick of the batched-vote run (seconds) — the single source of truth
 #: is the figure benchmarks' default, so the two batched configurations
 #: cannot drift apart.  Note the env var ``REPRO_FLUSH_INTERVAL`` does *not*
-#: affect this scenario; the baseline must be machine-environment-stable.
+#: affect this scenario; its counters must be environment-stable.
 BATCH_FLUSH_INTERVAL = DEFAULT_FLUSH_INTERVAL
-
-#: Allowed regression of events-per-wall-second before the check fails.
-REGRESSION_TOLERANCE = 0.30
 
 #: Minimum fraction of wire messages batching must save on the scenario.
 MIN_MESSAGE_REDUCTION = 0.30
@@ -67,7 +57,7 @@ def build_deployment(
 ) -> Deployment:
     """Build the profiling-scenario deployment (optionally wire-batched).
 
-    Observability is pinned off by default — the wall-clock baseline must
+    Observability is pinned off by default — the wall-clock figures must
     not move with ``REPRO_TRACE*`` env vars; ``repro.obs_smoke`` passes an
     enabled ``obs`` to measure the tracing overhead on this same scenario.
     """
@@ -113,15 +103,10 @@ def _run_once(batch_flush_interval: float) -> Dict[str, float]:
 def run_smoke() -> Dict[str, object]:
     """Run the scenario unbatched and batched; return the combined figures.
 
-    The top-level keys describe the unbatched run (the shape older baselines
-    used); the batched run and the derived reductions live under ``batched``.
+    The top-level keys describe the unbatched run; the batched run and the
+    derived reductions live under ``batched``.
     """
     figures: Dict[str, object] = dict(_run_once(0.0))
-    # Wall-clock figures are engine-specific; record which engine measured
-    # them so the baseline gate can refuse a cross-engine comparison.
-    # build_deployment() passes no explicit SimConfig, so the env default
-    # is exactly the engine both runs above used.
-    figures["engine"] = SimConfig.from_env().engine
     batched = _run_once(BATCH_FLUSH_INTERVAL)
     figures["batched"] = batched
     figures["batch_flush_interval_s"] = BATCH_FLUSH_INTERVAL
@@ -132,48 +117,6 @@ def run_smoke() -> Dict[str, object]:
         1.0 - batched["events_executed"] / figures["events_executed"], 4
     )
     return figures
-
-
-def _default_baseline_path() -> Path:
-    return Path(__file__).resolve().parents[2] / "benchmarks" / "bench_hotpath_baseline.json"
-
-
-def check_against_baseline(
-    figures: Dict[str, object], baseline_path: Path
-) -> Optional[str]:
-    """Return an error string when the run regresses beyond tolerance."""
-    if not baseline_path.exists():
-        return (
-            f"baseline {baseline_path} does not exist — run with "
-            f"--update-baseline to record one, or --no-check to skip"
-        )
-    baseline = json.loads(baseline_path.read_text())
-    baseline_engine = baseline.get("engine", "single")
-    measured_engine = figures.get("engine", "single")
-    if baseline_engine != measured_engine:
-        return (
-            f"baseline {baseline_path} was recorded under engine="
-            f"{baseline_engine!r} but this run used engine="
-            f"{measured_engine!r} — wall-clock comparisons across engines "
-            f"are refused; re-run under the recorded engine or re-record "
-            f"with --update-baseline"
-        )
-    reference = float(baseline.get("events_per_wall_sec", 0.0))
-    if reference <= 0:
-        return (
-            f"baseline {baseline_path} has no positive events_per_wall_sec — "
-            f"re-record it with --update-baseline"
-        )
-    measured = figures["events_per_wall_sec"]
-    floor = reference * (1.0 - REGRESSION_TOLERANCE)
-    if measured < floor:
-        return (
-            f"PERF REGRESSION: {measured:.0f} events/wall-s is more than "
-            f"{REGRESSION_TOLERANCE:.0%} below the baseline "
-            f"{reference:.0f} events/wall-s (floor {floor:.0f}). "
-            f"Baseline: {baseline_path}"
-        )
-    return None
 
 
 def check_message_reduction(figures: Dict[str, object]) -> Optional[str]:
@@ -191,27 +134,12 @@ def check_message_reduction(figures: Dict[str, object]) -> Optional[str]:
 
 
 def main(argv: Optional[list] = None) -> int:
-    """CLI entry point: run the smoke scenarios, write JSON, apply checks."""
+    """CLI entry point: run the smoke scenarios, write JSON, apply the check."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--output",
         default="BENCH_hotpath.json",
         help="where to write the result JSON (default: ./BENCH_hotpath.json)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline JSON to compare against (default: benchmarks/bench_hotpath_baseline.json)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="record this run as the new baseline instead of checking against it",
-    )
-    parser.add_argument(
-        "--no-check",
-        action="store_true",
-        help="skip the regression checks (e.g. on an incomparable machine)",
     )
     args = parser.parse_args(argv)
 
@@ -226,9 +154,6 @@ def main(argv: Optional[list] = None) -> int:
     Path(args.output).write_text(json.dumps(figures, indent=2) + "\n")
     print(f"wrote {args.output}")
 
-    # The reduction check is deterministic (pure message counts), so it
-    # applies in every mode — including --no-check and --update-baseline: a
-    # baseline that violates the batching floor must never be recorded.
     reduction_error = check_message_reduction(figures)
     if reduction_error is not None:
         print(reduction_error, file=sys.stderr)
@@ -237,21 +162,6 @@ def main(argv: Optional[list] = None) -> int:
         f"batching check ok ({figures['message_reduction']:.1%} fewer wire "
         f"messages, floor {MIN_MESSAGE_REDUCTION:.0%})"
     )
-
-    baseline_path = Path(args.baseline) if args.baseline else _default_baseline_path()
-    if args.update_baseline:
-        baseline_path.write_text(json.dumps(figures, indent=2) + "\n")
-        print(f"updated baseline {baseline_path}")
-        return 0
-    if not args.no_check:
-        error = check_against_baseline(figures, baseline_path)
-        if error is not None:
-            print(error, file=sys.stderr)
-            return 1
-        print(
-            f"regression check ok (baseline {baseline_path.name}, "
-            f"tolerance {REGRESSION_TOLERANCE:.0%})"
-        )
     return 0
 
 

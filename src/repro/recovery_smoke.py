@@ -118,7 +118,6 @@ def run_smoke() -> Dict[str, object]:
     recovery = dict(report.recoveries[0]) if report.recoveries else {}
     return {
         "scenario": dict(SCENARIO),
-        "engine": report.engine,
         "recovery": recovery,
         "caught_up": recovery.get("time_to_caught_up", -1.0) >= 0.0,
         "prefix_matches": delivered_prefix_matches(reference, victim),

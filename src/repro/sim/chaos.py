@@ -18,7 +18,7 @@ Both are installed through the :class:`~repro.sim.faults.FaultInjector`
 (scheduled in virtual time like every other fault) and applied by the
 :class:`~repro.sim.network.Network` *before* wire batching, so drops and
 duplications act on individual payloads and can never hide inside a
-coalesced :class:`~repro.sim.batching.MessageBatchMsg` frame.
+coalesced :class:`~repro.runtime.wire.MessageBatchMsg` frame.
 
 Determinism: every probabilistic effect (loss, duplication, delay jitter)
 draws from a per-installed-fault ``random.Random`` seeded from the spec and

@@ -69,18 +69,6 @@ class LatencyModel:
     def datacenter_of(self, node: NodeId) -> int:
         return self.placement[node]
 
-    def dc_latency(self, dc_a: int, dc_b: int) -> float:
-        """One-way base latency between two datacenters (seconds).
-
-        Intra-datacenter pairs return the configured intra-DC latency.
-        Used by the harness to derive the sharded engine's conservative
-        lookahead (minimum latency between datacenters in different
-        shards).
-        """
-        if dc_a == dc_b:
-            return self.config.intra_dc_latency
-        return self._dc_latency[dc_a][dc_b]
-
     def datacenter_name(self, node: NodeId) -> str:
         dc = self.placement[node] % len(DATACENTER_NAMES)
         return DATACENTER_NAMES[dc]

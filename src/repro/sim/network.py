@@ -24,7 +24,7 @@ simulator's allocation-free callback path.
 
 When ``NetworkConfig.batch_flush_interval`` is positive, small batchable
 messages (protocol votes, client requests and acknowledgements — see
-:mod:`repro.sim.batching`) are additionally coalesced per (src, dst, flush
+:mod:`repro.runtime.wire`) are additionally coalesced per (src, dst, flush
 tick) into single wire frames before paying any of those costs; receivers
 still see each payload individually.
 """
@@ -78,7 +78,7 @@ class NetworkStats:
     messages_dropped: int = 0
     bytes_sent: int = 0
     #: Wire batches among ``messages_sent`` and logical payloads inside them
-    #: (see :mod:`repro.sim.batching`; both stay 0 with batching disabled).
+    #: (see :mod:`repro.runtime.wire`; both stay 0 with batching disabled).
     batches_sent: int = 0
     payloads_batched: int = 0
     per_node_bytes_sent: Counter = field(default_factory=Counter)
@@ -127,12 +127,6 @@ class Network:
         #: Virtual time each directed link finishes its queued transmissions
         #: (only populated when ``config.link_bandwidth_bps`` > 0).
         self._link_free_at: Dict[Tuple[NodeId, NodeId], float] = {}
-        #: Shard-aware delivery scheduling when the simulator offers it
-        #: (see :meth:`repro.sim.sharded.ShardedSimulator.schedule_callback_for`):
-        #: deliveries queue in the *destination's* shard, turning cross-shard
-        #: sends into horizon-stamped handoffs.  ``None`` on the single
-        #: engine, whose fast path stays untouched.
-        self._schedule_delivery = getattr(sim, "schedule_callback_for", None)
         self._crashed: Set[NodeId] = set()
         #: Current partition: a node-to-group mapping; messages across groups drop.
         self._partition_group: Dict[NodeId, int] = {}
@@ -306,7 +300,7 @@ class Network:
         faults, NIC, latency) like any honestly sent message.
 
         With wire batching enabled, batchable messages (see
-        :mod:`repro.sim.batching`) detour through the batcher and hit the
+        :mod:`repro.runtime.wire`) detour through the batcher and hit the
         wire as part of a coalesced frame at the link's next flush tick;
         fault checks, NIC serialisation and latency then apply to the frame.
         """
@@ -480,18 +474,12 @@ class Network:
                         arrival += fault.extra_delay()
 
         # Allocation-free delivery scheduling (no Timer handle needed).
-        # Sharded engines take the shard-routed path so the delivery event
-        # queues with the destination; ordering semantics are identical.
         delay = arrival - now
         if delay < 0.0:
             delay = 0.0
-        schedule_for = self._schedule_delivery
-        if schedule_for is None:
-            self.sim.schedule_callback(
-                delay, lambda: self._deliver(src, dst, message)
-            )
-        else:
-            schedule_for(dst, delay, lambda: self._deliver(src, dst, message))
+        self.sim.schedule_callback(
+            delay, lambda: self._deliver(src, dst, message)
+        )
 
     def multicast(self, src: NodeId, dsts: Iterable[NodeId], message: object) -> None:
         """Send the same message to every destination (each pays NIC time)."""

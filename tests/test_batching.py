@@ -1,4 +1,4 @@
-"""Tests for the cross-protocol wire-batching layer (:mod:`repro.sim.batching`).
+"""Tests for the cross-protocol wire-batching layer (:mod:`repro.runtime.wire`).
 
 Covers the batchable-type registry, the (src, dst, flush tick) coalescing
 semantics at the network layer, fault interaction, end-to-end deployment
@@ -28,7 +28,7 @@ from repro.harness.runner import Deployment
 from repro.hotstuff.messages import NewRound, Vote
 from repro.pbft.messages import Commit, Prepare, PrePrepare
 from repro.raft.messages import AppendEntries, AppendReply, RequestVote, VoteReply
-from repro.sim.batching import (
+from repro.runtime.wire import (
     BATCH_HEADER_BYTES,
     MessageBatcher,
     MessageBatchMsg,
@@ -126,7 +126,7 @@ class TestRegistry:
     def test_hotstuff_votes_batchable_without_crypto(self):
         # Vote/NewRound carry threshold-crypto members; registry membership
         # is a type-level property, so probe the registry directly.
-        from repro.sim.batching import _REGISTRY
+        from repro.runtime.wire import _REGISTRY
 
         assert Vote in _REGISTRY
         assert NewRound in _REGISTRY

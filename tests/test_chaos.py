@@ -13,7 +13,7 @@ from repro.core.config import ConfigError, ISSConfig, NetworkConfig, WorkloadCon
 from repro.core.client import Client
 from repro.crypto.signatures import KeyStore
 from repro.harness.runner import Deployment
-from repro.sim.batching import register_batchable
+from repro.runtime.wire import register_batchable
 from repro.sim.chaos import (
     DROP_CAUSES,
     LinkFaultSpec,

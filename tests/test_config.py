@@ -6,6 +6,7 @@ from repro.core.config import (
     ConfigError,
     ISSConfig,
     NetworkConfig,
+    SimConfig,
     WorkloadConfig,
     paper_config,
     PROTOCOL_HOTSTUFF,
@@ -119,3 +120,19 @@ class TestOtherConfigs:
             WorkloadConfig(duration=0).validate()
         with pytest.raises(ConfigError):
             WorkloadConfig(num_clients=0).validate()
+
+    def test_sim_config_accepts_only_the_single_engine(self):
+        assert SimConfig() == SimConfig(engine="single")
+        with pytest.raises(ConfigError, match="removed in PR 12"):
+            SimConfig(engine="sharded")
+
+    def test_engine_env_var_is_no_longer_read(self, monkeypatch):
+        from repro.harness.runner import Deployment
+        from repro.sim.simulator import Simulator
+
+        monkeypatch.setenv("REPRO_ENGINE", "sharded")
+        deployment = Deployment(
+            config=ISSConfig(num_nodes=4, random_seed=1),
+            workload=WorkloadConfig(num_clients=2, total_rate=50.0, duration=1.0),
+        )
+        assert type(deployment.sim) is Simulator

@@ -25,7 +25,7 @@ class TestDocstringAudit:
         for expected in (
             "repro",
             "repro.core.iss",
-            "repro.sim.batching",
+            "repro.runtime.wire",
             "repro.sim.network",
             "repro.harness.runner",
             "repro.doccheck",

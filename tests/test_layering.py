@@ -9,13 +9,16 @@ tests import each protocol layer in a **fresh interpreter** and assert no
 from the simulator anywhere in the dependency closure fails CI
 immediately.
 
-The simulator-side shims (``repro.sim.batching``, ``repro.sim.faults``)
-must keep re-exporting the runtime classes *by identity*, not by copy —
-isinstance checks and pickled golden traces rely on it.
+The simulator-side shim ``repro.sim.faults`` must keep re-exporting the
+runtime classes *by identity*, not by copy — isinstance checks and pickled
+golden traces rely on it.
 """
 
+import importlib
 import subprocess
 import sys
+
+import pytest
 
 #: Protocol-layer module roots that must stay simulator-free.
 PROTOCOL_MODULES = [
@@ -85,9 +88,9 @@ def test_lazy_package_import_stays_sim_free():
 
 def test_sim_shims_preserve_class_identity():
     from repro.runtime.faults import CrashSpec as runtime_crash
-    from repro.runtime.wire import MessageBatcher as runtime_batcher
-    from repro.sim.batching import MessageBatcher as sim_batcher
     from repro.sim.faults import CrashSpec as sim_crash
 
     assert sim_crash is runtime_crash
-    assert sim_batcher is runtime_batcher
+    for removed in ("repro.sim.batching", "repro.sim.sharded"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(removed)

@@ -10,8 +10,7 @@ Three layers:
   the combined-adversary regression — each gated on the standing
   invariants plus the membership-specific ones
   (:func:`repro.harness.invariants.check_membership`);
-* determinism contracts: same-seed runs are bit-identical, the two
-  simulator engines are bit-identical under reconfiguration, and static
+* determinism contracts: same-seed runs are bit-identical, and static
   runs carry no membership machinery at all.
 """
 
@@ -19,13 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import (
-    ENGINE_SHARDED,
-    ENGINE_SINGLE,
-    NetworkConfig,
-    SimConfig,
-    WorkloadConfig,
-)
+from repro.core.config import NetworkConfig, WorkloadConfig
 from repro.core.log import Log
 from repro.core.membership import (
     ACTION_ADD,
@@ -299,7 +292,7 @@ def test_combined_adversary_regression():
 
 
 # -------------------------------------------------------------- determinism
-def _deployment(engine: str, flush: float = DEFAULT_FLUSH_INTERVAL, seed: int = 7):
+def _deployment(flush: float = DEFAULT_FLUSH_INTERVAL, seed: int = 7):
     config = membership_config("pbft", 4, random_seed=seed)
     return Deployment(
         config,
@@ -317,33 +310,23 @@ def _deployment(engine: str, flush: float = DEFAULT_FLUSH_INTERVAL, seed: int = 
         ],
         recovery_poll=0.25,
         probe_stagger=0.5,
-        sim_config=SimConfig(engine=engine),
         obs=ObsConfig.disabled(),
         drain_time=6.0,
     )
 
 
 def test_same_seed_reconfiguration_is_deterministic():
-    a = _deployment(ENGINE_SINGLE).run()
-    b = _deployment(ENGINE_SINGLE).run()
+    a = _deployment().run()
+    b = _deployment().run()
     assert check_runs_equivalent(a, b) == []
     assert a.report.membership["final_view"] == [1, 2, 3, 4]
-
-
-def test_engines_bit_identical_under_reconfiguration():
-    single = _deployment(ENGINE_SINGLE).run()
-    sharded = _deployment(ENGINE_SHARDED).run()
-    assert check_invariants(single) == []
-    assert check_invariants(sharded) == []
-    assert check_runs_equivalent(single, sharded) == []
-    assert single.report.membership["final_view"] == sharded.report.membership["final_view"]
 
 
 def test_reconfiguration_with_batching_on_and_off():
     """Wire batching changes the schedule, never the outcome: both runs are
     clean and converge to the same final view."""
-    batched = _deployment(ENGINE_SINGLE, flush=DEFAULT_FLUSH_INTERVAL).run()
-    unbatched = _deployment(ENGINE_SINGLE, flush=0.0).run()
+    batched = _deployment(flush=DEFAULT_FLUSH_INTERVAL).run()
+    unbatched = _deployment(flush=0.0).run()
     for result in (batched, unbatched):
         assert check_invariants(result) == []
         assert result.report.membership["final_view"] == [1, 2, 3, 4]

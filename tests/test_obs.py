@@ -1,6 +1,6 @@
 """Observability subsystem tests (tracer, spans, sampler, exporters).
 
-Four contracts are pinned here:
+Three contracts are pinned here:
 
 1. **Disabled mode is invisible** — with the obs package imported and the
    ``REPRO_TRACE*`` environment unset, the canonical golden trace replays
@@ -8,9 +8,7 @@ Four contracts are pinned here:
    (same completions, same delivered-trace digest, same wire traffic).
 2. **Spans are complete** — on a seeded scenario every completed request
    closes a monotone submit→admit→propose→commit→deliver→complete chain.
-3. **Traces are engine-independent** — the single-queue and sharded
-   engines produce identical span rows and time series.
-4. **Exports are valid** — the Chrome trace-event file passes the schema
+3. **Exports are valid** — the Chrome trace-event file passes the schema
    validator (and the validator actually rejects malformed traces), and
    ``spans.jsonl`` round-trips losslessly.
 """
@@ -24,13 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro import golden
-from repro.core.config import (
-    ENGINE_SHARDED,
-    ENGINE_SINGLE,
-    ISSConfig,
-    SimConfig,
-    WorkloadConfig,
-)
+from repro.core.config import ISSConfig, WorkloadConfig
 from repro.harness.runner import Deployment
 from repro.obs import ObsConfig
 from repro.obs.export import (
@@ -57,7 +49,7 @@ ENV_VARS = (
 FULL_OBS = ObsConfig(trace=True, sample=1.0, metrics_interval=1.0)
 
 
-def _run(obs, engine=ENGINE_SINGLE, sample=None):
+def _run(obs, sample=None):
     """Seeded 4-node scenario; ``obs`` may be None (environment path)."""
     if sample is not None:
         obs = ObsConfig(trace=True, sample=sample, metrics_interval=obs.metrics_interval)
@@ -66,7 +58,6 @@ def _run(obs, engine=ENGINE_SINGLE, sample=None):
     deployment = Deployment(
         config=config,
         workload=workload,
-        sim_config=SimConfig(engine=engine),
         obs=obs,
     )
     result = deployment.run()
@@ -199,15 +190,6 @@ class TestSpanCompleteness:
         assert chain_violation(row) == "missing commit"
         row["commit"] = 10.0
         assert "precedes" in chain_violation(row)
-
-
-class TestCrossEngineIdentity:
-    def test_engines_produce_identical_traces(self, traced_run):
-        single_dep, single_res, single_rows = traced_run
-        sharded_dep, sharded_res = _run(FULL_OBS, engine=ENGINE_SHARDED)
-        assert sharded_res.report.completed == single_res.report.completed
-        assert assemble_spans(sharded_dep.tracer.events) == single_rows
-        assert sharded_res.report.timeseries == single_res.report.timeseries
 
 
 class TestExporters:

@@ -1,9 +1,8 @@
-"""Seeded scenario fuzz: random small scenarios on both engines.
+"""Seeded scenario fuzz: random small scenarios, invariants only.
 
 Runs the fixed fuzz population (see :mod:`repro.fuzz_smoke`) through
 pytest, one scenario per test case: every scenario must satisfy the
-standing safety invariants on both engines *and* the two engines must
-produce bit-identical runs.  The population derives from one master
+standing safety invariants.  The population derives from one master
 seed, so a failure here replays exactly with::
 
     python -m repro.fuzz_smoke --seed 0x<master_seed> --count <n>
@@ -33,8 +32,8 @@ def _scenario_id(spec):
 
 
 @pytest.mark.parametrize("spec", POPULATION, ids=_scenario_id)
-def test_fuzzed_scenario_holds_invariants_on_both_engines(spec):
-    """One fuzzed scenario: invariants hold, engines are bit-identical."""
+def test_fuzzed_scenario_holds_invariants(spec):
+    """One fuzzed scenario: the standing invariants hold."""
     violations = check_scenario(spec)
     assert not violations, "\n".join(violations)
 
@@ -43,6 +42,9 @@ def test_population_is_deterministic():
     """Same master seed → byte-for-byte identical scenario population."""
     again = generate_scenarios(DEFAULT_SCENARIOS, DEFAULT_MASTER_SEED)
     assert again == POPULATION
+    # Scenarios are drawn sequentially from one Random, so growing the
+    # population only appends: scenario k never changes with the count.
+    assert generate_scenarios(20) == generate_scenarios(40)[:20]
 
 
 def test_population_covers_protocols_and_faults():
