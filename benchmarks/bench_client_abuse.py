@@ -15,9 +15,9 @@ client's requests complete, delivered prefixes stay identical across all
 nodes, each abusive submission class is rejected and counted
 (``RunReport.client_abuse``), and per-client node memory stays bounded.
 
-``REPRO_ABUSE_CLIENTS`` raises the maximum abusive-client count of the
-sweep (default 2 of 8 clients); ``REPRO_BENCH_SCALE`` scales durations
-like every other figure benchmark.
+The sweep attacks with up to 2 of 8 clients (``client_abuse_sweep``'s
+``abusive_counts`` default); ``REPRO_BENCH_SCALE`` scales durations like
+every other figure benchmark.
 """
 
 import pytest
@@ -26,10 +26,6 @@ from repro.harness import scenarios
 from repro.metrics.report import format_table, print_banner
 
 from conftest import run_scenario, scaled_duration
-
-
-def _abusive_counts():
-    return tuple(range(scenarios.abuse_client_count() + 1))
 
 
 @pytest.mark.parametrize("flush_interval", [0.0, None], ids=["unbatched", "batched"])
@@ -41,7 +37,6 @@ def test_client_abuse_sweep(benchmark, flush_interval):
             num_clients=8,
             rate=400.0,
             duration=scaled_duration(6.0),
-            abusive_counts=_abusive_counts(),
             flush_interval=flush_interval,
         ),
         "client-abuse",

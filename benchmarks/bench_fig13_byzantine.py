@@ -23,7 +23,7 @@ import pytest
 
 from repro.harness import scenarios
 from repro.metrics.report import format_table, print_banner
-from repro.sim.faults import BYZ_CENSOR, BYZ_EQUIVOCATE
+from repro.runtime.faults import BYZ_CENSOR, BYZ_EQUIVOCATE
 
 from conftest import run_scenario, scaled_duration
 

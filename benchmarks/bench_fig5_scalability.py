@@ -5,8 +5,8 @@ Raft by 37x, 56x and 55x respectively; single-leader throughput decays
 roughly as 1/n while ISS stays flat or grows; ISS-PBFT also outperforms
 Mir-BFT slightly.
 
-This benchmark reproduces the *shape* at simulation scale (see
-EXPERIMENTS.md): single-leader peak throughput falls as nodes are added, the
+This benchmark reproduces the *shape* at simulation scale (see the module
+docstring of ``repro.harness.scenarios``): single-leader peak throughput falls as nodes are added, the
 ISS variants sustain their throughput, and the ISS/single-leader improvement
 factor grows with the node count.
 
@@ -20,7 +20,6 @@ Figure-5 node counts — events executed and events per wall-second at each
 import argparse
 import gc
 import json
-import os
 import sys
 import time
 
@@ -132,8 +131,8 @@ def test_fig5_raft_scalability(benchmark):
 # Node-count sweep CLI: simulator events/s over the Fig. 5 node counts.
 # ----------------------------------------------------------------------------
 
-#: Full Figure-5 sweep (paper scale); REPRO_FIG5_NODES overrides.
-DEFAULT_NODE_COUNTS = (8, 16, 32, 64, 128)
+#: Full Figure-5 sweep (paper scale).
+NODE_COUNTS = (8, 16, 32, 64, 128)
 #: Timed repetitions per node count (min is reported).
 DEFAULT_REPS = 3
 #: Virtual seconds and offered load of every datapoint.
@@ -209,14 +208,6 @@ def sweep_nodes(node_counts, reps=DEFAULT_REPS):
     return rows
 
 
-def _node_counts_from_env(default):
-    """Parse the REPRO_FIG5_NODES override ("8,16,64") if set."""
-    raw = os.environ.get("REPRO_FIG5_NODES", "").strip()
-    if not raw:
-        return tuple(default)
-    return tuple(int(part) for part in raw.split(",") if part.strip())
-
-
 def main(argv=None):
     """CLI entry point: node-count sweep → BENCH_fig5.json."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -228,10 +219,9 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    node_counts = _node_counts_from_env(DEFAULT_NODE_COUNTS)
-    print_banner(f"Fig. 5 node-count sweep: nodes {node_counts}, {args.reps} rep(s) each")
+    print_banner(f"Fig. 5 node-count sweep: nodes {NODE_COUNTS}, {args.reps} rep(s) each")
     started = time.time()
-    rows = sweep_nodes(node_counts, reps=args.reps)
+    rows = sweep_nodes(NODE_COUNTS, reps=args.reps)
     payload = {
         "benchmark": "fig5-node-count-sweep",
         "scenario": {

@@ -65,6 +65,6 @@ def test_fig8_crash_latency_over_duration(benchmark):
     # epoch-end crashes hurt more because they delay the epoch change for
     # everyone while an epoch-start crash only affects 1/n of the buckets.  At
     # the scaled-down node count used here, 1/n is large, so the epoch-start
-    # penalty can dominate; EXPERIMENTS.md discusses this scale artefact.  The
-    # mechanics of both fault kinds are asserted separately in Figure 9.
+    # penalty can dominate (a scale artefact).  The mechanics of both fault
+    # kinds are asserted separately in Figure 9.
     benchmark.extra_info["rows"] = rows

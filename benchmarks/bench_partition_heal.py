@@ -4,8 +4,7 @@ the rest of the network-chaos battery.
 The paper's evaluation crashes nodes but never partitions the network;
 this figure closes that gap with the chaos subsystem from
 ``repro.sim.chaos``.  The headline sweep isolates one node for longer and
-longer windows (``REPRO_PARTITION_DURATIONS``, default 2/5/8 s) and
-reports how time-to-reconverge, view-change count and client-retry volume
+longer windows (:data:`PARTITION_DURATIONS`) and reports how time-to-reconverge, view-change count and client-retry volume
 grow with the outage; companion tests cover the bridge topology (no side
 has a quorum), a one-way link block, the flapping-link sweep and the
 retry-storm stress.
@@ -17,11 +16,10 @@ its heal, and drops are attributed to their cause per payload.
 
 On success the duration sweep (plus the bridge row) is written to
 ``BENCH_partition_heal.json`` in the repository root.  The same artefact
-is also refreshed by the CI gate ``python -m repro.partition_smoke`` with
+is also refreshed by the CI gate ``python -m repro.gate partition`` with
 its pinned single-scenario figures — whichever ran last wins; both stamp a
 ``source`` key so the trajectory stays attributable.
 
-``REPRO_PARTITION_DURATIONS`` and ``REPRO_FLAP_PERIODS`` shape the sweeps;
 ``REPRO_BENCH_SCALE`` scales durations like every other figure benchmark.
 """
 
@@ -37,6 +35,9 @@ from conftest import run_scenario, scaled_duration
 
 BENCH_OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_partition_heal.json"
 
+#: Partition durations the headline sweep isolates the node for (seconds).
+PARTITION_DURATIONS = (2.0, 5.0, 8.0)
+
 
 def _assert_chaos_row(row):
     """The claims every chaos scenario must uphold (see module docstring)."""
@@ -46,14 +47,13 @@ def _assert_chaos_row(row):
 
 
 def test_partition_heal_sweep(benchmark):
-    durations = scenarios.partition_durations()
     rows = run_scenario(
         benchmark,
         lambda: [
             scenarios.partition_minority(
                 duration=scaled_duration(15.0), partition_duration=d
             )
-            for d in durations
+            for d in PARTITION_DURATIONS
         ],
         "partition-heal",
     )
@@ -85,7 +85,7 @@ def test_partition_heal_sweep(benchmark):
     benchmark.extra_info["rows"] = rows + [bridge]
 
     # Only figures that passed every assertion may refresh the tracked
-    # artefact (same rule as the partition-smoke CI gate).
+    # artefact (same rule as the partition gate).
     BENCH_OUTPUT.write_text(
         json.dumps(
             {

@@ -8,10 +8,10 @@ reports, and attaches the structured results to ``benchmark.extra_info`` so
 they survive in the JSON output.
 
 Scaling: all scenarios run on the scaled-down simulated WAN described in
-EXPERIMENTS.md.  ``REPRO_BENCH_SCALE`` multiplies node counts and durations
-(default 2 since the hot-path overhaul and the wire-batching layer made
-larger runs affordable); ``REPRO_FLUSH_INTERVAL`` tunes the wire-batching
-flush tick (0 disables batching).  See the table in PERF.md.
+the module docstring of :mod:`repro.harness.scenarios`.  ``REPRO_BENCH_SCALE``
+multiplies node counts and durations (default 2 since the hot-path overhaul
+and the wire-batching layer made larger runs affordable) — the suite's one
+environment dial; see the table in PERF.md.
 """
 
 from __future__ import annotations

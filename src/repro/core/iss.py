@@ -65,7 +65,12 @@ from .messages import (
 from .orderer import Orderer, SBFactory, default_factory
 from .sb import InstanceId, SBContext
 from .segment import LAYOUT_ROUND_ROBIN, epoch_seq_nrs
-from .state_transfer import StateRequest, StateResponse, StateTransfer
+from .state_transfer import (
+    DEFAULT_PROBE_STAGGER,
+    StateRequest,
+    StateResponse,
+    StateTransfer,
+)
 from .types import (
     Batch,
     DeliveredRequest,
@@ -103,7 +108,7 @@ class ISSNode:
         layout: str = LAYOUT_ROUND_ROBIN,
         sb_factory: Optional[SBFactory] = None,
         storage: Optional[NodeStorage] = None,
-        probe_stagger: Optional[float] = None,
+        probe_stagger: float = DEFAULT_PROBE_STAGGER,
         tracer=None,
         membership_enabled: bool = False,
     ):

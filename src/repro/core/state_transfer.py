@@ -17,8 +17,8 @@ compacted exactly like locally completed ones.
 Catch-up requests are *staggered*: asking every peer at once would make
 each of them ship the full stable prefix (~(n-1)× the useful bytes, the
 ROADMAP follow-up from PR 3).  Instead a request goes to one peer
-immediately and escalates to the next peer every
-``REPRO_PROBE_STAGGER`` virtual seconds.  Escalations are never
+immediately and escalates to the next peer every ``probe_stagger``
+virtual seconds (default :data:`DEFAULT_PROBE_STAGGER`).  Escalations are never
 cancelled — they are *narrowed* at fire time to what is still missing
 (open-ended probes re-base past the local stable frontier, ranged
 requests shrink to the outstanding contiguous runs) and no-op when
@@ -29,7 +29,6 @@ completeness — while the common case transfers each epoch exactly once.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -48,27 +47,10 @@ LATEST_STABLE: EpochNr = -1
 #: Default spacing (virtual seconds) between probe escalations.  Sized so a
 #: multi-epoch response has time to clear the responder's scaled-down NIC
 #: before the next peer is bothered (an epoch of full batches is ~2.4 MB ≈
-#: 1 s of serialisation at the benchmark bandwidth).
+#: 1 s of serialisation at the benchmark bandwidth).  Purely a virtual-time
+#: trade: redundant state-transfer bytes against worst-case catch-up delay
+#: when the first probed peer cannot answer; ``0`` probes every peer at once.
 DEFAULT_PROBE_STAGGER = 2.0
-
-
-def probe_stagger_interval() -> float:
-    """Probe-escalation spacing (env var ``REPRO_PROBE_STAGGER``).
-
-    ``0`` disables staggering entirely — every peer is probed at once, the
-    pre-trim behaviour.  Negative or unparseable values fall back to
-    :data:`DEFAULT_PROBE_STAGGER`.  Purely a virtual-time knob: it trades
-    redundant state-transfer bytes against worst-case catch-up delay when
-    the first probed peer cannot answer.
-    """
-    raw = os.environ.get("REPRO_PROBE_STAGGER")
-    if raw is None:
-        return DEFAULT_PROBE_STAGGER
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_PROBE_STAGGER
-    return value if value >= 0 else DEFAULT_PROBE_STAGGER
 
 
 @dataclass(frozen=True)
@@ -118,7 +100,7 @@ class StateTransfer:
         send_fn: Callable[[NodeId, object], None],
         apply_entry_fn: Callable[[SeqNr, LogEntry, EpochNr], None],
         schedule_fn: Optional[Callable[[float, Callable[[], None]], object]] = None,
-        probe_stagger: Optional[float] = None,
+        probe_stagger: float = DEFAULT_PROBE_STAGGER,
     ):
         self.node_id = node_id
         self.config = config
@@ -128,9 +110,7 @@ class StateTransfer:
         #: Timer factory for probe escalation; None (or a zero stagger)
         #: falls back to probing every peer immediately.
         self._schedule = schedule_fn
-        self.probe_stagger = (
-            probe_stagger if probe_stagger is not None else probe_stagger_interval()
-        )
+        self.probe_stagger = probe_stagger
         #: Epochs for which a transfer is currently outstanding.
         self._in_flight: set = set()
         self.transfers_completed = 0

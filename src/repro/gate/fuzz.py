@@ -1,4 +1,4 @@
-"""Seeded scenario fuzzer (``python -m repro.fuzz_smoke``).
+"""Seeded scenario fuzzer (gate ``fuzz``; ``python -m repro.gate.fuzz``).
 
 Generates a fixed, reproducible population of small random scenarios —
 random protocol, node count, latency geometry (synthetic ring or WAN
@@ -8,14 +8,12 @@ faults — then runs every scenario once and checks that the standing safety
 invariants hold (prefix identity, no double delivery, completed ≤ submitted,
 rejections ≥ forgeries; see :mod:`repro.harness.invariants`).
 
-Everything derives from one master seed (``--seed``), so a reported
-violation is replayable: ``python -m repro.fuzz_smoke --seed S --count N``
-regenerates the exact same scenarios.  The default population is
-:data:`DEFAULT_SCENARIOS` scenarios; CI runs a smaller ``--count`` (see
-``benchmarks/run_perf_smoke.py``), the nightly default sweeps all of them.
-
-Exit code 1 (with one line per violation) when any scenario violates an
-invariant.
+Everything derives from one master seed, so a reported violation is
+replayable: ``python -m repro.gate.fuzz --seed S --count N`` regenerates the
+exact same scenarios (exit code 1, one line per violation).  The default
+population is :data:`DEFAULT_SCENARIOS` scenarios, which ``tests/
+test_scenario_fuzz.py`` sweeps; the ``fuzz`` gate of ``python -m repro.gate``
+runs the first :data:`GATE_SCENARIOS` of them.
 """
 
 from __future__ import annotations
@@ -25,13 +23,12 @@ import random
 import sys
 from typing import Dict, List, Optional
 
-from .core.config import NetworkConfig
-from .harness import scenarios
-from .harness.invariants import check_invariants
-from .harness.runner import Deployment
-from .obs import ObsConfig
-from .sim.chaos import LinkFaultSpec
-from .sim.faults import (
+from ..core.config import NetworkConfig
+from ..harness import scenarios
+from ..harness.invariants import check_invariants
+from ..harness.runner import Deployment
+from ..obs.config import ObsConfig
+from ..runtime.faults import (
     CLIENT_FORGED_SIGNATURE,
     MEMBER_ADD,
     MEMBER_REMOVE,
@@ -40,9 +37,13 @@ from .sim.faults import (
     MembershipSpec,
     StragglerSpec,
 )
+from ..sim.chaos import LinkFaultSpec
 
 #: Scenarios generated by a full fuzz run (``--count`` overrides).
 DEFAULT_SCENARIOS = 40
+
+#: Scenarios the ``fuzz`` gate runs: the CI share of the population.
+GATE_SCENARIOS = 12
 
 #: Master seed of the default population (``--seed`` overrides).  Fixed so
 #: every CI run fuzzes the same scenarios; bump it deliberately to rotate
@@ -109,9 +110,9 @@ def random_scenario(rng: random.Random, index: int) -> Dict[str, object]:
 def build_deployment(spec: Dict[str, object]) -> Deployment:
     """Materialise one fuzz scenario description into a Deployment.
 
-    All env-sensitive knobs (recovery poll, probe stagger, flush tick) are
-    pinned explicitly so a replay sees the exact same configuration
-    regardless of the environment.
+    Observability is pinned off here (not by the gate runner): the
+    reproduction CLI and the pytest sweep must replay the exact same
+    configuration whatever ``REPRO_TRACE*`` says.
     """
     flush = scenarios.DEFAULT_FLUSH_INTERVAL if spec["batching"] else 0.0
     if spec["wan_regions"]:
@@ -207,38 +208,39 @@ def generate_scenarios(
 
 
 def run_fuzz(
-    count: int = DEFAULT_SCENARIOS, master_seed: int = DEFAULT_MASTER_SEED
+    count: int = GATE_SCENARIOS, master_seed: int = DEFAULT_MASTER_SEED
 ) -> Dict[str, object]:
-    """Fuzz ``count`` scenarios; return figures incl. all violations."""
-    population = generate_scenarios(count, master_seed)
+    """Fuzz the first ``count`` scenarios of the ``master_seed`` population;
+    the figures list every invariant violation found."""
     violations: List[str] = []
-    for spec in population:
+    for spec in generate_scenarios(count, master_seed):
         violations.extend(check_scenario(spec))
-    return {
-        "master_seed": master_seed,
-        "scenarios": population,
-        "violations": violations,
-    }
+    return {"master_seed": master_seed, "count": count, "violations": violations}
+
+
+#: The gate's one claim (ordered ``(predicate, message)`` pairs).
+CLAIMS = (
+    (lambda f: not f["violations"], "FUZZ VIOLATION(S): {violations}"),
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; exit 1 when any scenario violates an invariant."""
+    """Reproduction CLI; exit 1 when any scenario violates an invariant."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument(
         "--count", type=int, default=DEFAULT_SCENARIOS,
         help=f"scenarios to fuzz (default {DEFAULT_SCENARIOS})",
     )
     parser.add_argument(
-        "--seed", type=int, default=DEFAULT_MASTER_SEED,
+        "--seed", type=lambda text: int(text, 0), default=DEFAULT_MASTER_SEED,
         help="master seed of the scenario population",
     )
     args = parser.parse_args(argv)
-    figures = run_fuzz(count=args.count, master_seed=args.seed)
-    violations = figures["violations"]
+    violations = run_fuzz(args.count, args.seed)["violations"]
     for violation in violations:
         print(f"FUZZ VIOLATION: {violation}")
     print(
-        f"fuzz smoke: {args.count} scenarios (seed {args.seed:#x}), "
+        f"fuzz: {args.count} scenarios (seed {args.seed:#x}), "
         f"{len(violations)} violation(s)"
     )
     return 1 if violations else 0

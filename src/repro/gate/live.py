@@ -1,4 +1,4 @@
-"""Live-deployment smoke test (``python -m repro.live_smoke``).
+"""Live-deployment driver of the ``live`` gate (``python -m repro.gate live``).
 
 Boots a **real** 4-node PBFT cluster on localhost — one OS process per
 replica, TCP between them, fsync'd WAL/snapshot files under a temp
@@ -20,25 +20,23 @@ pinned — a live run is scheduled by the OS, not the simulator.  Only the
 run's deterministic shape (scenario, counts, booleans) must match the
 golden trace in ``tests/data/golden_trace_live.json``.
 
-Exit code 1 on any violation, which is how ``make live-smoke`` and the CI
-driver (``benchmarks/run_perf_smoke.py``) catch live-backend regressions.
+The port layout honours ``REPRO_LIVE_BASE_PORT`` / ``REPRO_LIVE_HOST``
+(deployment settings, not scenario shape) so CI hosts with busy ports can
+move the cluster.
 """
 
 from __future__ import annotations
 
 import asyncio
-import sys
 import tempfile
 import time
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from . import smokelib
-from .app.kv import KVClient
-from .core.config import ISSConfig, PROTOCOL_PBFT
-from .crypto.signatures import KeyStore
-from .net.clock import WallClock
-from .net.deploy import (
+from ..app.kv import KVClient
+from ..core.config import ISSConfig, PROTOCOL_PBFT
+from ..crypto.signatures import KeyStore
+from ..net.clock import WallClock
+from ..net.deploy import (
     LiveClusterSpec,
     LiveDeployment,
     durable_prefix,
@@ -47,7 +45,7 @@ from .net.deploy import (
     live_host,
     prefixes_identical,
 )
-from .net.transport import TcpTransport
+from ..net.transport import TcpTransport
 
 #: The pinned live scenario (keep in sync with the golden trace).
 SCENARIO = dict(
@@ -69,17 +67,11 @@ RUN_TIMEOUT = 180.0
 CATCHUP_TIMEOUT = 60.0
 
 
-def golden_path() -> Path:
-    """Location of the live-backend golden trace."""
-    return smokelib.golden_data_path("golden_trace_live.json")
-
-
 def build_spec(data_dir: str) -> LiveClusterSpec:
     """The pinned cluster spec over a fresh ``data_dir``.
 
-    Client retries are on (the live transport is genuinely lossy around a
-    kill), and the port layout honours ``REPRO_LIVE_BASE_PORT`` /
-    ``REPRO_LIVE_HOST`` so CI hosts with busy ports can move the cluster.
+    Client retries are on: the live transport is genuinely lossy around a
+    kill.
     """
     config = ISSConfig(
         num_nodes=SCENARIO["num_nodes"],
@@ -173,8 +165,9 @@ async def _drive(spec: LiveClusterSpec, deployment: LiveDeployment) -> Dict[str,
     }
 
 
-def run_smoke() -> Dict[str, object]:
-    """Run the live scenario once and return the figures the gate checks."""
+def run_live() -> Dict[str, object]:
+    """4 PBFT processes on localhost, 40 KV puts in three phases around a
+    ``kill -9`` + restart of node 2; the figures the ``live`` gate checks."""
     with tempfile.TemporaryDirectory(prefix="repro-live-smoke-") as data_dir:
         spec = build_spec(data_dir)
         deployment = LiveDeployment(spec)
@@ -205,67 +198,23 @@ def run_smoke() -> Dict[str, object]:
         }
 
 
-#: Figure keys that must match the golden trace exactly.  Wall-clock
-#: figures (``wall_seconds``, latencies, ``min_prefix_requests`` which
-#: grows with retransmission timing) are deliberately not pinned.
-PINNED_KEYS = (
-    "scenario",
-    "submitted",
-    "completed",
-    "completed_fraction",
-    "all_completed",
-    "read_ok",
-    "prefix_identical",
-    "victim_caught_up",
-    "restarts_performed",
+#: The live-backend claims (ordered ``(predicate, message)`` pairs).
+CLAIMS = (
+    (
+        lambda f: f["all_completed"],
+        "LIVE REGRESSION: only {completed}/{submitted} KV operations completed",
+    ),
+    (
+        lambda f: f["read_ok"],
+        "LIVE REGRESSION: the final read did not return the last written value",
+    ),
+    (
+        lambda f: f["prefix_identical"],
+        "LIVE SAFETY VIOLATION: the durable logs disagree on a shared position",
+    ),
+    (
+        lambda f: f["victim_caught_up"],
+        "LIVE RECOVERY REGRESSION: the killed-and-restarted node never "
+        "reached the surviving nodes' durable frontier",
+    ),
 )
-
-
-def semantic_violations(figures: Dict[str, object]) -> Optional[str]:
-    """The live-backend claims that must hold regardless of the golden trace."""
-    if not figures["all_completed"]:
-        return (
-            "LIVE SMOKE REGRESSION: only "
-            f"{figures['completed']}/{figures['submitted']} KV operations completed"
-        )
-    if not figures["read_ok"]:
-        return (
-            "LIVE SMOKE REGRESSION: the final read did not return the last "
-            "written value"
-        )
-    if not figures["prefix_identical"]:
-        return (
-            "LIVE SAFETY VIOLATION: the durable logs disagree on a shared "
-            "position"
-        )
-    if not figures["victim_caught_up"]:
-        return (
-            "LIVE RECOVERY REGRESSION: the killed-and-restarted node never "
-            "reached the surviving nodes' durable frontier"
-        )
-    return None
-
-
-def main(argv: Optional[list] = None) -> int:
-    """CLI entry point: run the live scenario and apply the checks."""
-    scenario = SCENARIO
-    return smokelib.run_gate(
-        argv,
-        name="live",
-        description=__doc__.splitlines()[0],
-        banner=(
-            f"live smoke: {scenario['num_nodes']} {scenario['protocol']} nodes "
-            f"on 127.0.0.1:{live_base_port()}+, "
-            f"{scenario['phase1_ops'] + scenario['phase2_ops'] + scenario['phase3_ops']}"
-            f" KV ops, kill -9 node {scenario['victim']} + restart ..."
-        ),
-        run_smoke=run_smoke,
-        golden_path=golden_path(),
-        pinned_keys=PINNED_KEYS,
-        regression_label="LIVE BACKEND REGRESSION",
-        semantic_violations=semantic_violations,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    sys.exit(main())

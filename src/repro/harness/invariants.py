@@ -1,6 +1,6 @@
 """Standing invariants every run must satisfy, whatever the scenario.
 
-The smoke gates, the scenario fuzzer and the integration tests all
+The golden gates, the scenario fuzzer and the integration tests all
 assert the same safety properties — delivered prefixes agree,
 no request is delivered twice, forged signatures never outnumber the
 rejections that caught them.  This module owns those checks once, so a
@@ -20,10 +20,28 @@ clean).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import hashlib
+from typing import List, Sequence, Tuple
 
-from ..core.types import Batch
-from ..golden import delivered_trace
+from ..core.types import Batch, is_nil
+
+
+def delivered_trace(node) -> List[Tuple[int, str]]:
+    """A node's delivered sequence as ``(sn, entry-digest-hex | "nil")``.
+
+    The canonical shape every gate digests into its ``trace_sha256`` pin —
+    owned here so the gates cannot drift into measuring different things.
+    """
+    trace: List[Tuple[int, str]] = []
+    for sn in range(node.log.first_undelivered):
+        entry = node.log.entry(sn)
+        trace.append((sn, "nil" if is_nil(entry) else entry.digest().hex()))
+    return trace
+
+
+def trace_sha256(node) -> str:
+    """The ``sha256(repr(delivered_trace(node)))`` digest the gates pin."""
+    return hashlib.sha256(repr(delivered_trace(node)).encode()).hexdigest()
 
 
 def delivered_rids(node) -> List[object]:

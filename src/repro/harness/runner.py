@@ -9,19 +9,17 @@ This is the programmatic equivalent of the paper's cloud-deployment tooling
 
 Crash recovery: when restart specs are given (or ``durable_storage=True``),
 every node owns a :class:`~repro.storage.node_storage.NodeStorage` that
-outlives it.  A scheduled :class:`~repro.sim.faults.RestartSpec` tears the
+outlives it.  A scheduled :class:`~repro.runtime.faults.RestartSpec` tears the
 crashed incarnation down and the deployment rebuilds the node from that
 storage — WAL replay plus snapshot via
 :class:`~repro.storage.recovery.RecoveryManager`, then state transfer for
 everything ordered while the node was down.  A poll watcher (tick
-``REPRO_RECOVERY_POLL_INTERVAL``) detects when the node is back at the
-cluster frontier and attaches one recovery record (downtime, WAL entries
+``recovery_poll``) detects when the node is back at the cluster frontier and attaches one recovery record (downtime, WAL entries
 replayed, state-transfer bytes, time-to-caught-up) to the run's report.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Type
 
@@ -34,56 +32,40 @@ from ..core.membership import ACTION_REMOVE, ConfigTx, encode_config_tx
 from ..core.segment import LAYOUT_ROUND_ROBIN
 from ..core.validation import REJECTION_REASONS
 from ..crypto.signatures import KeyStore
-from ..core.state_transfer import probe_stagger_interval
+from ..core.state_transfer import DEFAULT_PROBE_STAGGER
 from ..metrics.collector import MetricsCollector, RunReport
 from ..obs.config import ObsConfig
 from ..obs.export import write_run_artifacts
 from ..obs.metrics import MetricsSampler
 from ..obs.tracer import RequestTracer
-from ..sim.chaos import DROP_CAUSES, LinkFaultSpec, PartitionSpec
-from ..sim.client_adversary import AbusiveClient
-from ..sim.faults import (
+from ..runtime.faults import (
     BYZ_CENSOR,
     MEMBER_ADD,
     MEMBER_EVICT_DETECTED,
     ByzantineSpec,
     CrashSpec,
-    FaultInjector,
     MaliciousClientSpec,
     MembershipSpec,
     RestartSpec,
     StragglerSpec,
 )
+from ..sim.chaos import DROP_CAUSES, LinkFaultSpec, PartitionSpec
+from ..sim.client_adversary import AbusiveClient
+from ..sim.faults import FaultInjector
 from ..sim.latency import LatencyModel
 from ..sim.network import Network
 from ..sim.simulator import Simulator
 from ..storage.node_storage import NodeStorage
-from ..storage.recovery import RecoveryInfo, RecoveryManager
+from ..storage.recovery import boot_from_storage
 from ..workload.generator import WorkloadGenerator
 
 #: Factory returning a fresh leader-selection policy for one node.
 PolicyFactory = Callable[[ISSConfig], LeaderSelectionPolicy]
 
 #: Default virtual-time tick of the post-restart catch-up watcher (seconds).
+#: It quantises *when* a recovery is declared caught-up, not what the
+#: protocol does.
 DEFAULT_RECOVERY_POLL_INTERVAL = 0.25
-
-
-def recovery_poll_interval() -> float:
-    """Catch-up watcher tick (env var ``REPRO_RECOVERY_POLL_INTERVAL``).
-
-    Unparseable or non-positive values fall back to
-    :data:`DEFAULT_RECOVERY_POLL_INTERVAL`.  The tick is virtual time, so it
-    changes *when* a recovery is declared caught-up (quantisation) but not
-    what the protocol does.
-    """
-    raw = os.environ.get("REPRO_RECOVERY_POLL_INTERVAL")
-    if raw is None:
-        return DEFAULT_RECOVERY_POLL_INTERVAL
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_RECOVERY_POLL_INTERVAL
-    return value if value > 0 else DEFAULT_RECOVERY_POLL_INTERVAL
 
 
 @dataclass
@@ -117,8 +99,8 @@ class Deployment:
         membership_specs: Sequence[MembershipSpec] = (),
         membership_enabled: Optional[bool] = None,
         durable_storage: Optional[bool] = None,
-        recovery_poll: Optional[float] = None,
-        probe_stagger: Optional[float] = None,
+        recovery_poll: float = DEFAULT_RECOVERY_POLL_INTERVAL,
+        probe_stagger: float = DEFAULT_PROBE_STAGGER,
         policy_factory: Optional[PolicyFactory] = None,
         node_class: Type[ISSNode] = ISSNode,
         layout: str = LAYOUT_ROUND_ROBIN,
@@ -173,17 +155,12 @@ class Deployment:
         if durable_storage is None:
             durable_storage = bool(self.restart_specs)
         self.durable_storage = durable_storage
-        #: Catch-up watcher tick, resolved once per deployment (pass an
-        #: explicit value to pin it against the env var, e.g. for golden
-        #: traces).
-        self.recovery_poll = (
-            recovery_poll if recovery_poll and recovery_poll > 0 else recovery_poll_interval()
-        )
-        #: Open-ended state-transfer probe stagger (pass explicitly to pin
-        #: against the ``REPRO_PROBE_STAGGER`` env var, e.g. golden traces).
-        self.probe_stagger = (
-            probe_stagger if probe_stagger is not None else probe_stagger_interval()
-        )
+        if recovery_poll <= 0:
+            raise ValueError(f"recovery_poll must be positive, got {recovery_poll}")
+        #: Tick of the catch-up / join / reconvergence / eviction watchers.
+        self.recovery_poll = recovery_poll
+        #: Open-ended state-transfer probe stagger handed to every node.
+        self.probe_stagger = probe_stagger
 
         # ``sim_config`` is accepted and ignored: it exists solely for the
         # frozen benchmarks/e2e/sim_runner.py caller and goes at the next
@@ -202,8 +179,8 @@ class Deployment:
         )
 
         #: Observability: an explicit ObsConfig wins; otherwise the
-        #: ``REPRO_TRACE*`` env vars (default: everything off).  Golden-trace
-        #: smokes pin ``ObsConfig.disabled()`` explicitly.
+        #: ``REPRO_TRACE*`` env vars (default: everything off).  The gate
+        #: runner (:mod:`repro.gate.table`) pins ``ObsConfig.disabled()``.
         self.obs = obs if obs is not None else ObsConfig.from_env()
         self.tracer: Optional[RequestTracer] = None
         #: Delivery listener handed to every node.  Deliver *span* events are
@@ -441,28 +418,21 @@ class Deployment:
     def _on_node_restart(self, node_id: int) -> None:
         """Rebuild a crashed node from its durable storage.
 
-        Recovery mirrors a production replica restart: replay the
-        checkpoint-anchored snapshot and the WAL tail into a fresh node
-        (:class:`RecoveryManager`), boot it at the first epoch storage does
-        not complete, then let the open-ended state-transfer probe fetch
-        everything ordered while the node was down.  A watcher polls until
+        Recovery mirrors a production replica restart
+        (:func:`~repro.storage.recovery.boot_from_storage`): replay the
+        checkpoint-anchored snapshot and the WAL tail into a fresh node,
+        boot it at the first epoch storage does not complete, then let the
+        open-ended state-transfer probe fetch everything ordered while the
+        node was down (all of it, after a diskless restart).  A watcher polls until
         the node is back at the cluster frontier and only then attaches the
         recovery record (so ``time_to_caught_up`` includes state transfer).
         """
         restarted_at = self.sim.now
         node = self._build_node(node_id)
-        storage = self.storages.get(node_id)
-        if storage is not None:
-            info = RecoveryManager(storage, tracer=self.tracer).recover(
-                node, now=restarted_at
-            )
-        else:
-            # Diskless restart: nothing local to replay; state transfer
-            # alone rebuilds the log from the peers' stable checkpoints.
-            info = RecoveryInfo(node_id=node_id, resume_epoch=0)
         self.nodes[node_id] = node
-        node.start_at(info.resume_epoch)
-        node.begin_recovery_catchup()
+        info = boot_from_storage(
+            node, self.storages.get(node_id), now=restarted_at, tracer=self.tracer
+        )
 
         record = info.as_dict()
         record["restarted_at"] = restarted_at
@@ -641,21 +611,13 @@ class Deployment:
                 old.retire()
         node = self._build_node(node_id)
         node.join_epoch = epoch
-        storage = self.storages.get(node_id)
-        if storage is not None and (
-            storage.latest_snapshot() is not None or len(storage.wal)
-        ):
-            info = RecoveryManager(storage, tracer=self.tracer).recover(
-                node, now=joined_at
-            )
-        else:
-            info = RecoveryInfo(node_id=node_id, resume_epoch=0)
         if rejoining:
             self.nodes[node_id] = node
         else:
             self.nodes.append(node)
-        node.start_at(info.resume_epoch)
-        node.begin_recovery_catchup()
+        boot_from_storage(
+            node, self.storages.get(node_id), now=joined_at, tracer=self.tracer
+        )
         peers = [n for n in self.nodes if n is not node and not n.crashed]
         record = {
             "node": int(node_id),

@@ -5,16 +5,19 @@ the paper-style rows and attach them to pytest-benchmark ``extra_info``.
 
 Scaling: the simulated deployments are necessarily smaller than the paper's
 (node counts, epoch length, NIC bandwidth and experiment duration are scaled
-down so a figure regenerates in seconds-to-minutes of wall clock).  The
-``scale`` parameter of :func:`default_scale` multiplies the node counts and
-durations; EXPERIMENTS.md records the exact settings used for the recorded
-results.
+down so a figure regenerates in seconds-to-minutes of wall clock).
+:func:`bench_scale` (``REPRO_BENCH_SCALE``) is the figure suite's one size
+dial; everything else about a scenario's shape is an argument of the function
+that builds it.
+
+Every scenario a golden gate pins (:mod:`repro.gate.simulated`) is split
+into a ``*_deployment`` builder and a ``*_row`` reader, so the gate and the
+figure run the same deployment by construction.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.mirbft import MirBFTNode
@@ -33,8 +36,7 @@ from ..core.config import (
 from ..core.segment import LAYOUT_CONTIGUOUS, LAYOUT_ROUND_ROBIN
 from ..metrics.collector import RunReport
 from ..obs.config import ObsConfig
-from ..sim.client_adversary import bias_capacity
-from ..sim.faults import (
+from ..runtime.faults import (
     BYZ_CENSOR,
     BYZ_EQUIVOCATE,
     BYZ_INVALID_VOTES,
@@ -47,11 +49,12 @@ from ..sim.faults import (
     ByzantineSpec,
     CrashSpec,
     MaliciousClientSpec,
+    MembershipSpec,
     RestartSpec,
     StragglerSpec,
 )
 from ..sim.chaos import LinkFaultSpec, PartitionSpec
-from ..sim.faults import MembershipSpec
+from ..sim.client_adversary import bias_capacity
 from ..workload.faults import (
     abusive_clients,
     bridge_partition,
@@ -97,9 +100,9 @@ PAYLOAD_BYTES = 500
 #: events at 8–16 nodes) made larger figure runs affordable.
 DEFAULT_BENCH_SCALE = 2.0
 
-#: Default wire-batching flush tick for benchmark scenarios (seconds);
-#: imported by :mod:`repro.perf_smoke` so its batched scenario can never
-#: drift from the figure benchmarks.  See PERF.md.
+#: Wire-batching flush tick of the benchmark scenarios (seconds); shared
+#: with the perf gate so its batched run cannot drift from the figure
+#: benchmarks.  See PERF.md.
 DEFAULT_FLUSH_INTERVAL = 0.02
 
 
@@ -117,45 +120,11 @@ def bench_scale() -> float:
         return DEFAULT_BENCH_SCALE
 
 
-def bench_flush_interval() -> float:
-    """Wire-batching flush tick used by the figure benchmarks (seconds).
-
-    Controlled by the env var ``REPRO_FLUSH_INTERVAL``; ``0`` disables
-    batching (the pre-batching behaviour).  Unparseable values fall back to
-    :data:`DEFAULT_FLUSH_INTERVAL`.
-    """
-    try:
-        value = float(os.environ.get("REPRO_FLUSH_INTERVAL", str(DEFAULT_FLUSH_INTERVAL)))
-    except ValueError:
-        return DEFAULT_FLUSH_INTERVAL
-    return max(0.0, value)
-
-
-#: Default maximum abusive-client count swept by the client-abuse figure
-#: benchmark (``REPRO_ABUSE_CLIENTS`` raises/lowers it).
-DEFAULT_ABUSE_CLIENTS = 2
-
-
-def abuse_client_count() -> int:
-    """Largest abusive-client count swept by ``bench_client_abuse.py`` (env
-    var ``REPRO_ABUSE_CLIENTS``).
-
-    Clamped to ≥ 1 so the benchmark always exercises at least one attacker;
-    unparseable values fall back to :data:`DEFAULT_ABUSE_CLIENTS`.
-    """
-    try:
-        return max(
-            1, int(os.environ.get("REPRO_ABUSE_CLIENTS", str(DEFAULT_ABUSE_CLIENTS)))
-        )
-    except ValueError:
-        return DEFAULT_ABUSE_CLIENTS
-
-
 def scaled_network() -> NetworkConfig:
     """Scaled-down WAN shared by all figure benchmarks (wire batching on)."""
     return NetworkConfig(
         bandwidth_bps=SCALED_BANDWIDTH_BPS,
-        batch_flush_interval=bench_flush_interval(),
+        batch_flush_interval=DEFAULT_FLUSH_INTERVAL,
     )
 
 
@@ -187,7 +156,7 @@ WAN_ONE_WAY_LATENCY: Tuple[Tuple[float, ...], ...] = (
 def wan_regions(
     num_regions: int = 4,
     bandwidth_bps: float = SCALED_BANDWIDTH_BPS,
-    batch_flush_interval: Optional[float] = None,
+    batch_flush_interval: float = DEFAULT_FLUSH_INTERVAL,
     jitter: Optional[float] = None,
 ) -> NetworkConfig:
     """Geo-realistic WAN: the first ``num_regions`` of :data:`WAN_REGIONS`.
@@ -199,9 +168,9 @@ def wan_regions(
     adds replicas without changing the latency geometry.  Region pairs
     spread from 13 ms (Dublin–Frankfurt) to 163 ms (Singapore–São Paulo).
 
-    ``batch_flush_interval`` defaults to the benchmark flush tick
-    (:func:`bench_flush_interval`); pass ``0.0`` to disable wire batching.
-    ``jitter`` defaults to the NetworkConfig default.
+    ``batch_flush_interval`` defaults to the benchmark flush tick; pass
+    ``0.0`` to disable wire batching.  ``jitter`` defaults to the
+    NetworkConfig default.
     """
     if not 1 <= num_regions <= len(WAN_REGIONS):
         raise ValueError(
@@ -215,11 +184,7 @@ def wan_regions(
         bandwidth_bps=bandwidth_bps,
         num_datacenters=num_regions,
         dc_latency_matrix=matrix,
-        batch_flush_interval=(
-            bench_flush_interval()
-            if batch_flush_interval is None
-            else batch_flush_interval
-        ),
+        batch_flush_interval=batch_flush_interval,
     )
     if jitter is not None:
         kwargs["jitter"] = jitter
@@ -598,7 +563,7 @@ def delivered_prefix_matches(reference, restarted) -> bool:
     return True
 
 
-def crash_restart_point(
+def crash_restart_deployment(
     protocol: str,
     num_nodes: int = 4,
     rate: float = 800.0,
@@ -607,35 +572,42 @@ def crash_restart_point(
     downtime: float = 12.0,
     victim: int = 1,
     seed: int = 11,
-) -> Dict[str, object]:
-    """One crash→restart experiment: crash ``victim`` mid-run, restart it
-    ``downtime`` seconds later, and report how recovery went.
+    num_clients: int = 8,
+    obs: Optional[ObsConfig] = None,
+) -> Deployment:
+    """One crash→restart experiment: crash ``victim`` mid-run and restart
+    it ``downtime`` seconds later from its durable storage."""
+    return Deployment(
+        iss_config(protocol, num_nodes, random_seed=seed),
+        network_config=scaled_network(),
+        workload=_workload(rate, duration, clients=num_clients),
+        crash_specs=[CrashSpec(node=victim, trigger="at-time", time=crash_time)],
+        restart_specs=[RestartSpec(node=victim, time=crash_time + downtime)],
+        obs=obs,
+    )
 
-    The returned row combines the harness's recovery record (downtime, WAL
-    entries replayed, state-transfer bytes, time-to-caught-up — see
+
+def crash_restart_row(deployment: Deployment, result) -> Dict[str, object]:
+    """How recovery went, from one finished :func:`crash_restart_deployment`.
+
+    The row combines the harness's recovery record (downtime, WAL entries
+    replayed, state-transfer bytes, time-to-caught-up — see
     :meth:`repro.harness.runner.Deployment._on_node_restart`) with the
     delivered-prefix equivalence check and the run's throughput figures.
     """
-    config = iss_config(protocol, num_nodes, random_seed=seed)
-    deployment = Deployment(
-        config,
-        network_config=scaled_network(),
-        workload=_workload(rate, duration),
-        crash_specs=[CrashSpec(node=victim, trigger="at-time", time=crash_time)],
-        restart_specs=[RestartSpec(node=victim, time=crash_time + downtime)],
-    )
-    result = deployment.run()
     report = result.report
+    crash = deployment.crash_specs[0]
+    victim = crash.node
     recovery = dict(report.recoveries[0]) if report.recoveries else {}
     reference = next(
         node for node in result.nodes if node.node_id != victim and not node.crashed
     )
     return {
-        "protocol": protocol,
-        "nodes": num_nodes,
+        "protocol": deployment.config.protocol,
+        "nodes": deployment.config.num_nodes,
         "victim": victim,
-        "crash_time": crash_time,
-        "downtime": downtime,
+        "crash_time": crash.time,
+        "downtime": deployment.restart_specs[0].time - crash.time,
         "recovery": recovery,
         "prefix_matches": delivered_prefix_matches(reference, result.nodes[victim]),
         "caught_up": recovery.get("time_to_caught_up", -1.0) >= 0.0,
@@ -644,6 +616,13 @@ def crash_restart_point(
         "wal_appended_total": report.extra.get("wal_appended_total", 0.0),
         "snapshots_installed_total": report.extra.get("snapshots_installed_total", 0.0),
     }
+
+
+def crash_restart_point(protocol: str, **scenario) -> Dict[str, object]:
+    """Run one :func:`crash_restart_deployment` (same keyword arguments) and
+    return its :func:`crash_restart_row`."""
+    deployment = crash_restart_deployment(protocol, **scenario)
+    return crash_restart_row(deployment, deployment.run())
 
 
 def crash_restart_sweep(
@@ -734,7 +713,7 @@ def prefixes_identical(nodes: Sequence[object]) -> bool:
     return True
 
 
-def byzantine_point(
+def byzantine_deployment(
     protocol: str,
     behaviour: str = BYZ_EQUIVOCATE,
     num_adversaries: int = 1,
@@ -744,41 +723,47 @@ def byzantine_point(
     censored_bucket_count: int = 4,
     seed: int = 42,
     drain_time: float = 10.0,
-) -> Dict[str, object]:
-    """One run under ``num_adversaries`` actively Byzantine nodes.
+    num_clients: int = 8,
+    obs: Optional[ObsConfig] = None,
+) -> Deployment:
+    """One run under ``num_adversaries`` actively Byzantine nodes (the
+    highest-numbered ones).  ``behaviour`` is one of the
+    :data:`~repro.runtime.faults.BYZANTINE_BEHAVIOURS`."""
+    config = iss_config(protocol, num_nodes, random_seed=seed)
+    buckets: Sequence[int] = ()
+    if behaviour == BYZ_CENSOR:
+        buckets = censorship_targets(config.num_buckets, censored_bucket_count)
+    return Deployment(
+        config,
+        network_config=scaled_network(),
+        workload=_workload(rate, duration, clients=num_clients),
+        byzantine_specs=byzantine_leaders(
+            num_adversaries, num_nodes, behaviour=behaviour, buckets=buckets
+        ),
+        drain_time=drain_time,
+        obs=obs,
+    )
+
+
+def byzantine_row(deployment: Deployment, result) -> Dict[str, object]:
+    """The figures of one finished :func:`byzantine_deployment`.
 
     The row combines the run's throughput/latency with the safety check
     (identical delivered prefixes across correct nodes), the detection
     counters from ``RunReport.byzantine`` and whether the leader-selection
     policy (Blacklist by default) evicted the adversaries from the final
-    epoch's leaderset.  ``behaviour`` is one of the
-    :data:`~repro.sim.faults.BYZANTINE_BEHAVIOURS`.
+    epoch's leaderset.
     """
-    config = iss_config(protocol, num_nodes, random_seed=seed)
-    buckets: Sequence[int] = ()
-    if behaviour == BYZ_CENSOR:
-        buckets = censorship_targets(config.num_buckets, censored_bucket_count)
-    specs = byzantine_leaders(
-        num_adversaries, num_nodes, behaviour=behaviour, buckets=buckets
-    )
-    deployment = Deployment(
-        config,
-        network_config=scaled_network(),
-        workload=_workload(rate, duration),
-        byzantine_specs=specs,
-        drain_time=drain_time,
-    )
-    result = deployment.run()
     report = result.report
+    specs = deployment.byzantine_specs
     correct = correct_nodes(result, specs)
     sample = correct[0]
     final_leaders = sample.manager.leaders_for(sample.current_epoch)
-    adversaries = [spec.node for spec in specs]
     per_node = report.byzantine.get("per_node", {})
     row: Dict[str, object] = {
-        "protocol": protocol,
-        "behaviour": behaviour,
-        "adversaries": num_adversaries,
+        "protocol": deployment.config.protocol,
+        "behaviour": specs[0].behaviour if specs else "none",
+        "adversaries": len(specs),
         "throughput": report.throughput,
         "latency_mean": report.latency.mean,
         "latency_p95": report.latency.p95,
@@ -790,7 +775,7 @@ def byzantine_point(
         "invalid_sigs_rejected": sum(
             per_node.get(n.node_id, {}).get("invalid_sigs_rejected", 0) for n in correct
         ),
-        "adversaries_evicted": all(a not in final_leaders for a in adversaries),
+        "adversaries_evicted": all(spec.node not in final_leaders for spec in specs),
         "final_leaderset_size": len(final_leaders),
     }
     censored = report.byzantine.get("censored")
@@ -800,6 +785,13 @@ def byzantine_point(
         row["censored_latency_mean"] = censored["latency"].mean
         row["censored_latency_p95"] = censored["latency"].p95
     return row
+
+
+def byzantine_point(protocol: str, **scenario) -> Dict[str, object]:
+    """Run one :func:`byzantine_deployment` (same keyword arguments) and
+    return its :func:`byzantine_row`."""
+    deployment = byzantine_deployment(protocol, **scenario)
+    return byzantine_row(deployment, deployment.run())
 
 
 def byzantine_leader_sweep(
@@ -823,16 +815,15 @@ def byzantine_leader_sweep(
     attacked_counts = [count for count in adversary_counts if count > 0]
     for protocol in protocols:
         if 0 in adversary_counts:
-            baseline = byzantine_point(
-                protocol,
-                behaviour=BYZ_EQUIVOCATE,  # irrelevant: zero adversaries
-                num_adversaries=0,
-                num_nodes=num_nodes,
-                rate=rate,
-                duration=duration,
+            rows.append(
+                byzantine_point(
+                    protocol,
+                    num_adversaries=0,
+                    num_nodes=num_nodes,
+                    rate=rate,
+                    duration=duration,
+                )
             )
-            baseline["behaviour"] = "none"
-            rows.append(baseline)
         for behaviour in behaviours:
             if protocol == PROTOCOL_RAFT and behaviour in (
                 BYZ_EQUIVOCATE,
@@ -900,29 +891,22 @@ def censorship_rotation(
 CLIENT_ABUSE_WINDOW = 4096
 
 
-def client_abuse_point(
+def client_abuse_deployment(
     protocol: str,
-    behaviour: str = CLIENT_WATERMARK_ABUSE,
-    num_abusive: int = 1,
+    specs: Sequence[MaliciousClientSpec],
     num_nodes: int = 4,
     num_clients: int = 8,
     rate: float = 400.0,
     duration: float = 10.0,
     window: int = CLIENT_ABUSE_WINDOW,
-    flood_factor: int = 3,
     seed: int = 42,
     drain_time: float = 10.0,
     flush_interval: Optional[float] = None,
-) -> Dict[str, object]:
-    """One run under ``num_abusive`` malicious clients.
-
-    The row combines throughput/latency with the defence checks: every
-    correct client's requests complete, delivered prefixes stay identical
-    across all nodes, each abusive submission class is rejected-and-counted
-    (``RunReport.client_abuse``), and node memory stays bounded (watermark
-    out-of-order buffers, delivered filter after GC).  ``behaviour`` is one
-    of :data:`~repro.sim.faults.MALICIOUS_CLIENT_BEHAVIOURS`.
-    """
+    obs: Optional[ObsConfig] = None,
+) -> Deployment:
+    """One run with the malicious clients in ``specs`` (client responses on,
+    watermark window ``window``; ``flush_interval`` overrides the benchmark
+    flush tick, ``0.0`` disables wire batching)."""
     config = iss_config(
         protocol,
         num_nodes,
@@ -930,7 +914,9 @@ def client_abuse_point(
         client_watermark_window=window,
         send_client_responses=True,
     )
-    if behaviour == CLIENT_FORGED_SIGNATURE and not config.client_signatures:
+    if not config.client_signatures and any(
+        spec.behaviour == CLIENT_FORGED_SIGNATURE for spec in specs
+    ):
         # Without client signatures (Raft's CFT configuration) identity
         # forgery is trivially possible and outside the fault model — the
         # "attack" would be accepted and prove nothing about the defence.
@@ -938,20 +924,30 @@ def client_abuse_point(
             f"forged-signature abuse needs client signatures, which the "
             f"{protocol!r} configuration disables"
         )
-    specs = abusive_clients(
-        num_abusive, num_clients, behaviour=behaviour, flood_factor=flood_factor
-    )
     network = scaled_network()
     if flush_interval is not None:
         network.batch_flush_interval = flush_interval
-    deployment = Deployment(
+    return Deployment(
         config,
         network_config=network,
         workload=_workload(rate, duration, clients=num_clients),
         malicious_client_specs=specs,
         drain_time=drain_time,
+        obs=obs,
     )
-    result = deployment.run()
+
+
+def client_abuse_row(deployment: Deployment, result) -> Dict[str, object]:
+    """The figures of one finished :func:`client_abuse_deployment`.
+
+    The row combines throughput/latency with the defence checks: every
+    correct client's requests complete, delivered prefixes stay identical
+    across all nodes, each abusive submission class is rejected-and-counted
+    (``RunReport.client_abuse``), and node memory stays bounded (watermark
+    out-of-order buffers, delivered filter after GC).
+    """
+    config = deployment.config
+    specs = deployment.malicious_client_specs
     report = result.report
     abusive_ids = {spec.client for spec in specs}
     correct_clients = [c for c in result.clients if c.client_id not in abusive_ids]
@@ -989,12 +985,15 @@ def client_abuse_point(
             abuse_contained &= 0 < stats.get("biased_sent", 0) and stats.get(
                 "requests_completed", 0
             ) <= bias_capacity(
-                spec.client, spec.target_bucket, window, config.num_buckets
+                spec.client,
+                spec.target_bucket,
+                config.client_watermark_window,
+                config.num_buckets,
             )
     return {
-        "protocol": protocol,
-        "behaviour": behaviour if num_abusive else "none",
-        "abusive": num_abusive,
+        "protocol": config.protocol,
+        "behaviour": specs[0].behaviour if specs else "none",
+        "abusive": len(specs),
         "throughput": report.throughput,
         "latency_mean": report.latency.mean,
         "latency_p95": report.latency.p95,
@@ -1016,6 +1015,26 @@ def client_abuse_point(
         ),
         "client_abuse": abuse,
     }
+
+
+def client_abuse_point(
+    protocol: str,
+    behaviour: str = CLIENT_WATERMARK_ABUSE,
+    num_abusive: int = 1,
+    num_clients: int = 8,
+    flood_factor: int = 3,
+    **scenario,
+) -> Dict[str, object]:
+    """One run under ``num_abusive`` malicious clients of one ``behaviour``
+    (one of :data:`~repro.runtime.faults.MALICIOUS_CLIENT_BEHAVIOURS`);
+    ``scenario`` are :func:`client_abuse_deployment`'s keyword arguments."""
+    specs = abusive_clients(
+        num_abusive, num_clients, behaviour=behaviour, flood_factor=flood_factor
+    )
+    deployment = client_abuse_deployment(
+        protocol, specs, num_clients=num_clients, **scenario
+    )
+    return client_abuse_row(deployment, deployment.run())
 
 
 def client_abuse_sweep(
@@ -1094,23 +1113,18 @@ def watermark_stall(
     (out-of-order buffers capped by the window, delivered filters garbage
     collected below the advanced watermarks).
     """
-    config = iss_config(
-        PROTOCOL_PBFT,
-        num_nodes,
-        random_seed=seed,
-        client_watermark_window=window,
-        send_client_responses=True,
-    )
     abuser = num_clients - 1
-    specs = [MaliciousClientSpec(client=abuser, behaviour=CLIENT_WATERMARK_ABUSE)]
-    deployment = Deployment(
-        config,
-        network_config=scaled_network(),
-        workload=_workload(rate, duration, clients=num_clients),
-        malicious_client_specs=specs,
+    result = client_abuse_deployment(
+        PROTOCOL_PBFT,
+        [MaliciousClientSpec(client=abuser, behaviour=CLIENT_WATERMARK_ABUSE)],
+        num_nodes=num_nodes,
+        num_clients=num_clients,
+        rate=rate,
+        duration=duration,
+        window=window,
+        seed=seed,
         drain_time=drain_time,
-    )
-    result = deployment.run()
+    ).run()
     report = result.report
     correct_clients = [c for c in result.clients if c.client_id != abuser]
     sample = result.nodes[0]
@@ -1151,45 +1165,8 @@ def watermark_stall(
 # Network-chaos scenarios — partitions, degraded links, client retry/backoff
 # ---------------------------------------------------------------------------
 
-#: Default flap periods swept by ``link_flap_sweep`` (``REPRO_FLAP_PERIODS``).
+#: Flap periods swept by :func:`link_flap_sweep` (seconds).
 DEFAULT_FLAP_PERIODS = (1.0, 2.0, 4.0)
-
-#: Default partition durations swept by ``bench_partition_heal.py``
-#: (``REPRO_PARTITION_DURATIONS``).
-DEFAULT_PARTITION_DURATIONS = (2.0, 5.0, 8.0)
-
-
-def partition_durations() -> Tuple[float, ...]:
-    """Partition durations swept by ``bench_partition_heal.py`` (env var
-    ``REPRO_PARTITION_DURATIONS``, comma-separated seconds).
-
-    Unparseable or empty values fall back to
-    :data:`DEFAULT_PARTITION_DURATIONS`.
-    """
-    raw = os.environ.get("REPRO_PARTITION_DURATIONS")
-    if raw is None:
-        return DEFAULT_PARTITION_DURATIONS
-    try:
-        durations = tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        return DEFAULT_PARTITION_DURATIONS
-    return tuple(d for d in durations if d > 0) or DEFAULT_PARTITION_DURATIONS
-
-
-def flap_periods() -> Tuple[float, ...]:
-    """Flap periods swept by :func:`link_flap_sweep` (env var
-    ``REPRO_FLAP_PERIODS``, comma-separated seconds).
-
-    Unparseable or empty values fall back to :data:`DEFAULT_FLAP_PERIODS`.
-    """
-    raw = os.environ.get("REPRO_FLAP_PERIODS")
-    if raw is None:
-        return DEFAULT_FLAP_PERIODS
-    try:
-        periods = tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        return DEFAULT_FLAP_PERIODS
-    return tuple(p for p in periods if p > 0) or DEFAULT_FLAP_PERIODS
 
 
 def chaos_config(protocol: str, num_nodes: int, **overrides) -> ISSConfig:
@@ -1216,13 +1193,16 @@ def chaos_config(protocol: str, num_nodes: int, **overrides) -> ISSConfig:
     return iss_config(protocol, num_nodes, **defaults)
 
 
-def _chaos_row(result, duration: float) -> Dict[str, object]:
+def chaos_row(result) -> Dict[str, object]:
     """Figures every chaos scenario reports, from one finished deployment."""
     report = result.report
     partitions = report.partitions
     records = partitions.get("partitions", [])
     live = [node for node in result.nodes if not node.crashed]
+    config = result.nodes[0].config
     return {
+        "protocol": config.protocol,
+        "nodes": config.num_nodes,
         "throughput": report.throughput,
         "latency_mean": report.latency.mean,
         "latency_p95": report.latency.p95,
@@ -1244,7 +1224,7 @@ def _chaos_row(result, duration: float) -> Dict[str, object]:
     }
 
 
-def partition_point(
+def partition_deployment(
     protocol: str,
     num_nodes: int,
     partition_specs: Sequence[PartitionSpec] = (),
@@ -1254,29 +1234,31 @@ def partition_point(
     num_clients: int = 8,
     seed: int = 42,
     drain_time: float = 15.0,
+    obs: Optional[ObsConfig] = None,
     **config_overrides,
-) -> Dict[str, object]:
-    """One run under a partition / link-fault schedule (shared harness of
-    every chaos scenario).
+) -> Deployment:
+    """One run under a partition / link-fault schedule (shared builder of
+    every chaos scenario; ``config_overrides`` go to :func:`chaos_config`).
 
     The generous ``drain_time`` gives the retry loop room to finish
     requests that were in flight when the fault landed — 100 % completion
     *through* retries is exactly what the scenarios assert.
     """
-    config = chaos_config(protocol, num_nodes, random_seed=seed, **config_overrides)
-    deployment = Deployment(
-        config,
+    return Deployment(
+        chaos_config(protocol, num_nodes, random_seed=seed, **config_overrides),
         network_config=scaled_network(),
         workload=_workload(rate, duration, clients=num_clients),
         partition_specs=partition_specs,
         link_fault_specs=link_fault_specs,
         drain_time=drain_time,
+        obs=obs,
     )
-    result = deployment.run()
-    row = _chaos_row(result, duration)
-    row["protocol"] = protocol
-    row["nodes"] = num_nodes
-    return row
+
+
+def partition_point(protocol: str, num_nodes: int, **scenario) -> Dict[str, object]:
+    """Run one :func:`partition_deployment` (same keyword arguments) and
+    return its :func:`chaos_row`."""
+    return chaos_row(partition_deployment(protocol, num_nodes, **scenario).run())
 
 
 def partition_minority(
@@ -1376,7 +1358,7 @@ def asymmetric_link(
 def link_flap_sweep(
     protocol: str = PROTOCOL_PBFT,
     num_nodes: int = 4,
-    periods: Optional[Sequence[float]] = None,
+    periods: Sequence[float] = DEFAULT_FLAP_PERIODS,
     flap_up: float = 0.5,
     retransmit: float = 0.5,
     rate: float = 400.0,
@@ -1386,8 +1368,7 @@ def link_flap_sweep(
     """Throughput/latency as one link flaps faster and faster.
 
     Both directions of the (0, top) link oscillate (up for ``flap_up`` of
-    each period); one row per period of ``periods`` (default
-    :func:`flap_periods`, env-overridable).  The flapping link rides a
+    each period); one row per period of ``periods``.  The flapping link rides a
     reliable transport (payloads dropped in a down-window are re-offered
     after ``retransmit`` seconds), so flapping costs latency rather than
     correctness.  Without it a slow flap wedges the two endpoints: each
@@ -1396,8 +1377,6 @@ def link_flap_sweep(
     two of four nodes stuck in epoch 0 no checkpoint quorum ever forms —
     BFT message channels between correct nodes are assumed reliable.
     """
-    if periods is None:
-        periods = flap_periods()
     top = num_nodes - 1
     rows: List[Dict[str, object]] = []
     for period in periods:
@@ -1440,21 +1419,12 @@ def partition_heal_retry_storm(
     specs = minority_partition(
         1, num_nodes, partition_start, partition_start + partition_duration
     )
-    config = chaos_config(
-        protocol, num_nodes, random_seed=seed, client_retry_timeout=retry_timeout
-    )
-    deployment = Deployment(
-        config,
-        network_config=scaled_network(),
-        workload=_workload(rate, duration),
-        partition_specs=specs,
-        drain_time=15.0,
-    )
-    result = deployment.run()
-    row = _chaos_row(result, duration)
+    result = partition_deployment(
+        protocol, num_nodes, partition_specs=specs, rate=rate, duration=duration,
+        seed=seed, client_retry_timeout=retry_timeout,
+    ).run()
+    row = chaos_row(result)
     row["scenario"] = "partition_heal_retry_storm"
-    row["protocol"] = protocol
-    row["nodes"] = num_nodes
     row["retry_timeout"] = retry_timeout
     row["duplicates_absorbed"] = sum(
         sum(node.duplicate_requests.values()) for node in result.nodes
@@ -1491,44 +1461,12 @@ def epoch_length_ablation(
 #: Epoch length for the membership scenarios.  Reconfigurations activate at
 #: epoch boundaries, so shorter epochs make joins/removals land (and the
 #: scenarios finish) sooner without changing what is being proven.
-#: Override with ``REPRO_MEMBERSHIP_EPOCH_LENGTH``.
 DEFAULT_MEMBERSHIP_EPOCH_LENGTH = 16
 
 #: Spacing between a rolling upgrade's remove and re-add (and between
 #: per-node cycles).  Must exceed the epoch duration at the scenario's
 #: request rate, or both ConfigTxs commit in one epoch and cancel out.
-#: Override with ``REPRO_MEMBERSHIP_PERIOD``.
 DEFAULT_MEMBERSHIP_PERIOD = 6.0
-
-
-def membership_epoch_length() -> int:
-    """Epoch length for membership scenarios (REPRO_MEMBERSHIP_EPOCH_LENGTH).
-
-    Non-positive or unparseable values fall back to
-    :data:`DEFAULT_MEMBERSHIP_EPOCH_LENGTH`.
-    """
-    try:
-        length = int(os.environ.get(
-            "REPRO_MEMBERSHIP_EPOCH_LENGTH", DEFAULT_MEMBERSHIP_EPOCH_LENGTH
-        ))
-    except ValueError:
-        return DEFAULT_MEMBERSHIP_EPOCH_LENGTH
-    return length if length > 0 else DEFAULT_MEMBERSHIP_EPOCH_LENGTH
-
-
-def membership_period() -> float:
-    """Rolling-upgrade cycle spacing in seconds (REPRO_MEMBERSHIP_PERIOD).
-
-    Non-positive or unparseable values fall back to
-    :data:`DEFAULT_MEMBERSHIP_PERIOD`.
-    """
-    try:
-        period = float(
-            os.environ.get("REPRO_MEMBERSHIP_PERIOD", DEFAULT_MEMBERSHIP_PERIOD)
-        )
-    except ValueError:
-        return DEFAULT_MEMBERSHIP_PERIOD
-    return period if period > 0 else DEFAULT_MEMBERSHIP_PERIOD
 
 
 def membership_config(protocol: str, num_nodes: int, **overrides) -> ISSConfig:
@@ -1540,18 +1478,21 @@ def membership_config(protocol: str, num_nodes: int, **overrides) -> ISSConfig:
     ride out a partition, which is what lets the scenarios gate on 100 %
     correct-client completion *through* joins, removals and upgrades.
     """
-    defaults = dict(epoch_length=membership_epoch_length())
+    defaults = dict(epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH)
     defaults.update(overrides)
     return chaos_config(protocol, num_nodes, **defaults)
 
 
-def _membership_row(result) -> Dict[str, object]:
+def membership_row(result) -> Dict[str, object]:
     """Figures every membership scenario reports, from one finished run."""
     report = result.report
     membership = report.membership
     live = [node for node in result.nodes if not node.crashed]
     joins = membership.get("joins", [])
+    config = result.nodes[0].config
     return {
+        "protocol": config.protocol,
+        "nodes": config.num_nodes,
         "throughput": report.throughput,
         "latency_mean": report.latency.mean,
         "latency_p95": report.latency.p95,
@@ -1573,7 +1514,7 @@ def _membership_row(result) -> Dict[str, object]:
     }
 
 
-def run_membership_point(
+def membership_deployment(
     protocol: str,
     num_nodes: int = 4,
     membership_specs: Sequence[MembershipSpec] = (),
@@ -1584,33 +1525,35 @@ def run_membership_point(
     drain_time: float = 12.0,
     byzantine_specs=(),
     malicious_client_specs=(),
+    obs: Optional[ObsConfig] = None,
     **config_overrides,
-):
-    """One run under a membership-change schedule (shared harness of every
-    dynamic-membership scenario); returns ``(result, row)`` so callers can
-    inspect nodes/clients beyond the row's figures.
+) -> Deployment:
+    """One run under a membership-change schedule (shared builder of every
+    dynamic-membership scenario; ``config_overrides`` go to
+    :func:`membership_config`).
 
     ``drain_time`` gives in-flight joins and the retry loop room to finish
     after the workload stops — 100 % completion *through* reconfiguration
     is what the scenarios assert.
     """
-    config = membership_config(
-        protocol, num_nodes, random_seed=seed, **config_overrides
-    )
-    deployment = Deployment(
-        config,
+    return Deployment(
+        membership_config(protocol, num_nodes, random_seed=seed, **config_overrides),
         network_config=scaled_network(),
         workload=_workload(rate, duration, clients=num_clients),
         membership_specs=membership_specs,
         byzantine_specs=byzantine_specs,
         malicious_client_specs=malicious_client_specs,
         drain_time=drain_time,
+        obs=obs,
     )
-    result = deployment.run()
-    row = _membership_row(result)
-    row["protocol"] = protocol
-    row["nodes"] = num_nodes
-    return result, row
+
+
+def run_membership_point(protocol: str, num_nodes: int = 4, **scenario):
+    """Run one :func:`membership_deployment` (same keyword arguments);
+    returns ``(result, membership_row(result))`` so callers can inspect
+    nodes/clients beyond the row's figures."""
+    result = membership_deployment(protocol, num_nodes, **scenario).run()
+    return result, membership_row(result)
 
 
 def membership_point(protocol: str, num_nodes: int = 4, **kwargs) -> Dict[str, object]:
@@ -1680,7 +1623,7 @@ def membership_leave(
 def rolling_upgrade(
     protocol: str = PROTOCOL_PBFT,
     num_nodes: int = 4,
-    period: Optional[float] = None,
+    period: float = DEFAULT_MEMBERSHIP_PERIOD,
     rate: float = 300.0,
     seed: int = 42,
     tail: float = 6.0,
@@ -1697,8 +1640,6 @@ def rolling_upgrade(
     ``all_complete`` and ``prefixes_identical`` (the acceptance gate),
     and ``final_view`` (back to the genesis set).
     """
-    if period is None:
-        period = membership_period()
     specs = rolling_upgrade_specs(num_nodes, start=3.0, period=period)
     duration = 3.0 + 2 * period * num_nodes + tail
     row = membership_point(

@@ -14,7 +14,7 @@ The deployment also knows how to *audit* a cluster from its files:
 :func:`durable_prefix` reconstructs a node's contiguous delivered request
 sequence from its snapshot and WAL alone (no RPC, no cooperation from the
 process), and :func:`prefixes_identical` checks the SMR safety claim over
-the shared positions.  The live smoke gate and the docs examples rest on
+the shared positions.  The ``live`` gate and the docs examples rest on
 these.
 
 Environment knobs (see PERF.md): ``REPRO_LIVE_BASE_PORT`` (first node

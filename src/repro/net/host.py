@@ -30,7 +30,7 @@ from ..app.kv import KVApp
 from ..core.iss import ISSNode
 from ..crypto.signatures import KeyStore
 from ..storage.durable import DurableNodeStorage
-from ..storage.recovery import RecoveryManager
+from ..storage.recovery import boot_from_storage
 from .clock import WallClock
 from .transport import TcpTransport
 
@@ -69,10 +69,8 @@ async def run_node(spec, node_id: int) -> None:
     if storage.has_state():
         # Restart: recover from the fsync'd files, then chase the frontier.
         app.replaying = True
-        info = RecoveryManager(storage).recover(node, now=clock.now)
+        info = boot_from_storage(node, storage, now=clock.now)
         app.replaying = False
-        node.start_at(info.resume_epoch)
-        node.begin_recovery_catchup()
         _watch_catchup_end(clock, node, info.resume_epoch)
     else:
         node.start()

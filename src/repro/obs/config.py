@@ -22,7 +22,7 @@ Environment knobs (all optional, read by :meth:`ObsConfig.from_env`):
                                           ``metrics.json``) into after the run
 ========================================  =======================================
 
-Deterministic smokes pin ``ObsConfig.disabled()`` explicitly so a stray
+The gate runner pins ``ObsConfig.disabled()`` explicitly so a stray
 ``REPRO_TRACE=1`` in the environment cannot perturb a golden gate.
 """
 
@@ -74,7 +74,7 @@ class ObsConfig:
 
     @staticmethod
     def disabled() -> "ObsConfig":
-        """The canonical all-off configuration (pinned by golden smokes)."""
+        """The canonical all-off configuration (pinned by the gate runner)."""
         return _DISABLED
 
     @staticmethod

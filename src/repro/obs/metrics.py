@@ -10,7 +10,7 @@ Two layers:
   point per series, and re-schedules itself.  It never sends messages,
   never draws randomness, and never mutates protocol state, so enabling it
   cannot change what the simulation delivers (only ``events_executed``
-  grows by the tick count, which is why golden smokes pin it off).
+  grows by the tick count, which is why the gates pin it off).
 
 The sampler's ``throughput`` series reproduces the bespoke per-bucket
 accounting the timeline benchmarks used to carry: a *rate probe* over the

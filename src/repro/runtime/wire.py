@@ -28,7 +28,7 @@ them (Nagle-style) into larger frames:
   quantise to tick boundaries.
 
 Batching is off by default (``NetworkConfig.batch_flush_interval = 0``); the
-perf-smoke batched scenario and the figure benchmarks enable it.  Everything
+perf gate's batched scenario and the figure benchmarks enable it.  Everything
 here is deterministic: buffers flush at fixed tick boundaries through the
 scheduler's ordered callback path, so same-seed simulator runs produce
 identical schedules (pinned by the batched golden trace in

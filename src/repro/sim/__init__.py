@@ -3,19 +3,7 @@
 from .simulator import Simulator, Timer, SimulationError
 from .latency import LatencyModel, DATACENTER_NAMES
 from .network import Network, NetworkStats, wire_size
-from .faults import (
-    CrashSpec,
-    StragglerSpec,
-    ByzantineSpec,
-    FaultInjector,
-    CRASH_AT_TIME,
-    CRASH_EPOCH_START,
-    CRASH_EPOCH_END,
-    BYZ_EQUIVOCATE,
-    BYZ_CENSOR,
-    BYZ_INVALID_VOTES,
-    BYZ_REPLAY,
-)
+from .faults import FaultInjector
 
 __all__ = [
     "Simulator",
@@ -26,15 +14,5 @@ __all__ = [
     "Network",
     "NetworkStats",
     "wire_size",
-    "CrashSpec",
-    "StragglerSpec",
-    "ByzantineSpec",
     "FaultInjector",
-    "CRASH_AT_TIME",
-    "CRASH_EPOCH_START",
-    "CRASH_EPOCH_END",
-    "BYZ_EQUIVOCATE",
-    "BYZ_CENSOR",
-    "BYZ_INVALID_VOTES",
-    "BYZ_REPLAY",
 ]

@@ -4,7 +4,7 @@ The paper's robustness claims — bucket rotation defeats request censorship
 (Section 3.2), the follower acceptance rules plus leader-selection policies
 contain misbehaving leaders (Sections 4.2 and 3.4) — are only worth
 reproducing if something actually attacks the system.  This module builds
-the *send-manipulating* half of :class:`~repro.sim.faults.ByzantineSpec`:
+the *send-manipulating* half of :class:`~repro.runtime.faults.ByzantineSpec`:
 callable adversaries installed on the :class:`~repro.sim.network.Network`
 via :meth:`~repro.sim.network.Network.set_adversary` that rewrite, forge or
 duplicate every message the Byzantine node puts on the wire.
@@ -22,7 +22,7 @@ Design constraints the implementations respect:
   that obviously knows what it really proposed.
 * **Deterministic.**  Variant assignment is a pure function of the
   destination id, so seeded runs replay bit-identically (the Byzantine
-  smoke gate pins a golden trace on this).
+  gate pins a golden trace on this).
 
 Censorship is not a send manipulation — the leader simply never proposes
 the targeted requests — so it is implemented inside
@@ -41,7 +41,7 @@ from ..crypto.signatures import SIGNATURE_SIZE
 from ..crypto.threshold import PartialSignature
 from ..hotstuff.messages import Block, Proposal, Vote
 from ..pbft.messages import Commit, PrePrepare, Prepare
-from .faults import (
+from ..runtime.faults import (
     BYZ_CENSOR,
     BYZ_EQUIVOCATE,
     BYZ_INVALID_VOTES,

@@ -1,6 +1,6 @@
 """Network chaos: scheduled partitions and degraded links.
 
-The fault specs in :mod:`repro.sim.faults` make *nodes* and *clients*
+The fault specs in :mod:`repro.runtime.faults` make *nodes* and *clients*
 misbehave; this module makes the **network itself** the adversary, which is
 the failure mode the paper's epoch/checkpoint structure is supposed to ride
 out (liveness across asynchrony, Section 2.1's partially synchronous model):

@@ -5,9 +5,9 @@ signatures, payload-excluded bucket hashing) exist to contain *abusive
 clients*, not faulty replicas — yet the replica-side adversary suite never
 attacks them.  This module supplies the attacker: an
 :class:`AbusiveClient` subclass of :class:`~repro.core.client.Client`
-driven by a :class:`~repro.sim.faults.MaliciousClientSpec`, mirroring how
+driven by a :class:`~repro.runtime.faults.MaliciousClientSpec`, mirroring how
 :mod:`repro.sim.adversary` supplies the replica-side behaviours for
-:class:`~repro.sim.faults.ByzantineSpec`.
+:class:`~repro.runtime.faults.ByzantineSpec`.
 
 Four behaviours, one per defence:
 
@@ -38,7 +38,7 @@ Design constraints, mirrored from the replica-side adversaries:
   so its "stolen" signatures are exactly as unverifiable as a real
   attacker's would be.
 * **Deterministic.**  All behaviours are pure functions of the submission
-  counter, so seeded runs replay bit-identically (the client-abuse smoke
+  counter, so seeded runs replay bit-identically (the client-abuse gate
   gate pins a golden trace on this).
 """
 
@@ -50,7 +50,7 @@ from ..core.client import Client
 from ..core.messages import ClientRequestMsg
 from ..core.types import Request, RequestId
 from ..core.validation import request_signing_payload, sign_request
-from .faults import (
+from ..runtime.faults import (
     CLIENT_BUCKET_BIAS,
     CLIENT_DUPLICATE_FLOOD,
     CLIENT_FORGED_SIGNATURE,

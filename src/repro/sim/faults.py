@@ -1,4 +1,5 @@
-"""Fault-injection primitives for the simulated network.
+"""Fault *injection* for the simulated network (the pure-data fault
+specifications it schedules live in :mod:`repro.runtime.faults`).
 
 Two kinds of faults matter for the paper's evaluation (Section 6.4):
 
@@ -60,33 +61,15 @@ from .chaos import ActiveLinkFault, LinkFaultSpec, PartitionSpec
 from .network import Network
 from .simulator import Simulator
 
-# The pure-data fault specifications moved to :mod:`repro.runtime.faults`
-# with the node/transport boundary refactor (protocol code honours them on
-# any backend); re-exported here so existing imports keep working.
-from ..runtime.faults import (  # noqa: F401
-    BYZ_CENSOR,
-    BYZ_EQUIVOCATE,
-    BYZ_INVALID_VOTES,
-    BYZ_REPLAY,
-    BYZANTINE_BEHAVIOURS,
-    CLIENT_BUCKET_BIAS,
-    CLIENT_DUPLICATE_FLOOD,
-    CLIENT_FORGED_SIGNATURE,
-    CLIENT_WATERMARK_ABUSE,
+from ..runtime.faults import (
     CRASH_AT_TIME,
-    CRASH_EPOCH_END,
     CRASH_EPOCH_START,
-    MALICIOUS_CLIENT_BEHAVIOURS,
-    MEMBER_ADD,
     MEMBER_EVICT_DETECTED,
-    MEMBER_REMOVE,
-    MEMBERSHIP_ACTIONS,
     ByzantineSpec,
     CrashSpec,
     MaliciousClientSpec,
     MembershipSpec,
     RestartSpec,
-    StragglerSpec,
 )
 
 

@@ -250,10 +250,6 @@ class DurableNodeStorage(NodeStorage):
         self.wal = FileWriteAheadLog(self.directory / WAL_FILENAME, fsync=fsync)
         self.snapshots = FileSnapshotStore(self.directory / SNAPSHOT_FILENAME)
 
-    def has_state(self) -> bool:
-        """True when the directory holds anything to recover from."""
-        return self.snapshots.latest() is not None or len(self.wal) > 0
-
     def close(self) -> None:
         """Close the WAL's backing file (snapshots hold no open handle)."""
         self.wal.close()

@@ -102,6 +102,10 @@ class NodeStorage:
         """The latest snapshot, or ``None`` before the first compaction."""
         return self.snapshots.latest()
 
+    def has_state(self) -> bool:
+        """True when storage holds anything to recover from."""
+        return self.latest_snapshot() is not None or len(self.wal) > 0
+
     def durable_entry_count(self) -> int:
         """Entries recoverable from storage (snapshot plus WAL tail)."""
         return self.snapshots.entry_count() + len(self.wal.commits())

@@ -15,8 +15,8 @@ Recovery has three phases, mirroring production SMR restart procedures:
    one) is computed.
 
 What storage cannot provide — entries ordered while the node was down —
-is fetched afterwards through the existing state-transfer protocol: the
-harness starts the node at the resume epoch and calls
+is fetched afterwards through the existing state-transfer protocol:
+:func:`boot_from_storage` starts the node at the resume epoch and calls
 ``begin_recovery_catchup()``, which probes peers for everything they can
 prove stable (see :mod:`repro.core.state_transfer`).
 
@@ -74,9 +74,8 @@ class RecoveryManager:
     def recover(self, node, now: float) -> RecoveryInfo:
         """Restore ``node`` (a fresh, not-yet-started ISS node) from storage.
 
-        Returns the :class:`RecoveryInfo`; the caller is expected to then
-        ``node.start_at(info.resume_epoch)`` and
-        ``node.begin_recovery_catchup()``.
+        Returns the :class:`RecoveryInfo`; :func:`boot_from_storage` is
+        the caller that then starts the node and its catch-up.
         """
         info = RecoveryInfo(node_id=node.node_id, resume_epoch=0)
 
@@ -135,3 +134,23 @@ class RecoveryManager:
             for item in delivered:
                 on_deliver(node.node_id, item)
         return info
+
+
+def boot_from_storage(
+    node, storage: Optional[NodeStorage], now: float, tracer=None
+) -> RecoveryInfo:
+    """Boot a fresh node that must chase the cluster frontier.
+
+    The one restart sequence shared by the simulator's restart and joiner
+    paths and the live per-node process: recover from ``storage`` when it
+    holds state (else resume at epoch 0 — a diskless restart or a brand-new
+    joiner), start the node at the resume epoch, and begin the open-ended
+    state-transfer catch-up for everything ordered while it was away.
+    """
+    if storage is not None and storage.has_state():
+        info = RecoveryManager(storage, tracer=tracer).recover(node, now=now)
+    else:
+        info = RecoveryInfo(node_id=node.node_id, resume_epoch=0)
+    node.start_at(info.resume_epoch)
+    node.begin_recovery_catchup()
+    return info

@@ -1,8 +1,9 @@
 """Fault-schedule builders for the evaluation scenarios (Section 6.4).
 
-Thin convenience layer over :mod:`repro.sim.faults`: the crash and straggler
-*specifications* live there (they are a simulation concern); this module
-builds the particular schedules the paper's figures use.
+Thin convenience layer over the fault *specifications* in
+:mod:`repro.runtime.faults` (and the network-chaos ones in
+:mod:`repro.sim.chaos`): this module builds the particular schedules the
+paper's figures use.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..sim.chaos import LinkFaultSpec, PartitionSpec, symmetric_split
-from ..sim.faults import (
+from ..runtime.faults import (
     BYZ_CENSOR,
     BYZ_EQUIVOCATE,
     CLIENT_FORGED_SIGNATURE,

@@ -382,11 +382,12 @@ class TestProfilingScenarioReduction:
     """The PR's acceptance criterion, asserted on the real scenario."""
 
     def test_batched_scenario_cuts_messages_by_thirty_percent(self):
-        from repro.perf_smoke import BATCH_FLUSH_INTERVAL, build_deployment
+        from repro.gate.simulated import perf_deployment
+        from repro.harness.scenarios import DEFAULT_FLUSH_INTERVAL
 
-        plain = build_deployment()
+        plain = perf_deployment()
         plain.run()
-        batched = build_deployment(BATCH_FLUSH_INTERVAL)
+        batched = perf_deployment(DEFAULT_FLUSH_INTERVAL)
         batched_result = batched.run()
 
         sent_plain = plain.network.stats.messages_sent

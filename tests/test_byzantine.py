@@ -13,7 +13,8 @@ Covers the acceptance claims of the adversary subsystem:
   Byzantine leader (the PR 3 liveness wedges showed SB changes must be
   stressed exactly this way),
 * the BRB layer on its own tolerates an equivocating designated sender,
-* the seeded Byzantine smoke scenario replays against its golden trace.
+* the seeded Byzantine gate scenario replays against its golden trace
+  (``tests/test_gates.py``).
 """
 
 import json
@@ -37,7 +38,7 @@ from repro.sim.adversary import (
     ReplayAdversary,
     make_adversary,
 )
-from repro.sim.faults import (
+from repro.runtime.faults import (
     BYZ_CENSOR,
     BYZ_EQUIVOCATE,
     BYZ_INVALID_VOTES,
@@ -48,7 +49,7 @@ from repro.sim.faults import (
 )
 from repro.workload.faults import byzantine_leaders, censorship_targets
 
-from repro import byzantine_smoke
+from repro.gate.table import GATES
 
 
 def small_config(protocol="pbft", num_nodes=4, seed=7, **overrides):
@@ -406,18 +407,8 @@ class TestBrbEquivocation:
 
 
 class TestByzantineSmokeGolden:
-    def test_matches_byzantine_golden_trace(self):
-        """The seeded equivocation scenario replays bit-identically."""
-        figures = byzantine_smoke.run_smoke()
-        assert figures["prefixes_identical"]
-        assert figures["adversary_evicted"]
-        assert figures["equivocations_detected_total"] > 0
-        assert byzantine_smoke.check_against_golden(
-            figures, byzantine_smoke.golden_path()
-        ) is None
-
     def test_golden_trace_file_is_well_formed(self):
-        golden = json.loads(byzantine_smoke.golden_path().read_text())
+        golden = json.loads(GATES["byzantine"].golden_path.read_text())
         assert golden["trace_len"] > 0
         assert len(golden["trace_sha256"]) == 64
         assert golden["equivocations_detected_total"] > 0

@@ -14,7 +14,8 @@ Covers the acceptance claims of the client-side adversary subsystem:
   caches are garbage collected below advanced watermarks, watermark
   out-of-order buffers are pruned and capped by the window,
 * the machinery composes with wire batching on AND off, and
-* the seeded client-abuse smoke scenario replays against its golden trace.
+* the seeded client-abuse gate scenario replays against its golden trace
+  (``tests/test_gates.py``).
 """
 
 import json
@@ -33,7 +34,7 @@ from repro.harness.scenarios import (
     watermark_stall,
 )
 from repro.sim.client_adversary import AbusiveClient
-from repro.sim.faults import (
+from repro.runtime.faults import (
     CLIENT_BUCKET_BIAS,
     CLIENT_DUPLICATE_FLOOD,
     CLIENT_FORGED_SIGNATURE,
@@ -42,7 +43,7 @@ from repro.sim.faults import (
 )
 from repro.workload.faults import abusive_clients
 
-from repro import client_abuse_smoke
+from repro.gate.table import GATES
 
 
 WINDOW = 1024
@@ -353,7 +354,7 @@ class TestMixedAbuseAndReplicaFaults:
 
     def test_abusive_client_with_crashed_node(self):
         """Client abuse composes with a replica crash fault."""
-        from repro.sim.faults import CrashSpec
+        from repro.runtime.faults import CrashSpec
 
         config = abusive_config(seed=11)
         specs = abusive_clients(1, 6, behaviour=CLIENT_WATERMARK_ABUSE)
@@ -397,7 +398,7 @@ class TestBoundedClientState:
         """A restarted node must not re-retain the whole pre-crash delivered
         history: the recovery fast-forward applies the same watermark GC as
         live epoch transitions (regression: replay used to skip it)."""
-        from repro.sim.faults import CrashSpec, RestartSpec
+        from repro.runtime.faults import CrashSpec, RestartSpec
 
         config = abusive_config(seed=11)
         deployment = Deployment(
@@ -501,19 +502,8 @@ class TestScenarios:
 
 
 class TestClientAbuseSmokeGolden:
-    def test_matches_client_abuse_golden_trace(self):
-        """The seeded abusive scenario replays bit-identically."""
-        figures = client_abuse_smoke.run_smoke()
-        assert client_abuse_smoke.semantic_violations(figures) is None
-        assert (
-            client_abuse_smoke.check_against_golden(
-                figures, client_abuse_smoke.golden_path()
-            )
-            is None
-        )
-
     def test_golden_trace_file_is_well_formed(self):
-        golden = json.loads(client_abuse_smoke.golden_path().read_text())
+        golden = json.loads(GATES["client-abuse"].golden_path.read_text())
         assert golden["trace_len"] > 0
         assert len(golden["trace_sha256"]) == 64
         assert golden["watermark_rejections"] > 0

@@ -111,17 +111,37 @@ class TestScenarioHelpers:
         monkeypatch.delenv("REPRO_BENCH_SCALE")
         assert scenarios.bench_scale() == scenarios.DEFAULT_BENCH_SCALE
 
-    def test_flush_interval_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLUSH_INTERVAL", "0.05")
-        assert scenarios.bench_flush_interval() == 0.05
-        monkeypatch.setenv("REPRO_FLUSH_INTERVAL", "0")
-        assert scenarios.bench_flush_interval() == 0.0
-        monkeypatch.setenv("REPRO_FLUSH_INTERVAL", "garbage")
-        assert scenarios.bench_flush_interval() == scenarios.DEFAULT_FLUSH_INTERVAL
-        monkeypatch.setenv("REPRO_FLUSH_INTERVAL", "-1")
-        assert scenarios.bench_flush_interval() == 0.0
-        monkeypatch.delenv("REPRO_FLUSH_INTERVAL")
-        assert scenarios.scaled_network().batch_flush_interval == scenarios.DEFAULT_FLUSH_INTERVAL
+    def test_scenario_shape_ignores_the_environment(self, monkeypatch):
+        """The nine ``REPRO_*`` knobs PR 13 deleted are no longer read: set
+        to hostile values, every scenario still carries the constants."""
+        import inspect
+
+        for name, value in {
+            "REPRO_FLUSH_INTERVAL": "0",
+            "REPRO_RECOVERY_POLL_INTERVAL": "9",
+            "REPRO_PROBE_STAGGER": "0",
+            "REPRO_ABUSE_CLIENTS": "7",
+            "REPRO_FLAP_PERIODS": "9,9",
+            "REPRO_PARTITION_DURATIONS": "9",
+            "REPRO_MEMBERSHIP_EPOCH_LENGTH": "3",
+            "REPRO_MEMBERSHIP_PERIOD": "99",
+            "REPRO_FIG5_NODES": "4",
+        }.items():
+            monkeypatch.setenv(name, value)
+        assert scenarios.scaled_network().batch_flush_interval == 0.02
+        assert scenarios.wan_regions(2).batch_flush_interval == 0.02
+        assert scenarios.membership_config("pbft", 4).epoch_length == 16
+        deployment = Deployment(tiny_config(), workload=tiny_workload())
+        assert deployment.recovery_poll == 0.25
+        assert deployment.probe_stagger == 2.0
+        assert deployment.nodes[0].state_transfer.probe_stagger == 2.0
+
+        def default(function, parameter):
+            return inspect.signature(function).parameters[parameter].default
+
+        assert default(scenarios.client_abuse_sweep, "abusive_counts") == (0, 1, 2)
+        assert default(scenarios.link_flap_sweep, "periods") == (1.0, 2.0, 4.0)
+        assert default(scenarios.rolling_upgrade, "period") == 6.0
 
     def test_scalability_point_runs_quickly(self):
         row = scenarios.scalability_point("iss", "pbft", 4, offered_loads=(200.0,), duration=3.0)

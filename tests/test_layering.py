@@ -9,16 +9,24 @@ tests import each protocol layer in a **fresh interpreter** and assert no
 from the simulator anywhere in the dependency closure fails CI
 immediately.
 
-The simulator-side shim ``repro.sim.faults`` must keep re-exporting the
-runtime classes *by identity*, not by copy — isinstance checks and pickled
-golden traces rely on it.
+The simulator-side shims are retired: the fault specifications are
+imported from ``repro.runtime.faults`` everywhere, ``repro.sim.faults``
+holds the ``FaultInjector`` only, and nothing outside ``src/repro/sim/``
+may reach a spec name through the simulator package again.
 """
 
+import ast
 import importlib
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import repro.runtime.faults as runtime_faults
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Protocol-layer module roots that must stay simulator-free.
 PROTOCOL_MODULES = [
@@ -86,11 +94,50 @@ def test_lazy_package_import_stays_sim_free():
     assert result.stdout.strip() == "ok"
 
 
-def test_sim_shims_preserve_class_identity():
-    from repro.runtime.faults import CrashSpec as runtime_crash
-    from repro.sim.faults import CrashSpec as sim_crash
+#: Every public name of ``repro.runtime.faults``: the spec dataclasses and
+#: the ``BYZ_*``/``CLIENT_*``/``MEMBER_*``/``CRASH_*`` constants.
+SPEC_NAMES = {name for name in vars(runtime_faults) if not name.startswith("_")}
 
-    assert sim_crash is runtime_crash
+_SIM_IMPORT_RE = re.compile(
+    r"from\s+(?:repro|\.+)\.?sim(?:\.faults)?\s+import\s+(\([^)]*\)|[^\n]*)"
+)
+
+
+def _spec_names_imported_via_sim(path):
+    """Spec names ``path`` imports from ``repro.sim`` / ``repro.sim.faults``."""
+    text = path.read_text()
+    if path.suffix == ".py":
+        names = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "") in (
+                "repro.sim", "repro.sim.faults", "sim", "sim.faults",
+            ):
+                names.update(alias.name for alias in node.names)
+        return names & SPEC_NAMES
+    # Markdown: scan the code blocks' import statements textually.
+    imported = " ".join(_SIM_IMPORT_RE.findall(text))
+    return set(re.findall(r"\w+", imported)) & SPEC_NAMES
+
+
+def test_sim_shims_are_retired():
     for removed in ("repro.sim.batching", "repro.sim.sharded"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(removed)
+    files = [REPO_ROOT / "README.md", REPO_ROOT / "PERF.md"]
+    for folder, pattern in (
+        ("src", "*.py"), ("tests", "*.py"), ("benchmarks", "*.py"),
+        ("examples", "*.py"), ("docs", "*.md"),
+    ):
+        files += sorted((REPO_ROOT / folder).rglob(pattern))
+    sim_package = REPO_ROOT / "src" / "repro" / "sim"
+    frozen = REPO_ROOT / "benchmarks" / "e2e"
+    offenders = {
+        str(path.relative_to(REPO_ROOT)): sorted(names)
+        for path in files
+        if sim_package not in path.parents and frozen not in path.parents
+        for names in [_spec_names_imported_via_sim(path)]
+        if names
+    }
+    assert not offenders, (
+        f"fault specs must be imported from repro.runtime.faults: {offenders}"
+    )

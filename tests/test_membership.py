@@ -32,11 +32,11 @@ from repro.core.membership import (
     genesis_view,
 )
 from repro.core.types import Batch, Request, RequestId
-from repro.golden import delivered_trace
 from repro.harness.invariants import (
     check_invariants,
     check_membership,
     check_runs_equivalent,
+    delivered_trace,
 )
 from repro.harness.runner import Deployment
 from repro.harness.scenarios import (
@@ -52,7 +52,7 @@ from repro.harness.scenarios import (
     run_membership_point,
 )
 from repro.obs import ObsConfig
-from repro.sim.faults import MEMBER_ADD, MEMBER_REMOVE, MembershipSpec
+from repro.runtime.faults import MEMBER_ADD, MEMBER_REMOVE, MembershipSpec
 from repro.workload.faults import membership_removals
 
 PROTOCOLS = ("pbft", "hotstuff", "raft")

@@ -2,7 +2,7 @@
 
 Everything here runs inside one process (loopback sockets, single asyncio
 loop); the full multi-process deployment is exercised by
-``python -m repro.live_smoke``.
+``python -m repro.gate live``.
 """
 
 import asyncio

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro import golden
 from repro.core.config import ISSConfig, WorkloadConfig
+from repro.harness.invariants import trace_sha256
 from repro.harness.runner import Deployment
 from repro.obs import ObsConfig
 from repro.obs.export import (
@@ -135,7 +135,7 @@ class TestDisabledMode:
         assert on_res.report.completed == off_res.report.completed
         assert on_res.report.latency == off_res.report.latency
         for traced, untraced in zip(on_res.nodes, off_res.nodes):
-            assert golden.trace_sha256(traced) == golden.trace_sha256(untraced)
+            assert trace_sha256(traced) == trace_sha256(untraced)
         assert (
             on_dep.network.stats.messages_sent == off_dep.network.stats.messages_sent
         )
@@ -179,7 +179,7 @@ class TestSpanCompleteness:
         assert 0 < len(sampled_rids) < len(all_rids)
         assert sampled_rids <= all_rids
         # Sampling must not perturb the schedule either.
-        assert golden.trace_sha256(dep_a.nodes[0]) == golden.trace_sha256(
+        assert trace_sha256(dep_a.nodes[0]) == trace_sha256(
             full_dep.nodes[0]
         )
 

@@ -14,7 +14,8 @@ must
 
 Recovery is also seed-deterministic: the same seed must reproduce the same
 recovery record and delivered trace, pinned across processes by
-``tests/data/golden_trace_recovery.json`` (see :mod:`repro.recovery_smoke`).
+``tests/data/golden_trace_recovery.json`` (gate ``recovery``, replayed by
+``tests/test_gates.py``).
 """
 
 import json
@@ -35,13 +36,9 @@ from repro.harness.scenarios import (
     delivered_prefix_matches,
     iss_config,
 )
-from repro.recovery_smoke import (
-    check_against_golden,
-    delivered_trace,
-    golden_path,
-    run_smoke,
-)
-from repro.sim.faults import CrashSpec, RestartSpec
+from repro.gate.table import GATES
+from repro.harness.invariants import delivered_trace
+from repro.runtime.faults import CrashSpec, RestartSpec
 
 VICTIM = 1
 
@@ -171,16 +168,8 @@ class TestCrashRestartRecovery:
             )
         assert runs[0] == runs[1]
 
-    def test_matches_recovery_golden_trace(self):
-        """Same seed ⇒ same recovery, pinned across processes and machines
-        by the checked-in golden trace."""
-        figures = run_smoke()
-        assert figures["caught_up"]
-        assert figures["prefix_matches"]
-        assert check_against_golden(figures, golden_path()) is None
-
     def test_golden_trace_file_is_well_formed(self):
-        golden = json.loads(golden_path().read_text())
+        golden = json.loads(GATES["recovery"].golden_path.read_text())
         assert golden["recovery"]["time_to_caught_up"] >= 0.0
         assert golden["trace_len"] > 0
         assert len(golden["trace_sha256"]) == 64

@@ -1,11 +1,11 @@
 """Seeded scenario fuzz: random small scenarios, invariants only.
 
-Runs the fixed fuzz population (see :mod:`repro.fuzz_smoke`) through
+Runs the fixed fuzz population (see :mod:`repro.gate.fuzz`) through
 pytest, one scenario per test case: every scenario must satisfy the
 standing safety invariants.  The population derives from one master
 seed, so a failure here replays exactly with::
 
-    python -m repro.fuzz_smoke --seed 0x<master_seed> --count <n>
+    python -m repro.gate.fuzz --seed 0x<master_seed> --count <n>
 
 The CLI sweep and this file share generation and checking code — a
 violation found by either is reproducible in the other.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fuzz_smoke import (
+from repro.gate.fuzz import (
     DEFAULT_MASTER_SEED,
     DEFAULT_SCENARIOS,
     check_scenario,

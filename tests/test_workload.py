@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import ISSConfig, WorkloadConfig
-from repro.sim.faults import CRASH_EPOCH_END, CRASH_EPOCH_START, CrashSpec, FaultInjector, StragglerSpec
+from repro.runtime.faults import CRASH_EPOCH_END, CRASH_EPOCH_START, CrashSpec, StragglerSpec
+from repro.sim.faults import FaultInjector
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
