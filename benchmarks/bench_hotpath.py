@@ -4,8 +4,9 @@
 Times the individual hot paths that dominate large runs (see PERF.md):
 the simulator's allocation-free event dispatch, Timer-based dispatch and
 cancellation compaction, ``Network.send`` (direct and through the
-wire-batching layer), request-id hashing, memoized signature verification,
-and the bucket-pool request cycle.
+wire-batching layer), ``Network.multicast`` at a 31-way fan-out, one PBFT
+vote into a 32-node instance, request-id hashing, memoized signature
+verification, and the bucket-pool request cycle.
 
 Usage::
 
@@ -131,6 +132,101 @@ def bench_network_send_batched(n: int = 100_000) -> float:
     return _timed(run, n)
 
 
+def _bench_network_multicast(flush_interval: float, rounds: int) -> float:
+    """31-way multicasts of PBFT votes on a 32-node network, per destination.
+
+    The n² vote path's send half: one envelope, sized once, fanned out over
+    31 links.  Compare with the per-message figures of ``network send`` /
+    ``network send batched`` — the gap is what one multicast saves over 31
+    independent sends.
+    """
+    from repro.core.messages import InstanceMessage
+    from repro.pbft.messages import Prepare
+
+    nodes = 32
+    sim = Simulator(seed=1)
+    config = NetworkConfig(batch_flush_interval=flush_interval)
+    network = Network(sim, config, LatencyModel(config, nodes))
+    for node in range(nodes):
+        network.register(node, lambda src, msg: None)
+    votes = [
+        InstanceMessage((0, i & 31), Prepare(view=0, sn=i & 31, digest=b"d" * 32))
+        for i in range(64)
+    ]
+    peers = [[dst for dst in range(nodes) if dst != src] for src in range(nodes)]
+
+    def run():
+        multicast = network.multicast
+        for i in range(rounds):
+            # Spread sends over virtual time so flush ticks keep firing;
+            # 256 multicasts per tick put 8 votes on every link's frame.
+            if i % 256 == 0:
+                sim.run(until=sim.now + 0.001)
+            multicast(i & 31, peers[i & 31], votes[i & 63])
+        sim.run()
+
+    return _timed(run, rounds * (nodes - 1))
+
+
+def bench_network_multicast(rounds: int = 3_000) -> float:
+    """Unbatched: every destination pays the NIC/latency path."""
+    return _bench_network_multicast(0.0, rounds)
+
+
+def bench_network_multicast_batched(rounds: int = 3_000) -> float:
+    """Batched (1 ms tick): every destination is one batcher enqueue."""
+    return _bench_network_multicast(0.001, rounds)
+
+
+def bench_pbft_vote(slots: int = 2_000) -> float:
+    """One PREPARE into a 32-node ``PbftSB``: the receive half of the n² path.
+
+    Every slot has an accepted PRE-PREPARE; the 31 peers' matching PREPAREs
+    then arrive one by one (the 22nd completes the quorum and triggers the
+    COMMIT multicast, which goes to a no-op).
+    """
+    from repro.core.config import ISSConfig
+    from repro.core.sb import SBContext
+    from repro.core.types import Batch, SegmentDescriptor
+    from repro.pbft.messages import Prepare, PrePrepare
+    from repro.pbft.pbft import PbftSB
+
+    nodes = 32
+    sim = Simulator(seed=1)
+    context = SBContext(
+        node_id=1,
+        config=ISSConfig(num_nodes=nodes, epoch_length=slots, batch_rate=None),
+        segment=SegmentDescriptor(
+            epoch=0, leader=0, seq_nrs=tuple(range(slots)), buckets=(0,)
+        ),
+        all_nodes=range(nodes),
+        send_fn=lambda dst, msg: None,
+        local_fn=lambda msg: None,
+        multicast_fn=lambda dsts, msg: None,
+        schedule_fn=sim.schedule,
+        now_fn=lambda: sim.now,
+        cut_batch_fn=lambda sn: Batch.of(()),
+        validate_batch_fn=lambda batch: True,
+        deliver_fn=lambda sn, value: None,
+        pending_fn=lambda: 0,
+    )
+    instance = PbftSB(context)
+    batch = Batch.of(())
+    digest = batch.digest()
+    for sn in range(slots):
+        instance.handle_message(0, PrePrepare(view=0, sn=sn, value=batch, digest=digest))
+    votes = [Prepare(view=0, sn=sn, digest=digest) for sn in range(slots)]
+    voters = [node for node in range(nodes) if node != 1]
+
+    def run():
+        handle = instance.handle_message
+        for voter in voters:
+            for vote in votes:
+                handle(voter, vote)
+
+    return _timed(run, slots * len(voters))
+
+
 def bench_request_hashing(n: int = 500_000) -> float:
     """Set membership over request ids (cached hash fast path)."""
     rids = [RequestId(client=i & 15, timestamp=i) for i in range(2000)]
@@ -209,6 +305,9 @@ BENCHMARKS = [
     ("timer cancel 90%", bench_timer_cancel, "schedule + cancel + compaction, per timer"),
     ("network send", bench_network_send, "full NIC/latency send, per message"),
     ("network send batched", bench_network_send_batched, "batched send incl. flush, per vote"),
+    ("network multicast", bench_network_multicast, "31-way vote multicast, per destination"),
+    ("net multicast batched", bench_network_multicast_batched, "31-way batched multicast incl. flush, per destination"),
+    ("pbft vote", bench_pbft_vote, "one PREPARE into a 32-node PbftSB, per vote"),
     ("request-id set probe", bench_request_hashing, "cached-hash set membership, per probe"),
     ("verify (memoized)", bench_verify_cached, "re-verification dict hit, per verify"),
     ("verify (cold)", bench_verify_cold, "first verification incl. HMAC, per verify"),

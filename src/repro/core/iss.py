@@ -63,7 +63,7 @@ from .messages import (
     client_endpoint,
 )
 from .orderer import Orderer, SBFactory, default_factory
-from .sb import InstanceId, SBContext
+from .sb import SBContext
 from .segment import LAYOUT_ROUND_ROBIN, epoch_seq_nrs
 from .state_transfer import (
     DEFAULT_PROBE_STAGGER,
@@ -333,19 +333,21 @@ class ISSNode:
         self.network.send(self.node_id, dst, message)
 
     def _broadcast_to_nodes(self, message: object) -> None:
-        """Send to every other active node; deliver locally without network cost."""
-        for node in self._active_nodes():
-            if node == self.node_id:
-                self.sim.call_soon(lambda m=message: self.on_message(self.node_id, m))
-            else:
-                self.network.send(self.node_id, node, message)
+        """One multicast to every active node; this node's own copy comes
+        back through :meth:`on_message` without network cost."""
+        self.network.multicast(self.node_id, self._active_nodes(), message)
 
     def on_message(self, src: NodeId, message: object) -> None:
         """Network entry point: dispatch by message type."""
         if self.crashed:
             return
-        if isinstance(message, InstanceMessage):
-            self._handle_instance_message(src, message)
+        if message.__class__ is InstanceMessage:
+            # The n² path: one table hit, then straight into the instance.
+            instance = self.orderer.instances.get(message.instance_id)
+            if instance is not None:
+                instance.handle_message(src, message.payload)
+            else:
+                self._on_unrouted_instance_message(src, message)
         elif isinstance(message, ClientRequestMsg):
             self._handle_client_request(message.request)
         elif isinstance(message, CheckpointMsg):
@@ -461,7 +463,7 @@ class ISSNode:
         self._announce_buckets_to_clients(epoch, segments)
         # Process protocol messages that arrived before we reached this epoch.
         for src, message in self._pending_messages.pop(epoch, []):
-            self._handle_instance_message(src, message)
+            self.on_message(src, message)
 
     def _build_context(self, segment: SegmentDescriptor, interval: float) -> SBContext:
         is_straggler_leader = self.straggler is not None and segment.leader == self.node_id
@@ -470,19 +472,25 @@ class ISSNode:
             if self.membership is not None
             else None
         )
+        node_id = self.node_id
+        instance_id = segment.instance_id
+        network = self.network
         return SBContext(
-            node_id=self.node_id,
+            node_id=node_id,
             config=self.config,
             segment=segment,
             all_nodes=(
                 list(view.nodes) if view is not None else list(range(self.config.num_nodes))
             ),
             membership=view,
-            send_fn=lambda dst, payload, seg=segment: self._send_instance_message(
-                dst, seg.instance_id, payload
+            send_fn=lambda dst, payload: network.send(
+                node_id, dst, InstanceMessage(instance_id, payload)
             ),
-            local_fn=lambda payload, seg=segment: self._local_instance_message(
-                seg.instance_id, payload
+            local_fn=lambda payload: self.sim.call_soon(
+                lambda: self.on_message(node_id, InstanceMessage(instance_id, payload))
+            ),
+            multicast_fn=lambda dsts, payload: network.multicast(
+                node_id, dsts, InstanceMessage(instance_id, payload)
             ),
             schedule_fn=self.sim.schedule,
             now_fn=lambda: self.sim.now,
@@ -825,30 +833,13 @@ class ISSNode:
         self.state_transfer.request_missing(epoch, epoch, self._peer_nodes(), force=True)
 
     # ======================================================= instance messages
-    def _send_instance_message(self, dst: NodeId, instance_id: InstanceId, payload: object) -> None:
-        self.network.send(self.node_id, dst, InstanceMessage(instance_id=instance_id, payload=payload))
-
-    def _local_instance_message(self, instance_id: InstanceId, payload: object) -> None:
-        """Local short-circuit for a node's messages to itself (no NIC cost)."""
-        self.sim.call_soon(
-            lambda: self._dispatch_instance_message(self.node_id, instance_id, payload)
-        )
-
-    def _handle_instance_message(self, src: NodeId, message: InstanceMessage) -> None:
-        self._dispatch_instance_message(src, message.instance_id, message.payload)
-
-    def _dispatch_instance_message(self, src: NodeId, instance_id: InstanceId, payload: object) -> None:
-        if self.crashed:
-            return
-        if self.orderer.handle_message(instance_id, src, payload):
-            return
-        epoch = instance_id[0]
+    def _on_unrouted_instance_message(self, src: NodeId, message: InstanceMessage) -> None:
+        """A protocol message for an instance this node does not host."""
+        epoch = message.instance_id[0]
         if epoch > self.current_epoch:
             # Future epoch: buffer until we get there; if we are far behind,
             # also trigger state transfer for the missing epochs.
-            self._pending_messages.setdefault(epoch, []).append(
-                (src, InstanceMessage(instance_id=instance_id, payload=payload))
-            )
+            self._pending_messages.setdefault(epoch, []).append((src, message))
             if epoch > self.current_epoch + 1:
                 self._maybe_request_state_transfer(epoch - 1)
         # Messages for garbage-collected epochs are stale and dropped.

@@ -2,15 +2,15 @@
 
 The Manager announces segments; the Orderer instantiates, for each segment,
 an implementation of the Sequenced Broadcast protocol parametrised by that
-segment and routes incoming protocol messages to the right instance.  The
-``Segment(s)`` / ``Announce(b, sn)`` interface from the paper maps to
-:meth:`Orderer.open_segment` and the ``deliver_fn`` of the instance's
-:class:`~repro.core.sb.SBContext`.
+segment and keeps the table that routes incoming protocol messages to the
+right instance.  The ``Segment(s)`` / ``Announce(b, sn)`` interface from the
+paper maps to :meth:`Orderer.open_segment` and the ``deliver_fn`` of the
+instance's :class:`~repro.core.sb.SBContext`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List
 
 from .config import (
     ISSConfig,
@@ -20,7 +20,7 @@ from .config import (
     PROTOCOL_RAFT,
 )
 from .sb import InstanceId, SBContext, SBInstance
-from .types import EpochNr, NodeId, SegmentDescriptor
+from .types import EpochNr
 
 #: Factory signature: build an SB instance from its context.
 SBFactory = Callable[[SBContext], SBInstance]
@@ -58,7 +58,10 @@ class Orderer:
 
     def __init__(self, factory: SBFactory):
         self._factory = factory
-        self._instances: Dict[InstanceId, SBInstance] = {}
+        #: The routing table: live instances by ``(epoch, leader)``.  The
+        #: host node looks every incoming protocol message up here directly
+        #: (one dict hit per vote); the dict is only ever mutated in place.
+        self.instances: Dict[InstanceId, SBInstance] = {}
         #: Instances grouped by epoch, for garbage collection.
         self._by_epoch: Dict[EpochNr, List[InstanceId]] = {}
         self.instances_created = 0
@@ -69,42 +72,27 @@ class Orderer:
         """``Segment(s)``: create and start the SB instance for a segment."""
         instance = self._factory(context)
         instance_id = context.segment.instance_id
-        self._instances[instance_id] = instance
+        self.instances[instance_id] = instance
         self._by_epoch.setdefault(context.segment.epoch, []).append(instance_id)
         self.instances_created += 1
         instance.start()
         return instance
 
-    # -------------------------------------------------------------- routing
-    def handle_message(self, instance_id: InstanceId, src: NodeId, payload: object) -> bool:
-        """Route a protocol message; returns False when the instance is unknown."""
-        instance = self._instances.get(instance_id)
-        if instance is None:
-            return False
-        instance.handle_message(src, payload)
-        return True
-
-    def instance(self, instance_id: InstanceId) -> Optional[SBInstance]:
-        return self._instances.get(instance_id)
-
-    def has_instance(self, instance_id: InstanceId) -> bool:
-        return instance_id in self._instances
-
     def active_instances(self) -> Iterable[SBInstance]:
-        return self._instances.values()
+        return self.instances.values()
 
     # ----------------------------------------------------- garbage collection
     def stop_epoch(self, epoch: EpochNr) -> None:
         """Stop and drop every instance of ``epoch`` (after a stable checkpoint)."""
         for instance_id in self._by_epoch.pop(epoch, []):
-            instance = self._instances.pop(instance_id, None)
+            instance = self.instances.pop(instance_id, None)
             if instance is not None:
                 instance.stop()
                 self.instances_stopped += 1
 
     def stop_all(self) -> None:
-        for instance in self._instances.values():
+        for instance in self.instances.values():
             instance.stop()
-        self.instances_stopped += len(self._instances)
-        self._instances.clear()
+        self.instances_stopped += len(self.instances)
+        self.instances.clear()
         self._by_epoch.clear()

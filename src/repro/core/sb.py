@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .config import ISSConfig
 from .types import Batch, EpochNr, LogEntry, NodeId, SegmentDescriptor, SeqNr
@@ -38,6 +38,12 @@ class SBContext:
     the simulated network), virtual-time timers, batch construction from the
     segment's bucket queues, proposal validation, and the SB-DELIVER path
     back into the log.
+
+    ``send_fn(dst, message)`` reaches one peer, ``local_fn(message)`` this
+    node itself, and ``multicast_fn(dsts, message)`` hands one message to
+    the transport's multicast for all of ``dsts`` — this node included
+    when it is among them (see :meth:`repro.runtime.api.Transport.
+    multicast`).
     """
 
     def __init__(
@@ -49,6 +55,7 @@ class SBContext:
         all_nodes: Iterable[NodeId],
         send_fn: Callable[[NodeId, object], None],
         local_fn: Callable[[object], None],
+        multicast_fn: Callable[[Sequence[NodeId], object], None],
         schedule_fn: Callable[[float, Callable[[], None]], Timer],
         now_fn: Callable[[], float],
         cut_batch_fn: Callable[[SeqNr], Batch],
@@ -72,11 +79,21 @@ class SBContext:
         self.all_nodes: List[NodeId] = list(all_nodes)
         #: Membership view of the instance's epoch under dynamic
         #: reconfiguration (``repro.core.membership.MembershipView``); None
-        #: means the genesis configuration, in which case the quorum
-        #: properties below fall back to the static config arithmetic.
+        #: means the genesis configuration, whose arithmetic the static
+        #: config carries.
         self.membership = membership
+        # An instance's membership never changes (a reconfiguration takes
+        # effect at an epoch boundary, and instances live inside one
+        # epoch), so the sizes every vote is compared against are fixed
+        # here instead of being re-derived per vote.
+        sizes = membership if membership is not None else config
+        self.num_nodes: int = sizes.num_nodes
+        self.max_faulty: int = sizes.max_faulty
+        self.strong_quorum: int = sizes.strong_quorum
+        self.weak_quorum: int = sizes.weak_quorum
         self._send = send_fn
         self._local = local_fn
+        self._multicast = multicast_fn
         self._schedule = schedule_fn
         self._now = now_fn
         self._cut_batch = cut_batch_fn
@@ -107,30 +124,6 @@ class SBContext:
 
     # ------------------------------------------------------------ identity
     @property
-    def num_nodes(self) -> int:
-        if self.membership is not None:
-            return self.membership.num_nodes
-        return self.config.num_nodes
-
-    @property
-    def max_faulty(self) -> int:
-        if self.membership is not None:
-            return self.membership.max_faulty
-        return self.config.max_faulty
-
-    @property
-    def strong_quorum(self) -> int:
-        if self.membership is not None:
-            return self.membership.strong_quorum
-        return self.config.strong_quorum
-
-    @property
-    def weak_quorum(self) -> int:
-        if self.membership is not None:
-            return self.membership.weak_quorum
-        return self.config.weak_quorum
-
-    @property
     def is_leader(self) -> bool:
         """True when this node is the segment's designated sender σ."""
         return self.segment.leader == self.node_id
@@ -146,17 +139,18 @@ class SBContext:
     def broadcast(self, message: object, include_self: bool = True) -> None:
         """Send a protocol message to every node (optionally including self).
 
-        Vote-sized messages may be coalesced with other traffic on each
-        (sender, receiver) link by the network's wire-batching layer (see
+        One multicast, whatever the node count: the host wraps the message
+        once and the transport sizes it once.  This node's own copy keeps
+        its place in the node order and costs no wire time.  Vote-sized
+        messages may be coalesced with other traffic on each (sender,
+        receiver) link by the network's wire-batching layer (see
         :mod:`repro.runtime.wire`); every recipient still handles the vote
         individually, so implementations need not care.
         """
-        for node in self.all_nodes:
-            if node == self.node_id:
-                if include_self:
-                    self._local(message)
-            else:
-                self._send(node, message)
+        dsts = self.all_nodes
+        if not include_self:
+            dsts = [node for node in dsts if node != self.node_id]
+        self._multicast(dsts, message)
 
     # -------------------------------------------------------------- timing
     def schedule(self, delay: float, callback: Callable[[], None]) -> Timer:

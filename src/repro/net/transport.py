@@ -115,7 +115,7 @@ class TcpTransport:
         self.batcher: Optional[MessageBatcher] = None
         if batch_flush_interval > 0:
             self.batcher = MessageBatcher(
-                clock, batch_flush_interval, self._send_now, wire_size
+                clock, batch_flush_interval, self._send_now
             )
 
     # -------------------------------------------------------------- lifecycle
@@ -159,14 +159,25 @@ class TcpTransport:
     ) -> None:
         """Send ``message`` from ``src`` to ``dst`` (fire and forget)."""
         if self.batcher is not None and is_batchable(message):
-            self.batcher.enqueue(src, dst, message)
+            size = wire_size(message) if size_bytes is None else size_bytes
+            self.batcher.enqueue(src, dst, message, size)
             return
         self._send_now(src, dst, message, size_bytes)
 
     def multicast(self, src: int, dsts: Iterable[int], message: object) -> None:
-        """Send the same message to every destination."""
+        """Send the same message to every destination, in ``dsts`` order.
+
+        Every destination goes through :meth:`send` (batcher, peer queue,
+        learned route, or local short-circuit for another endpoint
+        registered here).  ``src`` among ``dsts`` is the sender's own copy
+        of a broadcast: it takes the local short-circuit directly and is
+        never held back for a flush tick.
+        """
         for dst in dsts:
-            self.send(src, dst, message)
+            if dst == src:
+                self._send_now(src, dst, message)
+            else:
+                self.send(src, dst, message)
 
     # ------------------------------------------------------------- send path
     def _send_now(

@@ -64,6 +64,11 @@ class PbftSB(SBInstance):
         #: Highest view we have demanded via a VIEW-CHANGE message.
         self._highest_vc_sent: ViewNr = 0
         self._stopped = False
+        #: Slots not yet committed; the instance is done at zero.
+        self._uncommitted = len(self._slots)
+        self._quorum = context.strong_quorum
+        #: Position of the view-0 primary in the node order (see primary_of).
+        self._leader_index = context.all_nodes.index(context.segment.leader)
         #: Statistics for tests / metrics.
         self.view_changes_completed = 0
 
@@ -83,15 +88,10 @@ class PbftSB(SBInstance):
     def primary_of(self, view: ViewNr) -> NodeId:
         """Primary of ``view``: the segment leader in view 0, then round-robin."""
         nodes = self.context.all_nodes
-        leader_index = nodes.index(self.context.segment.leader)
-        return nodes[(leader_index + view) % len(nodes)]
-
-    @property
-    def _quorum(self) -> int:
-        return self.context.strong_quorum
+        return nodes[(self._leader_index + view) % len(nodes)]
 
     def _all_committed(self) -> bool:
-        return all(slot.committed for slot in self._slots.values())
+        return self._uncommitted == 0
 
     # ---------------------------------------------------------- leader path
     def _leader_propose(self, sn: SeqNr, batch: Batch) -> None:
@@ -108,16 +108,9 @@ class PbftSB(SBInstance):
     def handle_message(self, src: NodeId, message: object) -> None:
         if self._stopped:
             return
-        if isinstance(message, PrePrepare):
-            self._on_preprepare(src, message)
-        elif isinstance(message, Prepare):
-            self._on_prepare(src, message)
-        elif isinstance(message, Commit):
-            self._on_commit(src, message)
-        elif isinstance(message, ViewChange):
-            self._on_view_change(src, message)
-        elif isinstance(message, NewView):
-            self._on_new_view(src, message)
+        handler = _HANDLERS.get(message.__class__)
+        if handler is not None:
+            handler(self, src, message)
 
     # ------------------------------------------------------------ agreement
     def _accept_preprepare(self, src: NodeId, message: PrePrepare) -> bool:
@@ -175,10 +168,24 @@ class PbftSB(SBInstance):
         slot = self._slots.get(message.sn)
         if slot is None or slot.committed:
             return
-        voters = slot.prepares.setdefault((message.view, message.digest), set())
+        view = message.view
+        digest = message.digest
+        key = (view, digest)
+        voters = slot.prepares.get(key)
+        if voters is None:
+            voters = slot.prepares[key] = set()
         voters.add(src)
-        self._maybe_detect_equivocation(slot)
-        self._check_prepared(slot, message.view, message.digest)
+        accepted = slot.preprepare
+        if accepted is None:
+            # Nothing to compare the vote against yet.  When the proposal
+            # arrives, _on_preprepare scans the collected votes for
+            # equivocation and this node's own PREPARE re-counts the quorum.
+            return
+        if accepted.digest != digest:
+            # Only a vote against the accepted proposal can add evidence.
+            self._maybe_detect_equivocation(slot)
+        elif len(voters) >= self._quorum:
+            self._send_commit(slot, view, digest)
 
     def _maybe_detect_equivocation(self, slot: _Slot) -> None:
         """Detect primary equivocation from conflicting prepare votes.
@@ -205,12 +212,8 @@ class PbftSB(SBInstance):
                 self.context.report_misbehaviour("equivocation", self.primary_of(view))
                 return
 
-    def _check_prepared(self, slot: _Slot, view: ViewNr, digest: bytes) -> None:
-        voters = slot.prepares.get((view, digest), set())
-        if len(voters) < self._quorum:
-            return
-        if slot.preprepare is None or slot.preprepare.digest != digest:
-            return
+    def _send_commit(self, slot: _Slot, view: ViewNr, digest: bytes) -> None:
+        """A prepare quorum for the accepted proposal's digest: vote COMMIT."""
         if view in slot.commit_sent:
             return
         slot.commit_sent.add(view)
@@ -229,7 +232,10 @@ class PbftSB(SBInstance):
         slot = self._slots.get(message.sn)
         if slot is None or slot.committed:
             return
-        voters = slot.commits.setdefault((message.view, message.digest), set())
+        key = (message.view, message.digest)
+        voters = slot.commits.get(key)
+        if voters is None:
+            voters = slot.commits[key] = set()
         voters.add(src)
         if len(voters) < self._quorum:
             return
@@ -239,6 +245,7 @@ class PbftSB(SBInstance):
 
     def _commit_slot(self, slot: _Slot) -> None:
         slot.committed = True
+        self._uncommitted -= 1
         value = slot.value if slot.value is not None else NIL
         tracer = self.context.tracer
         if tracer is not None:
@@ -405,7 +412,19 @@ class PbftSB(SBInstance):
             slot.preprepare = preprepare
             slot.value = preprepare.value
             self._send_prepare(slot, message.new_view, preprepare.digest)
+            # As in _on_preprepare: conflicting votes may already be here.
+            self._maybe_detect_equivocation(slot)
 
     # -------------------------------------------------------------- queries
     def committed_count(self) -> int:
         return sum(1 for slot in self._slots.values() if slot.committed)
+
+
+#: Message handlers by exact message class: one dict hit per vote.
+_HANDLERS = {
+    PrePrepare: PbftSB._on_preprepare,
+    Prepare: PbftSB._on_prepare,
+    Commit: PbftSB._on_commit,
+    ViewChange: PbftSB._on_view_change,
+    NewView: PbftSB._on_new_view,
+}

@@ -119,7 +119,15 @@ class Transport(Protocol):
         ...
 
     def multicast(self, src: int, dsts: Iterable[int], message: object) -> None:
-        """Send the same message to every destination."""
+        """Send the same message to every destination, in ``dsts`` order.
+
+        Equivalent to one :meth:`send` per destination, except that the
+        transport may do per-message work (sizing, batchability) once.
+        ``src`` itself may appear in ``dsts``: that entry is the sender's
+        own copy of a broadcast and short-circuits — it is handed to
+        ``src``'s handler asynchronously, at its position in the order,
+        without wire cost, batching delay or fault injection.
+        """
         ...
 
 

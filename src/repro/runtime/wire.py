@@ -149,7 +149,7 @@ class MessageBatcher:
 
     The batcher never talks to the transport directly: the host hands it a
     ``send_fn(src, dst, message, size_bytes)`` (the transport's immediate
-    send path) and a ``size_fn(message)`` (the wire-size estimator).
+    send path) and passes every payload's wire size along with it.
     Buffered messages for one link flush together at the next tick boundary
     — clock times that are integer multiples of ``flush_interval`` — through
     the scheduler's callback path.  Only ``sim.now`` and
@@ -161,20 +161,17 @@ class MessageBatcher:
         self,
         sim: Scheduler,
         flush_interval: float,
-        send_fn: Callable[[int, int, object, Optional[int]], None],
-        size_fn: Callable[[object], int],
+        send_fn: Callable[[int, int, object, int], None],
     ):
         if flush_interval <= 0:
             raise ValueError("flush_interval must be positive")
         self.sim = sim
         self.flush_interval = flush_interval
         self._send = send_fn
-        self._size = size_fn
         #: Pending payloads per directed link, in first-send order.
         self._buffers: Dict[Tuple[int, int], List[object]] = {}
         #: Running wire-size sum per link, maintained at enqueue time so the
-        #: flush loop never re-walks a buffer to size its frame (and lone
-        #: messages reuse the size instead of paying ``wire_size`` twice).
+        #: flush loop never re-walks a buffer to size its frame.
         self._buffer_sizes: Dict[Tuple[int, int], int] = {}
         #: Whether the single per-tick flush callback is already scheduled.
         #: One event flushes *all* links at the tick boundary, so the batching
@@ -183,17 +180,17 @@ class MessageBatcher:
         self.stats = BatcherStats()
 
     # -------------------------------------------------------------- enqueue
-    def enqueue(self, src: int, dst: int, message: object) -> None:
+    def enqueue(self, src: int, dst: int, message: object, size: int) -> None:
         """Buffer ``message`` for the (src, dst) link's next flush tick.
 
-        The payload's wire size is computed here, once, and folded into the
-        link's running sum — the flush tick then only reads precomputed
-        totals (see ``_buffer_sizes``).
+        ``size`` is the payload's wire size; the caller measures it (once
+        per multicast, not once per link) and it is folded into the link's
+        running sum — the flush tick then only reads precomputed totals
+        (see ``_buffer_sizes``).
         """
         self.stats.payloads_enqueued += 1
         key = (src, dst)
         buffers = self._buffers
-        size = self._size(message)
         buffer = buffers.get(key)
         if buffer is not None:
             buffer.append(message)

@@ -16,10 +16,12 @@ serialisation: a saturated link queues back-to-back wire messages (batched
 frames included), which is the contention the NIC-only model hides once
 batching amortises the sender's NIC events.
 
-``send`` is the single hottest call in large simulations (one per message),
-so its common path is deliberately slim: the wire-size accessor is resolved
-once per message *type*, fault/partition/filter checks cost one truthiness
-test each when no fault is configured, and delivery is scheduled through the
+The per-link send routine is the single hottest path in large simulations
+(one run per message copy), so it is deliberately slim: ``multicast`` sizes
+a message and decides its batchability once for all destinations (``send``
+is its one-destination case), the wire-size accessor is resolved once per
+message *type*, fault/partition/filter checks cost one truthiness test each
+when no fault is configured, and delivery is scheduled through the
 simulator's allocation-free callback path.
 
 When ``NetworkConfig.batch_flush_interval`` is positive, small batchable
@@ -152,7 +154,6 @@ class Network:
                 sim=sim,
                 flush_interval=config.batch_flush_interval,
                 send_fn=self._send_now,
-                size_fn=wire_size,
             )
 
     # ------------------------------------------------------------ membership
@@ -303,26 +304,77 @@ class Network:
         :mod:`repro.runtime.wire`) detour through the batcher and hit the
         wire as part of a coalesced frame at the link's next flush tick;
         fault checks, NIC serialisation and latency then apply to the frame.
-        """
-        if self._adversaries:
-            hook = self._adversaries.get(src)
-            if hook is not None:
-                for out in hook(dst, message):
-                    # Tampered messages get their size re-measured.
-                    self._dispatch(
-                        src, dst, out, size_bytes if out is message else None
-                    )
-                return
-        self._dispatch(src, dst, message, size_bytes)
 
-    def _dispatch(
-        self,
-        src: NodeId,
-        dst: NodeId,
-        message: object,
-        size_bytes: Optional[int] = None,
+        This is the one-destination case of :meth:`multicast`: the message
+        is measured here, then handed to the same per-link routine.
+        """
+        size = wire_size(message) if size_bytes is None else size_bytes
+        self._link_routine(src)(src, dst, message, size, self._batchable(message))
+
+    def multicast(self, src: NodeId, dsts: Iterable[NodeId], message: object) -> None:
+        """Send the same message to every destination (each pays NIC time).
+
+        Wire size and batchability are properties of the message, so they
+        are computed once per call; everything that depends on the link —
+        adversary hook, link faults, partition, filters, batching buffer,
+        NIC and latency — runs per destination, in ``dsts`` order, through
+        the routine :meth:`send` uses.  ``src`` among ``dsts`` is the
+        sender's own copy (see :meth:`repro.runtime.api.Transport.
+        multicast`): it is handed to ``src``'s handler at the current
+        virtual time and never touches NIC, faults or the adversary hook —
+        a malicious replica cannot corrupt its own state by accident.
+        """
+        size = wire_size(message)
+        batchable = self._batchable(message)
+        link = self._link_routine(src)
+        for dst in dsts:
+            if dst == src:
+                self._deliver_own_copy(src, message)
+            else:
+                link(src, dst, message, size, batchable)
+
+    def _deliver_own_copy(self, src: NodeId, message: object) -> None:
+        """Local short-circuit for the sender's own copy of a multicast."""
+        handler = self._handlers.get(src)
+        if handler is not None:
+            self.sim.schedule_callback(0.0, lambda: handler(src, message))
+
+    def _batchable(self, message: object) -> bool:
+        """Whether ``message`` takes the batching detour on this network."""
+        return self.batcher is not None and is_batchable(message)
+
+    def _link_routine(self, src: NodeId) -> Callable[..., None]:
+        """The per-link routine for sends from ``src``.
+
+        Every copy of a message runs the same chain — adversary hook, link
+        faults, forwarding — entered at the first stage that is active for
+        this sender, so a fault-free run pays for none of the others.
+        Signature of each stage: ``(src, dst, message, size, batchable)``.
+        """
+        if self._adversaries and src in self._adversaries:
+            return self._via_adversary
+        if self._link_faults:
+            return self._via_link_faults
+        return self._forward
+
+    def _via_adversary(
+        self, src: NodeId, dst: NodeId, message: object, size: int, batchable: bool
     ) -> None:
-        """Post-adversary send path: link faults first, then forwarding.
+        """Adversary stage: the hook's outputs go on the wire instead."""
+        for out in self._adversaries[src](dst, message):
+            if out is message:
+                self._via_link_faults(src, dst, out, size, batchable)
+            else:
+                # Tampered messages are re-measured, not charged the
+                # original's size or batchability.
+                self._via_link_faults(
+                    src, dst, out, wire_size(out), self._batchable(out)
+                )
+
+    def _via_link_faults(
+        self, src: NodeId, dst: NodeId, message: object, size: int, batchable: bool
+    ) -> None:
+        """Link-fault stage (post-adversary), then forwarding.
 
         Link-fault drop and duplication decisions run here — per payload,
         before the batching detour — so a lossy or flapping link acts on
@@ -358,24 +410,21 @@ class Network:
                                 )
                             self.sim.schedule_callback(
                                 retry,
-                                lambda: self._dispatch(src, dst, message, size_bytes),
+                                lambda: self._via_link_faults(
+                                    src, dst, message, size, batchable
+                                ),
                             )
                         return
                 for fault in faults:
                     if fault.duplicates():
-                        self._forward(src, dst, message, size_bytes)
-        self._forward(src, dst, message, size_bytes)
+                        self._forward(src, dst, message, size, batchable)
+        self._forward(src, dst, message, size, batchable)
 
     def _forward(
-        self,
-        src: NodeId,
-        dst: NodeId,
-        message: object,
-        size_bytes: Optional[int] = None,
+        self, src: NodeId, dst: NodeId, message: object, size: int, batchable: bool
     ) -> None:
-        """Fault-cleared send path: batching detour or immediate send."""
-        batcher = self.batcher
-        if batcher is not None and src != dst and is_batchable(message):
+        """Fault-cleared stage: batching detour or immediate send."""
+        if batchable and src != dst:
             # Partition blocks and link filters are a per-*message* contract,
             # so they run here — on the payload, before it can hide inside a
             # coalesced frame.
@@ -389,19 +438,12 @@ class Network:
                 if self.tracer is not None:
                     self._trace_drop(DROP_LINK_FILTER, src, dst, message)
                 return
-            batcher.enqueue(src, dst, message)
+            self.batcher.enqueue(src, dst, message, size)
             return
-        self._send_now(src, dst, message, size_bytes)
+        self._send_now(src, dst, message, size)
 
-    def _send_now(
-        self,
-        src: NodeId,
-        dst: NodeId,
-        message: object,
-        size_bytes: Optional[int] = None,
-    ) -> None:
+    def _send_now(self, src: NodeId, dst: NodeId, message: object, size: int) -> None:
         """Immediate (unbatched) send path; also the batcher's flush target."""
-        size = size_bytes if size_bytes is not None else wire_size(message)
         if message.__class__ is MessageBatchMsg:
             self.stats.batches_sent += 1
             self.stats.payloads_batched += len(message.payloads)
@@ -480,12 +522,6 @@ class Network:
         self.sim.schedule_callback(
             delay, lambda: self._deliver(src, dst, message)
         )
-
-    def multicast(self, src: NodeId, dsts: Iterable[NodeId], message: object) -> None:
-        """Send the same message to every destination (each pays NIC time)."""
-        size = wire_size(message)
-        for dst in dsts:
-            self.send(src, dst, message, size_bytes=size)
 
     def _deliver(self, src: NodeId, dst: NodeId, message: object) -> None:
         if self._crashed and (dst in self._crashed or src in self._crashed):

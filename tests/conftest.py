@@ -128,6 +128,7 @@ class SBTestBed:
             local_fn=lambda msg, node=node: self.sim.call_soon(
                 lambda: self.instances[node].handle_message(node, msg)
             ),
+            multicast_fn=lambda dsts, msg, node=node: self.network.multicast(node, dsts, msg),
             schedule_fn=self.sim.schedule,
             now_fn=lambda: self.sim.now,
             cut_batch_fn=cut_batch,

@@ -262,7 +262,7 @@ class TestNetworkCoalescing:
         with pytest.raises(ConfigError):
             NetworkConfig(batch_flush_interval=-0.01).validate()
         with pytest.raises(ValueError):
-            MessageBatcher(Simulator(), 0.0, lambda *a: None, wire_size)
+            MessageBatcher(Simulator(), 0.0, lambda *a: None)
 
     def test_batcher_stats_roundtrip(self):
         sim, network, _ = make_network(flush_interval=0.01)

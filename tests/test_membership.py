@@ -227,6 +227,47 @@ def test_quorum_recomputation_on_join_and_leave(protocol):
     assert all(v.strong_quorum == expected.strong_quorum for v in shrunk)
 
 
+def test_sb_contexts_fix_their_epochs_quorums(monkeypatch):
+    """Across a join and two leaves (n = 4 → 5 → 3) every SB instance's
+    context carries exactly its own epoch's view arithmetic: the sizes are
+    computed once at construction and must never be the previous view's."""
+    from repro.core.iss import ISSNode
+
+    built = []
+    build_context = ISSNode._build_context
+
+    def recording(node, segment, interval):
+        context = build_context(node, segment, interval)
+        built.append((node, context))
+        return context
+
+    monkeypatch.setattr(ISSNode, "_build_context", recording)
+    result, row = run_membership_point(
+        "pbft", 4,
+        membership_specs=[
+            MembershipSpec(node=4, action=MEMBER_ADD, time=2.0),
+            *membership_removals([4, 3], start=8.0, spacing=4.0),
+        ],
+        rate=300.0, duration=20.0,
+    )
+    assert row["violations"] == []
+    assert row["final_view"] == [0, 1, 2]
+    sizes = set()
+    for node, context in built:
+        view = node.membership.view_for(context.segment.epoch)
+        assert context.membership == view
+        assert context.all_nodes == list(view.nodes)
+        assert (
+            context.num_nodes, context.max_faulty,
+            context.strong_quorum, context.weak_quorum,
+        ) == (
+            view.num_nodes, view.max_faulty, view.strong_quorum, view.weak_quorum
+        )
+        sizes.add((view.num_nodes, view.strong_quorum))
+    # n=4: 2f+1 = 3; n=5: ⌈(n+f+1)/2⌉ = 4; n=3: f=0 but quorum 2, not 1.
+    assert sizes == {(4, 3), (5, 4), (3, 2)}
+
+
 def test_new_node_bootstrap_lands_prefix_identical():
     result, row = run_membership_point(
         "pbft", 4,

@@ -137,6 +137,69 @@ def test_tcp_transport_local_shortcircuit_and_unknown_drop():
     run(check())
 
 
+@pytest.mark.parametrize("flush_interval", [0.0, 0.02], ids=["unbatched", "batched"])
+def test_tcp_transport_multicast_is_per_destination_send(flush_interval):
+    """A peer, another endpoint registered here and the batcher see a
+    multicast exactly as they see one ``send`` each; the sender's own copy
+    takes the local short-circuit and never waits for a flush tick."""
+    from repro.pbft.messages import Prepare
+
+    vote = Prepare(view=0, sn=1, digest=b"d" * 32)  # batchable
+
+    async def drive(ports, fan_out):
+        clock = WallClock(seed=0)
+        addr_a, addr_b = ("127.0.0.1", ports[0]), ("127.0.0.1", ports[1])
+        a = TcpTransport(
+            clock, peers={1: addr_b}, listen=addr_a, batch_flush_interval=flush_interval
+        )
+        b = TcpTransport(clock, peers={0: addr_a}, listen=addr_b)
+        got = []
+        a.register(0, lambda src, msg: got.append((0, src, msg)))
+        a.register(5, lambda src, msg: got.append((5, src, msg)))
+        b.register(1, lambda src, msg: got.append((1, src, msg)))
+        await a.start()
+        await b.start()
+        try:
+            fan_out(a, [1, 5], vote)
+            fan_out(a, [5, 1], "proposal")  # not batchable
+            enqueued = a.batcher.stats.payloads_enqueued if a.batcher else 0
+            deadline = clock.now + 5.0
+            while len(got) < 4 and clock.now < deadline:
+                await asyncio.sleep(0.01)
+            return sorted(got, key=repr), a.stats.as_dict(), enqueued
+        finally:
+            await a.close()
+            await b.close()
+
+    def by_multicast(transport, dsts, message):
+        transport.multicast(0, dsts, message)
+
+    def by_send_loop(transport, dsts, message):
+        for dst in dsts:
+            transport.send(0, dst, message)
+
+    got, stats, enqueued = run(drive((7942, 7943), by_multicast))
+    assert (got, stats, enqueued) == run(drive((7944, 7945), by_send_loop))
+    assert len(got) == 4
+    assert enqueued == (2 if flush_interval else 0)
+
+    async def own_copy():
+        clock = WallClock(seed=0)
+        transport = TcpTransport(clock, peers={}, batch_flush_interval=flush_interval)
+        got = []
+        transport.register(0, lambda src, msg: got.append((src, msg)))
+        transport.multicast(0, [0], vote)
+        assert got == []  # asynchronous, like every delivery
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        assert got == [(0, vote)]  # ... but not held for the flush tick
+        if transport.batcher is not None:
+            assert transport.batcher.stats.payloads_enqueued == 0
+        await transport.close()
+
+    run(own_copy())
+
+
 def test_frame_encoding_round_trips():
     import pickle
     import struct

@@ -1,8 +1,13 @@
 """Unit tests for the simulated WAN network (bandwidth, latency, faults)."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.core.config import NetworkConfig
+from repro.core.messages import InstanceMessage
+from repro.pbft.messages import Prepare
+from repro.sim.chaos import LinkFaultSpec
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network, wire_size
 from repro.sim.simulator import Simulator
@@ -285,3 +290,219 @@ class TestWireSize:
 
         request = make_request(payload=b"x" * 100)
         assert wire_size(request) == request.size_bytes()
+
+
+# --------------------------------------------------- multicast ≡ send loop
+_NODES = 6
+
+
+@dataclass(frozen=True)
+class _Blob:
+    """Unbatchable payload of a stated size, comparable across runs."""
+
+    size: int
+
+    def wire_size(self) -> int:
+        return self.size
+
+
+def _stats(net):
+    """``NetworkStats`` as plain values (its Counters as dicts)."""
+    return {
+        name: dict(value) if isinstance(value, dict) else value
+        for name, value in vars(net.stats).items()
+    }
+
+
+def _vote(sn):
+    """A batchable protocol message (the envelope defers to the vote)."""
+    return InstanceMessage((0, 0), Prepare(view=0, sn=sn, digest=b"d" * 32))
+
+
+def _crashed_destination(net):
+    net.crash(2)
+
+
+def _partition_with_bridge(net):
+    net.partition([[0, 1], [2, 3, 4]], bridges=[3])
+
+
+def _vetoing_filter(net):
+    net.add_link_filter(
+        lambda src, dst, message: dst != 2
+        and not (dst == 4 and isinstance(message, InstanceMessage))
+    )
+
+
+def _lossy_links(net):
+    return [
+        net.install_link_fault(
+            LinkFaultSpec(
+                src=0, dst=1, loss_rate=0.4, duplicate_rate=0.4,
+                extra_delay=0.004, retransmit=0.01, seed=7,
+            )
+        ),
+        net.install_link_fault(LinkFaultSpec(src=0, dst=3, loss_rate=0.5, seed=8)),
+        net.install_link_fault(LinkFaultSpec(src=1, dst=0, duplicate_rate=1.0, seed=9)),
+    ]
+
+
+def _rewriting_adversary(net):
+    def hook(dst, message):
+        if dst == 1:
+            return [_Blob(7_000)]  # tampered: bigger and not batchable
+        if dst == 2:
+            return []  # withheld
+        if dst == 3:
+            return [message, _vote(99)]  # the original plus a forgery
+        return [message]
+
+    net.set_adversary(0, hook)
+
+
+_MULTICAST_SCENARIOS = {
+    "plain": lambda net: None,
+    "crashed-destination": _crashed_destination,
+    "partition-with-bridge": _partition_with_bridge,
+    "vetoing-filter": _vetoing_filter,
+    "lossy-links": _lossy_links,
+    "rewriting-adversary": _rewriting_adversary,
+}
+
+
+def _drive(scenario, flush_interval, fan_out):
+    """Run one fixed traffic pattern; return everything observable."""
+    sim, net = build_network(
+        num_nodes=_NODES, jitter=0.2, drop_rate=0.05,
+        batch_flush_interval=flush_interval,
+    )
+    deliveries = []
+    for node in range(_NODES):
+        net.register(
+            node,
+            lambda src, message, node=node: deliveries.append(
+                (sim.now, node, src, message)
+            ),
+        )
+    faults = _MULTICAST_SCENARIOS[scenario](net) or []
+    proposal = _Blob(4_000)
+    for step in range(12):
+        src = step % 2
+        dsts = [node for node in range(_NODES) if node != src]
+        fan_out(net, src, dsts, _vote(step))
+        if step % 3 == 0:
+            fan_out(net, src, dsts, proposal)
+        if step % 4 == 0:
+            fan_out(net, src, dsts[::-1], _vote(step))
+        sim.run(until=sim.now + 0.003)
+    sim.run()
+    return {
+        "stats": _stats(net),
+        "deliveries": deliveries,
+        "events": sim.events_executed,
+        "now": sim.now,
+        "net_rng": net._rng.getstate(),
+        "sim_rng": sim.rng.getstate(),
+        "faults": [(fault.stats(), fault._rng.getstate()) for fault in faults],
+        "batcher": net.batcher.stats.as_dict() if net.batcher else None,
+    }
+
+
+def _by_multicast(net, src, dsts, message):
+    net.multicast(src, dsts, message)
+
+
+def _by_send_loop(net, src, dsts, message):
+    for dst in dsts:
+        net.send(src, dst, message)
+
+
+class TestMulticastEquivalence:
+    """``multicast(src, dsts, m)`` is ``for d in dsts: send(src, d, m)``."""
+
+    @pytest.mark.parametrize("flush_interval", [0.0, 0.002], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("scenario", sorted(_MULTICAST_SCENARIOS))
+    def test_same_schedule_as_send_loop(self, scenario, flush_interval):
+        multicast = _drive(scenario, flush_interval, _by_multicast)
+        loop = _drive(scenario, flush_interval, _by_send_loop)
+        assert multicast["deliveries"], "scenario delivered nothing"
+        for key in loop:
+            assert multicast[key] == loop[key], key
+
+    @pytest.mark.parametrize("flush_interval", [0.0, 0.002], ids=["unbatched", "batched"])
+    def test_scenarios_exercise_their_fault(self, flush_interval):
+        """Guard against vacuous equivalence: each scenario really bites."""
+        plain = _drive("plain", flush_interval, _by_multicast)
+        assert plain["stats"]["dropped_by_cause"].get("random", 0) > 0
+        causes = {
+            "crashed-destination": "crash",
+            "partition-with-bridge": "partition",
+            "vetoing-filter": "link-filter",
+            "lossy-links": "link-fault",
+        }
+        for scenario, cause in causes.items():
+            run = _drive(scenario, flush_interval, _by_multicast)
+            assert run["stats"]["dropped_by_cause"].get(cause, 0) > 0, scenario
+        lossy = _drive("lossy-links", flush_interval, _by_multicast)
+        assert lossy["stats"]["retransmissions"] > 0
+        assert any(stats["payloads_duplicated"] for stats, _ in lossy["faults"])
+        bridged = _drive("partition-with-bridge", flush_interval, _by_multicast)
+        assert any(dst == 3 for _, dst, src, _ in bridged["deliveries"] if src == 0)
+        assert not any(dst == 4 for _, dst, src, _ in bridged["deliveries"] if src == 0)
+
+    def test_tampered_outputs_are_remeasured(self):
+        """An adversary's rewrite is charged its own size and batchability,
+        not the size the multicast measured once for the original."""
+        sim, net = build_network(num_nodes=4, batch_flush_interval=0.002)
+        inboxes = [Inbox() for _ in range(4)]
+        for node, inbox in enumerate(inboxes):
+            net.register(node, inbox)
+        vote = _vote(1)
+        big = _Blob(7_000)
+        net.set_adversary(0, lambda dst, message: [big] if dst == 1 else [message])
+        net.multicast(0, [1, 2, 3], vote)
+        # The rewrite is not batchable, so it left immediately at its size.
+        assert net.stats.bytes_sent == 7_000
+        assert net.batcher.pending_payloads() == 2
+        sim.run()
+        assert inboxes[1].messages == [(0, big)]
+        assert inboxes[2].messages == inboxes[3].messages == [(0, vote)]
+        assert net.stats.bytes_sent == 7_000 + 2 * wire_size(vote)
+
+    @pytest.mark.parametrize("flush_interval", [0.0, 0.002], ids=["unbatched", "batched"])
+    def test_own_copy_short_circuits_in_place(self, flush_interval):
+        """``src`` among ``dsts``: handed to its handler at the current time,
+        at its position in the order, without wire cost or adversary."""
+
+        def run(fan_out):
+            sim, net = build_network(num_nodes=4, batch_flush_interval=flush_interval)
+            log = []
+            for node in range(4):
+                net.register(
+                    node,
+                    lambda src, message, node=node: log.append((sim.now, node, src, message)),
+                )
+            net.set_adversary(1, lambda dst, message: [])
+            sim.run(until=0.5)
+            fan_out(sim, net, 1, _vote(1))  # the adversary eats every wire copy
+            fan_out(sim, net, 2, _vote(2))
+            fan_out(sim, net, 2, _Blob(3_000))
+            sim.run()
+            return log, _stats(net), sim.events_executed
+
+        def multicast(sim, net, src, message):
+            net.multicast(src, range(4), message)
+
+        def by_hand(sim, net, src, message):
+            for dst in range(4):
+                if dst == src:
+                    sim.call_soon(lambda: net._handlers[src](src, message))
+                else:
+                    net.send(src, dst, message)
+
+        log, stats, events = run(multicast)
+        assert (log, stats, events) == run(by_hand)
+        own = [entry for entry in log if entry[1] == entry[2]]
+        assert [(when, node) for when, node, _, _ in own] == [(0.5, 1), (0.5, 2), (0.5, 2)]
+        # Only the three wire copies of each of node 2's multicasts count.
+        assert stats["messages_sent"] == 6

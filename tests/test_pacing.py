@@ -45,6 +45,7 @@ class PacerHarness:
             all_nodes=[0, 1, 2, 3],
             send_fn=lambda dst, msg: None,
             local_fn=lambda msg: None,
+            multicast_fn=lambda dsts, msg: None,
             schedule_fn=self.sim.schedule,
             now_fn=lambda: self.sim.now,
             cut_batch_fn=self._cut,

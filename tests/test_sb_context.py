@@ -23,6 +23,7 @@ class ContextHarness:
         self.segment = SegmentDescriptor(epoch=1, leader=leader, seq_nrs=(1, 3, 5, 7), buckets=(0, 1))
         self.sent = []
         self.local = []
+        self.multicasts = []
         self.delivered = []
         self.cut_calls = []
         self.pending = 0
@@ -33,6 +34,7 @@ class ContextHarness:
             all_nodes=list(range(num_nodes)),
             send_fn=lambda dst, msg: self.sent.append((dst, msg)),
             local_fn=lambda msg: self.local.append(msg),
+            multicast_fn=lambda dsts, msg: self.multicasts.append((list(dsts), msg)),
             schedule_fn=self.sim.schedule,
             now_fn=lambda: self.sim.now,
             cut_batch_fn=lambda sn: self.cut_calls.append(sn) or make_batch(make_request(timestamp=sn)),
@@ -66,17 +68,17 @@ class TestSBContext:
         assert harness.sent == []
         assert harness.local == ["msg"]
 
-    def test_broadcast_includes_self_by_default(self):
-        harness = ContextHarness()
+    def test_broadcast_is_one_multicast_with_self_in_place(self):
+        harness = ContextHarness(node_id=2)
         harness.context.broadcast("msg")
-        assert len(harness.sent) == 3
-        assert harness.local == ["msg"]
+        assert harness.multicasts == [([0, 1, 2, 3], "msg")]
+        assert harness.sent == [] and harness.local == []
 
     def test_broadcast_can_exclude_self(self):
-        harness = ContextHarness()
+        harness = ContextHarness(node_id=2)
         harness.context.broadcast("msg", include_self=False)
-        assert len(harness.sent) == 3
-        assert harness.local == []
+        assert harness.multicasts == [([0, 1, 3], "msg")]
+        assert harness.sent == [] and harness.local == []
 
     def test_cut_batch_delegates(self):
         harness = ContextHarness()
