@@ -1,4 +1,5 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md §6.
+"""Ablation benchmarks for the design choices listed under "Ablations" in
+docs/ARCHITECTURE.md, "Model and substitutions".
 
 Not part of the paper's figures; these quantify, at simulation scale, the
 design decisions the paper argues for qualitatively:

@@ -14,7 +14,7 @@ Run with:  python examples/fault_tolerance_demo.py
 """
 
 from repro import Deployment, ISSConfig, NetworkConfig, WorkloadConfig
-from repro.core.types import is_nil
+from repro.harness.invariants import check_prefix_identity
 from repro.workload import epoch_start_crashes, stragglers
 
 
@@ -30,29 +30,24 @@ def build_deployment(crash=False, straggler=False):
         epoch_change_timeout=4.0,
     )
     workload = WorkloadConfig(num_clients=4, total_rate=200.0, duration=20.0, payload_size=256)
+    # One fault list, whatever the mix: the builders return lists that concatenate.
+    faults = []
+    if crash:
+        faults += epoch_start_crashes(1, config.num_nodes, epoch=0)
+    if straggler:
+        faults += stragglers(1, config.num_nodes, delay=2.0)
     return Deployment(
         config,
         network_config=NetworkConfig(num_datacenters=4),
         workload=workload,
-        crash_specs=epoch_start_crashes(1, config.num_nodes, epoch=0) if crash else (),
-        straggler_specs=stragglers(1, config.num_nodes, delay=2.0) if straggler else (),
+        faults=faults,
         drain_time=10.0,
     )
 
 
 def check_safety(result) -> bool:
     """All correct nodes hold the same delivered log prefix."""
-    alive = [n for n in result.nodes if not n.crashed]
-    reference = alive[0].log
-    for node in alive[1:]:
-        common = min(reference.first_undelivered, node.log.first_undelivered)
-        for sn in range(common):
-            a, b = reference.entry(sn), node.log.entry(sn)
-            if is_nil(a) != is_nil(b):
-                return False
-            if not is_nil(a) and a.digest() != b.digest():
-                return False
-    return True
+    return not check_prefix_identity(result.nodes)
 
 
 def describe(name, result):

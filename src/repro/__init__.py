@@ -72,8 +72,8 @@ _EXPORTS = {
     "CLIENT_BUCKET_BIAS": ".runtime.faults",
     "CLIENT_FORGED_SIGNATURE": ".runtime.faults",
     "ObsConfig": ".obs",
-    "PartitionSpec": ".sim.chaos",
-    "LinkFaultSpec": ".sim.chaos",
+    "PartitionSpec": ".runtime.faults",
+    "LinkFaultSpec": ".runtime.faults",
     "AbusiveClient": ".sim.client_adversary",
     "LiveDeployment": ".net.deploy",
     "LiveClusterSpec": ".net.deploy",

@@ -1,8 +1,8 @@
 """Single-leader baselines (the original PBFT / HotStuff / Raft deployments).
 
 The evaluation (Figure 5/6) compares ISS against the respective single-leader
-protocols.  As documented in DESIGN.md §4, this repository obtains those
-baselines by deploying the *same* protocol engines with a single, fixed
+protocols.  As documented in docs/ARCHITECTURE.md, "Model and substitutions",
+this repository obtains those baselines by deploying the *same* protocol engines with a single, fixed
 leader over the whole log: node 0 leads a single segment per epoch and owns
 every bucket, so every batch flows through its network interface — the exact
 bottleneck that caps single-leader throughput at roughly ``1/n``.

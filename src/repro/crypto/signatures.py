@@ -12,7 +12,7 @@ and failure modes:
 * an optional CPU cost model lets experiments charge virtual time per
   signing / verification operation.
 
-This is a substitution documented in DESIGN.md §4.
+This is a substitution documented in docs/ARCHITECTURE.md, "Model and substitutions".
 """
 
 from __future__ import annotations

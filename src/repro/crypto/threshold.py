@@ -5,7 +5,8 @@ constant-size certificate (the paper uses BLS via the DEDIS kyber library).
 This module reproduces the interface and the properties the protocol relies
 on — a certificate verifies only if at least ``threshold`` distinct,
 registered signers contributed valid shares over the same message — with a
-hash-based construction documented as a substitution in DESIGN.md §4.
+hash-based construction documented as a substitution in
+docs/ARCHITECTURE.md, "Model and substitutions".
 """
 
 from __future__ import annotations

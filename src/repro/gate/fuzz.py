@@ -33,11 +33,11 @@ from ..runtime.faults import (
     MEMBER_ADD,
     MEMBER_REMOVE,
     CrashSpec,
+    LinkFaultSpec,
     MaliciousClientSpec,
     MembershipSpec,
     StragglerSpec,
 )
-from ..sim.chaos import LinkFaultSpec
 
 #: Scenarios generated by a full fuzz run (``--count`` overrides).
 DEFAULT_SCENARIOS = 40
@@ -133,30 +133,26 @@ def build_deployment(spec: Dict[str, object]) -> Deployment:
     )
     num_nodes = spec["num_nodes"]
     duration = spec["duration"]
-    faults = spec["faults"]
-    crash_specs = []
-    straggler_specs = []
-    link_fault_specs = []
-    malicious_client_specs = []
-    membership_specs = []
-    if "crash" in faults:
-        crash_specs.append(CrashSpec(node=num_nodes - 1, time=duration * 0.4))
-    if "member-add" in faults:
-        membership_specs.append(
+    drawn = spec["faults"]
+    faults: List[object] = []
+    if "crash" in drawn:
+        faults.append(CrashSpec(node=num_nodes - 1, time=duration * 0.4))
+    if "member-add" in drawn:
+        faults.append(
             MembershipSpec(node=num_nodes, action=MEMBER_ADD, time=duration * 0.3)
         )
-    if "member-remove" in faults:
+    if "member-remove" in drawn:
         # Never the crash victim: removing an already-dead node is a
         # different (valid) scenario, but the fuzzer wants the clean-removal
         # path — a live node retiring itself at the activation boundary.
-        victim = num_nodes - 2 if "crash" in faults else num_nodes - 1
-        membership_specs.append(
+        victim = num_nodes - 2 if "crash" in drawn else num_nodes - 1
+        faults.append(
             MembershipSpec(node=victim, action=MEMBER_REMOVE, time=duration * 0.35)
         )
-    if "straggler" in faults:
-        straggler_specs.append(StragglerSpec(node=1, delay=1.0))
-    if "link-loss" in faults:
-        link_fault_specs.append(
+    if "straggler" in drawn:
+        faults.append(StragglerSpec(node=1, delay=1.0))
+    if "link-loss" in drawn:
+        faults.append(
             LinkFaultSpec(
                 src=0,
                 dst=2,
@@ -167,21 +163,15 @@ def build_deployment(spec: Dict[str, object]) -> Deployment:
                 seed=spec["seed"],
             )
         )
-    if "forged-client" in faults:
-        malicious_client_specs.append(
-            MaliciousClientSpec(
-                client=0, behaviour=CLIENT_FORGED_SIGNATURE, victim=1
-            )
+    if "forged-client" in drawn:
+        faults.append(
+            MaliciousClientSpec(client=0, behaviour=CLIENT_FORGED_SIGNATURE, victim=1)
         )
     return Deployment(
         config=config,
         network_config=network,
         workload=scenarios._workload(spec["rate"], duration, clients=6),
-        crash_specs=crash_specs,
-        straggler_specs=straggler_specs,
-        link_fault_specs=link_fault_specs,
-        malicious_client_specs=malicious_client_specs,
-        membership_specs=membership_specs,
+        faults=faults,
         recovery_poll=0.25,
         probe_stagger=0.5,
         obs=ObsConfig.disabled(),

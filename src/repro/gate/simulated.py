@@ -36,10 +36,11 @@ from ..runtime.faults import (
     CLIENT_WATERMARK_ABUSE,
     MEMBER_ADD,
     MEMBER_REMOVE,
+    ByzantineSpec,
+    LinkFaultSpec,
     MaliciousClientSpec,
     MembershipSpec,
 )
-from ..sim.chaos import LinkFaultSpec
 from ..workload.faults import minority_partition
 
 Figures = Dict[str, object]
@@ -258,7 +259,7 @@ def byzantine_figures(obs: ObsConfig) -> Figures:
     )
     result = deployment.run()
     row = scenarios.byzantine_row(deployment, result)
-    sample = scenarios.correct_nodes(result, deployment.byzantine_specs)[0]
+    sample = scenarios.correct_nodes(result, deployment.faults_of(ByzantineSpec))[0]
     return {
         "scenario": dict(s),
         "completed": result.report.completed,
@@ -452,17 +453,17 @@ def partition_figures(obs: ObsConfig) -> Figures:
     deployment = scenarios.partition_deployment(
         s["protocol"],
         s["num_nodes"],
-        partition_specs=minority_partition(
-            1, s["num_nodes"], s["partition_start"], s["partition_heal"]
-        ),
-        link_fault_specs=[
+        faults=[
+            *minority_partition(
+                1, s["num_nodes"], s["partition_start"], s["partition_heal"]
+            ),
             LinkFaultSpec(
                 src=s["lossy_src"],
                 dst=s["lossy_dst"],
                 loss_rate=s["loss_rate"],
                 retransmit=s["lossy_retransmit"],
                 seed=s["random_seed"],
-            )
+            ),
         ],
         rate=s["total_rate"],
         duration=s["duration"],
@@ -574,7 +575,7 @@ def membership_figures(obs: ObsConfig) -> Figures:
     deployment = scenarios.membership_deployment(
         s["protocol"],
         s["num_nodes"],
-        membership_specs=[
+        faults=[
             MembershipSpec(node=s["join_node"], action=MEMBER_ADD, time=s["join_time"]),
             MembershipSpec(
                 node=s["leave_node"], action=MEMBER_REMOVE, time=s["leave_time"]

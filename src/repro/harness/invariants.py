@@ -44,6 +44,19 @@ def trace_sha256(node) -> str:
     return hashlib.sha256(repr(delivered_trace(node)).encode()).hexdigest()
 
 
+def traces_agree(traces: Sequence[List[object]]) -> bool:
+    """Do the traces agree on every position any two of them share?
+
+    The one prefix-agreement oracle (SMR safety): every trace must be a
+    prefix of the longest, which is equivalent to pairwise agreement on
+    shared positions.  Works over any per-position sequence — the
+    :func:`delivered_trace` shape, or the request-id prefixes a live
+    cluster's audit reads off disk.
+    """
+    reference = max(traces, key=len, default=[])
+    return all(trace == reference[: len(trace)] for trace in traces)
+
+
 def delivered_rids(node) -> List[object]:
     """Request ids in the node's delivered prefix, in delivery order.
 
@@ -83,19 +96,14 @@ def check_prefix_identity(nodes) -> List[str]:
     live = [node for node in nodes if not node.crashed]
     if len(live) < 2:
         return []
-    violations = []
     reference = max(live, key=lambda node: node.log.first_undelivered)
     ref_trace = delivered_trace(reference)
-    for node in live:
-        if node is reference:
-            continue
-        trace = delivered_trace(node)
-        if trace != ref_trace[: len(trace)]:
-            violations.append(
-                f"node {node.node_id}: delivered prefix diverges from node "
-                f"{reference.node_id} within the first {len(trace)} entries"
-            )
-    return violations
+    return [
+        f"node {node.node_id}: delivered prefix diverges from node "
+        f"{reference.node_id} within the first {node.log.first_undelivered} entries"
+        for node in live
+        if not traces_agree([delivered_trace(node), ref_trace])
+    ]
 
 
 def check_completed_within_submitted(report) -> List[str]:
@@ -240,15 +248,12 @@ def check_retired_prefix_identity(result) -> List[str]:
         return []
     reference = max(live, key=lambda node: node.log.first_undelivered)
     ref_trace = delivered_trace(reference)
-    violations = []
-    for node in retired:
-        trace = delivered_trace(node)
-        if trace != ref_trace[: len(trace)]:
-            violations.append(
-                f"node {node.node_id}: retired with a delivered prefix that "
-                f"diverges from live node {reference.node_id}"
-            )
-    return violations
+    return [
+        f"node {node.node_id}: retired with a delivered prefix that "
+        f"diverges from live node {reference.node_id}"
+        for node in retired
+        if not traces_agree([delivered_trace(node), ref_trace])
+    ]
 
 
 def check_membership(result) -> List[str]:

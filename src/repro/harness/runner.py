@@ -7,7 +7,12 @@ configured virtual duration, and returns a :class:`~repro.metrics.RunReport`.
 This is the programmatic equivalent of the paper's cloud-deployment tooling
 (Section 4.4.3), minus the cloud bill.
 
-Crash recovery: when restart specs are given (or ``durable_storage=True``),
+A run's fault schedule is one value: ``faults`` is a single sequence
+mixing every spec kind of :mod:`repro.runtime.faults`, validated once at
+construction and armed on the :class:`~repro.sim.faults.FaultInjector` in
+a fixed order (see ``_ARMED_BEFORE_CLIENTS``).
+
+Crash recovery: when the faults hold a restart (or ``durable_storage=True``),
 every node owns a :class:`~repro.storage.node_storage.NodeStorage` that
 outlives it.  A scheduled :class:`~repro.runtime.faults.RestartSpec` tears the
 crashed incarnation down and the deployment rebuilds the node from that
@@ -21,7 +26,7 @@ replayed, state-transfer bytes, time-to-caught-up) to the run's report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..baselines.mirbft import MirBFTNode
 from ..core.client import Client
@@ -44,19 +49,21 @@ from ..runtime.faults import (
     MEMBER_EVICT_DETECTED,
     ByzantineSpec,
     CrashSpec,
+    LinkFaultSpec,
     MaliciousClientSpec,
     MembershipSpec,
+    PartitionSpec,
     RestartSpec,
     StragglerSpec,
 )
-from ..sim.chaos import DROP_CAUSES, LinkFaultSpec, PartitionSpec
+from ..sim.chaos import DROP_CAUSES
 from ..sim.client_adversary import AbusiveClient
 from ..sim.faults import FaultInjector
 from ..sim.latency import LatencyModel
 from ..sim.network import Network
 from ..sim.simulator import Simulator
 from ..storage.node_storage import NodeStorage
-from ..storage.recovery import boot_from_storage
+from ..storage.recovery import boot_from_storage, watch_catchup
 from ..workload.generator import WorkloadGenerator
 
 #: Factory returning a fresh leader-selection policy for one node.
@@ -66,6 +73,27 @@ PolicyFactory = Callable[[ISSConfig], LeaderSelectionPolicy]
 #: It quantises *when* a recovery is declared caught-up, not what the
 #: protocol does.
 DEFAULT_RECOVERY_POLL_INTERVAL = 0.25
+
+#: The arming rule, whatever order ``faults`` lists its specs in.  Simulator
+#: ties are broken by the sequence number an event draws when it is
+#: scheduled, so arming order is part of every golden trace: ``faults`` is
+#: stably partitioned by kind (list order survives within a kind); these
+#: kinds are armed, in this order, before the clients are built, and every
+#: :class:`MembershipSpec` — then the ``evict-detected`` polls — only after
+#: the admin client and all endpoints exist (a spec at time 0 fires
+#: immediately and needs them).
+_ARMED_BEFORE_CLIENTS = (
+    CrashSpec,
+    RestartSpec,
+    StragglerSpec,
+    ByzantineSpec,
+    MaliciousClientSpec,
+    PartitionSpec,
+    LinkFaultSpec,
+)
+
+#: Kinds whose spec *is* the target's behaviour: at most one per target.
+_ONE_PER_TARGET = (StragglerSpec, ByzantineSpec, MaliciousClientSpec)
 
 
 @dataclass
@@ -89,14 +117,7 @@ class Deployment:
         config: ISSConfig,
         network_config: Optional[NetworkConfig] = None,
         workload: Optional[WorkloadConfig] = None,
-        crash_specs: Sequence[CrashSpec] = (),
-        straggler_specs: Sequence[StragglerSpec] = (),
-        restart_specs: Sequence[RestartSpec] = (),
-        byzantine_specs: Sequence[ByzantineSpec] = (),
-        malicious_client_specs: Sequence[MaliciousClientSpec] = (),
-        partition_specs: Sequence[PartitionSpec] = (),
-        link_fault_specs: Sequence[LinkFaultSpec] = (),
-        membership_specs: Sequence[MembershipSpec] = (),
+        faults: Sequence[object] = (),
         membership_enabled: Optional[bool] = None,
         durable_storage: Optional[bool] = None,
         recovery_poll: float = DEFAULT_RECOVERY_POLL_INTERVAL,
@@ -111,26 +132,20 @@ class Deployment:
         self.config = config
         self.network_config = network_config or NetworkConfig()
         self.workload = workload or WorkloadConfig()
-        self.crash_specs = list(crash_specs)
-        self.straggler_specs = list(straggler_specs)
-        self.restart_specs = list(restart_specs)
-        self.byzantine_specs = list(byzantine_specs)
-        self.malicious_client_specs = list(malicious_client_specs)
-        self.partition_specs = list(partition_specs)
-        self.link_fault_specs = list(link_fault_specs)
-        self.membership_specs = list(membership_specs)
+        #: The fault schedule, in the order it was given.
+        self.faults = tuple(faults)
         # Membership machinery defaults on exactly when a reconfiguration is
         # scheduled, so static deployments keep their (golden-traced)
         # schedules bit-identical; tests that submit ConfigTxs by hand can
         # force it on without scheduling any spec.
         if membership_enabled is None:
-            membership_enabled = bool(self.membership_specs)
+            membership_enabled = bool(self.faults_of(MembershipSpec))
         self.membership_enabled = membership_enabled
         #: Node ids joining beyond the genesis set, in ascending order.
         self._joining_ids = sorted(
             {
                 spec.node
-                for spec in self.membership_specs
+                for spec in self.faults_of(MembershipSpec)
                 if spec.action == MEMBER_ADD and spec.node >= config.num_nodes
             }
         )
@@ -144,6 +159,9 @@ class Deployment:
                 f"joining node ids must be contiguous from {config.num_nodes}, "
                 f"got {self._joining_ids}"
             )
+        #: The spec of every straggler, Byzantine node and malicious client,
+        #: by ``(spec class, node or client id)``.
+        self._behaviours = self._check_faults()
         self.policy_factory = policy_factory
         self.node_class = node_class
         self.layout = layout
@@ -153,7 +171,7 @@ class Deployment:
         # deployments keep their persistence-free hot path (and their golden
         # traces) unchanged.
         if durable_storage is None:
-            durable_storage = bool(self.restart_specs)
+            durable_storage = bool(self.faults_of(RestartSpec))
         self.durable_storage = durable_storage
         if recovery_poll <= 0:
             raise ValueError(f"recovery_poll must be positive, got {recovery_poll}")
@@ -208,17 +226,10 @@ class Deployment:
         if self.membership_enabled:
             self.admin_client_id = self.workload.num_clients
             self.client_ids.append(self.admin_client_id)
-        client_ids = self.client_ids
-        self._stragglers_by_node: Dict[int, StragglerSpec] = {
-            spec.node: spec for spec in self.straggler_specs
-        }
-        self._byzantine_by_node: Dict[int, ByzantineSpec] = {
-            spec.node: spec for spec in self.byzantine_specs
-        }
         censored = sorted(
             {
                 bucket
-                for spec in self.byzantine_specs
+                for spec in self.faults_of(ByzantineSpec)
                 if spec.behaviour == BYZ_CENSOR
                 for bucket in spec.buckets
             }
@@ -259,26 +270,11 @@ class Deployment:
         self.injector.on_restart = self._on_node_restart
         self.injector.on_partition_start = self._on_partition_start
         self.injector.on_partition_heal = self._on_partition_heal
-        self.injector.schedule_all(self.crash_specs)
-        self.injector.schedule_restarts(self.restart_specs)
-        self.injector.schedule_byzantines(self.byzantine_specs)
-        self.injector.schedule_malicious_clients(self.malicious_client_specs)
-        self.injector.schedule_partitions(self.partition_specs)
-        self.injector.schedule_link_faults(self.link_fault_specs)
+        self.injector.on_membership_change = self._on_membership_change_spec
+        for kind in _ARMED_BEFORE_CLIENTS:
+            for spec in self.faults_of(kind):
+                self.injector.schedule(spec)
 
-        malicious_by_client: Dict[int, MaliciousClientSpec] = {}
-        for spec in self.malicious_client_specs:
-            if spec.client not in client_ids:
-                raise ValueError(
-                    f"malicious client {spec.client} outside the workload's "
-                    f"{len(client_ids)} clients"
-                )
-            if spec.client in malicious_by_client:
-                raise ValueError(
-                    f"client {spec.client} has more than one malicious spec; "
-                    f"a client process mounts exactly one behaviour"
-                )
-            malicious_by_client[spec.client] = spec
         self.clients: List[Client] = []
         for client_id in range(self.workload.num_clients):
             common = dict(
@@ -290,7 +286,7 @@ class Deployment:
                 on_complete=self.collector.record_client_completion,
                 tracer=self.tracer,
             )
-            spec = malicious_by_client.get(client_id)
+            spec = self._behaviours.get((MaliciousClientSpec, client_id))
             if spec is not None:
                 client = AbusiveClient(spec=spec, **common)
                 self.injector.register_abusive_client(client)
@@ -312,22 +308,18 @@ class Deployment:
             )
             endpoint_clients.append(self.admin_client)
         self.latency.register_extra_endpoints([c.endpoint for c in endpoint_clients])
-        # Scheduled last: a spec at time 0 fires immediately and needs the
-        # admin client (and every endpoint) in place.
-        if self.membership_specs:
-            self.injector.on_membership_change = self._on_membership_change_spec
-            self.injector.schedule_memberships(self.membership_specs)
-            for spec in self.membership_specs:
-                if spec.action != MEMBER_EVICT_DETECTED:
-                    continue
-                if spec.time <= self.sim.now:
-                    self.sim.schedule(
-                        self.recovery_poll, lambda s=spec: self._poll_eviction(s)
-                    )
-                else:
-                    self.sim.schedule_at(
-                        spec.time, lambda s=spec: self._poll_eviction(s)
-                    )
+        memberships = self.faults_of(MembershipSpec)
+        for spec in memberships:
+            self.injector.schedule(spec)
+        for spec in memberships:
+            if spec.action != MEMBER_EVICT_DETECTED:
+                continue
+            if spec.time <= self.sim.now:
+                self.sim.schedule(
+                    self.recovery_poll, lambda s=spec: self._poll_eviction(s)
+                )
+            else:
+                self.sim.schedule_at(spec.time, lambda s=spec: self._poll_eviction(s))
 
         self.generator = WorkloadGenerator(
             clients=self.clients,
@@ -335,6 +327,50 @@ class Deployment:
             sim=self.sim,
             on_submit=lambda request, time: self.collector.record_submit(request.rid, time),
         )
+
+    # ----------------------------------------------------------------- faults
+    def faults_of(self, kind: type) -> List[object]:
+        """The specs of class ``kind`` in ``faults``, in list order."""
+        return [spec for spec in self.faults if type(spec) is kind]
+
+    def _check_faults(self) -> Dict[Tuple[type, int], object]:
+        """Validate every fault's target, before any event is scheduled.
+
+        Node ids must lie in genesis ∪ joiners, client ids among the
+        workload's clients, and a node or client carries at most one spec
+        of a kind that *is* its behaviour (straggler, Byzantine, malicious
+        client) — returned as a ``(kind, target) → spec`` table.  Any
+        offence raises ``ValueError`` naming the spec; an object that is
+        no fault spec at all raises ``TypeError``.
+        """
+        nodes = range(self.config.num_nodes + len(self._joining_ids))
+        clients = range(self.workload.num_clients)
+        behaviours: Dict[Tuple[type, int], object] = {}
+        for spec in self.faults:
+            kind = type(spec)
+            if kind not in _ARMED_BEFORE_CLIENTS and kind is not MembershipSpec:
+                raise TypeError(f"not a fault spec: {spec!r}")
+            if kind in (PartitionSpec, LinkFaultSpec):
+                continue  # endpoints, not node ids: clients may be named too
+            if kind is MembershipSpec and spec.action == MEMBER_ADD:
+                continue  # a joiner's id is checked for contiguity instead
+            what, valid = "node", nodes
+            if kind is MaliciousClientSpec:
+                what, valid = "client", clients
+            target = getattr(spec, what)
+            if target not in valid:
+                raise ValueError(
+                    f"{spec!r}: {what} {target} is outside the deployment's "
+                    f"{len(valid)} {what}s"
+                )
+            if kind in _ONE_PER_TARGET:
+                if (kind, target) in behaviours:
+                    raise ValueError(
+                        f"{spec!r}: {what} {target} already has a "
+                        f"{kind.__name__}; a process mounts exactly one behaviour"
+                    )
+                behaviours[kind, target] = spec
+        return behaviours
 
     # ----------------------------------------------------------- node builds
     def _build_node(self, node_id: int) -> ISSNode:
@@ -355,8 +391,8 @@ class Deployment:
             client_ids=self.client_ids,
             on_deliver=self._on_deliver,
             fault_injector=self.injector,
-            straggler=self._stragglers_by_node.get(node_id),
-            byzantine=self._byzantine_by_node.get(node_id),
+            straggler=self._behaviours.get((StragglerSpec, node_id)),
+            byzantine=self._behaviours.get((ByzantineSpec, node_id)),
             policy=policy,
             layout=self.layout,
             storage=self.storages.get(node_id),
@@ -442,31 +478,46 @@ class Deployment:
         record["state_transfer_bytes"] = 0.0
         record["state_transfer_entries"] = 0.0
         self._pending_recoveries.append(record)
-        self.sim.schedule(
-            self.recovery_poll, lambda: self._poll_catchup(node, record)
-        )
 
-    def _poll_catchup(self, node: ISSNode, record: Dict[str, float]) -> None:
-        """Periodic check whether a restarted node reached the frontier.
+        def publish() -> None:
+            self._pending_recoveries.remove(record)
+            self.collector.record_recovery(record)
 
-        The watcher is bound to the exact incarnation it was started for: if
-        that incarnation crashed — even if a newer one already took its
-        place within the same poll tick — this record stays pending and is
-        finalised as not-caught-up (time_to_caught_up = -1) at report time;
-        the newer incarnation's restart started its own watcher.
+        self._watch_catchup(node, record, "time_to_caught_up", restarted_at, publish)
+
+    def _is_current(self, node: ISSNode) -> bool:
+        """Is ``node`` still the live incarnation of its id?"""
+        return not node.crashed and self.nodes[node.node_id] is node
+
+    def _watch_catchup(
+        self,
+        node: ISSNode,
+        record: Dict[str, object],
+        elapsed_key: str,
+        since: float,
+        then: Callable[[], None] = lambda: None,
+    ) -> None:
+        """Watch one booted incarnation until it reaches the frontier.
+
+        The watch is bound to the exact incarnation it was started for: if
+        that one crashed — even if a newer one already took its place
+        within the same poll tick — the record keeps ``elapsed_key`` = -1;
+        the newer incarnation's boot started its own watch.
         """
-        if node.crashed or self.nodes[node.node_id] is not node:
-            return
-        if self._caught_up(node):
-            record["time_to_caught_up"] = self.sim.now - record["restarted_at"]
+
+        def on_caught_up() -> None:
+            record[elapsed_key] = self.sim.now - since
             record["state_transfer_bytes"] = float(node.state_transfer.bytes_received)
             record["state_transfer_entries"] = float(node.state_transfer.entries_applied)
             node.end_recovery_catchup()
-            self._pending_recoveries.remove(record)
-            self.collector.record_recovery(record)
-            return
-        self.sim.schedule(
-            self.recovery_poll, lambda: self._poll_catchup(node, record)
+            then()
+
+        watch_catchup(
+            self.sim,
+            self.recovery_poll,
+            still_current=lambda: self._is_current(node),
+            caught_up=lambda: self._caught_up(node),
+            on_caught_up=on_caught_up,
         )
 
     # -------------------------------------------------- partition lifecycle
@@ -515,35 +566,39 @@ class Deployment:
             # Checkpoint-less epochs (no side kept a quorum) can only
             # complete through the protocol's own view/round machinery.
             node.nudge_stalled_instances()
-        self.sim.schedule(
-            self.recovery_poll, lambda: self._poll_reconverge(laggards, record)
+
+        def on_caught_up() -> None:
+            record["time_to_reconverge"] = self.sim.now - float(record["healed_at"])
+
+        watch_catchup(
+            self.sim,
+            self.recovery_poll,
+            still_current=lambda: True,  # laggards drop out one by one instead
+            caught_up=lambda: self._laggards_caught_up(laggards),
+            on_caught_up=on_caught_up,
         )
 
-    def _poll_reconverge(self, laggards: List[ISSNode], record: Dict[str, object]) -> None:
-        """Periodic check whether every post-heal laggard reached the frontier.
+    def _laggards_caught_up(self, laggards: List[ISSNode]) -> bool:
+        """One reconvergence tick: prune ``laggards`` to those still behind.
 
         Bound to the exact incarnations that were lagging at heal time: a
         laggard that crashes (or is replaced by a restart, which starts its
-        own recovery watcher) is dropped from the wait — reconvergence is
-        declared over the remaining live laggards.
+        own watch) is dropped from the wait — reconvergence is declared
+        over the remaining live laggards.
         """
-        still_behind: List[ISSNode] = []
-        for node in laggards:
-            if node.crashed or self.nodes[node.node_id] is not node:
+        waiting = list(laggards)
+        laggards.clear()
+        for node in waiting:
+            if not self._is_current(node):
                 continue
             # A fellow laggard must not serve as the frontier reference —
             # two equally-wedged nodes would declare each other caught up.
-            others = [n for n in laggards if n is not node]
+            others = [n for n in waiting if n is not node]
             if self._caught_up(node, exclude=others):
                 node.end_recovery_catchup()
             else:
-                still_behind.append(node)
-        if not still_behind:
-            record["time_to_reconverge"] = self.sim.now - float(record["healed_at"])
-            return
-        self.sim.schedule(
-            self.recovery_poll, lambda: self._poll_reconverge(still_behind, record)
-        )
+                laggards.append(node)
+        return not laggards
 
     # ----------------------------------------------------- dynamic membership
     def _on_membership_change_spec(self, spec: MembershipSpec) -> None:
@@ -634,24 +689,7 @@ class Deployment:
             "state_transfer_entries": 0.0,
         }
         self._join_records.append(record)
-        self.sim.schedule(self.recovery_poll, lambda: self._poll_join(node, record))
-
-    def _poll_join(self, node: ISSNode, record: Dict[str, object]) -> None:
-        """Periodic check whether a joiner reached the cluster frontier.
-
-        Same contract as :meth:`_poll_catchup`: bound to the exact
-        incarnation it was started for; the record keeps ``time_to_join``
-        = -1 when that incarnation dies or the run ends first.
-        """
-        if node.crashed or self.nodes[node.node_id] is not node:
-            return
-        if self._caught_up(node):
-            record["time_to_join"] = self.sim.now - float(record["joined_at"])
-            record["state_transfer_bytes"] = float(node.state_transfer.bytes_received)
-            record["state_transfer_entries"] = float(node.state_transfer.entries_applied)
-            node.end_recovery_catchup()
-            return
-        self.sim.schedule(self.recovery_poll, lambda: self._poll_join(node, record))
+        self._watch_catchup(node, record, "time_to_join", joined_at)
 
     def _poll_eviction(self, spec: MembershipSpec) -> None:
         """Detection watch of an ``evict-detected`` spec.
@@ -711,7 +749,7 @@ class Deployment:
         return {
             "specs": [
                 {"node": spec.node, "action": spec.action, "time": spec.time}
-                for spec in self.membership_specs
+                for spec in self.faults_of(MembershipSpec)
             ],
             "activations": [dict(r) for r in self._membership_activations],
             "joins": [dict(r) for r in self._join_records],
@@ -827,7 +865,8 @@ class Deployment:
         checkpoint votes, protocol votes); ``adversaries`` names the
         scheduled Byzantine nodes and behaviours.
         """
-        if not self.byzantine_specs:
+        specs = self.faults_of(ByzantineSpec)
+        if not specs:
             return None
         return {
             "per_node": {
@@ -837,9 +876,7 @@ class Deployment:
                 }
                 for node in self.nodes
             },
-            "adversaries": {
-                spec.node: spec.behaviour for spec in self.byzantine_specs
-            },
+            "adversaries": {spec.node: spec.behaviour for spec in specs},
         }
 
     def _client_abuse_stats(self) -> Optional[Dict[str, object]]:
@@ -853,7 +890,8 @@ class Deployment:
         ``abusers`` carries each abusive client's own attack counters and
         ``adversaries`` maps client id → behaviour.
         """
-        if not self.malicious_client_specs:
+        specs = self.faults_of(MaliciousClientSpec)
+        if not specs:
             return None
         per_client: Dict[int, Dict[str, int]] = {}
 
@@ -873,14 +911,12 @@ class Deployment:
             for client, count in node.duplicate_requests.items():
                 entry_for(client)["duplicates"] += count
         abusers = {}
-        for spec in self.malicious_client_specs:
+        for spec in specs:
             client = self.injector.abusive_client_for(spec.client)
             if client is not None:
                 abusers[spec.client] = client.abuse_stats()
         return {
-            "adversaries": {
-                spec.client: spec.behaviour for spec in self.malicious_client_specs
-            },
+            "adversaries": {spec.client: spec.behaviour for spec in specs},
             "per_client": per_client,
             "abusers": abusers,
         }
@@ -898,7 +934,7 @@ class Deployment:
         counters and ``client_retries_total`` sums the clients' retry loops
         (0 with retries disabled).
         """
-        if not self.partition_specs and not self.link_fault_specs:
+        if not (self.faults_of(PartitionSpec) or self.faults_of(LinkFaultSpec)):
             return None
         return {
             "partitions": [dict(record) for record in self.injector.partition_records()],
@@ -956,16 +992,16 @@ class Deployment:
             "requests_deferred": float(self.generator.deferred),
             "sim_events": float(self.sim.events_executed),
         }
-        if self.restart_specs:
+        if self.faults_of(RestartSpec):
             stats["restarts_performed"] = float(len(self.injector.restarted_nodes()))
-        if self.byzantine_specs:
+        if self.faults_of(ByzantineSpec):
             stats["equivocations_detected_total"] = float(
                 sum(n.equivocations_detected for n in self.nodes)
             )
             stats["invalid_sigs_rejected_total"] = float(
                 sum(n.invalid_signatures_rejected() for n in self.nodes)
             )
-        if self.malicious_client_specs:
+        if self.faults_of(MaliciousClientSpec):
             stats["client_rejections_total"] = float(
                 sum(n.validator.stats.rejected for n in self.nodes)
             )

@@ -49,11 +49,8 @@ from ..runtime.faults import (
     ByzantineSpec,
     CrashSpec,
     MaliciousClientSpec,
-    MembershipSpec,
     RestartSpec,
-    StragglerSpec,
 )
-from ..sim.chaos import LinkFaultSpec, PartitionSpec
 from ..sim.client_adversary import bias_capacity
 from ..workload.faults import (
     abusive_clients,
@@ -71,7 +68,12 @@ from ..workload.faults import (
     rolling_upgrade_specs,
     stragglers,
 )
-from .invariants import check_invariants
+from .invariants import (
+    check_invariants,
+    check_prefix_identity,
+    delivered_trace,
+    traces_agree,
+)
 from .runner import Deployment
 
 
@@ -251,9 +253,7 @@ def _run(
     config: ISSConfig,
     rate: float,
     duration: float,
-    crash_specs: Sequence[CrashSpec] = (),
-    straggler_specs: Sequence[StragglerSpec] = (),
-    restart_specs: Sequence[RestartSpec] = (),
+    faults: Sequence[object] = (),
     node_class=None,
     policy_factory=None,
     layout: str = LAYOUT_ROUND_ROBIN,
@@ -263,9 +263,7 @@ def _run(
     kwargs = dict(
         network_config=scaled_network(),
         workload=_workload(rate, duration),
-        crash_specs=crash_specs,
-        straggler_specs=straggler_specs,
-        restart_specs=restart_specs,
+        faults=faults,
         layout=layout,
         drain_time=drain_time,
     )
@@ -393,7 +391,7 @@ def leader_policy_comparison(
             crashes = epoch_start_crashes(1, num_nodes, epoch=0)
         else:
             crashes = epoch_end_crashes(1, num_nodes, epoch=0)
-        report = _run(config, rate, duration, crash_specs=crashes)
+        report = _run(config, rate, duration, faults=crashes)
         rows.append(
             {
                 "policy": policy,
@@ -428,7 +426,7 @@ def crash_latency_over_duration(
             else:
                 crashes = epoch_end_crashes(count, num_nodes, epoch=0)
             config = iss_config(PROTOCOL_PBFT, num_nodes, leader_policy=POLICY_BLACKLIST)
-            report = _run(config, rate, duration, crash_specs=crashes)
+            report = _run(config, rate, duration, faults=crashes)
             rows.append(
                 {
                     "faults": count,
@@ -463,19 +461,19 @@ def throughput_timeline(
     series — the bespoke per-bucket accounting the timeline benchmarks used
     to carry lives nowhere else anymore.
     """
-    crashes: Sequence[CrashSpec] = ()
+    faults: List[object] = []
     if crash_kind == "epoch-start":
-        crashes = epoch_start_crashes(1, num_nodes, epoch=0)
+        faults = epoch_start_crashes(1, num_nodes, epoch=0)
     elif crash_kind == "epoch-end":
-        crashes = epoch_end_crashes(1, num_nodes, epoch=0)
-    straggler_specs = stragglers(straggler_count, num_nodes, delay=straggler_delay) if straggler_count else ()
+        faults = epoch_end_crashes(1, num_nodes, epoch=0)
+    if straggler_count:
+        faults = faults + stragglers(straggler_count, num_nodes, delay=straggler_delay)
     config = iss_config(PROTOCOL_PBFT, num_nodes)
     report = _run(
         config,
         rate,
         duration,
-        crash_specs=crashes,
-        straggler_specs=straggler_specs,
+        faults=faults,
         node_class=MirBFTNode if mirbft else None,
         obs=ObsConfig(metrics_interval=1.0),
     )
@@ -506,7 +504,7 @@ def straggler_sweep(
     for count in straggler_counts:
         specs = stragglers(count, num_nodes, delay=straggler_delay) if count else ()
         config = iss_config(PROTOCOL_PBFT, num_nodes)
-        report = _run(config, rate, duration, straggler_specs=specs)
+        report = _run(config, rate, duration, faults=specs)
         rows.append(
             {
                 "stragglers": count,
@@ -519,7 +517,7 @@ def straggler_sweep(
 
 
 # ---------------------------------------------------------------------------
-# Ablations (DESIGN.md §6)
+# Ablations (docs/ARCHITECTURE.md, "Model and substitutions")
 # ---------------------------------------------------------------------------
 
 def layout_ablation(
@@ -545,24 +543,6 @@ def layout_ablation(
 # Crash-recovery scenarios — crash → restart → WAL replay + state transfer
 # ---------------------------------------------------------------------------
 
-def delivered_prefix_matches(reference, restarted) -> bool:
-    """Do two nodes agree on every position both have delivered?
-
-    The SMR safety property the recovery path must preserve: a restarted
-    node's delivered sequence is a prefix-compatible copy of a never-crashed
-    peer's (same entry digest at every shared position).
-    """
-    shared = min(reference.log.first_undelivered, restarted.log.first_undelivered)
-    for sn in range(shared):
-        a = reference.log.entry(sn)
-        b = restarted.log.entry(sn)
-        if a is b:
-            continue
-        if a is None or b is None or a.digest() != b.digest():
-            return False
-    return True
-
-
 def crash_restart_deployment(
     protocol: str,
     num_nodes: int = 4,
@@ -581,8 +561,10 @@ def crash_restart_deployment(
         iss_config(protocol, num_nodes, random_seed=seed),
         network_config=scaled_network(),
         workload=_workload(rate, duration, clients=num_clients),
-        crash_specs=[CrashSpec(node=victim, trigger="at-time", time=crash_time)],
-        restart_specs=[RestartSpec(node=victim, time=crash_time + downtime)],
+        faults=[
+            CrashSpec(node=victim, trigger="at-time", time=crash_time),
+            RestartSpec(node=victim, time=crash_time + downtime),
+        ],
         obs=obs,
     )
 
@@ -596,7 +578,7 @@ def crash_restart_row(deployment: Deployment, result) -> Dict[str, object]:
     delivered-prefix equivalence check and the run's throughput figures.
     """
     report = result.report
-    crash = deployment.crash_specs[0]
+    crash = deployment.faults_of(CrashSpec)[0]
     victim = crash.node
     recovery = dict(report.recoveries[0]) if report.recoveries else {}
     reference = next(
@@ -607,9 +589,11 @@ def crash_restart_row(deployment: Deployment, result) -> Dict[str, object]:
         "nodes": deployment.config.num_nodes,
         "victim": victim,
         "crash_time": crash.time,
-        "downtime": deployment.restart_specs[0].time - crash.time,
+        "downtime": deployment.faults_of(RestartSpec)[0].time - crash.time,
         "recovery": recovery,
-        "prefix_matches": delivered_prefix_matches(reference, result.nodes[victim]),
+        "prefix_matches": traces_agree(
+            [delivered_trace(reference), delivered_trace(result.nodes[victim])]
+        ),
         "caught_up": recovery.get("time_to_caught_up", -1.0) >= 0.0,
         "throughput": report.throughput,
         "latency_mean": report.latency.mean,
@@ -703,16 +687,6 @@ def correct_nodes(result, byzantine_specs: Sequence[ByzantineSpec]) -> List[obje
     ]
 
 
-def prefixes_identical(nodes: Sequence[object]) -> bool:
-    """SMR safety across a node set: every pair agrees on every position
-    both have delivered (see :func:`delivered_prefix_matches`)."""
-    for index, reference in enumerate(nodes):
-        for other in nodes[index + 1 :]:
-            if not delivered_prefix_matches(reference, other):
-                return False
-    return True
-
-
 def byzantine_deployment(
     protocol: str,
     behaviour: str = BYZ_EQUIVOCATE,
@@ -737,7 +711,7 @@ def byzantine_deployment(
         config,
         network_config=scaled_network(),
         workload=_workload(rate, duration, clients=num_clients),
-        byzantine_specs=byzantine_leaders(
+        faults=byzantine_leaders(
             num_adversaries, num_nodes, behaviour=behaviour, buckets=buckets
         ),
         drain_time=drain_time,
@@ -755,7 +729,7 @@ def byzantine_row(deployment: Deployment, result) -> Dict[str, object]:
     epoch's leaderset.
     """
     report = result.report
-    specs = deployment.byzantine_specs
+    specs = deployment.faults_of(ByzantineSpec)
     correct = correct_nodes(result, specs)
     sample = correct[0]
     final_leaders = sample.manager.leaders_for(sample.current_epoch)
@@ -767,7 +741,7 @@ def byzantine_row(deployment: Deployment, result) -> Dict[str, object]:
         "throughput": report.throughput,
         "latency_mean": report.latency.mean,
         "latency_p95": report.latency.p95,
-        "prefixes_identical": prefixes_identical(correct),
+        "prefixes_identical": not check_prefix_identity(correct),
         "nil_committed": sample.nil_committed,
         "equivocations_detected": sum(
             per_node.get(n.node_id, {}).get("equivocations_detected", 0) for n in correct
@@ -931,7 +905,7 @@ def client_abuse_deployment(
         config,
         network_config=network,
         workload=_workload(rate, duration, clients=num_clients),
-        malicious_client_specs=specs,
+        faults=specs,
         drain_time=drain_time,
         obs=obs,
     )
@@ -947,7 +921,7 @@ def client_abuse_row(deployment: Deployment, result) -> Dict[str, object]:
     out-of-order buffers, delivered filter after GC).
     """
     config = deployment.config
-    specs = deployment.malicious_client_specs
+    specs = deployment.faults_of(MaliciousClientSpec)
     report = result.report
     abusive_ids = {spec.client for spec in specs}
     correct_clients = [c for c in result.clients if c.client_id not in abusive_ids]
@@ -1002,7 +976,7 @@ def client_abuse_row(deployment: Deployment, result) -> Dict[str, object]:
         "correct_all_complete": all(
             c.requests_completed == c.requests_submitted for c in correct_clients
         ),
-        "prefixes_identical": prefixes_identical(result.nodes),
+        "prefixes_identical": not check_prefix_identity(result.nodes),
         "abuse_contained": abuse_contained,
         "rejections_total": report.extra.get("client_rejections_total", 0.0),
         "duplicates_total": report.extra.get("client_duplicates_total", 0.0),
@@ -1137,7 +1111,7 @@ def watermark_stall(
         "correct_all_complete": all(
             c.requests_completed == c.requests_submitted for c in correct_clients
         ),
-        "prefixes_identical": prefixes_identical(result.nodes),
+        "prefixes_identical": not check_prefix_identity(result.nodes),
         #: The gap pins the abuser's low watermark at (or before) the first
         #: skipped timestamp — it must never clear the window.
         "abuser_low_watermark": sample.watermarks.low_watermark(abuser),
@@ -1211,7 +1185,7 @@ def chaos_row(result) -> Dict[str, object]:
         "all_complete": all(
             c.requests_completed == c.requests_submitted for c in result.clients
         ),
-        "prefixes_identical": prefixes_identical(live),
+        "prefixes_identical": not check_prefix_identity(live),
         "reconverged": all(r.get("time_to_reconverge", -1.0) >= 0.0 for r in records),
         "time_to_reconverge": max(
             (r.get("time_to_reconverge", -1.0) for r in records), default=0.0
@@ -1227,8 +1201,7 @@ def chaos_row(result) -> Dict[str, object]:
 def partition_deployment(
     protocol: str,
     num_nodes: int,
-    partition_specs: Sequence[PartitionSpec] = (),
-    link_fault_specs: Sequence[LinkFaultSpec] = (),
+    faults: Sequence[object] = (),
     rate: float = 400.0,
     duration: float = 15.0,
     num_clients: int = 8,
@@ -1248,8 +1221,7 @@ def partition_deployment(
         chaos_config(protocol, num_nodes, random_seed=seed, **config_overrides),
         network_config=scaled_network(),
         workload=_workload(rate, duration, clients=num_clients),
-        partition_specs=partition_specs,
-        link_fault_specs=link_fault_specs,
+        faults=faults,
         drain_time=drain_time,
         obs=obs,
     )
@@ -1285,7 +1257,7 @@ def partition_minority(
         1, num_nodes, partition_start, partition_start + partition_duration
     )
     row = partition_point(
-        protocol, num_nodes, partition_specs=specs, rate=rate,
+        protocol, num_nodes, faults=specs, rate=rate,
         duration=duration, seed=seed,
     )
     row["scenario"] = "partition_minority"
@@ -1315,7 +1287,7 @@ def partition_bridge(
         num_nodes, bridge, partition_start, partition_start + partition_duration
     )
     row = partition_point(
-        protocol, num_nodes, partition_specs=specs, rate=rate,
+        protocol, num_nodes, faults=specs, rate=rate,
         duration=duration, seed=seed,
     )
     row["scenario"] = "partition_bridge"
@@ -1347,7 +1319,7 @@ def asymmetric_link(
         [(src, dst)], block_start, block_start + block_duration
     )
     row = partition_point(
-        protocol, num_nodes, link_fault_specs=specs, rate=rate,
+        protocol, num_nodes, faults=specs, rate=rate,
         duration=duration, seed=seed,
     )
     row["scenario"] = "asymmetric_link"
@@ -1385,7 +1357,7 @@ def link_flap_sweep(
             retransmit=retransmit, seed=seed,
         )
         row = partition_point(
-            protocol, num_nodes, link_fault_specs=specs, rate=rate,
+            protocol, num_nodes, faults=specs, rate=rate,
             duration=duration, seed=seed,
         )
         row["scenario"] = "link_flap_sweep"
@@ -1420,7 +1392,7 @@ def partition_heal_retry_storm(
         1, num_nodes, partition_start, partition_start + partition_duration
     )
     result = partition_deployment(
-        protocol, num_nodes, partition_specs=specs, rate=rate, duration=duration,
+        protocol, num_nodes, faults=specs, rate=rate, duration=duration,
         seed=seed, client_retry_timeout=retry_timeout,
     ).run()
     row = chaos_row(result)
@@ -1501,7 +1473,7 @@ def membership_row(result) -> Dict[str, object]:
         "all_complete": all(
             c.requests_completed == c.requests_submitted for c in result.clients
         ),
-        "prefixes_identical": prefixes_identical(live),
+        "prefixes_identical": not check_prefix_identity(live),
         "violations": check_invariants(result),
         "activations": membership.get("activations", []),
         "final_view": membership.get("final_view", []),
@@ -1517,14 +1489,12 @@ def membership_row(result) -> Dict[str, object]:
 def membership_deployment(
     protocol: str,
     num_nodes: int = 4,
-    membership_specs: Sequence[MembershipSpec] = (),
+    faults: Sequence[object] = (),
     rate: float = 400.0,
     duration: float = 20.0,
     num_clients: int = 8,
     seed: int = 42,
     drain_time: float = 12.0,
-    byzantine_specs=(),
-    malicious_client_specs=(),
     obs: Optional[ObsConfig] = None,
     **config_overrides,
 ) -> Deployment:
@@ -1540,9 +1510,7 @@ def membership_deployment(
         membership_config(protocol, num_nodes, random_seed=seed, **config_overrides),
         network_config=scaled_network(),
         workload=_workload(rate, duration, clients=num_clients),
-        membership_specs=membership_specs,
-        byzantine_specs=byzantine_specs,
-        malicious_client_specs=malicious_client_specs,
+        faults=faults,
         drain_time=drain_time,
         obs=obs,
     )
@@ -1581,7 +1549,7 @@ def membership_join(
     """
     specs = membership_additions(joiners, num_nodes, start=join_time)
     row = membership_point(
-        protocol, num_nodes, membership_specs=specs, rate=rate,
+        protocol, num_nodes, faults=specs, rate=rate,
         duration=duration, seed=seed,
     )
     row["scenario"] = "membership_join"
@@ -1612,7 +1580,7 @@ def membership_leave(
         raise ValueError("cannot remove every node")
     specs = membership_removals(victims, start=leave_time)
     row = membership_point(
-        protocol, num_nodes, membership_specs=specs, rate=rate,
+        protocol, num_nodes, faults=specs, rate=rate,
         duration=duration, seed=seed,
     )
     row["scenario"] = "membership_leave"
@@ -1643,7 +1611,7 @@ def rolling_upgrade(
     specs = rolling_upgrade_specs(num_nodes, start=3.0, period=period)
     duration = 3.0 + 2 * period * num_nodes + tail
     row = membership_point(
-        protocol, num_nodes, membership_specs=specs, rate=rate,
+        protocol, num_nodes, faults=specs, rate=rate,
         duration=duration, seed=seed, drain_time=15.0,
     )
     row["scenario"] = "rolling_upgrade"
@@ -1682,12 +1650,9 @@ def byzantine_eviction(
     byz = byzantine_leaders(1, num_nodes, behaviour=behaviour)
     specs = eviction_watch([adversary])
     result, row = run_membership_point(
-        protocol, num_nodes, membership_specs=specs, byzantine_specs=byz,
-        rate=rate, duration=duration, seed=seed,
+        protocol, num_nodes, faults=specs + byz, rate=rate, duration=duration, seed=seed,
     )
-    row["prefixes_identical"] = prefixes_identical(
-        [node for node in correct_nodes(result, byz) if not node.crashed]
-    )
+    row["prefixes_identical"] = not check_prefix_identity(correct_nodes(result, byz))
     row["scenario"] = "byzantine_eviction"
     row["behaviour"] = behaviour
     row["adversary"] = adversary
@@ -1725,9 +1690,7 @@ def combined_adversary(
     )
     result, row = run_membership_point(
         protocol, num_nodes,
-        membership_specs=eviction_watch([adversary]),
-        byzantine_specs=byz,
-        malicious_client_specs=client_specs,
+        faults=eviction_watch([adversary]) + byz + client_specs,
         rate=rate, duration=duration, num_clients=num_clients, seed=seed,
     )
     abusive_ids = {spec.client for spec in client_specs}
@@ -1741,9 +1704,7 @@ def combined_adversary(
     row["correct_all_complete"] = all(
         c.requests_completed == c.requests_submitted for c in correct_clients
     )
-    row["prefixes_identical"] = prefixes_identical(
-        [node for node in correct if not node.crashed]
-    )
+    row["prefixes_identical"] = not check_prefix_identity(correct)
     row["evicted_from_membership"] = (
         adversary in row["removed"] and adversary not in row["final_view"]
     )

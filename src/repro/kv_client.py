@@ -60,11 +60,19 @@ def save_next_timestamp(args: argparse.Namespace, next_timestamp: int) -> None:
 
     Node-side watermarks advance past every delivered timestamp; a future
     invocation reusing one would be silently rejected.  Losing this file
-    strands the client id (start a fresh ``--client-id`` in that case).
+    strands the client id (start a fresh ``--client-id`` in that case), so
+    it is replaced atomically (write temp, fsync, ``os.replace`` — as
+    :mod:`repro.storage.durable` does): a crash mid-save leaves the
+    previous file, never a truncated one.
     """
     os.makedirs(args.state_dir, exist_ok=True)
-    with open(_state_path(args), "w") as handle:
+    path = _state_path(args)
+    tmp = path + ".tmp"
+    with open(tmp, "w") as handle:
         json.dump({"next_timestamp": next_timestamp}, handle)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
 
 
 async def run_op(args: argparse.Namespace) -> KVOutcome:

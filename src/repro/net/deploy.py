@@ -239,8 +239,8 @@ def durable_prefix_len(spec: LiveClusterSpec, node_id: int) -> int:
 
 def prefixes_identical(prefixes: List[List[Tuple[int, int]]]) -> bool:
     """SMR safety over the durable logs: agreement on every shared position."""
-    if not prefixes:
-        return True
-    shortest = min(len(prefix) for prefix in prefixes)
-    reference = prefixes[0][:shortest]
-    return all(prefix[:shortest] == reference for prefix in prefixes[1:])
+    # Imported on use: the harness package pulls the simulator in, which the
+    # per-node process (it imports this package too) must stay free of.
+    from ..harness.invariants import traces_agree
+
+    return traces_agree(prefixes)

@@ -13,9 +13,10 @@ directory: prior state routes through the same
 restart path uses — snapshot apply, WAL-tail replay (over records that
 genuinely survived a ``kill -9`` via fsync), epoch fast-forward — then the
 node resumes at the first incomplete epoch in aggressive-catchup mode and
-a small watcher ends catchup once the node completes an epoch beyond its
-recovered frontier (the live analogue of the harness's caught-up poll,
-which a child process cannot run for lack of a peers' frontier view).
+:func:`~repro.storage.recovery.watch_catchup` ends catchup once the node
+completes an epoch beyond its recovered frontier (the same watcher as the
+harness's caught-up poll, with the only "done" test a child process can
+run for lack of a peers' frontier view).
 
 The process runs until SIGTERM (clean drain) or SIGKILL (the crash the
 recovery path exists for).
@@ -30,7 +31,7 @@ from ..app.kv import KVApp
 from ..core.iss import ISSNode
 from ..crypto.signatures import KeyStore
 from ..storage.durable import DurableNodeStorage
-from ..storage.recovery import boot_from_storage
+from ..storage.recovery import boot_from_storage, watch_catchup
 from .clock import WallClock
 from .transport import TcpTransport
 
@@ -71,7 +72,16 @@ async def run_node(spec, node_id: int) -> None:
         app.replaying = True
         info = boot_from_storage(node, storage, now=clock.now)
         app.replaying = False
-        _watch_catchup_end(clock, node, info.resume_epoch)
+        # Completing an epoch at or beyond the resume point means state
+        # transfer filled everything ordered while the process was down and
+        # live delivery has taken over.
+        watch_catchup(
+            clock,
+            CATCHUP_POLL_INTERVAL,
+            still_current=lambda: not node.crashed,
+            caught_up=lambda: node.epochs_completed > info.resume_epoch,
+            on_caught_up=node.end_recovery_catchup,
+        )
     else:
         node.start()
 
@@ -82,22 +92,3 @@ async def run_node(spec, node_id: int) -> None:
     await stopping.wait()
     await transport.close()
     storage.close()
-
-
-def _watch_catchup_end(clock: WallClock, node: ISSNode, resume_epoch: int) -> None:
-    """End aggressive catchup once the node progresses past its recovery.
-
-    Completing an epoch at or beyond the resume point means state transfer
-    filled everything ordered while the process was down and live
-    delivery has taken over; the periodic check re-arms until then.
-    """
-
-    def check() -> None:
-        if node.crashed:
-            return
-        if node.epochs_completed > resume_epoch:
-            node.end_recovery_catchup()
-            return
-        clock.schedule_callback(CATCHUP_POLL_INTERVAL, check)
-
-    clock.schedule_callback(CATCHUP_POLL_INTERVAL, check)

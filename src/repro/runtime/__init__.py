@@ -15,8 +15,8 @@ the wire layer that used to live inside the simulator package:
   scheduler), and
 * :mod:`repro.runtime.faults` — the pure-data fault specification
   dataclasses (crash, restart, straggler, Byzantine, malicious client,
-  membership change) consumed by both the simulator's fault injector and
-  the protocol code that honours them.
+  partition, link fault, membership change) consumed by both the
+  simulator's fault injector and the protocol code that honours them.
 
 The layering contract — enforced by ``tests/test_layering.py`` — is that
 nothing under ``core/``, ``pbft/``, ``hotstuff/``, ``raft/``, ``consensus/``

@@ -2,14 +2,17 @@
 
 The fault-spec family describes *what* goes wrong — which node crashes and
 when, who straggles, who is actively Byzantine, which client misbehaves,
-which membership change is scheduled.  The specs are plain frozen
-dataclasses with no scheduling behaviour, so they live on the runtime side
-of the node/transport boundary: protocol code honours them directly
-(:class:`~repro.core.iss.ISSNode` implements :class:`StragglerSpec` delays
-and :class:`ByzantineSpec` censorship itself), while *applying* them to a
-running deployment is backend business — the simulator's
-:class:`~repro.sim.faults.FaultInjector` schedules crashes, restarts,
-adversaries and partitions in virtual time.
+which links degrade or split, which membership change is scheduled.  This
+is the only module that defines a spec, and a fault schedule is one
+ordered sequence mixing every kind (``Deployment(faults=[...])``).  The
+specs are plain frozen dataclasses with no scheduling behaviour, so they
+live on the runtime side of the node/transport boundary: protocol code
+honours them directly (:class:`~repro.core.iss.ISSNode` implements
+:class:`StragglerSpec` delays and :class:`ByzantineSpec` censorship
+itself), while *applying* them to a running deployment is backend
+business — the simulator's :class:`~repro.sim.faults.FaultInjector` arms
+crashes, restarts, adversaries, partitions and link faults in virtual
+time through its one ``schedule(spec)`` entry point.
 
 Two kinds of faults matter for the paper's evaluation (Section 6.4):
 
@@ -24,14 +27,19 @@ Two kinds of faults matter for the paper's evaluation (Section 6.4):
 
 Beyond those, :class:`ByzantineSpec` describes an *actively malicious*
 node, :class:`MaliciousClientSpec` a misbehaving end user (Section 3.7's
-threat model), :class:`RestartSpec` brings a crashed node back, and
-:class:`MembershipSpec` schedules dynamic reconfiguration.
+threat model), :class:`RestartSpec` brings a crashed node back,
+:class:`MembershipSpec` schedules dynamic reconfiguration, and
+:class:`PartitionSpec` / :class:`LinkFaultSpec` make the *network itself*
+the adversary (a scheduled split → heal; a per-link directional
+degradation) — the failure mode the paper's epoch/checkpoint structure is
+supposed to ride out (Section 2.1's partially synchronous model).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 # The primitive id aliases, duplicated from repro.core.types: runtime is
 # the bottom layer and must not import upward into core (core imports
@@ -265,3 +273,143 @@ class MembershipSpec:
             raise ValueError("membership node ids are non-negative")
         if self.time < 0:
             raise ValueError("membership times are non-negative")
+
+
+@dataclass(frozen=True)
+class PartitionSpec:
+    """One scheduled network partition: split at ``start_time``, heal at
+    ``heal_time``.
+
+    ``groups`` lists the isolated endpoint groups; traffic crosses group
+    boundaries only through ``bridges`` — endpoints that stay connected to
+    *every* group (and to each other).  Endpoints mentioned nowhere default
+    to group 0, so clients keep reaching the first ("majority") group; list
+    a client endpoint explicitly to cut it off too.
+
+    The network supports one partition at a time: overlapping specs are
+    rejected by the injector, since a second split silently replacing the
+    first is never what a scenario means.
+    """
+
+    groups: Tuple[Tuple[NodeId, ...], ...]
+    start_time: float
+    heal_time: float
+    bridges: Tuple[NodeId, ...] = ()
+
+    def __post_init__(self) -> None:
+        # Normalise nested iterables into tuples so specs stay hashable.
+        object.__setattr__(
+            self, "groups", tuple(tuple(group) for group in self.groups)
+        )
+        object.__setattr__(self, "bridges", tuple(self.bridges))
+        if len(self.groups) < 2:
+            raise ValueError("a partition needs at least two groups")
+        seen: set = set()
+        for group in self.groups:
+            if not group:
+                raise ValueError("partition groups must be non-empty")
+            for node in group:
+                if node in seen:
+                    raise ValueError(f"endpoint {node} appears in two groups")
+                seen.add(node)
+        for bridge in self.bridges:
+            if bridge in seen:
+                raise ValueError(f"bridge {bridge} cannot also be in a group")
+        if self.start_time < 0:
+            raise ValueError("start_time must be non-negative")
+        if self.heal_time <= self.start_time:
+            raise ValueError("heal_time must be after start_time")
+
+
+@dataclass(frozen=True)
+class LinkFaultSpec:
+    """One directional link degradation, active on [start_time, end_time).
+
+    Effects compose on the ``src → dst`` direction only (model the reverse
+    direction with a second spec):
+
+    * ``block`` — drop everything while active (one-way block; the building
+      block of asymmetric connectivity).
+    * ``loss_rate`` — drop each payload independently with this probability.
+    * ``duplicate_rate`` — send an extra copy of each payload with this
+      probability (receivers' idempotence must absorb it).
+    * ``extra_delay`` — add up to this many seconds of uniform extra delay
+      per wire message, reordering it against other traffic on the link.
+    * ``flap_period`` / ``flap_up`` — the link cycles deterministically:
+      up for ``flap_up * flap_period`` seconds, then down (drops) for the
+      rest of each period, phase-anchored at ``start_time``.
+    * ``retransmit`` — model a *reliable transport* (TCP) under the loss:
+      a payload dropped by ``loss_rate`` or a flap-down window is re-offered
+      to the link after this many seconds (re-subjected to the link's chaos,
+      so repeated loss backs the payload up geometrically).  Loss then
+      degrades latency instead of silently eating protocol messages — which
+      is what BFT protocols assume of channels between correct nodes.  ``0``
+      (the default) makes drops permanent (a UDP-like link).  Incompatible
+      with ``block``: one-way blocks model routing-level unreachability,
+      which no amount of retransmission crosses.
+
+    ``seed`` feeds the per-fault RNG (mixed with the link endpoints), so two
+    faults with different seeds degrade differently but reproducibly.
+    """
+
+    src: NodeId
+    dst: NodeId
+    start_time: float = 0.0
+    end_time: float = math.inf
+    block: bool = False
+    loss_rate: float = 0.0
+    duplicate_rate: float = 0.0
+    extra_delay: float = 0.0
+    flap_period: float = 0.0
+    flap_up: float = 0.5
+    retransmit: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.src == self.dst:
+            raise ValueError("a link fault needs two distinct endpoints")
+        if self.start_time < 0:
+            raise ValueError("start_time must be non-negative")
+        if self.end_time <= self.start_time:
+            raise ValueError("end_time must be after start_time")
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ValueError("loss_rate must be in [0, 1)")
+        if not 0.0 <= self.duplicate_rate <= 1.0:
+            raise ValueError("duplicate_rate must be in [0, 1]")
+        if self.extra_delay < 0:
+            raise ValueError("extra_delay must be non-negative")
+        if self.flap_period < 0:
+            raise ValueError("flap_period must be non-negative")
+        if self.flap_period > 0 and not 0.0 < self.flap_up < 1.0:
+            raise ValueError("flap_up must be in (0, 1) when flapping")
+        if self.retransmit < 0:
+            raise ValueError("retransmit must be non-negative")
+        if self.retransmit > 0 and self.block:
+            raise ValueError(
+                "retransmit cannot cross a one-way block (routing-level "
+                "unreachability is not packet loss)"
+            )
+        if not (
+            self.block
+            or self.loss_rate > 0
+            or self.duplicate_rate > 0
+            or self.extra_delay > 0
+            or self.flap_period > 0
+        ):
+            raise ValueError("link fault configures no effect")
+
+
+def symmetric_split(
+    left: Iterable[NodeId],
+    right: Iterable[NodeId],
+    start_time: float,
+    heal_time: float,
+    bridges: Iterable[NodeId] = (),
+) -> PartitionSpec:
+    """Convenience builder for the common two-group split."""
+    return PartitionSpec(
+        groups=(tuple(left), tuple(right)),
+        start_time=start_time,
+        heal_time=heal_time,
+        bridges=tuple(bridges),
+    )

@@ -1,55 +1,33 @@
-"""Fault *injection* for the simulated network (the pure-data fault
-specifications it schedules live in :mod:`repro.runtime.faults`).
+"""Fault *injection* for the simulated network.
 
-Two kinds of faults matter for the paper's evaluation (Section 6.4):
+The fault specifications are pure data in :mod:`repro.runtime.faults`
+(which also says what each kind means for the paper's evaluation); this
+module turns them into virtual-time events.  What the injector does per
+kind:
 
-* **Crash faults** — a node stops participating entirely.  The evaluation
-  distinguishes *epoch-start* crashes (the leader dies right when an epoch
-  begins, a worst case for the number of proposed sequence numbers) and
-  *epoch-end* crashes (the leader dies just before proposing its last
-  sequence number, a worst case for epoch duration).
-* **Byzantine stragglers** — a leader delays its proposals as much as
-  possible without getting suspected and proposes empty batches, harming
-  latency and throughput without triggering the failure detector.
-
-A crash is no longer necessarily forever: :class:`RestartSpec` brings a
-crashed node back at a later virtual time.  The injector tears the old
-incarnation down (its timers and links died with the crash), reconnects
-the endpoint at the network layer, and delegates the actual rebuild to
-the harness through :attr:`FaultInjector.on_restart` — the deployment
-re-instantiates the node from its
-:class:`~repro.storage.node_storage.NodeStorage` via the recovery manager
-(see :mod:`repro.storage.recovery`).
-
-Beyond crashes and stragglers, :class:`ByzantineSpec` describes an
-*actively malicious* node.  Behaviours that manipulate what leaves the
-node (equivocation, forged votes, replay flooding) are installed as a
-per-node adversarial send hook on the :class:`Network` (built by
-:mod:`repro.sim.adversary`); behaviours that manipulate what the node
-*does* (bucket censorship) are honoured by the ISS node itself, exactly
-like :class:`StragglerSpec`.
-
-Faults are not restricted to replicas: :class:`MaliciousClientSpec`
-describes a misbehaving *end user* (Section 3.7's threat model — watermark
-abuse, duplicate flooding, bucket bias, forged signatures).  The harness
-builds an :class:`~repro.sim.client_adversary.AbusiveClient` for every
-spec'd client id and registers it here so ``start_time`` activation runs
-through the same scheduling path as the replica-side adversaries.
-
-The fifth member of the fault-spec family makes the *network itself* the
-adversary: :class:`~repro.sim.chaos.PartitionSpec` (scheduled split →
-heal) and :class:`~repro.sim.chaos.LinkFaultSpec` (per-link directional
-degradation) are defined in :mod:`repro.sim.chaos` and scheduled here,
-through the same injector, so partitions and degraded links compose with
-every node- and client-level fault.  When a partition heals the injector
-fires :attr:`FaultInjector.on_partition_heal` — the harness hooks the
-state-transfer catch-up there so nodes that fell behind while cut off
-reconverge immediately instead of waiting out an epoch timer.
-
-Crash/restart/adversary scheduling lives here (it is purely a
-network/timing concern); straggler and censorship behaviour is
-implemented inside the ISS node (:class:`repro.core.iss.ISSNode` honours
-:class:`StragglerSpec` and :class:`ByzantineSpec`).
+* :class:`CrashSpec` / :class:`RestartSpec` — crash the endpoint at the
+  network layer; on restart reconnect it and delegate the rebuild to the
+  harness through :attr:`FaultInjector.on_restart` (the deployment
+  re-instantiates the node from its
+  :class:`~repro.storage.node_storage.NodeStorage`, see
+  :mod:`repro.storage.recovery`).
+* :class:`ByzantineSpec` — behaviours that manipulate what *leaves* the
+  node (equivocation, forged votes, replay flooding) become a per-node
+  adversarial send hook on the :class:`Network` (built by
+  :mod:`repro.sim.adversary`); behaviours that manipulate what the node
+  *does* (bucket censorship) are honoured by the ISS node itself, exactly
+  like :class:`StragglerSpec`.
+* :class:`MaliciousClientSpec` — the harness builds an
+  :class:`~repro.sim.client_adversary.AbusiveClient` for the spec'd client
+  and registers it here, so ``start_time`` activation runs through the
+  same scheduling path as the replica-side adversaries.
+* :class:`PartitionSpec` / :class:`LinkFaultSpec` — split and heal the
+  network, install and remove link degradations.  When a partition heals
+  the injector fires :attr:`FaultInjector.on_partition_heal` — the harness
+  hooks the state-transfer catch-up there so nodes that fell behind while
+  cut off reconverge immediately instead of waiting out an epoch timer.
+* :class:`MembershipSpec` — fire :attr:`FaultInjector.on_membership_change`
+  when an add/remove falls due; the harness submits the ConfigTx.
 """
 
 from __future__ import annotations
@@ -57,42 +35,43 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.types import ClientId, EpochNr, NodeId
-from .chaos import ActiveLinkFault, LinkFaultSpec, PartitionSpec
-from .network import Network
-from .simulator import Simulator
-
 from ..runtime.faults import (
     CRASH_AT_TIME,
     CRASH_EPOCH_START,
     MEMBER_EVICT_DETECTED,
     ByzantineSpec,
     CrashSpec,
+    LinkFaultSpec,
     MaliciousClientSpec,
     MembershipSpec,
+    PartitionSpec,
     RestartSpec,
+    StragglerSpec,
 )
+from .chaos import ActiveLinkFault
+from .network import Network
+from .simulator import Simulator
 
 
 class FaultInjector:
-    """Applies :class:`CrashSpec` schedules to a running deployment.
+    """Arms fault specs on a running simulated deployment.
 
-    Epoch-anchored crashes need a hook into the victim's ISS node to learn
-    when the epoch starts / when its last proposal is about to go out; the
-    harness wires those callbacks via :meth:`attach_epoch_hooks`.
+    :meth:`schedule` is the one entry point: it dispatches on the spec's
+    class to the private arming routine of that kind.  Epoch-anchored
+    crashes cannot be armed on a clock — the victim's ISS node reports
+    when an epoch starts / when its last proposal is about to go out
+    through :meth:`notify_epoch_start` and :meth:`notify_last_proposal`
+    (the node receives the injector as its ``fault_injector``).
     """
 
     def __init__(self, sim: Simulator, network: Network):
         self.sim = sim
         self.network = network
-        self._crash_specs: List[CrashSpec] = []
         self._crashed: List[NodeId] = []
-        self._restart_specs: List[RestartSpec] = []
         #: ``(node, virtual time)`` of every restart performed so far.
         self._restarted: List[tuple] = []
-        self._byzantine_specs: List[ByzantineSpec] = []
         #: Installed adversarial senders by node (see :mod:`.adversary`).
         self._adversaries: Dict[NodeId, object] = {}
-        self._malicious_client_specs: List[MaliciousClientSpec] = []
         #: Registered abusive clients by client id (see :mod:`.client_adversary`).
         self._abusive_clients: Dict[ClientId, object] = {}
         self._epoch_start_watch: Dict[NodeId, List[CrashSpec]] = {}
@@ -101,7 +80,6 @@ class FaultInjector:
         #: One record per scheduled partition (started_at/healed_at filled in
         #: as the schedule executes; the harness appends reconvergence data).
         self._partition_records: List[Dict[str, object]] = []
-        self._link_fault_specs: List[LinkFaultSpec] = []
         #: Runtime handles of installed link faults, kept after removal so
         #: their drop/duplicate counters survive into the report.
         self._link_fault_runtimes: List[ActiveLinkFault] = []
@@ -119,7 +97,6 @@ class FaultInjector:
         self.on_partition_heal: Optional[
             Callable[[PartitionSpec, Dict[str, object]], None]
         ] = None
-        self._membership_specs: List[MembershipSpec] = []
         #: Called when a scheduled add/remove falls due: ``fn(spec)``.  The
         #: harness submits the ConfigTx through its admin client here (the
         #: injector owns timing, the harness owns client construction —
@@ -127,8 +104,19 @@ class FaultInjector:
         self.on_membership_change: Optional[Callable[[MembershipSpec], None]] = None
 
     # ------------------------------------------------------------- schedule
-    def schedule(self, spec: CrashSpec) -> None:
-        self._crash_specs.append(spec)
+    def schedule(self, spec) -> None:
+        """Arm one fault spec of any kind (the one arming entry point).
+
+        Specs whose start time already passed take effect immediately;
+        anything that is not one of the eight spec classes of
+        :mod:`repro.runtime.faults` is a ``TypeError``.
+        """
+        arm = _ARMERS.get(spec.__class__)
+        if arm is None:
+            raise TypeError(f"not a fault spec: {spec!r}")
+        arm(self, spec)
+
+    def _arm_crash(self, spec: CrashSpec) -> None:
         if spec.trigger == CRASH_AT_TIME:
             self.sim.schedule_at(spec.time, lambda: self.crash_now(spec.node))
         elif spec.trigger == CRASH_EPOCH_START:
@@ -136,29 +124,15 @@ class FaultInjector:
         else:
             self._epoch_end_watch.setdefault(spec.node, []).append(spec)
 
-    def schedule_all(self, specs: Sequence[CrashSpec]) -> None:
-        for spec in specs:
-            self.schedule(spec)
-
-    def schedule_restart(self, spec: RestartSpec) -> None:
-        """Schedule a :class:`RestartSpec` (absolute virtual time)."""
-        self._restart_specs.append(spec)
+    def _arm_restart(self, spec: RestartSpec) -> None:
         self.sim.schedule_at(spec.time, lambda: self.restart_now(spec.node))
 
-    def schedule_restarts(self, specs: Sequence[RestartSpec]) -> None:
-        for spec in specs:
-            self.schedule_restart(spec)
-
-    def schedule_byzantine(self, spec: ByzantineSpec) -> None:
-        """Arm one :class:`ByzantineSpec`.
-
-        Send-manipulating behaviours install an adversarial hook on the
+    def _arm_byzantine(self, spec: ByzantineSpec) -> None:
+        """Send-manipulating behaviours install an adversarial hook on the
         network at ``spec.start_time``; node-level behaviours (censorship)
         are honoured by the node itself and need no network hook.  The hook
         survives crash/restart of the node — a restarted Byzantine node
-        stays Byzantine.
-        """
-        self._byzantine_specs.append(spec)
+        stays Byzantine."""
         from .adversary import make_adversary  # deferred: adversary imports protocol types
 
         adversary = make_adversary(spec)
@@ -171,27 +145,14 @@ class FaultInjector:
                 spec.start_time, lambda: self._install_adversary(spec.node, adversary)
             )
 
-    def schedule_byzantines(self, specs: Sequence[ByzantineSpec]) -> None:
-        for spec in specs:
-            self.schedule_byzantine(spec)
-
     def _install_adversary(self, node: NodeId, adversary) -> None:
         self._adversaries[node] = adversary
         self.network.set_adversary(node, adversary)
 
-    def schedule_malicious_client(self, spec: MaliciousClientSpec) -> None:
-        """Record one :class:`MaliciousClientSpec`.
-
-        The abusive client *process* is built by the harness (it owns
-        client construction); :meth:`register_abusive_client` then arms the
-        ``start_time`` activation here, mirroring how replica-side
-        adversaries are installed.
-        """
-        self._malicious_client_specs.append(spec)
-
-    def schedule_malicious_clients(self, specs: Sequence[MaliciousClientSpec]) -> None:
-        for spec in specs:
-            self.schedule_malicious_client(spec)
+    def _arm_nothing(self, spec) -> None:
+        """Specs honoured where the behaviour lives: a straggler by its ISS
+        node, a malicious client by the ``AbusiveClient`` process the
+        harness builds and hands to :meth:`register_abusive_client`."""
 
     def register_abusive_client(self, client) -> None:
         """Attach a built :class:`~repro.sim.client_adversary.AbusiveClient`
@@ -204,17 +165,11 @@ class FaultInjector:
         else:
             self.sim.schedule_at(start, client.activate_abuse)
 
-    # ----------------------------------------------------------- membership
-    def schedule_membership(self, spec: MembershipSpec) -> None:
-        """Arm one :class:`MembershipSpec`.
-
-        ``add``/``remove`` fire :attr:`on_membership_change` at the spec's
+    def _arm_membership(self, spec: MembershipSpec) -> None:
+        """``add``/``remove`` fire :attr:`on_membership_change` at the spec's
         time (immediately when that time already passed); the harness then
         submits the ConfigTx through its admin client.  ``evict-detected``
-        specs are recorded only — the harness drives the detection watch
-        through its epoch hooks.
-        """
-        self._membership_specs.append(spec)
+        arms nothing here — the harness polls the failure history itself."""
         if spec.action == MEMBER_EVICT_DETECTED:
             return
 
@@ -227,17 +182,9 @@ class FaultInjector:
         else:
             self.sim.schedule_at(spec.time, fire)
 
-    def schedule_memberships(self, specs: Sequence["MembershipSpec"]) -> None:
-        for spec in specs:
-            self.schedule_membership(spec)
-
-    def membership_specs(self) -> Sequence["MembershipSpec"]:
-        return tuple(self._membership_specs)
-
     # ------------------------------------------------------- network chaos
-    def schedule_partition(self, spec: PartitionSpec) -> None:
-        """Arm one :class:`~repro.sim.chaos.PartitionSpec`: split at
-        ``start_time``, heal at ``heal_time``.
+    def _arm_partition(self, spec: PartitionSpec) -> None:
+        """Split at ``start_time``, heal at ``heal_time``.
 
         The network supports one partition at a time, so overlapping specs
         are rejected here rather than silently replacing each other.
@@ -265,10 +212,6 @@ class FaultInjector:
             spec.heal_time, lambda: self.heal_partition_now(spec, record)
         )
 
-    def schedule_partitions(self, specs: Sequence[PartitionSpec]) -> None:
-        for spec in specs:
-            self.schedule_partition(spec)
-
     def partition_now(self, spec: PartitionSpec, record: Dict[str, object]) -> None:
         """Apply a scheduled partition (the split side of the schedule)."""
         self.network.partition(spec.groups, bridges=spec.bridges)
@@ -290,10 +233,8 @@ class FaultInjector:
         if self.on_partition_heal is not None:
             self.on_partition_heal(spec, record)
 
-    def schedule_link_fault(self, spec: LinkFaultSpec) -> None:
-        """Arm one :class:`~repro.sim.chaos.LinkFaultSpec`: install at
-        ``start_time``, remove at ``end_time`` (if finite)."""
-        self._link_fault_specs.append(spec)
+    def _arm_link_fault(self, spec: LinkFaultSpec) -> None:
+        """Install at ``start_time``, remove at ``end_time`` (if finite)."""
 
         def install() -> None:
             fault = self.network.install_link_fault(spec)
@@ -307,10 +248,6 @@ class FaultInjector:
             install()
         else:
             self.sim.schedule_at(spec.start_time, install)
-
-    def schedule_link_faults(self, specs: Sequence[LinkFaultSpec]) -> None:
-        for spec in specs:
-            self.schedule_link_fault(spec)
 
     # ---------------------------------------------------------------- hooks
     def notify_epoch_start(self, node: NodeId, epoch: EpochNr) -> None:
@@ -363,18 +300,10 @@ class FaultInjector:
         """``(node, time)`` pairs of every restart performed so far."""
         return tuple(self._restarted)
 
-    def byzantine_nodes(self) -> Sequence[NodeId]:
-        """Nodes covered by a scheduled :class:`ByzantineSpec`."""
-        return tuple(spec.node for spec in self._byzantine_specs)
-
     def adversary_for(self, node: NodeId):
         """The installed adversarial sender of ``node`` (None before
         ``start_time`` and for node-level behaviours such as censorship)."""
         return self._adversaries.get(node)
-
-    def malicious_clients(self) -> Sequence[ClientId]:
-        """Client ids covered by a scheduled :class:`MaliciousClientSpec`."""
-        return tuple(spec.client for spec in self._malicious_client_specs)
 
     def abusive_client_for(self, client_id: ClientId):
         """The registered abusive client process for ``client_id`` (None for
@@ -390,3 +319,17 @@ class FaultInjector:
         """Per-installed-link-fault drop/duplicate counters (stable order:
         installation order)."""
         return [fault.stats() for fault in self._link_fault_runtimes]
+
+
+#: Arming routine by exact spec class: the dispatch table of
+#: :meth:`FaultInjector.schedule`.
+_ARMERS = {
+    CrashSpec: FaultInjector._arm_crash,
+    RestartSpec: FaultInjector._arm_restart,
+    StragglerSpec: FaultInjector._arm_nothing,
+    ByzantineSpec: FaultInjector._arm_byzantine,
+    MaliciousClientSpec: FaultInjector._arm_nothing,
+    PartitionSpec: FaultInjector._arm_partition,
+    LinkFaultSpec: FaultInjector._arm_link_fault,
+    MembershipSpec: FaultInjector._arm_membership,
+}

@@ -40,6 +40,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.config import NetworkConfig
 from ..core.types import NodeId
+from ..runtime.faults import LinkFaultSpec
 from ..runtime.wire import (
     MessageBatcher,
     MessageBatchMsg,
@@ -54,7 +55,6 @@ from .chaos import (
     DROP_PARTITION,
     DROP_RANDOM,
     ActiveLinkFault,
-    LinkFaultSpec,
 )
 from .latency import LatencyModel
 from .simulator import Simulator

@@ -28,7 +28,7 @@ which the restart golden trace pins (``tests/data/golden_trace_recovery.json``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from .node_storage import NodeStorage
 from .wal import RECORD_CHECKPOINT, RECORD_COMMIT
@@ -154,3 +154,33 @@ def boot_from_storage(
     node.start_at(info.resume_epoch)
     node.begin_recovery_catchup()
     return info
+
+
+def watch_catchup(
+    scheduler,
+    interval: float,
+    still_current: Callable[[], bool],
+    caught_up: Callable[[], bool],
+    on_caught_up: Callable[[], None],
+) -> None:
+    """Poll every ``interval`` until a booted node is back at the frontier.
+
+    The one catch-up watcher behind restarts, joins, post-heal
+    reconvergence and the live per-node process.  A watch is bound to the
+    incarnation(s) it was started for: the tick that finds
+    ``still_current()`` false gives up silently (whoever replaced the
+    incarnation started a watch of its own, and the caller's record keeps
+    its "never caught up" marker).  Otherwise the tick that finds
+    ``caught_up()`` runs ``on_caught_up()`` — which ends the aggressive
+    catch-up and fills the record — and any other tick re-arms.
+    """
+
+    def tick() -> None:
+        if not still_current():
+            return
+        if caught_up():
+            on_caught_up()
+            return
+        scheduler.schedule_callback(interval, tick)
+
+    scheduler.schedule_callback(interval, tick)

@@ -1,22 +1,19 @@
 """Fault-schedule builders for the evaluation scenarios (Section 6.4).
 
 Thin convenience layer over the fault *specifications* in
-:mod:`repro.runtime.faults` (and the network-chaos ones in
-:mod:`repro.sim.chaos`): this module builds the particular schedules the
-paper's figures use.
+:mod:`repro.runtime.faults`: this module builds the particular schedules
+the paper's figures use.  Every builder returns a list, and a run's
+``Deployment(faults=...)`` is the concatenation of as many as it needs.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..sim.chaos import LinkFaultSpec, PartitionSpec, symmetric_split
 from ..runtime.faults import (
-    BYZ_CENSOR,
     BYZ_EQUIVOCATE,
     CLIENT_FORGED_SIGNATURE,
     CLIENT_WATERMARK_ABUSE,
-    CRASH_AT_TIME,
     CRASH_EPOCH_END,
     CRASH_EPOCH_START,
     MEMBER_ADD,
@@ -24,9 +21,12 @@ from ..runtime.faults import (
     MEMBER_REMOVE,
     ByzantineSpec,
     CrashSpec,
+    LinkFaultSpec,
     MaliciousClientSpec,
     MembershipSpec,
+    PartitionSpec,
     StragglerSpec,
+    symmetric_split,
 )
 from ..core.types import BucketId, ClientId, NodeId
 
@@ -47,15 +47,6 @@ def epoch_end_crashes(count: int, num_nodes: int, epoch: int = 0) -> List[CrashS
     _check_count(count, num_nodes)
     victims = [num_nodes - 1 - i for i in range(count)]
     return [CrashSpec(node=v, trigger=CRASH_EPOCH_END, epoch=epoch) for v in victims]
-
-
-def crashes_at(times: Sequence[float], num_nodes: int) -> List[CrashSpec]:
-    """One crash per entry of ``times``, victims counted down from the top."""
-    _check_count(len(times), num_nodes)
-    return [
-        CrashSpec(node=num_nodes - 1 - i, trigger=CRASH_AT_TIME, time=t)
-        for i, t in enumerate(times)
-    ]
 
 
 def stragglers(count: int, num_nodes: int, delay: float = 5.0) -> List[StragglerSpec]:
@@ -222,41 +213,6 @@ def flapping_links(
             end_time=end_time,
             flap_period=flap_period,
             flap_up=flap_up,
-            retransmit=retransmit,
-            seed=seed,
-        )
-        for src, dst in pairs
-    ]
-
-
-def lossy_links(
-    pairs: Sequence[tuple],
-    loss_rate: float,
-    duplicate_rate: float = 0.0,
-    extra_delay: float = 0.0,
-    start_time: float = 0.0,
-    end_time: float = float("inf"),
-    retransmit: float = 0.0,
-    seed: int = 0,
-) -> List[LinkFaultSpec]:
-    """Degraded (not severed) links: per-payload loss, duplication and
-    added delay, with a deterministic per-link RNG derived from ``seed``.
-
-    ``retransmit`` > 0 puts a reliable transport under the loss (dropped
-    payloads are re-offered after that many seconds), which is the
-    deployment-faithful configuration: BFT protocols assume channels
-    between correct nodes eventually deliver.  Leave it 0 to model raw
-    datagram loss and stress the recovery machinery instead.
-    """
-    return [
-        LinkFaultSpec(
-            src=src,
-            dst=dst,
-            start_time=start_time,
-            end_time=end_time,
-            loss_rate=loss_rate,
-            duplicate_rate=duplicate_rate,
-            extra_delay=extra_delay,
             retransmit=retransmit,
             seed=seed,
         )

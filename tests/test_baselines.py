@@ -28,9 +28,9 @@ class TestFixedLeaderPolicy:
         assert policy.leaders(3, FailureHistory()) == [0]
 
 
-def run_deployment(config, node_class=None, policy_factory=None, crash_specs=(), duration=8.0, rate=200.0):
+def run_deployment(config, node_class=None, policy_factory=None, faults=(), duration=8.0, rate=200.0):
     workload = WorkloadConfig(num_clients=4, total_rate=rate, duration=duration, payload_size=128)
-    kwargs = dict(workload=workload, crash_specs=crash_specs, drain_time=8.0)
+    kwargs = dict(workload=workload, faults=faults, drain_time=8.0)
     if node_class is not None:
         kwargs["node_class"] = node_class
     if policy_factory is not None:
@@ -98,7 +98,7 @@ class TestMirBFT:
         result = run_deployment(
             self.make_config(),
             node_class=MirBFTNode,
-            crash_specs=epoch_start_crashes(1, 4, epoch=0),
+            faults=epoch_start_crashes(1, 4, epoch=0),
             duration=45.0,
             rate=200.0,
         )
@@ -119,6 +119,6 @@ class TestMirBFT:
     def test_mirbft_latency_worse_than_iss_under_crash(self):
         """ISS recovers once; Mir keeps stalling on the crashed primary."""
         crash = epoch_start_crashes(1, 4, epoch=0)
-        iss = run_deployment(self.make_config(), crash_specs=crash, duration=40.0)
-        mir = run_deployment(self.make_config(), node_class=MirBFTNode, crash_specs=crash, duration=40.0)
+        iss = run_deployment(self.make_config(), faults=crash, duration=40.0)
+        mir = run_deployment(self.make_config(), node_class=MirBFTNode, faults=crash, duration=40.0)
         assert mir.report.latency.mean > iss.report.latency.mean

@@ -24,13 +24,12 @@ import pytest
 from repro.consensus.brb import BrbSend, ReliableBroadcast
 from repro.core.config import ISSConfig, NetworkConfig, WorkloadConfig
 from repro.core.types import Batch, Request, RequestId
+from repro.harness.invariants import check_prefix_identity
 from repro.harness.runner import Deployment
 from repro.harness.scenarios import (
     byzantine_point,
     censorship_rotation,
     correct_nodes,
-    delivered_prefix_matches,
-    prefixes_identical,
 )
 from repro.sim.adversary import (
     EquivocationAdversary,
@@ -79,16 +78,13 @@ def run_adversarial(
     rate=300.0,
     drain_time=10.0,
     batch_flush_interval=0.0,
-    crash_specs=(),
-    restart_specs=(),
+    other_faults=(),
 ):
     deployment = Deployment(
         config,
         network_config=NetworkConfig(batch_flush_interval=batch_flush_interval),
         workload=WorkloadConfig(num_clients=4, total_rate=rate, duration=duration),
-        byzantine_specs=specs,
-        crash_specs=crash_specs,
-        restart_specs=restart_specs,
+        faults=[*specs, *other_faults],
         drain_time=drain_time,
     )
     return deployment, deployment.run()
@@ -134,7 +130,7 @@ class TestEquivocation:
         )
         report = result.report
         correct = correct_nodes(result, specs)
-        assert prefixes_identical(correct)
+        assert check_prefix_identity(correct) == []
         assert report.completed > 0
         # The adversary actually attacked...
         assert deployment.injector.adversary_for(3).equivocations_sent > 0
@@ -154,7 +150,7 @@ class TestEquivocation:
             small_config("hotstuff"), specs, duration=12.0, drain_time=12.0
         )
         correct = correct_nodes(result, specs)
-        assert prefixes_identical(correct)
+        assert check_prefix_identity(correct) == []
         assert result.report.completed > 0
         assert all(node.nil_committed > 0 for node in correct)
         sample = correct[0]
@@ -168,7 +164,7 @@ class TestEquivocation:
         )
         correct = correct_nodes(result, specs)
         assert len(correct) == 5
-        assert prefixes_identical(correct)
+        assert check_prefix_identity(correct) == []
         assert result.report.completed > 0
 
     def test_delayed_start(self):
@@ -177,7 +173,7 @@ class TestEquivocation:
         deployment, result = run_adversarial(small_config(), [spec])
         adversary = deployment.injector.adversary_for(3)
         assert adversary is not None and adversary.equivocations_sent > 0
-        assert prefixes_identical(correct_nodes(result, [spec]))
+        assert check_prefix_identity(correct_nodes(result, [spec])) == []
 
 
 class TestCensorship:
@@ -197,7 +193,7 @@ class TestCensorship:
         # honest leader (the generous drain covers the rotation lag).
         assert censored["completed"] == censored["submitted"]
         assert censored["latency"].count == censored["completed"]
-        assert prefixes_identical(correct_nodes(result, specs))
+        assert check_prefix_identity(correct_nodes(result, specs)) == []
         # The adversary's own queues hold no hostage requests at the end.
         for node in correct_nodes(result, specs):
             assert node.buckets.pending_in(buckets) == 0
@@ -236,7 +232,7 @@ class TestCensorship:
             config, specs, duration=10.0, drain_time=15.0
         )
         correct = correct_nodes(result, specs)
-        assert prefixes_identical(correct)
+        assert check_prefix_identity(correct) == []
         assert result.report.completed > 0
         if behaviour == BYZ_CENSOR:
             censored = result.report.byzantine["censored"]
@@ -255,7 +251,7 @@ class TestInvalidVotes:
         deployment, result = run_adversarial(small_config(), specs)
         report = result.report
         correct = correct_nodes(result, specs)
-        assert prefixes_identical(correct)
+        assert check_prefix_identity(correct) == []
         assert report.completed > 0
         assert deployment.injector.adversary_for(3).votes_forged > 0
         per_node = report.byzantine["per_node"]
@@ -271,7 +267,7 @@ class TestInvalidVotes:
             small_config("hotstuff"), specs, duration=10.0, drain_time=12.0
         )
         correct = correct_nodes(result, specs)
-        assert prefixes_identical(correct)
+        assert check_prefix_identity(correct) == []
         assert result.report.completed > 0
         assert sum(node.invalid_votes_rejected for node in correct) > 0
 
@@ -287,7 +283,7 @@ class TestReplayFlooding:
         adversary = deployment.injector.adversary_for(3)
         assert adversary.duplicates_sent > 0
         correct = correct_nodes(result, specs)
-        assert prefixes_identical(correct)
+        assert check_prefix_identity(correct) == []
         assert report.completed > 0
         # Idempotence: no request is ever delivered twice at any node.
         for node in correct:
@@ -329,15 +325,17 @@ class TestAdversaryCrashInterplay:
             duration=20.0,
             drain_time=12.0,
             batch_flush_interval=flush_interval,
-            crash_specs=[CrashSpec(node=1, trigger="at-time", time=4.0)],
-            restart_specs=[RestartSpec(node=1, time=12.0)],
+            other_faults=[
+                CrashSpec(node=1, trigger="at-time", time=4.0),
+                RestartSpec(node=1, time=12.0),
+            ],
         )
         report = result.report
         assert report.recoveries, "the restarted node must produce a recovery record"
         assert report.recoveries[0]["time_to_caught_up"] >= 0.0
         correct = correct_nodes(result, specs)
         assert len(correct) == 3  # restarted node counts as correct again
-        assert prefixes_identical(correct)
+        assert check_prefix_identity(correct) == []
         restarted = result.nodes[1]
         assert restarted.delivered_count() > 0
         assert report.completed > 0
@@ -350,12 +348,14 @@ class TestAdversaryCrashInterplay:
             specs,
             duration=18.0,
             drain_time=10.0,
-            crash_specs=[CrashSpec(node=3, trigger="at-time", time=5.0)],
-            restart_specs=[RestartSpec(node=3, time=9.0)],
+            other_faults=[
+                CrashSpec(node=3, trigger="at-time", time=5.0),
+                RestartSpec(node=3, time=9.0),
+            ],
         )
         assert deployment.injector.adversary_for(3) is not None
         correct = correct_nodes(result, specs)
-        assert prefixes_identical(correct)
+        assert check_prefix_identity(correct) == []
         assert result.report.completed > 0
 
 

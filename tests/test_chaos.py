@@ -12,14 +12,11 @@ import pytest
 from repro.core.config import ConfigError, ISSConfig, NetworkConfig, WorkloadConfig
 from repro.core.client import Client
 from repro.crypto.signatures import KeyStore
+from repro.harness.invariants import check_prefix_identity
 from repro.harness.runner import Deployment
+from repro.runtime.faults import LinkFaultSpec, PartitionSpec, symmetric_split
 from repro.runtime.wire import register_batchable
-from repro.sim.chaos import (
-    DROP_CAUSES,
-    LinkFaultSpec,
-    PartitionSpec,
-    symmetric_split,
-)
+from repro.sim.chaos import DROP_CAUSES
 from repro.sim.faults import FaultInjector
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
@@ -27,7 +24,6 @@ from repro.sim.simulator import Simulator
 from repro.workload.faults import (
     bridge_partition,
     flapping_links,
-    lossy_links,
     minority_partition,
     one_way_blocks,
 )
@@ -73,11 +69,11 @@ class TestPartitionSpecValidation:
     def test_injector_rejects_overlapping_partitions(self):
         sim, net = build_network()
         injector = FaultInjector(sim, net)
-        injector.schedule_partition(symmetric_split((0, 1), (2, 3), 1.0, 5.0))
+        injector.schedule(symmetric_split((0, 1), (2, 3), 1.0, 5.0))
         with pytest.raises(ValueError):
-            injector.schedule_partition(symmetric_split((0, 2), (1, 3), 4.0, 6.0))
+            injector.schedule(symmetric_split((0, 2), (1, 3), 4.0, 6.0))
         # Non-overlapping back-to-back schedules are fine.
-        injector.schedule_partition(symmetric_split((0, 1), (2, 3), 5.0, 6.0))
+        injector.schedule(symmetric_split((0, 1), (2, 3), 5.0, 6.0))
 
 
 class TestLinkFaultSpecValidation:
@@ -320,7 +316,7 @@ def run_partitioned(config=None, partition=(2.0, 6.0), duration=8.0, **kwargs):
         config,
         network_config=chaos_test_network(),
         workload=WorkloadConfig(num_clients=4, total_rate=100.0, duration=duration),
-        partition_specs=minority_partition(
+        faults=minority_partition(
             1, config.num_nodes, partition[0], partition[1]
         ),
         drain_time=10.0,
@@ -361,7 +357,7 @@ class TestPartitionRecovery:
             config,
             network_config=chaos_test_network(),
             workload=WorkloadConfig(num_clients=4, total_rate=100.0, duration=10.0),
-            partition_specs=bridge_partition(5, 2, 2.0, 6.0),
+            faults=bridge_partition(5, 2, 2.0, 6.0),
             drain_time=15.0,
         )
         result = deployment.run()
@@ -370,9 +366,7 @@ class TestPartitionRecovery:
         assert all(
             c.requests_completed == c.requests_submitted for c in result.clients
         )
-        from repro.harness.scenarios import prefixes_identical
-
-        assert prefixes_identical(result.nodes)
+        assert check_prefix_identity(result.nodes) == []
         # The healed minority reached (at least) the frontier the cluster
         # held when reconvergence was detected; only requests still in
         # flight at the cut-off may separate the logs.
@@ -391,7 +385,7 @@ class TestPartitionRecovery:
             config,
             network_config=chaos_test_network(),
             workload=WorkloadConfig(num_clients=4, total_rate=100.0, duration=8.0),
-            link_fault_specs=one_way_blocks([(0, 3)], 2.0, 6.0),
+            faults=one_way_blocks([(0, 3)], 2.0, 6.0),
             drain_time=10.0,
         )
         result = deployment.run()
@@ -406,7 +400,7 @@ class TestPartitionRecovery:
             config,
             network_config=chaos_test_network(),
             workload=WorkloadConfig(num_clients=4, total_rate=100.0, duration=8.0),
-            link_fault_specs=flapping_links(
+            faults=flapping_links(
                 [(0, 3), (3, 0)], flap_period=2.0, retransmit=0.5, seed=5
             ),
             drain_time=10.0,
@@ -424,9 +418,9 @@ class TestPartitionRecovery:
             config,
             network_config=chaos_test_network(),
             workload=WorkloadConfig(num_clients=4, total_rate=100.0, duration=6.0),
-            link_fault_specs=lossy_links(
-                [(2, 1)], loss_rate=0.3, retransmit=0.5, seed=9
-            ),
+            faults=[
+                LinkFaultSpec(src=2, dst=1, loss_rate=0.3, retransmit=0.5, seed=9)
+            ],
             drain_time=8.0,
         )
         result = deployment.run()

@@ -26,11 +26,11 @@ from repro.core.client import Client
 from repro.core.config import ISSConfig, NetworkConfig, WorkloadConfig
 from repro.core.types import Batch, RequestId
 from repro.core.validation import ClientWatermarks
+from repro.harness.invariants import check_prefix_identity
 from repro.harness.runner import Deployment
 from repro.harness.scenarios import (
     client_abuse_point,
     client_abuse_sweep,
-    prefixes_identical,
     watermark_stall,
 )
 from repro.sim.client_adversary import AbusiveClient
@@ -79,7 +79,7 @@ def run_abusive(
         workload=WorkloadConfig(
             num_clients=num_clients, total_rate=rate, duration=duration
         ),
-        malicious_client_specs=specs,
+        faults=specs,
         drain_time=drain_time,
     )
     return deployment, deployment.run()
@@ -140,7 +140,7 @@ class TestMaliciousClientSpec:
             Deployment(
                 config,
                 workload=WorkloadConfig(num_clients=4, total_rate=100.0, duration=1.0),
-                malicious_client_specs=[MaliciousClientSpec(client=9)],
+                faults=[MaliciousClientSpec(client=9)],
             )
 
     def test_deployment_rejects_duplicate_specs_for_one_client(self):
@@ -149,7 +149,7 @@ class TestMaliciousClientSpec:
             Deployment(
                 config,
                 workload=WorkloadConfig(num_clients=4, total_rate=100.0, duration=1.0),
-                malicious_client_specs=[
+                faults=[
                     MaliciousClientSpec(client=3, behaviour=CLIENT_WATERMARK_ABUSE),
                     MaliciousClientSpec(client=3, behaviour=CLIENT_DUPLICATE_FLOOD),
                 ],
@@ -160,11 +160,11 @@ class TestMaliciousClientSpec:
         deployment = Deployment(
             config,
             workload=WorkloadConfig(num_clients=4, total_rate=100.0, duration=1.0),
-            malicious_client_specs=[MaliciousClientSpec(client=3)],
+            faults=[MaliciousClientSpec(client=3)],
         )
         assert isinstance(deployment.clients[3], AbusiveClient)
         assert not isinstance(deployment.clients[0], AbusiveClient)
-        assert deployment.injector.malicious_clients() == (3,)
+        assert deployment.faults_of(MaliciousClientSpec) == [MaliciousClientSpec(client=3)]
         assert deployment.injector.abusive_client_for(3) is deployment.clients[3]
 
 
@@ -191,7 +191,7 @@ class TestWatermarkAbuse:
         for client in correct_clients(result, specs):
             assert client.requests_completed == client.requests_submitted
             assert result.nodes[0].watermarks.low_watermark(client.client_id) > 0
-        assert prefixes_identical(result.nodes)
+        assert check_prefix_identity(result.nodes) == []
 
     def test_delayed_start_behaves_honestly_first(self):
         config = abusive_config()
@@ -204,7 +204,7 @@ class TestWatermarkAbuse:
         assert abuser.out_of_window_sent > 0
         # Honest-phase submissions before t=4 completed like anyone's.
         assert abuser.requests_completed > 0
-        assert prefixes_identical(result.nodes)
+        assert check_prefix_identity(result.nodes) == []
 
     def test_out_of_order_buffers_bounded_and_pruned(self):
         """Gap-leavers cannot inflate node memory beyond the window."""
@@ -249,7 +249,7 @@ class TestDuplicateFlood:
         assert stats["requests_completed"] == stats["requests_submitted"]
         for client in correct_clients(result, specs):
             assert client.requests_completed == client.requests_submitted
-        assert prefixes_identical(result.nodes)
+        assert check_prefix_identity(result.nodes) == []
 
     def test_flood_only_adds_traffic(self):
         """Flooding inflates wire messages, never what anyone delivers."""
@@ -260,7 +260,7 @@ class TestDuplicateFlood:
             noisy_dep.network.stats.messages_sent
             > clean_dep.network.stats.messages_sent
         )
-        assert prefixes_identical(noisy.nodes)
+        assert check_prefix_identity(noisy.nodes) == []
 
 
 class TestBucketBias:
@@ -293,7 +293,7 @@ class TestBucketBias:
         # unharmed.
         for client in correct_clients(result, specs):
             assert client.requests_completed == client.requests_submitted
-        assert prefixes_identical(result.nodes)
+        assert check_prefix_identity(result.nodes) == []
 
     def test_payload_cannot_move_a_request_between_buckets(self):
         """The bucket hash covers c||t only: payload crafting is a no-op."""
@@ -325,7 +325,7 @@ class TestForgedSignatures:
         assert victim_client.requests_completed == victim_client.requests_submitted
         # Nothing forged was ever delivered: no forged timestamp (descending
         # from the window top) appears in any node's delivered filter or log.
-        assert prefixes_identical(result.nodes)
+        assert check_prefix_identity(result.nodes) == []
         for node in result.nodes:
             assert node.validator.stats.bad_signature >= stats["forged_sent"]
 
@@ -350,7 +350,7 @@ class TestMixedAbuseAndReplicaFaults:
         assert report.client_abuse["per_client"][4]["duplicates"] > 0
         for client in correct_clients(result, specs):
             assert client.requests_completed == client.requests_submitted
-        assert prefixes_identical(result.nodes)
+        assert check_prefix_identity(result.nodes) == []
 
     def test_abusive_client_with_crashed_node(self):
         """Client abuse composes with a replica crash fault."""
@@ -361,13 +361,12 @@ class TestMixedAbuseAndReplicaFaults:
         deployment = Deployment(
             config,
             workload=WorkloadConfig(num_clients=6, total_rate=300.0, duration=10.0),
-            malicious_client_specs=specs,
-            crash_specs=[CrashSpec(node=3, trigger="at-time", time=3.0)],
+            faults=[*specs, CrashSpec(node=3, trigger="at-time", time=3.0)],
             drain_time=12.0,
         )
         result = deployment.run()
         live = [node for node in result.nodes if not node.crashed]
-        assert prefixes_identical(live)
+        assert check_prefix_identity(live) == []
         for client in correct_clients(result, specs):
             assert client.requests_completed == client.requests_submitted
 
@@ -404,8 +403,10 @@ class TestBoundedClientState:
         deployment = Deployment(
             config,
             workload=WorkloadConfig(num_clients=6, total_rate=400.0, duration=14.0),
-            crash_specs=[CrashSpec(node=1, trigger="at-time", time=8.0)],
-            restart_specs=[RestartSpec(node=1, time=11.0)],
+            faults=[
+                CrashSpec(node=1, trigger="at-time", time=8.0),
+                RestartSpec(node=1, time=11.0),
+            ],
             drain_time=12.0,
         )
         result = deployment.run()

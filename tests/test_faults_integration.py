@@ -9,7 +9,7 @@ from repro.obs import ObsConfig
 from repro.workload.faults import epoch_end_crashes, epoch_start_crashes, stragglers
 
 
-def build(protocol="pbft", num_nodes=4, rate=200.0, duration=20.0, crash_specs=(), straggler_specs=(), obs=None, **overrides):
+def build(protocol="pbft", num_nodes=4, rate=200.0, duration=20.0, faults=(), obs=None, **overrides):
     defaults = dict(
         epoch_length=16,
         max_batch_size=32,
@@ -24,8 +24,7 @@ def build(protocol="pbft", num_nodes=4, rate=200.0, duration=20.0, crash_specs=(
     return Deployment(
         config,
         workload=workload,
-        crash_specs=crash_specs,
-        straggler_specs=straggler_specs,
+        faults=faults,
         drain_time=10.0,
         obs=obs,
     )
@@ -35,8 +34,8 @@ class TestEpochStartVsEpochEndCrash:
     @pytest.fixture(scope="class")
     def reports(self):
         fault_free = build().run().report
-        start = build(crash_specs=epoch_start_crashes(1, 4, epoch=0)).run().report
-        end = build(crash_specs=epoch_end_crashes(1, 4, epoch=0)).run().report
+        start = build(faults=epoch_start_crashes(1, 4, epoch=0)).run().report
+        end = build(faults=epoch_end_crashes(1, 4, epoch=0)).run().report
         return fault_free, start, end
 
     def test_liveness_under_both_crash_kinds(self, reports):
@@ -60,7 +59,7 @@ class TestStragglers:
     @pytest.fixture(scope="class")
     def reports(self):
         clean = build(duration=25.0).run().report
-        slow = build(duration=25.0, straggler_specs=stragglers(1, 4, delay=2.0)).run().report
+        slow = build(duration=25.0, faults=stragglers(1, 4, delay=2.0)).run().report
         return clean, slow
 
     def test_straggler_reduces_throughput(self, reports):
@@ -74,7 +73,7 @@ class TestStragglers:
     def test_straggler_is_not_suspected(self, reports):
         """The straggler stays below the view-change timeout, so no ⊥ entries
         appear in the log (it is Byzantine but not quiet)."""
-        deployment = build(duration=15.0, straggler_specs=stragglers(1, 4, delay=2.0))
+        deployment = build(duration=15.0, faults=stragglers(1, 4, delay=2.0))
         result = deployment.run()
         assert all(node.nil_committed == 0 for node in result.nodes)
 
@@ -83,7 +82,7 @@ class TestStragglers:
         result = build(
             duration=20.0,
             rate=300.0,
-            straggler_specs=stragglers(1, 4, delay=2.0),
+            faults=stragglers(1, 4, delay=2.0),
             obs=ObsConfig(metrics_interval=1.0),
         ).run()
         timeline = [count for _, count in result.report.throughput_timeline]
@@ -96,7 +95,7 @@ class TestLeaderPolicies:
     def test_simple_policy_keeps_crashed_node_in_leaderset(self):
         result = build(
             leader_policy=POLICY_SIMPLE,
-            crash_specs=epoch_start_crashes(1, 4, epoch=0),
+            faults=epoch_start_crashes(1, 4, epoch=0),
             duration=25.0,
         ).run()
         alive = [n for n in result.nodes if not n.crashed][0]
@@ -109,7 +108,7 @@ class TestLeaderPolicies:
         result = build(
             leader_policy=POLICY_BACKOFF,
             backoff_ban_period=2,
-            crash_specs=epoch_start_crashes(1, 4, epoch=0),
+            faults=epoch_start_crashes(1, 4, epoch=0),
             duration=30.0,
         ).run()
         alive = [n for n in result.nodes if not n.crashed][0]
@@ -127,11 +126,11 @@ class TestLeaderPolicies:
     def test_blacklist_policy_latency_beats_simple(self):
         simple = build(
             leader_policy=POLICY_SIMPLE,
-            crash_specs=epoch_start_crashes(1, 4, epoch=0),
+            faults=epoch_start_crashes(1, 4, epoch=0),
             duration=30.0,
         ).run().report
         blacklist = build(
-            crash_specs=epoch_start_crashes(1, 4, epoch=0),
+            faults=epoch_start_crashes(1, 4, epoch=0),
             duration=30.0,
         ).run().report
         assert blacklist.latency.mean < simple.latency.mean

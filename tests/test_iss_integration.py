@@ -143,7 +143,8 @@ class TestCrashFaultIntegration:
     @pytest.fixture(scope="class")
     def result(self):
         deployment = small_deployment("pbft", rate=200.0, duration=20.0)
-        deployment.injector.schedule_all(epoch_start_crashes(1, 4, epoch=0))
+        for spec in epoch_start_crashes(1, 4, epoch=0):
+            deployment.injector.schedule(spec)
         deployment.injector.on_crash = deployment._on_node_crash
         return deployment.run()
 

@@ -12,7 +12,10 @@ immediately.
 The simulator-side shims are retired: the fault specifications are
 imported from ``repro.runtime.faults`` everywhere, ``repro.sim.faults``
 holds the ``FaultInjector`` only, and nothing outside ``src/repro/sim/``
-may reach a spec name through the simulator package again.
+may reach a spec name through the simulator package again.  The chaos
+specs (``PartitionSpec``, ``LinkFaultSpec``, ``symmetric_split``) moved
+out of ``repro.sim.chaos`` last and are held to the stricter rule: one
+import home, ``repro.runtime.faults``, everywhere including ``sim/``.
 """
 
 import ast
@@ -98,31 +101,61 @@ def test_lazy_package_import_stays_sim_free():
 #: the ``BYZ_*``/``CLIENT_*``/``MEMBER_*``/``CRASH_*`` constants.
 SPEC_NAMES = {name for name in vars(runtime_faults) if not name.startswith("_")}
 
-_SIM_IMPORT_RE = re.compile(
-    r"from\s+(?:repro|\.+)\.?sim(?:\.faults)?\s+import\s+(\([^)]*\)|[^\n]*)"
-)
+#: The specs that used to live in ``repro.sim.chaos``.
+CHAOS_SPEC_NAMES = {"PartitionSpec", "LinkFaultSpec", "symmetric_split"}
+
+_FROM_IMPORT_RE = re.compile(r"from\s+([\w.]+)\s+import\s+(\([^)]*\)|[^\n]*)")
+
+
+def _from_imports(path):
+    """``(module, imported names)`` of every from-import in ``path`` (relative
+    modules without their dots; Markdown code blocks scanned textually)."""
+    text = path.read_text()
+    if path.suffix == ".py":
+        return [
+            (node.module or "", [alias.name for alias in node.names])
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ImportFrom)
+        ]
+    return [
+        (module.lstrip("."), re.findall(r"\w+", names))
+        for module, names in _FROM_IMPORT_RE.findall(text)
+    ]
 
 
 def _spec_names_imported_via_sim(path):
     """Spec names ``path`` imports from ``repro.sim`` / ``repro.sim.faults``."""
-    text = path.read_text()
-    if path.suffix == ".py":
-        names = set()
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.ImportFrom) and (node.module or "") in (
-                "repro.sim", "repro.sim.faults", "sim", "sim.faults",
-            ):
-                names.update(alias.name for alias in node.names)
-        return names & SPEC_NAMES
-    # Markdown: scan the code blocks' import statements textually.
-    imported = " ".join(_SIM_IMPORT_RE.findall(text))
-    return set(re.findall(r"\w+", imported)) & SPEC_NAMES
+    return {
+        name
+        for module, names in _from_imports(path)
+        if module in ("repro.sim", "repro.sim.faults", "sim", "sim.faults")
+        for name in names
+    } & SPEC_NAMES
+
+
+def _chaos_specs_imported_elsewhere(path):
+    """Chaos-spec names ``path`` imports from anywhere but
+    ``repro.runtime.faults`` (the lazy ``from repro import X`` is fine: it
+    resolves there too)."""
+    return {
+        name
+        for module, names in _from_imports(path)
+        if module != "repro" and not module.endswith("runtime.faults")
+        for name in names
+    } & CHAOS_SPEC_NAMES
 
 
 def test_sim_shims_are_retired():
     for removed in ("repro.sim.batching", "repro.sim.sharded"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(removed)
+    # No re-export either: the names are not reachable through the simulator.
+    import repro.sim
+    import repro.sim.chaos
+
+    for name in CHAOS_SPEC_NAMES:
+        assert not hasattr(repro.sim.chaos, name), name
+        assert not hasattr(repro.sim, name), name
     files = [REPO_ROOT / "README.md", REPO_ROOT / "PERF.md"]
     for folder, pattern in (
         ("src", "*.py"), ("tests", "*.py"), ("benchmarks", "*.py"),
@@ -141,3 +174,38 @@ def test_sim_shims_are_retired():
     assert not offenders, (
         f"fault specs must be imported from repro.runtime.faults: {offenders}"
     )
+    chaos_offenders = {
+        str(path.relative_to(REPO_ROOT)): sorted(names)
+        for path in files
+        if frozen not in path.parents
+        for names in [_chaos_specs_imported_elsewhere(path)]
+        if names
+    }
+    assert not chaos_offenders, (
+        f"PartitionSpec/LinkFaultSpec/symmetric_split have one import home, "
+        f"repro.runtime.faults: {chaos_offenders}"
+    )
+
+
+def test_fault_specs_module_is_bottom_layer():
+    """``runtime/faults.py`` is pure data: nothing from the simulator, the
+    protocol core or the harness, so every backend can import it."""
+    source = (REPO_ROOT / "src" / "repro" / "runtime" / "faults.py").read_text()
+    imported = [
+        "." * node.level + (node.module or "")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+    ] + [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ]
+    forbidden = [
+        module
+        for module in imported
+        if re.search(r"(^|\.)(sim|core|harness)(\.|$)", module)
+    ]
+    assert not forbidden, f"runtime/faults.py imports upward: {forbidden}"
+    loaded = _imported_sim_modules(["repro.runtime.faults"])
+    assert loaded == []

@@ -202,7 +202,7 @@ def test_quorum_recomputation_on_join_and_leave(protocol):
     """n → n+1 and n → n-1 recompute n, f and the quorums on every node."""
     result, row = run_membership_point(
         protocol, 4,
-        membership_specs=[MembershipSpec(node=4, action=MEMBER_ADD, time=2.0)],
+        faults=[MembershipSpec(node=4, action=MEMBER_ADD, time=2.0)],
         rate=300.0, duration=10.0,
     )
     assert row["violations"] == []
@@ -213,7 +213,7 @@ def test_quorum_recomputation_on_join_and_leave(protocol):
 
     result, row = run_membership_point(
         protocol, 4,
-        membership_specs=membership_removals([3], start=2.0),
+        faults=membership_removals([3], start=2.0),
         rate=300.0, duration=10.0,
     )
     assert row["violations"] == []
@@ -244,7 +244,7 @@ def test_sb_contexts_fix_their_epochs_quorums(monkeypatch):
     monkeypatch.setattr(ISSNode, "_build_context", recording)
     result, row = run_membership_point(
         "pbft", 4,
-        membership_specs=[
+        faults=[
             MembershipSpec(node=4, action=MEMBER_ADD, time=2.0),
             *membership_removals([4, 3], start=8.0, spacing=4.0),
         ],
@@ -271,7 +271,7 @@ def test_sb_contexts_fix_their_epochs_quorums(monkeypatch):
 def test_new_node_bootstrap_lands_prefix_identical():
     result, row = run_membership_point(
         "pbft", 4,
-        membership_specs=[MembershipSpec(node=4, action=MEMBER_ADD, time=3.0)],
+        faults=[MembershipSpec(node=4, action=MEMBER_ADD, time=3.0)],
         rate=400.0, duration=15.0,
     )
     assert row["all_joined"]
@@ -291,7 +291,7 @@ def test_removal_during_inflight_epoch():
     boundary, and its delivered prefix stays on the agreed order."""
     result, row = run_membership_point(
         "pbft", 4,
-        membership_specs=membership_removals([3], start=4.0),
+        faults=membership_removals([3], start=4.0),
         rate=400.0, duration=15.0,
     )
     assert row["violations"] == []
@@ -345,7 +345,7 @@ def _deployment(flush: float = DEFAULT_FLUSH_INTERVAL, seed: int = 7):
         workload=WorkloadConfig(
             num_clients=6, total_rate=400.0, duration=10.0, payload_size=PAYLOAD_BYTES
         ),
-        membership_specs=[
+        faults=[
             MembershipSpec(node=4, action=MEMBER_ADD, time=2.0),
             MembershipSpec(node=0, action=MEMBER_REMOVE, time=6.0),
         ],

@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import NetworkConfig
 from repro.core.messages import InstanceMessage
 from repro.pbft.messages import Prepare
-from repro.sim.chaos import LinkFaultSpec
+from repro.runtime.faults import LinkFaultSpec
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network, wire_size
 from repro.sim.simulator import Simulator

@@ -33,14 +33,18 @@ from repro.harness.runner import Deployment
 from repro.harness.scenarios import (
     PAYLOAD_BYTES,
     SCALED_BANDWIDTH_BPS,
-    delivered_prefix_matches,
     iss_config,
 )
 from repro.gate.table import GATES
-from repro.harness.invariants import delivered_trace
+from repro.harness.invariants import delivered_trace, traces_agree
 from repro.runtime.faults import CrashSpec, RestartSpec
 
 VICTIM = 1
+
+
+def delivered_prefix_matches(reference, restarted) -> bool:
+    """Do two nodes agree on every position both have delivered?"""
+    return traces_agree([delivered_trace(reference), delivered_trace(restarted)])
 
 #: Per-protocol (crash_time, restart_time, duration): the downtime is sized
 #: so the live cluster completes ≥ 2 epochs while the victim is away (epoch
@@ -62,8 +66,10 @@ def build_crash_restart_deployment(protocol, crash_time, restart_time, duration,
         config,
         network_config=network_config,
         workload=workload,
-        crash_specs=[CrashSpec(node=VICTIM, trigger="at-time", time=crash_time)],
-        restart_specs=[RestartSpec(node=VICTIM, time=restart_time)],
+        faults=[
+            CrashSpec(node=VICTIM, trigger="at-time", time=crash_time),
+            RestartSpec(node=VICTIM, time=restart_time),
+        ],
         recovery_poll=0.25,
     )
 
@@ -188,8 +194,10 @@ class TestRestartEdges:
                 num_clients=8, total_rate=600.0, duration=24.0,
                 payload_size=PAYLOAD_BYTES,
             ),
-            crash_specs=[CrashSpec(node=VICTIM, trigger="at-time", time=6.0)],
-            restart_specs=[RestartSpec(node=VICTIM, time=14.0)],
+            faults=[
+                CrashSpec(node=VICTIM, trigger="at-time", time=6.0),
+                RestartSpec(node=VICTIM, time=14.0),
+            ],
             node_class=MirBFTNode,
             recovery_poll=0.25,
         )
@@ -229,12 +237,12 @@ class TestRecoveryWithDeadFirstResponder:
                 num_clients=8, total_rate=800.0, duration=34.0,
                 payload_size=PAYLOAD_BYTES,
             ),
-            crash_specs=[
+            faults=[
                 # Node 0 (the restarted node's first probe target) stays down.
                 CrashSpec(node=0, trigger="at-time", time=2.0),
                 CrashSpec(node=2, trigger="at-time", time=10.0),
+                RestartSpec(node=2, time=20.0),
             ],
-            restart_specs=[RestartSpec(node=2, time=20.0)],
             recovery_poll=0.25,
         )
         result = deployment.run()

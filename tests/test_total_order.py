@@ -13,7 +13,7 @@ from repro.workload.faults import epoch_start_crashes
 
 
 def run_deployment(num_nodes=4, protocol="pbft", duration=8.0, rate=200.0,
-                   crash_specs=(), drop_rate=0.0, **overrides):
+                   faults=(), drop_rate=0.0, **overrides):
     defaults = dict(
         epoch_length=16,
         max_batch_size=32,
@@ -30,7 +30,7 @@ def run_deployment(num_nodes=4, protocol="pbft", duration=8.0, rate=200.0,
     workload = WorkloadConfig(num_clients=4, total_rate=rate, duration=duration, payload_size=64)
     network = NetworkConfig(drop_rate=drop_rate)
     deployment = Deployment(
-        config, network_config=network, workload=workload, crash_specs=crash_specs, drain_time=10.0
+        config, network_config=network, workload=workload, faults=faults, drain_time=10.0
     )
     # Track the exact delivered request sequence per node.
     sequences = {node.node_id: [] for node in deployment.nodes}
@@ -70,7 +70,7 @@ class TestTotalOrder:
 
     def test_request_sequence_identical_under_crash(self):
         result, sequences = run_deployment(
-            duration=15.0, crash_specs=epoch_start_crashes(1, 4, epoch=0)
+            duration=15.0, faults=epoch_start_crashes(1, 4, epoch=0)
         )
         alive = [n.node_id for n in result.nodes if not n.crashed]
         assert_common_prefix(sequences, alive)

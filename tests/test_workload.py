@@ -3,13 +3,24 @@
 import pytest
 
 from repro.core.config import ISSConfig, WorkloadConfig
-from repro.runtime.faults import CRASH_EPOCH_END, CRASH_EPOCH_START, CrashSpec, StragglerSpec
+from repro.runtime.faults import (
+    CRASH_EPOCH_END,
+    CRASH_EPOCH_START,
+    ByzantineSpec,
+    CrashSpec,
+    LinkFaultSpec,
+    MaliciousClientSpec,
+    MembershipSpec,
+    RestartSpec,
+    StragglerSpec,
+    symmetric_split,
+)
 from repro.sim.faults import FaultInjector
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
 from repro.core.config import NetworkConfig
-from repro.workload.faults import crashes_at, epoch_end_crashes, epoch_start_crashes, stragglers
+from repro.workload.faults import epoch_end_crashes, epoch_start_crashes, stragglers
 from repro.workload.generator import WorkloadGenerator
 
 
@@ -106,11 +117,6 @@ class TestFaultSchedules:
         assert specs[0].trigger == CRASH_EPOCH_END
         assert specs[0].node == 3
 
-    def test_crashes_at_times(self):
-        specs = crashes_at([5.0, 9.0], num_nodes=8)
-        assert [s.time for s in specs] == [5.0, 9.0]
-        assert len({s.node for s in specs}) == 2
-
     def test_stragglers(self):
         specs = stragglers(2, num_nodes=8, delay=3.0)
         assert all(isinstance(s, StragglerSpec) and s.delay == 3.0 for s in specs)
@@ -167,3 +173,26 @@ class TestFaultInjector:
         injector.crash_now(3)
         assert count == [3]
         assert injector.crashed_nodes() == (3,)
+
+    @pytest.mark.parametrize("not_a_spec", [object(), "crash", {"node": 1}, CrashSpec])
+    def test_schedule_rejects_non_specs(self, not_a_spec):
+        _, _, injector = self.make_injector()
+        with pytest.raises(TypeError, match="not a fault spec"):
+            injector.schedule(not_a_spec)
+
+    def test_schedule_is_the_one_arming_entry_point(self):
+        public = [name for name in vars(FaultInjector) if name.startswith("schedule")]
+        assert public == ["schedule"]
+        # Every kind goes through it, including the two it arms nothing for.
+        _, _, injector = self.make_injector()
+        for spec in (
+            CrashSpec(node=2, time=1.0),
+            RestartSpec(node=2, time=2.0),
+            StragglerSpec(node=1),
+            ByzantineSpec(node=3),
+            MaliciousClientSpec(client=0),
+            symmetric_split((0, 1), (2, 3), 1.0, 2.0),
+            LinkFaultSpec(src=0, dst=1, block=True),
+            MembershipSpec(node=4, time=1.0),
+        ):
+            injector.schedule(spec)
