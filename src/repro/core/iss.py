@@ -169,7 +169,8 @@ class ISSNode:
             config, policy=policy, layout=layout, membership=self.membership
         )
         self.current_epoch: EpochNr = 0
-        #: Batches this node proposed, per sequence number (for resurrection).
+        #: Batches this node proposed and SB has not yet decided, per sequence
+        #: number (for resurrection).
         self._proposed: Dict[SeqNr, Batch] = {}
         #: Requests seen in accepted proposals of the current epoch, mapped to
         #: the digest of the batch they appeared in (duplication check that
@@ -643,9 +644,10 @@ class ISSNode:
             )
         if self.storage is not None:
             self.storage.record_commit(sn, value, segment.epoch)
+        # Decided either way: the copy kept for resurrection has served.
+        proposed = self._proposed.pop(sn, None)
         if is_nil(value):
             self.nil_committed += 1
-            proposed = self._proposed.get(sn)
             if proposed is not None:
                 # Our own proposal was aborted: return its requests to the
                 # bucket queues so a later segment can re-propose them.
@@ -784,6 +786,19 @@ class ISSNode:
         self.orderer.stop_epoch(epoch)
         if self.storage is not None:
             self.storage.record_stable_checkpoint(certificate)
+            self.evict_sealed_history()
+
+    def evict_sealed_history(self) -> None:
+        """Drop from memory what storage sealed *before* its latest seal.
+
+        The sealed archive answers for those positions from then on (state
+        transfer for an old epoch reads them back); the most recently sealed
+        run stays in memory because a slightly lagging peer asks for exactly
+        that.  A node without storage has no archive and never evicts.
+        """
+        if self.storage is not None:
+            archive = self.storage.snapshots
+            self.log.evict_through(archive.previous_last_sn(), archive)
 
     def _maybe_request_state_transfer(self, checkpoint_epoch: EpochNr) -> None:
         """A stable checkpoint ahead of us means we fell behind: catch up."""

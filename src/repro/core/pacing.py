@@ -56,9 +56,18 @@ class ProposalPacer:
         self._schedule_next(first=True)
 
     def stop(self) -> None:
+        """Stop proposing and let go of the instance.
+
+        The pacer and its SB instance reference each other (and a timer
+        references the pacer); dropping both references here frees a
+        garbage-collected epoch's instances — and every batch their slots
+        hold — at once instead of at the next full cyclic collection.
+        """
         self._stopped = True
         if self._timer is not None:
             self._timer.cancel()
+            self._timer = None
+        self._propose = None
 
     @property
     def finished(self) -> bool:

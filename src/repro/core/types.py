@@ -55,6 +55,22 @@ class RequestId:
     def __hash__(self) -> int:
         return self._hash
 
+    def __getstate__(self):
+        # Constructor fields only: the derived values are rebuilt on the
+        # loading side instead of crossing a process boundary (a forged
+        # ``_mix`` would put the request into a bucket of the sender's
+        # choosing).
+        return (self.client, self.timestamp)
+
+    def __setstate__(self, state) -> None:
+        # The fields go in through ``__dict__`` (as pickle's own default
+        # would put them) rather than through the frozen ``__init__``:
+        # request ids are the most numerous objects in every frame a node
+        # decodes.
+        fields = self.__dict__
+        fields["client"], fields["timestamp"] = state
+        self.__post_init__()
+
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"req(c={self.client},t={self.timestamp})"
 
@@ -104,6 +120,12 @@ class Request:
             object.__setattr__(self, "_hash", cached)
         return cached
 
+    def __getstate__(self):
+        # Constructor fields only: a pickled ``_hash`` is wrong under another
+        # hash seed and a pickled ``_digest`` is whatever the sender says it
+        # is, so both are recomputed lazily by whoever loads the request.
+        return {"rid": self.rid, "payload": self.payload, "signature": self.signature}
+
 
 @dataclass(frozen=True)
 class Batch:
@@ -148,6 +170,12 @@ class Batch:
         digest = h.digest()
         object.__setattr__(self, "_digest", digest)
         return digest
+
+    def __getstate__(self):
+        # Constructor fields only (see :meth:`Request.__getstate__`): the
+        # digest followers vote on must be computed from the contents they
+        # received, never taken from the proposer's cache.
+        return {"requests": self.requests}
 
 
 class Nil:

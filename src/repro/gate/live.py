@@ -11,9 +11,13 @@ checks the deployment-backend claims end to end:
 * the four durable logs, read straight off disk with no cooperation from
   the processes, are **identical** over every shared position, and
 * the restarted victim **catches up**: its contiguous durable prefix
-  reaches the surviving nodes' frontier, proving the snapshot-apply →
-  WAL-replay → state-transfer pipeline works against real files after a
-  real SIGKILL.
+  reaches the surviving nodes' frontier and equals theirs on the shared
+  range, proving the archive-replay → WAL-replay → state-transfer pipeline
+  works against real files after a real SIGKILL, and
+* the victim is killed only after it **sealed at least three epochs**, and
+  its restarted process ends recovery holding **fewer log entries in memory
+  than its durable prefix** — sealed history is served from the archive on
+  the recovery path too, not only after a live checkpoint.
 
 Wall-clock figures (elapsed seconds, latencies) are reported but **not**
 pinned — a live run is scheduled by the OS, not the simulator.  Only the
@@ -28,8 +32,10 @@ move the cluster.
 from __future__ import annotations
 
 import asyncio
+import json
 import tempfile
 import time
+from pathlib import Path
 from typing import Dict, List
 
 from ..app.kv import KVClient
@@ -41,10 +47,12 @@ from ..net.deploy import (
     LiveDeployment,
     durable_prefix,
     durable_prefix_len,
+    durable_seals,
     live_base_port,
     live_host,
     prefixes_identical,
 )
+from ..net.host import RECOVERY_REPORT_FILENAME
 from ..net.transport import TcpTransport
 
 #: The pinned live scenario (keep in sync with the golden trace).
@@ -66,18 +74,29 @@ RUN_TIMEOUT = 180.0
 #: Victim catch-up poll deadline after the final write phase (wall seconds).
 CATCHUP_TIMEOUT = 60.0
 
+#: Epochs the victim must have sealed into its archive before it is killed,
+#: so the restart replays an archive of several runs, not a WAL alone.
+SEALS_BEFORE_KILL = 3
+
+#: Deadline for reaching :data:`SEALS_BEFORE_KILL` (wall seconds).
+SEAL_TIMEOUT = 60.0
+
 
 def build_spec(data_dir: str) -> LiveClusterSpec:
     """The pinned cluster spec over a fresh ``data_dir``.
 
     Client retries are on: the live transport is genuinely lossy around a
-    kill.
+    kill.  The batch timeout is a quarter second, not the paper's 4 s: an
+    idle leader then fills its share of a 16-position epoch with empty
+    batches in about a second, so the victim seals its three epochs in
+    seconds.
     """
     config = ISSConfig(
         num_nodes=SCENARIO["num_nodes"],
         protocol=SCENARIO["protocol"],
         epoch_length=SCENARIO["epoch_length"],
         random_seed=SCENARIO["random_seed"],
+        max_batch_timeout=0.25,
         client_retry_timeout=0.5,
         client_retry_max_timeout=4.0,
     )
@@ -119,6 +138,11 @@ async def _drive(spec: LiveClusterSpec, deployment: LiveDeployment) -> Dict[str,
     t0 = time.monotonic()
 
     completed = await _run_phase(clients, 0, SCENARIO["phase1_ops"], latencies)
+    deadline = time.monotonic() + SEAL_TIMEOUT
+    while (
+        seals_at_kill := durable_seals(spec, victim)
+    ) < SEALS_BEFORE_KILL and time.monotonic() < deadline:
+        await asyncio.sleep(0.1)
     frontier_at_kill = durable_prefix_len(spec, victim)
     deployment.kill(victim)
     completed += await _run_phase(
@@ -159,6 +183,7 @@ async def _drive(spec: LiveClusterSpec, deployment: LiveDeployment) -> Dict[str,
         "completed": completed,
         "read_ok": read_ok,
         "victim_caught_up": caught_up,
+        "victim_seals_at_kill": seals_at_kill,
         "wall_seconds": round(time.monotonic() - t0, 3),
         "latency_p50": round(latencies[len(latencies) // 2], 4) if latencies else 0.0,
         "latency_max": round(latencies[-1], 4) if latencies else 0.0,
@@ -181,6 +206,10 @@ def run_live() -> Dict[str, object]:
         prefixes = [
             durable_prefix(spec, node) for node in range(spec.config.num_nodes)
         ]
+        victim = SCENARIO["victim"]
+        recovery = json.loads(
+            Path(spec.node_dir(victim), RECOVERY_REPORT_FILENAME).read_text()
+        )
         return {
             "scenario": dict(SCENARIO),
             "submitted": driven["submitted"],
@@ -190,6 +219,15 @@ def run_live() -> Dict[str, object]:
             "read_ok": driven["read_ok"],
             "prefix_identical": prefixes_identical(prefixes),
             "victim_caught_up": driven["victim_caught_up"],
+            "victim_prefix_matches_peers": bool(prefixes[victim])
+            and all(
+                prefixes_identical([prefixes[victim], peer]) for peer in prefixes
+            ),
+            "victim_seals_at_kill": driven["victim_seals_at_kill"],
+            "victim_durable_at_recovery": int(
+                recovery["snapshot_entries"] + recovery["wal_entries_replayed"]
+            ),
+            "victim_log_resident_after_recovery": recovery["log_resident"],
             "restarts_performed": deployment.restarts_performed,
             "min_prefix_requests": min(len(prefix) for prefix in prefixes),
             "wall_seconds": driven["wall_seconds"],
@@ -216,5 +254,22 @@ CLAIMS = (
         lambda f: f["victim_caught_up"],
         "LIVE RECOVERY REGRESSION: the killed-and-restarted node never "
         "reached the surviving nodes' durable frontier",
+    ),
+    (
+        lambda f: f["victim_prefix_matches_peers"],
+        "LIVE SAFETY VIOLATION: the restarted node's durable prefix differs "
+        "from a peer's on their shared range",
+    ),
+    (
+        lambda f: f["victim_seals_at_kill"] >= SEALS_BEFORE_KILL,
+        "LIVE SCENARIO TOO SHORT: the victim had sealed only "
+        "{victim_seals_at_kill} epochs when it was killed",
+    ),
+    (
+        lambda f: f["victim_log_resident_after_recovery"]
+        < f["victim_durable_at_recovery"],
+        "LIVE EVICTION REGRESSION: the restarted node ended recovery with "
+        "{victim_log_resident_after_recovery} log entries in memory for "
+        "{victim_durable_at_recovery} durable ones",
     ),
 )

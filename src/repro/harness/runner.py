@@ -1030,7 +1030,7 @@ class Deployment:
                 sum(s.wal.appended_total for s in self.storages.values())
             )
             stats["snapshots_installed_total"] = float(
-                sum(s.snapshots.installed_total for s in self.storages.values())
+                sum(s.snapshots.seals_total for s in self.storages.values())
             )
             stats["compactions_total"] = float(
                 sum(s.compactions for s in self.storages.values())

@@ -94,6 +94,8 @@ class HotStuffSB(SBInstance):
         for timer in (self._round_timer, self._proposal_timer):
             if timer is not None:
                 timer.cancel()
+        # Timers hold bound methods of this instance (see PbftSB.stop).
+        self._round_timer = self._proposal_timer = None
 
     # ------------------------------------------------------------ utilities
     def round_leader(self, round_nr: int) -> NodeId:

@@ -12,8 +12,8 @@ on-disk WAL/snapshot recovery pipeline.
 
 The deployment also knows how to *audit* a cluster from its files:
 :func:`durable_prefix` reconstructs a node's contiguous delivered request
-sequence from its snapshot and WAL alone (no RPC, no cooperation from the
-process), and :func:`prefixes_identical` checks the SMR safety claim over
+sequence from its WAL and sealed archive alone (no RPC, no cooperation from
+the process), and :func:`prefixes_identical` checks the SMR safety claim over
 the shared positions.  The ``live`` gate and the docs examples rest on
 these.
 
@@ -38,10 +38,9 @@ from ..storage.durable import (
     FSYNC_ALWAYS,
     SNAPSHOT_FILENAME,
     WAL_FILENAME,
-    read_snapshot_file,
-    read_wal_frames,
+    iter_frames,
 )
-from ..storage.wal import RECORD_COMMIT
+from ..storage.wal import RECORD_CHECKPOINT, RECORD_COMMIT
 
 #: Defaults for the env-overridable port/host layout.
 DEFAULT_BASE_PORT = 7400
@@ -191,21 +190,28 @@ class LiveDeployment:
 def durable_entries(spec: LiveClusterSpec, node_id: int) -> Dict[int, object]:
     """Read one node's durable log entries (``sn -> entry``) from its files.
 
-    Pure file reads — safe on a dead node's directory and on a live node's
-    (the WAL reader tolerates a concurrent append's torn tail).  Snapshot
-    entries come first, WAL commit records overlay/extend them.
+    Pure file reads — safe on a dead node's directory and on a running
+    node's (the frame reader stops at a concurrent append's torn tail).
+    The WAL is read *before* the sealed archive: a record leaves the WAL
+    only after the archive holding it was fsync'd, and the archive only
+    grows, so this order cannot miss an entry to a compaction running
+    between the two reads — the opposite order can.
     """
     directory = Path(spec.node_dir(node_id))
     entries: Dict[int, object] = {}
-    snapshot = read_snapshot_file(directory / SNAPSHOT_FILENAME)
-    if snapshot is not None:
-        for sn, entry, _epoch in snapshot.entries:
-            entries[sn] = entry
-    records, _offset, _torn = read_wal_frames(directory / WAL_FILENAME)
-    for record in records:
-        if record.kind == RECORD_COMMIT:
-            entries[record.sn] = record.entry
+    for filename in (WAL_FILENAME, SNAPSHOT_FILENAME):
+        for record, _end in iter_frames(directory / filename):
+            if record.kind == RECORD_COMMIT:
+                entries[record.sn] = record.entry
     return entries
+
+
+def durable_seals(spec: LiveClusterSpec, node_id: int) -> int:
+    """Seal markers in one node's archive: stable checkpoints it compacted."""
+    archive = Path(spec.node_dir(node_id)) / SNAPSHOT_FILENAME
+    return sum(
+        1 for record, _end in iter_frames(archive) if record.kind == RECORD_CHECKPOINT
+    )
 
 
 def durable_prefix(spec: LiveClusterSpec, node_id: int) -> List[Tuple[int, int]]:

@@ -10,9 +10,11 @@ application (:class:`~repro.app.kv.KVApp`).
 Startup distinguishes first boot from restart by looking at the data
 directory: prior state routes through the same
 :class:`~repro.storage.recovery.RecoveryManager` pipeline the simulator's
-restart path uses — snapshot apply, WAL-tail replay (over records that
-genuinely survived a ``kill -9`` via fsync), epoch fast-forward — then the
-node resumes at the first incomplete epoch in aggressive-catchup mode and
+restart path uses — sealed-archive replay, WAL-tail replay (over records
+that genuinely survived a ``kill -9`` via fsync), epoch fast-forward,
+eviction of the sealed history from memory (the outcome is left in
+``recovery.json`` for whoever audits the directory) — then the node
+resumes at the first incomplete epoch in aggressive-catchup mode and
 :func:`~repro.storage.recovery.watch_catchup` ends catchup once the node
 completes an epoch beyond its recovered frontier (the same watcher as the
 harness's caught-up poll, with the only "done" test a child process can
@@ -25,7 +27,9 @@ recovery path exists for).
 from __future__ import annotations
 
 import asyncio
+import json
 import signal
+from pathlib import Path
 
 from ..app.kv import KVApp
 from ..core.iss import ISSNode
@@ -37,6 +41,11 @@ from .transport import TcpTransport
 
 #: Tick of the post-restart catchup-end watcher (wall seconds).
 CATCHUP_POLL_INTERVAL = 0.5
+
+#: What a restarted replica leaves in its data directory about its recovery:
+#: :meth:`~repro.storage.recovery.RecoveryInfo.as_dict` plus
+#: ``log_resident`` (log entries still in memory once recovery is done).
+RECOVERY_REPORT_FILENAME = "recovery.json"
 
 
 def node_main(spec, node_id: int) -> None:
@@ -72,6 +81,10 @@ async def run_node(spec, node_id: int) -> None:
         app.replaying = True
         info = boot_from_storage(node, storage, now=clock.now)
         app.replaying = False
+        report = dict(info.as_dict(), log_resident=node.log.resident_count())
+        Path(spec.node_dir(node_id), RECOVERY_REPORT_FILENAME).write_text(
+            json.dumps(report)
+        )
         # Completing an epoch at or beyond the resume point means state
         # transfer filled everything ordered while the process was down and
         # live delivery has taken over.

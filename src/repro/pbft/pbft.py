@@ -83,6 +83,10 @@ class PbftSB(SBInstance):
         self._pacer.stop()
         if self._view_timer is not None:
             self._view_timer.cancel()
+            # The timer holds a bound method of this instance: keeping it
+            # would leave the stopped instance (and its slots' batches) in a
+            # reference cycle only a full cyclic collection frees.
+            self._view_timer = None
 
     # ------------------------------------------------------------ utilities
     def primary_of(self, view: ViewNr) -> NodeId:

@@ -76,6 +76,8 @@ class RaftSB(SBInstance):
         for timer in (self._election_timer, self._heartbeat_timer):
             if timer is not None:
                 timer.cancel()
+        # Timers hold bound methods of this instance (see PbftSB.stop).
+        self._election_timer = self._heartbeat_timer = None
 
     # ------------------------------------------------------------ utilities
     @property

@@ -7,13 +7,15 @@ let *lagging* nodes catch up; this package makes them load-bearing for
 * a :class:`WriteAheadLog` of protocol-critical durable state — committed
   log entries, stable checkpoint certificates and epoch starts — appended
   through narrow ``record_*`` hooks called from the ISS core, and
-* a :class:`SnapshotStore` that compacts the WAL at every stable
-  checkpoint: entries at or below the checkpoint move into a single
-  :class:`Snapshot` anchored by the checkpoint certificate, exactly the
-  truncate-below-checkpoint garbage collection Section 3.4 prescribes.
+* a :class:`SnapshotStore` — the *sealed archive* — that the WAL compacts
+  into at every stable checkpoint: the run of entries the checkpoint newly
+  covers is appended to it, closed by the checkpoint certificate, and
+  truncated out of the WAL (Section 3.4's truncate-below-checkpoint).  A
+  checkpoint therefore costs what it covers, and a node can drop sealed
+  history from memory and read it back from the archive on demand.
 
 :class:`RecoveryManager` reconstructs a fresh node from that storage after
-a crash: apply the snapshot, replay the WAL above it, fast-forward the
+a crash: stream the sealed archive, replay the WAL above it, fast-forward the
 epoch bookkeeping, re-deliver the restored prefix to the application, and
 hand the node back to the harness to fetch anything ordered while it was
 down through the existing state-transfer protocol.

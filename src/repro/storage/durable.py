@@ -9,19 +9,43 @@ followed by a restart recovers through
 :class:`~repro.storage.recovery.RecoveryManager` from bytes that actually
 survived the process.
 
-On-disk format, chosen for torn-tail robustness rather than speed:
+On-disk format, chosen for torn-tail robustness rather than speed.  Both
+files of a node directory are sequences of the *same* frame — ``>II``
+(payload length, CRC-32 of the payload) followed by the pickled
+:class:`~repro.storage.wal.WalRecord` — written by one encoder
+(:func:`_frame`) and read by one streaming decoder (:func:`iter_frames`):
 
-* ``wal.log`` — a sequence of frames, each ``>II`` (payload length,
-  CRC-32 of the payload) followed by the pickled
-  :class:`~repro.storage.wal.WalRecord`.  Appends flush and (by default)
-  ``fsync`` before returning, so a commit acknowledged to the protocol is
-  on disk.  A crash mid-append leaves a *torn tail* — a short or
-  CRC-mismatching last frame — which reopen detects, drops, and truncates
-  away; everything before it is intact by construction.
-* ``snapshot.bin`` — one pickled :class:`~repro.storage.snapshot.Snapshot`,
-  replaced atomically (write temp, fsync, ``os.replace``) at each
-  compaction so a crash during snapshotting never corrupts the previous
-  snapshot.
+* ``wal.log`` — the tail above the latest stable checkpoint.  Appends
+  flush and (by default) ``fsync`` before returning, so a commit
+  acknowledged to the protocol is on disk.  A crash mid-append leaves a
+  *torn tail* — a short or CRC-mismatching last frame — which reopen
+  detects, drops, and truncates away; everything before it is intact by
+  construction.  Compaction rewrites the file atomically (temp, fsync,
+  ``os.replace``); it only ever holds the tail, so that is O(tail).
+* ``snapshot.bin`` — the *sealed archive*: every entry below the latest
+  stable checkpoint, exactly once, in sequence-number order.  It is only
+  ever appended to.  One seal appends the newly covered commit records
+  followed by the checkpoint-certificate record (the *seal marker*), then
+  issues one ``fsync``; only after that does the WAL drop the run.  A
+  sealed run is therefore a span of commit frames closed by a checkpoint
+  frame, and an archive is a concatenation of sealed runs.  Whatever
+  follows the last seal marker — a torn frame, or commit frames whose
+  marker never made it — is dropped and truncated on reopen like a torn
+  WAL tail: those records are by construction still in ``wal.log``.  A
+  damaged frame in the *middle* ends the archive at the last seal marker
+  before it; the node then recovers that prefix and fetches the rest from
+  its peers (state transfer), never a log with a silent hole.
+
+In memory the archive is its latest certificate, the sealed count and one
+``(first sn, file offset)`` pair per sealed run; entries are read back from
+the file on demand (state transfer for an old epoch, recovery).
+
+What a reader of a *running* replica's directory may assume (the audit in
+:mod:`repro.net.deploy` relies on it): every CRC-valid commit frame in
+either file is a commit the replica made durable; ``snapshot.bin`` only
+grows, and a record leaves ``wal.log`` only after the archive holding it was
+fsync'd — so reading ``wal.log`` first and ``snapshot.bin`` second never
+misses an entry, while the opposite order can.
 
 The fsync policy is configurable (``REPRO_FSYNC``): ``"always"`` syncs on
 every append (the durability the recovery proof needs), ``"never"`` leaves
@@ -35,14 +59,16 @@ import os
 import pickle
 import struct
 import zlib
+from bisect import bisect_right
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
+from ..core.types import CheckpointCertificate, LogEntry, SeqNr
 from .node_storage import NodeStorage
-from .snapshot import Snapshot, SnapshotStore
-from .wal import WalRecord, WriteAheadLog
+from .snapshot import SealedEntry, SnapshotStore
+from .wal import RECORD_CHECKPOINT, RECORD_COMMIT, WalRecord, WriteAheadLog
 
-#: Frame header of one WAL record: payload length, CRC-32 of the payload.
+#: Frame header of one record: payload length, CRC-32 of the payload.
 _FRAME_HEADER = struct.Struct(">II")
 
 #: Recognised fsync policies (see :func:`fsync_policy`).
@@ -66,66 +92,69 @@ def fsync_policy(default: str = FSYNC_ALWAYS) -> str:
 
 
 def _frame(record: WalRecord) -> bytes:
-    """Serialise one WAL record into its on-disk frame."""
+    """Serialise one record into its on-disk frame."""
     payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
     return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+def iter_frames(path: Path, offset: int = 0) -> Iterator[Tuple[WalRecord, int]]:
+    """Stream the intact records of ``path`` from ``offset`` on.
+
+    Yields ``(record, end_offset)`` — ``end_offset`` being the file offset
+    right after the record's frame — and stops at the first frame that is
+    short, fails its CRC or does not unpickle to a :class:`WalRecord` (all
+    the shapes a crash mid-append can leave).  One frame is in memory at a
+    time.  Purely a reader: the file is not modified, and only the bytes
+    present when the scan started are looked at, so it is safe on a file
+    another process is still appending to.
+    """
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        total = os.fstat(fh.fileno()).st_size
+        fh.seek(offset)
+        while offset + _FRAME_HEADER.size <= total:
+            length, crc = _FRAME_HEADER.unpack(fh.read(_FRAME_HEADER.size))
+            end = offset + _FRAME_HEADER.size + length
+            if end > total:
+                return
+            payload = fh.read(length)
+            if len(payload) != length or zlib.crc32(payload) != crc:
+                return
+            try:
+                record = pickle.loads(payload)
+            except Exception:
+                return
+            if not isinstance(record, WalRecord):
+                return
+            offset = end
+            yield record, offset
+
+
 def read_wal_frames(path: Path) -> Tuple[List[WalRecord], int, bool]:
-    """Read every intact WAL record from ``path``.
+    """Read every intact record from ``path`` (see :func:`iter_frames`).
 
     Returns ``(records, good_offset, torn)`` where ``good_offset`` is the
     file offset right after the last intact frame and ``torn`` is True when
-    trailing bytes had to be ignored (short frame, CRC mismatch, or an
-    unpicklable payload — all the shapes a crash mid-append can leave).
-    Purely a reader: the file is not modified, so it is safe to call on a
-    WAL another process is still appending to.
+    trailing bytes had to be ignored.  For the WAL, whose records are the
+    in-memory tail anyway; the archive is only ever streamed.
     """
     records: List[WalRecord] = []
-    offset = 0
-    torn = False
-    if not path.exists():
-        return records, offset, torn
-    data = path.read_bytes()
-    total = len(data)
-    while offset < total:
-        if offset + _FRAME_HEADER.size > total:
-            torn = True
-            break
-        length, crc = _FRAME_HEADER.unpack_from(data, offset)
-        start = offset + _FRAME_HEADER.size
-        end = start + length
-        if end > total:
-            torn = True
-            break
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            torn = True
-            break
-        try:
-            record = pickle.loads(payload)
-        except Exception:
-            torn = True
-            break
+    good_offset = 0
+    for record, good_offset in iter_frames(path):
         records.append(record)
-        offset = end
-    return records, offset, torn
+    torn = path.exists() and good_offset < path.stat().st_size
+    return records, good_offset, torn
 
 
-def read_snapshot_file(path: Path) -> Optional[Snapshot]:
-    """Load the snapshot at ``path``, or None when absent/unreadable.
-
-    An unreadable snapshot (crash during the very first install, before
-    atomic replacement existed to protect it) degrades to "no snapshot":
-    recovery then replays the WAL alone, which is always a correct prefix.
-    """
-    if not path.exists():
-        return None
-    try:
-        snapshot = pickle.loads(path.read_bytes())
-    except Exception:
-        return None
-    return snapshot if isinstance(snapshot, Snapshot) else None
+def _truncate(path: Path, offset: int) -> None:
+    """Durably cut ``path`` back to ``offset`` bytes."""
+    with open(path, "r+b") as fh:
+        fh.truncate(offset)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 class FileWriteAheadLog(WriteAheadLog):
@@ -148,10 +177,7 @@ class FileWriteAheadLog(WriteAheadLog):
         records, good_offset, torn = read_wal_frames(self.path)
         if torn:
             self.torn_tail_detected = True
-            with open(self.path, "r+b") as fh:
-                fh.truncate(good_offset)
-                fh.flush()
-                os.fsync(fh.fileno())
+            _truncate(self.path, good_offset)
         self._records.extend(records)
         self.appended_total = len(records)
         self._fh = open(self.path, "ab")
@@ -193,31 +219,110 @@ class FileWriteAheadLog(WriteAheadLog):
 
 
 class FileSnapshotStore(SnapshotStore):
-    """A :class:`SnapshotStore` whose latest snapshot lives in one file.
+    """The sealed archive in one append-only file (see the module docstring).
 
-    Installs replace the file atomically (temp + fsync + ``os.replace``),
-    so the store never holds a half-written snapshot; reopening a path
-    loads whatever snapshot the previous process made durable.
+    Memory holds the anchors only — latest certificate, sealed count, one
+    ``(first sn, file offset)`` pair per sealed run; entries are streamed
+    back from the file.  Reopening a path rebuilds the anchors by one
+    streaming scan and truncates whatever follows the last seal marker.
     """
 
     def __init__(self, path: Path):
         super().__init__()
         self.path = Path(path)
-        existing = read_snapshot_file(self.path)
-        if existing is not None:
-            self._latest = existing
+        #: First sequence number and file offset of each sealed run, in
+        #: file order (parallel lists; the first is what lookups bisect).
+        self._run_first_sn: List[SeqNr] = []
+        self._run_offset: List[int] = []
+        #: File offset right after the last seal marker (where appends go).
+        self._end = 0
+        self._scan()
+        #: Whether reopen found (and truncated) bytes after the last seal.
+        self.unsealed_tail_detected = (
+            self.path.exists() and self._end < self.path.stat().st_size
+        )
+        if self.unsealed_tail_detected:
+            _truncate(self.path, self._end)
 
-    def install(self, snapshot: Snapshot) -> bool:
-        accepted = super().install(snapshot)
-        if accepted:
-            tmp = self.path.with_suffix(".tmp")
-            with open(tmp, "wb") as fh:
-                fh.write(pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL))
+    def _scan(self) -> None:
+        """Rebuild the anchors from the file.  A sealed run is consecutive
+        commit records continuing the sealed prefix, closed by the
+        certificate of their last position; the scan ends at anything else."""
+        expected: SeqNr = 0
+        for record, end in iter_frames(self.path):
+            if record.kind == RECORD_COMMIT and record.sn == expected:
+                expected += 1
+            elif (
+                record.kind == RECORD_CHECKPOINT
+                and expected > self.entry_count()
+                and record.certificate.last_sn == expected - 1
+            ):
+                self._note_run(end, record.certificate)
+            else:
+                break
+
+    def _note_run(self, end: int, certificate: CheckpointCertificate) -> None:
+        """Index the sealed run occupying file bytes ``[self._end, end)``."""
+        self._run_first_sn.append(self.entry_count())
+        self._run_offset.append(self._end)
+        self._end = end
+        self._note_seal(certificate)
+
+    def _append(
+        self, delta: Sequence[SealedEntry], certificate: CheckpointCertificate
+    ) -> None:
+        created = not self.path.exists()
+        records = [
+            WalRecord(kind=RECORD_COMMIT, epoch=epoch, sn=sn, entry=entry)
+            for sn, entry, epoch in delta
+        ]
+        records.append(
+            WalRecord(
+                kind=RECORD_CHECKPOINT,
+                epoch=certificate.epoch,
+                sn=certificate.last_sn,
+                certificate=certificate,
+            )
+        )
+        written = 0
+        with open(self.path, "ab") as fh:
+            try:
+                for record in records:
+                    written += fh.write(_frame(record))
                 fh.flush()
                 os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            except BaseException:
+                # A half-appended run must not stay in front of later seals.
+                fh.truncate(self._end)
+                raise
+        if created:
             _fsync_dir(self.path.parent)
-        return accepted
+        self._note_run(self._end + written, certificate)
+
+    def entries(self, start: SeqNr = 0) -> Iterator[SealedEntry]:
+        if not 0 <= start < self.entry_count():
+            return
+        run = bisect_right(self._run_first_sn, start) - 1
+        for record, _end in iter_frames(self.path, self._run_offset[run]):
+            if record.kind == RECORD_COMMIT and record.sn >= start:
+                yield record.sn, record.entry, record.epoch
+
+    def entry_at(self, sn: SeqNr) -> LogEntry:
+        for _sn, entry, _epoch in self.entries(sn):
+            return entry
+        raise KeyError(f"sequence number {sn} is not sealed")
+
+    def entries_of(self, seq_nrs: Iterable[SeqNr]) -> List[Tuple[SeqNr, LogEntry]]:
+        """One pass over the file from the run holding the lowest position."""
+        wanted = list(seq_nrs)
+        found = {}
+        if wanted:
+            last = max(wanted)
+            for sn, entry, _epoch in self.entries(min(wanted)):
+                found[sn] = entry
+                if sn >= last:
+                    break
+        return [(sn, found[sn]) for sn in wanted]
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -235,7 +340,7 @@ def _fsync_dir(directory: Path) -> None:
 
 
 class DurableNodeStorage(NodeStorage):
-    """A :class:`NodeStorage` whose WAL and snapshots live on disk.
+    """A :class:`NodeStorage` whose WAL and sealed archive live on disk.
 
     One directory per node (``data_dir/node<N>`` by convention, chosen by
     the caller); constructing it on a directory with prior state reloads
@@ -249,7 +354,12 @@ class DurableNodeStorage(NodeStorage):
         self.directory.mkdir(parents=True, exist_ok=True)
         self.wal = FileWriteAheadLog(self.directory / WAL_FILENAME, fsync=fsync)
         self.snapshots = FileSnapshotStore(self.directory / SNAPSHOT_FILENAME)
+        latest = self.snapshots.latest()
+        if latest is not None:
+            # A crash between the archive fsync and the WAL rewrite leaves
+            # the sealed run in both files: finish that compaction.
+            self.wal.truncate_below(latest.last_sn + 1, latest.epoch)
 
     def close(self) -> None:
-        """Close the WAL's backing file (snapshots hold no open handle)."""
+        """Close the WAL's backing file (the archive holds no open handle)."""
         self.wal.close()

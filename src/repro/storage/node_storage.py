@@ -3,9 +3,10 @@
 :class:`NodeStorage` is the single object an ISS node (and the recovery
 path) talks to.  The node calls the narrow ``record_*`` hooks from its
 commit, epoch and checkpoint paths; the storage appends to the WAL and,
-at every stable checkpoint, compacts: the covered prefix moves into a
-:class:`~repro.storage.snapshot.Snapshot` and the WAL truncates below the
-checkpoint (Section 3.4's garbage collection, made durable).
+at every stable checkpoint, compacts: the run of entries the checkpoint
+newly covers is sealed into the append-only archive
+(:class:`~repro.storage.snapshot.SnapshotStore`) and the WAL truncates
+below the checkpoint (Section 3.4's garbage collection, made durable).
 
 The object deliberately outlives the node: the harness keeps one
 ``NodeStorage`` per node id, hands it to every incarnation of that node,
@@ -29,7 +30,7 @@ class NodeStorage:
         self.node_id = node_id
         self.wal = WriteAheadLog()
         self.snapshots = SnapshotStore()
-        #: Successful compactions (snapshot installed + WAL truncated).
+        #: Successful compactions (run sealed + WAL truncated).
         self.compactions = 0
         #: Stable checkpoints whose prefix was locally incomplete (the node
         #: heard 2f+1 votes before holding every entry); compaction is
@@ -57,25 +58,25 @@ class NodeStorage:
 
     # ------------------------------------------------------------ compaction
     def _compact(self, certificate: CheckpointCertificate) -> None:
-        """Fold everything at or below ``certificate.last_sn`` into a snapshot.
+        """Seal everything at or below ``certificate.last_sn`` into the archive.
+
+        Only the run above what is already sealed is assembled and handed
+        to :meth:`SnapshotStore.seal` — everything below it was truncated
+        out of the WAL at the previous compaction — so a checkpoint costs
+        O(epoch), never O(total log).  The archive is made durable *before*
+        the WAL drops the covered records: a crash between the two leaves
+        the run in both places, which replay tolerates.
 
         A stable checkpoint can outrun the local log (2f+1 *peers* may vote
         before this node holds every entry of the epoch); in that case the
-        prefix has gaps and compaction is deferred — the WAL keeps its
+        run has gaps and compaction is deferred — the WAL keeps its
         records and a later checkpoint retries once state transfer has
         filled the holes.
         """
         last_sn = certificate.last_sn
-        previous = self.snapshots.latest()
-        if previous is not None and previous.last_sn >= last_sn:
+        start = self.snapshots.entry_count()
+        if last_sn < start:
             return
-        # Only the delta above the previous snapshot needs assembling: the
-        # snapshot already covers [0, previous.last_sn] contiguously, and
-        # everything below it was truncated out of the WAL at the previous
-        # compaction.  Rebuilding the prefix from genesis here would make
-        # each checkpoint O(total log) instead of O(epoch).
-        base = previous.entries if previous is not None else ()
-        start = len(base)  # == previous.last_sn + 1, by contiguity
         delta: Dict[SeqNr, Tuple[LogEntry, EpochNr]] = {}
         for sn, entry, epoch in self.wal.commits():
             if start <= sn <= last_sn:
@@ -83,23 +84,15 @@ class NodeStorage:
         if len(delta) != last_sn - start + 1:
             self.deferred_compactions += 1
             return
-        entries = base + tuple(
-            (sn, delta[sn][0], delta[sn][1]) for sn in range(start, last_sn + 1)
-        )
-        self.snapshots.install(
-            Snapshot(
-                epoch=certificate.epoch,
-                last_sn=last_sn,
-                certificate=certificate,
-                entries=entries,
-            )
+        self.snapshots.seal(
+            [(sn, *delta[sn]) for sn in range(start, last_sn + 1)], certificate
         )
         self.wal.truncate_below(last_sn + 1, certificate.epoch)
         self.compactions += 1
 
     # --------------------------------------------------------------- queries
     def latest_snapshot(self) -> Optional[Snapshot]:
-        """The latest snapshot, or ``None`` before the first compaction."""
+        """The sealed prefix's anchor, or ``None`` before the first compaction."""
         return self.snapshots.latest()
 
     def has_state(self) -> bool:
@@ -107,7 +100,7 @@ class NodeStorage:
         return self.latest_snapshot() is not None or len(self.wal) > 0
 
     def durable_entry_count(self) -> int:
-        """Entries recoverable from storage (snapshot plus WAL tail)."""
+        """Entries recoverable from storage (sealed archive plus WAL tail)."""
         return self.snapshots.entry_count() + len(self.wal.commits())
 
     def stats(self) -> Dict[str, int]:

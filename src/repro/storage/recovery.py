@@ -2,8 +2,9 @@
 
 Recovery has three phases, mirroring production SMR restart procedures:
 
-1. **Snapshot apply** — the latest checkpoint-anchored snapshot is replayed
-   into the fresh node's log, delivered sets and client watermarks.
+1. **Snapshot apply** — the sealed archive (every entry below the latest
+   stable checkpoint) is streamed into the fresh node's log, delivered
+   sets and client watermarks.
 2. **WAL replay** — commit records above the snapshot are re-applied and
    stable checkpoint certificates are restored into the node's checkpoint
    protocol (so completed epochs are not re-announced and their SB
@@ -11,8 +12,9 @@ Recovery has three phases, mirroring production SMR restart procedures:
 3. **Fast-forward** — epoch bookkeeping (leader-policy failure history,
    watermark windows, counters) is advanced through every epoch the
    restored log completes, contiguous delivery replays the restored prefix
-   to the application, and the epoch to resume at (the first incomplete
-   one) is computed.
+   to the application, the epoch to resume at (the first incomplete one)
+   is computed, and everything sealed before the latest seal leaves memory
+   again (:meth:`repro.core.iss.ISSNode.evict_sealed_history`).
 
 What storage cannot provide — entries ordered while the node was down —
 is fetched afterwards through the existing state-transfer protocol:
@@ -79,12 +81,12 @@ class RecoveryManager:
         """
         info = RecoveryInfo(node_id=node.node_id, resume_epoch=0)
 
-        # Phase 1: snapshot apply.
+        # Phase 1: snapshot apply (streamed from the sealed archive).
         snapshot = self.storage.latest_snapshot()
         if snapshot is not None:
-            for sn, entry, epoch in snapshot.entries:
+            for sn, entry, epoch in self.storage.snapshots.entries():
                 node.restore_entry(sn, entry, epoch)
-            info.snapshot_entries = len(snapshot.entries)
+            info.snapshot_entries = len(snapshot)
             if node.checkpoints.restore_stable(snapshot.certificate):
                 info.certificates_restored += 1
 
@@ -133,6 +135,9 @@ class RecoveryManager:
         if on_deliver is not None:
             for item in delivered:
                 on_deliver(node.node_id, item)
+        # Same rule as a live stable checkpoint: history sealed before the
+        # latest seal is served from the archive, not held in memory.
+        node.evict_sealed_history()
         return info
 
 

@@ -1,77 +1,127 @@
-"""Checkpoint-anchored snapshots of the replicated log.
+"""The sealed archive: the checkpoint-certified prefix of the replicated log.
 
-A :class:`Snapshot` is the durable image of one node's log prefix at a
-stable checkpoint: every entry up to the checkpoint's last sequence number,
-plus the ``2f+1``-signed :class:`~repro.core.types.CheckpointCertificate`
-that proves the prefix is the agreed one.  Because ISS's application state
-*is* the delivered log, replaying the snapshot entries in order
-reconstructs the full node state (delivered requests, watermarks,
-per-request sequence numbers) bit for bit.
+At every stable checkpoint the entries the checkpoint covers are *sealed*:
+appended, in sequence-number order, to an archive that only ever grows, and
+closed by the ``2f+1``-signed :class:`~repro.core.types.CheckpointCertificate`
+that proves the prefix is the agreed one.  A seal costs what it covers — the
+run of entries between the previous certificate and the new one — never the
+history below it.  Because ISS's application state *is* the delivered log,
+replaying the archive in order reconstructs the full node state (delivered
+requests, watermarks, per-request sequence numbers) bit for bit.
 
-The :class:`SnapshotStore` keeps only the latest snapshot — an older one
-is a strict prefix of a newer one, so holding both would duplicate state
-without adding recoverability (the same argument that lets Section 3.4
-garbage-collect everything below a stable checkpoint).
+The archive is also where old history is *read* from once a node has dropped
+it from memory (:meth:`repro.core.log.Log.evict_through`): it answers
+``entry_at(sn)`` / ``entries_of(seq_nrs)`` for every sealed position, which
+is all the log needs to keep serving state transfer for old epochs.
+
+:class:`SnapshotStore` is the simulator's backend: its "disk" is a plain
+list.  The live backend's file-backed subclass
+(:class:`repro.storage.durable.FileSnapshotStore`) keeps only the latest
+certificate, the sealed count and a per-seal file offset in memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.types import CheckpointCertificate, EpochNr, LogEntry, SeqNr
+
+#: One sealed position: ``(sn, entry, epoch)``.
+SealedEntry = Tuple[SeqNr, LogEntry, EpochNr]
 
 
 @dataclass(frozen=True)
 class Snapshot:
-    """The log prefix ``[0, last_sn]`` anchored by a stable checkpoint.
+    """The anchor of the sealed prefix ``[0, last_sn]``: its latest certificate.
 
-    ``entries`` holds one ``(sn, entry, epoch)`` triple per position, in
-    sequence-number order and with no gaps — the store refuses to install
-    anything else, so a loaded snapshot can always be replayed blindly.
+    The entries themselves stay in the archive (read them with
+    :meth:`SnapshotStore.entries`); the store refuses to seal anything but a
+    gap-free continuation, so the prefix can always be replayed blindly.
     """
 
     epoch: EpochNr
     last_sn: SeqNr
     certificate: CheckpointCertificate
-    entries: Tuple[Tuple[SeqNr, LogEntry, EpochNr], ...]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.last_sn + 1
 
 
 class SnapshotStore:
-    """Holds the latest snapshot of one node (older ones are subsumed)."""
+    """Append-only archive of one node's sealed log prefix (in-memory backed)."""
 
     def __init__(self) -> None:
         self._latest: Optional[Snapshot] = None
-        #: Snapshots installed over the store's lifetime (for metrics).
-        self.installed_total = 0
+        #: Last sequence number of the seal *before* the latest one (-1 when
+        #: there is none): everything at or below it is history a node may
+        #: drop from memory, the latest sealed run is what it keeps hot.
+        self._previous_last_sn: SeqNr = -1
+        self._entries: List[SealedEntry] = []
+        #: Seals performed over the store's lifetime (for metrics).
+        self.seals_total = 0
 
-    def install(self, snapshot: Snapshot) -> bool:
-        """Install ``snapshot`` unless it is older than the current one.
+    # --------------------------------------------------------------- sealing
+    def seal(
+        self, delta: Sequence[SealedEntry], certificate: CheckpointCertificate
+    ) -> None:
+        """Seal ``delta`` — the run directly above what is already sealed.
 
-        Returns True when the snapshot was accepted.  The entry list must
-        cover ``[0, last_sn]`` contiguously; installing a snapshot with
-        gaps would make recovery silently lossy, so it raises instead.
+        ``delta`` must cover ``[entry_count(), certificate.last_sn]``
+        contiguously and in order; sealing a run with gaps (or one that does
+        not start where the archive ends) would make recovery silently
+        lossy, so it raises instead.
         """
-        if len(snapshot.entries) != snapshot.last_sn + 1 or any(
-            sn != position
-            for position, (sn, _entry, _epoch) in enumerate(snapshot.entries)
+        start = self.entry_count()
+        if len(delta) != certificate.last_sn - start + 1 or any(
+            sn != start + offset for offset, (sn, _entry, _epoch) in enumerate(delta)
         ):
             raise ValueError(
-                f"snapshot entries must cover [0, {snapshot.last_sn}] contiguously"
+                f"sealed run must cover [{start}, {certificate.last_sn}] contiguously"
             )
-        if self._latest is not None and snapshot.last_sn <= self._latest.last_sn:
-            return False
-        self._latest = snapshot
-        self.installed_total += 1
-        return True
+        self._append(delta, certificate)
+        self.seals_total += 1
 
+    def _append(
+        self, delta: Sequence[SealedEntry], certificate: CheckpointCertificate
+    ) -> None:
+        """Make one validated run durable and note its seal (backend hook)."""
+        self._entries.extend(delta)
+        self._note_seal(certificate)
+
+    def _note_seal(self, certificate: CheckpointCertificate) -> None:
+        """Advance the in-memory anchors over one sealed run."""
+        self._previous_last_sn = self.entry_count() - 1
+        self._latest = Snapshot(
+            epoch=certificate.epoch,
+            last_sn=certificate.last_sn,
+            certificate=certificate,
+        )
+
+    # --------------------------------------------------------------- queries
     def latest(self) -> Optional[Snapshot]:
-        """The most recent snapshot, or ``None`` before the first one."""
+        """The anchor of the sealed prefix, or ``None`` before the first seal."""
         return self._latest
 
     def entry_count(self) -> int:
-        """Number of log entries held by the latest snapshot."""
-        return len(self._latest.entries) if self._latest is not None else 0
+        """Number of sealed log entries (they are positions ``0..count-1``)."""
+        return self._latest.last_sn + 1 if self._latest is not None else 0
+
+    def previous_last_sn(self) -> SeqNr:
+        """Last position sealed *before* the latest seal (-1 when none)."""
+        return self._previous_last_sn
+
+    def entries(self, start: SeqNr = 0) -> Iterator[SealedEntry]:
+        """Stream the sealed ``(sn, entry, epoch)`` triples from ``start`` up."""
+        for position in range(start, self.entry_count()):
+            yield self._entries[position]
+
+    def entry_at(self, sn: SeqNr) -> LogEntry:
+        """The sealed entry at position ``sn`` (which must be sealed)."""
+        if not 0 <= sn < self.entry_count():
+            raise KeyError(f"sequence number {sn} is not sealed")
+        return self._entries[sn][1]
+
+    def entries_of(self, seq_nrs: Iterable[SeqNr]) -> List[Tuple[SeqNr, LogEntry]]:
+        """``(sn, entry)`` for the given sealed positions, in the given order."""
+        return [(sn, self.entry_at(sn)) for sn in seq_nrs]

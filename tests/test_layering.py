@@ -209,3 +209,47 @@ def test_fault_specs_module_is_bottom_layer():
     assert not forbidden, f"runtime/faults.py imports upward: {forbidden}"
     loaded = _imported_sim_modules(["repro.runtime.faults"])
     assert loaded == []
+
+
+def test_whole_prefix_snapshot_api_is_gone():
+    """A checkpoint seals a run (``SnapshotStore.seal``); nothing installs or
+    materialises the whole prefix any more, inside or outside ``storage/``."""
+    from dataclasses import fields
+
+    from repro.storage.snapshot import Snapshot, SnapshotStore
+
+    assert not hasattr(SnapshotStore, "install")
+    assert "entries" not in {field.name for field in fields(Snapshot)}
+    source_root = REPO_ROOT / "src" / "repro"
+    offenders = []
+    for path in sorted(source_root.rglob("*.py")):
+        if source_root / "storage" in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            base = ast.unparse(node.value).lower()
+            if (node.attr == "install" and "snapshot" in base) or (
+                node.attr == "entries"
+                and (base.endswith("snapshot") or base.endswith("snapshot()"))
+            ):
+                offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    assert not offenders, f"whole-prefix snapshot access outside storage/: {offenders}"
+
+
+def test_log_does_not_import_storage():
+    """The sealed archive reaches ``Log`` as a plain object (``entry_at`` /
+    ``entries_of``) handed in by ``ISSNode``; ``core/log.py`` must not know
+    the storage package."""
+    source = (REPO_ROOT / "src" / "repro" / "core" / "log.py").read_text()
+    imported = [
+        "." * node.level + (node.module or "")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+    ] + [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ]
+    assert not [module for module in imported if "storage" in module], imported

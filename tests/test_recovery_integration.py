@@ -19,6 +19,7 @@ recovery record and delivered trace, pinned across processes by
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +30,8 @@ from repro.core.config import (
     PROTOCOL_PBFT,
     PROTOCOL_RAFT,
 )
+from repro.core.log import Log
+from repro.core.state_transfer import LATEST_STABLE, StateRequest
 from repro.harness.runner import Deployment
 from repro.harness.scenarios import (
     PAYLOAD_BYTES,
@@ -179,6 +182,34 @@ class TestCrashRestartRecovery:
         assert golden["recovery"]["time_to_caught_up"] >= 0.0
         assert golden["trace_len"] > 0
         assert len(golden["trace_sha256"]) == 64
+
+
+class TestEvictedHistory:
+    def test_every_node_evicts_sealed_history_and_still_serves_all_of_it(self):
+        """Live nodes and the restarted one hold only what was sealed last
+        (plus the unsealed tail), yet answer a joiner's open-ended probe from
+        epoch 0 exactly as a log that never evicted anything."""
+        _deployment, result, _peer_epochs = crash_restart_run(PROTOCOL_PBFT)
+        probe = StateRequest(first_epoch=0, last_epoch=LATEST_STABLE)
+        for node in result.nodes:
+            storage = result.storages[node.node_id]
+            evicted = storage.snapshots.previous_last_sn() + 1
+            assert evicted > 0
+            assert node.log.resident_count() == node.log.committed_count() - evicted
+            # The reference is rebuilt from storage, not from the node's log.
+            reference = Log()
+            for sn, entry, epoch in storage.snapshots.entries():
+                reference.commit(sn, entry, epoch, now=0.0)
+            for sn, entry, epoch in storage.wal.commits():
+                reference.commit(sn, entry, epoch, now=0.0)
+            assert reference.committed_count() == node.log.committed_count()
+            served = node.state_transfer.build_responses(probe, node.log)
+            assert served == node.state_transfer.build_responses(probe, reference)
+            assert [response.epoch for response in served] == list(
+                range(node.checkpoints.latest_stable_epoch() + 1)
+            )
+            reference.advance_delivery(now=0.0)
+            assert delivered_trace(node) == delivered_trace(SimpleNamespace(log=reference))
 
 
 class TestRestartEdges:

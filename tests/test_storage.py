@@ -87,38 +87,38 @@ class TestWriteAheadLog:
 
 
 class TestSnapshotStore:
-    def test_install_requires_contiguous_prefix(self):
+    def test_seal_requires_contiguous_run(self):
         store = SnapshotStore()
-        gap = Snapshot(
-            epoch=0,
-            last_sn=2,
-            certificate=fake_certificate(0, 2),
-            entries=((0, entry(0), 0), (2, entry(2), 0)),
-        )
-        with pytest.raises(ValueError):
-            store.install(gap)
+        with pytest.raises(ValueError):  # a gap inside the run
+            store.seal([(0, entry(0), 0), (2, entry(2), 0)], fake_certificate(0, 2))
+        with pytest.raises(ValueError):  # shorter than the certificate covers
+            store.seal([(0, entry(0), 0)], fake_certificate(0, 1))
         assert store.latest() is None
+        store.seal([(0, entry(0), 0)], fake_certificate(0, 0))
+        with pytest.raises(ValueError):  # does not start where the archive ends
+            store.seal([(2, entry(2), 1)], fake_certificate(1, 2))
+        with pytest.raises(ValueError):  # re-sealing what is already sealed
+            store.seal([(0, entry(0), 0)], fake_certificate(0, 0))
+        assert store.entry_count() == 1
 
-    def test_newer_snapshot_replaces_older(self):
+    def test_newer_seal_extends_older(self):
         store = SnapshotStore()
-        first = Snapshot(
-            epoch=0,
-            last_sn=0,
-            certificate=fake_certificate(0, 0),
-            entries=((0, entry(0), 0),),
-        )
-        second = Snapshot(
-            epoch=1,
-            last_sn=1,
-            certificate=fake_certificate(1, 1),
-            entries=((0, entry(0), 0), (1, entry(1), 1)),
-        )
-        assert store.install(first)
-        assert store.install(second)
-        assert not store.install(first)  # older: subsumed, rejected
-        assert store.latest() is second
-        assert store.entry_count() == 2
-        assert store.installed_total == 2
+        first, second = fake_certificate(0, 0), fake_certificate(1, 2)
+        store.seal([(0, entry(0), 0)], first)
+        assert store.latest() == Snapshot(epoch=0, last_sn=0, certificate=first)
+        assert store.previous_last_sn() == -1
+        store.seal([(1, entry(1), 1), (2, NIL, 1)], second)
+        assert store.latest() == Snapshot(epoch=1, last_sn=2, certificate=second)
+        assert store.previous_last_sn() == 0
+        assert store.entry_count() == len(store.latest()) == 3
+        assert store.seals_total == 2
+        # The archive answers for every sealed position, and only for those.
+        assert [sn for sn, _e, _ep in store.entries()] == [0, 1, 2]
+        assert [(sn, ep) for sn, _e, ep in store.entries(start=1)] == [(1, 1), (2, 1)]
+        assert store.entry_at(1) == entry(1) and store.entry_at(2) is NIL
+        assert store.entries_of([2, 0]) == [(2, NIL), (0, entry(0))]
+        with pytest.raises(KeyError):
+            store.entry_at(3)
 
 
 class TestNodeStorageCompaction:
@@ -130,7 +130,7 @@ class TestNodeStorageCompaction:
         storage.record_stable_checkpoint(fake_certificate(0, 3))
         snapshot = storage.latest_snapshot()
         assert snapshot is not None and snapshot.last_sn == 3
-        assert [sn for sn, _e, _ep in snapshot.entries] == [0, 1, 2, 3]
+        assert [sn for sn, _e, _ep in storage.snapshots.entries()] == [0, 1, 2, 3]
         assert len(storage.wal.commits()) == 0
         assert storage.compactions == 1
         assert storage.durable_entry_count() == 4
@@ -166,7 +166,7 @@ class TestNodeStorageCompaction:
 class RecoveryHarness:
     """A fresh ISS node plus a hand-built storage to recover it from."""
 
-    def __init__(self, epoch_length=4, num_nodes=4):
+    def __init__(self, epoch_length=4, num_nodes=4, storage=None):
         self.config = ISSConfig(
             num_nodes=num_nodes,
             epoch_length=epoch_length,
@@ -178,7 +178,7 @@ class RecoveryHarness:
         self.network = Network(self.sim, net_config, LatencyModel(net_config, num_nodes))
         self.key_store = KeyStore(deployment_seed=2)
         self.delivered = []
-        self.storage = NodeStorage(node_id=0)
+        self.storage = storage if storage is not None else NodeStorage(node_id=0)
         self.node = ISSNode(
             node_id=0,
             config=self.config,

@@ -126,6 +126,70 @@ class TestCachedHashing:
         assert segment.bucket_set() is segment.bucket_set()
 
 
+class TestCachesStayInTheirProcess:
+    """Derived caches (``_hash``, ``_digest``, ``_size``) are rebuilt by the
+    loader, never shipped: a hash is only valid under the hash seed that
+    computed it, and a digest is only worth what its sender is."""
+
+    def test_pickle_carries_constructor_fields_only(self):
+        import pickle
+
+        request = Request(rid=RequestId(1, 2), payload=b"payload", signature=b"sig")
+        batch = Batch.of([request])
+        cold = pickle.dumps(batch)
+        hash(request), request.digest(), batch.digest(), batch.size_bytes()
+        assert pickle.dumps(batch) == cold
+        loaded = pickle.loads(cold)
+        assert loaded == batch
+        assert set(loaded.__dict__) == {"requests"}
+        assert set(loaded.requests[0].__dict__) == {"rid", "payload", "signature"}
+        # The request id's caches are recomputed by its constructor.
+        assert hash(loaded.requests[0].rid) == hash(request.rid)
+        assert loaded.requests[0].rid._mix == request.rid._mix
+
+    def test_forged_digest_is_ignored_after_a_round_trip(self):
+        import pickle
+
+        honest = Request(rid=RequestId(1, 2), payload=b"pay alice")
+        forged = Request(rid=RequestId(1, 2), payload=b"pay mallory")
+        object.__setattr__(forged, "_digest", honest.digest())
+        batch = Batch.of([forged])
+        object.__setattr__(batch, "_digest", Batch.of([honest]).digest())
+        assert batch.digest() == Batch.of([honest]).digest()  # the sender's lie
+        received = pickle.loads(pickle.dumps(batch))
+        assert received.requests[0].digest() != honest.digest()
+        assert received.digest() != Batch.of([honest]).digest()
+        assert received.digest() == Batch.of([Request(RequestId(1, 2), b"pay mallory")]).digest()
+
+    def test_round_trip_under_another_hash_seed_keeps_set_membership(self):
+        import os
+        import subprocess
+        import sys
+
+        def run(seed: str, script: str, stdin: str = "") -> str:
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(sys.path)
+            return subprocess.run(
+                [sys.executable, "-c", script],
+                input=stdin, capture_output=True, text=True, check=True, env=env,
+            ).stdout.strip()
+
+        build = (
+            "from repro.core.types import Request, RequestId\n"
+            "r = Request(RequestId(1, 2), b'payload', b'sig')\n"
+        )
+        sent = run("1", build + "import pickle\nhash(r)\nprint(pickle.dumps(r).hex())")
+        verdict = run(
+            "2",
+            build
+            + "import pickle, sys\n"
+            + "received = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+            + "print(received == r, r in {received}, hash(received) == hash(r))",
+            stdin=sent,
+        )
+        assert verdict == "True True True"
+
+
 class TestDeliveredRequestContract:
     def test_hashable_and_frozen(self):
         import pytest as _pytest
