@@ -53,9 +53,9 @@ def test_client_abuse_sweep(benchmark, flush_interval):
             ],
             [
                 [
-                    r["behaviour"], r["abusive"], f"{r['throughput']:.0f}",
+                    r["client_behaviour"], r["abusive"], f"{r['throughput']:.0f}",
                     f"{r['latency_mean']:.2f}", f"{r['latency_p95']:.2f}",
-                    r["correct_all_complete"], int(r["rejections_total"]),
+                    r["all_complete"], int(r["rejections_total"]),
                     int(r["duplicates_total"]), r["prefixes_identical"],
                 ]
                 for r in rows
@@ -65,14 +65,14 @@ def test_client_abuse_sweep(benchmark, flush_interval):
 
     for r in rows:
         # The defences, not just the curves: correct clients unharmed...
-        assert r["correct_all_complete"], r
+        assert r["all_complete"], r
         # ...safety across all nodes...
         assert r["prefixes_identical"], r
         # ...and every abusive submission class rejected and counted.
         assert r["abuse_contained"], r
         # Node memory stays bounded: the delivered filter is GC'd below the
         # advanced watermarks instead of holding every delivered id forever.
-        assert r["delivered_filter_max"] < r["correct_completed"], r
+        assert r["delivered_filter_max"] < r["completed"], r
 
     baseline = next(r for r in rows if r["abusive"] == 0)
     assert baseline["throughput"] > 0
@@ -94,7 +94,7 @@ def test_watermark_stall(benchmark):
             ],
             [[
                 row["abuser_low_watermark"], row["abuser_stalled"],
-                row["correct_lows_advanced"], row["correct_all_complete"],
+                row["correct_lows_advanced"], row["all_complete"],
                 row["out_of_order_max"], int(row["gc_entries_total"]),
                 row["prefixes_identical"],
             ]],
@@ -104,7 +104,7 @@ def test_watermark_stall(benchmark):
     # system keeps moving and node memory stays bounded.
     assert row["abuser_stalled"]
     assert row["correct_lows_advanced"]
-    assert row["correct_all_complete"]
+    assert row["all_complete"]
     assert row["prefixes_identical"]
     assert row["out_of_order_bounded"]
     assert row["gc_entries_total"] > 0

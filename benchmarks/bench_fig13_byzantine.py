@@ -47,7 +47,7 @@ def test_fig13_byzantine_leader_sweep(benchmark):
             ],
             [
                 [
-                    r["protocol"], r["behaviour"], r["adversaries"],
+                    r["protocol"], r["byz_behaviour"], r["adversaries"],
                     f"{r['throughput']:.0f}", f"{r['latency_mean']:.2f}",
                     f"{r['latency_p95']:.2f}", r["equivocations_detected"],
                     r["adversaries_evicted"], r["prefixes_identical"],
@@ -68,7 +68,7 @@ def test_fig13_byzantine_leader_sweep(benchmark):
             r
             for r in rows
             if r["protocol"] == protocol
-            and r["behaviour"] == behaviour
+            and r["byz_behaviour"] == behaviour
             and r["adversaries"] == adversaries
         )
 

@@ -144,14 +144,15 @@ OUTPUT_PATH = "BENCH_fig5.json"
 
 def _deployment(num_nodes):
     """One Fig. 5 datapoint: recovery-armed ISS-PBFT on the 8-region WAN."""
-    from repro.harness.runner import Deployment
-
-    return Deployment(
-        config=scenarios.chaos_config("pbft", num_nodes, random_seed=1),
-        network_config=scenarios.wan_regions(min(8, num_nodes)),
-        workload=scenarios._workload(rate=RATE, duration=DURATION, clients=8),
-        recovery_poll=0.25,
+    return scenarios.deployment(
+        "pbft",
+        num_nodes,
+        rate=RATE,
+        duration=DURATION,
+        seed=1,
+        network=scenarios.wan_regions(min(8, num_nodes)),
         probe_stagger=0.5,
+        **scenarios.GRACEFUL,
     )
 
 

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness import scenarios
+from repro.harness.invariants import check_invariants
 from repro.metrics.report import format_table, print_banner
 
 from conftest import run_scenario
@@ -102,9 +103,17 @@ def _upgrade_figure_rows():
     upgrade = scenarios.rolling_upgrade()
     # Baseline: identical load, duration and seed, no membership schedule.
     duration = 3.0 + 2 * upgrade["period"] * upgrade["nodes"] + 6.0
-    baseline = scenarios.membership_point(
-        upgrade["protocol"], upgrade["nodes"], rate=300.0,
-        duration=duration, drain_time=15.0,
+    deployment = scenarios.deployment(
+        upgrade["protocol"], upgrade["nodes"], rate=300.0, duration=duration,
+        drain_time=15.0, epoch_length=scenarios.DEFAULT_MEMBERSHIP_EPOCH_LENGTH,
+        **scenarios.GRACEFUL,
+    )
+    result = deployment.run()
+    # A static run's row has no membership section: add what the table reads.
+    baseline = dict(
+        scenarios.row(deployment, result),
+        config_txs_committed=0,
+        violations=check_invariants(result),
     )
     return upgrade, baseline
 

@@ -156,6 +156,8 @@ class ByzantineConsensus:
     def stop(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
+            # The timer holds a bound method of this instance.
+            self._timer = None
 
     # -------------------------------------------------------------- leading
     def _maybe_lead_view(self) -> None:

@@ -122,8 +122,16 @@ class ConsensusSB(SBInstance):
         self._pacer.stop()
         if self._abort_timer is not None:
             self._abort_timer.cancel()
+            self._abort_timer = None
+        if self.failure_detector is not None:
+            self.failure_detector.unsubscribe(self._on_fd_event)
         for bc in self._bc.values():
             bc.stop()
+        # The per-sequence-number BRB and BC instances call back into this
+        # one (see PbftSB.stop): drop them so a stopped instance and its
+        # slots' batches are freed without a full cyclic collection.
+        self._brb.clear()
+        self._bc.clear()
 
     # --------------------------------------------------------------- sender
     def _sb_cast(self, sn: SeqNr, batch: Batch) -> None:

@@ -323,13 +323,6 @@ class NetworkConfig:
     #: one tick are coalesced into a single wire message flushed at the tick
     #: boundary.  ``0`` (the default) disables batching entirely.
     batch_flush_interval: float = 0.0
-    #: Optional per-directed-link bandwidth in bits per second.  When
-    #: positive, each (src, dst) link serialises wire messages at this rate
-    #: *after* the sender's NIC: back-to-back traffic on one link queues up
-    #: behind it (see ``Network._send_now``).  ``0`` (the default) disables
-    #: link queueing entirely — the pre-existing NIC-only model, which every
-    #: golden trace pins.
-    link_bandwidth_bps: float = 0.0
     #: Optional explicit one-way datacenter latency matrix (seconds),
     #: ``num_datacenters`` × ``num_datacenters``.  ``None`` (the default)
     #: keeps the synthetic ring-distance matrix; scenario builders like
@@ -347,8 +340,6 @@ class NetworkConfig:
             raise ConfigError("num_datacenters must be >= 1")
         if self.batch_flush_interval < 0:
             raise ConfigError("batch_flush_interval must be >= 0")
-        if self.link_bandwidth_bps < 0:
-            raise ConfigError("link_bandwidth_bps must be >= 0")
         if self.dc_latency_matrix is not None:
             matrix = self.dc_latency_matrix
             if len(matrix) != self.num_datacenters or any(

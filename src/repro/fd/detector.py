@@ -95,6 +95,11 @@ class FailureDetector:
         """Register for ⟨SUSPECT⟩ / ⟨RESTORE⟩ events."""
         self._subscribers.append(callback)
 
+    def unsubscribe(self, callback: FDSubscriber) -> None:
+        """Stop delivering events to ``callback`` (no-op if not subscribed)."""
+        if callback in self._subscribers:
+            self._subscribers.remove(callback)
+
     # ----------------------------------------------------------- heartbeats
     def _emit_heartbeat(self) -> None:
         if not self._running:

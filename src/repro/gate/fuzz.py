@@ -128,9 +128,6 @@ def build_deployment(spec: Dict[str, object]) -> Deployment:
     overrides = (
         {"epoch_length": spec["epoch_length"]} if spec.get("epoch_length") else {}
     )
-    config = scenarios.chaos_config(
-        spec["protocol"], spec["num_nodes"], random_seed=spec["seed"], **overrides
-    )
     num_nodes = spec["num_nodes"]
     duration = spec["duration"]
     drawn = spec["faults"]
@@ -167,14 +164,19 @@ def build_deployment(spec: Dict[str, object]) -> Deployment:
         faults.append(
             MaliciousClientSpec(client=0, behaviour=CLIENT_FORGED_SIGNATURE, victim=1)
         )
-    return Deployment(
-        config=config,
-        network_config=network,
-        workload=scenarios._workload(spec["rate"], duration, clients=6),
-        faults=faults,
-        recovery_poll=0.25,
-        probe_stagger=0.5,
+    return scenarios.deployment(
+        spec["protocol"],
+        num_nodes,
+        faults,
+        rate=spec["rate"],
+        duration=duration,
+        num_clients=6,
+        seed=spec["seed"],
+        network=network,
         obs=ObsConfig.disabled(),
+        probe_stagger=0.5,
+        **scenarios.GRACEFUL,
+        **overrides,
     )
 
 

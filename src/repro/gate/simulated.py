@@ -5,11 +5,11 @@ trace, so a trace of a different experiment is refused), a ``*_figures``
 function that runs it once and returns a flat figure dict, and a
 ``*_CLAIMS`` tuple of ordered ``(predicate, message)`` pairs — the claims
 that must hold in every mode, so a golden trace of a broken run can never
-be recorded.  The deployments come from the same ``*_deployment`` builders
-in :mod:`repro.harness.scenarios` the figure benchmarks use; nothing about
-a scenario's shape is read from the environment, and
-:mod:`repro.gate.table` hands every figure function the one pinned
-``ObsConfig``.
+be recorded.  The deployments come from the same builder and reader
+(:func:`repro.harness.scenarios.deployment` / ``row``) the figure
+benchmarks use; nothing about a scenario's shape is read from the
+environment, and :mod:`repro.gate.table` hands every figure function the
+one pinned ``ObsConfig``.
 
 All five golden scenarios share a shape: 4 PBFT nodes over the scaled WAN
 with wire batching on, 8 open-loop clients.
@@ -36,12 +36,13 @@ from ..runtime.faults import (
     CLIENT_WATERMARK_ABUSE,
     MEMBER_ADD,
     MEMBER_REMOVE,
-    ByzantineSpec,
+    CrashSpec,
     LinkFaultSpec,
     MaliciousClientSpec,
     MembershipSpec,
+    RestartSpec,
 )
-from ..workload.faults import minority_partition
+from ..workload.faults import byzantine_leaders, minority_partition
 
 Figures = Dict[str, object]
 #: ``(holds(figures), message)``; the message is ``str.format_map``-ed with
@@ -185,25 +186,26 @@ def recovery_figures(obs: ObsConfig) -> Figures:
     recovery record and the victim's delivered sequence (same seed ⇒ same
     crash ⇒ same WAL ⇒ same recovery)."""
     s = RECOVERY_SCENARIO
-    deployment = scenarios.crash_restart_deployment(
+    deployment = scenarios.deployment(
         s["protocol"],
-        num_nodes=s["num_nodes"],
+        s["num_nodes"],
+        [
+            CrashSpec(node=s["victim"], trigger="at-time", time=s["crash_time"]),
+            RestartSpec(node=s["victim"], time=s["restart_time"]),
+        ],
         rate=s["total_rate"],
         duration=s["duration"],
-        crash_time=s["crash_time"],
-        downtime=s["restart_time"] - s["crash_time"],
-        victim=s["victim"],
-        seed=s["random_seed"],
         num_clients=s["num_clients"],
+        seed=s["random_seed"],
         obs=obs,
     )
     result = deployment.run()
-    row = scenarios.crash_restart_row(deployment, result)
+    row = scenarios.row(deployment, result)
     return {
         "scenario": dict(s),
-        "recovery": row["recovery"],
+        "recovery": row["recoveries"][0],
         "caught_up": row["caught_up"],
-        "prefix_matches": row["prefix_matches"],
+        "prefix_matches": row["prefixes_identical"],
         **_replay_figures(deployment, result.nodes[s["victim"]]),
         "wal_appended_total": row["wal_appended_total"],
         "snapshots_installed_total": row["snapshots_installed_total"],
@@ -245,21 +247,19 @@ def byzantine_figures(obs: ObsConfig) -> Figures:
     start; pins a correct node's delivered sequence and the detection
     counters — an adversarial schedule is still a seeded schedule."""
     s = BYZANTINE_SCENARIO
-    deployment = scenarios.byzantine_deployment(
+    deployment = scenarios.deployment(
         s["protocol"],
-        behaviour=s["behaviour"],
-        num_adversaries=1,
-        num_nodes=s["num_nodes"],
+        s["num_nodes"],
+        byzantine_leaders(1, s["num_nodes"], behaviour=s["behaviour"]),
         rate=s["total_rate"],
         duration=s["duration"],
-        seed=s["random_seed"],
-        drain_time=5.0,
         num_clients=s["num_clients"],
+        seed=s["random_seed"],
         obs=obs,
     )
     result = deployment.run()
-    row = scenarios.byzantine_row(deployment, result)
-    sample = scenarios.correct_nodes(result, deployment.faults_of(ByzantineSpec))[0]
+    row = scenarios.row(deployment, result)
+    sample = result.nodes[0]  # the lowest-numbered correct node
     return {
         "scenario": dict(s),
         "completed": result.report.completed,
@@ -323,8 +323,9 @@ def client_abuse_figures(obs: ObsConfig) -> Figures:
     watermarks, client 6 floods duplicates, client 5 forges client 0's
     identity; pins the delivered sequence and every rejection counter."""
     s = CLIENT_ABUSE_SCENARIO
-    deployment = scenarios.client_abuse_deployment(
+    deployment = scenarios.deployment(
         s["protocol"],
+        s["num_nodes"],
         [
             MaliciousClientSpec(
                 client=s["watermark_abuser"], behaviour=CLIENT_WATERMARK_ABUSE
@@ -338,17 +339,16 @@ def client_abuse_figures(obs: ObsConfig) -> Figures:
                 victim=s["forgery_victim"],
             ),
         ],
-        num_nodes=s["num_nodes"],
-        num_clients=s["num_clients"],
         rate=s["total_rate"],
         duration=s["duration"],
-        window=s["window"],
+        num_clients=s["num_clients"],
         seed=s["random_seed"],
-        drain_time=5.0,
         obs=obs,
+        client_watermark_window=s["window"],
+        send_client_responses=True,
     )
     result = deployment.run()
-    row = scenarios.client_abuse_row(deployment, result)
+    row = scenarios.row(deployment, result)
     sample = result.nodes[0]
     per_client = row["client_abuse"]["per_client"]
     abusers = row["client_abuse"]["abusers"]
@@ -359,7 +359,7 @@ def client_abuse_figures(obs: ObsConfig) -> Figures:
     return {
         "scenario": dict(s),
         "completed": result.report.completed,
-        "correct_all_complete": row["correct_all_complete"],
+        "correct_all_complete": row["all_complete"],
         "prefixes_identical": row["prefixes_identical"],
         "no_double_delivery": not check_no_double_delivery([sample]),
         "out_of_window_sent": abusers[s["watermark_abuser"]]["out_of_window_sent"],
@@ -450,7 +450,7 @@ def partition_figures(obs: ObsConfig) -> Figures:
     loss costs latency, never correctness), graceful degradation armed;
     pins the delivered sequence and the drop/retry/reconvergence counters."""
     s = PARTITION_SCENARIO
-    deployment = scenarios.partition_deployment(
+    deployment = scenarios.deployment(
         s["protocol"],
         s["num_nodes"],
         faults=[
@@ -469,14 +469,18 @@ def partition_figures(obs: ObsConfig) -> Figures:
         duration=s["duration"],
         num_clients=s["num_clients"],
         seed=s["random_seed"],
+        drain_time=15.0,
         obs=obs,
-        client_retry_timeout=s["client_retry_timeout"],
-        view_change_jitter=s["view_change_jitter"],
-        stalled_catchup_grace=s["stalled_catchup_grace"],
-        vc_recovery=s["vc_recovery"],
+        **dict(
+            scenarios.GRACEFUL,
+            client_retry_timeout=s["client_retry_timeout"],
+            view_change_jitter=s["view_change_jitter"],
+            stalled_catchup_grace=s["stalled_catchup_grace"],
+            vc_recovery=s["vc_recovery"],
+        ),
     )
     result = deployment.run()
-    row = scenarios.chaos_row(result)
+    row = scenarios.row(deployment, result)
     sample = result.nodes[0]
     drops = row["drops_by_cause"]
     return {
@@ -572,7 +576,7 @@ def membership_figures(obs: ObsConfig) -> Figures:
     ConfigTxs ordered in the log; pins the activation schedule and the
     delivered sequence of a never-reconfigured replica (node 1)."""
     s = MEMBERSHIP_SCENARIO
-    deployment = scenarios.membership_deployment(
+    deployment = scenarios.deployment(
         s["protocol"],
         s["num_nodes"],
         faults=[
@@ -588,9 +592,10 @@ def membership_figures(obs: ObsConfig) -> Figures:
         drain_time=8.0,
         obs=obs,
         epoch_length=s["epoch_length"],
+        **scenarios.GRACEFUL,
     )
     result = deployment.run()
-    row = scenarios.membership_row(result)
+    row = scenarios.row(deployment, result)
     joins = row["joins"]
     return {
         "scenario": dict(s),

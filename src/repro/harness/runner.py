@@ -441,10 +441,7 @@ class Deployment:
         sampler.add_probe(
             "retransmissions", lambda: self.network.stats.retransmissions
         )
-        sampler.add_probe(
-            "client_retries",
-            lambda: sum(c.requests_retried for c in self.clients),
-        )
+        sampler.add_probe("client_retries", self._client_retries_total)
 
     # ------------------------------------------------------- crash / restart
     def _on_node_crash(self, node_id: int) -> None:
@@ -732,20 +729,11 @@ class Deployment:
         """
         if not self.membership_enabled:
             return None
-        sample = next(
-            (
-                n
-                for n in self.nodes
-                if not n.crashed and getattr(n, "membership", None) is not None
-            ),
-            None,
-        )
-        if sample is None:
-            sample = next(
-                (n for n in self.nodes if getattr(n, "membership", None) is not None),
-                None,
-            )
-        tracker = sample.membership if sample is not None else None
+        # A live node's tracker if there is one (the sort is stable, so
+        # the lowest id wins), else a crashed node's.
+        members = [n for n in self.nodes if getattr(n, "membership", None) is not None]
+        members.sort(key=lambda n: n.crashed)
+        tracker = members[0].membership if members else None
         return {
             "specs": [
                 {"node": spec.node, "action": spec.action, "time": spec.time}
@@ -827,12 +815,13 @@ class Deployment:
         for record in self._pending_recoveries:
             self.collector.record_recovery(record)
         self._pending_recoveries = []
+        counters = self.obs_counters()
         report = self.collector.report(
             duration=self.workload.duration,
-            extra=self._extra_stats(),
+            extra=self._extra_stats(counters),
             byzantine=self._byzantine_stats(),
             client_abuse=self._client_abuse_stats(),
-            partitions=self._partition_stats(),
+            partitions=self._partition_stats(counters),
             membership=self._membership_stats(),
         )
         if self.sampler is not None:
@@ -845,7 +834,7 @@ class Deployment:
                 self.obs.out_dir,
                 self.tracer,
                 timeseries=report.timeseries,
-                counters=self.obs_counters(),
+                counters=counters,
             )
         return DeploymentResult(
             report=report,
@@ -921,7 +910,9 @@ class Deployment:
             "abusers": abusers,
         }
 
-    def _partition_stats(self) -> Optional[Dict[str, object]]:
+    def _partition_stats(
+        self, counters: Dict[str, object]
+    ) -> Optional[Dict[str, object]]:
         """Network-chaos diagnostics for runs with partitions or link faults
         (else None).
 
@@ -932,19 +923,17 @@ class Deployment:
         before the event).  ``drops_by_cause`` splits the network's payload
         drops by cause, ``link_faults`` lists per-installed-fault runtime
         counters and ``client_retries_total`` sums the clients' retry loops
-        (0 with retries disabled).
+        (0 with retries disabled) — the last three copied from the run's
+        :meth:`obs_counters`.
         """
         if not (self.faults_of(PartitionSpec) or self.faults_of(LinkFaultSpec)):
             return None
         return {
             "partitions": [dict(record) for record in self.injector.partition_records()],
-            "drops_by_cause": {
-                cause: int(self.network.stats.dropped_by_cause.get(cause, 0))
-                for cause in DROP_CAUSES
-            },
+            "drops_by_cause": dict(counters["drops_by_cause"]),
             "link_faults": self.injector.link_fault_stats(),
-            "client_retries_total": sum(c.requests_retried for c in self.clients),
-            "retransmissions_total": int(self.network.stats.retransmissions),
+            "client_retries_total": counters["client_retries_total"],
+            "retransmissions_total": counters["retransmissions_total"],
         }
 
     def obs_counters(self) -> Dict[str, object]:
@@ -964,7 +953,7 @@ class Deployment:
                 int(node): int(count)
                 for node, count in sorted(stats.retransmissions_by_node.items())
             },
-            "client_retries_total": sum(c.requests_retried for c in self.clients),
+            "client_retries_total": self._client_retries_total(),
             "client_retries_by_client": {
                 c.client_id: c.requests_retried
                 for c in self.clients
@@ -972,7 +961,10 @@ class Deployment:
             },
         }
 
-    def _extra_stats(self) -> Dict[str, float]:
+    def _client_retries_total(self) -> int:
+        return sum(c.requests_retried for c in self.clients)
+
+    def _extra_stats(self, counters: Dict[str, object]) -> Dict[str, float]:
         alive = [n for n in self.nodes if not n.crashed]
         sample = alive[0] if alive else self.nodes[0]
         stats = {
@@ -982,8 +974,8 @@ class Deployment:
             # The opaque total above, split by cause (every key always
             # present so determinism checks compare identical dicts).
             **{
-                f"dropped_{cause}": float(self.network.stats.dropped_by_cause.get(cause, 0))
-                for cause in DROP_CAUSES
+                f"dropped_{cause}": float(count)
+                for cause, count in counters["drops_by_cause"].items()
             },
             "epochs_completed": float(sample.epochs_completed),
             "batches_committed": float(sample.batches_committed),
@@ -1012,9 +1004,7 @@ class Deployment:
                 sum(n.client_state_gc_entries for n in self.nodes)
             )
         if self.config.client_retry_timeout > 0:
-            stats["client_retries_total"] = float(
-                sum(c.requests_retried for c in self.clients)
-            )
+            stats["client_retries_total"] = float(counters["client_retries_total"])
         if self.membership_enabled:
             stats["membership_activations"] = float(len(self._membership_activations))
             stats["config_txs_submitted"] = float(

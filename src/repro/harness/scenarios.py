@@ -1,7 +1,12 @@
 """Prebuilt experiment scenarios, one per table/figure of the evaluation.
 
-Every function returns plain dictionaries/lists so benchmarks can both print
-the paper-style rows and attach them to pytest-benchmark ``extra_info``.
+Every experiment has the same shape — a protocol configuration, an
+open-loop workload and one fault list — so every scenario is built by one
+function, :func:`deployment`, and read back by one function, :func:`row`,
+whose plain-dict figures both print as paper-style rows and attach to
+pytest-benchmark ``extra_info``.  The golden gates
+(:mod:`repro.gate.simulated`) build their pinned runs through the same
+pair, so a gate and a figure run the same deployment by construction.
 
 Scaling: the simulated deployments are necessarily smaller than the paper's
 (node counts, epoch length, NIC bandwidth and experiment duration are scaled
@@ -9,19 +14,15 @@ down so a figure regenerates in seconds-to-minutes of wall clock).
 :func:`bench_scale` (``REPRO_BENCH_SCALE``) is the figure suite's one size
 dial; everything else about a scenario's shape is an argument of the function
 that builds it.
-
-Every scenario a golden gate pins (:mod:`repro.gate.simulated`) is split
-into a ``*_deployment`` builder and a ``*_row`` reader, so the gate and the
-figure run the same deployment by construction.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from ..baselines.mirbft import MirBFTNode
-from ..baselines.single_leader import single_leader_config, single_leader_policy
+from ..baselines.single_leader import single_leader_policy
 from ..core.config import (
     ISSConfig,
     NetworkConfig,
@@ -33,14 +34,14 @@ from ..core.config import (
     POLICY_BLACKLIST,
     POLICY_SIMPLE,
 )
+from ..core.iss import ISSNode
 from ..core.segment import LAYOUT_CONTIGUOUS, LAYOUT_ROUND_ROBIN
-from ..metrics.collector import RunReport
+from ..core.state_transfer import DEFAULT_PROBE_STAGGER
 from ..obs.config import ObsConfig
 from ..runtime.faults import (
     BYZ_CENSOR,
     BYZ_EQUIVOCATE,
     BYZ_INVALID_VOTES,
-    BYZ_REPLAY,
     CLIENT_BUCKET_BIAS,
     CLIENT_DUPLICATE_FLOOD,
     CLIENT_FORGED_SIGNATURE,
@@ -68,13 +69,8 @@ from ..workload.faults import (
     rolling_upgrade_specs,
     stragglers,
 )
-from .invariants import (
-    check_invariants,
-    check_prefix_identity,
-    delivered_trace,
-    traces_agree,
-)
-from .runner import Deployment
+from .invariants import check_invariants, delivered_trace, traces_agree
+from .runner import Deployment, PolicyFactory
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +82,6 @@ from .runner import Deployment
 #: offered load) so saturation happens at a few thousand requests per second,
 #: which keeps event counts tractable.  The throughput *shape* across
 #: configurations is preserved because every configuration shares the scale.
-#: Revisit: this models sender-NIC contention only.  Now that the network
-#: also supports per-link serialisation (``NetworkConfig.link_bandwidth_bps``,
-#: off by default), the WAN scenarios could split the budget between NIC and
-#: link to model shared-backbone saturation; the figure benchmarks keep the
-#: single NIC knob until a paper figure needs the distinction.
 SCALED_BANDWIDTH_BPS = 20e6
 
 #: Paper request payload (average Bitcoin transaction size).
@@ -219,529 +210,204 @@ def iss_config(protocol: str, num_nodes: int, **overrides) -> ISSConfig:
     return ISSConfig(num_nodes=num_nodes, protocol=protocol, **defaults)
 
 
-def baseline_config(protocol: str, num_nodes: int, **overrides) -> ISSConfig:
-    """Scaled-down single-leader baseline configuration."""
-    defaults = dict(
-        epoch_length=32,
-        max_batch_size=128,
-        max_batch_timeout=1.0,
-        min_batch_timeout=0.0,
-        view_change_timeout=5.0,
-        epoch_change_timeout=5.0,
-        client_watermark_window=1 << 16,
-        send_client_responses=False,
-        client_signatures=True,
-    )
-    if protocol == PROTOCOL_HOTSTUFF:
-        defaults.update(min_batch_timeout=0.1, max_batch_timeout=0.0)
-    if protocol == PROTOCOL_RAFT:
-        defaults.update(client_signatures=False, election_timeout=(5.0, 10.0))
-    defaults.update(overrides)
-    return single_leader_config(protocol, num_nodes, **defaults)
+#: Graceful degradation, as :func:`iss_config` overrides: client responses
+#: on (retry completion is the point), the client retry loop (2 s initial
+#: timeout, ×2 backoff capped at 8 s, 10 % jitter), deterministic
+#: view-change jitter so simultaneous stalls don't fire every instance's
+#: timer in the same tick, the stalled-epoch catch-up grace so a node wedged
+#: by persistent message loss state-transfers out of it, and view-change
+#: hardening.  The partition, membership and fuzz scenarios run with it (and
+#: a long ``drain_time``): clients ride out a partition or a
+#: reconfiguration through retries, which is what lets them gate on 100 %
+#: completion.
+GRACEFUL: Dict[str, object] = dict(
+    send_client_responses=True,
+    client_retry_timeout=2.0,
+    client_retry_backoff=2.0,
+    client_retry_max_timeout=8.0,
+    client_retry_jitter=0.1,
+    view_change_jitter=0.1,
+    stalled_catchup_grace=2.0,
+    vc_recovery=True,
+)
+
+#: The systems of the Figure 5/6 comparisons, as :func:`deployment`
+#: keyword arguments.  ``"single"`` is the single-leader baseline: the same
+#: engines with node 0 leading one segment over the whole log and no
+#: deployment-wide batch rate (see :mod:`repro.baselines.single_leader`).
+SYSTEMS: Dict[str, Dict[str, object]] = {
+    "iss": {},
+    "single": dict(
+        policy_factory=single_leader_policy, batch_rate=None, min_segment_size=1
+    ),
+    "mirbft": dict(node_class=MirBFTNode),
+}
 
 
-def _workload(rate: float, duration: float, clients: int = 8) -> WorkloadConfig:
-    return WorkloadConfig(
-        num_clients=clients,
-        total_rate=rate,
-        duration=duration,
-        payload_size=PAYLOAD_BYTES,
-    )
+# ---------------------------------------------------------------------------
+# The one builder and the one reader
+# ---------------------------------------------------------------------------
 
-
-def _run(
-    config: ISSConfig,
+def deployment(
+    protocol: str,
+    num_nodes: int,
+    faults: Sequence[object] = (),
+    *,
     rate: float,
     duration: float,
-    faults: Sequence[object] = (),
-    node_class=None,
-    policy_factory=None,
-    layout: str = LAYOUT_ROUND_ROBIN,
-    drain_time: float = 5.0,
-    obs=None,
-) -> RunReport:
-    kwargs = dict(
-        network_config=scaled_network(),
-        workload=_workload(rate, duration),
-        faults=faults,
-        layout=layout,
-        drain_time=drain_time,
-    )
-    if node_class is not None:
-        kwargs["node_class"] = node_class
-    if policy_factory is not None:
-        kwargs["policy_factory"] = policy_factory
-    if obs is not None:
-        kwargs["obs"] = obs
-    return Deployment(config, **kwargs).run().report
-
-
-# ---------------------------------------------------------------------------
-# Figure 5 — throughput scalability
-# ---------------------------------------------------------------------------
-
-def scalability_point(
-    system: str,
-    protocol: str,
-    num_nodes: int,
-    offered_loads: Sequence[float],
-    duration: float = 5.0,
-) -> Dict[str, object]:
-    """Peak throughput of one (system, protocol, n) point of Figure 5.
-
-    ``system`` is ``"iss"``, ``"single"`` or ``"mirbft"``.
-    """
-    best = {"throughput": 0.0, "offered": 0.0, "latency": 0.0}
-    for rate in offered_loads:
-        if system == "iss":
-            report = _run(iss_config(protocol, num_nodes), rate, duration)
-        elif system == "single":
-            config = baseline_config(protocol, num_nodes)
-            report = _run(
-                config, rate, duration, policy_factory=lambda c: single_leader_policy(c)
-            )
-        elif system == "mirbft":
-            report = _run(iss_config(protocol, num_nodes), rate, duration, node_class=MirBFTNode)
-        else:
-            raise ValueError(f"unknown system {system!r}")
-        if report.throughput > best["throughput"]:
-            best = {
-                "throughput": report.throughput,
-                "offered": rate,
-                "latency": report.latency.mean,
-            }
-    return {
-        "system": system,
-        "protocol": protocol,
-        "nodes": num_nodes,
-        "peak_throughput": best["throughput"],
-        "at_offered_load": best["offered"],
-        "latency_at_peak": best["latency"],
-    }
-
-
-def scalability_sweep(
-    node_counts: Sequence[int] = (4, 8, 16),
-    protocols: Sequence[str] = (PROTOCOL_PBFT, PROTOCOL_HOTSTUFF, PROTOCOL_RAFT),
-    offered_loads: Sequence[float] = (1000.0, 2000.0),
-    duration: float = 5.0,
-    include_mirbft: bool = True,
-) -> List[Dict[str, object]]:
-    """Full Figure 5 sweep: ISS vs single-leader (vs Mir-BFT for PBFT)."""
-    rows: List[Dict[str, object]] = []
-    for protocol in protocols:
-        for n in node_counts:
-            rows.append(scalability_point("iss", protocol, n, offered_loads, duration))
-            rows.append(scalability_point("single", protocol, n, offered_loads, duration))
-        if include_mirbft and protocol == PROTOCOL_PBFT:
-            for n in node_counts:
-                rows.append(scalability_point("mirbft", protocol, n, offered_loads, duration))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figure 6 — latency vs throughput under increasing load
-# ---------------------------------------------------------------------------
-
-def latency_throughput_sweep(
-    protocol: str,
-    num_nodes: int,
-    offered_loads: Sequence[float],
-    duration: float = 5.0,
-    single_leader: bool = False,
-) -> List[Dict[str, object]]:
-    """One latency-over-throughput curve of Figure 6."""
-    rows = []
-    for rate in offered_loads:
-        if single_leader:
-            config = baseline_config(protocol, num_nodes)
-            report = _run(config, rate, duration, policy_factory=lambda c: single_leader_policy(c))
-        else:
-            report = _run(iss_config(protocol, num_nodes), rate, duration)
-        rows.append(
-            {
-                "system": "single" if single_leader else "iss",
-                "protocol": protocol,
-                "nodes": num_nodes,
-                "offered_load": rate,
-                "throughput": report.throughput,
-                "latency_mean": report.latency.mean,
-                "latency_p95": report.latency.p95,
-            }
-        )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figure 7 — leader-selection policies under crash faults
-# ---------------------------------------------------------------------------
-
-def leader_policy_comparison(
-    num_nodes: int = 8,
-    rate: float = 800.0,
-    duration: float = 30.0,
-    crash_kind: str = "epoch-start",
-    policies: Sequence[str] = (POLICY_SIMPLE, POLICY_BACKOFF, POLICY_BLACKLIST),
-) -> List[Dict[str, object]]:
-    """Mean / tail latency per leader-selection policy with one crash."""
-    rows = []
-    for policy in policies:
-        config = iss_config(PROTOCOL_PBFT, num_nodes, leader_policy=policy)
-        if crash_kind == "epoch-start":
-            crashes = epoch_start_crashes(1, num_nodes, epoch=0)
-        else:
-            crashes = epoch_end_crashes(1, num_nodes, epoch=0)
-        report = _run(config, rate, duration, faults=crashes)
-        rows.append(
-            {
-                "policy": policy,
-                "crash": crash_kind,
-                "latency_mean": report.latency.mean,
-                "latency_p95": report.latency.p95,
-                "throughput": report.throughput,
-            }
-        )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figure 8 — crash-fault latency over experiment duration
-# ---------------------------------------------------------------------------
-
-def crash_latency_over_duration(
-    num_nodes: int = 8,
-    rate: float = 800.0,
-    durations: Sequence[float] = (20.0, 40.0, 60.0),
-    fault_counts: Sequence[int] = (0, 1, 2),
-    crash_kind: str = "epoch-start",
-) -> List[Dict[str, object]]:
-    """Mean/p95 latency as the experiment duration grows (Blacklist policy)."""
-    rows = []
-    for count in fault_counts:
-        for duration in durations:
-            if count == 0:
-                crashes: Sequence[CrashSpec] = ()
-            elif crash_kind == "epoch-start":
-                crashes = epoch_start_crashes(count, num_nodes, epoch=0)
-            else:
-                crashes = epoch_end_crashes(count, num_nodes, epoch=0)
-            config = iss_config(PROTOCOL_PBFT, num_nodes, leader_policy=POLICY_BLACKLIST)
-            report = _run(config, rate, duration, faults=crashes)
-            rows.append(
-                {
-                    "faults": count,
-                    "crash": crash_kind if count else "none",
-                    "duration": duration,
-                    "latency_mean": report.latency.mean,
-                    "latency_p95": report.latency.p95,
-                    "throughput": report.throughput,
-                }
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figures 9, 10, 12 — throughput over time
-# ---------------------------------------------------------------------------
-
-def throughput_timeline(
-    num_nodes: int = 8,
-    rate: float = 800.0,
-    duration: float = 40.0,
-    crash_kind: Optional[str] = None,
-    straggler_count: int = 0,
-    straggler_delay: float = 2.5,
-    mirbft: bool = False,
-) -> Dict[str, object]:
-    """Per-second delivered throughput, optionally under a crash or straggler.
-
-    The per-second series comes from the observability sampler
-    (``repro.obs.MetricsSampler``): the run enables a 1 s metrics interval
-    and the report's ``throughput_timeline`` is its rate-probed completion
-    series — the bespoke per-bucket accounting the timeline benchmarks used
-    to carry lives nowhere else anymore.
-    """
-    faults: List[object] = []
-    if crash_kind == "epoch-start":
-        faults = epoch_start_crashes(1, num_nodes, epoch=0)
-    elif crash_kind == "epoch-end":
-        faults = epoch_end_crashes(1, num_nodes, epoch=0)
-    if straggler_count:
-        faults = faults + stragglers(straggler_count, num_nodes, delay=straggler_delay)
-    config = iss_config(PROTOCOL_PBFT, num_nodes)
-    report = _run(
-        config,
-        rate,
-        duration,
-        faults=faults,
-        node_class=MirBFTNode if mirbft else None,
-        obs=ObsConfig(metrics_interval=1.0),
-    )
-    return {
-        "system": "mirbft" if mirbft else "iss",
-        "crash": crash_kind or "none",
-        "stragglers": straggler_count,
-        "throughput": report.throughput,
-        "latency_mean": report.latency.mean,
-        "timeline": report.throughput_timeline,
-        "extra": report.extra,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Figure 11 — latency/throughput with Byzantine stragglers
-# ---------------------------------------------------------------------------
-
-def straggler_sweep(
-    num_nodes: int = 8,
-    straggler_counts: Sequence[int] = (0, 1, 2),
-    rate: float = 800.0,
-    duration: float = 30.0,
-    straggler_delay: float = 2.5,
-) -> List[Dict[str, object]]:
-    """Throughput and latency as the number of stragglers grows."""
-    rows = []
-    for count in straggler_counts:
-        specs = stragglers(count, num_nodes, delay=straggler_delay) if count else ()
-        config = iss_config(PROTOCOL_PBFT, num_nodes)
-        report = _run(config, rate, duration, faults=specs)
-        rows.append(
-            {
-                "stragglers": count,
-                "throughput": report.throughput,
-                "latency_mean": report.latency.mean,
-                "latency_p95": report.latency.p95,
-            }
-        )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Ablations (docs/ARCHITECTURE.md, "Model and substitutions")
-# ---------------------------------------------------------------------------
-
-def layout_ablation(
-    num_nodes: int = 8, rate: float = 800.0, duration: float = 10.0
-) -> List[Dict[str, object]]:
-    """Round-robin vs contiguous sequence-number interleaving."""
-    rows = []
-    for layout in (LAYOUT_ROUND_ROBIN, LAYOUT_CONTIGUOUS):
-        config = iss_config(PROTOCOL_PBFT, num_nodes)
-        report = _run(config, rate, duration, layout=layout)
-        rows.append(
-            {
-                "layout": layout,
-                "throughput": report.throughput,
-                "latency_mean": report.latency.mean,
-                "latency_p95": report.latency.p95,
-            }
-        )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Crash-recovery scenarios — crash → restart → WAL replay + state transfer
-# ---------------------------------------------------------------------------
-
-def crash_restart_deployment(
-    protocol: str,
-    num_nodes: int = 4,
-    rate: float = 800.0,
-    duration: float = 30.0,
-    crash_time: float = 3.0,
-    downtime: float = 12.0,
-    victim: int = 1,
-    seed: int = 11,
     num_clients: int = 8,
+    seed: int = 42,
+    drain_time: float = 5.0,
+    network: Optional[NetworkConfig] = None,
     obs: Optional[ObsConfig] = None,
+    node_class: Type[ISSNode] = ISSNode,
+    policy_factory: Optional[PolicyFactory] = None,
+    layout: str = LAYOUT_ROUND_ROBIN,
+    probe_stagger: float = DEFAULT_PROBE_STAGGER,
+    **config_overrides,
 ) -> Deployment:
-    """One crash→restart experiment: crash ``victim`` mid-run and restart
-    it ``downtime`` seconds later from its durable storage."""
+    """One scenario: ``protocol`` on ``num_nodes`` replicas, ``num_clients``
+    open-loop clients offering ``rate`` req/s of :data:`PAYLOAD_BYTES`
+    payloads for ``duration`` virtual seconds, and the fault list
+    ``faults`` (any mix of :mod:`repro.runtime.faults` specs).
+
+    ``config_overrides`` go to :func:`iss_config` (``seed`` is its
+    ``random_seed``) — :data:`GRACEFUL` and :data:`SYSTEMS` are such
+    overrides; ``network`` defaults to :func:`scaled_network`; the rest are
+    :class:`~repro.harness.runner.Deployment`'s own arguments.
+    ``drain_time`` is the quiet tail after the workload stops: scenarios
+    that assert completion *through* a fault give it room.
+    """
+    config = iss_config(protocol, num_nodes, random_seed=seed, **config_overrides)
+    if not config.client_signatures and any(
+        isinstance(spec, MaliciousClientSpec)
+        and spec.behaviour == CLIENT_FORGED_SIGNATURE
+        for spec in faults
+    ):
+        # Without client signatures (Raft's CFT configuration) identity
+        # forgery is trivially possible and outside the fault model — the
+        # "attack" would be accepted and prove nothing about the defence.
+        raise ValueError(
+            f"forged-signature abuse needs client signatures, which the "
+            f"{protocol!r} configuration disables"
+        )
     return Deployment(
-        iss_config(protocol, num_nodes, random_seed=seed),
-        network_config=scaled_network(),
-        workload=_workload(rate, duration, clients=num_clients),
-        faults=[
-            CrashSpec(node=victim, trigger="at-time", time=crash_time),
-            RestartSpec(node=victim, time=crash_time + downtime),
-        ],
+        config,
+        network_config=network or scaled_network(),
+        workload=WorkloadConfig(
+            num_clients=num_clients,
+            total_rate=rate,
+            duration=duration,
+            payload_size=PAYLOAD_BYTES,
+        ),
+        faults=faults,
+        drain_time=drain_time,
         obs=obs,
+        node_class=node_class,
+        policy_factory=policy_factory,
+        layout=layout,
+        probe_stagger=probe_stagger,
     )
 
 
-def crash_restart_row(deployment: Deployment, result) -> Dict[str, object]:
-    """How recovery went, from one finished :func:`crash_restart_deployment`.
+def row(deployment: Deployment, result) -> Dict[str, object]:
+    """The figures of one finished :func:`deployment` run, as a flat dict.
 
-    The row combines the harness's recovery record (downtime, WAL entries
-    replayed, state-transfer bytes, time-to-caught-up — see
-    :meth:`repro.harness.runner.Deployment._on_node_restart`) with the
-    delivered-prefix equivalence check and the run's throughput figures.
+    Every row carries the common figures: protocol, nodes, throughput,
+    latency mean/p95, ``prefixes_identical`` — prefix agreement over the
+    *correct live* nodes (Byzantine and crashed ones excluded) — and, when
+    the run sends client responses (without them no client learns of a
+    completion), ``submitted``/``completed``/``all_complete`` over the
+    *correct* clients (malicious ones excluded).  It then adds one section
+    per diagnostic the run's report produced — recoveries, byzantine,
+    client abuse, partitions, membership — so a row holds what its run
+    contained, whoever asks.
     """
     report = result.report
-    crash = deployment.faults_of(CrashSpec)[0]
-    victim = crash.node
-    recovery = dict(report.recoveries[0]) if report.recoveries else {}
-    reference = next(
-        node for node in result.nodes if node.node_id != victim and not node.crashed
-    )
-    return {
-        "protocol": deployment.config.protocol,
-        "nodes": deployment.config.num_nodes,
-        "victim": victim,
-        "crash_time": crash.time,
-        "downtime": deployment.faults_of(RestartSpec)[0].time - crash.time,
-        "recovery": recovery,
-        "prefix_matches": traces_agree(
-            [delivered_trace(reference), delivered_trace(result.nodes[victim])]
-        ),
-        "caught_up": recovery.get("time_to_caught_up", -1.0) >= 0.0,
-        "throughput": report.throughput,
-        "latency_mean": report.latency.mean,
-        "wal_appended_total": report.extra.get("wal_appended_total", 0.0),
-        "snapshots_installed_total": report.extra.get("snapshots_installed_total", 0.0),
-    }
-
-
-def crash_restart_point(protocol: str, **scenario) -> Dict[str, object]:
-    """Run one :func:`crash_restart_deployment` (same keyword arguments) and
-    return its :func:`crash_restart_row`."""
-    deployment = crash_restart_deployment(protocol, **scenario)
-    return crash_restart_row(deployment, deployment.run())
-
-
-def crash_restart_sweep(
-    protocols: Sequence[str] = (PROTOCOL_PBFT, PROTOCOL_HOTSTUFF, PROTOCOL_RAFT),
-    num_nodes: int = 4,
-    rate: float = 800.0,
-    duration: float = 30.0,
-    crash_time: float = 3.0,
-    downtime: float = 12.0,
-) -> List[Dict[str, object]]:
-    """Crash→restart→catch-up across SB protocols (one row per protocol)."""
-    return [
-        crash_restart_point(
-            protocol,
-            num_nodes=num_nodes,
-            rate=rate,
-            duration=duration,
-            crash_time=crash_time,
-            downtime=downtime,
-        )
-        for protocol in protocols
-    ]
-
-
-def recovery_time_over_downtime(
-    protocol: str = PROTOCOL_PBFT,
-    num_nodes: int = 4,
-    rate: float = 800.0,
-    downtimes: Sequence[float] = (5.0, 10.0, 15.0),
-    crash_time: float = 3.0,
-    tail_time: float = 15.0,
-) -> List[Dict[str, object]]:
-    """Recovery-time curve: how catch-up cost grows with time spent down.
-
-    Longer downtime ⇒ more epochs ordered without the victim ⇒ more state
-    transfer on restart.  Each run extends the experiment so the node always
-    gets ``tail_time`` seconds of post-restart run time to catch up in.
-    """
-    rows: List[Dict[str, object]] = []
-    for downtime in downtimes:
-        duration = crash_time + downtime + tail_time
-        point = crash_restart_point(
-            protocol,
-            num_nodes=num_nodes,
-            rate=rate,
-            duration=duration,
-            crash_time=crash_time,
-            downtime=downtime,
-        )
-        recovery = point["recovery"]
-        rows.append(
-            {
-                "protocol": protocol,
-                "downtime": downtime,
-                "time_to_caught_up": recovery.get("time_to_caught_up", -1.0),
-                "wal_entries_replayed": recovery.get("wal_entries_replayed", 0.0),
-                "snapshot_entries": recovery.get("snapshot_entries", 0.0),
-                "state_transfer_bytes": recovery.get("state_transfer_bytes", 0.0),
-                "state_transfer_entries": recovery.get("state_transfer_entries", 0.0),
-                "prefix_matches": point["prefix_matches"],
-                "caught_up": point["caught_up"],
-            }
-        )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figure-13-style scenarios — active Byzantine adversaries
-# ---------------------------------------------------------------------------
-
-def correct_nodes(result, byzantine_specs: Sequence[ByzantineSpec]) -> List[object]:
-    """The live, non-adversarial nodes of a finished deployment result."""
-    adversarial = {spec.node for spec in byzantine_specs}
-    return [
+    abusive = {spec.client for spec in deployment.faults_of(MaliciousClientSpec)}
+    clients = [c for c in result.clients if c.client_id not in abusive]
+    adversaries = {spec.node for spec in deployment.faults_of(ByzantineSpec)}
+    correct = [
         node
         for node in result.nodes
-        if node.node_id not in adversarial and not node.crashed
+        if node.node_id not in adversaries and not node.crashed
     ]
-
-
-def byzantine_deployment(
-    protocol: str,
-    behaviour: str = BYZ_EQUIVOCATE,
-    num_adversaries: int = 1,
-    num_nodes: int = 4,
-    rate: float = 600.0,
-    duration: float = 20.0,
-    censored_bucket_count: int = 4,
-    seed: int = 42,
-    drain_time: float = 10.0,
-    num_clients: int = 8,
-    obs: Optional[ObsConfig] = None,
-) -> Deployment:
-    """One run under ``num_adversaries`` actively Byzantine nodes (the
-    highest-numbered ones).  ``behaviour`` is one of the
-    :data:`~repro.runtime.faults.BYZANTINE_BEHAVIOURS`."""
-    config = iss_config(protocol, num_nodes, random_seed=seed)
-    buckets: Sequence[int] = ()
-    if behaviour == BYZ_CENSOR:
-        buckets = censorship_targets(config.num_buckets, censored_bucket_count)
-    return Deployment(
-        config,
-        network_config=scaled_network(),
-        workload=_workload(rate, duration, clients=num_clients),
-        faults=byzantine_leaders(
-            num_adversaries, num_nodes, behaviour=behaviour, buckets=buckets
-        ),
-        drain_time=drain_time,
-        obs=obs,
-    )
-
-
-def byzantine_row(deployment: Deployment, result) -> Dict[str, object]:
-    """The figures of one finished :func:`byzantine_deployment`.
-
-    The row combines the run's throughput/latency with the safety check
-    (identical delivered prefixes across correct nodes), the detection
-    counters from ``RunReport.byzantine`` and whether the leader-selection
-    policy (Blacklist by default) evicted the adversaries from the final
-    epoch's leaderset.
-    """
-    report = result.report
-    specs = deployment.faults_of(ByzantineSpec)
-    correct = correct_nodes(result, specs)
-    sample = correct[0]
-    final_leaders = sample.manager.leaders_for(sample.current_epoch)
-    per_node = report.byzantine.get("per_node", {})
-    row: Dict[str, object] = {
+    figures: Dict[str, object] = {
         "protocol": deployment.config.protocol,
-        "behaviour": specs[0].behaviour if specs else "none",
-        "adversaries": len(specs),
+        "nodes": deployment.config.num_nodes,
         "throughput": report.throughput,
         "latency_mean": report.latency.mean,
         "latency_p95": report.latency.p95,
-        "prefixes_identical": not check_prefix_identity(correct),
+        "prefixes_identical": traces_agree([delivered_trace(n) for n in correct]),
+    }
+    if deployment.config.send_client_responses:
+        figures.update(
+            submitted=sum(c.requests_submitted for c in clients),
+            completed=sum(c.requests_completed for c in clients),
+            all_complete=all(
+                c.requests_completed == c.requests_submitted for c in clients
+            ),
+        )
+    if report.recoveries:
+        # One record per restart (see Deployment._on_node_restart).
+        figures.update(
+            recoveries=report.recoveries,
+            caught_up=all(
+                r["time_to_caught_up"] >= 0.0 for r in report.recoveries
+            ),
+            wal_appended_total=report.extra.get("wal_appended_total", 0.0),
+            snapshots_installed_total=report.extra.get(
+                "snapshots_installed_total", 0.0
+            ),
+        )
+    if report.byzantine:
+        figures.update(_byzantine_figures(deployment, result, correct))
+    if report.client_abuse:
+        figures.update(_client_abuse_figures(deployment, result))
+    if report.partitions:
+        partitions = report.partitions
+        records = partitions["partitions"]
+        figures.update(
+            reconverged=all(r.get("time_to_reconverge", -1.0) >= 0.0 for r in records),
+            time_to_reconverge=max(
+                (r.get("time_to_reconverge", -1.0) for r in records), default=0.0
+            ),
+            view_changes_during=sum(r.get("view_changes_during", 0) for r in records),
+            client_retries=partitions["client_retries_total"],
+            drops_by_cause=partitions["drops_by_cause"],
+            partition_records=records,
+            link_faults=partitions["link_faults"],
+        )
+    if report.membership:
+        membership = report.membership
+        joins = membership["joins"]
+        figures.update(
+            violations=check_invariants(result),
+            activations=membership["activations"],
+            final_view=membership["final_view"],
+            joins=joins,
+            all_joined=all(j["time_to_join"] >= 0.0 for j in joins),
+            time_to_join_max=max((j["time_to_join"] for j in joins), default=0.0),
+            removed=membership["removed"],
+            evictions=membership["evictions"],
+            config_txs_committed=len(membership["config_txs_committed"]),
+        )
+    return figures
+
+
+def _byzantine_figures(deployment: Deployment, result, correct) -> Dict[str, object]:
+    """The byzantine section of :func:`row`: the detection counters of
+    ``RunReport.byzantine`` summed over the ``correct`` nodes, whether the
+    leader-selection policy (Blacklist by default) evicted the adversaries
+    from the final epoch's leaderset, and the censored-bucket figures."""
+    report = result.report
+    specs = deployment.faults_of(ByzantineSpec)
+    sample = correct[0]
+    final_leaders = sample.manager.leaders_for(sample.current_epoch)
+    per_node = report.byzantine.get("per_node", {})
+    figures: Dict[str, object] = {
+        "byz_behaviour": specs[0].behaviour if specs else "none",
+        "adversaries": len(specs),
         "nil_committed": sample.nil_committed,
         "equivocations_detected": sum(
             per_node.get(n.node_id, {}).get("equivocations_detected", 0) for n in correct
@@ -754,177 +420,21 @@ def byzantine_row(deployment: Deployment, result) -> Dict[str, object]:
     }
     censored = report.byzantine.get("censored")
     if censored is not None:
-        row["censored_submitted"] = censored["submitted"]
-        row["censored_completed"] = censored["completed"]
-        row["censored_latency_mean"] = censored["latency"].mean
-        row["censored_latency_p95"] = censored["latency"].p95
-    return row
+        figures["censored_submitted"] = censored["submitted"]
+        figures["censored_completed"] = censored["completed"]
+        figures["censored_latency_mean"] = censored["latency"].mean
+        figures["censored_latency_p95"] = censored["latency"].p95
+    return figures
 
 
-def byzantine_point(protocol: str, **scenario) -> Dict[str, object]:
-    """Run one :func:`byzantine_deployment` (same keyword arguments) and
-    return its :func:`byzantine_row`."""
-    deployment = byzantine_deployment(protocol, **scenario)
-    return byzantine_row(deployment, deployment.run())
-
-
-def byzantine_leader_sweep(
-    protocols: Sequence[str] = (PROTOCOL_PBFT, PROTOCOL_HOTSTUFF),
-    behaviours: Sequence[str] = (BYZ_EQUIVOCATE, BYZ_CENSOR),
-    adversary_counts: Sequence[int] = (0, 1),
-    num_nodes: int = 4,
-    rate: float = 600.0,
-    duration: float = 20.0,
-) -> List[Dict[str, object]]:
-    """Throughput/latency with up to ``f`` active adversaries (Fig. 13 style).
-
-    A single zero-adversary row per protocol (``behaviour="none"``) gives
-    the clean baseline every behaviour's curve is measured against — the
-    baseline deployment is behaviour-independent, so it runs once instead
-    of once per behaviour.  Equivocation and forged votes target the BFT
-    protocols; Raft (CFT) only appears when paired with behaviours inside
-    its fault model (censorship, replay).
-    """
-    rows: List[Dict[str, object]] = []
-    attacked_counts = [count for count in adversary_counts if count > 0]
-    for protocol in protocols:
-        if 0 in adversary_counts:
-            rows.append(
-                byzantine_point(
-                    protocol,
-                    num_adversaries=0,
-                    num_nodes=num_nodes,
-                    rate=rate,
-                    duration=duration,
-                )
-            )
-        for behaviour in behaviours:
-            if protocol == PROTOCOL_RAFT and behaviour in (
-                BYZ_EQUIVOCATE,
-                BYZ_INVALID_VOTES,
-            ):
-                continue
-            for count in attacked_counts:
-                rows.append(
-                    byzantine_point(
-                        protocol,
-                        behaviour=behaviour,
-                        num_adversaries=count,
-                        num_nodes=num_nodes,
-                        rate=rate,
-                        duration=duration,
-                    )
-                )
-    return rows
-
-
-def censorship_rotation(
-    num_nodes: int = 4,
-    rate: float = 600.0,
-    duration: float = 16.0,
-    censored_bucket_count: int = 4,
-    drain_time: float = 15.0,
-    seed: int = 42,
-) -> Dict[str, object]:
-    """Bucket rotation vs a censoring leader (the Section 3.2 defence).
-
-    One Byzantine leader censors a fixed bucket set for the whole run; the
-    row reports how much of the censored traffic still completed and the
-    latency penalty it paid waiting for its buckets to rotate to honest
-    leaders.  The generous ``drain_time`` lets requests submitted right
-    before the workload ends complete, so ``censored_completed`` can reach
-    ``censored_submitted``.
-    """
-    row = byzantine_point(
-        PROTOCOL_PBFT,
-        behaviour=BYZ_CENSOR,
-        num_adversaries=1,
-        num_nodes=num_nodes,
-        rate=rate,
-        duration=duration,
-        censored_bucket_count=censored_bucket_count,
-        seed=seed,
-        drain_time=drain_time,
-    )
-    submitted = row.get("censored_submitted", 0)
-    completed = row.get("censored_completed", 0)
-    row["censored_completion_ratio"] = (completed / submitted) if submitted else 1.0
-    row["latency_penalty"] = (
-        row["censored_latency_mean"] / row["latency_mean"] if row["latency_mean"] else 1.0
-    )
-    return row
-
-
-# ---------------------------------------------------------------------------
-# Malicious-client scenarios — the Section 3.7 defences under actual attack
-# ---------------------------------------------------------------------------
-
-#: Watermark window used by the client-abuse scenarios: small enough that
-#: watermark dynamics (gap stalls, bias wedging) bite within seconds of
-#: virtual time, large enough that correct clients never brush against it.
-CLIENT_ABUSE_WINDOW = 4096
-
-
-def client_abuse_deployment(
-    protocol: str,
-    specs: Sequence[MaliciousClientSpec],
-    num_nodes: int = 4,
-    num_clients: int = 8,
-    rate: float = 400.0,
-    duration: float = 10.0,
-    window: int = CLIENT_ABUSE_WINDOW,
-    seed: int = 42,
-    drain_time: float = 10.0,
-    flush_interval: Optional[float] = None,
-    obs: Optional[ObsConfig] = None,
-) -> Deployment:
-    """One run with the malicious clients in ``specs`` (client responses on,
-    watermark window ``window``; ``flush_interval`` overrides the benchmark
-    flush tick, ``0.0`` disables wire batching)."""
-    config = iss_config(
-        protocol,
-        num_nodes,
-        random_seed=seed,
-        client_watermark_window=window,
-        send_client_responses=True,
-    )
-    if not config.client_signatures and any(
-        spec.behaviour == CLIENT_FORGED_SIGNATURE for spec in specs
-    ):
-        # Without client signatures (Raft's CFT configuration) identity
-        # forgery is trivially possible and outside the fault model — the
-        # "attack" would be accepted and prove nothing about the defence.
-        raise ValueError(
-            f"forged-signature abuse needs client signatures, which the "
-            f"{protocol!r} configuration disables"
-        )
-    network = scaled_network()
-    if flush_interval is not None:
-        network.batch_flush_interval = flush_interval
-    return Deployment(
-        config,
-        network_config=network,
-        workload=_workload(rate, duration, clients=num_clients),
-        faults=specs,
-        drain_time=drain_time,
-        obs=obs,
-    )
-
-
-def client_abuse_row(deployment: Deployment, result) -> Dict[str, object]:
-    """The figures of one finished :func:`client_abuse_deployment`.
-
-    The row combines throughput/latency with the defence checks: every
-    correct client's requests complete, delivered prefixes stay identical
-    across all nodes, each abusive submission class is rejected-and-counted
-    (``RunReport.client_abuse``), and node memory stays bounded (watermark
-    out-of-order buffers, delivered filter after GC).
-    """
+def _client_abuse_figures(deployment: Deployment, result) -> Dict[str, object]:
+    """The client-abuse section of :func:`row`: whether each abusive
+    submission class was rejected-and-counted (``RunReport.client_abuse``)
+    and whether node memory stayed bounded (watermark out-of-order buffers,
+    delivered filter after GC)."""
     config = deployment.config
     specs = deployment.faults_of(MaliciousClientSpec)
     report = result.report
-    abusive_ids = {spec.client for spec in specs}
-    correct_clients = [c for c in result.clients if c.client_id not in abusive_ids]
     abuse = report.client_abuse
     per_client = abuse.get("per_client", {})
     abusers = abuse.get("abusers", {})
@@ -965,18 +475,8 @@ def client_abuse_row(deployment: Deployment, result) -> Dict[str, object]:
                 config.num_buckets,
             )
     return {
-        "protocol": config.protocol,
-        "behaviour": specs[0].behaviour if specs else "none",
+        "client_behaviour": specs[0].behaviour if specs else "none",
         "abusive": len(specs),
-        "throughput": report.throughput,
-        "latency_mean": report.latency.mean,
-        "latency_p95": report.latency.p95,
-        "correct_submitted": sum(c.requests_submitted for c in correct_clients),
-        "correct_completed": sum(c.requests_completed for c in correct_clients),
-        "correct_all_complete": all(
-            c.requests_completed == c.requests_submitted for c in correct_clients
-        ),
-        "prefixes_identical": not check_prefix_identity(result.nodes),
         "abuse_contained": abuse_contained,
         "rejections_total": report.extra.get("client_rejections_total", 0.0),
         "duplicates_total": report.extra.get("client_duplicates_total", 0.0),
@@ -991,24 +491,441 @@ def client_abuse_row(deployment: Deployment, result) -> Dict[str, object]:
     }
 
 
-def client_abuse_point(
+# ---------------------------------------------------------------------------
+# Figure 5 — throughput scalability
+# ---------------------------------------------------------------------------
+
+def scalability_peak(
+    system: str,
     protocol: str,
-    behaviour: str = CLIENT_WATERMARK_ABUSE,
-    num_abusive: int = 1,
-    num_clients: int = 8,
-    flood_factor: int = 3,
-    **scenario,
+    num_nodes: int,
+    offered_loads: Sequence[float],
+    duration: float = 5.0,
 ) -> Dict[str, object]:
-    """One run under ``num_abusive`` malicious clients of one ``behaviour``
-    (one of :data:`~repro.runtime.faults.MALICIOUS_CLIENT_BEHAVIOURS`);
-    ``scenario`` are :func:`client_abuse_deployment`'s keyword arguments."""
-    specs = abusive_clients(
-        num_abusive, num_clients, behaviour=behaviour, flood_factor=flood_factor
+    """Peak throughput of one (system, protocol, n) point of Figure 5.
+
+    ``system`` is a key of :data:`SYSTEMS`: ``"iss"``, ``"single"`` or
+    ``"mirbft"``.
+    """
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}")
+    best = {"throughput": 0.0, "offered": 0.0, "latency": 0.0}
+    for rate in offered_loads:
+        dep = deployment(
+            protocol, num_nodes, rate=rate, duration=duration, **SYSTEMS[system]
+        )
+        point = row(dep, dep.run())
+        if point["throughput"] > best["throughput"]:
+            best = {
+                "throughput": point["throughput"],
+                "offered": rate,
+                "latency": point["latency_mean"],
+            }
+    return {
+        "system": system,
+        "protocol": protocol,
+        "nodes": num_nodes,
+        "peak_throughput": best["throughput"],
+        "at_offered_load": best["offered"],
+        "latency_at_peak": best["latency"],
+    }
+
+
+def scalability_sweep(
+    node_counts: Sequence[int] = (4, 8, 16),
+    protocols: Sequence[str] = (PROTOCOL_PBFT, PROTOCOL_HOTSTUFF, PROTOCOL_RAFT),
+    offered_loads: Sequence[float] = (1000.0, 2000.0),
+    duration: float = 5.0,
+    include_mirbft: bool = True,
+) -> List[Dict[str, object]]:
+    """Full Figure 5 sweep: ISS vs single-leader (vs Mir-BFT for PBFT)."""
+    rows: List[Dict[str, object]] = []
+    for protocol in protocols:
+        for n in node_counts:
+            rows.append(scalability_peak("iss", protocol, n, offered_loads, duration))
+            rows.append(scalability_peak("single", protocol, n, offered_loads, duration))
+        if include_mirbft and protocol == PROTOCOL_PBFT:
+            for n in node_counts:
+                rows.append(scalability_peak("mirbft", protocol, n, offered_loads, duration))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Figure 6 — latency vs throughput under increasing load
+# ---------------------------------------------------------------------------
+
+def latency_throughput_sweep(
+    protocol: str,
+    num_nodes: int,
+    offered_loads: Sequence[float],
+    duration: float = 5.0,
+    single_leader: bool = False,
+) -> List[Dict[str, object]]:
+    """One latency-over-throughput curve of Figure 6."""
+    system = "single" if single_leader else "iss"
+    rows = []
+    for rate in offered_loads:
+        dep = deployment(
+            protocol, num_nodes, rate=rate, duration=duration, **SYSTEMS[system]
+        )
+        rows.append(dict(row(dep, dep.run()), system=system, offered_load=rate))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Figure 7 — leader-selection policies under crash faults
+# ---------------------------------------------------------------------------
+
+def leader_policy_comparison(
+    num_nodes: int = 8,
+    rate: float = 800.0,
+    duration: float = 30.0,
+    crash_kind: str = "epoch-start",
+    policies: Sequence[str] = (POLICY_SIMPLE, POLICY_BACKOFF, POLICY_BLACKLIST),
+) -> List[Dict[str, object]]:
+    """Mean / tail latency per leader-selection policy with one crash."""
+    rows = []
+    for policy in policies:
+        if crash_kind == "epoch-start":
+            crashes = epoch_start_crashes(1, num_nodes, epoch=0)
+        else:
+            crashes = epoch_end_crashes(1, num_nodes, epoch=0)
+        dep = deployment(
+            PROTOCOL_PBFT, num_nodes, crashes, rate=rate, duration=duration,
+            leader_policy=policy,
+        )
+        rows.append(dict(row(dep, dep.run()), policy=policy, crash=crash_kind))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Figure 8 — crash-fault latency over experiment duration
+# ---------------------------------------------------------------------------
+
+def crash_latency_over_duration(
+    num_nodes: int = 8,
+    rate: float = 800.0,
+    durations: Sequence[float] = (20.0, 40.0, 60.0),
+    fault_counts: Sequence[int] = (0, 1, 2),
+    crash_kind: str = "epoch-start",
+) -> List[Dict[str, object]]:
+    """Mean/p95 latency as the experiment duration grows (Blacklist policy)."""
+    rows = []
+    for count in fault_counts:
+        for duration in durations:
+            if count == 0:
+                crashes: Sequence[CrashSpec] = ()
+            elif crash_kind == "epoch-start":
+                crashes = epoch_start_crashes(count, num_nodes, epoch=0)
+            else:
+                crashes = epoch_end_crashes(count, num_nodes, epoch=0)
+            dep = deployment(
+                PROTOCOL_PBFT, num_nodes, crashes, rate=rate, duration=duration,
+                leader_policy=POLICY_BLACKLIST,
+            )
+            rows.append(
+                dict(
+                    row(dep, dep.run()),
+                    faults=count,
+                    crash=crash_kind if count else "none",
+                    duration=duration,
+                )
+            )
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Figures 9, 10, 12 — throughput over time
+# ---------------------------------------------------------------------------
+
+def throughput_timeline(
+    num_nodes: int = 8,
+    rate: float = 800.0,
+    duration: float = 40.0,
+    crash_kind: Optional[str] = None,
+    straggler_count: int = 0,
+    straggler_delay: float = 2.5,
+    mirbft: bool = False,
+) -> Dict[str, object]:
+    """Per-second delivered throughput, optionally under a crash or straggler.
+
+    The per-second series comes from the observability sampler
+    (``repro.obs.MetricsSampler``): the run enables a 1 s metrics interval
+    and the report's ``throughput_timeline`` is its rate-probed completion
+    series — the bespoke per-bucket accounting the timeline benchmarks used
+    to carry lives nowhere else anymore.
+    """
+    faults: List[object] = []
+    if crash_kind == "epoch-start":
+        faults = epoch_start_crashes(1, num_nodes, epoch=0)
+    elif crash_kind == "epoch-end":
+        faults = epoch_end_crashes(1, num_nodes, epoch=0)
+    if straggler_count:
+        faults = faults + stragglers(straggler_count, num_nodes, delay=straggler_delay)
+    system = "mirbft" if mirbft else "iss"
+    dep = deployment(
+        PROTOCOL_PBFT, num_nodes, faults, rate=rate, duration=duration,
+        obs=ObsConfig(metrics_interval=1.0), **SYSTEMS[system],
     )
-    deployment = client_abuse_deployment(
-        protocol, specs, num_clients=num_clients, **scenario
+    result = dep.run()
+    return dict(
+        row(dep, result),
+        system=system,
+        crash=crash_kind or "none",
+        stragglers=straggler_count,
+        timeline=result.report.throughput_timeline,
+        extra=result.report.extra,
     )
-    return client_abuse_row(deployment, deployment.run())
+
+
+# ---------------------------------------------------------------------------
+# Figure 11 — latency/throughput with Byzantine stragglers
+# ---------------------------------------------------------------------------
+
+def straggler_sweep(
+    num_nodes: int = 8,
+    straggler_counts: Sequence[int] = (0, 1, 2),
+    rate: float = 800.0,
+    duration: float = 30.0,
+    straggler_delay: float = 2.5,
+) -> List[Dict[str, object]]:
+    """Throughput and latency as the number of stragglers grows."""
+    rows = []
+    for count in straggler_counts:
+        specs = stragglers(count, num_nodes, delay=straggler_delay) if count else ()
+        dep = deployment(PROTOCOL_PBFT, num_nodes, specs, rate=rate, duration=duration)
+        rows.append(dict(row(dep, dep.run()), stragglers=count))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Ablations (docs/ARCHITECTURE.md, "Model and substitutions")
+# ---------------------------------------------------------------------------
+
+def layout_ablation(
+    num_nodes: int = 8, rate: float = 800.0, duration: float = 10.0
+) -> List[Dict[str, object]]:
+    """Round-robin vs contiguous sequence-number interleaving."""
+    rows = []
+    for layout in (LAYOUT_ROUND_ROBIN, LAYOUT_CONTIGUOUS):
+        dep = deployment(
+            PROTOCOL_PBFT, num_nodes, rate=rate, duration=duration, layout=layout
+        )
+        rows.append(dict(row(dep, dep.run()), layout=layout))
+    return rows
+
+
+def epoch_length_ablation(
+    num_nodes: int = 8,
+    epoch_lengths: Sequence[int] = (16, 32, 64),
+    rate: float = 800.0,
+    duration: float = 10.0,
+) -> List[Dict[str, object]]:
+    """Throughput/latency sensitivity to the epoch length."""
+    rows = []
+    for epoch_length in epoch_lengths:
+        dep = deployment(
+            PROTOCOL_PBFT, num_nodes, rate=rate, duration=duration,
+            epoch_length=epoch_length,
+        )
+        result = dep.run()
+        rows.append(
+            dict(
+                row(dep, result),
+                epoch_length=epoch_length,
+                epochs_completed=result.report.extra.get("epochs_completed", 0.0),
+            )
+        )
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Crash-recovery scenarios — crash → restart → WAL replay + state transfer
+# ---------------------------------------------------------------------------
+
+def crash_restart_sweep(
+    protocols: Sequence[str] = (PROTOCOL_PBFT, PROTOCOL_HOTSTUFF, PROTOCOL_RAFT),
+    num_nodes: int = 4,
+    rate: float = 800.0,
+    duration: float = 30.0,
+    crash_time: float = 3.0,
+    downtime: float = 12.0,
+) -> List[Dict[str, object]]:
+    """Crash→restart→catch-up across SB protocols (one row per protocol):
+    node 1 crashes at ``crash_time`` and restarts ``downtime`` seconds
+    later from its durable storage; the row's recovery section holds the
+    harness's recovery record."""
+    victim = 1
+    rows = []
+    for protocol in protocols:
+        dep = deployment(
+            protocol,
+            num_nodes,
+            [
+                CrashSpec(node=victim, trigger="at-time", time=crash_time),
+                RestartSpec(node=victim, time=crash_time + downtime),
+            ],
+            rate=rate,
+            duration=duration,
+            seed=11,
+        )
+        rows.append(
+            dict(
+                row(dep, dep.run()),
+                victim=victim,
+                crash_time=crash_time,
+                downtime=downtime,
+            )
+        )
+    return rows
+
+
+def recovery_time_over_downtime(
+    protocol: str = PROTOCOL_PBFT,
+    num_nodes: int = 4,
+    rate: float = 800.0,
+    downtimes: Sequence[float] = (5.0, 10.0, 15.0),
+    crash_time: float = 3.0,
+    tail_time: float = 15.0,
+) -> List[Dict[str, object]]:
+    """Recovery-time curve: how catch-up cost grows with time spent down.
+
+    Longer downtime ⇒ more epochs ordered without the victim ⇒ more state
+    transfer on restart.  Each run extends the experiment so the node always
+    gets ``tail_time`` seconds of post-restart run time to catch up in.
+    """
+    rows: List[Dict[str, object]] = []
+    for downtime in downtimes:
+        (point,) = crash_restart_sweep(
+            (protocol,),
+            num_nodes=num_nodes,
+            rate=rate,
+            duration=crash_time + downtime + tail_time,
+            crash_time=crash_time,
+            downtime=downtime,
+        )
+        # The recovery record (time_to_caught_up, WAL entries replayed,
+        # snapshot entries, state-transfer bytes/entries) and its verdicts.
+        rows.append(
+            dict(
+                point["recoveries"][0],
+                protocol=protocol,
+                downtime=downtime,
+                prefix_matches=point["prefixes_identical"],
+                caught_up=point["caught_up"],
+            )
+        )
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Figure-13-style scenarios — active Byzantine adversaries
+# ---------------------------------------------------------------------------
+
+def byzantine_leader_sweep(
+    protocols: Sequence[str] = (PROTOCOL_PBFT, PROTOCOL_HOTSTUFF),
+    behaviours: Sequence[str] = (BYZ_EQUIVOCATE, BYZ_CENSOR),
+    adversary_counts: Sequence[int] = (0, 1),
+    num_nodes: int = 4,
+    rate: float = 600.0,
+    duration: float = 20.0,
+) -> List[Dict[str, object]]:
+    """Throughput/latency with up to ``f`` active adversaries (Fig. 13 style).
+
+    A single zero-adversary row per protocol (``byz_behaviour="none"``)
+    gives the clean baseline every behaviour's curve is measured against —
+    the baseline deployment is behaviour-independent, so it runs once
+    instead of once per behaviour.  Censors target 4 buckets.  Equivocation
+    and forged votes target the BFT protocols; Raft (CFT) only appears when
+    paired with behaviours inside its fault model (censorship, replay).
+    """
+
+    def point(protocol: str, behaviour: str, count: int) -> Dict[str, object]:
+        buckets: Sequence[int] = ()
+        if behaviour == BYZ_CENSOR:
+            buckets = censorship_targets(iss_config(protocol, num_nodes).num_buckets, 4)
+        dep = deployment(
+            protocol,
+            num_nodes,
+            byzantine_leaders(count, num_nodes, behaviour=behaviour, buckets=buckets),
+            rate=rate,
+            duration=duration,
+            drain_time=10.0,
+        )
+        result = dep.run()
+        figures = row(dep, result)
+        if not count:
+            # The clean baseline has no byzantine section; give it the
+            # sweep's columns, measured over every (correct, live) node.
+            live = [node for node in result.nodes if not node.crashed]
+            figures.update(_byzantine_figures(dep, result, live))
+        return figures
+
+    rows: List[Dict[str, object]] = []
+    attacked_counts = [count for count in adversary_counts if count > 0]
+    for protocol in protocols:
+        if 0 in adversary_counts:
+            rows.append(point(protocol, BYZ_EQUIVOCATE, 0))
+        for behaviour in behaviours:
+            if protocol == PROTOCOL_RAFT and behaviour in (
+                BYZ_EQUIVOCATE,
+                BYZ_INVALID_VOTES,
+            ):
+                continue
+            for count in attacked_counts:
+                rows.append(point(protocol, behaviour, count))
+    return rows
+
+
+def censorship_rotation(
+    num_nodes: int = 4,
+    rate: float = 600.0,
+    duration: float = 16.0,
+    censored_bucket_count: int = 4,
+    drain_time: float = 15.0,
+    seed: int = 42,
+) -> Dict[str, object]:
+    """Bucket rotation vs a censoring leader (the Section 3.2 defence).
+
+    One Byzantine leader censors a fixed bucket set for the whole run; the
+    row reports how much of the censored traffic still completed and the
+    latency penalty it paid waiting for its buckets to rotate to honest
+    leaders.  The generous ``drain_time`` lets requests submitted right
+    before the workload ends complete, so ``censored_completed`` can reach
+    ``censored_submitted``.
+    """
+    buckets = censorship_targets(
+        iss_config(PROTOCOL_PBFT, num_nodes).num_buckets, censored_bucket_count
+    )
+    dep = deployment(
+        PROTOCOL_PBFT,
+        num_nodes,
+        byzantine_leaders(1, num_nodes, behaviour=BYZ_CENSOR, buckets=buckets),
+        rate=rate,
+        duration=duration,
+        seed=seed,
+        drain_time=drain_time,
+    )
+    figures = row(dep, dep.run())
+    submitted = figures["censored_submitted"]
+    completed = figures["censored_completed"]
+    figures["censored_completion_ratio"] = (completed / submitted) if submitted else 1.0
+    figures["latency_penalty"] = (
+        figures["censored_latency_mean"] / figures["latency_mean"]
+        if figures["latency_mean"]
+        else 1.0
+    )
+    return figures
+
+
+# ---------------------------------------------------------------------------
+# Malicious-client scenarios — the Section 3.7 defences under actual attack
+# ---------------------------------------------------------------------------
+
+#: Watermark window used by the client-abuse scenarios: small enough that
+#: watermark dynamics (gap stalls, bias wedging) bite within seconds of
+#: virtual time, large enough that correct clients never brush against it.
+CLIENT_ABUSE_WINDOW = 4096
 
 
 def client_abuse_sweep(
@@ -1028,8 +945,37 @@ def client_abuse_sweep(
     malicious-client analogue of :func:`byzantine_leader_sweep` — and like
     it, behaviours outside a configuration's fault model are skipped:
     forged signatures are only meaningful when the protocol's clients sign
-    (Raft's CFT configuration does not).
+    (Raft's CFT configuration does not).  Client responses are on and the
+    watermark window is :data:`CLIENT_ABUSE_WINDOW`; ``flush_interval``
+    overrides the benchmark flush tick (``0.0`` disables wire batching).
     """
+
+    def point(behaviour: str, count: int) -> Dict[str, object]:
+        network = None
+        if flush_interval is not None:
+            network = NetworkConfig(
+                bandwidth_bps=SCALED_BANDWIDTH_BPS, batch_flush_interval=flush_interval
+            )
+        dep = deployment(
+            protocol,
+            num_nodes,
+            abusive_clients(count, num_clients, behaviour=behaviour),
+            rate=rate,
+            duration=duration,
+            num_clients=num_clients,
+            drain_time=10.0,
+            network=network,
+            client_watermark_window=CLIENT_ABUSE_WINDOW,
+            send_client_responses=True,
+        )
+        result = dep.run()
+        figures = row(dep, result)
+        if not count:
+            # The clean baseline has no client-abuse section; give it the
+            # sweep's columns.
+            figures.update(_client_abuse_figures(dep, result))
+        return figures
+
     rows: List[Dict[str, object]] = []
     signatures_on = iss_config(protocol, num_nodes).client_signatures
     behaviours = [
@@ -1039,32 +985,10 @@ def client_abuse_sweep(
     ]
     attacked_counts = [count for count in abusive_counts if count > 0]
     if 0 in abusive_counts:
-        rows.append(
-            client_abuse_point(
-                protocol,
-                behaviour=CLIENT_WATERMARK_ABUSE,  # irrelevant: zero abusers
-                num_abusive=0,
-                num_nodes=num_nodes,
-                num_clients=num_clients,
-                rate=rate,
-                duration=duration,
-                flush_interval=flush_interval,
-            )
-        )
+        rows.append(point(CLIENT_WATERMARK_ABUSE, 0))  # behaviour irrelevant
     for behaviour in behaviours:
         for count in attacked_counts:
-            rows.append(
-                client_abuse_point(
-                    protocol,
-                    behaviour=behaviour,
-                    num_abusive=count,
-                    num_nodes=num_nodes,
-                    num_clients=num_clients,
-                    rate=rate,
-                    duration=duration,
-                    flush_interval=flush_interval,
-                )
-            )
+            rows.append(point(behaviour, count))
     return rows
 
 
@@ -1088,51 +1012,40 @@ def watermark_stall(
     collected below the advanced watermarks).
     """
     abuser = num_clients - 1
-    result = client_abuse_deployment(
+    dep = deployment(
         PROTOCOL_PBFT,
+        num_nodes,
         [MaliciousClientSpec(client=abuser, behaviour=CLIENT_WATERMARK_ABUSE)],
-        num_nodes=num_nodes,
-        num_clients=num_clients,
         rate=rate,
         duration=duration,
-        window=window,
+        num_clients=num_clients,
         seed=seed,
         drain_time=drain_time,
-    ).run()
-    report = result.report
-    correct_clients = [c for c in result.clients if c.client_id != abuser]
+        client_watermark_window=window,
+        send_client_responses=True,
+    )
+    result = dep.run()
     sample = result.nodes[0]
-    abusive_stats = report.client_abuse["abusers"][abuser]
-    return {
-        "abuser": abuser,
-        "window": window,
-        "throughput": report.throughput,
-        "latency_mean": report.latency.mean,
-        "correct_all_complete": all(
-            c.requests_completed == c.requests_submitted for c in correct_clients
-        ),
-        "prefixes_identical": not check_prefix_identity(result.nodes),
+    correct_clients = [c for c in result.clients if c.client_id != abuser]
+    abusive_stats = result.report.client_abuse["abusers"][abuser]
+    return dict(
+        row(dep, result),
+        abuser=abuser,
+        window=window,
         #: The gap pins the abuser's low watermark at (or before) the first
         #: skipped timestamp — it must never clear the window.
-        "abuser_low_watermark": sample.watermarks.low_watermark(abuser),
-        "abuser_stalled": sample.watermarks.low_watermark(abuser) < window,
-        "correct_lows_advanced": all(
+        abuser_low_watermark=sample.watermarks.low_watermark(abuser),
+        abuser_stalled=sample.watermarks.low_watermark(abuser) < window,
+        correct_lows_advanced=all(
             sample.watermarks.low_watermark(c.client_id) > 0 for c in correct_clients
         ),
-        "gaps_left": abusive_stats["gaps_left"],
-        "out_of_window_sent": abusive_stats["out_of_window_sent"],
-        "out_of_order_max": max(
-            node.watermarks.out_of_order_entries() for node in result.nodes
-        ),
-        "out_of_order_bounded": all(
+        gaps_left=abusive_stats["gaps_left"],
+        out_of_window_sent=abusive_stats["out_of_window_sent"],
+        out_of_order_bounded=all(
             node.watermarks.out_of_order_entries() <= window * len(result.clients)
             for node in result.nodes
         ),
-        "gc_entries_total": report.extra.get("client_state_gc_entries_total", 0.0),
-        "delivered_filter_max": max(
-            len(node.buckets.delivered) for node in result.nodes
-        ),
-    }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1141,96 +1054,6 @@ def watermark_stall(
 
 #: Flap periods swept by :func:`link_flap_sweep` (seconds).
 DEFAULT_FLAP_PERIODS = (1.0, 2.0, 4.0)
-
-
-def chaos_config(protocol: str, num_nodes: int, **overrides) -> ISSConfig:
-    """Scenario configuration with graceful degradation armed.
-
-    On top of :func:`iss_config`: client responses on (retry completion is
-    the point), the client retry loop enabled (2 s initial timeout, ×2
-    backoff capped at 8 s, 10 % jitter), deterministic view-change
-    jitter so simultaneous partition stalls don't fire every instance's
-    timer in the same tick, and the stalled-epoch catch-up grace so a
-    node wedged by persistent message loss state-transfers out of it.
-    """
-    defaults = dict(
-        send_client_responses=True,
-        client_retry_timeout=2.0,
-        client_retry_backoff=2.0,
-        client_retry_max_timeout=8.0,
-        client_retry_jitter=0.1,
-        view_change_jitter=0.1,
-        stalled_catchup_grace=2.0,
-        vc_recovery=True,
-    )
-    defaults.update(overrides)
-    return iss_config(protocol, num_nodes, **defaults)
-
-
-def chaos_row(result) -> Dict[str, object]:
-    """Figures every chaos scenario reports, from one finished deployment."""
-    report = result.report
-    partitions = report.partitions
-    records = partitions.get("partitions", [])
-    live = [node for node in result.nodes if not node.crashed]
-    config = result.nodes[0].config
-    return {
-        "protocol": config.protocol,
-        "nodes": config.num_nodes,
-        "throughput": report.throughput,
-        "latency_mean": report.latency.mean,
-        "latency_p95": report.latency.p95,
-        "submitted": sum(c.requests_submitted for c in result.clients),
-        "completed": sum(c.requests_completed for c in result.clients),
-        "all_complete": all(
-            c.requests_completed == c.requests_submitted for c in result.clients
-        ),
-        "prefixes_identical": not check_prefix_identity(live),
-        "reconverged": all(r.get("time_to_reconverge", -1.0) >= 0.0 for r in records),
-        "time_to_reconverge": max(
-            (r.get("time_to_reconverge", -1.0) for r in records), default=0.0
-        ),
-        "view_changes_during": sum(r.get("view_changes_during", 0) for r in records),
-        "client_retries": partitions.get("client_retries_total", 0),
-        "drops_by_cause": partitions.get("drops_by_cause", {}),
-        "partition_records": records,
-        "link_faults": partitions.get("link_faults", []),
-    }
-
-
-def partition_deployment(
-    protocol: str,
-    num_nodes: int,
-    faults: Sequence[object] = (),
-    rate: float = 400.0,
-    duration: float = 15.0,
-    num_clients: int = 8,
-    seed: int = 42,
-    drain_time: float = 15.0,
-    obs: Optional[ObsConfig] = None,
-    **config_overrides,
-) -> Deployment:
-    """One run under a partition / link-fault schedule (shared builder of
-    every chaos scenario; ``config_overrides`` go to :func:`chaos_config`).
-
-    The generous ``drain_time`` gives the retry loop room to finish
-    requests that were in flight when the fault landed — 100 % completion
-    *through* retries is exactly what the scenarios assert.
-    """
-    return Deployment(
-        chaos_config(protocol, num_nodes, random_seed=seed, **config_overrides),
-        network_config=scaled_network(),
-        workload=_workload(rate, duration, clients=num_clients),
-        faults=faults,
-        drain_time=drain_time,
-        obs=obs,
-    )
-
-
-def partition_point(protocol: str, num_nodes: int, **scenario) -> Dict[str, object]:
-    """Run one :func:`partition_deployment` (same keyword arguments) and
-    return its :func:`chaos_row`."""
-    return chaos_row(partition_deployment(protocol, num_nodes, **scenario).run())
 
 
 def partition_minority(
@@ -1256,13 +1079,15 @@ def partition_minority(
     specs = minority_partition(
         1, num_nodes, partition_start, partition_start + partition_duration
     )
-    row = partition_point(
-        protocol, num_nodes, faults=specs, rate=rate,
-        duration=duration, seed=seed,
+    dep = deployment(
+        protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
+        drain_time=15.0, **GRACEFUL,
     )
-    row["scenario"] = "partition_minority"
-    row["partition_duration"] = partition_duration
-    return row
+    return dict(
+        row(dep, dep.run()),
+        scenario="partition_minority",
+        partition_duration=partition_duration,
+    )
 
 
 def partition_bridge(
@@ -1286,13 +1111,11 @@ def partition_bridge(
     specs = bridge_partition(
         num_nodes, bridge, partition_start, partition_start + partition_duration
     )
-    row = partition_point(
-        protocol, num_nodes, faults=specs, rate=rate,
-        duration=duration, seed=seed,
+    dep = deployment(
+        protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
+        drain_time=15.0, **GRACEFUL,
     )
-    row["scenario"] = "partition_bridge"
-    row["bridge"] = bridge
-    return row
+    return dict(row(dep, dep.run()), scenario="partition_bridge", bridge=bridge)
 
 
 def asymmetric_link(
@@ -1318,13 +1141,13 @@ def asymmetric_link(
     specs = one_way_blocks(
         [(src, dst)], block_start, block_start + block_duration
     )
-    row = partition_point(
-        protocol, num_nodes, faults=specs, rate=rate,
-        duration=duration, seed=seed,
+    dep = deployment(
+        protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
+        drain_time=15.0, **GRACEFUL,
     )
-    row["scenario"] = "asymmetric_link"
-    row["blocked_link"] = (src, dst)
-    return row
+    return dict(
+        row(dep, dep.run()), scenario="asymmetric_link", blocked_link=(src, dst)
+    )
 
 
 def link_flap_sweep(
@@ -1356,14 +1179,18 @@ def link_flap_sweep(
             [(0, top), (top, 0)], flap_period=period, flap_up=flap_up,
             retransmit=retransmit, seed=seed,
         )
-        row = partition_point(
-            protocol, num_nodes, faults=specs, rate=rate,
-            duration=duration, seed=seed,
+        dep = deployment(
+            protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
+            drain_time=15.0, **GRACEFUL,
         )
-        row["scenario"] = "link_flap_sweep"
-        row["flap_period"] = period
-        row["flap_up"] = flap_up
-        rows.append(row)
+        rows.append(
+            dict(
+                row(dep, dep.run()),
+                scenario="link_flap_sweep",
+                flap_period=period,
+                flap_up=flap_up,
+            )
+        )
     return rows
 
 
@@ -1391,39 +1218,19 @@ def partition_heal_retry_storm(
     specs = minority_partition(
         1, num_nodes, partition_start, partition_start + partition_duration
     )
-    result = partition_deployment(
-        protocol, num_nodes, faults=specs, rate=rate, duration=duration,
-        seed=seed, client_retry_timeout=retry_timeout,
-    ).run()
-    row = chaos_row(result)
-    row["scenario"] = "partition_heal_retry_storm"
-    row["retry_timeout"] = retry_timeout
-    row["duplicates_absorbed"] = sum(
-        sum(node.duplicate_requests.values()) for node in result.nodes
+    dep = deployment(
+        protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
+        drain_time=15.0, **dict(GRACEFUL, client_retry_timeout=retry_timeout),
     )
-    return row
-
-
-def epoch_length_ablation(
-    num_nodes: int = 8,
-    epoch_lengths: Sequence[int] = (16, 32, 64),
-    rate: float = 800.0,
-    duration: float = 10.0,
-) -> List[Dict[str, object]]:
-    """Throughput/latency sensitivity to the epoch length."""
-    rows = []
-    for epoch_length in epoch_lengths:
-        config = iss_config(PROTOCOL_PBFT, num_nodes, epoch_length=epoch_length)
-        report = _run(config, rate, duration)
-        rows.append(
-            {
-                "epoch_length": epoch_length,
-                "throughput": report.throughput,
-                "latency_mean": report.latency.mean,
-                "epochs_completed": report.extra.get("epochs_completed", 0.0),
-            }
-        )
-    return rows
+    result = dep.run()
+    return dict(
+        row(dep, result),
+        scenario="partition_heal_retry_storm",
+        retry_timeout=retry_timeout,
+        duplicates_absorbed=sum(
+            sum(node.duplicate_requests.values()) for node in result.nodes
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1439,95 +1246,6 @@ DEFAULT_MEMBERSHIP_EPOCH_LENGTH = 16
 #: per-node cycles).  Must exceed the epoch duration at the scenario's
 #: request rate, or both ConfigTxs commit in one epoch and cancel out.
 DEFAULT_MEMBERSHIP_PERIOD = 6.0
-
-
-def membership_config(protocol: str, num_nodes: int, **overrides) -> ISSConfig:
-    """Scenario configuration for dynamic-membership runs.
-
-    :func:`chaos_config`'s graceful degradation (client responses, the
-    retry loop, jittered timers, stalled-epoch catch-up) plus the shorter
-    membership epoch: clients ride out a reconfiguration the same way they
-    ride out a partition, which is what lets the scenarios gate on 100 %
-    correct-client completion *through* joins, removals and upgrades.
-    """
-    defaults = dict(epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH)
-    defaults.update(overrides)
-    return chaos_config(protocol, num_nodes, **defaults)
-
-
-def membership_row(result) -> Dict[str, object]:
-    """Figures every membership scenario reports, from one finished run."""
-    report = result.report
-    membership = report.membership
-    live = [node for node in result.nodes if not node.crashed]
-    joins = membership.get("joins", [])
-    config = result.nodes[0].config
-    return {
-        "protocol": config.protocol,
-        "nodes": config.num_nodes,
-        "throughput": report.throughput,
-        "latency_mean": report.latency.mean,
-        "latency_p95": report.latency.p95,
-        "submitted": sum(c.requests_submitted for c in result.clients),
-        "completed": sum(c.requests_completed for c in result.clients),
-        "all_complete": all(
-            c.requests_completed == c.requests_submitted for c in result.clients
-        ),
-        "prefixes_identical": not check_prefix_identity(live),
-        "violations": check_invariants(result),
-        "activations": membership.get("activations", []),
-        "final_view": membership.get("final_view", []),
-        "joins": joins,
-        "all_joined": all(j["time_to_join"] >= 0.0 for j in joins),
-        "time_to_join_max": max((j["time_to_join"] for j in joins), default=0.0),
-        "removed": membership.get("removed", []),
-        "evictions": membership.get("evictions", []),
-        "config_txs_committed": len(membership.get("config_txs_committed", [])),
-    }
-
-
-def membership_deployment(
-    protocol: str,
-    num_nodes: int = 4,
-    faults: Sequence[object] = (),
-    rate: float = 400.0,
-    duration: float = 20.0,
-    num_clients: int = 8,
-    seed: int = 42,
-    drain_time: float = 12.0,
-    obs: Optional[ObsConfig] = None,
-    **config_overrides,
-) -> Deployment:
-    """One run under a membership-change schedule (shared builder of every
-    dynamic-membership scenario; ``config_overrides`` go to
-    :func:`membership_config`).
-
-    ``drain_time`` gives in-flight joins and the retry loop room to finish
-    after the workload stops — 100 % completion *through* reconfiguration
-    is what the scenarios assert.
-    """
-    return Deployment(
-        membership_config(protocol, num_nodes, random_seed=seed, **config_overrides),
-        network_config=scaled_network(),
-        workload=_workload(rate, duration, clients=num_clients),
-        faults=faults,
-        drain_time=drain_time,
-        obs=obs,
-    )
-
-
-def run_membership_point(protocol: str, num_nodes: int = 4, **scenario):
-    """Run one :func:`membership_deployment` (same keyword arguments);
-    returns ``(result, membership_row(result))`` so callers can inspect
-    nodes/clients beyond the row's figures."""
-    result = membership_deployment(protocol, num_nodes, **scenario).run()
-    return result, membership_row(result)
-
-
-def membership_point(protocol: str, num_nodes: int = 4, **kwargs) -> Dict[str, object]:
-    """Row-only wrapper over :func:`run_membership_point`."""
-    _, row = run_membership_point(protocol, num_nodes, **kwargs)
-    return row
 
 
 def membership_join(
@@ -1548,13 +1266,11 @@ def membership_join(
     with the view (n → n + joiners) with no interruption to ordering.
     """
     specs = membership_additions(joiners, num_nodes, start=join_time)
-    row = membership_point(
-        protocol, num_nodes, faults=specs, rate=rate,
-        duration=duration, seed=seed,
+    dep = deployment(
+        protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
+        drain_time=12.0, epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
     )
-    row["scenario"] = "membership_join"
-    row["joiners"] = joiners
-    return row
+    return dict(row(dep, dep.run()), scenario="membership_join", joiners=joiners)
 
 
 def membership_leave(
@@ -1579,13 +1295,11 @@ def membership_leave(
     if len(victims) >= num_nodes:
         raise ValueError("cannot remove every node")
     specs = membership_removals(victims, start=leave_time)
-    row = membership_point(
-        protocol, num_nodes, faults=specs, rate=rate,
-        duration=duration, seed=seed,
+    dep = deployment(
+        protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
+        drain_time=12.0, epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
     )
-    row["scenario"] = "membership_leave"
-    row["leavers"] = leavers
-    return row
+    return dict(row(dep, dep.run()), scenario="membership_leave", leavers=leavers)
 
 
 def rolling_upgrade(
@@ -1610,22 +1324,23 @@ def rolling_upgrade(
     """
     specs = rolling_upgrade_specs(num_nodes, start=3.0, period=period)
     duration = 3.0 + 2 * period * num_nodes + tail
-    row = membership_point(
-        protocol, num_nodes, faults=specs, rate=rate,
-        duration=duration, seed=seed, drain_time=15.0,
+    dep = deployment(
+        protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
+        drain_time=15.0, epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
     )
-    row["scenario"] = "rolling_upgrade"
-    row["period"] = period
-    row["upgraded"] = sum(
+    figures = row(dep, dep.run())
+    figures["scenario"] = "rolling_upgrade"
+    figures["period"] = period
+    figures["upgraded"] = sum(
         1
-        for j in row["joins"]
+        for j in figures["joins"]
         if j.get("rejoined") and j["time_to_join"] >= 0.0
     )
-    row["upgrade_complete"] = (
-        row["upgraded"] == num_nodes
-        and sorted(row["final_view"]) == list(range(num_nodes))
+    figures["upgrade_complete"] = (
+        figures["upgraded"] == num_nodes
+        and sorted(figures["final_view"]) == list(range(num_nodes))
     )
-    return row
+    return figures
 
 
 def byzantine_eviction(
@@ -1648,21 +1363,21 @@ def byzantine_eviction(
     """
     adversary = num_nodes - 1
     byz = byzantine_leaders(1, num_nodes, behaviour=behaviour)
-    specs = eviction_watch([adversary])
-    result, row = run_membership_point(
-        protocol, num_nodes, faults=specs + byz, rate=rate, duration=duration, seed=seed,
+    dep = deployment(
+        protocol, num_nodes, eviction_watch([adversary]) + byz, rate=rate,
+        duration=duration, seed=seed, drain_time=12.0,
+        epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
     )
-    row["prefixes_identical"] = not check_prefix_identity(correct_nodes(result, byz))
-    row["scenario"] = "byzantine_eviction"
-    row["behaviour"] = behaviour
-    row["adversary"] = adversary
-    row["evicted_from_membership"] = (
-        adversary in row["removed"] and adversary not in row["final_view"]
+    figures = row(dep, dep.run())
+    figures["scenario"] = "byzantine_eviction"
+    figures["adversary"] = adversary
+    figures["evicted_from_membership"] = (
+        adversary in figures["removed"] and adversary not in figures["final_view"]
     )
-    row["detection_time"] = max(
-        (e["detected_at"] for e in row["evictions"]), default=-1.0
+    figures["detection_time"] = max(
+        (e["detected_at"] for e in figures["evictions"]), default=-1.0
     )
-    return row
+    return figures
 
 
 def combined_adversary(
@@ -1688,24 +1403,14 @@ def combined_adversary(
     client_specs = abusive_clients(
         num_abusive, num_clients, behaviour=client_behaviour
     )
-    result, row = run_membership_point(
-        protocol, num_nodes,
-        faults=eviction_watch([adversary]) + byz + client_specs,
+    dep = deployment(
+        protocol, num_nodes, eviction_watch([adversary]) + byz + client_specs,
         rate=rate, duration=duration, num_clients=num_clients, seed=seed,
+        drain_time=12.0, epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
     )
-    abusive_ids = {spec.client for spec in client_specs}
-    correct_clients = [c for c in result.clients if c.client_id not in abusive_ids]
-    correct = correct_nodes(result, byz)
-    row["scenario"] = "combined_adversary"
-    row["client_behaviour"] = client_behaviour
-    row["byz_behaviour"] = byz_behaviour
-    row["correct_submitted"] = sum(c.requests_submitted for c in correct_clients)
-    row["correct_completed"] = sum(c.requests_completed for c in correct_clients)
-    row["correct_all_complete"] = all(
-        c.requests_completed == c.requests_submitted for c in correct_clients
+    figures = row(dep, dep.run())
+    figures["scenario"] = "combined_adversary"
+    figures["evicted_from_membership"] = (
+        adversary in figures["removed"] and adversary not in figures["final_view"]
     )
-    row["prefixes_identical"] = not check_prefix_identity(correct)
-    row["evicted_from_membership"] = (
-        adversary in row["removed"] and adversary not in row["final_view"]
-    )
-    return row
+    return figures

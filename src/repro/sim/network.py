@@ -10,11 +10,7 @@ many leaders, so the aggregate NIC capacity grows with ``n``.
 
 Messages are delivered point-to-point with a WAN propagation latency drawn
 from :class:`repro.sim.latency.LatencyModel` plus optional jitter, and can be
-dropped or blocked by crash faults and partitions.  On top of the per-node
-NIC, ``NetworkConfig.link_bandwidth_bps`` optionally models per-directed-link
-serialisation: a saturated link queues back-to-back wire messages (batched
-frames included), which is the contention the NIC-only model hides once
-batching amortises the sender's NIC events.
+dropped or blocked by crash faults and partitions.
 
 The per-link send routine is the single hottest path in large simulations
 (one run per message copy), so it is deliberately slim: ``multicast`` sizes
@@ -126,9 +122,6 @@ class Network:
         self._handlers: Dict[NodeId, MessageHandler] = {}
         #: Virtual time at which each endpoint's NIC becomes free again.
         self._nic_free_at: Dict[NodeId, float] = {}
-        #: Virtual time each directed link finishes its queued transmissions
-        #: (only populated when ``config.link_bandwidth_bps`` > 0).
-        self._link_free_at: Dict[Tuple[NodeId, NodeId], float] = {}
         self._crashed: Set[NodeId] = set()
         #: Current partition: a node-to-group mapping; messages across groups drop.
         self._partition_group: Dict[NodeId, int] = {}
@@ -487,19 +480,6 @@ class Network:
             nic_free = now
         departure = nic_free + transmission
         self._nic_free_at[src] = departure
-
-        # Optional per-link queueing: after leaving the NIC, the wire
-        # message serialises onto the (src, dst) link at link_bandwidth_bps;
-        # back-to-back traffic on one link queues up behind it.  Off by
-        # default (0), costing the hot path one float comparison.
-        link_rate = config.link_bandwidth_bps
-        if link_rate > 0.0 and src != dst:
-            key = (src, dst)
-            link_free = self._link_free_at.get(key, 0.0)
-            if link_free < departure:
-                link_free = departure
-            departure = link_free + (size * 8) / link_rate
-            self._link_free_at[key] = departure
 
         if src == dst:
             arrival = departure

@@ -26,11 +26,7 @@ from repro.core.config import ISSConfig, NetworkConfig, WorkloadConfig
 from repro.core.types import Batch, Request, RequestId
 from repro.harness.invariants import check_prefix_identity
 from repro.harness.runner import Deployment
-from repro.harness.scenarios import (
-    byzantine_point,
-    censorship_rotation,
-    correct_nodes,
-)
+from repro.harness.scenarios import censorship_rotation
 from repro.sim.adversary import (
     EquivocationAdversary,
     InvalidVoteAdversary,
@@ -69,6 +65,16 @@ def small_config(protocol="pbft", num_nodes=4, seed=7, **overrides):
                         election_timeout=(5.0, 10.0))
     defaults.update(overrides)
     return ISSConfig(num_nodes=num_nodes, protocol=protocol, **defaults)
+
+
+def honest_nodes(result, specs):
+    """The live nodes no Byzantine spec targets."""
+    adversaries = {spec.node for spec in specs}
+    return [
+        node
+        for node in result.nodes
+        if node.node_id not in adversaries and not node.crashed
+    ]
 
 
 def run_adversarial(
@@ -129,7 +135,7 @@ class TestEquivocation:
             small_config(), specs, batch_flush_interval=flush_interval
         )
         report = result.report
-        correct = correct_nodes(result, specs)
+        correct = honest_nodes(result, specs)
         assert check_prefix_identity(correct) == []
         assert report.completed > 0
         # The adversary actually attacked...
@@ -149,7 +155,7 @@ class TestEquivocation:
         deployment, result = run_adversarial(
             small_config("hotstuff"), specs, duration=12.0, drain_time=12.0
         )
-        correct = correct_nodes(result, specs)
+        correct = honest_nodes(result, specs)
         assert check_prefix_identity(correct) == []
         assert result.report.completed > 0
         assert all(node.nil_committed > 0 for node in correct)
@@ -162,7 +168,7 @@ class TestEquivocation:
         deployment, result = run_adversarial(
             small_config(num_nodes=7), specs, duration=12.0, drain_time=12.0
         )
-        correct = correct_nodes(result, specs)
+        correct = honest_nodes(result, specs)
         assert len(correct) == 5
         assert check_prefix_identity(correct) == []
         assert result.report.completed > 0
@@ -173,7 +179,7 @@ class TestEquivocation:
         deployment, result = run_adversarial(small_config(), [spec])
         adversary = deployment.injector.adversary_for(3)
         assert adversary is not None and adversary.equivocations_sent > 0
-        assert check_prefix_identity(correct_nodes(result, [spec])) == []
+        assert check_prefix_identity(honest_nodes(result, [spec])) == []
 
 
 class TestCensorship:
@@ -193,9 +199,9 @@ class TestCensorship:
         # honest leader (the generous drain covers the rotation lag).
         assert censored["completed"] == censored["submitted"]
         assert censored["latency"].count == censored["completed"]
-        assert check_prefix_identity(correct_nodes(result, specs)) == []
+        assert check_prefix_identity(honest_nodes(result, specs)) == []
         # The adversary's own queues hold no hostage requests at the end.
-        for node in correct_nodes(result, specs):
+        for node in honest_nodes(result, specs):
             assert node.buckets.pending_in(buckets) == 0
 
     def test_censor_start_time_is_honoured(self):
@@ -231,7 +237,7 @@ class TestCensorship:
         deployment, result = run_adversarial(
             config, specs, duration=10.0, drain_time=15.0
         )
-        correct = correct_nodes(result, specs)
+        correct = honest_nodes(result, specs)
         assert check_prefix_identity(correct) == []
         assert result.report.completed > 0
         if behaviour == BYZ_CENSOR:
@@ -250,7 +256,7 @@ class TestInvalidVotes:
         specs = byzantine_leaders(1, 4, behaviour=BYZ_INVALID_VOTES)
         deployment, result = run_adversarial(small_config(), specs)
         report = result.report
-        correct = correct_nodes(result, specs)
+        correct = honest_nodes(result, specs)
         assert check_prefix_identity(correct) == []
         assert report.completed > 0
         assert deployment.injector.adversary_for(3).votes_forged > 0
@@ -266,7 +272,7 @@ class TestInvalidVotes:
         deployment, result = run_adversarial(
             small_config("hotstuff"), specs, duration=10.0, drain_time=12.0
         )
-        correct = correct_nodes(result, specs)
+        correct = honest_nodes(result, specs)
         assert check_prefix_identity(correct) == []
         assert result.report.completed > 0
         assert sum(node.invalid_votes_rejected for node in correct) > 0
@@ -282,7 +288,7 @@ class TestReplayFlooding:
         report = result.report
         adversary = deployment.injector.adversary_for(3)
         assert adversary.duplicates_sent > 0
-        correct = correct_nodes(result, specs)
+        correct = honest_nodes(result, specs)
         assert check_prefix_identity(correct) == []
         assert report.completed > 0
         # Idempotence: no request is ever delivered twice at any node.
@@ -333,7 +339,7 @@ class TestAdversaryCrashInterplay:
         report = result.report
         assert report.recoveries, "the restarted node must produce a recovery record"
         assert report.recoveries[0]["time_to_caught_up"] >= 0.0
-        correct = correct_nodes(result, specs)
+        correct = honest_nodes(result, specs)
         assert len(correct) == 3  # restarted node counts as correct again
         assert check_prefix_identity(correct) == []
         restarted = result.nodes[1]
@@ -354,7 +360,7 @@ class TestAdversaryCrashInterplay:
             ],
         )
         assert deployment.injector.adversary_for(3) is not None
-        correct = correct_nodes(result, specs)
+        correct = honest_nodes(result, specs)
         assert check_prefix_identity(correct) == []
         assert result.report.completed > 0
 

@@ -298,10 +298,10 @@ class TestBatchingInteraction:
         assert net.stats.dropped_by_cause["partition"] == 10
 
 
-def chaos_test_config(num_nodes=4, **overrides):
-    from repro.harness.scenarios import chaos_config
+def chaos_test_config(num_nodes=4):
+    from repro.harness.scenarios import GRACEFUL, iss_config
 
-    return chaos_config("pbft", num_nodes, random_seed=5, **overrides)
+    return iss_config("pbft", num_nodes, random_seed=5, **GRACEFUL)
 
 
 def chaos_test_network():

@@ -29,8 +29,10 @@ from repro.core.validation import ClientWatermarks
 from repro.harness.invariants import check_prefix_identity
 from repro.harness.runner import Deployment
 from repro.harness.scenarios import (
-    client_abuse_point,
+    CLIENT_ABUSE_WINDOW,
     client_abuse_sweep,
+    deployment,
+    row,
     watermark_stall,
 )
 from repro.sim.client_adversary import AbusiveClient
@@ -452,33 +454,37 @@ class TestScenarios:
             duration=6.0,
             rate=300.0,
         )
-        assert [r["behaviour"] for r in rows] == [
+        assert [r["client_behaviour"] for r in rows] == [
             "none",
             CLIENT_WATERMARK_ABUSE,
             CLIENT_FORGED_SIGNATURE,
         ]
-        for row in rows:
-            assert row["correct_all_complete"], row
-            assert row["prefixes_identical"], row
-            assert row["abuse_contained"], row
+        for figures in rows:
+            assert figures["all_complete"], figures
+            assert figures["prefixes_identical"], figures
+            assert figures["abuse_contained"], figures
         attacked = [r for r in rows if r["abusive"]]
         assert all(r["rejections_total"] > 0 for r in attacked)
 
     def test_watermark_stall_row(self):
-        row = watermark_stall(duration=6.0, drain_time=8.0)
-        assert row["abuser_stalled"]
-        assert row["correct_lows_advanced"]
-        assert row["correct_all_complete"]
-        assert row["prefixes_identical"]
-        assert row["out_of_order_bounded"]
-        assert row["gc_entries_total"] > 0
+        figures = watermark_stall(duration=6.0, drain_time=8.0)
+        assert figures["abuser_stalled"]
+        assert figures["correct_lows_advanced"]
+        assert figures["all_complete"]
+        assert figures["prefixes_identical"]
+        assert figures["out_of_order_bounded"]
+        assert figures["gc_entries_total"] > 0
 
     def test_forged_signature_needs_client_signatures(self):
         """Signature-free (Raft CFT) configurations reject the pairing
         instead of silently delivering forgeries, and the sweep skips it."""
         with pytest.raises(ValueError):
-            client_abuse_point(
-                "raft", behaviour=CLIENT_FORGED_SIGNATURE, num_abusive=1
+            deployment(
+                "raft",
+                4,
+                abusive_clients(1, 8, behaviour=CLIENT_FORGED_SIGNATURE),
+                rate=300.0,
+                duration=5.0,
             )
         rows = client_abuse_sweep(
             protocol="raft",
@@ -487,19 +493,24 @@ class TestScenarios:
             duration=5.0,
             rate=300.0,
         )
-        assert [r["behaviour"] for r in rows] == [CLIENT_DUPLICATE_FLOOD]
+        assert [r["client_behaviour"] for r in rows] == [CLIENT_DUPLICATE_FLOOD]
 
     def test_point_supports_hotstuff(self):
-        row = client_abuse_point(
+        dep = deployment(
             "hotstuff",
-            behaviour=CLIENT_DUPLICATE_FLOOD,
-            num_abusive=1,
+            4,
+            abusive_clients(1, 8, behaviour=CLIENT_DUPLICATE_FLOOD),
+            rate=400.0,
             duration=6.0,
             drain_time=10.0,
+            client_watermark_window=CLIENT_ABUSE_WINDOW,
+            send_client_responses=True,
         )
-        assert row["correct_all_complete"], row
-        assert row["prefixes_identical"], row
-        assert row["abuse_contained"], row
+        figures = row(dep, dep.run())
+        assert figures["client_behaviour"] == CLIENT_DUPLICATE_FLOOD
+        assert figures["all_complete"], figures
+        assert figures["prefixes_identical"], figures
+        assert figures["abuse_contained"], figures
 
 
 class TestClientAbuseSmokeGolden:

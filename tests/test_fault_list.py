@@ -21,7 +21,9 @@ from repro.harness.runner import Deployment
 from repro.harness.scenarios import (
     PAYLOAD_BYTES,
     SCALED_BANDWIDTH_BPS,
-    membership_config,
+    DEFAULT_MEMBERSHIP_EPOCH_LENGTH,
+    GRACEFUL,
+    iss_config,
 )
 from repro.net.deploy import prefixes_identical
 from repro.obs.config import ObsConfig
@@ -43,7 +45,10 @@ from repro.storage.recovery import watch_catchup
 
 def build(faults, duration=1.0, **kwargs):
     return Deployment(
-        membership_config("pbft", 4, random_seed=7),
+        iss_config(
+            "pbft", 4, random_seed=7,
+            epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
+        ),
         network_config=NetworkConfig(
             bandwidth_bps=SCALED_BANDWIDTH_BPS, num_datacenters=4
         ),

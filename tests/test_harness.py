@@ -2,10 +2,21 @@
 
 import pytest
 
+from repro.baselines.single_leader import single_leader_policy
 from repro.core.config import ISSConfig, NetworkConfig, WorkloadConfig
 from repro.harness import scenarios
+from repro.harness.invariants import check_invariants
 from repro.harness.runner import Deployment, find_peak_throughput, run_experiment
 from repro.metrics.collector import RunReport
+from repro.runtime.faults import (
+    BYZ_EQUIVOCATE,
+    CLIENT_DUPLICATE_FLOOD,
+    ByzantineSpec,
+    CrashSpec,
+    MaliciousClientSpec,
+    RestartSpec,
+)
+from repro.workload.faults import minority_partition
 
 
 def tiny_config(**overrides):
@@ -97,9 +108,14 @@ class TestScenarioHelpers:
         assert raft.byzantine is False and raft.client_signatures is False
 
     def test_baseline_config_single_leader(self):
-        config = scenarios.baseline_config("pbft", 8)
-        assert config.batch_rate is None
-        assert config.min_segment_size == 1
+        """The ``"single"`` system: no deployment-wide batch rate, one
+        segment (so no minimum size), and the fixed-leader policy."""
+        deployment = scenarios.deployment(
+            "pbft", 8, rate=100.0, duration=1.0, **scenarios.SYSTEMS["single"]
+        )
+        assert deployment.config.batch_rate is None
+        assert deployment.config.min_segment_size == 1
+        assert deployment.policy_factory is single_leader_policy
 
     def test_bench_scale_parsing(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "2.5")
@@ -130,7 +146,7 @@ class TestScenarioHelpers:
             monkeypatch.setenv(name, value)
         assert scenarios.scaled_network().batch_flush_interval == 0.02
         assert scenarios.wan_regions(2).batch_flush_interval == 0.02
-        assert scenarios.membership_config("pbft", 4).epoch_length == 16
+        assert scenarios.DEFAULT_MEMBERSHIP_EPOCH_LENGTH == 16
         deployment = Deployment(tiny_config(), workload=tiny_workload())
         assert deployment.recovery_poll == 0.25
         assert deployment.probe_stagger == 2.0
@@ -144,18 +160,18 @@ class TestScenarioHelpers:
         assert default(scenarios.rolling_upgrade, "period") == 6.0
 
     def test_scalability_point_runs_quickly(self):
-        row = scenarios.scalability_point("iss", "pbft", 4, offered_loads=(200.0,), duration=3.0)
+        row = scenarios.scalability_peak("iss", "pbft", 4, offered_loads=(200.0,), duration=3.0)
         assert row["system"] == "iss" and row["nodes"] == 4
         assert row["peak_throughput"] > 0
 
     def test_scalability_point_single_leader(self):
-        row = scenarios.scalability_point("single", "pbft", 4, offered_loads=(200.0,), duration=3.0)
+        row = scenarios.scalability_peak("single", "pbft", 4, offered_loads=(200.0,), duration=3.0)
         assert row["system"] == "single"
         assert row["peak_throughput"] > 0
 
     def test_scalability_point_rejects_unknown_system(self):
         with pytest.raises(ValueError):
-            scenarios.scalability_point("quorum", "pbft", 4, offered_loads=(100.0,))
+            scenarios.scalability_peak("quorum", "pbft", 4, offered_loads=(100.0,))
 
     def test_latency_throughput_sweep_rows(self):
         rows = scenarios.latency_throughput_sweep("pbft", 4, offered_loads=(100.0, 200.0), duration=3.0)
@@ -168,3 +184,63 @@ class TestScenarioHelpers:
         assert result["system"] == "iss"
         assert result["throughput"] > 0
         assert len(result["timeline"]) >= 5
+
+
+class TestScenarioRow:
+    def test_row_carries_one_section_per_fault_kind(self):
+        """One run mixing a restart, an equivocating replica, a duplicate
+        flooder and a minority partition: the row carries all four sections,
+        and its correct-client and correct-node figures leave the adversaries
+        out."""
+        faults = [
+            CrashSpec(node=1, trigger="at-time", time=2.0),
+            RestartSpec(node=1, time=4.0),
+            ByzantineSpec(node=3, behaviour=BYZ_EQUIVOCATE),
+            MaliciousClientSpec(client=7, behaviour=CLIENT_DUPLICATE_FLOOD),
+            *minority_partition(1, 4, 6.0, 8.0),
+        ]
+        deployment = scenarios.deployment(
+            "pbft", 4, faults, rate=200.0, duration=10.0, drain_time=15.0,
+            **scenarios.GRACEFUL,
+        )
+        result = deployment.run()
+        row = scenarios.row(deployment, result)
+        assert check_invariants(result) == []
+        # recoveries
+        assert [r["node"] for r in row["recoveries"]] == [1.0]
+        assert row["caught_up"]
+        # byzantine
+        assert (row["byz_behaviour"], row["adversaries"]) == (BYZ_EQUIVOCATE, 1)
+        # client abuse
+        assert (row["client_behaviour"], row["abusive"]) == (CLIENT_DUPLICATE_FLOOD, 1)
+        assert row["abuse_contained"]
+        # partitions
+        assert len(row["partition_records"]) == 1
+        assert "final_view" not in row  # no membership section: no reconfiguration
+        # Correct clients only: the flooder's submissions are not counted.
+        correct = [c for c in result.clients if c.client_id != 7]
+        assert row["submitted"] == sum(c.requests_submitted for c in correct)
+        assert row["submitted"] < sum(c.requests_submitted for c in result.clients)
+        assert row["all_complete"]
+        # Correct live nodes only: detection is summed over nodes 0-2.
+        per_node = result.report.byzantine["per_node"]
+        assert row["equivocations_detected"] == sum(
+            per_node[n]["equivocations_detected"] for n in (0, 1, 2)
+        )
+        assert row["prefixes_identical"]
+
+    def test_fault_free_row_has_only_the_common_figures(self):
+        """No fault, no section; the client figures need client responses."""
+        common = {
+            "protocol", "nodes", "throughput", "latency_mean", "latency_p95",
+            "prefixes_identical",
+        }
+        silent = scenarios.deployment("pbft", 4, rate=100.0, duration=2.0)
+        row = scenarios.row(silent, silent.run())
+        assert set(row) == common and row["throughput"] > 0
+        answered = scenarios.deployment(
+            "pbft", 4, rate=100.0, duration=2.0, send_client_responses=True
+        )
+        row = scenarios.row(answered, answered.run())
+        assert set(row) == common | {"submitted", "completed", "all_complete"}
+        assert row["completed"] == row["submitted"] > 0 and row["all_complete"]

@@ -173,3 +173,43 @@ class TestOrderer:
         config.protocol = "unknown"  # bypass __post_init__ validation on purpose
         with pytest.raises(ValueError):
             default_factory(config)
+
+
+@pytest.mark.parametrize("protocol", ["pbft", "hotstuff", "raft", "consensus"])
+def test_stopped_instances_are_freed_without_cyclic_gc(protocol, monkeypatch):
+    """An instance ``stop_epoch`` dropped is freed by reference counting
+    alone once the simulator has run past its cancelled timers' deadlines:
+    nothing — its timers, its pacer, its sub-protocol instances, the
+    failure detector — keeps it in a reference cycle or alive."""
+    import gc
+    import weakref
+
+    from repro.core.config import WorkloadConfig
+    from repro.harness.runner import Deployment
+    from repro.harness.scenarios import iss_config
+
+    stopped = []
+    stop_epoch = Orderer.stop_epoch
+
+    def recording(self, epoch):
+        for instance_id in self._by_epoch.get(epoch, ()):
+            stopped.append((self.instances[instance_id].context.now(),
+                            weakref.ref(self.instances[instance_id])))
+        stop_epoch(self, epoch)
+
+    monkeypatch.setattr(Orderer, "stop_epoch", recording)
+    deployment = Deployment(
+        iss_config(protocol, 4, epoch_length=8, view_change_timeout=2.0,
+                   epoch_change_timeout=2.0, election_timeout=(2.0, 4.0)),
+        workload=WorkloadConfig(num_clients=4, total_rate=200.0, duration=6.0),
+        drain_time=8.0,
+    )
+    gc.disable()
+    try:
+        deployment.run()
+        # Every timer an instance armed fires within 4 s of arming.
+        settled = [ref for at, ref in stopped if at <= deployment.sim.now - 5.0]
+        assert settled
+        assert [ref() for ref in settled] == [None] * len(settled)
+    finally:
+        gc.enable()

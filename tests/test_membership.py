@@ -41,21 +41,40 @@ from repro.harness.invariants import (
 from repro.harness.runner import Deployment
 from repro.harness.scenarios import (
     DEFAULT_FLUSH_INTERVAL,
+    DEFAULT_MEMBERSHIP_EPOCH_LENGTH,
+    GRACEFUL,
     PAYLOAD_BYTES,
     SCALED_BANDWIDTH_BPS,
     byzantine_eviction,
     combined_adversary,
-    membership_config,
+    iss_config,
     membership_join,
     membership_leave,
     rolling_upgrade,
-    run_membership_point,
 )
+from repro.harness import scenarios
 from repro.obs import ObsConfig
 from repro.runtime.faults import MEMBER_ADD, MEMBER_REMOVE, MembershipSpec
 from repro.workload.faults import membership_removals
 
 PROTOCOLS = ("pbft", "hotstuff", "raft")
+
+
+def membership_test_config(protocol, num_nodes, **overrides):
+    """The membership scenarios' configuration: graceful degradation plus
+    the short membership epoch."""
+    overrides.setdefault("epoch_length", DEFAULT_MEMBERSHIP_EPOCH_LENGTH)
+    return iss_config(protocol, num_nodes, **GRACEFUL, **overrides)
+
+
+def run_membership(protocol, faults, rate, duration):
+    """One membership-scenario run on 4 nodes; ``(result, row)``."""
+    dep = scenarios.deployment(
+        protocol, 4, faults, rate=rate, duration=duration, drain_time=12.0,
+        epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
+    )
+    result = dep.run()
+    return result, scenarios.row(dep, result)
 
 
 # ---------------------------------------------------------------------- unit
@@ -119,7 +138,7 @@ def _batch(client: int, timestamp: int, payload: bytes) -> Batch:
 
 
 def _tracker(epoch_length: int = 4) -> MembershipTracker:
-    config = membership_config("pbft", 4, epoch_length=epoch_length)
+    config = membership_test_config("pbft", 4, epoch_length=epoch_length)
     return MembershipTracker(config, Log())
 
 
@@ -174,7 +193,7 @@ def test_tracker_rebuilt_log_derives_identical_views():
 
 
 def test_genesis_view_matches_config():
-    config = membership_config("raft", 5)
+    config = membership_test_config("raft", 5)
     view = genesis_view(config)
     assert view.nodes == (0, 1, 2, 3, 4)
     assert view.byzantine == config.byzantine is False
@@ -200,9 +219,9 @@ def test_join_activates_at_epoch_boundary():
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_quorum_recomputation_on_join_and_leave(protocol):
     """n → n+1 and n → n-1 recompute n, f and the quorums on every node."""
-    result, row = run_membership_point(
-        protocol, 4,
-        faults=[MembershipSpec(node=4, action=MEMBER_ADD, time=2.0)],
+    result, row = run_membership(
+        protocol,
+        [MembershipSpec(node=4, action=MEMBER_ADD, time=2.0)],
         rate=300.0, duration=10.0,
     )
     assert row["violations"] == []
@@ -211,9 +230,9 @@ def test_quorum_recomputation_on_join_and_leave(protocol):
     expected = MembershipView(nodes=(0, 1, 2, 3, 4), byzantine=grown[0].byzantine)
     assert all(v.strong_quorum == expected.strong_quorum for v in grown)
 
-    result, row = run_membership_point(
-        protocol, 4,
-        faults=membership_removals([3], start=2.0),
+    result, row = run_membership(
+        protocol,
+        membership_removals([3], start=2.0),
         rate=300.0, duration=10.0,
     )
     assert row["violations"] == []
@@ -242,9 +261,9 @@ def test_sb_contexts_fix_their_epochs_quorums(monkeypatch):
         return context
 
     monkeypatch.setattr(ISSNode, "_build_context", recording)
-    result, row = run_membership_point(
-        "pbft", 4,
-        faults=[
+    result, row = run_membership(
+        "pbft",
+        [
             MembershipSpec(node=4, action=MEMBER_ADD, time=2.0),
             *membership_removals([4, 3], start=8.0, spacing=4.0),
         ],
@@ -269,9 +288,9 @@ def test_sb_contexts_fix_their_epochs_quorums(monkeypatch):
 
 
 def test_new_node_bootstrap_lands_prefix_identical():
-    result, row = run_membership_point(
-        "pbft", 4,
-        faults=[MembershipSpec(node=4, action=MEMBER_ADD, time=3.0)],
+    result, row = run_membership(
+        "pbft",
+        [MembershipSpec(node=4, action=MEMBER_ADD, time=3.0)],
         rate=400.0, duration=15.0,
     )
     assert row["all_joined"]
@@ -289,9 +308,9 @@ def test_removal_during_inflight_epoch():
     """A remove-ConfigTx submitted mid-epoch activates only at the boundary:
     the victim finishes the epoch that committed it, retires exactly at the
     boundary, and its delivered prefix stays on the agreed order."""
-    result, row = run_membership_point(
-        "pbft", 4,
-        faults=membership_removals([3], start=4.0),
+    result, row = run_membership(
+        "pbft",
+        membership_removals([3], start=4.0),
         rate=400.0, duration=15.0,
     )
     assert row["violations"] == []
@@ -327,14 +346,14 @@ def test_combined_adversary_regression():
     evicted from membership and every correct client still completes."""
     row = combined_adversary("pbft")
     assert row["violations"] == []
-    assert row["correct_all_complete"]
+    assert row["all_complete"]  # over the correct clients only
     assert row["prefixes_identical"]
     assert row["evicted_from_membership"]
 
 
 # -------------------------------------------------------------- determinism
 def _deployment(flush: float = DEFAULT_FLUSH_INTERVAL, seed: int = 7):
-    config = membership_config("pbft", 4, random_seed=seed)
+    config = membership_test_config("pbft", 4, random_seed=seed)
     return Deployment(
         config,
         network_config=NetworkConfig(
@@ -380,7 +399,7 @@ def test_static_runs_carry_no_membership_machinery():
     """Without membership specs the machinery is fully disabled: no admin
     client, no tracker, an empty membership report — the schedule-neutrality
     the golden traces pin."""
-    config = membership_config("pbft", 4)
+    config = membership_test_config("pbft", 4)
     deployment = Deployment(
         config,
         network_config=NetworkConfig(

@@ -126,71 +126,6 @@ class TestBandwidth:
         assert net.nic_backlog(0) == pytest.approx(1.0, rel=0.05)
 
 
-class TestLinkBandwidth:
-    """Per-link queueing (``NetworkConfig.link_bandwidth_bps``), off by default."""
-
-    def _build(self, **overrides):
-        # NIC practically infinite so only the link serialises; zero
-        # latency/jitter/processing so the queueing delay is exact.
-        return build_network(
-            bandwidth_bps=overrides.pop("bandwidth_bps", 1e15),
-            inter_dc_latency=0.0,
-            intra_dc_latency=0.0,
-            processing_delay=0.0,
-            **overrides,
-        )
-
-    def test_saturated_link_queues_back_to_back_messages(self):
-        """100-byte messages on an 8 kbit/s link serialise 0.1 s apart."""
-        sim, net = self._build(link_bandwidth_bps=8000.0)
-        arrivals = []
-        net.register(0, Inbox())
-        net.register(1, lambda src, msg: arrivals.append(sim.now))
-        for _ in range(3):
-            net.send(0, 1, _Payload(100))
-        sim.run()
-        # Each message occupies the link for 100 * 8 / 8000 = 0.1 s; the
-        # k-th arrives at exactly k * 0.1 (NIC time is 8e-13 s, negligible).
-        assert arrivals == pytest.approx([0.1, 0.2, 0.3], abs=1e-6)
-
-    def test_links_queue_independently(self):
-        """Saturating 0→1 must not delay 0→2 (per-link, not per-NIC, queueing)."""
-        sim, net = self._build(link_bandwidth_bps=8000.0)
-        arrivals = {1: [], 2: []}
-        net.register(0, Inbox())
-        net.register(1, lambda src, msg: arrivals[1].append(sim.now))
-        net.register(2, lambda src, msg: arrivals[2].append(sim.now))
-        for _ in range(3):
-            net.send(0, 1, _Payload(100))
-        net.send(0, 2, _Payload(100))
-        sim.run()
-        assert arrivals[1] == pytest.approx([0.1, 0.2, 0.3], abs=1e-6)
-        # The 0→2 link saw one message only: one transmission, no queue.
-        assert arrivals[2] == pytest.approx([0.1], abs=1e-6)
-
-    def test_disabled_by_default(self):
-        """link_bandwidth_bps=0 (default) adds no delay beyond the NIC model."""
-        sim, net = self._build()
-        arrivals = []
-        net.register(0, Inbox())
-        net.register(1, lambda src, msg: arrivals.append(sim.now))
-        for _ in range(3):
-            net.send(0, 1, _Payload(100))
-        sim.run()
-        assert all(t == pytest.approx(0.0, abs=1e-6) for t in arrivals)
-
-    def test_link_queue_waits_for_nic_departure(self):
-        """Link serialisation starts after the sender NIC releases the message."""
-        sim, net = self._build(bandwidth_bps=8e6, link_bandwidth_bps=8e6)
-        arrivals = []
-        net.register(0, Inbox())
-        net.register(1, lambda src, msg: arrivals.append(sim.now))
-        # 1 MB at 8 Mbit/s: 1 s on the NIC, then 1 s on the link.
-        net.send(0, 1, _Payload(1_000_000))
-        sim.run()
-        assert arrivals == pytest.approx([2.0], rel=0.01)
-
-
 class TestFaults:
     def test_crashed_sender_messages_dropped(self):
         sim, net = build_network()
