@@ -5,8 +5,8 @@ Reproduces, at toy scale, the behaviours of Section 6.4 of the paper:
 
 * a leader crashing at the start of an epoch leaves ⊥ entries in its segment
   and is then excluded by the BLACKLIST leader-selection policy,
-* a Byzantine straggler (slow but never quiet) cannot be blamed by the
-  failure detector and drags latency up for everyone,
+* a Byzantine straggler (slow but never quiet) cannot be blamed by any
+  timeout and drags latency up for everyone,
 * in all cases safety (identical logs) and liveness (all requests delivered)
   are preserved.
 

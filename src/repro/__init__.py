@@ -2,12 +2,12 @@
 
 The package implements the paper's contribution (the ISS multiplexing
 construction and the Sequenced Broadcast abstraction), the three ordering
-protocols it wraps (PBFT, chained HotStuff, Raft), the reference
-SB-from-consensus construction, the Mir-BFT and single-leader baselines, and
-two interchangeable deployment backends behind one node boundary: the
-simulated WAN substrate plus experiment harness used to reproduce every
-table and figure of the evaluation, and a live asyncio/TCP backend that runs
-the same protocol objects as real processes over real sockets.
+protocols it wraps (PBFT, chained HotStuff, Raft), the Mir-BFT and
+single-leader baselines, and two interchangeable deployment backends behind
+one node boundary: the simulated WAN substrate plus experiment harness used
+to reproduce every table and figure of the evaluation, and a live
+asyncio/TCP backend that runs the same protocol objects as real processes
+over real sockets.
 
 The top level re-exports lazily (PEP 562): importing ``repro`` — or any
 protocol submodule, which implicitly imports its parent package — pulls in
@@ -36,7 +36,6 @@ _EXPORTS = {
     "PROTOCOL_PBFT": ".core.config",
     "PROTOCOL_HOTSTUFF": ".core.config",
     "PROTOCOL_RAFT": ".core.config",
-    "PROTOCOL_CONSENSUS": ".core.config",
     "POLICY_SIMPLE": ".core.config",
     "POLICY_BACKOFF": ".core.config",
     "POLICY_BLACKLIST": ".core.config",

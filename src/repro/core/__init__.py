@@ -9,7 +9,6 @@ from .config import (
     PROTOCOL_PBFT,
     PROTOCOL_HOTSTUFF,
     PROTOCOL_RAFT,
-    PROTOCOL_CONSENSUS,
     POLICY_SIMPLE,
     POLICY_BACKOFF,
     POLICY_BLACKLIST,
@@ -57,7 +56,6 @@ __all__ = [
     "PROTOCOL_PBFT",
     "PROTOCOL_HOTSTUFF",
     "PROTOCOL_RAFT",
-    "PROTOCOL_CONSENSUS",
     "POLICY_SIMPLE",
     "POLICY_BACKOFF",
     "POLICY_BLACKLIST",

@@ -15,14 +15,8 @@ from typing import Dict, List, Optional
 PROTOCOL_PBFT = "pbft"
 PROTOCOL_HOTSTUFF = "hotstuff"
 PROTOCOL_RAFT = "raft"
-PROTOCOL_CONSENSUS = "consensus"  # reference SB-from-consensus (Algorithm 5)
 
-SUPPORTED_PROTOCOLS = (
-    PROTOCOL_PBFT,
-    PROTOCOL_HOTSTUFF,
-    PROTOCOL_RAFT,
-    PROTOCOL_CONSENSUS,
-)
+SUPPORTED_PROTOCOLS = (PROTOCOL_PBFT, PROTOCOL_HOTSTUFF, PROTOCOL_RAFT)
 
 #: Leader-selection policies (Algorithm 4).
 POLICY_SIMPLE = "simple"
@@ -263,14 +257,6 @@ def paper_config(protocol: str, num_nodes: int, **overrides) -> ISSConfig:
             buckets_per_leader=16,
             client_signatures=False,
             byzantine=False,
-        ),
-        PROTOCOL_CONSENSUS: dict(
-            max_batch_size=2048,
-            batch_rate=32.0,
-            epoch_length=256,
-            min_segment_size=2,
-            buckets_per_leader=16,
-            byzantine=True,
         ),
     }
     if protocol not in table1:

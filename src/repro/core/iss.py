@@ -42,7 +42,6 @@ from typing import (
 )
 
 from ..crypto.signatures import KeyStore
-from ..fd.detector import FailureDetector, HeartbeatMsg
 from ..runtime.api import FaultNotifier, Scheduler, Transport
 from ..runtime.faults import BYZ_CENSOR, ByzantineSpec, StragglerSpec
 
@@ -50,7 +49,7 @@ if TYPE_CHECKING:  # annotation-only: storage imports core, not vice versa
     from ..storage.node_storage import NodeStorage
 from .buckets import BucketPool
 from .checkpoint import CheckpointMsg, CheckpointProtocol
-from .config import ISSConfig, PROTOCOL_CONSENSUS
+from .config import ISSConfig
 from .leader_policy import LeaderSelectionPolicy
 from .log import Log
 from .manager import EpochManager
@@ -62,7 +61,7 @@ from .messages import (
     InstanceMessage,
     client_endpoint,
 )
-from .orderer import Orderer, SBFactory, default_factory
+from .orderer import Orderer, default_factory
 from .sb import SBContext
 from .segment import LAYOUT_ROUND_ROBIN, epoch_seq_nrs
 from .state_transfer import (
@@ -106,7 +105,6 @@ class ISSNode:
         byzantine: Optional[ByzantineSpec] = None,
         policy: Optional[LeaderSelectionPolicy] = None,
         layout: str = LAYOUT_ROUND_ROBIN,
-        sb_factory: Optional[SBFactory] = None,
         storage: Optional[NodeStorage] = None,
         probe_stagger: float = DEFAULT_PROBE_STAGGER,
         tracer=None,
@@ -178,21 +176,8 @@ class ISSNode:
         self._proposed_this_epoch: Dict[object, bytes] = {}
         self.crashed = False
 
-        # --- failure detector (used by the consensus-based SB implementation) --
-        self.failure_detector: Optional[FailureDetector] = None
-        if config.protocol == PROTOCOL_CONSENSUS:
-            self.failure_detector = FailureDetector(
-                node_id=node_id,
-                all_nodes=range(config.num_nodes),
-                sim=sim,
-                broadcast_fn=self._broadcast_to_nodes,
-                heartbeat_interval=1.0,
-                initial_timeout=config.epoch_change_timeout,
-            )
-
         # --- sub-protocols ----------------------------------------------------
-        factory = sb_factory or default_factory(config, failure_detector=self.failure_detector)
-        self.orderer = Orderer(factory)
+        self.orderer = Orderer(default_factory(config))
         self.checkpoints = CheckpointProtocol(
             node_id=node_id,
             config=config,
@@ -248,14 +233,12 @@ class ISSNode:
 
     # ====================================================================== API
     def start(self) -> None:
-        """Boot the node: start the failure detector and epoch 0."""
+        """Boot the node at epoch 0."""
         self.start_at(0)
 
     def start_at(self, epoch: EpochNr) -> None:
         """Boot the node at ``epoch`` (0 for a fresh boot, the recovery
         manager's resume epoch after a restart)."""
-        if self.failure_detector is not None:
-            self.failure_detector.start()
         self._start_epoch(epoch)
 
     def crash(self) -> None:
@@ -266,8 +249,6 @@ class ISSNode:
         if self._wedge_timer is not None:
             self._wedge_timer.cancel()
             self._wedge_timer = None
-        if self.failure_detector is not None:
-            self.failure_detector.stop()
 
     def begin_recovery_catchup(self) -> None:
         """Post-restart: fetch everything the peers can prove stable.
@@ -360,9 +341,6 @@ class ISSNode:
         elif isinstance(message, StateResponse):
             self.state_transfer.handle_response(response=message, log=self.log)
             self._after_commit()
-        elif isinstance(message, HeartbeatMsg):
-            if self.failure_detector is not None:
-                self.failure_detector.handle_message(src, message)
 
     # ======================================================== client requests
     def _handle_client_request(self, request: Request) -> bool:

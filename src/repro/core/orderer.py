@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List
 
-from .config import (
-    ISSConfig,
-    PROTOCOL_CONSENSUS,
-    PROTOCOL_HOTSTUFF,
-    PROTOCOL_PBFT,
-    PROTOCOL_RAFT,
-)
+from .config import ISSConfig, PROTOCOL_HOTSTUFF, PROTOCOL_PBFT, PROTOCOL_RAFT
 from .sb import InstanceId, SBContext, SBInstance
 from .types import EpochNr
 
@@ -26,12 +20,8 @@ from .types import EpochNr
 SBFactory = Callable[[SBContext], SBInstance]
 
 
-def default_factory(config: ISSConfig, **extras) -> SBFactory:
-    """Return the SB-implementation factory for the configured protocol.
-
-    ``extras`` are protocol-specific keyword arguments; currently only the
-    consensus-based reference implementation accepts ``failure_detector``.
-    """
+def default_factory(config: ISSConfig) -> SBFactory:
+    """Return the SB-implementation factory for the configured protocol."""
     protocol = config.protocol
     if protocol == PROTOCOL_PBFT:
         from ..pbft.pbft import PbftSB
@@ -45,11 +35,6 @@ def default_factory(config: ISSConfig, **extras) -> SBFactory:
         from ..raft.raft import RaftSB
 
         return lambda context: RaftSB(context)
-    if protocol == PROTOCOL_CONSENSUS:
-        from ..consensus.sb_consensus import ConsensusSB
-
-        failure_detector = extras.get("failure_detector")
-        return lambda context: ConsensusSB(context, failure_detector=failure_detector)
     raise ValueError(f"unknown protocol {protocol!r}")
 
 

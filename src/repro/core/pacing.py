@@ -8,8 +8,8 @@ of that, PBFT and Raft run with a fixed deployment-wide batch rate
 leader's proposals — the rate limit that protects against view changes under
 load spikes.
 
-:class:`ProposalPacer` encapsulates that logic so PBFT, Raft and the
-reference SB-from-consensus implementation do not each re-implement it.
+:class:`ProposalPacer` encapsulates that logic so PBFT and Raft do not each
+re-implement it.
 Byzantine-straggler behaviour (Section 6.4.2) plugs in here as well: the
 straggler adds a fixed delay before every proposal and strips its batches.
 """

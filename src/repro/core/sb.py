@@ -1,14 +1,15 @@
 """The Sequenced Broadcast (SB) abstraction (Section 2.2).
 
 An SB instance is parametrised by a designated sender σ (the segment
-leader), an explicit set of sequence numbers S (the segment's positions), an
-explicit message set M (batches drawn from the segment's buckets) and a
-failure-detector instance.  Correct nodes deliver, for *every* sequence
-number in S, either a batch sb-cast by σ or the special ``⊥`` value — the
-latter only after some correct node suspected σ.
+leader), an explicit set of sequence numbers S (the segment's positions) and
+an explicit message set M (batches drawn from the segment's buckets).
+Correct nodes deliver, for *every* sequence number in S, either a batch
+sb-cast by σ or the special ``⊥`` value — the latter only after some correct
+node suspected σ.  Each protocol's own view-change (PBFT), round-change
+(HotStuff) or election (Raft) timeout plays that suspecting role.
 
 This module defines the interface between ISS and its SB implementations
-(PBFT, HotStuff, Raft, or the reference consensus-based construction):
+(PBFT, HotStuff, Raft):
 
 * :class:`SBContext` — everything the host node provides to an instance
   (routing, timers, batch cutting, validation, delivery).

@@ -1104,7 +1104,7 @@ def partition_bridge(
 
     Neither half alone has a strong quorum, so ordering stalls for the
     partition window (graceful degradation: no equivocation, no divergence,
-    jittered timers); the bridge node keeps both sides' failure detectors
+    jittered timers); the bridge node keeps both sides' view-change timers
     and checkpoints partially informed.  After heal everything reconverges
     and every request completes through the retry loop.
     """

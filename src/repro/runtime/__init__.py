@@ -1,9 +1,9 @@
 """Transport-agnostic runtime boundary between protocols and backends.
 
 This package defines the *narrow* interface an ISS node (and every protocol
-underneath it — PBFT, HotStuff, Raft, the reference SB-from-consensus) needs
-from its execution environment, plus the environment-independent pieces of
-the wire layer that used to live inside the simulator package:
+underneath it — PBFT, HotStuff, Raft) needs from its execution environment,
+plus the environment-independent pieces of the wire layer that used to live
+inside the simulator package:
 
 * :mod:`repro.runtime.api` — the :class:`Scheduler` / :class:`Timer` /
   :class:`Transport` protocols both backends implement (the discrete-event
@@ -19,9 +19,9 @@ the wire layer that used to live inside the simulator package:
   simulator's fault injector and the protocol code that honours them.
 
 The layering contract — enforced by ``tests/test_layering.py`` — is that
-nothing under ``core/``, ``pbft/``, ``hotstuff/``, ``raft/``, ``consensus/``
-or ``fd/`` may import (even transitively) from ``repro.sim``; everything
-those layers need from their environment comes from here.
+nothing under ``core/``, ``pbft/``, ``hotstuff/`` or ``raft/`` may import
+(even transitively) from ``repro.sim``; everything those layers need from
+their environment comes from here.
 """
 
 from .api import FaultNotifier, Scheduler, Timer, Transport

@@ -23,7 +23,7 @@ Two kinds of faults matter for the paper's evaluation (Section 6.4):
   sequence number, a worst case for epoch duration).
 * **Byzantine stragglers** — a leader delays its proposals as much as
   possible without getting suspected and proposes empty batches, harming
-  latency and throughput without triggering the failure detector.
+  latency and throughput without triggering a view change.
 
 Beyond those, :class:`ByzantineSpec` describes an *actively malicious*
 node, :class:`MaliciousClientSpec` a misbehaving end user (Section 3.7's

@@ -248,7 +248,7 @@ def membership_removals(
 
 
 def eviction_watch(nodes: Sequence[NodeId], start: float = 0.0) -> List[MembershipSpec]:
-    """Detection-driven removals: the harness polls the failure detectors
+    """Detection-driven removals: the harness polls the failure histories
     from ``start`` and submits a remove-ConfigTx for each of ``nodes`` once
     some correct replica has recorded it as a failed leader.  Pair with a
     :class:`ByzantineSpec` for the same node to close the eviction loop:

@@ -3,7 +3,7 @@
 The most important helper is :class:`SBTestBed`, a miniature deployment that
 runs a set of Sequenced-Broadcast instances (one per node) for a single
 segment over the simulated network, without the full ISS node around them.
-Protocol tests (PBFT, HotStuff, Raft, SB-from-consensus) use it to check the
+Protocol tests (PBFT, HotStuff, Raft) use it to check the
 SB properties in isolation; integration tests use the full
 :class:`repro.harness.Deployment` instead.
 """

@@ -14,8 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.consensus.bc import BcCommit, BcPrepare, BcPropose
-from repro.consensus.brb import BrbEcho, BrbReady, BrbSend
 from repro.core.checkpoint import CheckpointMsg
 from repro.core.config import ConfigError, ISSConfig, NetworkConfig, WorkloadConfig
 from repro.core.messages import (
@@ -72,10 +70,6 @@ class TestRegistry:
         assert is_batchable(Commit(view=0, sn=1, digest=DIGEST))
         assert is_batchable(AppendReply(term=1, success=True, match_index=3))
         assert is_batchable(VoteReply(term=1, granted=True))
-        assert is_batchable(BcPrepare(instance=1, view=0, value_key=b"k"))
-        assert is_batchable(BcCommit(instance=1, view=0, value_key=b"k"))
-        assert is_batchable(BrbEcho(instance=1, payload=b"p"))
-        assert is_batchable(BrbReady(instance=1, payload=b"p"))
         assert is_batchable(
             CheckpointMsg(epoch=0, last_sn=7, log_root=DIGEST, sender=1, signature=b"s")
         )
@@ -110,8 +104,6 @@ class TestRegistry:
         )
         assert not is_batchable(RequestVote(term=1, last_log_index=0, last_log_term=0))
         assert not is_batchable(BucketAssignmentMsg(epoch=0, assignment=()))
-        assert not is_batchable(BrbSend(instance=1, payload=b"p"))
-        assert not is_batchable(BcPropose(instance=1, view=0, value=b"v"))
 
     def test_instance_envelope_is_transparent(self):
         batchable = InstanceMessage(instance_id=(0, 1), payload=vote())

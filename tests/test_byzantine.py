@@ -12,7 +12,6 @@ Covers the acceptance claims of the adversary subsystem:
   AND off, and a correct node crash/restarting in the same run as a
   Byzantine leader (the PR 3 liveness wedges showed SB changes must be
   stressed exactly this way),
-* the BRB layer on its own tolerates an equivocating designated sender,
 * the seeded Byzantine gate scenario replays against its golden trace
   (``tests/test_gates.py``).
 """
@@ -21,7 +20,6 @@ import json
 
 import pytest
 
-from repro.consensus.brb import BrbSend, ReliableBroadcast
 from repro.core.config import ISSConfig, NetworkConfig, WorkloadConfig
 from repro.core.types import Batch, Request, RequestId
 from repro.harness.invariants import check_prefix_identity
@@ -363,53 +361,6 @@ class TestAdversaryCrashInterplay:
         correct = honest_nodes(result, specs)
         assert check_prefix_identity(correct) == []
         assert result.report.completed > 0
-
-
-class TestBrbEquivocation:
-    """The BRB layer alone already defuses an equivocating sender."""
-
-    NUM_NODES = 4
-    MAX_FAULTY = 1
-
-    def _cluster(self):
-        queues = []
-        nodes = {}
-
-        def broadcast_from(src):
-            def fn(message):
-                for dst in nodes:
-                    queues.append((src, dst, message))
-            return fn
-
-        delivered = {}
-        for node in range(self.NUM_NODES):
-            nodes[node] = ReliableBroadcast(
-                instance="i",
-                node_id=node,
-                sender=0,
-                num_nodes=self.NUM_NODES,
-                max_faulty=self.MAX_FAULTY,
-                broadcast_fn=broadcast_from(node),
-                deliver_fn=lambda payload, n=node: delivered.__setitem__(n, payload),
-            )
-        return nodes, queues, delivered
-
-    def _flush(self, nodes, queues):
-        while queues:
-            src, dst, message = queues.pop(0)
-            nodes[dst].handle_message(src, message)
-
-    def test_equivocating_sender_cannot_split_delivery(self):
-        nodes, queues, delivered = self._cluster()
-        # Byzantine sender 0: payload "A" to nodes {0, 1}, "B" to {2, 3}.
-        for dst in (0, 1):
-            queues.append((0, dst, BrbSend(instance="i", payload="A")))
-        for dst in (2, 3):
-            queues.append((0, dst, BrbSend(instance="i", payload="B")))
-        self._flush(nodes, queues)
-        # Agreement: no two correct nodes deliver different payloads.
-        values = {payload for node, payload in delivered.items() if node != 0}
-        assert len(values) <= 1
 
 
 class TestByzantineSmokeGolden:

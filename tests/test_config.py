@@ -12,6 +12,7 @@ from repro.core.config import (
     PROTOCOL_HOTSTUFF,
     PROTOCOL_PBFT,
     PROTOCOL_RAFT,
+    SUPPORTED_PROTOCOLS,
 )
 
 
@@ -102,6 +103,17 @@ class TestPaperConfig:
     def test_unknown_protocol(self):
         with pytest.raises(ConfigError):
             paper_config("zab", 4)
+
+    def test_sb_from_consensus_is_not_a_protocol(self):
+        import repro
+
+        assert SUPPORTED_PROTOCOLS == (PROTOCOL_PBFT, PROTOCOL_HOTSTUFF, PROTOCOL_RAFT)
+        with pytest.raises(ConfigError):
+            ISSConfig(num_nodes=4, protocol="consensus")
+        with pytest.raises(ConfigError):
+            paper_config("consensus", 4)
+        with pytest.raises(AttributeError):
+            repro.PROTOCOL_CONSENSUS
 
 
 class TestOtherConfigs:

@@ -7,6 +7,7 @@ the command line / CI; these tests enforce the same invariants in the suite
 so a bare ``pytest`` run catches documentation rot too.
 """
 
+import re
 from pathlib import Path
 
 from repro import doccheck
@@ -31,6 +32,25 @@ class TestDocstringAudit:
             "repro.doccheck",
         ):
             assert expected in names
+
+
+class TestModuleMap:
+    def test_architecture_module_map_lists_exactly_the_top_level_tree(self):
+        """The ``docs/ARCHITECTURE.md`` module map names every top-level
+        package and module under ``src/repro/``, and nothing that is gone."""
+        text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+        section = text.split("## Module map", 1)[1]
+        block = section.split("```", 2)[1]
+        documented = set(re.findall(r"^[├└]── (\S+)", block, re.MULTILINE))
+        package = REPO_ROOT / "src" / "repro"
+        tree = {
+            f"{path.name}/" for path in package.iterdir()
+            if (path / "__init__.py").is_file()
+        } | {path.name for path in package.glob("*.py") if path.name != "__init__.py"}
+        assert documented == tree, (
+            f"missing from the map: {sorted(tree - documented)}; "
+            f"stale in the map: {sorted(documented - tree)}"
+        )
 
 
 class TestReadmeBlocks:

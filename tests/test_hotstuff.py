@@ -102,6 +102,21 @@ class TestLeaderFailure:
                 assert bed.delivered[1][sn].digest() == value.digest()
 
 
+class TestFollowerValidation:
+    def test_invalid_batches_are_rejected_and_replaced_by_nil(self):
+        """Followers refusing a proposal force a round change and ⊥ delivery."""
+        bed = make_bed(
+            seq_nrs=(0, 1),
+            validate=lambda node, batch: len(batch) == 0,  # reject any non-empty batch
+        )
+        bed.feed_requests(0, 8)
+        bed.start_all()
+        bed.run(until=60.0)
+        bed.assert_termination()
+        for node in bed.correct_nodes():
+            assert all(is_nil(v) or len(v) == 0 for v in bed.delivered[node].values())
+
+
 class TestBlockValidation:
     def test_follower_rejects_batch_from_non_segment_leader(self):
         bed = make_bed()

@@ -132,13 +132,6 @@ class TestFaultFreeRaft:
         assert_no_duplication(result)
 
 
-class TestConsensusSBDeployment:
-    def test_reference_implementation_delivers(self):
-        result = small_deployment("consensus", rate=100.0, duration=6.0).run()
-        assert result.report.completed == result.report.submitted > 0
-        assert_smr_agreement(result)
-
-
 class TestCrashFaultIntegration:
     @pytest.fixture(scope="class")
     def result(self):

@@ -1,13 +1,12 @@
 """Boundary lint: protocol code must not depend on the simulator.
 
 The transport-agnostic node boundary (``repro.runtime.api``) only holds if
-nothing in the protocol layers — ``core``, ``pbft``, ``hotstuff``,
-``raft``, ``consensus``, plus the shared ``runtime``, ``storage``,
-``crypto`` and ``app`` layers — transitively imports ``repro.sim``.  These
-tests import each protocol layer in a **fresh interpreter** and assert no
-``repro.sim`` module was pulled into ``sys.modules``, so a future import
-from the simulator anywhere in the dependency closure fails CI
-immediately.
+nothing in the protocol layers — ``core``, ``pbft``, ``hotstuff`` and
+``raft``, plus the shared ``runtime``, ``storage``, ``crypto`` and ``app``
+layers — transitively imports ``repro.sim``.  These tests import each
+protocol layer in a **fresh interpreter** and assert no ``repro.sim``
+module was pulled into ``sys.modules``, so a future import from the
+simulator anywhere in the dependency closure fails CI immediately.
 
 The simulator-side shims are retired: the fault specifications are
 imported from ``repro.runtime.faults`` everywhere, ``repro.sim.faults``
@@ -38,7 +37,6 @@ PROTOCOL_MODULES = [
     "repro.pbft.pbft",
     "repro.hotstuff.hotstuff",
     "repro.raft.raft",
-    "repro.consensus.sb_consensus",
     "repro.runtime.api",
     "repro.runtime.wire",
     "repro.runtime.faults",
@@ -185,6 +183,15 @@ def test_sim_shims_are_retired():
         f"PartitionSpec/LinkFaultSpec/symmetric_split have one import home, "
         f"repro.runtime.faults: {chaos_offenders}"
     )
+
+
+def test_sb_from_consensus_reference_is_retired():
+    """PBFT, HotStuff and Raft are the SB implementations; the BRB +
+    consensus construction and the heartbeat failure detector that served
+    only it are gone."""
+    for removed in ("repro.consensus", "repro.fd"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(removed)
 
 
 def test_fault_specs_module_is_bottom_layer():

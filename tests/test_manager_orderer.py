@@ -153,7 +153,7 @@ class TestOrderer:
         assert orderer.instances_stopped == 3
         assert list(orderer.active_instances()) == []
 
-    @pytest.mark.parametrize("protocol", ["pbft", "hotstuff", "raft", "consensus"])
+    @pytest.mark.parametrize("protocol", ["pbft", "hotstuff", "raft"])
     def test_default_factory_builds_each_protocol(self, protocol):
         byzantine = protocol != "raft"
         config = ISSConfig(
@@ -175,12 +175,12 @@ class TestOrderer:
             default_factory(config)
 
 
-@pytest.mark.parametrize("protocol", ["pbft", "hotstuff", "raft", "consensus"])
+@pytest.mark.parametrize("protocol", ["pbft", "hotstuff", "raft"])
 def test_stopped_instances_are_freed_without_cyclic_gc(protocol, monkeypatch):
     """An instance ``stop_epoch`` dropped is freed by reference counting
     alone once the simulator has run past its cancelled timers' deadlines:
-    nothing — its timers, its pacer, its sub-protocol instances, the
-    failure detector — keeps it in a reference cycle or alive."""
+    nothing — its timers, its pacer, its sub-protocol state — keeps it in a
+    reference cycle or alive."""
     import gc
     import weakref
 

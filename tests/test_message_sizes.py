@@ -8,8 +8,7 @@ and nothing may report a non-positive size.
 
 import pytest
 
-from repro.consensus.brb import BrbEcho, BrbReady, BrbSend
-from repro.consensus.bc import BcCommit, BcPrepare, BcPropose, BcViewChange
+from repro.baselines.mirbft import NewEpochMsg
 from repro.core.checkpoint import CheckpointMsg
 from repro.core.messages import (
     BucketAssignmentMsg,
@@ -22,7 +21,6 @@ from repro.core.state_transfer import StateRequest, StateResponse
 from repro.core.types import Batch, CheckpointCertificate, NIL
 from repro.crypto.signatures import KeyStore
 from repro.crypto.threshold import ThresholdScheme
-from repro.fd.detector import HeartbeatMsg
 from repro.hotstuff.messages import Block, GENESIS_QC, NewRound, Proposal, QuorumCertificate, Vote
 from repro.pbft.messages import Commit, NewView, Prepare, PrePrepare, PreparedProof, ViewChange
 from repro.raft.messages import AppendEntries, AppendReply, RaftEntry, RequestVote, VoteReply
@@ -77,13 +75,6 @@ class TestPayloadProportionality:
         assert heavy.wire_size() > 3 * big_batch().size_bytes()
         assert heartbeat.wire_size() < 200
 
-    def test_brb_messages_scale_with_payload(self):
-        send = BrbSend(instance=0, payload=big_batch())
-        echo = BrbEcho(instance=0, payload=big_batch())
-        ready = BrbReady(instance=0, payload=big_batch())
-        for message in (send, echo, ready):
-            assert message.wire_size() >= big_batch().size_bytes()
-
     def test_state_response_scales_with_entries(self):
         cert = CheckpointCertificate(epoch=0, last_sn=3, log_root=b"r" * 32, signatures=((0, b"s" * 64),))
         heavy = StateResponse(epoch=0, entries=tuple((sn, big_batch()) for sn in range(4)), certificate=cert)
@@ -106,13 +97,13 @@ class TestAllMessagesHavePositiveSize:
             AppendReply(term=0, success=True, match_index=3),
             RequestVote(term=1, last_log_index=0, last_log_term=0),
             VoteReply(term=1, granted=True),
-            BcPropose(instance=0, view=0, value="v"),
-            BcPrepare(instance=0, view=0, value_key="k"),
-            BcCommit(instance=0, view=0, value_key="k"),
-            BcViewChange(instance=0, new_view=1, prepared_view=-1, prepared_value=None),
+            AppendEntries(term=0, prev_index=-1, prev_term=0, entries=(), leader_commit=-1),
+            Proposal(block=Block(view=0, round=0, sn=0, value=NIL, parent_digest=GENESIS_QC.block_digest, justify=GENESIS_QC)),
+            ClientRequestMsg(request=make_request()),
+            InstanceMessage(instance_id=(0, 1), payload=Prepare(view=0, sn=0, digest=b"d")),
             CheckpointMsg(epoch=0, last_sn=7, log_root=b"r" * 32, sender=0, signature=b"s" * 64),
             StateRequest(first_epoch=0, last_epoch=2),
-            HeartbeatMsg(sender=1),
+            NewEpochMsg(epoch=1, primary=1),
             ClientResponseMsg(rid=make_request().rid, sn=1, node=0),
             ClientResponseBatchMsg(client=0, entries=((make_request().rid, 1),), node=0),
             BucketAssignmentMsg(epoch=0, assignment=((0, 1),)),

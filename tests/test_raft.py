@@ -135,6 +135,10 @@ class TestLeaderFailure:
         assert low > 2.0 and high > 4.0
 
 
+# No TestFollowerValidation twin of the PBFT/HotStuff case: Raft is CFT, so a
+# leader whose batches correct followers reject is outside its fault model —
+# and such followers never terminate, because the leader's heartbeats keep
+# resetting their election timers.
 class TestLogReplication:
     def test_followers_catch_up_after_short_disconnect(self):
         bed = make_bed()
