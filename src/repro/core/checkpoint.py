@@ -87,7 +87,7 @@ class CheckpointProtocol:
         #: are still required).  None = static genesis configuration.
         self._view_fn = view_fn
         self._view_sealed = view_sealed_fn
-        #: Received signatures per (epoch, last_sn, root): sender -> signature.
+        #: Signatures per (epoch, last_sn, root) of unstable epochs: sender -> signature.
         self._received: Dict[Tuple[EpochNr, SeqNr, bytes], Dict[NodeId, bytes]] = {}
         self._stable: Dict[EpochNr, CheckpointCertificate] = {}
         self._announced_local: set = set()
@@ -123,6 +123,10 @@ class CheckpointProtocol:
         payload = checkpoint_signing_payload(message.epoch, message.last_sn, message.log_root)
         if not self.key_store.verify(message.sender, payload, message.signature):
             self.invalid_signatures_rejected += 1
+            return
+        if message.epoch in self._stable:
+            # A vote that arrived after the quorum: nothing will ask again.
+            self.key_store.forget(message.sender, payload)
             return
         self._record(message)
 
@@ -163,7 +167,22 @@ class CheckpointProtocol:
                 signatures=tuple(sorted(signatures.items())),
             )
             self._stable[message.epoch] = certificate
+            self._drop_votes(certificate)
             self.on_stable(message.epoch, certificate)
+
+    def _drop_votes(self, certificate: CheckpointCertificate) -> None:
+        """Forget a stable epoch's tallies (all roots) and the key-store memo
+        entries of their voters and of the certificate's signers."""
+        forget = self.key_store.forget
+        for key in [key for key in self._received if key[0] == certificate.epoch]:
+            payload = checkpoint_signing_payload(*key)
+            for sender in self._received.pop(key):
+                forget(sender, payload)
+        payload = checkpoint_signing_payload(
+            certificate.epoch, certificate.last_sn, certificate.log_root
+        )
+        for node, _signature in certificate.signatures:
+            forget(node, payload)
 
     # ----------------------------------------------------------- restoration
     def restore_stable(self, certificate: CheckpointCertificate) -> bool:
@@ -180,6 +199,8 @@ class CheckpointProtocol:
         the local log later completes would only add stale wire noise.
         """
         epoch = certificate.epoch
+        # Even when already stable: verify_certificate memoized its signers.
+        self._drop_votes(certificate)
         if epoch in self._stable:
             return False
         self._stable[epoch] = certificate

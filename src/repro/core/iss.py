@@ -225,8 +225,8 @@ class ISSNode:
         #: delivered or already-pending requests; abusive flooders inflate
         #: this, honest epoch-driven resubmission contributes too).
         self.duplicate_requests: Dict[int, int] = {}
-        #: Delivered-filter / verification-cache entries garbage collected
-        #: below advanced client watermarks (see :meth:`_gc_client_state`).
+        #: Delivered-filter entries garbage collected below advanced client
+        #: watermarks (see :meth:`_gc_client_state`).
         self.client_state_gc_entries = 0
 
         network.register(node_id, self.on_message)
@@ -632,9 +632,7 @@ class ISSNode:
                 self.buckets.resurrect(proposed.requests)
         else:
             self.batches_committed += 1
-            for request in value.requests:
-                self.buckets.mark_delivered(request)
-                self.watermarks.note_delivered(request.rid.client, request.rid.timestamp)
+            self._mark_delivered(value.requests)
         self._after_commit()
 
     def _apply_transferred_entry(self, sn: SeqNr, entry: LogEntry, epoch: EpochNr) -> None:
@@ -658,9 +656,19 @@ class ISSNode:
         self.log.commit(sn, entry, epoch, self.sim.now)
         if not is_nil(entry):
             self.batches_committed += 1
-            for request in entry.requests:
-                self.buckets.mark_delivered(request)
-                self.watermarks.note_delivered(request.rid.client, request.rid.timestamp)
+            self._mark_delivered(entry.requests)
+
+    def _mark_delivered(self, requests: Sequence[Request]) -> None:
+        """Bookkeeping of every delivery path (SB-DELIVER, state transfer,
+        recovery replay).  The signature memo entry goes too: the delivered
+        filter, then the watermark, answers for the request from now on."""
+        verified = self.validator.verify_signatures
+        for request in requests:
+            rid = request.rid
+            self.buckets.mark_delivered(request)
+            self.watermarks.note_delivered(rid.client, rid.timestamp)
+            if verified:
+                self.key_store.forget_digest(rid.client, request.digest(), request.signature)
 
     def _after_commit(self) -> None:
         """Advance contiguous delivery and epoch state after any commit."""
@@ -746,13 +754,12 @@ class ISSNode:
         watermark can never be validly resubmitted (the validator rejects
         them before they reach any queue, and re-transmissions are
         re-acknowledged from the watermark itself), so the delivered filter
-        and the signature-verification cache no longer need to remember
-        them — without this both grow linearly for the lifetime of a run.
+        no longer needs to remember them — without this it grows linearly
+        for the lifetime of a run.
         """
         dropped = 0
         for client, old_low, new_low in advanced:
             dropped += self.buckets.forget_delivered_below(client, old_low, new_low)
-            dropped += self.validator.forget_below(client, old_low, new_low)
         self.client_state_gc_entries += dropped
 
     # ============================================================ checkpointing
@@ -767,16 +774,12 @@ class ISSNode:
             self.evict_sealed_history()
 
     def evict_sealed_history(self) -> None:
-        """Drop from memory what storage sealed *before* its latest seal.
-
-        The sealed archive answers for those positions from then on (state
-        transfer for an old epoch reads them back); the most recently sealed
-        run stays in memory because a slightly lagging peer asks for exactly
-        that.  A node without storage has no archive and never evicts.
-        """
+        """Drop from memory everything storage has sealed: the archive answers
+        for those positions from then on, state transfer of the just-sealed
+        epoch included.  A node without storage never evicts."""
         if self.storage is not None:
             archive = self.storage.snapshots
-            self.log.evict_through(archive.previous_last_sn(), archive)
+            self.log.evict_through(archive.entry_count() - 1, archive)
 
     def _maybe_request_state_transfer(self, checkpoint_epoch: EpochNr) -> None:
         """A stable checkpoint ahead of us means we fell behind: catch up."""

@@ -44,7 +44,7 @@ class EpochManager:
         #: leadersets and segments are computed from the epoch's committed
         #: membership view instead of the static genesis configuration.
         self.membership = membership
-        #: Segment descriptors of every epoch started so far.
+        #: Segment descriptors of the last finished epoch onwards.
         self._segments: Dict[EpochNr, List[SegmentDescriptor]] = {}
         self._leaders: Dict[EpochNr, List[NodeId]] = {}
 
@@ -101,9 +101,6 @@ class EpochManager:
         self._segments[epoch] = segments
         return segments
 
-    def segments_of_started_epoch(self, epoch: EpochNr) -> Optional[List[SegmentDescriptor]]:
-        return self._segments.get(epoch)
-
     # ---------------------------------------------------------- epoch close
     def epoch_complete(self, epoch: EpochNr, log: Log) -> bool:
         """True when the log holds an entry for every position of ``epoch``."""
@@ -120,6 +117,9 @@ class EpochManager:
         segments = self.segments_for(epoch)
         self.history.record_epoch(epoch, segments, log)
         self.policy.epoch_finished(epoch, self.history)
+        # Nothing asks for older descriptors again (they would be rebuilt).
+        for old in [e for e in self._segments if e < epoch]:
+            del self._segments[old]
         if self.membership is not None:
             return self.membership.seal_epoch(epoch)
         return None
@@ -131,6 +131,3 @@ class EpochManager:
             return 0.0
         leaders = self.leaders_for(epoch)
         return len(leaders) / self.config.batch_rate
-
-    def leaderset_sizes(self) -> Dict[EpochNr, int]:
-        return {epoch: len(leaders) for epoch, leaders in self._leaders.items()}

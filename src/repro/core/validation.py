@@ -9,18 +9,21 @@ epoch transitions.
 
 The watermark window is also what makes per-node client state *collectable*:
 once a client's low watermark passes a timestamp, no request with that
-timestamp can ever be validly resubmitted, so the delivered filters and
-verification caches holding it can be dropped
-(see :meth:`repro.core.iss.ISSNode._gc_client_state`).
+timestamp can ever be validly resubmitted, so the delivered filter entries
+holding it can be dropped (see :meth:`repro.core.iss.ISSNode._gc_client_state`).
+
+The validator keeps no cache of its own: signature checks are memoized once,
+in :meth:`repro.crypto.signatures.KeyStore.verify_digest`, until the request
+is delivered and the delivered filter answers for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..crypto.signatures import KeyStore
-from .types import ClientId, Request, RequestId
+from .types import ClientId, Request
 
 #: Rejection reasons tracked per client (see :class:`ValidationStats`).
 REJECT_BAD_SIGNATURE = "bad_signature"
@@ -193,14 +196,6 @@ class RequestValidator:
         self.watermarks = watermarks
         self.verify_signatures = verify_signatures
         self.stats = ValidationStats()
-        #: Requests whose signature this node already verified (a node sees
-        #: the same request on reception and again inside proposals; the
-        #: crypto result cannot change, so re-verification is skipped).
-        #: Keyed by request id so entries below a client's advanced low
-        #: watermark can be garbage collected (:meth:`forget_below`); the
-        #: stored Request is compared on lookup, so a different payload or
-        #: signature under a reused id still re-verifies.
-        self._verified: Dict[RequestId, Request] = {}
 
     def add_client(self, client: ClientId) -> None:
         self.known_clients.add(client)
@@ -216,37 +211,15 @@ class RequestValidator:
             self.stats.outside_watermarks += 1
             self.stats.note_rejection(rid.client, REJECT_OUTSIDE_WATERMARKS)
             return False
-        if self.verify_signatures:
-            cached = self._verified.get(rid)
-            if cached is not request and cached != request:
-                # Shared O(1) re-verification: the key store memoizes the
-                # outcome by (identity, digest, signature), so only the first
-                # validator in the deployment pays for the HMAC.
-                if not self.key_store.verify_digest(
-                    rid.client,
-                    request.digest(),
-                    request.signature,
-                    lambda: request_signing_payload(request),
-                ):
-                    self.stats.bad_signature += 1
-                    self.stats.note_rejection(rid.client, REJECT_BAD_SIGNATURE)
-                    return False
-                self._verified[rid] = request
+        # The key store's memo is shared: only the first validator pays the HMAC.
+        if self.verify_signatures and not self.key_store.verify_digest(
+            rid.client,
+            request.digest(),
+            request.signature,
+            lambda: request_signing_payload(request),
+        ):
+            self.stats.bad_signature += 1
+            self.stats.note_rejection(rid.client, REJECT_BAD_SIGNATURE)
+            return False
         self.stats.accepted += 1
         return True
-
-    def forget_below(self, client: ClientId, old_low: int, new_low: int) -> int:
-        """Drop verification cache entries for ``client`` timestamps in
-        ``[old_low, new_low)`` — below the advanced low watermark they can
-        never be validly resubmitted, so caching them is pure retention.
-        Returns the number of entries dropped."""
-        dropped = 0
-        verified = self._verified
-        for timestamp in range(old_low, new_low):
-            if verified.pop(RequestId(client=client, timestamp=timestamp), None) is not None:
-                dropped += 1
-        return dropped
-
-    def verified_cache_size(self) -> int:
-        """Entries currently held by the signature-verification cache."""
-        return len(self._verified)

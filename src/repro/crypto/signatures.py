@@ -20,7 +20,7 @@ from __future__ import annotations
 import hmac
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 #: Wire size of a simulated signature (matches ECDSA P-256).
 SIGNATURE_SIZE = 64
@@ -50,7 +50,9 @@ class KeyStore:
     Nodes and clients share one key store per deployment (standing in for the
     PKI assumed in Section 2.1).  Verification only needs the public half, so
     adversarial code paths cannot mint signatures for identities they do not
-    own as long as they only call :meth:`verify`.
+    own as long as they only call :meth:`verify`.  Callers drop a memo entry
+    once nothing will ask again (a request delivered, a checkpoint epoch
+    stable), so the memos are bounded by in-flight work, not by uptime.
     """
 
     def __init__(self, deployment_seed: int = 0):
@@ -64,10 +66,10 @@ class KeyStore:
         #: :meth:`verify_digest` instead, which memoizes only the outcome and
         #: never retains message bytes.
         self._expected: Dict[Tuple[int, bytes], bytes] = {}
-        #: Memoized verification outcomes keyed by (identity, digest,
-        #: signature) — the O(1) re-verification path used by
-        #: :class:`repro.core.validation.RequestValidator`.
-        self._verified: Dict[Tuple[int, bytes, bytes], bool] = {}
+        #: The one request-verification cache: (identity, digest, signature)
+        #: of every verified, not yet delivered request.  Failures are not
+        #: kept, so forgeries cannot fill it.
+        self._verified: Set[Tuple[int, bytes, bytes]] = set()
 
     def _derive(self, identity: int) -> KeyPair:
         seed_material = self._seed.to_bytes(8, "little", signed=True) + identity.to_bytes(
@@ -117,23 +119,29 @@ class KeyStore:
         (e.g. :meth:`repro.core.types.Request.digest`); ``message_fn`` builds
         the full message bytes and is only invoked on a cache miss.  Repeated
         verification of the same request — on reception, inside proposals,
-        and again at commit, across all validators sharing this key store —
-        costs one dictionary lookup.
+        across all validators sharing this key store — costs one set lookup
+        until :meth:`forget_digest`.
         """
         key = (identity, digest, signature)
-        outcome = self._verified.get(key)
-        if outcome is None:
-            # Compute directly instead of going through :meth:`verify`: the
-            # outcome memo makes an (identity, message) entry unreachable, so
-            # caching the full message bytes there would be pure retention.
-            if len(signature) != SIGNATURE_SIZE:
-                outcome = False
-            else:
-                outcome = hmac.compare_digest(
-                    self.sign(identity, message_fn()), signature
-                )
-            self._verified[key] = outcome
-        return outcome
+        if key in self._verified:
+            return True
+        # Compute directly instead of going through :meth:`verify`: the
+        # outcome memo makes an (identity, message) entry unreachable, so
+        # caching the full message bytes there would be pure retention.
+        if len(signature) != SIGNATURE_SIZE or not hmac.compare_digest(
+            self.sign(identity, message_fn()), signature
+        ):
+            return False
+        self._verified.add(key)
+        return True
+
+    def forget_digest(self, identity: int, digest: bytes, signature: bytes) -> None:
+        """Drop a :meth:`verify_digest` memo entry (no-op when absent)."""
+        self._verified.discard((identity, digest, signature))
+
+    def forget(self, identity: int, message: bytes) -> None:
+        """Drop a :meth:`verify` memo entry (no-op when absent)."""
+        self._expected.pop((identity, message), None)
 
     def verify_or_raise(self, identity: int, message: bytes, signature: bytes) -> None:
         if not self.verify(identity, message, signature):

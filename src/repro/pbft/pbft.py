@@ -249,6 +249,9 @@ class PbftSB(SBInstance):
 
     def _commit_slot(self, slot: _Slot) -> None:
         slot.committed = True
+        # Later votes for the slot are dropped on arrival: free the tallies.
+        slot.prepares.clear()
+        slot.commits.clear()
         self._uncommitted -= 1
         value = slot.value if slot.value is not None else NIL
         tracer = self.context.tracer

@@ -53,10 +53,6 @@ class SnapshotStore:
 
     def __init__(self) -> None:
         self._latest: Optional[Snapshot] = None
-        #: Last sequence number of the seal *before* the latest one (-1 when
-        #: there is none): everything at or below it is history a node may
-        #: drop from memory, the latest sealed run is what it keeps hot.
-        self._previous_last_sn: SeqNr = -1
         self._entries: List[SealedEntry] = []
         #: Seals performed over the store's lifetime (for metrics).
         self.seals_total = 0
@@ -90,8 +86,7 @@ class SnapshotStore:
         self._note_seal(certificate)
 
     def _note_seal(self, certificate: CheckpointCertificate) -> None:
-        """Advance the in-memory anchors over one sealed run."""
-        self._previous_last_sn = self.entry_count() - 1
+        """Advance the in-memory anchor over one sealed run."""
         self._latest = Snapshot(
             epoch=certificate.epoch,
             last_sn=certificate.last_sn,
@@ -106,10 +101,6 @@ class SnapshotStore:
     def entry_count(self) -> int:
         """Number of sealed log entries (they are positions ``0..count-1``)."""
         return self._latest.last_sn + 1 if self._latest is not None else 0
-
-    def previous_last_sn(self) -> SeqNr:
-        """Last position sealed *before* the latest seal (-1 when none)."""
-        return self._previous_last_sn
 
     def entries(self, start: SeqNr = 0) -> Iterator[SealedEntry]:
         """Stream the sealed ``(sn, entry, epoch)`` triples from ``start`` up."""

@@ -88,12 +88,49 @@ class TestVerifyDigest:
         # The message was only materialised on the cache miss.
         assert len(calls) == 1
 
-    def test_verify_digest_caches_negative_outcome(self):
+    def test_forged_signature_rejected_every_time_and_never_memoized(self):
+        """A failure is recomputed on every sighting and leaves no entry, so
+        a forger can neither fill the memo nor ride on an earlier check."""
         ks = KeyStore(deployment_seed=2)
         digest, message, _sig = self._signed(ks)
         forged = b"\x00" * SIGNATURE_SIZE
-        assert not ks.verify_digest(1, digest, forged, lambda: message)
-        assert not ks.verify_digest(1, digest, forged, lambda: message)
+        calls = []
+
+        def build():
+            calls.append(1)
+            return message
+
+        for _ in range(3):
+            assert not ks.verify_digest(1, digest, forged, build)
+        assert len(calls) == 3
+        assert not ks._verified
+
+    def test_forget_digest_drops_the_entry(self):
+        """After forget_digest the next check recomputes; forgetting an
+        absent entry is a no-op."""
+        ks = KeyStore(deployment_seed=2)
+        digest, message, sig = self._signed(ks)
+        calls = []
+
+        def build():
+            calls.append(1)
+            return message
+
+        assert ks.verify_digest(1, digest, sig, build)
+        ks.forget_digest(1, digest, sig)
+        ks.forget_digest(1, digest, sig)
+        assert not ks._verified
+        assert ks.verify_digest(1, digest, sig, build)
+        assert len(calls) == 2
+
+    def test_forget_drops_a_verify_entry(self):
+        ks = KeyStore(deployment_seed=2)
+        sig = ks.sign(3, b"vote")
+        assert ks.verify(3, b"vote", sig)
+        ks.forget(3, b"vote")
+        ks.forget(3, b"vote")
+        assert not ks._expected
+        assert ks.verify(3, b"vote", sig)
 
     def test_verify_digest_distinguishes_signatures(self):
         """Two signatures over the same digest are cached independently."""

@@ -279,7 +279,7 @@ def test_archive_is_wal_frames_sealed_by_the_certificate(tmp_path):
     # The same reader serves both files; entries read back match what was sealed.
     assert read_wal_frames(tmp_path / "node0" / SNAPSHOT_FILENAME)[2] is False
     reopened = FileSnapshotStore(tmp_path / "node0" / SNAPSHOT_FILENAME)
-    assert reopened.entry_count() == 8 and reopened.previous_last_sn() == 3
+    assert reopened.entry_count() == 8 and reopened.latest().epoch == 1
     assert [sn for sn, _e, _ep in reopened.entries(start=3)] == [3, 4, 5, 6, 7]
     assert reopened.entry_at(5) == batch(1, 5)
     assert reopened.entries_of([6, 1]) == [(6, batch(1, 6)), (1, batch(0, 1))]

@@ -106,10 +106,8 @@ class TestSnapshotStore:
         first, second = fake_certificate(0, 0), fake_certificate(1, 2)
         store.seal([(0, entry(0), 0)], first)
         assert store.latest() == Snapshot(epoch=0, last_sn=0, certificate=first)
-        assert store.previous_last_sn() == -1
         store.seal([(1, entry(1), 1), (2, NIL, 1)], second)
         assert store.latest() == Snapshot(epoch=1, last_sn=2, certificate=second)
-        assert store.previous_last_sn() == 0
         assert store.entry_count() == len(store.latest()) == 3
         assert store.seals_total == 2
         # The archive answers for every sealed position, and only for those.

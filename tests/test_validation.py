@@ -197,21 +197,9 @@ class TestRequestValidator:
         assert by_client[1]["bad_signature"] == 1
         assert 2 not in by_client  # accepted requests leave no entry
 
-    def test_forget_below_drops_verification_cache(self):
-        key_store, validator = self.make_validator(window=16)
-        for ts in range(4):
-            assert validator.is_valid(
-                sign_request(key_store, make_request(client=1, timestamp=ts))
-            )
-        assert validator.verified_cache_size() == 4
-        assert validator.forget_below(1, 0, 3) == 3
-        assert validator.verified_cache_size() == 1
-        # Dropping an already-collected range is a no-op, not an error.
-        assert validator.forget_below(1, 0, 3) == 0
-
     def test_cache_does_not_shortcut_a_different_payload(self):
         """A reused request id with different payload/signature must be
-        re-verified, not served from the rid-keyed cache."""
+        re-verified, not served from the memo of the first request."""
         key_store, validator = self.make_validator()
         good = sign_request(key_store, make_request(client=1, timestamp=0, payload=b"x"))
         assert validator.is_valid(good)
