@@ -209,6 +209,7 @@ def bench_pbft_vote(slots: int = 2_000) -> float:
         validate_batch_fn=lambda batch: True,
         deliver_fn=lambda sn, value: None,
         pending_fn=lambda: 0,
+        timeout_jitter_fn=lambda: 1.0,
     )
     instance = PbftSB(context)
     batch = Batch.of(())

@@ -11,14 +11,16 @@ guarantees that a correct leader eventually receives every request
 
 Epoch-driven resubmission alone cannot recover a request whose messages
 were *dropped* (lossy link, partition) while the bucket assignment stays
-put, so clients optionally run a retry loop (``ISSConfig.client_retry_*``):
-each request arms a per-request timeout; on expiry the request is resent to
-the current targets and the timeout backs off exponentially (deterministic
-seeded jitter, capped).  Resubmissions reuse the original request id, so
-they stay inside the client's watermark window by construction and are
-absorbed by the nodes' idempotent bucket queues when the original did make
-it through.  Retries are off by default (``client_retry_timeout = 0``
-schedules nothing), keeping existing schedules bit-identical.
+put, so clients run a retry loop when ``ISSConfig.client_retry_timeout`` is
+positive: each request arms a per-request timeout; on expiry the request is
+resent to the current targets and the timeout backs off by
+:data:`~repro.core.config.CLIENT_RETRY_BACKOFF` (seeded
+:data:`~repro.core.config.CLIENT_RETRY_JITTER`, capped at
+``client_retry_max_timeout``).  Resubmissions reuse the original request
+id, so they stay inside the client's watermark window by construction and
+are absorbed by the nodes' idempotent bucket queues when the original did
+make it through.  A client with ``client_retry_timeout = 0`` schedules no
+retries.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..crypto.signatures import KeyStore
 from ..runtime.api import Scheduler, Timer, Transport
 from .buckets import assignment_for_epoch, bucket_of
-from .config import ISSConfig
+from .config import CLIENT_RETRY_BACKOFF, CLIENT_RETRY_JITTER, ISSConfig
 from .messages import (
     BucketAssignmentMsg,
     ClientRequestMsg,
@@ -165,11 +167,9 @@ class Client:
         config = self.config
         delay = min(
             config.client_retry_max_timeout,
-            config.client_retry_timeout * (config.client_retry_backoff ** attempt),
+            config.client_retry_timeout * (CLIENT_RETRY_BACKOFF ** attempt),
         )
-        if config.client_retry_jitter > 0:
-            delay *= 1.0 + config.client_retry_jitter * self._retry_rng.random()
-        return delay
+        return delay * (1.0 + CLIENT_RETRY_JITTER * self._retry_rng.random())
 
     def _on_retry_timeout(self, rid: RequestId, attempt: int) -> None:
         """The request outlived its timeout: resend it and back off.

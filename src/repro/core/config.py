@@ -30,6 +30,39 @@ class ConfigError(ValueError):
     """Raised when a configuration is internally inconsistent."""
 
 
+# --- recovery hardening ------------------------------------------------------
+# Always on, on every backend.  View changes carry committed slots' proofs,
+# NEW-VIEW re-announces decided values and followers re-affirm them, and
+# progress resets the view/round-timeout backoff: that is what lets a
+# partition that leaves *no* side with a quorum reconverge after heal.
+
+#: Seeded jitter on every view-change/round timer arming, as a fraction of
+#: the timeout: a timer fires after ``timeout * (1 + U[0, jitter))``, so a
+#: partition that stalls many instances at once does not set off
+#: synchronised view-change storms.
+VIEW_CHANGE_JITTER = 0.1
+#: Grace period (seconds) after which a node holding a *stable* checkpoint
+#: for its own current epoch, with holes in its log, requests state
+#: transfer.  Persistent message loss can leave holes SB can no longer fill:
+#: the peers garbage-collect the epoch's instances once it is stable.
+STALLED_CATCHUP_GRACE = 2.0
+#: Multiplier applied to the client retry timeout after every attempt.
+CLIENT_RETRY_BACKOFF = 2.0
+#: Seeded jitter on each client retry delay, as a fraction: every delay is
+#: multiplied by ``1 + U[0, jitter)`` so a healed partition does not see
+#: every client resubmit in the same instant.
+CLIENT_RETRY_JITTER = 0.1
+
+#: The vestigial :class:`ISSConfig` fields and their single legal values.
+_VESTIGIAL = dict(
+    view_change_jitter=VIEW_CHANGE_JITTER,
+    stalled_catchup_grace=STALLED_CATCHUP_GRACE,
+    vc_recovery=True,
+    client_retry_backoff=CLIENT_RETRY_BACKOFF,
+    client_retry_jitter=CLIENT_RETRY_JITTER,
+)
+
+
 @dataclass
 class ISSConfig:
     """Parameters of a single ISS deployment.
@@ -67,33 +100,6 @@ class ISSConfig:
     epoch_change_timeout: float = 10.0
     #: PBFT/HotStuff view-change (pacemaker) timeout for a single instance.
     view_change_timeout: float = 10.0
-    #: Deterministic, seeded jitter on every view-change/round timer arming,
-    #: as a fraction of the timeout: each armed timer fires after
-    #: ``timeout * (1 + U[0, jitter))``.  Desynchronises simultaneous
-    #: timeouts across nodes so a partition does not produce synchronized
-    #: view-change storms.  ``0`` (the default) draws nothing and keeps
-    #: every existing schedule bit-identical.
-    view_change_jitter: float = 0.0
-    #: Grace period (seconds) after which a node holding a *stable*
-    #: checkpoint for its own current epoch with an incomplete local log
-    #: requests state transfer.  Persistent message loss can leave a node
-    #: with log holes it can never fill via SB (the epoch's instances are
-    #: garbage collected at the peers once the checkpoint is stable); view
-    #: changes cannot help either because the peers' instances are gone.
-    #: ``0`` (the default) disables the check and schedules nothing —
-    #: clean-path schedules stay bit-identical.
-    stalled_catchup_grace: float = 0.0
-    #: View-change recovery hardening (textbook-PBFT behaviours this
-    #: simulation can skip while channels are reliable): include committed
-    #: slots' prepared proofs in VIEW-CHANGE messages, re-announce decided
-    #: values in NEW-VIEW, re-affirm commits so laggards can assemble a
-    #: commit quorum, and reset the view/round-timeout backoff on progress.
-    #: Required for reconvergence from partitions that leave *no* side with
-    #: a quorum (nothing checkpoints, so state transfer has nothing to
-    #: serve).  Off by default purely to keep pre-chaos golden schedules
-    #: bit-identical; semantics without it are still safe, just slower to
-    #: recover.
-    vc_recovery: bool = False
     #: Raft election timeout range (min, max).
     election_timeout: tuple = (10.0, 20.0)
 
@@ -108,21 +114,13 @@ class ISSConfig:
     client_signatures: bool = True
     #: Simulated signature sizes (bytes); 64 matches 256-bit ECDSA.
     signature_size: int = 64
-    #: Client retry/backoff (closing the loss-path liveness gap: before this,
-    #: a request whose messages were all dropped waited for the next epoch's
-    #: bucket reassignment — or forever).  ``client_retry_timeout`` is the
-    #: per-request timeout before the first resubmission; ``0`` (the
-    #: default) disables retries entirely and schedules nothing.
+    #: Per-request client timeout before the first resubmission (seconds);
+    #: later timeouts back off by :data:`CLIENT_RETRY_BACKOFF` up to
+    #: ``client_retry_max_timeout``.  ``0`` (the default) disables retries
+    #: and schedules nothing.
     client_retry_timeout: float = 0.0
-    #: Multiplier applied to the retry timeout after every attempt
-    #: (exponential backoff, >= 1).
-    client_retry_backoff: float = 2.0
     #: Cap on the backed-off retry timeout (seconds).
     client_retry_max_timeout: float = 30.0
-    #: Deterministic, seeded jitter on each retry delay, as a fraction:
-    #: every delay is multiplied by ``1 + U[0, jitter)`` so a healed
-    #: partition does not see all clients resubmit in the same instant.
-    client_retry_jitter: float = 0.1
     #: Whether nodes send per-request responses back to clients.  The paper's
     #: clients wait for f+1 responses; large simulated sweeps disable the
     #: response messages and measure the same quantity centrally (the moment
@@ -131,6 +129,18 @@ class ISSConfig:
 
     # --- simulation / misc -------------------------------------------------
     random_seed: int = 42
+
+    # --- vestigial ----------------------------------------------------------
+    #: Vestigial, single legal value.  Recovery hardening is protocol
+    #: behaviour, not an option (see the constants above); these five names
+    #: stay accepted only because the frozen ``benchmarks/e2e/workloads.py``
+    #: passes them.  Any other value raises :class:`ConfigError`.  Delete
+    #: them at the next benchmark re-anchor, like :class:`SimConfig`.
+    view_change_jitter: float = VIEW_CHANGE_JITTER
+    stalled_catchup_grace: float = STALLED_CATCHUP_GRACE
+    vc_recovery: bool = True
+    client_retry_backoff: float = CLIENT_RETRY_BACKOFF
+    client_retry_jitter: float = CLIENT_RETRY_JITTER
 
     def __post_init__(self) -> None:
         self.validate()
@@ -194,20 +204,18 @@ class ISSConfig:
             raise ConfigError("Raft is a CFT protocol; set byzantine=False")
         if self.client_watermark_window < 1:
             raise ConfigError("client_watermark_window must be >= 1")
-        if not 0.0 <= self.view_change_jitter < 1.0:
-            raise ConfigError("view_change_jitter must be in [0, 1)")
-        if self.stalled_catchup_grace < 0:
-            raise ConfigError("stalled_catchup_grace must be >= 0")
         if self.client_retry_timeout < 0:
             raise ConfigError("client_retry_timeout must be >= 0")
-        if self.client_retry_backoff < 1.0:
-            raise ConfigError("client_retry_backoff must be >= 1")
         if self.client_retry_max_timeout < self.client_retry_timeout:
             raise ConfigError(
                 "client_retry_max_timeout must be >= client_retry_timeout"
             )
-        if not 0.0 <= self.client_retry_jitter < 1.0:
-            raise ConfigError("client_retry_jitter must be in [0, 1)")
+        for name, legal in _VESTIGIAL.items():
+            if getattr(self, name) != legal:
+                raise ConfigError(
+                    f"{name} is fixed at {legal!r}: recovery hardening is "
+                    f"protocol behaviour, not an option"
+                )
 
     def with_updates(self, **kwargs) -> "ISSConfig":
         """Return a copy with the given fields replaced (and re-validated)."""

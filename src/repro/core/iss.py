@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # annotation-only: storage imports core, not vice versa
     from ..storage.node_storage import NodeStorage
 from .buckets import BucketPool
 from .checkpoint import CheckpointMsg, CheckpointProtocol
-from .config import ISSConfig
+from .config import STALLED_CATCHUP_GRACE, VIEW_CHANGE_JITTER, ISSConfig
 from .leader_policy import LeaderSelectionPolicy
 from .log import Log
 from .manager import EpochManager
@@ -131,7 +131,7 @@ class ISSNode:
         #: While True (set between restart and caught-up), stable
         #: checkpoints for the *current* epoch also trigger state transfer.
         self._catchup_aggressive = False
-        #: Pending stalled-epoch re-check (``stalled_catchup_grace``);
+        #: Pending stalled-epoch re-check (:data:`STALLED_CATCHUP_GRACE`);
         #: at most one armed at a time.
         self._wedge_timer = None
 
@@ -490,18 +490,14 @@ class ISSNode:
             tracer=self.tracer,
         )
 
-    def _make_timeout_jitter(self, segment: SegmentDescriptor) -> Optional[Callable[[], float]]:
+    def _make_timeout_jitter(self, segment: SegmentDescriptor) -> Callable[[], float]:
         """Deterministic per-instance jitter source for view/round timeouts.
 
-        Returns ``None`` (no jitter, no RNG allocated, bit-identical
-        schedules) unless ``config.view_change_jitter > 0``.  The seed mixes
-        only integers — the deployment seed, this node and the instance id —
-        so different nodes arm the same logical timeout desynchronised while
+        Samples ``1 + U[0, VIEW_CHANGE_JITTER)``.  The seed mixes only
+        integers — the deployment seed, this node and the instance id — so
+        different nodes arm the same logical timeout desynchronised while
         the whole schedule stays reproducible across runs.
         """
-        jitter = self.config.view_change_jitter
-        if jitter <= 0:
-            return None
         epoch, leader = segment.instance_id
         seed = (
             (self.config.random_seed * 2654435761)
@@ -510,7 +506,7 @@ class ISSNode:
             ^ (int(leader) * 104_729)
         ) & 0xFFFFFFFF
         rng = random.Random(seed ^ 0x7177E4)
-        return lambda: 1.0 + jitter * rng.random()
+        return lambda: 1.0 + VIEW_CHANGE_JITTER * rng.random()
 
     def _note_view_change(self) -> None:
         """Count one completed view/round change (all instances, all epochs)."""
@@ -801,8 +797,7 @@ class ISSNode:
                 checkpoint_epoch, checkpoint_epoch, self._peer_nodes(), force=True
             )
         elif (
-            self.config.stalled_catchup_grace > 0
-            and self._wedge_timer is None
+            self._wedge_timer is None
             and checkpoint_epoch == self.current_epoch
             and self.checkpoints.stable_checkpoint(checkpoint_epoch) is not None
             and not self.manager.epoch_complete(checkpoint_epoch, self.log)
@@ -813,7 +808,7 @@ class ISSNode:
             # land; if the epoch is still incomplete afterwards only a
             # transfer can complete it.
             self._wedge_timer = self.sim.schedule(
-                self.config.stalled_catchup_grace,
+                STALLED_CATCHUP_GRACE,
                 lambda: self._catchup_if_wedged(checkpoint_epoch),
             )
 

@@ -63,13 +63,13 @@ class SBContext:
         validate_batch_fn: Callable[[Batch], bool],
         deliver_fn: Callable[[SeqNr, LogEntry], None],
         pending_fn: Callable[[], int],
+        timeout_jitter_fn: Callable[[], float],
         proposal_interval: float = 0.0,
         may_propose_fn: Optional[Callable[[SeqNr], bool]] = None,
         proposal_delay: float = 0.0,
         force_empty_proposals: bool = False,
         key_store: Optional[object] = None,
         report_misbehaviour_fn: Optional[Callable[[str, NodeId], None]] = None,
-        timeout_jitter_fn: Optional[Callable[[], float]] = None,
         note_view_change_fn: Optional[Callable[[], None]] = None,
         tracer=None,
         membership=None,
@@ -114,7 +114,7 @@ class SBContext:
         self.key_store = key_store
         self._report_misbehaviour = report_misbehaviour_fn
         #: Deterministic per-instance jitter on armed view/round timeouts
-        #: (None = no jitter; see ``ISSConfig.view_change_jitter``).
+        #: (see :data:`repro.core.config.VIEW_CHANGE_JITTER`).
         self._timeout_jitter = timeout_jitter_fn
         #: Host counter hook fired on every completed view/round change.
         self._note_view_change = note_view_change_fn
@@ -163,14 +163,11 @@ class SBContext:
     def timeout_jitter(self) -> float:
         """Multiplier (``>= 1``) for the next armed view/round timeout.
 
-        With ``ISSConfig.view_change_jitter = 0`` (the default) this is a
-        constant 1.0 and draws nothing; otherwise the host supplies a
-        deterministic per-instance sample in ``[1, 1 + jitter)``, which
-        desynchronises simultaneous timeouts across nodes (no view-change
-        storms when a partition stalls many instances at once).
+        The host supplies a deterministic per-instance sample in
+        ``[1, 1 + VIEW_CHANGE_JITTER)``, which desynchronises simultaneous
+        timeouts across nodes (no view-change storms when a partition
+        stalls many instances at once).
         """
-        if self._timeout_jitter is None:
-            return 1.0
         return self._timeout_jitter()
 
     def note_view_change(self) -> None:

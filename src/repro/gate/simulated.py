@@ -438,9 +438,6 @@ PARTITION_SCENARIO = dict(
     loss_rate=0.2,
     lossy_retransmit=0.5,
     client_retry_timeout=2.0,
-    view_change_jitter=0.1,
-    stalled_catchup_grace=2.0,
-    vc_recovery=True,
 )
 
 
@@ -471,13 +468,7 @@ def partition_figures(obs: ObsConfig) -> Figures:
         seed=s["random_seed"],
         drain_time=15.0,
         obs=obs,
-        **dict(
-            scenarios.GRACEFUL,
-            client_retry_timeout=s["client_retry_timeout"],
-            view_change_jitter=s["view_change_jitter"],
-            stalled_catchup_grace=s["stalled_catchup_grace"],
-            vc_recovery=s["vc_recovery"],
-        ),
+        **dict(scenarios.GRACEFUL, client_retry_timeout=s["client_retry_timeout"]),
     )
     result = deployment.run()
     row = scenarios.row(deployment, result)

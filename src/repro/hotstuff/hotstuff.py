@@ -341,8 +341,7 @@ class HotStuffSB(SBInstance):
                 self.context.deliver(ancestor.sn, value)
         # Progress resets the pacemaker backoff: later stalls start from the
         # base timeout instead of one inflated during a past outage.
-        if self.context.config.vc_recovery:
-            self._round_timeout = self._base_round_timeout
+        self._round_timeout = self._base_round_timeout
         if self._all_delivered():
             if self._round_timer is not None:
                 self._round_timer.cancel()
@@ -363,8 +362,7 @@ class HotStuffSB(SBInstance):
             return
         if self._round_timer is not None:
             self._round_timer.cancel()
-        # timeout_jitter() is 1.0 unless ISSConfig.view_change_jitter is set;
-        # with it, simultaneous stalls across nodes time out desynchronised.
+        # The seeded jitter desynchronises simultaneous stalls across nodes.
         self._round_timer = self.context.schedule(
             self._round_timeout * self.context.timeout_jitter(), self._on_round_timeout
         )

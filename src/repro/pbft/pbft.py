@@ -265,8 +265,7 @@ class PbftSB(SBInstance):
         # commit proves the current configuration is live, so later stalls
         # start from the base timeout instead of one inflated by view
         # changes during a past outage.
-        if self.context.config.vc_recovery:
-            self._view_timeout = self._base_view_timeout
+        self._view_timeout = self._base_view_timeout
         if self._all_committed():
             if self._view_timer is not None:
                 self._view_timer.cancel()
@@ -280,8 +279,7 @@ class PbftSB(SBInstance):
             return
         if self._view_timer is not None:
             self._view_timer.cancel()
-        # timeout_jitter() is 1.0 unless ISSConfig.view_change_jitter is set;
-        # with it, simultaneous stalls across nodes time out desynchronised.
+        # The seeded jitter desynchronises simultaneous stalls across nodes.
         self._view_timer = self.context.schedule(
             self._view_timeout * self.context.timeout_jitter(), self._on_view_timeout
         )
@@ -310,17 +308,14 @@ class PbftSB(SBInstance):
         if new_view <= self._highest_vc_sent:
             return
         self._highest_vc_sent = new_view
-        # With vc_recovery, committed slots stay in the proof set (committed
-        # implies prepared, textbook PBFT): a new primary that missed a
-        # commit round must still learn the decided value from the
-        # view-change quorum, or it would re-propose ⊥ against a value the
-        # rest already delivered.
-        include_committed = self.context.config.vc_recovery
+        # Committed slots stay in the proof set (committed implies prepared,
+        # textbook PBFT): a new primary that missed a commit round must
+        # still learn the decided value from the view-change quorum, or it
+        # would re-propose ⊥ against a value the rest already delivered.
         prepared = tuple(
             slot.prepared_proof
             for slot in self._slots.values()
             if slot.prepared_proof is not None
-            and (include_committed or not slot.committed)
         )
         message = ViewChange(new_view=new_view, prepared=prepared)
         self.context.broadcast(message)
@@ -348,18 +343,14 @@ class PbftSB(SBInstance):
         preprepares: List[PrePrepare] = []
         for sn, slot in self._slots.items():
             if slot.committed:
-                # With vc_recovery, re-announce the decided value: a
-                # follower that missed the commit round (lossy link,
-                # partition) has no other way to learn it before a stable
-                # checkpoint exists — and the checkpoint needs a quorum of
-                # *complete* logs first.
-                if self.context.config.vc_recovery:
-                    value = slot.value if slot.value is not None else NIL
-                    preprepares.append(
-                        PrePrepare(
-                            view=new_view, sn=sn, value=value, digest=value.digest()
-                        )
-                    )
+                # Re-announce the decided value: a follower that missed the
+                # commit round (lossy link, partition) has no other way to
+                # learn it before a stable checkpoint exists — and the
+                # checkpoint needs a quorum of *complete* logs first.
+                value = slot.value if slot.value is not None else NIL
+                preprepares.append(
+                    PrePrepare(view=new_view, sn=sn, value=value, digest=value.digest())
+                )
                 continue
             best: Optional[PreparedProof] = None
             for vote in votes.values():
@@ -395,13 +386,10 @@ class PbftSB(SBInstance):
             if slot is None:
                 continue
             if slot.committed:
-                # With vc_recovery, re-affirm the decided digest in the new
-                # view so followers that missed the original commit round
-                # can assemble a commit quorum (the primary's re-announced
-                # pre-prepare gives them the value; these votes give them
-                # the proof).
-                if not self.context.config.vc_recovery:
-                    continue
+                # Re-affirm the decided digest in the new view so followers
+                # that missed the original commit round can assemble a
+                # commit quorum (the primary's re-announced pre-prepare
+                # gives them the value; these votes give them the proof).
                 digest = (slot.value if slot.value is not None else NIL).digest()
                 if digest == preprepare.digest and message.new_view not in slot.commit_sent:
                     slot.commit_sent.add(message.new_view)

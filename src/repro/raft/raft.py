@@ -6,7 +6,11 @@ election timers, and — to preserve liveness under eventual synchrony — the
 election-timer range doubles whenever a term passes without electing a
 leader.  A leader elected after the segment leader's failure appends ``⊥``
 entries for every sequence number it does not already hold, so the instance
-terminates for all sequence numbers (SB3) even after a crash.
+terminates for all sequence numbers (SB3) even after a crash.  When it holds
+them all already, from older terms, it appends Raft's blank entry instead: a
+current-term no-op (:data:`NOOP_SN`, value ``⊥``) that is never delivered.  A
+leader commits only entries of its own term, so without it a re-elected
+leader after a no-quorum split could never commit the older entries.
 
 Raft's characteristic re-transmission behaviour is preserved: a leader keeps
 re-sending entries from ``nextIndex`` until acknowledged, so short batch
@@ -30,6 +34,10 @@ from .messages import AppendEntries, AppendReply, RaftEntry, RequestVote, VoteRe
 FOLLOWER = "follower"
 CANDIDATE = "candidate"
 LEADER = "leader"
+
+#: Sequence number of a leader's blank entry: outside every segment, carries
+#: ``⊥``, skipped at delivery.
+NOOP_SN = -1
 
 
 class RaftSB(SBInstance):
@@ -115,6 +123,9 @@ class RaftSB(SBInstance):
             # right away (SB design rule 2), then keeps heartbeating.
             for sn in self._remaining_sns():
                 self.log.append(RaftEntry(term=self.term, sn=sn, value=NIL))
+            # Entries of older terms commit only under one of this term.
+            if self._last_log_term() != self.term:
+                self.log.append(RaftEntry(term=self.term, sn=NOOP_SN, value=NIL))
             self._match_index[self.context.node_id] = self._last_log_index()
         self._send_heartbeats()
 
@@ -212,6 +223,8 @@ class RaftSB(SBInstance):
         )
 
     def _validate_entry(self, src: NodeId, entry: RaftEntry) -> bool:
+        if entry.sn == NOOP_SN:
+            return is_nil(entry.value)
         if entry.sn not in self.segment.seq_nrs:
             return False
         if is_nil(entry.value):
@@ -225,7 +238,7 @@ class RaftSB(SBInstance):
     def _apply_committed(self) -> None:
         for index in range(self.commit_index + 1):
             entry = self.log[index]
-            if entry.sn in self._delivered:
+            if entry.sn == NOOP_SN or entry.sn in self._delivered:
                 continue
             self._delivered.add(entry.sn)
             tracer = self.context.tracer

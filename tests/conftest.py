@@ -135,6 +135,7 @@ class SBTestBed:
             validate_batch_fn=validate,
             deliver_fn=deliver,
             pending_fn=lambda node=node: len(self.request_queues[node]),
+            timeout_jitter_fn=lambda: 1.0,
             key_store=self.key_store,
         )
 

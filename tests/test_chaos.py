@@ -9,10 +9,25 @@ catch-up, client retry completion, view-change jitter determinism).
 
 import pytest
 
-from repro.core.config import ConfigError, ISSConfig, NetworkConfig, WorkloadConfig
+from repro.core.config import (
+    CLIENT_RETRY_BACKOFF,
+    CLIENT_RETRY_JITTER,
+    STALLED_CATCHUP_GRACE,
+    VIEW_CHANGE_JITTER,
+    ConfigError,
+    ISSConfig,
+    NetworkConfig,
+    WorkloadConfig,
+)
 from repro.core.client import Client
 from repro.crypto.signatures import KeyStore
-from repro.harness.invariants import check_prefix_identity
+from repro.harness import scenarios
+from repro.harness.invariants import (
+    check_invariants,
+    check_prefix_identity,
+    delivered_trace,
+    traces_agree,
+)
 from repro.harness.runner import Deployment
 from repro.runtime.faults import LinkFaultSpec, PartitionSpec, symmetric_split
 from repro.runtime.wire import register_batchable
@@ -104,8 +119,13 @@ class TestLinkFaultSpecValidation:
             LinkFaultSpec(src=0, dst=1, block=True, retransmit=0.5)
 
     def test_stalled_catchup_grace_validation(self):
-        with pytest.raises(ConfigError):
-            ISSConfig(num_nodes=4, stalled_catchup_grace=-1.0).validate()
+        # The grace is a protocol constant: the vestigial field accepts only
+        # its one value, and a negative or disabling value is refused.
+        assert ISSConfig(num_nodes=4).stalled_catchup_grace == STALLED_CATCHUP_GRACE
+        ISSConfig(num_nodes=4, stalled_catchup_grace=STALLED_CATCHUP_GRACE)
+        for value in (-1.0, 0.0, 5.0):
+            with pytest.raises(ConfigError):
+                ISSConfig(num_nodes=4, stalled_catchup_grace=value)
 
 
 class TestLinkFaultSemantics:
@@ -431,6 +451,23 @@ class TestPartitionRecovery:
         assert faults[0]["payloads_retransmitted"] == faults[0]["payloads_dropped"]
 
 
+@pytest.mark.parametrize("protocol", ["pbft", "hotstuff", "raft"])
+def test_no_quorum_split_reconverges_on_the_default_config(protocol):
+    # A 2|2 split on 4 nodes leaves no side with a quorum.  With the
+    # default protocol config — no GRACEFUL overrides, no client retries —
+    # every instance must still terminate after heal (SB Termination), so
+    # every submitted request completes on identical logs.
+    deployment = scenarios.deployment(
+        protocol, 4, [symmetric_split((0, 1), (2, 3), 3.0, 9.0)],
+        rate=200.0, duration=15.0, drain_time=15.0, seed=7,
+    )
+    result = deployment.run()
+    assert result.report.submitted > 0
+    assert result.report.completed == result.report.submitted
+    assert traces_agree([delivered_trace(node) for node in result.nodes])
+    assert check_invariants(result) == []
+
+
 class TestDeterminism:
     def test_partitioned_run_is_deterministic(self):
         # Jittered view-change timers, retry jitter, loss RNG — all seeded:
@@ -445,15 +482,26 @@ class TestDeterminism:
 
         assert fingerprint() == fingerprint()
 
-    def test_chaos_off_is_the_default(self):
-        # All chaos machinery must be opt-in: a default config schedules no
-        # retries, no jitter draws, no grace timers (golden traces pin the
-        # resulting schedules bit-for-bit elsewhere).
+    def test_recovery_hardening_is_the_default(self):
+        # View-change hardening, timer jitter and the stalled-epoch grace
+        # are protocol behaviour: a default config runs them, and the
+        # vestigial fields read their one legal value.  Client retries stay
+        # a per-deployment choice (off unless a timeout is given).
         config = ISSConfig(num_nodes=4, protocol="pbft", epoch_length=16)
+        assert config.view_change_jitter == VIEW_CHANGE_JITTER == 0.1
+        assert config.stalled_catchup_grace == STALLED_CATCHUP_GRACE == 2.0
+        assert config.vc_recovery is True
+        assert config.client_retry_backoff == CLIENT_RETRY_BACKOFF == 2.0
+        assert config.client_retry_jitter == CLIENT_RETRY_JITTER == 0.1
         assert config.client_retry_timeout == 0.0
-        assert config.view_change_jitter == 0.0
-        assert config.stalled_catchup_grace == 0.0
-        assert config.vc_recovery is False
+        node = Deployment(
+            config,
+            workload=WorkloadConfig(num_clients=1, total_rate=10.0, duration=1.0),
+        ).nodes[0]
+        sample = node._make_timeout_jitter(node.manager.segments_for(0)[0])
+        draws = [sample() for _ in range(20)]
+        assert all(1.0 <= draw < 1.0 + VIEW_CHANGE_JITTER for draw in draws)
+        assert len(set(draws)) == len(draws)
 
 
 class TestClientRetry:
@@ -484,46 +532,44 @@ class TestClientRetry:
 
     def test_unanswered_request_is_retried_with_backoff(self):
         sim, client = self._client(
-            client_retry_timeout=1.0,
-            client_retry_backoff=2.0,
-            client_retry_max_timeout=4.0,
-            client_retry_jitter=0.0,
+            client_retry_timeout=1.0, client_retry_max_timeout=4.0
         )
         client.submit(b"payload")
-        # No node ever answers: timeouts fire at 1, 3, 7, 11, 15, ... s
-        # (1 + 2 + 4 + 4 + 4: exponential backoff capped at 4 s).
-        sim.run(until=16.0)
+        # No node ever answers: timeouts fire after 1, 2, 4, 4, 4, ... s
+        # (exponential backoff capped at 4 s), each stretched by at most
+        # 10 % jitter — the fifth by 16.5 s, the sixth not before 19 s.
+        sim.run(until=16.6)
         assert client.requests_retried == 5
 
     def test_backoff_delay_grows_and_caps(self):
         _, client = self._client(
-            client_retry_timeout=1.0,
-            client_retry_backoff=2.0,
-            client_retry_max_timeout=4.0,
-            client_retry_jitter=0.0,
+            client_retry_timeout=1.0, client_retry_max_timeout=4.0
         )
         delays = [client._retry_delay(attempt) for attempt in range(5)]
-        assert delays == [1.0, 2.0, 4.0, 4.0, 4.0]
+        # Un-jittered bases 1, 2, 4, 4, 4: doubling, then the cap; the
+        # jitter never stretches a delay by a whole backoff step.
+        for delay, base in zip(delays, [1.0, 2.0, 4.0, 4.0, 4.0]):
+            assert base <= delay < base * (1.0 + CLIENT_RETRY_JITTER)
+        assert delays[0] < delays[1] < delays[2]
 
     def test_jitter_stretches_but_stays_bounded(self):
         _, client = self._client(
-            client_retry_timeout=1.0,
-            client_retry_backoff=2.0,
-            client_retry_max_timeout=4.0,
-            client_retry_jitter=0.5,
+            client_retry_timeout=1.0, client_retry_max_timeout=4.0
         )
+        delays = []
         for attempt, base in ((0, 1.0), (1, 2.0), (2, 4.0)):
             delay = client._retry_delay(attempt)
-            assert base <= delay <= base * 1.5
+            assert base <= delay < base * (1.0 + CLIENT_RETRY_JITTER)
+            delays.append(delay / base)
+        # Seeded jitter: every delay is stretched, and by different amounts.
+        assert all(ratio > 1.0 for ratio in delays)
+        assert len(set(delays)) == len(delays)
 
     def test_completion_cancels_the_retry_timer(self):
         from repro.core.messages import ClientResponseMsg
 
         sim, client = self._client(
-            client_retry_timeout=1.0,
-            client_retry_backoff=2.0,
-            client_retry_max_timeout=4.0,
-            client_retry_jitter=0.0,
+            client_retry_timeout=1.0, client_retry_max_timeout=4.0
         )
         request = client.submit(b"payload")
         for node in range(client.config.weak_quorum):

@@ -138,6 +138,25 @@ class TestOtherConfigs:
         with pytest.raises(ConfigError, match="removed in PR 12"):
             SimConfig(engine="sharded")
 
+    @pytest.mark.parametrize(
+        "name, legal, others",
+        [
+            ("view_change_jitter", 0.1, (0.0, 0.5, -0.1)),
+            ("stalled_catchup_grace", 2.0, (0.0, 1.0, -1.0)),
+            ("vc_recovery", True, (False,)),
+            ("client_retry_backoff", 2.0, (1.0, 3.0, 0.5)),
+            ("client_retry_jitter", 0.1, (0.0, 0.5, -0.1)),
+        ],
+    )
+    def test_recovery_hardening_fields_accept_only_their_value(self, name, legal, others):
+        assert getattr(ISSConfig(), name) == legal
+        assert getattr(ISSConfig(**{name: legal}), name) == legal
+        for value in others:
+            with pytest.raises(ConfigError, match=name):
+                ISSConfig(**{name: value})
+            with pytest.raises(ConfigError, match=name):
+                ISSConfig().with_updates(**{name: value})
+
     def test_engine_env_var_is_no_longer_read(self, monkeypatch):
         from repro.harness.runner import Deployment
         from repro.sim.simulator import Simulator

@@ -260,3 +260,30 @@ def test_log_does_not_import_storage():
         for alias in node.names
     ]
     assert not [module for module in imported if "storage" in module], imported
+
+
+#: Recovery hardening is protocol behaviour; these ``ISSConfig`` names are
+#: vestigial single-value fields kept for the frozen benchmark.
+VESTIGIAL_RECOVERY_FIELDS = (
+    "vc_recovery",
+    "view_change_jitter",
+    "stalled_catchup_grace",
+    "client_retry_backoff",
+    "client_retry_jitter",
+)
+
+
+def test_recovery_hardening_knobs_stay_gone():
+    """Nothing under ``src/repro`` but ``core/config.py`` names the five
+    vestigial recovery fields: no code path may branch on them again."""
+    source_root = REPO_ROOT / "src" / "repro"
+    config = source_root / "core" / "config.py"
+    pattern = re.compile("|".join(VESTIGIAL_RECOVERY_FIELDS))
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{lineno}"
+        for path in sorted(source_root.rglob("*.py"))
+        if path != config
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not offenders, f"recovery hardening knobs referenced outside config: {offenders}"

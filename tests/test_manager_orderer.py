@@ -46,6 +46,7 @@ def make_context(segment: SegmentDescriptor, config: ISSConfig) -> SBContext:
         validate_batch_fn=lambda batch: True,
         deliver_fn=lambda sn, value: None,
         pending_fn=lambda: 0,
+        timeout_jitter_fn=lambda: 1.0,
     )
 
 

@@ -52,6 +52,7 @@ class PacerHarness:
             validate_batch_fn=lambda batch: True,
             deliver_fn=lambda sn, value: None,
             pending_fn=lambda: self.pending,
+            timeout_jitter_fn=lambda: 1.0,
             proposal_interval=proposal_interval,
             may_propose_fn=may_propose,
             proposal_delay=proposal_delay,

@@ -187,6 +187,7 @@ class _LoneInstance:
                 validate_batch_fn=lambda batch: True,
                 deliver_fn=self.delivered.__setitem__,
                 pending_fn=lambda: 0,
+                timeout_jitter_fn=lambda: 1.0,
                 report_misbehaviour_fn=lambda kind, node: self.reports.append((kind, node)),
             )
         )

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.config import ISSConfig
-from repro.core.types import SegmentDescriptor, is_nil
-from repro.raft.raft import FOLLOWER, LEADER, RaftSB
+from repro.core.types import NIL, Batch, SegmentDescriptor, is_nil
+from repro.raft.messages import RaftEntry
+from repro.raft.raft import FOLLOWER, LEADER, NOOP_SN, RaftSB
 from tests.conftest import SBTestBed
 
 
@@ -122,6 +123,33 @@ class TestLeaderFailure:
         bed.run(until=60.0)
         new_leaders = [bed.instances[n] for n in (1, 2) if bed.instances[n].role == LEADER]
         assert new_leaders and all(inst.term >= 1 for inst in new_leaders)
+
+    def test_no_quorum_split_commits_after_heal(self):
+        # 2|2 from the start: the segment leader replicates every sn to its
+        # one partner at term 0 but never reaches a majority of 3.  After
+        # heal, the re-elected leader of a later term already holds every
+        # sn, so only its blank entry can commit the term-0 entries.
+        bed = make_bed(num_nodes=4)
+        bed.feed_requests(0, 16)
+        bed.network.partition([[0, 1], [2, 3]])
+        bed.start_all()
+        bed.run(until=8.0)
+        assert all(delivered == {} for delivered in bed.delivered.values())
+        bed.network.heal_partition()
+        bed.run(until=120.0)
+        bed.assert_termination()
+        bed.assert_agreement()
+        leader = next(inst for inst in bed.instances if inst.role == LEADER)
+        assert leader.term > 0
+        assert leader.log[-1] == RaftEntry(term=leader.term, sn=NOOP_SN, value=NIL)
+        assert any(not is_nil(value) for value in bed.delivered[2].values())
+
+    def test_blank_entry_is_accepted_only_as_nil(self):
+        bed = make_bed()
+        follower = bed.instances[1]
+        assert follower._validate_entry(2, RaftEntry(term=1, sn=NOOP_SN, value=NIL))
+        batch = Batch.of(())
+        assert not follower._validate_entry(0, RaftEntry(term=1, sn=NOOP_SN, value=batch))
 
     def test_election_timeout_range_doubles_on_failed_election(self):
         bed = make_bed(num_nodes=5)

@@ -41,6 +41,7 @@ class ContextHarness:
             validate_batch_fn=lambda batch: len(batch) < 3,
             deliver_fn=lambda sn, value: self.delivered.append((sn, value)),
             pending_fn=lambda: self.pending,
+            timeout_jitter_fn=lambda: 1.0,
         )
 
 
