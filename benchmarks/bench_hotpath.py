@@ -6,7 +6,10 @@ the simulator's allocation-free event dispatch, Timer-based dispatch and
 cancellation compaction, ``Network.send`` (direct and through the
 wire-batching layer), ``Network.multicast`` at a 31-way fan-out, one PBFT
 vote into a 32-node instance, request-id hashing, memoized signature
-verification, and the bucket-pool request cycle.
+verification, and the bucket-pool request cycle.  A second section times
+the live backend's serialisation: encode and decode of the hot message
+shapes through :mod:`repro.runtime.codec`, against ``pickle`` (the format
+the transport and the WAL used before the codec), with the bytes of each.
 
 Usage::
 
@@ -21,21 +24,31 @@ from __future__ import annotations
 
 import argparse
 import json
+import pickle
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.app.kv import KVResultMsg, encode_put  # noqa: E402
 from repro.core.buckets import BucketPool  # noqa: E402
 from repro.core.config import NetworkConfig  # noqa: E402
-from repro.core.types import Request, RequestId  # noqa: E402
+from repro.core.messages import (  # noqa: E402
+    ClientRequestMsg,
+    ClientResponseBatchMsg,
+    InstanceMessage,
+)
+from repro.core.types import Batch, Request, RequestId  # noqa: E402
 from repro.core.validation import request_signing_payload, sign_request  # noqa: E402
 from repro.crypto.signatures import KeyStore  # noqa: E402
 from repro.metrics.report import format_table, print_banner  # noqa: E402
+from repro.pbft.messages import Prepare, PrePrepare  # noqa: E402
+from repro.runtime.codec import decode, encode  # noqa: E402
 from repro.sim.latency import LatencyModel  # noqa: E402
 from repro.sim.network import Network  # noqa: E402
 from repro.sim.simulator import Simulator  # noqa: E402
+from repro.storage.wal import RECORD_COMMIT, WalRecord  # noqa: E402
 
 
 def _timed(fn, ops: int) -> float:
@@ -316,6 +329,63 @@ BENCHMARKS = [
 ]
 
 
+def _codec_shapes():
+    """The live path's hot messages, shaped like a ``live_steady`` run: KV
+    puts of 64-byte values, 64-byte request signatures, 32-byte digests."""
+    requests = tuple(
+        Request(
+            rid=RequestId(client=1_000 + i, timestamp=50_000 + i),
+            payload=encode_put(f"key{i:04d}", f"{i:02d}" * 32),
+            signature=bytes([i]) * 64,
+        )
+        for i in range(10)
+    )
+    batch = Batch(requests)
+    digest = b"\x5a" * 32
+    return [
+        ("PRE-PREPARE, 10 req", InstanceMessage((3, 1), PrePrepare(0, 771, batch, digest))),
+        ("PREPARE", InstanceMessage((3, 1), Prepare(0, 771, digest))),
+        ("client request", ClientRequestMsg(requests[0])),
+        (
+            "client response batch",
+            ClientResponseBatchMsg(1_000, tuple((r.rid, 9_000 + n) for n, r in enumerate(requests[:3])), 2),
+        ),
+        ("KV result", KVResultMsg(requests[0].rid, 2, True, "ab" * 32)),
+        ("WAL commit, 10 req", WalRecord(RECORD_COMMIT, epoch=3, sn=771, entry=batch)),
+    ]
+
+
+def _best_us(fn, reps: int = 5, n: int = 2_000) -> float:
+    """Best-of-``reps`` mean microseconds per call of ``fn``."""
+    best = float("inf")
+    for _ in range(reps):
+        start = time.perf_counter()
+        for _ in range(n):
+            fn()
+        best = min(best, (time.perf_counter() - start) / n)
+    return best * 1e6
+
+
+def bench_codec():
+    """Encode/decode microseconds and bytes per shape, codec against pickle."""
+    results = {}
+    for name, message in _codec_shapes():
+        body = encode(message)
+        pickled = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        assert decode(body) == message == pickle.loads(pickled)
+        results[name] = {
+            "codec_encode_us": round(_best_us(lambda: encode(message)), 2),
+            "codec_decode_us": round(_best_us(lambda: decode(body)), 2),
+            "codec_bytes": len(body),
+            "pickle_encode_us": round(
+                _best_us(lambda: pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)), 2
+            ),
+            "pickle_decode_us": round(_best_us(lambda: pickle.loads(pickled)), 2),
+            "pickle_bytes": len(pickled),
+        }
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="hot-path microbenchmarks")
     parser.add_argument("--json", default=None, help="also write results to this JSON file")
@@ -331,6 +401,25 @@ def main(argv=None) -> int:
         print(f"  {name:<22} {ops_per_sec:>12,.0f} ops/s")
     print()
     print(format_table(["benchmark", "ops/s", "measures"], rows))
+
+    print_banner("Serialisation (us per call, best of 5; lower is better)")
+    codec_results = bench_codec()
+    results["codec"] = codec_results
+    print(
+        format_table(
+            ["shape", "codec enc/dec us", "codec B", "pickle enc/dec us", "pickle B"],
+            [
+                [
+                    name,
+                    f"{r['codec_encode_us']:.1f} / {r['codec_decode_us']:.1f}",
+                    r["codec_bytes"],
+                    f"{r['pickle_encode_us']:.1f} / {r['pickle_decode_us']:.1f}",
+                    r["pickle_bytes"],
+                ]
+                for name, r in codec_results.items()
+            ],
+        )
+    )
 
     if args.json:
         Path(args.json).write_text(json.dumps(results, indent=2) + "\n")

@@ -35,6 +35,7 @@ from typing import Dict, Optional, Set, Tuple
 from ..core.client import Client
 from ..core.messages import client_endpoint
 from ..core.types import DeliveredRequest, RequestId
+from ..runtime.codec import BOOL, INT, STR, nested, optional, register
 
 #: Operation magic bytes (first byte of a KV payload).
 OP_PUT = 0x50  # 'P'
@@ -166,6 +167,9 @@ class KVResultMsg:
     def wire_size(self) -> int:
         """Estimated wire footprint (header + rid + result value)."""
         return 40 + (len(self.value) if self.value is not None else 0)
+
+
+register(KVResultMsg, 0x60, rid=nested(RequestId), node=INT, ok=BOOL, value=optional(STR))
 
 
 class KVApp:

@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..crypto.hashing import hash_int, sha256
 from ..crypto.merkle import merkle_root
 from ..crypto.signatures import SIGNATURE_SIZE, KeyStore
+from ..runtime.codec import BYTES, INT, register
 from ..runtime.wire import register_batchable
 from .config import ISSConfig
 from .log import Log
@@ -41,6 +42,11 @@ class CheckpointMsg:
 
     def wire_size(self) -> int:
         return 8 + 8 + len(self.log_root) + 8 + len(self.signature)
+
+
+register(
+    CheckpointMsg, 0x50, epoch=INT, last_sn=INT, log_root=BYTES, sender=INT, signature=BYTES
+)
 
 
 def checkpoint_signing_payload(epoch: EpochNr, last_sn: SeqNr, log_root: bytes) -> bytes:

@@ -191,6 +191,3 @@ class Log:
         if len(found) != len(seq_nrs):
             raise KeyError(f"no entry at sequence number {self.missing(seq_nrs)[0]}")
         return [entry.digest() for _sn, entry in found]
-
-    def delivered_requests_count(self) -> int:
-        return self._total_delivered_requests

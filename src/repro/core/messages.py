@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from ..runtime.codec import ANY, INT, fixed_tuple, nested, register, tuple_of
 from ..runtime.wire import is_batchable, register_batchable, wire_size
 from .types import BucketId, ClientId, EpochNr, NodeId, Request, RequestId, SeqNr
 
@@ -116,3 +117,16 @@ class BucketAssignmentMsg:
 
     def wire_size(self) -> int:
         return 16 + 8 * len(self.assignment)
+
+
+register(InstanceMessage, 0x18, instance_id=fixed_tuple(INT, INT), payload=ANY)
+register(ClientRequestMsg, 0x19, request=nested(Request))
+register(ClientResponseMsg, 0x1A, rid=nested(RequestId), sn=INT, node=INT)
+register(
+    ClientResponseBatchMsg,
+    0x1B,
+    client=INT,
+    entries=tuple_of(fixed_tuple(nested(RequestId), INT)),
+    node=INT,
+)
+register(BucketAssignmentMsg, 0x1C, epoch=INT, assignment=tuple_of(fixed_tuple(INT, INT)))

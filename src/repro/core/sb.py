@@ -19,7 +19,6 @@ This module defines the interface between ISS and its SB implementations
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .config import ISSConfig
@@ -270,13 +269,3 @@ class SBInstance(ABC):
         their stalled-progress machinery at the base timeout.  Never called
         on the clean path, so implementations may send messages freely.
         """
-
-
-@dataclass
-class SBDelivery:
-    """Record of one SB-DELIVER event (used by tests and the orderer)."""
-
-    instance_id: InstanceId
-    sn: SeqNr
-    value: LogEntry
-    delivered_at: float

@@ -32,11 +32,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..runtime.codec import INT, fixed_tuple, nested, register, tuple_of
 from .checkpoint import CheckpointProtocol, epoch_log_root
 from .config import ISSConfig
 from .log import Log
 from .segment import epoch_seq_nrs
-from .types import Batch, CheckpointCertificate, EpochNr, LogEntry, NIL, NodeId, SeqNr, is_nil
+from .types import (
+    LOG_ENTRY,
+    Batch,
+    CheckpointCertificate,
+    EpochNr,
+    LogEntry,
+    NIL,
+    NodeId,
+    SeqNr,
+    is_nil,
+)
 
 
 #: Sentinel ``last_epoch`` meaning "every epoch you can prove stable".
@@ -81,6 +92,16 @@ class StateResponse:
             (1 if is_nil(entry) else entry.size_bytes()) for _sn, entry in self.entries
         )
         return 64 + payload + 96 * len(self.certificate.signatures)
+
+
+register(StateRequest, 0x51, first_epoch=INT, last_epoch=INT)
+register(
+    StateResponse,
+    0x52,
+    epoch=INT,
+    entries=tuple_of(fixed_tuple(INT, LOG_ENTRY)),
+    certificate=nested(CheckpointCertificate),
+)
 
 
 class StateTransfer:

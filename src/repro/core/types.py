@@ -14,6 +14,18 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
+from ..runtime.codec import (
+    BYTES,
+    INT,
+    fixed_tuple,
+    nested,
+    one_of,
+    optional,
+    register,
+    register_singleton,
+    tuple_of,
+)
+
 # Type aliases used throughout the codebase.  They are plain ints/strings so
 # that messages stay cheap to hash and copy inside the simulator.
 NodeId = int
@@ -22,6 +34,22 @@ SeqNr = int
 EpochNr = int
 BucketId = int
 ViewNr = int
+
+
+def request_id_cache(client: ClientId, timestamp: int) -> Tuple[int, int]:
+    """``(_hash, _mix)`` of the request id ``(client, timestamp)``.
+
+    The one place both values are computed: at construction and when a
+    request id is decoded off the wire or out of a WAL (a sender's cached
+    ``_mix`` would put the request into a bucket of its choosing).  The
+    mixing constants are shared with :func:`repro.core.buckets.bucket_of`:
+    they keep consecutive timestamps of one client out of consecutive
+    buckets.
+    """
+    return (
+        hash((client, timestamp)),
+        (client * 0x9E3779B1 + timestamp * 0x85EBCA77) & 0xFFFFFFFFFFFFFFFF,
+    )
 
 
 @dataclass(frozen=True, order=True)
@@ -42,15 +70,9 @@ class RequestId:
     timestamp: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.client, self.timestamp)))
-        # Mixing constant shared with repro.core.buckets.bucket_of: keeps
-        # consecutive timestamps of one client out of consecutive buckets.
-        object.__setattr__(
-            self,
-            "_mix",
-            (self.client * 0x9E3779B1 + self.timestamp * 0x85EBCA77)
-            & 0xFFFFFFFFFFFFFFFF,
-        )
+        rid_hash, mix = request_id_cache(self.client, self.timestamp)
+        object.__setattr__(self, "_hash", rid_hash)
+        object.__setattr__(self, "_mix", mix)
 
     def __hash__(self) -> int:
         return self._hash
@@ -212,6 +234,16 @@ NIL = Nil()
 #: A log entry is either a committed batch or the ``⊥`` placeholder.
 LogEntry = object  # Batch | Nil -- kept loose for typing simplicity.
 
+register(
+    RequestId, 0x10, client=INT, timestamp=INT, derive=(("_hash", "_mix"), request_id_cache)
+)
+register(Request, 0x11, rid=nested(RequestId), payload=BYTES, signature=BYTES)
+register(Batch, 0x12, requests=tuple_of(nested(Request)))
+register_singleton(NIL, 0x13)
+
+#: Codec kind of a log-entry field: a batch, ``⊥``, or ``None`` (no entry).
+LOG_ENTRY = optional(one_of(Batch, Nil))
+
 
 def is_nil(entry: object) -> bool:
     """Return True when ``entry`` is the ``⊥`` placeholder."""
@@ -282,3 +314,13 @@ class CheckpointCertificate:
 
     def signers(self) -> Sequence[NodeId]:
         return [node for node, _sig in self.signatures]
+
+
+register(
+    CheckpointCertificate,
+    0x14,
+    epoch=INT,
+    last_sn=INT,
+    log_root=BYTES,
+    signatures=tuple_of(fixed_tuple(INT, BYTES)),
+)

@@ -1,7 +1,7 @@
 """Simulated cryptography: signatures, Merkle trees, threshold signatures."""
 
 from .hashing import sha256, hash_int, combine_digests
-from .signatures import KeyStore, KeyPair, SignatureError, CryptoCostModel, SIGNATURE_SIZE
+from .signatures import KeyStore, KeyPair, SignatureError, SIGNATURE_SIZE
 from .merkle import MerkleTree, MerkleProof, merkle_root
 from .threshold import (
     ThresholdScheme,
@@ -17,7 +17,6 @@ __all__ = [
     "KeyStore",
     "KeyPair",
     "SignatureError",
-    "CryptoCostModel",
     "SIGNATURE_SIZE",
     "MerkleTree",
     "MerkleProof",

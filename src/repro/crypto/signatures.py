@@ -146,20 +146,3 @@ class KeyStore:
     def verify_or_raise(self, identity: int, message: bytes, signature: bytes) -> None:
         if not self.verify(identity, message, signature):
             raise SignatureError(f"bad signature for identity {identity}")
-
-
-@dataclass
-class CryptoCostModel:
-    """Optional CPU cost (virtual seconds) of cryptographic operations.
-
-    The evaluation in the paper is bandwidth-bound, so the default model is
-    free; experiments studying CPU-bound setups can charge per-operation
-    costs through the harness.
-    """
-
-    sign_cost: float = 0.0
-    verify_cost: float = 0.0
-    threshold_combine_cost: float = 0.0
-
-    def total_verification_cost(self, count: int) -> float:
-        return self.verify_cost * count

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Tuple
 
+from ..runtime.codec import BYTES, INT, frozenset_of, register
 from .hashing import sha256
 from .signatures import KeyStore
 
@@ -52,6 +53,12 @@ class ThresholdSignature:
 
     def __len__(self) -> int:
         return len(self.signers)
+
+
+register(PartialSignature, 0x30, signer=INT, message_digest=BYTES, share=BYTES)
+register(
+    ThresholdSignature, 0x31, message_digest=BYTES, signers=frozenset_of(INT), proof=BYTES
+)
 
 
 class ThresholdScheme:

@@ -103,9 +103,6 @@ class HotStuffSB(SBInstance):
         base = nodes.index(self.context.segment.leader)
         return nodes[(base + round_nr) % len(nodes)]
 
-    def _block(self, digest: bytes) -> Optional[Block]:
-        return self._blocks.get(digest)
-
     def _chain_from(self, digest: bytes) -> List[Block]:
         """Blocks from ``digest`` down to genesis (newest first)."""
         chain: List[Block] = []

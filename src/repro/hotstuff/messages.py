@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..core.types import LogEntry, NIL, SeqNr, ViewNr, is_nil
+from ..core.types import LOG_ENTRY, LogEntry, NIL, SeqNr, ViewNr, is_nil
 from ..crypto.hashing import hash_int, sha256
 from ..crypto.threshold import PartialSignature, ThresholdSignature
+from ..runtime.codec import BYTES, INT, nested, optional, register
 from ..runtime.wire import register_batchable
 
 
@@ -106,3 +107,25 @@ class NewRound:
 
     def wire_size(self) -> int:
         return 32 + self.high_qc.wire_size()
+
+
+register(
+    QuorumCertificate,
+    0x32,
+    view=INT,
+    block_digest=BYTES,
+    signature=optional(nested(ThresholdSignature)),
+)
+register(
+    Block,
+    0x33,
+    view=INT,
+    round=INT,
+    sn=optional(INT),
+    value=LOG_ENTRY,
+    parent_digest=BYTES,
+    justify=nested(QuorumCertificate),
+)
+register(Proposal, 0x34, block=nested(Block))
+register(Vote, 0x35, view=INT, block_digest=BYTES, partial=nested(PartialSignature))
+register(NewRound, 0x36, round=INT, high_qc=nested(QuorumCertificate))

@@ -1,15 +1,20 @@
 """TCP implementation of the :class:`~repro.runtime.api.Transport`.
 
-Wire format: each message is one frame — a 4-byte big-endian payload
-length followed by the pickle of ``(src, dst, message)``.  The message
-objects are the exact protocol dataclasses the simulator's network carries
-by reference; pickling them *is* the serialization layer (they are all
-plain frozen dataclasses of ints, bytes and tuples).
+Wire format: each message is one frame — a 12-byte header (body length,
+source endpoint, destination endpoint; :data:`~repro.runtime.codec.
+FRAME_HEADER`) followed by the message's :mod:`repro.runtime.codec` body.
+The message objects are the exact protocol dataclasses the simulator's
+network carries by reference; the codec gives each registered type one
+struct-packed encoding, and the same encoding is what the WAL stores.  Only
+registered types cross a socket: sending anything else raises
+:class:`~repro.runtime.codec.CodecError`, and a frame that is oversize or
+does not decode is counted (``frames_rejected``) and closes its connection,
+so bytes from a socket reach no deserialiser but the codec's.
 
 Connection model, mirroring how real SMR deployments wire up:
 
 * **Static peers** (the replicas) are known up front.  Each transport owns
-  one outbound connection per peer, fed by a bounded queue and maintained
+  one outbound connection per peer, fed by a bounded outbox and maintained
   by a reconnect loop — a crashed peer costs nothing but a periodic
   connection attempt, and frames queued while a peer is down are delivered
   after it returns (overflow drops the newest frame; the protocols'
@@ -21,7 +26,13 @@ Connection model, mirroring how real SMR deployments wire up:
   listening socket.
 * **Local endpoints** short-circuit: a message to an endpoint registered
   on this transport is dispatched through the event loop without touching
-  a socket (a node messaging itself, or in-process tests).
+  a socket or the codec (a node messaging itself, or in-process tests).
+
+Per-message cost is the point of the send and receive paths.  A multicast
+encodes its body once and reuses it for every destination (only the header
+differs).  Frames bound for one connection during one event-loop turn leave
+in a single write, and the reader decodes every complete frame of each
+chunk it reads rather than awaiting each frame separately.
 
 Wire batching is the same transport-independent layer the simulator uses:
 with ``batch_flush_interval > 0`` a :class:`~repro.runtime.wire.
@@ -33,27 +44,43 @@ into one frame, and the receive path unpacks
 from __future__ import annotations
 
 import asyncio
-import pickle
-import struct
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..runtime.api import MessageHandler
+from ..runtime.codec import FRAME_HEADER, CodecError, decode, encode_into
 from ..runtime.wire import MessageBatcher, MessageBatchMsg, is_batchable, wire_size
-
-#: Frame header: big-endian payload length.
-_FRAME_HEADER = struct.Struct(">I")
 
 #: Refuse frames beyond this (a corrupted length prefix must not OOM us).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Per-peer outbound queue depth; overflow drops the newest frame.
+#: Per-peer outbox depth in frames; overflow drops the newest frame.
 PEER_QUEUE_DEPTH = 4096
 
+#: Bytes asked of the stream per read (asyncio's default stream buffer
+#: limit); every complete frame in them is decoded before the next read.
+READ_CHUNK_BYTES = 64 * 1024
 
-def encode_frame(src: int, dst: int, message: object) -> bytes:
-    """Serialise one ``(src, dst, message)`` triple into a wire frame."""
-    payload = pickle.dumps((src, dst, message), protocol=pickle.HIGHEST_PROTOCOL)
-    return _FRAME_HEADER.pack(len(payload)) + payload
+
+def encode_frame(
+    src: int, dst: int, message: object, *, body: Optional[memoryview] = None
+) -> bytes:
+    """One wire frame carrying ``message`` from ``src`` to ``dst``.
+
+    ``body`` is the already-encoded body of ``message`` — a multicast's
+    later destinations pass what the first call returned past the header
+    (:func:`frame_body`), so only the header is packed again.
+    """
+    if body is not None:
+        return FRAME_HEADER.pack(len(body), src, dst) + body
+    frame = bytearray(FRAME_HEADER.size)
+    encode_into(frame, message)
+    FRAME_HEADER.pack_into(frame, 0, len(frame) - FRAME_HEADER.size, src, dst)
+    return frame
+
+
+def frame_body(frame: bytes) -> memoryview:
+    """The body of ``frame`` (no copy), for :func:`encode_frame`'s ``body``."""
+    return memoryview(frame)[FRAME_HEADER.size:]
 
 
 class TransportStats:
@@ -64,6 +91,7 @@ class TransportStats:
         "bytes_sent",
         "messages_dropped",
         "frames_received",
+        "frames_rejected",
         "connects",
     )
 
@@ -71,9 +99,12 @@ class TransportStats:
         self.messages_sent = 0
         self.bytes_sent = 0
         #: Sends with no route: unknown endpoint, dead learned route, or a
-        #: full peer queue.
+        #: full peer outbox.
         self.messages_dropped = 0
         self.frames_received = 0
+        #: Inbound frames refused — oversize, undecodable, or of an unknown
+        #: codec version; each closes the connection it arrived on.
+        self.frames_rejected = 0
         #: Successful outbound connection establishments (reconnects count).
         self.connects = 0
 
@@ -105,8 +136,14 @@ class TcpTransport:
         self._listen = listen
         self._reconnect_delay = reconnect_delay
         self._handlers: Dict[int, MessageHandler] = {}
-        self._queues: Dict[int, asyncio.Queue] = {}
+        #: Frames waiting for each static peer's writer loop, and the event
+        #: that wakes it (set when an outbox goes from empty to non-empty).
+        self._outboxes: Dict[int, List[bytes]] = {}
+        self._wakeups: Dict[int, asyncio.Event] = {}
+        #: Learned client routes, and the frames bound for each route's
+        #: stream this loop turn (written by one :meth:`_flush_routes`).
         self._routes: Dict[int, asyncio.StreamWriter] = {}
+        self._route_frames: Dict[asyncio.StreamWriter, List[bytes]] = {}
         self._tasks: List[asyncio.Task] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._closed = False
@@ -127,7 +164,8 @@ class TcpTransport:
                 self._on_inbound_connection, host, port
             )
         for peer_id in self._peers:
-            self._queues[peer_id] = asyncio.Queue(maxsize=PEER_QUEUE_DEPTH)
+            self._outboxes[peer_id] = []
+            self._wakeups[peer_id] = asyncio.Event()
             self._tasks.append(
                 self._loop.create_task(self._peer_writer(peer_id))
             )
@@ -144,6 +182,7 @@ class TcpTransport:
         for writer in list(self._routes.values()):
             writer.close()
         self._routes.clear()
+        self._route_frames.clear()
 
     # ----------------------------------------------------- Transport surface
     def register(self, endpoint: int, handler: MessageHandler) -> None:
@@ -162,51 +201,83 @@ class TcpTransport:
             size = wire_size(message) if size_bytes is None else size_bytes
             self.batcher.enqueue(src, dst, message, size)
             return
-        self._send_now(src, dst, message, size_bytes)
+        self._route(src, dst, message, None)
 
     def multicast(self, src: int, dsts: Iterable[int], message: object) -> None:
         """Send the same message to every destination, in ``dsts`` order.
 
-        Every destination goes through :meth:`send` (batcher, peer queue,
-        learned route, or local short-circuit for another endpoint
-        registered here).  ``src`` among ``dsts`` is the sender's own copy
-        of a broadcast: it takes the local short-circuit directly and is
-        never held back for a flush tick.
+        Every destination is handled as by :meth:`send` (batcher, peer
+        outbox, learned route, or local short-circuit for another endpoint
+        registered here), except that the body is encoded once for all of
+        them.  ``src`` among ``dsts`` is the sender's own copy of a
+        broadcast: it takes the local short-circuit directly and is never
+        held back for a flush tick.
         """
+        batched = self.batcher is not None and is_batchable(message)
+        body = None
         for dst in dsts:
-            if dst == src:
-                self._send_now(src, dst, message)
-            else:
+            if batched and dst != src:
                 self.send(src, dst, message)
+                continue
+            frame = self._route(src, dst, message, body)
+            if body is None and frame is not None:
+                body = frame_body(frame)
 
     # ------------------------------------------------------------- send path
     def _send_now(
         self, src: int, dst: int, message: object, size_bytes: Optional[int] = None
     ) -> None:
-        """Immediate send path (also the batcher's flush target)."""
+        """Immediate send path (the batcher's flush target)."""
+        self._route(src, dst, message, None)
+
+    def _route(
+        self, src: int, dst: int, message: object, body: Optional[memoryview]
+    ) -> Optional[bytes]:
+        """Deliver locally or queue one frame for ``dst``.
+
+        ``body`` is the message's encoded body if an earlier destination of
+        the same multicast produced it.  Returns the frame queued, or
+        ``None`` when nothing was encoded (local delivery or a drop).
+        """
         if dst in self._handlers:
             # Local short-circuit; defer through the loop so delivery is
             # never reentrant inside the sending call, matching the
             # simulator's always-asynchronous delivery.
             self._loop.call_soon(self._dispatch, src, dst, message)
             self.stats.messages_sent += 1
-            return
-        frame = encode_frame(src, dst, message)
-        queue = self._queues.get(dst)
-        if queue is not None:
-            try:
-                queue.put_nowait(frame)
-            except asyncio.QueueFull:
+            return None
+        outbox = self._outboxes.get(dst)
+        if outbox is not None:
+            if len(outbox) >= PEER_QUEUE_DEPTH:
                 self.stats.messages_dropped += 1
-                return
+                return None
+            frame = encode_frame(src, dst, message, body=body)
+            if not outbox:
+                self._wakeups[dst].set()
+            outbox.append(frame)
         else:
             writer = self._routes.get(dst)
             if writer is None or writer.is_closing():
                 self.stats.messages_dropped += 1
-                return
-            writer.write(frame)
+                return None
+            frame = encode_frame(src, dst, message, body=body)
+            pending = self._route_frames.get(writer)
+            if pending is None:
+                if not self._route_frames:
+                    self._loop.call_soon(self._flush_routes)
+                self._route_frames[writer] = [frame]
+            else:
+                pending.append(frame)
         self.stats.messages_sent += 1
         self.stats.bytes_sent += len(frame)
+        return frame
+
+    def _flush_routes(self) -> None:
+        """Write this turn's frames to each learned route in one call."""
+        batches, self._route_frames = self._route_frames, {}
+        for writer, frames in batches.items():
+            if not writer.is_closing():
+                writer.write(b"".join(frames))
 
     # ---------------------------------------------------------- receive path
     def _dispatch(self, src: int, dst: int, message: object) -> None:
@@ -238,24 +309,50 @@ class TcpTransport:
         writer: asyncio.StreamWriter,
         learn_routes: bool,
     ) -> None:
-        """Frame-decode loop shared by inbound and outbound connections."""
+        """Frame-decode loop shared by inbound and outbound connections.
+
+        Each read takes whatever the socket has (up to
+        :data:`READ_CHUNK_BYTES`) and dispatches every complete frame in
+        it; the rest of a frame longer than a chunk is taken with one exact
+        read.  An oversize or undecodable frame ends the connection.
+        """
+        header_size = FRAME_HEADER.size
+        unpack_header = FRAME_HEADER.unpack_from
+        stats = self.stats
+        buffer = b""
         try:
             while True:
-                header = await reader.readexactly(_FRAME_HEADER.size)
-                (length,) = _FRAME_HEADER.unpack(header)
-                if length > MAX_FRAME_BYTES:
-                    break
-                payload = await reader.readexactly(length)
-                try:
-                    src, dst, message = pickle.loads(payload)
-                except Exception:
-                    break
-                self.stats.frames_received += 1
-                if learn_routes and src not in self._peers:
-                    # A dynamic (client) endpoint: replies go back over the
-                    # stream its traffic arrived on.
-                    self._routes[src] = writer
-                self._dispatch(src, dst, message)
+                pos, size = 0, len(buffer)
+                while size - pos >= header_size:
+                    length, src, dst = unpack_header(buffer, pos)
+                    if length > MAX_FRAME_BYTES:
+                        stats.frames_rejected += 1
+                        return
+                    end = pos + header_size + length
+                    if end > size:
+                        break
+                    try:
+                        message = decode(buffer, pos + header_size, end)
+                    except CodecError:
+                        stats.frames_rejected += 1
+                        return
+                    stats.frames_received += 1
+                    if learn_routes and src not in self._peers:
+                        # A dynamic (client) endpoint: replies go back over
+                        # the stream its traffic arrived on.
+                        self._routes[src] = writer
+                    self._dispatch(src, dst, message)
+                    pos = end
+                buffer = buffer[pos:]
+                if len(buffer) >= header_size:
+                    missing = header_size + unpack_header(buffer)[0] - len(buffer)
+                    if missing > READ_CHUNK_BYTES:
+                        buffer += await reader.readexactly(missing)
+                        continue
+                chunk = await reader.read(READ_CHUNK_BYTES)
+                if not chunk:
+                    return
+                buffer = buffer + chunk if buffer else chunk
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass
         finally:
@@ -270,12 +367,13 @@ class TcpTransport:
         """Maintain the outbound connection to one static peer.
 
         Connect (retrying forever while the peer is down), then drain the
-        peer's queue into the socket; a connection error drops back to the
-        reconnect loop, losing at most the frame in flight.  The paired
+        peer's outbox into the socket, everything queued since the last
+        write in one write; a connection error drops back to the reconnect
+        loop, losing at most the frames of the write in flight.  The paired
         reader task consumes whatever the peer sends back over this stream
         (client transports receive their responses here).
         """
-        queue = self._queues[peer_id]
+        wakeup = self._wakeups[peer_id]
         host, port = self._peers[peer_id]
         while not self._closed:
             try:
@@ -289,15 +387,16 @@ class TcpTransport:
             )
             try:
                 while True:
-                    frame = await queue.get()
-                    writer.write(frame)
+                    frames = self._outboxes[peer_id]
+                    if not frames:
+                        wakeup.clear()
+                        await wakeup.wait()
+                        continue
+                    self._outboxes[peer_id] = []
+                    writer.write(b"".join(frames))
                     await writer.drain()
             except (ConnectionError, OSError):
                 pass
-            except asyncio.CancelledError:
-                reader_task.cancel()
-                writer.close()
-                raise
             finally:
                 reader_task.cancel()
                 writer.close()

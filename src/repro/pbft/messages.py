@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..core.types import LogEntry, NIL, SeqNr, ViewNr, is_nil
+from ..core.types import LOG_ENTRY, LogEntry, NIL, SeqNr, ViewNr, is_nil
+from ..runtime.codec import BYTES, INT, nested, register, tuple_of
 from ..runtime.wire import register_batchable
 
 
@@ -110,3 +111,11 @@ class NewView:
 
     def wire_size(self) -> int:
         return 96 + sum(p.wire_size() for p in self.preprepares)
+
+
+register(PrePrepare, 0x20, view=INT, sn=INT, value=LOG_ENTRY, digest=BYTES)
+register(Prepare, 0x21, view=INT, sn=INT, digest=BYTES)
+register(Commit, 0x22, view=INT, sn=INT, digest=BYTES)
+register(PreparedProof, 0x23, view=INT, sn=INT, digest=BYTES, value=LOG_ENTRY)
+register(ViewChange, 0x24, new_view=INT, prepared=tuple_of(nested(PreparedProof)))
+register(NewView, 0x25, new_view=INT, preprepares=tuple_of(nested(PrePrepare)))

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..core.types import LogEntry, SeqNr, is_nil
+from ..core.types import LOG_ENTRY, LogEntry, SeqNr, is_nil
+from ..runtime.codec import BOOL, INT, nested, register, tuple_of
 from ..runtime.wire import register_batchable
 
 
@@ -81,3 +82,18 @@ class VoteReply:
 
     def wire_size(self) -> int:
         return 32
+
+
+register(RaftEntry, 0x40, term=INT, sn=INT, value=LOG_ENTRY)
+register(
+    AppendEntries,
+    0x41,
+    term=INT,
+    prev_index=INT,
+    prev_term=INT,
+    entries=tuple_of(nested(RaftEntry)),
+    leader_commit=INT,
+)
+register(AppendReply, 0x42, term=INT, success=BOOL, match_index=INT)
+register(RequestVote, 0x43, term=INT, last_log_index=INT, last_log_term=INT)
+register(VoteReply, 0x44, term=INT, granted=BOOL)

@@ -10,6 +10,10 @@ inside the simulator package:
   :class:`~repro.sim.simulator.Simulator` + :class:`~repro.sim.network.Network`
   pair for deterministic CI, and the wall-clock asyncio/TCP backend in
   :mod:`repro.net` for live deployments),
+* :mod:`repro.runtime.codec` — the one serialiser of the live backend:
+  each message module registers a struct-packed schema for its types, and
+  the TCP transport and the file-backed WAL encode through it (the
+  simulator passes objects by reference and never encodes),
 * :mod:`repro.runtime.wire` — wire-size estimation and cross-protocol
   small-message batching (pure message-level logic, usable over any
   scheduler), and

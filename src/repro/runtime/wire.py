@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .api import Scheduler
+from .codec import ANY, INT, register, tuple_of
 
 #: Wire-size strategies, resolved once per message type (see :func:`wire_size`).
 _SIZE_WIRE, _SIZE_BYTES, _SIZE_DEFAULT = 0, 1, 2
@@ -122,6 +123,9 @@ class MessageBatchMsg:
 
     def wire_size(self) -> int:
         return self.size
+
+
+register(MessageBatchMsg, 0x01, payloads=tuple_of(ANY), size=INT)
 
 
 class BatcherStats:

@@ -246,16 +246,9 @@ class Network:
         """
         self._adversaries[node] = hook
 
-    def clear_adversary(self, node: NodeId) -> None:
-        """Remove ``node``'s adversarial send hook (it turns honest again)."""
-        self._adversaries.pop(node, None)
-
     def add_link_filter(self, fn: LinkFilter) -> None:
         """Install a message filter (drop/allow) evaluated on every send."""
         self._link_filters.append(fn)
-
-    def clear_link_filters(self) -> None:
-        self._link_filters.clear()
 
     def _passes_filters(self, src: NodeId, dst: NodeId, message: object) -> bool:
         for fn in self._link_filters:

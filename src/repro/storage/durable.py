@@ -9,11 +9,12 @@ followed by a restart recovers through
 :class:`~repro.storage.recovery.RecoveryManager` from bytes that actually
 survived the process.
 
-On-disk format, chosen for torn-tail robustness rather than speed.  Both
-files of a node directory are sequences of the *same* frame — ``>II``
-(payload length, CRC-32 of the payload) followed by the pickled
-:class:`~repro.storage.wal.WalRecord` — written by one encoder
-(:func:`_frame`) and read by one streaming decoder (:func:`iter_frames`):
+On-disk format, chosen for torn-tail robustness.  Both files of a node
+directory are sequences of the *same* frame — ``>II`` (payload length,
+CRC-32 of the payload) followed by the :mod:`repro.runtime.codec` body of a
+:class:`~repro.storage.wal.WalRecord`, byte for byte the encoding the
+record's batch has on the wire — written by one encoder (:func:`_frame`)
+and read by one streaming decoder (:func:`iter_frames`):
 
 * ``wal.log`` — the tail above the latest stable checkpoint.  Appends
   flush and (by default) ``fsync`` before returning, so a commit
@@ -40,6 +41,13 @@ In memory the archive is its latest certificate, the sealed count and one
 ``(first sn, file offset)`` pair per sealed run; entries are read back from
 the file on demand (state transfer for an old epoch, recovery).
 
+A CRC-valid frame whose body is not of this codec version was written by
+another version of the program, not torn by a crash: opening such a
+directory raises :class:`StorageFormatError` and truncates nothing (the
+format of the releases before the codec, whose payloads all start with
+byte ``0x80``, gets a message of its own).  A CRC-valid frame of this
+version that still does not decode ends the file like a torn tail.
+
 What a reader of a *running* replica's directory may assume (the audit in
 :mod:`repro.net.deploy` relies on it): every CRC-valid commit frame in
 either file is a commit the replica made durable; ``snapshot.bin`` only
@@ -56,7 +64,6 @@ the disk; a power loss may then lose acknowledged commits).
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 import zlib
 from bisect import bisect_right
@@ -64,12 +71,17 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from ..core.types import CheckpointCertificate, LogEntry, SeqNr
+from ..runtime.codec import CODEC_VERSION, CodecError, decode, encode_into
 from .node_storage import NodeStorage
 from .snapshot import SealedEntry, SnapshotStore
 from .wal import RECORD_CHECKPOINT, RECORD_COMMIT, WalRecord, WriteAheadLog
 
 #: Frame header of one record: payload length, CRC-32 of the payload.
 _FRAME_HEADER = struct.Struct(">II")
+
+#: First payload byte of every frame the releases before the codec wrote;
+#: never a codec version.
+_PRE_CODEC_BYTE = 0x80
 
 #: Recognised fsync policies (see :func:`fsync_policy`).
 FSYNC_ALWAYS = "always"
@@ -91,10 +103,36 @@ def fsync_policy(default: str = FSYNC_ALWAYS) -> str:
     return raw if raw in FSYNC_POLICIES else default
 
 
-def _frame(record: WalRecord) -> bytes:
+class StorageFormatError(ValueError):
+    """A data directory written in a format this version does not read."""
+
+
+def _frame(record: WalRecord) -> bytearray:
     """Serialise one record into its on-disk frame."""
-    payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-    return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    frame = bytearray(_FRAME_HEADER.size)
+    encode_into(frame, record)
+    payload = memoryview(frame)[_FRAME_HEADER.size:]
+    _FRAME_HEADER.pack_into(frame, 0, len(payload), zlib.crc32(payload))
+    payload.release()
+    return frame
+
+
+def _refuse_foreign(path: Path, offset: int, payload: bytes) -> None:
+    """Raise :class:`StorageFormatError` for an intact frame of another codec
+    version (see the module docstring).  An empty payload is no version at
+    all: a zero-filled tail reads as a CRC-valid empty frame, and is torn."""
+    if not payload or payload[0] == CODEC_VERSION:
+        return
+    if payload[0] == _PRE_CODEC_BYTE:
+        raise StorageFormatError(
+            f"{path} (frame at offset {offset}) was written by a release before "
+            f"the codec; this version reads codec version {CODEC_VERSION} only.  "
+            f"Start the node from an empty data directory."
+        )
+    raise StorageFormatError(
+        f"{path} (frame at offset {offset}) holds codec version {payload[0]}, "
+        f"this version reads {CODEC_VERSION} only"
+    )
 
 
 def iter_frames(path: Path, offset: int = 0) -> Iterator[Tuple[WalRecord, int]]:
@@ -102,11 +140,12 @@ def iter_frames(path: Path, offset: int = 0) -> Iterator[Tuple[WalRecord, int]]:
 
     Yields ``(record, end_offset)`` — ``end_offset`` being the file offset
     right after the record's frame — and stops at the first frame that is
-    short, fails its CRC or does not unpickle to a :class:`WalRecord` (all
-    the shapes a crash mid-append can leave).  One frame is in memory at a
-    time.  Purely a reader: the file is not modified, and only the bytes
-    present when the scan started are looked at, so it is safe on a file
-    another process is still appending to.
+    short, fails its CRC or does not decode to a :class:`WalRecord` (all
+    the shapes a crash mid-append can leave).  An intact frame of another
+    codec version raises :class:`StorageFormatError` instead.  One frame is
+    in memory at a time.  Purely a reader: the file is not modified, and
+    only the bytes present when the scan started are looked at, so it is
+    safe on a file another process is still appending to.
     """
     try:
         fh = open(path, "rb")
@@ -123,11 +162,12 @@ def iter_frames(path: Path, offset: int = 0) -> Iterator[Tuple[WalRecord, int]]:
             payload = fh.read(length)
             if len(payload) != length or zlib.crc32(payload) != crc:
                 return
+            _refuse_foreign(path, offset, payload)
             try:
-                record = pickle.loads(payload)
-            except Exception:
+                record = decode(payload)
+            except CodecError:
                 return
-            if not isinstance(record, WalRecord):
+            if type(record) is not WalRecord:
                 return
             offset = end
             yield record, offset

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from ..core.types import CheckpointCertificate, EpochNr, LogEntry, SeqNr
+from ..core.types import LOG_ENTRY, CheckpointCertificate, EpochNr, LogEntry, SeqNr
+from ..runtime.codec import INT, STR, nested, optional, register, tuple_of
 
 #: Record kinds stored in the WAL.
 RECORD_COMMIT = "commit"
@@ -49,6 +50,18 @@ class WalRecord:
     entry: LogEntry = None
     certificate: Optional[CheckpointCertificate] = None
     members: Optional[Tuple[int, ...]] = None
+
+
+register(
+    WalRecord,
+    0x70,
+    kind=STR,
+    epoch=INT,
+    sn=INT,
+    entry=LOG_ENTRY,
+    certificate=optional(nested(CheckpointCertificate)),
+    members=optional(tuple_of(INT)),
+)
 
 
 class WriteAheadLog:
@@ -89,9 +102,8 @@ class WriteAheadLog:
 
         Strictly an audit record: membership is always *derived* from the
         committed ConfigTxs in the replayed log, so recovery never needs to
-        read these back — but an operator inspecting a WAL (or a future
-        binary-codec export) sees every reconfiguration inline with the
-        commits that caused it.
+        read these back — but an operator inspecting a WAL sees every
+        reconfiguration inline with the commits that caused it.
         """
         self._append(
             WalRecord(kind=RECORD_MEMBERSHIP, epoch=epoch, members=tuple(members))
@@ -149,11 +161,3 @@ class WriteAheadLog:
             if record.kind == RECORD_EPOCH_START:
                 return record.epoch
         return None
-
-    def membership_records(self) -> List[Tuple[EpochNr, Tuple[int, ...]]]:
-        """The live membership activations as ``(epoch, members)`` tuples."""
-        return [
-            (r.epoch, r.members)
-            for r in self._records
-            if r.kind == RECORD_MEMBERSHIP
-        ]

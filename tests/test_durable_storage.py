@@ -12,8 +12,10 @@ These pin the claims the live backend's recovery proof rests on:
 * the archive is as crash-tolerant as the WAL: a kill between the archive
   fsync and the WAL rewrite, a torn or unsealed archive tail and a damaged
   frame in its middle all recover to a gap-free prefix, and
-* a seal costs what it covers: bytes appended and objects pickled per seal
-  do not grow with the history below it.
+* a seal costs what it covers: bytes appended and objects encoded per seal
+  do not grow with the history below it, and
+* a directory in a format this version does not read is refused at open,
+  never truncated as if it were a torn tail.
 """
 
 import pickle
@@ -28,6 +30,7 @@ import repro.net.deploy as deploy
 import repro.storage.durable as durable
 from repro.core.config import ISSConfig
 from repro.core.types import Batch, CheckpointCertificate, Request, RequestId
+from repro.runtime.codec import CODEC_VERSION, encode
 from repro.net.deploy import LiveClusterSpec, durable_entries, durable_prefix_len, durable_seals
 from repro.storage import RecoveryManager
 from repro.storage.durable import (
@@ -38,11 +41,12 @@ from repro.storage.durable import (
     DurableNodeStorage,
     FileSnapshotStore,
     FileWriteAheadLog,
+    StorageFormatError,
     fsync_policy,
     iter_frames,
     read_wal_frames,
 )
-from repro.storage.wal import RECORD_CHECKPOINT, RECORD_COMMIT
+from repro.storage.wal import RECORD_CHECKPOINT, RECORD_COMMIT, WalRecord
 from tests.test_storage import RecoveryHarness
 
 
@@ -151,22 +155,55 @@ def test_corrupted_payload_detected_by_crc(tmp_path):
     assert torn and len(records) == 1
 
 
-def test_unpicklable_tail_is_torn(tmp_path):
-    path = tmp_path / WAL_FILENAME
-    wal = FileWriteAheadLog(path)
-    wal.append_commit(0, batch(4, 0), epoch=0)
-    wal.close()
-    # A frame whose CRC is fine but whose payload is not a WalRecord pickle.
-    payload = b"not a pickle"
-    frame = (
+def _raw_frame(payload: bytes) -> bytes:
+    """A WAL frame with a valid CRC around an arbitrary payload."""
+    return (
         len(payload).to_bytes(4, "big")
         + zlib.crc32(payload).to_bytes(4, "big")
         + payload
     )
-    with open(path, "ab") as fh:
-        fh.write(frame)
-    records, _offset, torn = read_wal_frames(path)
-    assert torn and len(records) == 1
+
+
+def test_undecodable_tail_is_torn(tmp_path):
+    # Frames whose CRC is fine but whose payload is not a WalRecord body.
+    for case, payload in enumerate(
+        [
+            bytes((CODEC_VERSION,)) + b"not a record",  # unknown type tag
+            encode(batch(4, 1)),  # decodes, but to a Batch, not a WalRecord
+            encode(WalRecord(RECORD_COMMIT, 0, 1, batch(4, 1)))[:-2],  # short body
+            b"",  # a zero-filled tail reads as an empty frame with CRC 0
+        ]
+    ):
+        path = tmp_path / f"{case}.log"
+        wal = FileWriteAheadLog(path)
+        wal.append_commit(0, batch(4, 0), epoch=0)
+        wal.close()
+        with open(path, "ab") as fh:
+            fh.write(_raw_frame(payload))
+        records, _offset, torn = read_wal_frames(path)
+        assert torn and len(records) == 1, case
+
+
+@pytest.mark.parametrize("filename", [WAL_FILENAME, SNAPSHOT_FILENAME])
+@pytest.mark.parametrize("foreign", ["pickle-format", "future-version"])
+def test_a_directory_in_another_format_is_refused_not_truncated(tmp_path, filename, foreign):
+    """Releases before the codec wrote the same ``>II`` frames around a
+    pickled WalRecord; an intact frame like that (or one of a codec version
+    from the future) was not torn by a crash, so opening the directory
+    fails loudly and leaves every byte where it was."""
+    directory = tmp_path / "node0"
+    directory.mkdir()
+    record = WalRecord(RECORD_COMMIT, 0, 0, batch(9, 0))
+    if foreign == "pickle-format":
+        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+    else:
+        payload = bytes((CODEC_VERSION + 1,)) + encode(record)[1:]
+    path = directory / filename
+    path.write_bytes(_raw_frame(payload) * 3)
+    before = path.read_bytes()
+    with pytest.raises(StorageFormatError, match="release before the codec|codec version"):
+        DurableNodeStorage(0, directory)
+    assert path.read_bytes() == before
 
 
 # ------------------------------------------------------- compaction + reload
@@ -231,16 +268,20 @@ def test_fresh_process_reloads_snapshot_and_wal(tmp_path):
     assert result.stdout.split() == ["True", str(expected), "5"]
 
 
-def test_pickled_frames_round_trip_exact_records(tmp_path):
+def test_codec_frames_round_trip_exact_records(tmp_path):
     path = tmp_path / WAL_FILENAME
     wal = FileWriteAheadLog(path)
     entry = batch(7, 0)
     wal.append_commit(0, entry, epoch=2)
+    wal.append_checkpoint(certificate(2, 0))
+    wal.append_membership(3, (0, 1, 2, 4))
     wal.close()
     records, _offset, _torn = read_wal_frames(path)
+    assert records == list(wal.records())
     assert records[0].sn == 0
     assert records[0].epoch == 2
-    assert pickle.dumps(records[0].entry) == pickle.dumps(entry)
+    assert records[0].entry == entry
+    assert [encode(record) for record in records] == [encode(r) for r in wal.records()]
 
 
 # ------------------------------------------------------- the sealed archive
@@ -417,20 +458,16 @@ def test_damaged_frame_in_the_middle_of_the_archive_never_leaves_a_silent_gap(tm
 
 def test_a_seal_costs_what_it_covers(tmp_path, monkeypatch):
     """Bytes appended per seal are constant over equal epochs, and no single
-    pickle call ever sees more than one epoch of entries."""
+    codec encode ever sees more than one epoch of entries."""
     seen = []
+    encode_into = durable.encode_into
 
-    class CountingPickle:
-        HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
-        loads = staticmethod(pickle.loads)
+    def counting_encode_into(out, obj):
+        entries = getattr(obj, "entries", None)  # a whole-prefix snapshot
+        seen.append(len(entries) if entries is not None else 1)
+        return encode_into(out, obj)
 
-        @staticmethod
-        def dumps(obj, protocol=None):
-            entries = getattr(obj, "entries", None)  # a whole-prefix snapshot
-            seen.append(len(entries) if entries is not None else 1)
-            return pickle.dumps(obj, protocol=protocol)
-
-    monkeypatch.setattr(durable, "pickle", CountingPickle)
+    monkeypatch.setattr(durable, "encode_into", counting_encode_into)
     directory = tmp_path / "node0"
     storage = DurableNodeStorage(0, directory)
     archive = directory / SNAPSHOT_FILENAME
@@ -442,7 +479,7 @@ def test_a_seal_costs_what_it_covers(tmp_path, monkeypatch):
     appended = [after - before for before, after in zip(sizes, sizes[1:])]
     assert len(appended) == 8 and min(appended) > 0
     assert max(appended) - min(appended) <= 8  # ± the certificate's varints
-    assert max(seen) <= EPOCH
+    assert len(seen) >= 8 * (EPOCH + 1) and max(seen) <= EPOCH
 
 
 # ------------------------------------------------------ auditing a live node

@@ -287,3 +287,18 @@ def test_recovery_hardening_knobs_stay_gone():
         if pattern.search(line)
     ]
     assert not offenders, f"recovery hardening knobs referenced outside config: {offenders}"
+
+
+def test_nothing_below_the_protocols_uses_pickle():
+    """Bytes from a socket or a data directory reach no deserialiser but
+    :mod:`repro.runtime.codec`: ``pickle`` is not named anywhere under
+    ``net/``, ``storage/`` or ``runtime/``."""
+    source_root = REPO_ROOT / "src" / "repro"
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{lineno}"
+        for package in ("net", "storage", "runtime")
+        for path in sorted((source_root / package).rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "pickle" in line.lower()
+    ]
+    assert not offenders, f"pickle named below the protocols: {offenders}"

@@ -20,9 +20,15 @@ from repro.app.kv import (
     encode_put,
 )
 from repro.core.membership import ConfigTx, encode_config_tx
+from repro.core.state_transfer import StateRequest
 from repro.net.clock import WallClock
 from repro.net.transport import TcpTransport, encode_frame
 from repro.runtime.api import Scheduler, Transport
+from repro.runtime.codec import FRAME_HEADER, decode, encode
+
+#: Registered (hence encodable) messages standing in for arbitrary traffic.
+PING = StateRequest(first_epoch=1, last_epoch=2)
+PONG = StateRequest(first_epoch=3, last_epoch=4)
 
 
 def run(coro):
@@ -105,13 +111,13 @@ def test_tcp_transport_loopback_between_two_transports():
         await a.start()
         await b.start()
         try:
-            a.send(0, 1, "ping")
-            b.send(1, 0, "pong")
+            a.send(0, 1, PING)
+            b.send(1, 0, PONG)
             deadline = clock.now + 5.0
             while (not got_a or not got_b) and clock.now < deadline:
                 await asyncio.sleep(0.01)
-            assert got_b == [(0, "ping")]
-            assert got_a == [(1, "pong")]
+            assert got_b == [(0, PING)]
+            assert got_a == [(1, PONG)]
             assert a.stats.messages_sent == 1
             assert b.stats.frames_received == 1
         finally:
@@ -161,7 +167,7 @@ def test_tcp_transport_multicast_is_per_destination_send(flush_interval):
         await b.start()
         try:
             fan_out(a, [1, 5], vote)
-            fan_out(a, [5, 1], "proposal")  # not batchable
+            fan_out(a, [5, 1], PING)  # not batchable
             enqueued = a.batcher.stats.payloads_enqueued if a.batcher else 0
             deadline = clock.now + 5.0
             while len(got) < 4 and clock.now < deadline:
@@ -200,14 +206,59 @@ def test_tcp_transport_multicast_is_per_destination_send(flush_interval):
     run(own_copy())
 
 
-def test_frame_encoding_round_trips():
-    import pickle
-    import struct
+@pytest.mark.parametrize(
+    "garbage",
+    [
+        FRAME_HEADER.pack(5, 1000, 0) + b"\x01\xffxyz",  # unknown type tag
+        FRAME_HEADER.pack(len(encode(PING)), 1000, 0) + b"\x80" + encode(PING)[1:],
+        FRAME_HEADER.pack(0xFFFFFFFF, 1000, 0),  # oversize length
+    ],
+    ids=["unknown-tag", "unknown-version", "oversize"],
+)
+def test_rejected_frames_are_counted_and_close_only_their_connection(garbage):
+    """Garbage on one connection is counted in ``frames_rejected`` and ends
+    that connection; the transport keeps serving its other peers."""
 
-    frame = encode_frame(3, 9, ("hello", 42))
-    (length,) = struct.Struct(">I").unpack(frame[:4])
-    assert length == len(frame) - 4
-    assert pickle.loads(frame[4:]) == (3, 9, ("hello", 42))
+    async def check():
+        clock = WallClock(seed=0)
+        addr_a, addr_b = ("127.0.0.1", 7946), ("127.0.0.1", 7947)
+        a = TcpTransport(clock, peers={1: addr_b}, listen=addr_a)
+        b = TcpTransport(clock, peers={0: addr_a}, listen=addr_b)
+        got = []
+        a.register(0, lambda src, msg: got.append((src, msg)))
+        b.register(1, lambda src, msg: None)
+        await a.start()
+        await b.start()
+        try:
+            reader, writer = await asyncio.open_connection(*addr_a)
+            writer.write(garbage)
+            await writer.drain()
+            assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""  # closed
+            writer.close()
+            assert a.stats.frames_rejected == 1
+            assert a.stats.frames_received == 0 and got == []
+            b.send(1, 0, PING)
+            deadline = clock.now + 5.0
+            while not got and clock.now < deadline:
+                await asyncio.sleep(0.01)
+            assert got == [(1, PING)]
+            assert a.stats.frames_rejected == 1
+        finally:
+            await a.close()
+            await b.close()
+
+    run(check())
+
+
+def test_frame_encoding_round_trips():
+    frame = encode_frame(3, 9, PING)
+    length, src, dst = FRAME_HEADER.unpack_from(frame)
+    assert (length, src, dst) == (len(frame) - FRAME_HEADER.size, 3, 9)
+    assert decode(bytes(frame), FRAME_HEADER.size) == PING
+    # A multicast's later destinations reuse the body: same bytes, new header.
+    again = encode_frame(3, 11, PING, body=memoryview(frame)[FRAME_HEADER.size:])
+    assert again[FRAME_HEADER.size:] == frame[FRAME_HEADER.size:] == encode(PING)
+    assert FRAME_HEADER.unpack_from(again) == (length, 3, 11)
 
 
 # ---------------------------------------------------------------- KV codec
