@@ -13,10 +13,13 @@ construction and armed on the :class:`~repro.sim.faults.FaultInjector` in
 a fixed order (see ``_ARMED_BEFORE_CLIENTS``).
 
 Crash recovery: when the faults hold a restart (or ``durable_storage=True``),
-every node owns a :class:`~repro.storage.node_storage.NodeStorage` that
-outlives it.  A scheduled :class:`~repro.runtime.faults.RestartSpec` tears the
-crashed incarnation down and the deployment rebuilds the node from that
-storage — WAL replay plus snapshot via
+every node owns a :class:`~repro.storage.disk.SimDisk` that outlives it, and
+each incarnation runs on a :class:`~repro.storage.node_storage.NodeStorage`
+opened on that disk — the same file-backed WAL and sealed archive a live
+replica keeps in its directory.  A crash keeps only what was synced.  A
+scheduled :class:`~repro.runtime.faults.RestartSpec` tears the crashed
+incarnation down, opens a fresh storage on the node's disk and rebuilds the
+node from it — archive plus WAL replay via
 :class:`~repro.storage.recovery.RecoveryManager`, then state transfer for
 everything ordered while the node was down.  A poll watcher (tick
 ``recovery_poll``) detects when the node is back at the cluster frontier and attaches one recovery record (downtime, WAL entries
@@ -62,6 +65,7 @@ from ..sim.faults import FaultInjector
 from ..sim.latency import LatencyModel
 from ..sim.network import Network
 from ..sim.simulator import Simulator
+from ..storage.disk import SimDisk
 from ..storage.node_storage import NodeStorage
 from ..storage.recovery import boot_from_storage, watch_catchup
 from ..workload.generator import WorkloadGenerator
@@ -105,7 +109,8 @@ class DeploymentResult:
     clients: List[Client] = field(default_factory=list)
     network: Optional[Network] = None
     collector: Optional[MetricsCollector] = None
-    #: Per-node durable storage (empty unless the deployment enables it).
+    #: Each node's storage as its latest incarnation opened it (empty unless
+    #: the deployment enables storage); ``.disk`` is the node's ``SimDisk``.
     storages: Dict[int, NodeStorage] = field(default_factory=dict)
 
 
@@ -236,11 +241,10 @@ class Deployment:
         )
         if censored:
             self.collector.watch_buckets(censored, config.num_buckets)
+        #: The storage each node's current incarnation opened on its disk.
         self.storages: Dict[int, NodeStorage] = {}
-        if self.durable_storage:
-            self.storages = {
-                node_id: NodeStorage(node_id) for node_id in range(config.num_nodes)
-            }
+        for node_id in range(config.num_nodes):
+            self._reopen_storage(node_id)
         #: Crash time per node (for the downtime figure of recovery records).
         self._crash_times: Dict[int, float] = {}
         #: Recovery records of restarted nodes still catching up.
@@ -379,7 +383,8 @@ class Deployment:
         The constructor registers the node's network handler, so building a
         replacement incarnation atomically takes over the endpoint from the
         crashed one.  The node's :class:`NodeStorage` — if the deployment has
-        one — is shared across incarnations; everything else is fresh.
+        storage — is the one :meth:`_reopen_storage` opened for this
+        incarnation; everything else is fresh.
         """
         policy = self.policy_factory(self.config) if self.policy_factory else None
         node = self.node_class(
@@ -447,6 +452,17 @@ class Deployment:
     def _on_node_crash(self, node_id: int) -> None:
         self._crash_times[node_id] = self.sim.now
         self.nodes[node_id].crash()
+        if node_id in self.storages:
+            self.storages[node_id].disk.crash()
+
+    def _reopen_storage(self, node_id: int) -> None:
+        """Open the next incarnation's storage on the node's disk (a new id
+        gets a blank disk), as a restarted process opens its directory."""
+        if self.durable_storage:
+            previous = self.storages.get(node_id)
+            self.storages[node_id] = (
+                NodeStorage(node_id, SimDisk()) if previous is None else previous.reopen()
+            )
 
     def _on_node_restart(self, node_id: int) -> None:
         """Rebuild a crashed node from its durable storage.
@@ -461,6 +477,7 @@ class Deployment:
         recovery record (so ``time_to_caught_up`` includes state transfer).
         """
         restarted_at = self.sim.now
+        self._reopen_storage(node_id)
         node = self._build_node(node_id)
         self.nodes[node_id] = node
         info = boot_from_storage(
@@ -651,8 +668,7 @@ class Deployment:
         its durable storage first, exactly like a restart, so WAL replay
         reconstructs its membership views along with its log.
         """
-        if self.durable_storage and node_id not in self.storages:
-            self.storages[node_id] = NodeStorage(node_id)
+        self._reopen_storage(node_id)
         joined_at = self.sim.now
         rejoining = node_id < len(self.nodes)
         if rejoining:

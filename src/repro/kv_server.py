@@ -33,7 +33,6 @@ from .net.deploy import (
     live_base_port,
     live_host,
 )
-from .storage.durable import FSYNC_POLICIES, fsync_policy
 
 #: Client ids the replicas accept by default (``--max-clients``).
 DEFAULT_MAX_CLIENTS = 8
@@ -55,7 +54,6 @@ def build_spec(args: argparse.Namespace) -> LiveClusterSpec:
         host=args.host,
         client_ids=tuple(range(args.max_clients)),
         batch_flush_interval=args.flush_interval,
-        fsync=args.fsync,
     )
 
 
@@ -84,12 +82,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=DEFAULT_MAX_CLIENTS,
         help="client ids 0..N-1 the replicas accept",
-    )
-    parser.add_argument(
-        "--fsync",
-        choices=sorted(FSYNC_POLICIES),
-        default=fsync_policy(),
-        help="storage sync policy (default honours REPRO_FSYNC)",
     )
     parser.add_argument(
         "--flush-interval",

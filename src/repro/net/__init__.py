@@ -11,8 +11,8 @@ the SB implementations) run unmodified over:
   api.Transport` surface over length-prefixed frames on real TCP sockets,
   with per-peer reconnecting connections,
 * :mod:`~repro.net.host` — the per-node child process: one ISS node, its
-  fsync'd :class:`~repro.storage.durable.DurableNodeStorage`, and the
-  replicated-KV application,
+  :class:`~repro.storage.node_storage.NodeStorage` of fsync'd files in its
+  data directory, and the replicated-KV application,
 * :class:`~repro.net.deploy.LiveDeployment` — the parent-side launcher
   spawning one process per node via ``multiprocessing``, with ``kill -9``
   and restart-with-recovery support.

@@ -2,8 +2,8 @@
 
 :class:`LiveClusterSpec` is the picklable description shipped to every
 child process — the :class:`~repro.core.config.ISSConfig`, the data
-directory, the port layout, the known client ids and the storage/batching
-knobs.  :class:`LiveDeployment` turns it into running replicas: one
+directory, the port layout, the known client ids and the batching knob.
+:class:`LiveDeployment` turns it into running replicas: one
 ``multiprocessing`` (spawn) process per node executing
 :func:`repro.net.host.node_main`, with ``kill()`` delivering a real
 SIGKILL and ``restart()`` booting a fresh process over the same data
@@ -18,8 +18,8 @@ the shared positions.  The ``live`` gate and the docs examples rest on
 these.
 
 Environment knobs (see PERF.md): ``REPRO_LIVE_BASE_PORT`` (first node
-port, default 7400), ``REPRO_LIVE_HOST`` (bind/connect address, default
-127.0.0.1) and ``REPRO_FSYNC`` (storage sync policy, default ``always``).
+port, default 7400) and ``REPRO_LIVE_HOST`` (bind/connect address, default
+127.0.0.1).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from ..storage.durable import (
     FSYNC_ALWAYS,
     SNAPSHOT_FILENAME,
     WAL_FILENAME,
+    check_fsync,
     iter_frames,
 )
 from ..storage.wal import RECORD_CHECKPOINT, RECORD_COMMIT
@@ -73,8 +74,12 @@ class LiveClusterSpec:
     client_ids: Tuple[int, ...] = field(default_factory=tuple)
     #: Wire-batching flush tick (0 = off), as in ``NetworkConfig``.
     batch_flush_interval: float = 0.0
-    #: Storage fsync policy (see :mod:`repro.storage.durable`).
+    #: Vestigial, single legal value ``"always"`` (every append is synced;
+    #: see :mod:`repro.storage.durable`); anything else raises ``ValueError``.
     fsync: str = FSYNC_ALWAYS
+
+    def __post_init__(self) -> None:
+        check_fsync(self.fsync)
 
     def port(self, node_id: int) -> int:
         """TCP port node ``node_id`` listens on."""

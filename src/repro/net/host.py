@@ -3,8 +3,9 @@
 One process per replica: an asyncio loop hosting one
 :class:`~repro.core.iss.ISSNode` (the identical protocol object the
 simulator runs), wired to a :class:`~repro.net.clock.WallClock`, a
-:class:`~repro.net.transport.TcpTransport`, a file-backed
-:class:`~repro.storage.durable.DurableNodeStorage`, and the replicated-KV
+:class:`~repro.net.transport.TcpTransport`, a
+:class:`~repro.storage.node_storage.NodeStorage` opened on its data
+directory (:class:`~repro.storage.disk.OsDisk`), and the replicated-KV
 application (:class:`~repro.app.kv.KVApp`).
 
 Startup distinguishes first boot from restart by looking at the data
@@ -34,7 +35,8 @@ from pathlib import Path
 from ..app.kv import KVApp
 from ..core.iss import ISSNode
 from ..crypto.signatures import KeyStore
-from ..storage.durable import DurableNodeStorage
+from ..storage.disk import OsDisk
+from ..storage.node_storage import NodeStorage
 from ..storage.recovery import boot_from_storage, watch_catchup
 from .clock import WallClock
 from .transport import TcpTransport
@@ -63,7 +65,7 @@ async def run_node(spec, node_id: int) -> None:
         batch_flush_interval=spec.batch_flush_interval,
     )
     await transport.start()
-    storage = DurableNodeStorage(node_id, spec.node_dir(node_id), fsync=spec.fsync)
+    storage = NodeStorage(node_id, OsDisk(spec.node_dir(node_id)))
     key_store = KeyStore(deployment_seed=spec.config.random_seed)
     app = KVApp(node_id, transport)
     node = ISSNode(

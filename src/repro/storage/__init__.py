@@ -14,27 +14,18 @@ let *lagging* nodes catch up; this package makes them load-bearing for
   checkpoint therefore costs what it covers, and a node can drop sealed
   history from memory and read it back from the archive on demand.
 
-:class:`RecoveryManager` reconstructs a fresh node from that storage after
-a crash: stream the sealed archive, replay the WAL above it, fast-forward the
-epoch bookkeeping, re-deliver the restored prefix to the application, and
-hand the node back to the harness to fetch anything ordered while it was
-down through the existing state-transfer protocol.
-
-The simulator backs all of this with plain in-memory structures (it has
-no disks), but the write/compact/replay discipline mirrors a real WAL +
-snapshot store, so the recovery path exercises the same protocol logic a
-production deployment would.  The live TCP backend uses the file-backed
-subclasses in :mod:`repro.storage.durable` — same record types and
-compaction contract, written to genuine fsync'd files with torn-tail
-detection on reopen — so ``kill -9`` recovery runs over real durability.
+Both are files of CRC-framed codec records on a per-node disk, and there is
+one stack over it: the live backend's :class:`OsDisk` is a directory of
+fsync'd files, the simulator's :class:`SimDisk` keeps written and synced
+bytes in memory and outlives the node.  Every incarnation opens a fresh
+``NodeStorage`` on its node's disk, so the crash repairs a restarted process
+gets run on every simulated restart too.  :class:`RecoveryManager` then
+rebuilds the fresh node: stream the sealed archive, replay the WAL above
+it, fast-forward the epoch bookkeeping, re-deliver the restored prefix, and
+leave the rest to state transfer.
 """
 
-from .durable import (
-    DurableNodeStorage,
-    FileSnapshotStore,
-    FileWriteAheadLog,
-    fsync_policy,
-)
+from .disk import Disk, OsDisk, SimDisk
 from .node_storage import NodeStorage
 from .recovery import RecoveryInfo, RecoveryManager
 from .snapshot import Snapshot, SnapshotStore
@@ -47,13 +38,12 @@ from .wal import (
 )
 
 __all__ = [
-    "DurableNodeStorage",
-    "FileSnapshotStore",
-    "FileWriteAheadLog",
-    "fsync_policy",
+    "Disk",
     "NodeStorage",
+    "OsDisk",
     "RecoveryInfo",
     "RecoveryManager",
+    "SimDisk",
     "Snapshot",
     "SnapshotStore",
     "WalRecord",

@@ -1,4 +1,4 @@
-"""Per-node durable storage facade: WAL plus snapshot store.
+"""Per-node durable storage facade: WAL plus sealed archive on one disk.
 
 :class:`NodeStorage` is the single object an ISS node (and the recovery
 path) talks to.  The node calls the narrow ``record_*`` hooks from its
@@ -8,10 +8,10 @@ newly covers is sealed into the append-only archive
 (:class:`~repro.storage.snapshot.SnapshotStore`) and the WAL truncates
 below the checkpoint (Section 3.4's garbage collection, made durable).
 
-The object deliberately outlives the node: the harness keeps one
-``NodeStorage`` per node id, hands it to every incarnation of that node,
-and the :class:`~repro.storage.recovery.RecoveryManager` rebuilds a fresh
-node from it after a crash.
+What outlives a node is its disk (:mod:`repro.storage.disk`), not this
+object: every incarnation opens a fresh ``NodeStorage`` on it, which repairs
+crash damage, and :class:`~repro.storage.recovery.RecoveryManager` rebuilds
+the node from that.
 """
 
 from __future__ import annotations
@@ -19,23 +19,49 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..core.types import CheckpointCertificate, EpochNr, LogEntry, NodeId, SeqNr
+from .disk import Disk
 from .snapshot import Snapshot, SnapshotStore
 from .wal import WriteAheadLog
 
 
 class NodeStorage:
-    """Durable state of one node across crashes and restarts."""
+    """Durable state of one node, opened from its disk."""
 
-    def __init__(self, node_id: NodeId):
+    def __init__(self, node_id: NodeId, disk: Disk):
         self.node_id = node_id
-        self.wal = WriteAheadLog()
-        self.snapshots = SnapshotStore()
+        self.disk = disk
+        self.wal = WriteAheadLog(disk)
+        self.snapshots = SnapshotStore(disk)
         #: Successful compactions (run sealed + WAL truncated).
         self.compactions = 0
         #: Stable checkpoints whose prefix was locally incomplete (the node
         #: heard 2f+1 votes before holding every entry); compaction is
         #: deferred until a later checkpoint covers the gap.
         self.deferred_compactions = 0
+        latest = self.snapshots.latest()
+        if latest is not None:
+            # A crash between the archive fsync and the WAL rewrite leaves
+            # the sealed run in both files: finish that compaction.
+            self.wal.truncate_below(latest.last_sn + 1, latest.epoch)
+
+    def reopen(self) -> "NodeStorage":
+        """Open the next incarnation's storage on the same disk.
+
+        The fresh object carries this one's counters, so they count the
+        appends, seals and compactions of the node id over its lifetime
+        (replayed records are never appends).
+        """
+        fresh = NodeStorage(self.node_id, self.disk)
+        fresh.wal.appended_total += self.wal.appended_total
+        fresh.wal.truncated_total += self.wal.truncated_total
+        fresh.snapshots.seals_total += self.snapshots.seals_total
+        fresh.compactions += self.compactions
+        fresh.deferred_compactions += self.deferred_compactions
+        return fresh
+
+    def close(self) -> None:
+        """Release the disk's open files."""
+        self.disk.close()
 
     # ------------------------------------------------------------- recording
     def record_commit(self, sn: SeqNr, entry: LogEntry, epoch: EpochNr) -> None:
@@ -65,7 +91,7 @@ class NodeStorage:
         out of the WAL at the previous compaction — so a checkpoint costs
         O(epoch), never O(total log).  The archive is made durable *before*
         the WAL drops the covered records: a crash between the two leaves
-        the run in both places, which replay tolerates.
+        the run in both places, which opening repairs.
 
         A stable checkpoint can outrun the local log (2f+1 *peers* may vote
         before this node holds every entry of the epoch); in that case the

@@ -14,18 +14,32 @@ it from memory (:meth:`repro.core.log.Log.evict_through`): it answers
 ``entry_at(sn)`` / ``entries_of(seq_nrs)`` for every sealed position, which
 is all the log needs to keep serving state transfer for old epochs.
 
-:class:`SnapshotStore` is the simulator's backend: its "disk" is a plain
-list.  The live backend's file-backed subclass
-(:class:`repro.storage.durable.FileSnapshotStore`) keeps only the latest
-certificate, the sealed count and a per-seal file offset in memory.
+On disk a sealed run is the run's commit frames (:mod:`repro.storage.wal`)
+closed by its checkpoint frame, the *seal marker*.  Opening truncates what
+follows the last seal marker (those records are still in the WAL); a
+damaged frame in the *middle* ends the archive at the last seal before it,
+and state transfer refetches the rest — never a log with a silent hole.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.types import CheckpointCertificate, EpochNr, LogEntry, SeqNr
+from .disk import Disk
+from .wal import (
+    RECORD_CHECKPOINT,
+    RECORD_COMMIT,
+    WalRecord,
+    checkpoint_record,
+    frame,
+    read_frames,
+)
+
+#: The archive's file name on a node's disk.
+SNAPSHOT_FILENAME = "snapshot.bin"
 
 #: One sealed position: ``(sn, entry, epoch)``.
 SealedEntry = Tuple[SeqNr, LogEntry, EpochNr]
@@ -49,13 +63,51 @@ class Snapshot:
 
 
 class SnapshotStore:
-    """Append-only archive of one node's sealed log prefix (in-memory backed)."""
+    """Append-only archive of one node's sealed log prefix, in ``snapshot.bin``
+    on its disk.  Memory holds the latest certificate and one ``(first sn,
+    file offset)`` pair per sealed run, rebuilt on open by one scan."""
 
-    def __init__(self) -> None:
+    def __init__(self, disk: Disk, name: str = SNAPSHOT_FILENAME):
+        self.disk = disk
+        self.name = name
         self._latest: Optional[Snapshot] = None
-        self._entries: List[SealedEntry] = []
-        #: Seals performed over the store's lifetime (for metrics).
+        #: First sequence number and file offset of each sealed run, in
+        #: file order (parallel lists; the first is what lookups bisect).
+        self._run_first_sn: List[SeqNr] = []
+        self._run_offset: List[int] = []
+        #: File offset right after the last seal marker (where appends go).
+        self._end = 0
+        #: Seals performed through this object (for metrics).
         self.seals_total = 0
+        self._scan()
+        #: Whether opening found (and truncated) bytes after the last seal.
+        self.unsealed_tail_detected = self._end < disk.size(name)
+        if self.unsealed_tail_detected:
+            disk.truncate(name, self._end)
+
+    def _scan(self) -> None:
+        """Rebuild the anchors from the file.  A sealed run is consecutive
+        commit records continuing the sealed prefix, closed by the
+        certificate of their last position; the scan ends at anything else."""
+        expected: SeqNr = 0
+        for record, end in read_frames(self.disk, self.name):
+            if record.kind == RECORD_COMMIT and record.sn == expected:
+                expected += 1
+            elif (
+                record.kind == RECORD_CHECKPOINT
+                and expected > self.entry_count()
+                and record.certificate.last_sn == expected - 1
+            ):
+                self._note_run(end, record.certificate)
+            else:
+                break
+
+    def _note_run(self, end: int, certificate: CheckpointCertificate) -> None:
+        """Index the sealed run occupying file bytes ``[self._end, end)``."""
+        self._run_first_sn.append(self.entry_count())
+        self._run_offset.append(self._end)
+        self._end = end
+        self._latest = Snapshot(certificate.epoch, certificate.last_sn, certificate)
 
     # --------------------------------------------------------------- sealing
     def seal(
@@ -66,7 +118,8 @@ class SnapshotStore:
         ``delta`` must cover ``[entry_count(), certificate.last_sn]``
         contiguously and in order; sealing a run with gaps (or one that does
         not start where the archive ends) would make recovery silently
-        lossy, so it raises instead.
+        lossy, so it raises instead.  The run and its seal marker are
+        appended and fsync'd before this returns.
         """
         start = self.entry_count()
         if len(delta) != certificate.last_sn - start + 1 or any(
@@ -75,23 +128,23 @@ class SnapshotStore:
             raise ValueError(
                 f"sealed run must cover [{start}, {certificate.last_sn}] contiguously"
             )
-        self._append(delta, certificate)
+        records = [
+            WalRecord(kind=RECORD_COMMIT, epoch=epoch, sn=sn, entry=entry)
+            for sn, entry, epoch in delta
+        ]
+        end = self._end
+        try:
+            for record in records + [checkpoint_record(certificate)]:
+                data = frame(record)
+                self.disk.append(self.name, data)
+                end += len(data)
+            self.disk.fsync(self.name)
+        except BaseException:
+            # A half-appended run must not stay in front of later seals.
+            self.disk.truncate(self.name, self._end)
+            raise
+        self._note_run(end, certificate)
         self.seals_total += 1
-
-    def _append(
-        self, delta: Sequence[SealedEntry], certificate: CheckpointCertificate
-    ) -> None:
-        """Make one validated run durable and note its seal (backend hook)."""
-        self._entries.extend(delta)
-        self._note_seal(certificate)
-
-    def _note_seal(self, certificate: CheckpointCertificate) -> None:
-        """Advance the in-memory anchor over one sealed run."""
-        self._latest = Snapshot(
-            epoch=certificate.epoch,
-            last_sn=certificate.last_sn,
-            certificate=certificate,
-        )
 
     # --------------------------------------------------------------- queries
     def latest(self) -> Optional[Snapshot]:
@@ -104,15 +157,31 @@ class SnapshotStore:
 
     def entries(self, start: SeqNr = 0) -> Iterator[SealedEntry]:
         """Stream the sealed ``(sn, entry, epoch)`` triples from ``start`` up."""
-        for position in range(start, self.entry_count()):
-            yield self._entries[position]
+        if not 0 <= start < self.entry_count():
+            return
+        run = bisect_right(self._run_first_sn, start) - 1
+        # A sealed run holds consecutive positions, one frame each: the ones
+        # below ``start`` need no decoding.
+        skip = start - self._run_first_sn[run]
+        for record, _end in read_frames(self.disk, self.name, self._run_offset[run], skip):
+            if record.kind == RECORD_COMMIT:
+                yield record.sn, record.entry, record.epoch
 
     def entry_at(self, sn: SeqNr) -> LogEntry:
         """The sealed entry at position ``sn`` (which must be sealed)."""
-        if not 0 <= sn < self.entry_count():
-            raise KeyError(f"sequence number {sn} is not sealed")
-        return self._entries[sn][1]
+        for _sn, entry, _epoch in self.entries(sn):
+            return entry
+        raise KeyError(f"sequence number {sn} is not sealed")
 
     def entries_of(self, seq_nrs: Iterable[SeqNr]) -> List[Tuple[SeqNr, LogEntry]]:
-        """``(sn, entry)`` for the given sealed positions, in the given order."""
-        return [(sn, self.entry_at(sn)) for sn in seq_nrs]
+        """``(sn, entry)`` for the given sealed positions, in the given order:
+        one pass over the file from the run holding the lowest position."""
+        wanted = list(seq_nrs)
+        found = {}
+        if wanted:
+            last = max(wanted)
+            for sn, entry, _epoch in self.entries(min(wanted)):
+                found[sn] = entry
+                if sn >= last:
+                    break
+        return [(sn, found[sn]) for sn in wanted]

@@ -1,37 +1,73 @@
-"""The write-ahead log of one ISS node.
+"""The write-ahead log of one ISS node, and the frame format of its files.
 
 The WAL is the append-only record of everything a node must not lose in a
 crash: committed log entries (which double as per-segment Sequenced
 Broadcast progress — one record per SB-DELIVER), stable checkpoint
 certificates, and epoch starts.  It is deliberately *narrow*: protocol
 volatile state (PBFT prepares, Raft terms, view numbers) is **not**
-persisted, matching real SMR deployments where an uncommitted slot is
-simply re-learned from the peers after a restart.
-
+persisted; an uncommitted slot is re-learned from the peers after a restart.
 Compaction follows Section 3.4: once a checkpoint is stable, everything at
-or below its last sequence number moves into a snapshot
-(:mod:`repro.storage.snapshot`) and :meth:`WriteAheadLog.truncate_below`
-drops the covered records, so the WAL only ever holds the tail above the
-latest stable checkpoint.
+or below it moves into the sealed archive (:mod:`repro.storage.snapshot`)
+and :meth:`WriteAheadLog.truncate_below` drops it, so the WAL — in memory and
+in ``wal.log`` — only ever holds the tail above the latest stable checkpoint.
 
-The log is backed by a plain in-memory list (the simulator has no disks)
-and is strictly deterministic: appends happen in commit order, replay
-iterates in append order, and nothing here touches the event loop.
+Both files of a node's disk, ``wal.log`` and the archive's ``snapshot.bin``,
+are sequences of one frame — ``>II`` (payload length, CRC-32 of the payload)
+and the :mod:`repro.runtime.codec` body of a :class:`WalRecord`, byte for
+byte the encoding the record's batch has on the wire — written by
+:func:`frame` and read by :func:`read_frames`.  Every WAL append is fsync'd
+before it returns.  A crash mid-append leaves a *torn tail* — a short or
+CRC-mismatching last frame — which opening drops and truncates; everything
+before it is intact by construction.  Compaction replaces ``wal.log``
+atomically, at O(tail).  A CRC-valid frame of another codec version was
+written by another version of the program, not torn by a crash: opening
+raises :class:`StorageFormatError` and truncates nothing.
+
+What a reader of a *running* replica's directory may assume (the audit in
+:mod:`repro.net.deploy` relies on it): every CRC-valid commit frame in
+either file is a commit the replica made durable; ``snapshot.bin`` only
+grows, and a record leaves ``wal.log`` only after the archive holding it was
+fsync'd — so reading ``wal.log`` first and ``snapshot.bin`` second never
+misses an entry, while the opposite order can.
 """
 
 from __future__ import annotations
 
+import struct
+import zlib
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from ..core.types import LOG_ENTRY, CheckpointCertificate, EpochNr, LogEntry, SeqNr
-from ..runtime.codec import INT, STR, nested, optional, register, tuple_of
+from ..runtime.codec import (
+    CODEC_VERSION,
+    INT,
+    STR,
+    CodecError,
+    decode,
+    encode_into,
+    nested,
+    optional,
+    register,
+    tuple_of,
+)
+from .disk import Disk
 
 #: Record kinds stored in the WAL.
 RECORD_COMMIT = "commit"
 RECORD_CHECKPOINT = "checkpoint"
 RECORD_EPOCH_START = "epoch-start"
 RECORD_MEMBERSHIP = "membership"
+
+#: The WAL's file name on a node's disk.
+WAL_FILENAME = "wal.log"
+
+#: Frame header of one record: payload length, CRC-32 of the payload.
+_FRAME_HEADER = struct.Struct(">II")
+
+#: First payload byte of every frame the releases before the codec wrote;
+#: never a codec version.
+_PRE_CODEC_BYTE = 0x80
 
 
 @dataclass(frozen=True)
@@ -64,15 +100,113 @@ register(
 )
 
 
-class WriteAheadLog:
-    """Append-only, truncatable record log (in-memory backed)."""
+def checkpoint_record(certificate: CheckpointCertificate) -> WalRecord:
+    """The record of a stable checkpoint (in the archive: a seal marker)."""
+    return WalRecord(
+        kind=RECORD_CHECKPOINT,
+        epoch=certificate.epoch,
+        sn=certificate.last_sn,
+        certificate=certificate,
+    )
 
-    def __init__(self) -> None:
+
+class StorageFormatError(ValueError):
+    """A data directory written in a format this version does not read."""
+
+
+def frame(record: WalRecord) -> bytearray:
+    """Serialise one record into its on-disk frame."""
+    out = bytearray(_FRAME_HEADER.size)
+    encode_into(out, record)
+    payload = memoryview(out)[_FRAME_HEADER.size:]
+    _FRAME_HEADER.pack_into(out, 0, len(payload), zlib.crc32(payload))
+    payload.release()
+    return out
+
+
+def _refuse_foreign(disk: Disk, name: str, offset: int, payload: bytes) -> None:
+    """Raise :class:`StorageFormatError` for an intact frame of another codec
+    version (see the module docstring).  An empty payload is no version at
+    all: a zero-filled tail reads as a CRC-valid empty frame, and is torn."""
+    if not payload or payload[0] == CODEC_VERSION:
+        return
+    where = f"{name} on {disk!r} (frame at offset {offset})"
+    if payload[0] == _PRE_CODEC_BYTE:
+        raise StorageFormatError(
+            f"{where} was written by a release before the codec; this version "
+            f"reads codec version {CODEC_VERSION} only.  Start the node from an "
+            f"empty data directory."
+        )
+    raise StorageFormatError(
+        f"{where} holds codec version {payload[0]}, "
+        f"this version reads {CODEC_VERSION} only"
+    )
+
+
+def read_frames(
+    disk: Disk, name: str, offset: int = 0, skip: int = 0
+) -> Iterator[Tuple[WalRecord, int]]:
+    """Stream ``(record, end offset)`` from file ``name``, one frame in memory
+    at a time, stopping at the first frame that is short, fails its CRC or
+    is no :class:`WalRecord` (what a crash mid-append leaves); an intact frame
+    of another codec version raises :class:`StorageFormatError`.  The first
+    ``skip`` frames, already validated by an earlier scan, are stepped over
+    undecoded.  Only bytes present when the scan starts are read, so it is
+    safe on a file another process is appending to.
+    """
+    total = disk.size(name)
+    if offset + _FRAME_HEADER.size > total:
+        return
+    with disk.read(name, offset) as stream:
+        while offset + _FRAME_HEADER.size <= total:
+            header = stream.read(_FRAME_HEADER.size)
+            if len(header) != _FRAME_HEADER.size:
+                return
+            length, crc = _FRAME_HEADER.unpack(header)
+            end = offset + _FRAME_HEADER.size + length
+            if end > total:
+                return
+            payload = stream.read(length)
+            if skip:
+                skip -= 1
+                offset = end
+                continue
+            if len(payload) != length or zlib.crc32(payload) != crc:
+                return
+            _refuse_foreign(disk, name, offset, payload)
+            try:
+                record = decode(payload)
+            except CodecError:
+                return
+            if type(record) is not WalRecord:
+                return
+            offset = end
+            yield record, offset
+
+
+class WriteAheadLog:
+    """Append-only, truncatable record log in one file of a node's disk.
+
+    Opening replays every intact record into memory (the tail above the
+    latest stable checkpoint, so memory stays bounded by it) and truncates
+    a torn tail left by a crash mid-append.
+    """
+
+    def __init__(self, disk: Disk, name: str = WAL_FILENAME):
+        self.disk = disk
+        self.name = name
         self._records: List[WalRecord] = []
-        #: Total records ever appended (survives truncation; for metrics).
+        #: Records appended through this object (replayed ones do not count).
         self.appended_total = 0
         #: Records dropped by compaction so far.
         self.truncated_total = 0
+        good_offset = 0
+        for record, good_offset in read_frames(disk, name):
+            self._records.append(record)
+        #: Whether opening found (and truncated) a torn tail.
+        self.torn_tail_detected = good_offset < disk.size(name)
+        if self.torn_tail_detected:
+            disk.truncate(name, good_offset)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -84,14 +218,7 @@ class WriteAheadLog:
 
     def append_checkpoint(self, certificate: CheckpointCertificate) -> None:
         """Persist a stable checkpoint certificate."""
-        self._append(
-            WalRecord(
-                kind=RECORD_CHECKPOINT,
-                epoch=certificate.epoch,
-                sn=certificate.last_sn,
-                certificate=certificate,
-            )
-        )
+        self._append(checkpoint_record(certificate))
 
     def append_epoch_start(self, epoch: EpochNr) -> None:
         """Persist the fact that the node entered ``epoch``."""
@@ -110,6 +237,9 @@ class WriteAheadLog:
         )
 
     def _append(self, record: WalRecord) -> None:
+        """Write the record's frame and fsync it before returning."""
+        self.disk.append(self.name, frame(record))
+        self.disk.fsync(self.name)
         self._records.append(record)
         self.appended_total += 1
 
@@ -117,11 +247,12 @@ class WriteAheadLog:
     def truncate_below(self, sn_bound: SeqNr, epoch_bound: EpochNr) -> int:
         """Drop records covered by a stable checkpoint; return how many.
 
-        Commits with ``sn < sn_bound`` are now part of the snapshot;
+        Commits with ``sn < sn_bound`` are now part of the sealed archive;
         checkpoint and epoch-start records for epochs ``< epoch_bound``
-        are anchored by the (newer) snapshot certificate and equally
+        are anchored by the (newer) archive certificate and equally
         redundant.  Records above the bounds survive — including commits
-        that ran ahead of the checkpoint.
+        that ran ahead of the checkpoint.  The file is replaced atomically
+        with the survivors.
         """
         kept: List[WalRecord] = []
         for record in self._records:
@@ -132,6 +263,8 @@ class WriteAheadLog:
             if not redundant:
                 kept.append(record)
         dropped = len(self._records) - len(kept)
+        if dropped:
+            self.disk.replace(self.name, b"".join(frame(record) for record in kept))
         self._records = kept
         self.truncated_total += dropped
         return dropped

@@ -42,6 +42,7 @@ PROTOCOL_MODULES = [
     "repro.runtime.faults",
     "repro.storage.node_storage",
     "repro.storage.durable",
+    "repro.storage.disk",
     "repro.crypto.signatures",
     "repro.app.kv",
     "repro.net.transport",
@@ -302,3 +303,39 @@ def test_nothing_below_the_protocols_uses_pickle():
         if "pickle" in line.lower()
     ]
     assert not offenders, f"pickle named below the protocols: {offenders}"
+
+
+#: ``pathlib.Path`` methods that touch the file system.
+_PATH_IO_METHODS = {
+    "exists", "iterdir", "mkdir", "open", "read_bytes", "read_text", "rename",
+    "rmdir", "stat", "touch", "unlink", "write_bytes", "write_text",
+}
+
+
+def test_only_the_disk_module_touches_files_under_storage():
+    """``storage/`` reaches the file system through its ``Disk`` seam
+    (append, fsync, replace, truncate, size, read): no module under
+    ``src/repro/storage/`` but ``disk.py`` imports ``os``, ``io`` or
+    ``shutil``, calls ``open(`` or calls a ``Path`` I/O method."""
+    storage = REPO_ROOT / "src" / "repro" / "storage"
+    offenders = []
+    for path in sorted(storage.rglob("*.py")):
+        if path.name == "disk.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.relative_to(REPO_ROOT)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(module.split(".")[0] in ("os", "io", "shutil") for module in modules):
+                offenders.append(where)
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (isinstance(func, ast.Name) and func.id == "open") or (
+                    isinstance(func, ast.Attribute) and func.attr in _PATH_IO_METHODS
+                ):
+                    offenders.append(where)
+    assert not offenders, f"file system access outside storage/disk.py: {offenders}"

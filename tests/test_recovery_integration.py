@@ -41,6 +41,7 @@ from repro.harness.scenarios import (
 from repro.gate.table import GATES
 from repro.harness.invariants import delivered_trace, traces_agree
 from repro.runtime.faults import CrashSpec, RestartSpec
+from repro.storage.disk import SimDisk
 
 VICTIM = 1
 
@@ -81,11 +82,13 @@ def build_crash_restart_deployment(protocol, crash_time, restart_time, duration,
 #: (the runs are tens of virtual seconds; re-running them per test would
 #: double the suite's wall time for identical — deterministic — results).
 _RUNS = {}
+#: The storage the victim's first (crashed) incarnation ran on, per protocol.
+_CRASHED_STORAGE = {}
 
 
-def crash_restart_run(protocol):
-    if protocol in _RUNS:
-        return _RUNS[protocol]
+def observed_run(protocol):
+    """Build and run ``protocol``'s crash-restart scenario; return
+    ``(deployment, result, peer_epochs, the victim's first storage)``."""
     crash_time, restart_time, duration = TIMINGS[protocol]
     deployment = build_crash_restart_deployment(
         protocol, crash_time, restart_time, duration
@@ -105,8 +108,15 @@ def crash_restart_run(protocol):
     deployment.sim.schedule_at(crash_time, lambda: snap("crash"))
     deployment.sim.schedule_at(restart_time - 1e-6, lambda: snap("restart"))
 
-    result = deployment.run()
-    _RUNS[protocol] = (deployment, result, peer_epochs)
+    crashed_storage = deployment.storages[VICTIM]
+    return deployment, deployment.run(), peer_epochs, crashed_storage
+
+
+def crash_restart_run(protocol):
+    if protocol not in _RUNS:
+        deployment, result, peer_epochs, crashed_storage = observed_run(protocol)
+        _RUNS[protocol] = (deployment, result, peer_epochs)
+        _CRASHED_STORAGE[protocol] = crashed_storage
     return _RUNS[protocol]
 
 
@@ -143,12 +153,13 @@ class TestCrashRestartRecovery:
         # with every peer, and a delivered frontier no shorter than the
         # slowest peer's (peers may differ by a few in-flight positions at
         # the instant the run stops).
+        traces = {node.node_id: delivered_trace(node) for node in result.nodes}
         for peer in peers:
-            assert delivered_prefix_matches(peer, victim)
+            assert traces_agree([traces[peer.node_id], traces[VICTIM]])
         slowest = min(peer.log.first_undelivered for peer in peers)
         assert victim.log.first_undelivered >= slowest
         reference = min(peers, key=lambda peer: peer.log.first_undelivered)
-        assert delivered_trace(victim)[:slowest] == delivered_trace(reference)[:slowest]
+        assert traces[VICTIM][:slowest] == traces[reference.node_id][:slowest]
 
     def test_snapshot_and_certificates_used_when_crash_follows_checkpoint(self):
         """Crashing after the first stable checkpoint exercises snapshot
@@ -158,16 +169,30 @@ class TestCrashRestartRecovery:
         assert recovery["snapshot_entries"] > 0
         assert recovery["certificates_restored"] > 0
         assert recovery["resume_epoch"] > 0
-        # The shared storage object shows the compaction trail.
+        # The restarted incarnation's storage shows the compaction trail.
         stats = result.storages[VICTIM].stats()
         assert stats["compactions"] > 0
         assert stats["wal_truncated_total"] > 0
 
+    def test_restart_opens_a_fresh_storage_on_the_victims_disk(self):
+        """What outlives the crash is the node's disk, not a storage object:
+        the restarted incarnation opened a new ``NodeStorage`` on the same
+        ``SimDisk``, and its counters carry the node's lifetime trail."""
+        _deployment, result, _peer_epochs = crash_restart_run(PROTOCOL_PBFT)
+        crashed = _CRASHED_STORAGE[PROTOCOL_PBFT]
+        restarted = result.storages[VICTIM]
+        assert restarted is not crashed
+        assert isinstance(restarted.disk, SimDisk) and restarted.disk is crashed.disk
+        assert result.nodes[VICTIM].storage is restarted
+        assert restarted.compactions > crashed.compactions > 0
+        assert restarted.wal.appended_total > crashed.wal.appended_total
+        assert restarted.snapshots.seals_total > crashed.snapshots.seals_total
+
     def test_recovery_is_seed_deterministic(self):
+        """A second run of the shared PBFT scenario (same seed) reproduces
+        its recovery record, its counters and the victim's delivered trace."""
         runs = []
-        for _ in range(2):
-            deployment = build_crash_restart_deployment(PROTOCOL_PBFT, 6.0, 14.0, 24.0)
-            result = deployment.run()
+        for result in (crash_restart_run(PROTOCOL_PBFT)[1], observed_run(PROTOCOL_PBFT)[1]):
             runs.append(
                 (
                     result.report.recoveries,

@@ -2,9 +2,10 @@
 
 Integration coverage — full crash→restart→catch-up across the three SB
 protocols — lives in ``tests/test_recovery_integration.py``; these tests pin
-the storage-layer mechanics in isolation: append/truncate discipline,
-snapshot contiguity, compaction (including the deferred case), and WAL-only
-recovery of a fresh ISS node.
+the storage-layer mechanics in isolation, on the simulator's ``SimDisk``:
+append/truncate discipline, snapshot contiguity, compaction (including the
+deferred case), and WAL-only recovery of a fresh ISS node.  Crash behaviour
+of the files themselves is ``tests/test_durable_storage.py``'s.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.sim.simulator import Simulator
 from repro.storage import (
     NodeStorage,
     RecoveryManager,
+    SimDisk,
     Snapshot,
     SnapshotStore,
     WriteAheadLog,
@@ -45,7 +47,7 @@ def entry(sn: int):
 
 class TestWriteAheadLog:
     def test_appends_preserve_order_and_kinds(self):
-        wal = WriteAheadLog()
+        wal = WriteAheadLog(SimDisk())
         wal.append_epoch_start(0)
         wal.append_commit(0, entry(0), 0)
         wal.append_commit(1, NIL, 0)
@@ -64,7 +66,7 @@ class TestWriteAheadLog:
         assert wal.latest_epoch_started() == 0
 
     def test_truncate_below_drops_covered_records_only(self):
-        wal = WriteAheadLog()
+        wal = WriteAheadLog(SimDisk())
         wal.append_epoch_start(0)
         for sn in range(4):
             wal.append_commit(sn, entry(sn), 0)
@@ -80,7 +82,7 @@ class TestWriteAheadLog:
         assert wal.appended_total == 8
 
     def test_truncate_is_idempotent(self):
-        wal = WriteAheadLog()
+        wal = WriteAheadLog(SimDisk())
         wal.append_commit(0, entry(0), 0)
         assert wal.truncate_below(1, 1) == 1
         assert wal.truncate_below(1, 1) == 0
@@ -88,7 +90,7 @@ class TestWriteAheadLog:
 
 class TestSnapshotStore:
     def test_seal_requires_contiguous_run(self):
-        store = SnapshotStore()
+        store = SnapshotStore(SimDisk())
         with pytest.raises(ValueError):  # a gap inside the run
             store.seal([(0, entry(0), 0), (2, entry(2), 0)], fake_certificate(0, 2))
         with pytest.raises(ValueError):  # shorter than the certificate covers
@@ -102,7 +104,7 @@ class TestSnapshotStore:
         assert store.entry_count() == 1
 
     def test_newer_seal_extends_older(self):
-        store = SnapshotStore()
+        store = SnapshotStore(SimDisk())
         first, second = fake_certificate(0, 0), fake_certificate(1, 2)
         store.seal([(0, entry(0), 0)], first)
         assert store.latest() == Snapshot(epoch=0, last_sn=0, certificate=first)
@@ -121,7 +123,7 @@ class TestSnapshotStore:
 
 class TestNodeStorageCompaction:
     def test_stable_checkpoint_compacts_wal_into_snapshot(self):
-        storage = NodeStorage(node_id=0)
+        storage = NodeStorage(0, SimDisk())
         storage.record_epoch_start(0)
         for sn in range(4):
             storage.record_commit(sn, entry(sn), 0)
@@ -136,7 +138,7 @@ class TestNodeStorageCompaction:
     def test_incomplete_prefix_defers_compaction(self):
         """A stable checkpoint can outrun the local log (2f+1 peers vote
         first); compaction waits until the gap is filled."""
-        storage = NodeStorage(node_id=0)
+        storage = NodeStorage(0, SimDisk())
         storage.record_commit(0, entry(0), 0)
         storage.record_commit(2, entry(2), 0)  # sn 1 missing
         storage.record_stable_checkpoint(fake_certificate(0, 2))
@@ -152,7 +154,7 @@ class TestNodeStorageCompaction:
         assert storage.compactions == 1
 
     def test_stale_checkpoint_does_not_regress_snapshot(self):
-        storage = NodeStorage(node_id=0)
+        storage = NodeStorage(0, SimDisk())
         for sn in range(2):
             storage.record_commit(sn, entry(sn), 0)
         storage.record_stable_checkpoint(fake_certificate(0, 1))
@@ -176,7 +178,7 @@ class RecoveryHarness:
         self.network = Network(self.sim, net_config, LatencyModel(net_config, num_nodes))
         self.key_store = KeyStore(deployment_seed=2)
         self.delivered = []
-        self.storage = storage if storage is not None else NodeStorage(node_id=0)
+        self.storage = storage if storage is not None else NodeStorage(0, SimDisk())
         self.node = ISSNode(
             node_id=0,
             config=self.config,
