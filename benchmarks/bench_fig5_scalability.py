@@ -11,8 +11,10 @@ ISS variants sustain their throughput, and the ISS/single-leader improvement
 factor grows with the node count.
 
 Run as a script, this file additionally times the simulator over the
-Figure-5 node counts — events executed and events per wall-second at each
-``n`` — and writes ``BENCH_fig5.json``::
+Figure-5 node counts — events executed, events per wall-second, payloads
+delivered by the network and microseconds per delivered payload at each
+``n``, plus the largest event-queue length from one extra untimed rep — and
+writes ``BENCH_fig5.json``::
 
     PYTHONPATH=src python benchmarks/bench_fig5_scalability.py [--reps N]
 """
@@ -28,6 +30,7 @@ import pytest
 from repro.core.config import PROTOCOL_HOTSTUFF, PROTOCOL_PBFT, PROTOCOL_RAFT
 from repro.harness import scenarios
 from repro.metrics.report import format_table, print_banner, speedup
+from repro.sim.simulator import Simulator
 
 from conftest import run_scenario, scaled_duration, scaled_nodes
 
@@ -175,16 +178,45 @@ def _timed_run(num_nodes):
     wall = time.perf_counter() - start
     return wall, {
         "events": deployment.sim.events_executed,
+        "delivered_payloads": deployment.network.stats.messages_delivered,
         "virtual_throughput_rps": result.report.completed / DURATION,
     }
+
+
+def _max_queue_length(num_nodes):
+    """Largest event-queue length over one untimed run.
+
+    Both scheduling entry points are wrapped at the class, before the
+    deployment binds them, and the queue is measured after every push; the
+    timed reps never run with the wrappers.
+    """
+    peak = [0]
+    originals = Simulator.schedule, Simulator.schedule_callback
+
+    def schedule(sim, delay, callback):
+        timer = originals[0](sim, delay, callback)
+        peak[0] = max(peak[0], len(sim._queue))
+        return timer
+
+    def schedule_callback(sim, delay, callback):
+        originals[1](sim, delay, callback)
+        peak[0] = max(peak[0], len(sim._queue))
+
+    Simulator.schedule, Simulator.schedule_callback = schedule, schedule_callback
+    try:
+        _deployment(num_nodes).run()
+    finally:
+        Simulator.schedule, Simulator.schedule_callback = originals
+    return peak[0]
 
 
 def sweep_nodes(node_counts, reps=DEFAULT_REPS):
     """Time the simulator at each node count.
 
-    Returns one row per node count: events executed, the virtual
-    (simulated) request throughput, wall time (min over reps) and
-    events per wall-second.
+    Returns one row per node count: events executed, payloads the network
+    delivered, the virtual (simulated) request throughput, wall time (min
+    over reps), events per wall-second, microseconds per delivered payload
+    and the largest event-queue length (from one more, untimed rep).
     """
     rows = []
     for num_nodes in node_counts:
@@ -198,13 +230,17 @@ def sweep_nodes(node_counts, reps=DEFAULT_REPS):
             **figures,
             "wall_seconds": round(best, 3),
             "events_per_sec": round(figures["events"] / best, 1),
+            "us_per_delivered_payload": round(best * 1e6 / figures["delivered_payloads"], 2),
+            "max_event_queue": _max_queue_length(num_nodes),
             "all_wall_seconds": [round(w, 3) for w in walls],
         }
         rows.append(row)
         print(
             f"n={num_nodes:4d}  events={row['events']:9d}  "
             f"wall={row['wall_seconds']:8.3f} s  "
-            f"{row['events_per_sec']:9.0f} ev/s"
+            f"{row['events_per_sec']:9.0f} ev/s  "
+            f"{row['us_per_delivered_payload']:6.2f} us/payload  "
+            f"queue<={row['max_event_queue']}"
         )
     return rows
 
@@ -235,7 +271,8 @@ def main(argv=None):
         },
         "methodology": (
             f"per node count: {args.reps} rep(s), GC disabled during timed "
-            "regions, min wall reported"
+            "regions, min wall reported; max_event_queue from one more, "
+            "untimed rep"
         ),
         "wall_clock_total_s": round(time.time() - started, 1),
         "rows": rows,

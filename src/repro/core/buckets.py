@@ -152,6 +152,12 @@ class _QueueEntry:
     request: Request
 
 
+#: Stale heap tuples a queue tolerates beyond its live entries before it
+#: rebuilds the heap: ``len(_heap) <= 2 * len(queue) + HEAP_SLACK`` holds
+#: after every operation.
+HEAP_SLACK = 32
+
+
 class BucketQueue:
     """FIFO, idempotent queue of pending requests for one bucket.
 
@@ -160,12 +166,20 @@ class BucketQueue:
       which the liveness proof (Lemma 5.5) relies on.
     * *Resurrection-aware*: a request returned via :meth:`resurrect` keeps its
       original arrival order, so it goes back to the front of the queue.
+    * *Bounded by its pending requests*: removal leaves a stale tuple in the
+      heap, which the leader's reads pop from the head; a node that never
+      leads the bucket only removes, so once stale tuples outnumber live
+      ones by more than :data:`HEAP_SLACK` the heap is rebuilt from the
+      live entries.
+      The arrival order of a removed request is kept until its delivery
+      (:meth:`forget_history`), so a resurrection finds its slot.
     """
 
     def __init__(self, bucket_id: BucketId):
         self.bucket_id = bucket_id
         self._entries: Dict[RequestId, _QueueEntry] = {}
-        #: Min-heap of (arrival order, request id); may contain stale ids.
+        #: Min-heap of (arrival order, request id); may contain stale ids,
+        #: at most ``len(_entries) + HEAP_SLACK`` of them.
         self._heap: List[Tuple[int, RequestId]] = []
         self._arrival_counter = 0
         #: Arrival order remembered even after removal, for resurrection.
@@ -206,7 +220,10 @@ class BucketQueue:
     def remove(self, rid: RequestId) -> Optional[Request]:
         """Remove a request (e.g. because it was proposed or delivered)."""
         entry = self._entries.pop(rid, None)
-        return entry.request if entry else None
+        if entry is None:
+            return None
+        self._bound_heap()
+        return entry.request
 
     def resurrect(self, request: Request) -> None:
         """Return an unsuccessfully proposed request, keeping its FIFO slot."""
@@ -232,12 +249,29 @@ class BucketQueue:
             entry = self._entries.pop(rid, None)
             if entry is not None:
                 taken.append(entry.request)
+        self._bound_heap()
         return taken
 
     def _compact(self) -> None:
-        """Drop stale heap heads pointing at removed requests."""
-        while self._heap and self._heap[0][1] not in self._entries:
-            heapq.heappop(self._heap)
+        """Drop stale heap heads: removed requests, and the old slot of a
+        request re-added after :meth:`forget_history`."""
+        heap = self._heap
+        entries = self._entries
+        while heap:
+            order, rid = heap[0]
+            entry = entries.get(rid)
+            if entry is not None and entry.order == order:
+                return
+            heapq.heappop(heap)
+
+    def _bound_heap(self) -> None:
+        """Rebuild the heap from the live entries once stale tuples
+        outnumber them by more than :data:`HEAP_SLACK`.  Arrival orders are
+        unique per request, so the rebuilt heap pops in the same order."""
+        entries = self._entries
+        if len(self._heap) > 2 * len(entries) + HEAP_SLACK:
+            self._heap = [(entry.order, rid) for rid, entry in entries.items()]
+            heapq.heapify(self._heap)
 
     def pending(self) -> List[Request]:
         """All pending requests in FIFO order (test/inspection helper)."""
@@ -256,21 +290,31 @@ class BucketPool:
     but only propose from queues currently assigned to segments they lead.
     Delivered requests are remembered so they are never re-added or
     re-proposed (duplication prevention across epochs, Section 3.2).
+
+    A bucket's queue is created when a request first enters it
+    (:meth:`add_request`, :meth:`resurrect`, :meth:`queue`); every read
+    answers for a missing queue as for an empty one without creating it.
+    A node holds queues only for the buckets its requests have used, not
+    ``num_buckets`` of them from boot.
     """
 
     def __init__(self, num_buckets: int):
         if num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
         self.num_buckets = num_buckets
-        self._queues: Dict[BucketId, BucketQueue] = {
-            b: BucketQueue(b) for b in range(num_buckets)
-        }
+        self._queues: Dict[BucketId, BucketQueue] = {}
         #: Request ids delivered at this node; read directly by hot loops
         #: (batch validation), mutated only through :meth:`mark_delivered`.
         self.delivered: Set[RequestId] = set()
 
     def queue(self, bucket: BucketId) -> BucketQueue:
-        return self._queues[bucket]
+        """The queue of ``bucket``, created on first use."""
+        queue = self._queues.get(bucket)
+        if queue is None:
+            if not 0 <= bucket < self.num_buckets:
+                raise KeyError(bucket)
+            queue = self._queues[bucket] = BucketQueue(bucket)
+        return queue
 
     def bucket_of(self, rid: RequestId) -> BucketId:
         return rid._mix % self.num_buckets
@@ -280,18 +324,20 @@ class BucketPool:
         rid = request.rid
         if rid in self.delivered:
             return False
-        return self._queues[rid._mix % self.num_buckets].add(request)
+        return self.queue(rid._mix % self.num_buckets).add(request)
 
     def remove_request(self, rid: RequestId) -> Optional[Request]:
-        return self._queues[rid._mix % self.num_buckets].remove(rid)
+        queue = self._queues.get(rid._mix % self.num_buckets)
+        return queue.remove(rid) if queue is not None else None
 
     def mark_delivered(self, request: Request) -> None:
         """Record delivery and drop the request from its pending queue."""
         rid = request.rid
         self.delivered.add(rid)
-        queue = self._queues[rid._mix % self.num_buckets]
-        queue.remove(rid)
-        queue.forget_history(rid)
+        queue = self._queues.get(rid._mix % self.num_buckets)
+        if queue is not None:
+            queue.remove(rid)
+            queue.forget_history(rid)
 
     def is_delivered(self, rid: RequestId) -> bool:
         return rid in self.delivered
@@ -325,11 +371,12 @@ class BucketPool:
             rid = request.rid
             if rid in self.delivered:
                 continue
-            self._queues[rid._mix % self.num_buckets].resurrect(request)
+            self.queue(rid._mix % self.num_buckets).resurrect(request)
 
     def pending_in(self, buckets: Iterable[BucketId]) -> int:
         """Number of pending requests across the given buckets."""
-        return sum(len(self._queues[b]) for b in buckets)
+        queues = self._queues
+        return sum(len(queues[b]) for b in buckets if b in queues)
 
     def cut_batch(self, buckets: Sequence[BucketId], max_size: int) -> List[Request]:
         """Take up to ``max_size`` oldest requests across ``buckets``.
@@ -346,15 +393,18 @@ class BucketPool:
         # and fast enough for simulation batch sizes.
         taken: List[Request] = []
         heads: List[Tuple[int, BucketId]] = []
+        queues = self._queues
         for b in buckets:
-            queue = self._queues[b]
+            queue = queues.get(b)
+            if queue is None:
+                continue
             oldest = queue.peek_oldest()
             if oldest is not None:
                 heads.append((queue._entries[oldest.rid].order, b))
         heapq.heapify(heads)
         while heads and len(taken) < max_size:
             _order, b = heapq.heappop(heads)
-            queue = self._queues[b]
+            queue = queues[b]
             requests = queue.take_oldest(1)
             if requests:
                 taken.append(requests[0])

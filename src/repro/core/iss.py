@@ -172,7 +172,8 @@ class ISSNode:
         self._proposed: Dict[SeqNr, Batch] = {}
         #: Requests seen in accepted proposals of the current epoch, mapped to
         #: the digest of the batch they appeared in (duplication check that
-        #: still accepts re-validations of the very same batch).
+        #: still accepts re-validations of the very same batch).  An entry
+        #: goes at the request's delivery, the whole index at the epoch's end.
         self._proposed_this_epoch: Dict[object, bytes] = {}
         self.crashed = False
 
@@ -656,11 +657,14 @@ class ISSNode:
 
     def _mark_delivered(self, requests: Sequence[Request]) -> None:
         """Bookkeeping of every delivery path (SB-DELIVER, state transfer,
-        recovery replay).  The signature memo entry goes too: the delivered
-        filter, then the watermark, answers for the request from now on."""
+        recovery replay).  The signature memo entry and the proposal-index
+        entry go too: the delivered filter, then the watermark, answers for
+        the request from now on (``_validate_batch`` checks it first)."""
         verified = self.validator.verify_signatures
+        proposed_pop = self._proposed_this_epoch.pop
         for request in requests:
             rid = request.rid
+            proposed_pop(rid, None)
             self.buckets.mark_delivered(request)
             self.watermarks.note_delivered(rid.client, rid.timestamp)
             if verified:

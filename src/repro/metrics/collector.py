@@ -117,6 +117,7 @@ class MetricsCollector:
         self.completion_quorum = completion_quorum
         self.warmup = warmup
         self._submit_times: Dict[RequestId, float] = {}
+        #: Nodes that delivered each not-yet-completed request.
         self._delivery_nodes: Dict[RequestId, set] = {}
         self._completion_times: Dict[RequestId, float] = {}
         self._latencies: List[float] = []
@@ -197,6 +198,9 @@ class MetricsCollector:
         if rid in self._completion_times:
             return
         self._completion_times[rid] = time
+        # Later deliveries return at the completion check, so the node set
+        # has served: only incomplete requests keep one.
+        self._delivery_nodes.pop(rid, None)
         if self.tracer is not None:
             self.tracer.on_complete(time, rid)
         submit = self._submit_times.get(rid)

@@ -6,12 +6,16 @@ upward until throughput saturates.  :class:`WorkloadGenerator` reproduces
 that open-loop behaviour inside the simulator: each client submits requests
 at its share of the aggregate rate with exponentially distributed
 inter-arrival times (a Poisson process), bounded by its watermark window.
+
+Each client has at most one arrival pending at a time: the generator holds
+one timer per client and replaces it when the next arrival is drawn, so its
+state does not grow with the number of requests a run submits.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..core.client import Client
 from ..core.config import WorkloadConfig
@@ -19,7 +23,13 @@ from ..sim.simulator import Simulator, Timer
 
 
 class WorkloadGenerator:
-    """Drives a set of clients with an open-loop Poisson arrival process."""
+    """Drives a set of clients with an open-loop Poisson arrival process.
+
+    ``_timers`` maps a client's index to its one pending arrival; an entry
+    is replaced when that arrival fires and draws the next, and dropped
+    when the next would fall past ``workload.duration``.  :meth:`stop`
+    cancels every pending arrival.
+    """
 
     def __init__(
         self,
@@ -38,7 +48,7 @@ class WorkloadGenerator:
         self._rng = random.Random(workload.random_seed)
         self._payload = bytes(workload.payload_size)
         self._per_client_rate = workload.total_rate / len(self.clients)
-        self._timers: List[Timer] = []
+        self._timers: Dict[int, Timer] = {}
         self._stopped = False
         self.submitted = 0
         self.deferred = 0
@@ -46,12 +56,12 @@ class WorkloadGenerator:
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
         """Schedule the first arrival for every client."""
-        for client in self.clients:
-            self._schedule_next(client)
+        for index in range(len(self.clients)):
+            self._schedule_next(index)
 
     def stop(self) -> None:
         self._stopped = True
-        for timer in self._timers:
+        for timer in self._timers.values():
             timer.cancel()
         self._timers.clear()
 
@@ -59,18 +69,19 @@ class WorkloadGenerator:
     def _next_interarrival(self) -> float:
         return self._rng.expovariate(self._per_client_rate)
 
-    def _schedule_next(self, client: Client) -> None:
+    def _schedule_next(self, index: int) -> None:
         if self._stopped:
             return
         delay = self._next_interarrival()
         if self.sim.now + delay > self.workload.duration:
+            self._timers.pop(index, None)
             return
-        timer = self.sim.schedule(delay, lambda c=client: self._submit(c))
-        self._timers.append(timer)
+        self._timers[index] = self.sim.schedule(delay, lambda i=index: self._submit(i))
 
-    def _submit(self, client: Client) -> None:
+    def _submit(self, index: int) -> None:
         if self._stopped:
             return
+        client = self.clients[index]
         if client.outstanding_within_watermarks():
             request = client.submit(self._payload)
             self.submitted += 1
@@ -80,4 +91,4 @@ class WorkloadGenerator:
             # The watermark window is full: the open-loop arrival is deferred
             # (counted so saturation is visible in reports).
             self.deferred += 1
-        self._schedule_next(client)
+        self._schedule_next(index)

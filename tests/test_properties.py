@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.buckets import (
+    HEAP_SLACK,
     BucketPool,
     BucketQueue,
     assignment_for_epoch,
@@ -167,6 +168,117 @@ def test_bucket_pool_never_duplicates_or_revives_delivered(operations):
     total_pending = pool.total_pending()
     distinct_pending = len({r.rid for b in range(4) for r in pool.queue(b).pending()})
     assert total_pending == distinct_pending
+
+
+queue_operations = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove", "resurrect", "deliver", "take"]),
+        st.integers(0, 47),
+        st.integers(1, 24),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(operations=queue_operations)
+def test_bucket_queue_matches_its_model_and_keeps_its_heap_bounded(operations):
+    """Against a model of arrival orders: FIFO by arrival, idempotent add,
+    a resurrected request back in its original slot, and after every
+    operation a heap no longer than twice the pending requests plus the
+    slack.  Each operation covers a run of ``span`` requests, so whole
+    runs get removed as at a node that never leads the bucket, and the
+    compaction has stale tuples to drop."""
+    queue = BucketQueue(0)
+    requests = [Request(rid=RequestId(ts % 3, ts)) for ts in range(48)]
+    orders = {}  # remembered arrival order, until delivery
+    pending = set()
+    counter = 0
+    for op, start, span in operations:
+        if op == "take":
+            expected = sorted(pending, key=orders.__getitem__)[:span]
+            assert [r.rid for r in queue.take_oldest(span)] == expected
+            pending.difference_update(expected)
+            span = 0
+        for index in range(start, start + span):
+            request = requests[index % len(requests)]
+            rid = request.rid
+            if op == "add":
+                fresh = rid not in pending and rid not in orders
+                assert queue.add(request) == fresh
+                if fresh:
+                    orders[rid] = counter
+                    counter += 1
+                    pending.add(rid)
+            elif op == "remove":
+                assert (queue.remove(rid) is not None) == (rid in pending)
+                pending.discard(rid)
+            elif op == "resurrect":
+                queue.resurrect(request)
+                if rid not in orders:
+                    orders[rid] = counter
+                    counter += 1
+                pending.add(rid)
+            else:
+                queue.remove(rid)
+                queue.forget_history(rid)
+                pending.discard(rid)
+                orders.pop(rid, None)
+            assert len(queue._heap) <= 2 * len(queue) + HEAP_SLACK
+        fifo = sorted(pending, key=orders.__getitem__)
+        assert [r.rid for r in queue.pending()] == fifo
+        assert len(queue) == len(pending)
+        oldest = queue.peek_oldest()
+        assert (oldest.rid if oldest is not None else None) == (fifo[0] if fifo else None)
+        assert len(queue._heap) <= 2 * len(queue) + HEAP_SLACK
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    operations=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "remove", "resurrect", "deliver", "cut"]),
+            st.integers(0, 63),
+        ),
+        min_size=1,
+        max_size=120,
+    )
+)
+def test_bucket_pool_answers_alike_with_or_without_its_queues(operations):
+    """A pool whose queues all exist and one that creates them on first use
+    answer every query alike, and no read creates a queue."""
+    num_buckets = 16
+    eager, lazy = BucketPool(num_buckets), BucketPool(num_buckets)
+    for bucket in range(num_buckets):
+        eager.queue(bucket)
+    requests = [Request(rid=RequestId(ts % 5, ts)) for ts in range(64)]
+    for op, index in operations:
+        request = requests[index]
+        before = set(lazy._queues)
+        if op == "add":
+            assert eager.add_request(request) == lazy.add_request(request)
+        elif op == "remove":
+            assert eager.remove_request(request.rid) == lazy.remove_request(request.rid)
+            assert set(lazy._queues) == before
+        elif op == "resurrect":
+            eager.resurrect([request])
+            lazy.resurrect([request])
+        elif op == "deliver":
+            eager.mark_delivered(request)
+            lazy.mark_delivered(request)
+            assert set(lazy._queues) == before
+        else:
+            buckets = [b for b in range(num_buckets) if (b * 7 + index) % 3]
+            size = index % 6
+            assert eager.cut_batch(buckets, size) == lazy.cut_batch(buckets, size)
+            assert set(lazy._queues) == before
+        before = set(lazy._queues)
+        for bucket in range(num_buckets):
+            assert eager.pending_in([bucket]) == lazy.pending_in([bucket])
+        assert eager.pending_in(range(num_buckets)) == lazy.pending_in(range(num_buckets))
+        assert eager.total_pending() == lazy.total_pending()
+        assert set(lazy._queues) == before
 
 
 # ---------------------------------------------------------------------------

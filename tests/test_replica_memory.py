@@ -1,4 +1,4 @@
-"""A replica's memory is bounded by its windows, not by its uptime.
+"""Memory is bounded by windows and in-flight work, not by uptime.
 
 Client watermarks bound per-client state (Sec. 3.7) and a stable checkpoint
 garbage-collects everything below it (Sec. 3.4).  These tests pin the
@@ -6,8 +6,17 @@ per-request and per-epoch state that has to go with them: the signature
 memo entry of a delivered request, the segment descriptors of finished
 epochs, the checkpoint votes of stable epochs, the PBFT voter sets of
 committed slots and the log entries already sealed into the archive.
+
+Within one epoch, nothing a replica or the simulator holds per request may
+outlive the request either: the workload generator's arrival timers, the
+metrics collector's delivery-node sets, a replica's proposal index and its
+bucket heaps are each bounded by in-flight work, however long a run stays
+in its first epoch.
 """
 
+import pytest
+
+from repro.core.buckets import HEAP_SLACK
 from repro.core.config import ISSConfig, WorkloadConfig
 from repro.core.types import Batch
 from repro.harness.runner import Deployment
@@ -148,3 +157,62 @@ class TestDeliveryPathsDropTheMemoEntry:
         batch = self._verified_batch(harness)
         harness.node.restore_entry(0, Batch.of(batch.requests[:1]), 0)
         assert harness.key_store._verified == {_memo_key(r) for r in batch.requests[1:]}
+
+
+GROWTH_CLIENTS = 16
+
+
+def _in_flight_violations(deployment):
+    """Every per-request holder that is larger than the work in flight."""
+    problems = []
+    timers = len(deployment.generator._timers)
+    if timers > GROWTH_CLIENTS:
+        problems.append(f"generator: {timers} arrival timers for {GROWTH_CLIENTS} clients")
+    collector = deployment.collector
+    completed = collector._completion_times
+    incomplete = sum(1 for rid in collector._submit_times if rid not in completed)
+    node_sets = len(collector._delivery_nodes)
+    if node_sets > incomplete:
+        problems.append(f"collector: {node_sets} delivery-node sets, {incomplete} incomplete")
+    for node in deployment.nodes:
+        delivered = node.buckets.delivered
+        stale = sum(1 for rid in node._proposed_this_epoch if rid in delivered)
+        if stale:
+            problems.append(f"node {node.node_id}: {stale} delivered ids in the proposal index")
+        for queue in node.buckets._queues.values():
+            if len(queue._heap) > 2 * len(queue) + HEAP_SLACK:
+                problems.append(
+                    f"node {node.node_id} bucket {queue.bucket_id}: heap "
+                    f"{len(queue._heap)} for {len(queue)} pending"
+                )
+                break
+    return problems
+
+
+@pytest.mark.parametrize("duration", [2.0, 4.0])
+def test_per_request_holders_do_not_grow_with_run_length(duration):
+    """A smaller ``sim_n8`` that never leaves epoch 0, run for T and 2T:
+    sampled as it goes and at its end, every holder stays within what is
+    in flight.  With two buckets per leader, 60 (T) to 125 (2T) requests
+    pass through each bucket, more than ``HEAP_SLACK``, so a heap that is
+    never compacted shows."""
+    deployment = Deployment(
+        ISSConfig(num_nodes=8, buckets_per_leader=2, random_seed=42),
+        workload=WorkloadConfig(
+            num_clients=GROWTH_CLIENTS, total_rate=500.0, duration=duration
+        ),
+    )
+    found = {}
+
+    def poll():
+        for problem in _in_flight_violations(deployment):
+            found.setdefault(problem.split(":")[0], problem)
+        deployment.sim.schedule(0.5, poll)
+
+    deployment.sim.schedule(0.5, poll)
+    result = deployment.run()
+    for problem in _in_flight_violations(deployment):
+        found.setdefault(problem.split(":")[0], problem)
+    assert max(node.current_epoch for node in result.nodes) == 0
+    assert result.report.completed >= 200 * duration
+    assert not found, "\n".join(sorted(found.values()))
