@@ -8,17 +8,20 @@ The service side is two small pieces:
   the entire correctness argument, inherited from SMR.
 * :class:`KVApp` — the per-replica glue: it consumes the node's delivery
   stream (the same ``on_deliver`` hook the metrics collector uses in the
-  simulator), applies each KV payload, and sends the operation's result
-  back to the submitting client as a :class:`KVResultMsg`.  Non-KV
-  payloads (ConfigTxs, raw benchmark padding) are counted and skipped.
+  simulator), applies each KV payload, and sends the result of a get or a
+  cas back to the submitting client as a :class:`KVResultMsg`.  A put's
+  result is the value it wrote, which its client already knows: a put
+  completes on the ``f+1`` acknowledgement quorum and gets no result
+  message.  Non-KV payloads (ConfigTxs, raw benchmark padding) are counted
+  and skipped.
 
 The client side, :class:`KVClient`, wraps the ordinary
 :class:`~repro.core.client.Client` — signatures, bucket-leader targeting,
 ``f+1`` acknowledgement quorums and the retry loop all come from there —
-and adds result collection: an operation's *value* is trusted once ``f+1``
-replicas returned the same result (matching the weak-quorum argument for
-acknowledgements: at least one of any ``f+1`` matching replies is from a
-correct replica).
+and adds result collection for gets and cas: an operation's *value* is
+trusted once ``f+1`` replicas returned the same result (matching the
+weak-quorum argument for acknowledgements: at least one of any ``f+1``
+matching replies is from a correct replica).
 
 Operation payloads are a tiny length-prefixed binary codec (magic byte +
 UTF-8 fields), deliberately not pickle: request payloads cross trust
@@ -153,10 +156,11 @@ def decode_op(payload: bytes) -> Optional[Tuple[int, Tuple[str, ...]]]:
 
 @dataclass(frozen=True)
 class KVResultMsg:
-    """One replica's result for one delivered KV operation.
+    """One replica's result for one delivered get or cas.
 
     Sent to the submitting client's endpoint right after the operation is
     applied; the client trusts a result once ``f+1`` replicas agree on it.
+    Puts get none: their callers complete on the acknowledgement quorum.
     """
 
     rid: RequestId
@@ -173,27 +177,29 @@ register(KVResultMsg, 0x60, rid=nested(RequestId), node=INT, ok=BOOL, value=opti
 
 
 class KVApp:
-    """Per-replica application: apply delivered KV operations, send results.
+    """Per-replica application: apply delivered KV operations, answer reads.
 
-    Plugs into the node as its ``on_deliver`` listener.  During recovery
+    Plugs into the node as its ``on_deliver`` listener.  Every KV operation
+    is applied; only a get or a cas sends its result to the client, the
+    two operations whose callers wait for one.  During recovery
     replay (``replaying`` set by the host) results are applied but not
     re-sent — the pre-crash incarnation already responded, and clients
     absorb duplicates by request id anyway.
     """
 
-    def __init__(self, node_id: int, transport, send_results: bool = True):
+    def __init__(self, node_id: int, transport):
         self.node_id = node_id
         self.transport = transport
-        self.send_results = send_results
         #: True while recovery replays the restored prefix through us.
         self.replaying = False
         self.machine = KVStateMachine()
 
     def on_deliver(self, node_id: int, item: DeliveredRequest) -> None:
-        """Delivery listener: apply the operation and answer the client."""
-        result = self.machine.apply(item.request.payload)
-        if result is None or self.replaying or not self.send_results:
-            return
+        """Delivery listener: apply the operation, answer a get or a cas."""
+        payload = item.request.payload
+        result = self.machine.apply(payload)
+        if result is None or self.replaying or payload[0] == OP_PUT:
+            return  # a put's caller completes on the acknowledgement quorum
         rid = item.request.rid
         self.transport.send(
             self.node_id,

@@ -8,9 +8,7 @@ and failure modes:
 
 * a signature produced by key ``k`` over message ``m`` verifies only against
   ``k`` and ``m`` (no forgery inside the simulation),
-* signatures have a realistic wire size (64 bytes, matching ECDSA P-256),
-* an optional CPU cost model lets experiments charge virtual time per
-  signing / verification operation.
+* signatures have a realistic wire size (64 bytes, matching ECDSA P-256).
 
 This is a substitution documented in docs/ARCHITECTURE.md, "Model and substitutions".
 """

@@ -5,9 +5,18 @@ heartbeats, client retries — through the five-method scheduler surface.
 :class:`WallClock` implements it over a running asyncio event loop: ``now``
 is seconds since the clock was created (so timestamps look like the
 simulator's virtual times, starting near zero), ``schedule``/``schedule_at``
-return cancellable/reschedulable :class:`WallTimer` handles backed by
-``loop.call_at``, and the fire-and-forget callback variants map straight to
-``call_later``/``call_at``.
+return cancellable/reschedulable :class:`WallTimer` handles, and the
+fire-and-forget callback variants return nothing; both are backed by
+``loop.call_at``.
+
+A callback that is already due when it is scheduled (zero delay, a past
+time, :meth:`WallClock.call_soon`) goes to ``loop.call_soon`` instead, so it
+runs at the start of the next loop turn, ahead of the input that turn
+reads.  That is the simulator's order, where an event due now precedes
+every later arrival; on asyncio's timer path it would wait until that
+input is handled, and a leader's first proposal of an epoch, scheduled
+while the epoch's checkpoint traffic streams in, would slip by as long as
+that traffic takes to process.
 
 Unlike the simulator there is no determinism here — real time does what it
 does — but the *interface* semantics match: callbacks run on the loop
@@ -36,9 +45,11 @@ class WallTimer:
 
     def _arm(self, fire_time: float) -> None:
         self._fire_time = fire_time
-        self._handle = self._clock._loop.call_at(
-            self._clock._t0 + fire_time, self._run
-        )
+        clock = self._clock
+        if fire_time <= clock.now:
+            self._handle = clock._loop.call_soon(self._run)
+        else:
+            self._handle = clock._loop.call_at(clock._t0 + fire_time, self._run)
 
     def _run(self) -> None:
         self._fired = True
@@ -104,11 +115,14 @@ class WallClock:
 
     def schedule_callback(self, delay: float, callback: Callable[[], None]) -> None:
         """Fire-and-forget fast path: no handle, not cancellable."""
-        self._loop.call_later(max(0.0, delay), self._run_plain, callback)
+        self.schedule_callback_at(self.now + delay, callback)
 
     def schedule_callback_at(self, time: float, callback: Callable[[], None]) -> None:
         """Absolute-time variant of :meth:`schedule_callback`."""
-        self._loop.call_at(self._t0 + max(time, self.now), self._run_plain, callback)
+        if time <= self.now:
+            self._loop.call_soon(self._run_plain, callback)
+        else:
+            self._loop.call_at(self._t0 + time, self._run_plain, callback)
 
     def _run_plain(self, callback: Callable[[], None]) -> None:
         self.events_executed += 1

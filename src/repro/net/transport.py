@@ -13,26 +13,27 @@ so bytes from a socket reach no deserialiser but the codec's.
 
 Connection model, mirroring how real SMR deployments wire up:
 
-* **Static peers** (the replicas) are known up front.  Each transport owns
-  one outbound connection per peer, fed by a bounded outbox and maintained
-  by a reconnect loop — a crashed peer costs nothing but a periodic
-  connection attempt, and frames queued while a peer is down are delivered
-  after it returns (overflow drops the newest frame; the protocols'
+* **Static peers** (the replicas) are known up front.  Each transport keeps
+  one outbound connection per peer, maintained by that peer's connect loop
+  (the transport's only tasks), and one bounded outbox per peer that
+  outlives its connections: frames queued while a peer is down leave once
+  it returns, and a full outbox drops the newest frame (the protocols'
   retransmission and client retries absorb loss, exactly the unreliable-
   channel contract :class:`~repro.runtime.api.Transport` documents).
 * **Dynamic endpoints** (the clients) are learned from inbound traffic: a
   replica remembers which connection a client endpoint's frames arrived on
-  and routes replies back over that same stream, so clients need no
-  listening socket.
+  and routes replies back over it, so clients need no listening socket.
 * **Local endpoints** short-circuit: a message to an endpoint registered
   on this transport is dispatched through the event loop without touching
   a socket or the codec (a node messaging itself, or in-process tests).
 
-Per-message cost is the point of the send and receive paths.  A multicast
-encodes its body once and reuses it for every destination (only the header
-differs).  Frames bound for one connection during one event-loop turn leave
-in a single write, and the reader decodes every complete frame of each
-chunk it reads rather than awaiting each frame separately.
+Every connection is one :class:`asyncio.Protocol` object, so neither
+direction costs a task switch.  It decodes every complete frame of each
+chunk the socket hands it, joining a frame that spans chunks once, when it
+is complete.  A multicast encodes its body once and reuses it for every
+destination (only the header differs); the frames bound for one
+connection during one loop turn leave in a single write, made by one
+``call_soon`` flush for all connections.
 
 Wire batching is the same transport-independent layer the simulator uses:
 with ``batch_flush_interval > 0`` a :class:`~repro.runtime.wire.
@@ -44,7 +45,7 @@ into one frame, and the receive path unpacks
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..runtime.api import MessageHandler
 from ..runtime.codec import FRAME_HEADER, CodecError, decode, encode_into
@@ -56,9 +57,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: Per-peer outbox depth in frames; overflow drops the newest frame.
 PEER_QUEUE_DEPTH = 4096
 
-#: Bytes asked of the stream per read (asyncio's default stream buffer
-#: limit); every complete frame in them is decoded before the next read.
-READ_CHUNK_BYTES = 64 * 1024
+HEADER_SIZE, _unpack_header = FRAME_HEADER.size, FRAME_HEADER.unpack_from
 
 
 def encode_frame(
@@ -86,14 +85,8 @@ def frame_body(frame: bytes) -> memoryview:
 class TransportStats:
     """Counters describing what the transport did (tests and reports)."""
 
-    __slots__ = (
-        "messages_sent",
-        "bytes_sent",
-        "messages_dropped",
-        "frames_received",
-        "frames_rejected",
-        "connects",
-    )
+    __slots__ = ("messages_sent", "bytes_sent", "messages_dropped",
+                 "frames_received", "frames_rejected", "connects")
 
     def __init__(self) -> None:
         self.messages_sent = 0
@@ -113,6 +106,98 @@ class TransportStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
+class _Link(asyncio.Protocol):
+    """One TCP connection: decodes what arrives, writes what its outbox holds.
+
+    A static peer's outbound link shares that peer's outbox, which outlives
+    the connection; an accepted link owns its own.  On an accepted link
+    (``learn``) a frame from an endpoint that is not a static peer makes
+    this link that endpoint's reply route.
+    """
+
+    def __init__(self, owner: "TcpTransport", outbox: List[bytes], learn: bool):
+        self.owner = owner
+        self.outbox = outbox
+        self.learn = learn
+        self.transport: Optional[asyncio.Transport] = None
+        self.paused = False  # socket buffer over its high-water mark
+        #: An incomplete frame's parts, their total size and the size they
+        #: must reach before they are joined and decoded.
+        self._parts: List[bytes] = []
+        self._have = self._need = 0
+        #: Resolved by :meth:`connection_lost` (a connect loop waits on it).
+        self.lost = owner._loop.create_future()
+
+    # ----------------------------------------------------- protocol callbacks
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.owner._open.add(self)
+
+    def connection_lost(self, exc) -> None:
+        owner = self.owner
+        owner._open.discard(self)
+        if self.learn:
+            stale = [ep for ep, link in owner._routes.items() if link is self]
+            for endpoint in stale:
+                del owner._routes[endpoint]
+        if not self.lost.done():
+            self.lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if self.outbox:
+            self.owner._mark(self)
+
+    def data_received(self, data: bytes) -> None:
+        """Dispatch every complete frame; keep the rest for the next call.
+
+        A frame's parts are joined once, when the bytes completing it
+        arrive; an oversize or undecodable frame closes the connection.
+        """
+        parts = self._parts
+        if parts:
+            parts.append(data)
+            self._have += len(data)
+            if self._have < self._need:
+                return
+            data = b"".join(parts)
+            parts.clear()
+        owner, stats = self.owner, self.owner.stats
+        size, pos = len(data), 0
+        while size - pos >= HEADER_SIZE:
+            length, src, dst = _unpack_header(data, pos)
+            if length > MAX_FRAME_BYTES:
+                self._reject()
+                return
+            end = pos + HEADER_SIZE + length
+            if end > size:
+                break
+            try:
+                message = decode(data, pos + HEADER_SIZE, end)
+            except CodecError:
+                self._reject()
+                return
+            stats.frames_received += 1
+            if self.learn and src not in owner._peers:
+                owner._routes[src] = self
+            owner._dispatch(src, dst, message)
+            pos = end
+        if pos < size:
+            rest = data[pos:] if pos else data
+            parts.append(rest)
+            self._have = len(rest)
+            self._need = HEADER_SIZE
+            if len(rest) >= HEADER_SIZE:
+                self._need += _unpack_header(rest)[0]
+
+    def _reject(self) -> None:
+        self.owner.stats.frames_rejected += 1
+        self.transport.close()
+
+
 class TcpTransport:
     """Asyncio TCP transport satisfying :class:`~repro.runtime.api.Transport`.
 
@@ -130,20 +215,20 @@ class TcpTransport:
         batch_flush_interval: float = 0.0,
         reconnect_delay: float = 0.1,
     ):
-        self._clock = clock
         self._loop = clock._loop
         self._peers = dict(peers)
         self._listen = listen
         self._reconnect_delay = reconnect_delay
         self._handlers: Dict[int, MessageHandler] = {}
-        #: Frames waiting for each static peer's writer loop, and the event
-        #: that wakes it (set when an outbox goes from empty to non-empty).
-        self._outboxes: Dict[int, List[bytes]] = {}
-        self._wakeups: Dict[int, asyncio.Event] = {}
-        #: Learned client routes, and the frames bound for each route's
-        #: stream this loop turn (written by one :meth:`_flush_routes`).
-        self._routes: Dict[int, asyncio.StreamWriter] = {}
-        self._route_frames: Dict[asyncio.StreamWriter, List[bytes]] = {}
+        #: Each static peer's bounded outbox (kept across reconnects) and
+        #: its link while one is connected.
+        self._outboxes: Dict[int, List[bytes]] = {peer: [] for peer in self._peers}
+        self._links: Dict[int, _Link] = {}
+        #: Learned client routes: endpoint -> the accepted link it spoke on.
+        self._routes: Dict[int, _Link] = {}
+        #: Links whose outbox went non-empty this loop turn (one flush).
+        self._dirty: List[_Link] = []
+        self._open: Set[_Link] = set()
         self._tasks: List[asyncio.Task] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._closed = False
@@ -151,38 +236,32 @@ class TcpTransport:
         #: Cross-protocol wire batching (same layer the simulator uses).
         self.batcher: Optional[MessageBatcher] = None
         if batch_flush_interval > 0:
-            self.batcher = MessageBatcher(
-                clock, batch_flush_interval, self._send_now
-            )
+            self.batcher = MessageBatcher(clock, batch_flush_interval, self._send_now)
 
     # -------------------------------------------------------------- lifecycle
     async def start(self) -> None:
-        """Bind the server (if any) and start the per-peer writer loops."""
+        """Bind the server (if any) and start one connect loop per peer."""
         if self._listen is not None:
             host, port = self._listen
-            self._server = await asyncio.start_server(
-                self._on_inbound_connection, host, port
+            self._server = await self._loop.create_server(
+                lambda: _Link(self, [], learn=True), host, port
             )
         for peer_id in self._peers:
-            self._outboxes[peer_id] = []
-            self._wakeups[peer_id] = asyncio.Event()
-            self._tasks.append(
-                self._loop.create_task(self._peer_writer(peer_id))
-            )
+            self._tasks.append(self._loop.create_task(self._connect_loop(peer_id)))
 
     async def close(self) -> None:
-        """Stop accepting, cancel the writer loops, close every stream."""
+        """Stop accepting, cancel the connect loops, close every connection."""
         self._closed = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
-        for writer in list(self._routes.values()):
-            writer.close()
+        for link in list(self._open):
+            link.transport.close()
+        if self._server is not None:
+            await self._server.wait_closed()
         self._routes.clear()
-        self._route_frames.clear()
 
     # ----------------------------------------------------- Transport surface
     def register(self, endpoint: int, handler: MessageHandler) -> None:
@@ -224,9 +303,7 @@ class TcpTransport:
                 body = frame_body(frame)
 
     # ------------------------------------------------------------- send path
-    def _send_now(
-        self, src: int, dst: int, message: object, size_bytes: Optional[int] = None
-    ) -> None:
+    def _send_now(self, src: int, dst: int, message: object, size_bytes=None) -> None:
         """Immediate send path (the batcher's flush target)."""
         self._route(src, dst, message, None)
 
@@ -251,33 +328,39 @@ class TcpTransport:
             if len(outbox) >= PEER_QUEUE_DEPTH:
                 self.stats.messages_dropped += 1
                 return None
-            frame = encode_frame(src, dst, message, body=body)
-            if not outbox:
-                self._wakeups[dst].set()
-            outbox.append(frame)
+            link = self._links.get(dst)
         else:
-            writer = self._routes.get(dst)
-            if writer is None or writer.is_closing():
+            link = self._routes.get(dst)
+            if link is None or link.transport.is_closing():
                 self.stats.messages_dropped += 1
                 return None
-            frame = encode_frame(src, dst, message, body=body)
-            pending = self._route_frames.get(writer)
-            if pending is None:
-                if not self._route_frames:
-                    self._loop.call_soon(self._flush_routes)
-                self._route_frames[writer] = [frame]
-            else:
-                pending.append(frame)
+            outbox = link.outbox
+        frame = encode_frame(src, dst, message, body=body)
+        if not outbox and link is not None:
+            self._mark(link)
+        outbox.append(frame)
         self.stats.messages_sent += 1
         self.stats.bytes_sent += len(frame)
         return frame
 
-    def _flush_routes(self) -> None:
-        """Write this turn's frames to each learned route in one call."""
-        batches, self._route_frames = self._route_frames, {}
-        for writer, frames in batches.items():
-            if not writer.is_closing():
-                writer.write(b"".join(frames))
+    def _mark(self, link: _Link) -> None:
+        """Have this turn's flush write ``link``'s outbox."""
+        if not self._dirty:
+            self._loop.call_soon(self._flush)
+        self._dirty.append(link)
+
+    def _flush(self) -> None:
+        """Write each marked link's outbox in one call.
+
+        A paused link keeps its frames until ``resume_writing``, a closed
+        static-peer link until the next connection to that peer.
+        """
+        dirty, self._dirty = self._dirty, []
+        for link in dirty:
+            outbox = link.outbox
+            if outbox and not link.paused and not link.transport.is_closing():
+                link.transport.write(b"".join(outbox))
+                outbox.clear()
 
     # ---------------------------------------------------------- receive path
     def _dispatch(self, src: int, dst: int, message: object) -> None:
@@ -292,111 +375,28 @@ class TcpTransport:
         else:
             handler(src, message)
 
-    async def _on_inbound_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Server side: read frames, learning reply routes for clients."""
-        try:
-            await self._read_frames(reader, writer, learn_routes=True)
-        except asyncio.CancelledError:
-            # Server shutdown cancels accept-side tasks; that is a clean
-            # exit, not an error to surface through the loop's handler.
-            pass
-
-    async def _read_frames(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        learn_routes: bool,
-    ) -> None:
-        """Frame-decode loop shared by inbound and outbound connections.
-
-        Each read takes whatever the socket has (up to
-        :data:`READ_CHUNK_BYTES`) and dispatches every complete frame in
-        it; the rest of a frame longer than a chunk is taken with one exact
-        read.  An oversize or undecodable frame ends the connection.
-        """
-        header_size = FRAME_HEADER.size
-        unpack_header = FRAME_HEADER.unpack_from
-        stats = self.stats
-        buffer = b""
-        try:
-            while True:
-                pos, size = 0, len(buffer)
-                while size - pos >= header_size:
-                    length, src, dst = unpack_header(buffer, pos)
-                    if length > MAX_FRAME_BYTES:
-                        stats.frames_rejected += 1
-                        return
-                    end = pos + header_size + length
-                    if end > size:
-                        break
-                    try:
-                        message = decode(buffer, pos + header_size, end)
-                    except CodecError:
-                        stats.frames_rejected += 1
-                        return
-                    stats.frames_received += 1
-                    if learn_routes and src not in self._peers:
-                        # A dynamic (client) endpoint: replies go back over
-                        # the stream its traffic arrived on.
-                        self._routes[src] = writer
-                    self._dispatch(src, dst, message)
-                    pos = end
-                buffer = buffer[pos:]
-                if len(buffer) >= header_size:
-                    missing = header_size + unpack_header(buffer)[0] - len(buffer)
-                    if missing > READ_CHUNK_BYTES:
-                        buffer += await reader.readexactly(missing)
-                        continue
-                chunk = await reader.read(READ_CHUNK_BYTES)
-                if not chunk:
-                    return
-                buffer = buffer + chunk if buffer else chunk
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
-        finally:
-            if learn_routes:
-                stale = [ep for ep, w in self._routes.items() if w is writer]
-                for endpoint in stale:
-                    del self._routes[endpoint]
-            writer.close()
-
     # ------------------------------------------------------------ peer loops
-    async def _peer_writer(self, peer_id: int) -> None:
-        """Maintain the outbound connection to one static peer.
+    async def _connect_loop(self, peer_id: int) -> None:
+        """Keep one outbound connection to a static peer.
 
-        Connect (retrying forever while the peer is down), then drain the
-        peer's outbox into the socket, everything queued since the last
-        write in one write; a connection error drops back to the reconnect
-        loop, losing at most the frames of the write in flight.  The paired
-        reader task consumes whatever the peer sends back over this stream
-        (client transports receive their responses here).
+        Connect (retrying while the peer is down), hand the link the outbox,
+        and reconnect when the connection ends; frames already written to a
+        dead connection are lost, which the protocols' retransmission absorbs.
         """
-        wakeup = self._wakeups[peer_id]
         host, port = self._peers[peer_id]
+        outbox = self._outboxes[peer_id]
         while not self._closed:
+            link = _Link(self, outbox, learn=False)
             try:
-                reader, writer = await asyncio.open_connection(host, port)
+                await self._loop.create_connection(lambda: link, host, port)
             except OSError:
                 await asyncio.sleep(self._reconnect_delay)
                 continue
             self.stats.connects += 1
-            reader_task = self._loop.create_task(
-                self._read_frames(reader, writer, learn_routes=False)
-            )
+            self._links[peer_id] = link
+            if outbox:
+                self._mark(link)
             try:
-                while True:
-                    frames = self._outboxes[peer_id]
-                    if not frames:
-                        wakeup.clear()
-                        await wakeup.wait()
-                        continue
-                    self._outboxes[peer_id] = []
-                    writer.write(b"".join(frames))
-                    await writer.drain()
-            except (ConnectionError, OSError):
-                pass
+                await link.lost
             finally:
-                reader_task.cancel()
-                writer.close()
+                del self._links[peer_id]

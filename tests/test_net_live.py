@@ -13,6 +13,7 @@ from repro.app.kv import (
     OP_CAS,
     OP_GET,
     OP_PUT,
+    KVResultMsg,
     KVStateMachine,
     decode_op,
     encode_cas,
@@ -21,6 +22,8 @@ from repro.app.kv import (
 )
 from repro.core.membership import ConfigTx, encode_config_tx
 from repro.core.state_transfer import StateRequest
+from repro.core.types import RequestId
+from repro.net import transport as transport_module
 from repro.net.clock import WallClock
 from repro.net.transport import TcpTransport, encode_frame
 from repro.runtime.api import Scheduler, Transport
@@ -83,6 +86,39 @@ def test_wallclock_schedule_at_past_fires_asap():
         clock.schedule_at(clock.now - 5.0, lambda: fired.append(1))
         await asyncio.sleep(0.05)
         assert fired == [1]
+
+    run(check())
+
+
+def test_wallclock_runs_a_due_callback_before_anything_queued_after_it():
+    """Zero delay, a past time and ``call_soon`` queue the callback at the
+    loop's ready queue, in scheduling order, never inside the scheduling
+    call: input read on the next loop turn, queued behind it, cannot delay
+    it (on asyncio's timer path it would run after that input)."""
+
+    async def check():
+        clock = WallClock(seed=0)
+        loop = asyncio.get_running_loop()
+        order = []
+        reset = clock.schedule(5.0, lambda: order.append("reset"))
+
+        def schedule_all():
+            clock.schedule(0.0, lambda: order.append("schedule"))
+            clock.schedule_at(clock.now - 1.0, lambda: order.append("schedule_at"))
+            clock.call_soon(lambda: order.append("call_soon"))
+            clock.schedule_callback(0.0, lambda: order.append("callback"))
+            clock.schedule_callback_at(clock.now - 1.0, lambda: order.append("callback_at"))
+            reset.reset(0.0)
+            loop.call_soon(lambda: order.append("queued after"))
+            assert order == []
+
+        loop.call_soon(schedule_all)
+        await asyncio.sleep(0.01)
+        assert order == [
+            "schedule", "schedule_at", "call_soon", "callback", "callback_at", "reset",
+            "queued after",
+        ]
+        assert clock.events_executed == 6
 
     run(check())
 
@@ -250,6 +286,183 @@ def test_rejected_frames_are_counted_and_close_only_their_connection(garbage):
     run(check())
 
 
+async def _wait_for(condition, clock, timeout=5.0):
+    deadline = clock.now + timeout
+    while not condition():
+        assert clock.now < deadline, "timed out"
+        await asyncio.sleep(0.01)
+
+
+def test_frames_sent_to_a_peer_that_is_not_up_arrive_in_order_once_it_starts():
+    async def check():
+        clock = WallClock(seed=0)
+        addr_a, addr_b = ("127.0.0.1", 7948), ("127.0.0.1", 7949)
+        a = TcpTransport(clock, peers={1: addr_b}, listen=addr_a, reconnect_delay=0.02)
+        b = TcpTransport(clock, peers={0: addr_a}, listen=addr_b)
+        got = []
+        b.register(1, lambda src, msg: got.append(msg))
+        await a.start()
+        try:
+            sent = [StateRequest(first_epoch=i, last_epoch=i) for i in range(50)]
+            for message in sent:
+                a.send(0, 1, message)
+            await asyncio.sleep(0.1)  # several failed connection attempts
+            await b.start()
+            await _wait_for(lambda: len(got) == len(sent), clock)
+            assert got == sent
+            assert a.stats.messages_dropped == 0
+        finally:
+            await a.close()
+            await b.close()
+
+    run(check())
+
+
+def test_a_full_peer_outbox_drops_the_newest_frame(monkeypatch):
+    monkeypatch.setattr(transport_module, "PEER_QUEUE_DEPTH", 8)
+
+    async def check():
+        clock = WallClock(seed=0)
+        addr_a, addr_b = ("127.0.0.1", 7950), ("127.0.0.1", 7951)
+        a = TcpTransport(clock, peers={1: addr_b}, listen=addr_a, reconnect_delay=0.02)
+        b = TcpTransport(clock, peers={0: addr_a}, listen=addr_b)
+        got = []
+        b.register(1, lambda src, msg: got.append(msg.first_epoch))
+        await a.start()
+        try:
+            for i in range(11):
+                a.send(0, 1, StateRequest(first_epoch=i, last_epoch=i))
+            assert a.stats.messages_dropped == 3
+            assert a.stats.messages_sent == 8
+            await b.start()
+            await _wait_for(lambda: len(got) == 8, clock)
+            await asyncio.sleep(0.05)
+            assert got == list(range(8))
+        finally:
+            await a.close()
+            await b.close()
+
+    run(check())
+
+
+def test_a_frame_split_into_single_bytes_and_a_frame_over_256_kib_decode():
+    big = KVResultMsg(rid=RequestId(3, 7), node=2, ok=True, value="v" * (300 * 1024))
+
+    async def check():
+        clock = WallClock(seed=0)
+        addr = ("127.0.0.1", 7952)
+        a = TcpTransport(clock, peers={}, listen=addr)
+        got = []
+        a.register(0, lambda src, msg: got.append((src, msg)))
+        await a.start()
+        try:
+            reader, writer = await asyncio.open_connection(*addr)
+            for byte in encode_frame(1000, 0, PING):
+                writer.write(bytes([byte]))
+                await writer.drain()
+                await asyncio.sleep(0.002)
+            await _wait_for(lambda: len(got) == 1, clock)
+            writer.write(encode_frame(1000, 0, big))
+            await writer.drain()
+            await _wait_for(lambda: len(got) == 2, clock)
+            assert got == [(1000, PING), (1000, big)]
+            assert a.stats.frames_received == 2 and a.stats.frames_rejected == 0
+            writer.close()
+        finally:
+            await a.close()
+
+    run(check())
+
+
+def test_a_send_to_a_client_whose_connection_closed_is_dropped():
+    async def check():
+        clock = WallClock(seed=0)
+        addr = ("127.0.0.1", 7953)
+        a = TcpTransport(clock, peers={}, listen=addr)
+        a.register(0, lambda src, msg: None)
+        await a.start()
+        try:
+            reader, writer = await asyncio.open_connection(*addr)
+            writer.write(encode_frame(1000, 0, PING))
+            await writer.drain()
+            await _wait_for(lambda: a.stats.frames_received == 1, clock)
+            a.send(0, 1000, PONG)  # the learned route answers the client
+            expected = bytes(encode_frame(0, 1000, PONG))
+            assert await asyncio.wait_for(reader.readexactly(len(expected)), 5.0) == expected
+            assert a.stats.messages_dropped == 0
+            writer.close()
+            await writer.wait_closed()
+
+            def dropped():
+                a.send(0, 1000, PONG)
+                return a.stats.messages_dropped > 0
+
+            await _wait_for(dropped, clock)
+            a.send(0, 1000, PONG)
+            assert a.stats.messages_dropped == 2
+        finally:
+            await a.close()
+
+    run(check())
+
+
+def test_tasks_are_one_per_static_peer_whatever_the_traffic():
+    """k static peers cost k tasks; connections and frames cost none."""
+
+    async def check():
+        clock = WallClock(seed=0)
+        addrs = {i: ("127.0.0.1", 7954 + i) for i in range(3)}
+        replicas = [
+            TcpTransport(
+                clock, peers={j: a for j, a in addrs.items() if j != i}, listen=addrs[i]
+            )
+            for i in range(3)
+        ]
+        client = TcpTransport(clock, peers=addrs)
+        transports = replicas + [client]
+        static_peers = 3 * 2 + 3
+        got = []
+        for i, replica in enumerate(replicas):
+            replica.register(i, lambda src, msg: got.append(msg))
+        client.register(1000, lambda src, msg: got.append(msg))
+
+        def tasks():
+            return len(asyncio.all_tasks()) - 1  # this coroutine's own task
+
+        async def settled_tasks():
+            # Accepting a connection runs a short-lived task inside asyncio
+            # itself; give those time to finish before counting.
+            deadline = clock.now + 2.0
+            while tasks() != static_peers and clock.now < deadline:
+                await asyncio.sleep(0.01)
+            return tasks()
+
+        try:
+            for transport in transports:
+                await transport.start()
+            await _wait_for(lambda: sum(t.stats.connects for t in transports) == 9, clock)
+            assert await settled_tasks() == static_peers
+            raw = [await asyncio.open_connection(*addrs[i]) for i in range(3)]
+            for i, (_, writer) in enumerate(raw):
+                writer.write(encode_frame(2000 + i, i, PING))
+            for _ in range(20):
+                client.multicast(1000, [0, 1, 2], PING)
+            await _wait_for(lambda: len(got) == 3 + 20 * 3, clock)
+            for _ in range(20):  # the replicas have learned the client's route
+                for i, replica in enumerate(replicas):
+                    replica.multicast(i, [j for j in addrs if j != i], PONG)
+                    replica.send(i, 1000, PONG)
+            await _wait_for(lambda: len(got) == 3 + 20 * (3 + 6 + 3), clock)
+            assert await settled_tasks() == static_peers
+            for _, writer in raw:
+                writer.close()
+        finally:
+            for transport in transports:
+                await transport.close()
+
+    run(check())
+
+
 def test_frame_encoding_round_trips():
     frame = encode_frame(3, 9, PING)
     length, src, dst = FRAME_HEADER.unpack_from(frame)
@@ -324,3 +537,66 @@ def test_kv_replicas_converge_from_same_sequence():
         for op in ops:
             machine.apply(op)
     assert all(m.store == {"a": "2", "b": "3"} for m in machines)
+
+
+# ------------------------------------------------------------ KV results
+def test_only_gets_and_cas_send_results_and_a_put_completes_on_acks():
+    """Four replicas and a KV client in one process, on one transport (every
+    endpoint local): a put completes on the ack quorum with no result
+    message; a get and a cas each draw one result per replica."""
+    from repro.app.kv import KVApp, KVClient
+    from repro.core.config import ISSConfig
+    from repro.core.iss import ISSNode
+    from repro.crypto.signatures import KeyStore
+
+    async def check():
+        clock = WallClock(seed=0)
+        transport = TcpTransport(clock, peers={})
+        results = []
+        send = transport.send
+
+        def counting_send(src, dst, message, size_bytes=None):
+            if isinstance(message, KVResultMsg):
+                results.append(message)
+            send(src, dst, message, size_bytes)
+
+        transport.send = counting_send
+        config = ISSConfig(num_nodes=4, random_seed=1, max_batch_timeout=0.02)
+        key_store = KeyStore(deployment_seed=1)
+        nodes = []
+        for node_id in range(4):
+            app = KVApp(node_id, transport)
+            node = ISSNode(
+                node_id=node_id,
+                config=config,
+                sim=clock,
+                network=transport,
+                key_store=key_store,
+                client_ids=[0],
+                on_deliver=app.on_deliver,
+            )
+            nodes.append(node)
+        client = KVClient(0, config, clock, transport, key_store)
+        for node in nodes:
+            node.start()
+        try:
+            put = await client.put("k", "v1", timeout=10.0)
+            assert (put.ok, put.value) == (None, None)
+            await asyncio.sleep(0.1)  # every replica has delivered it by now
+            assert results == []
+            got = await client.get("k", timeout=10.0)
+            assert (got.ok, got.value) == (True, "v1")
+            await _wait_for(lambda: len(results) == 4, clock)
+            swapped = await client.cas("k", "v1", "v2", timeout=10.0)
+            assert (swapped.ok, swapped.value) == (True, "v2")
+            await _wait_for(lambda: len(results) == 8, clock)
+            await asyncio.sleep(0.1)
+            assert sorted(r.node for r in results) == [0, 0, 1, 1, 2, 2, 3, 3]
+            assert [r.rid for r in results[:4]] == [got.rid] * 4
+            assert [r.rid for r in results[4:]] == [swapped.rid] * 4
+        finally:
+            for node in nodes:
+                node.crash()
+            await transport.close()
+
+    run(check())
