@@ -2,49 +2,35 @@
 """A replicated key-value store on top of ISS.
 
 The paper positions ISS as a classic SMR service "applicable to any
-replicated service, such as resilient databases".  This example builds
-exactly that: every node feeds the totally ordered request stream into a
-deterministic key-value state machine, and the example verifies that all
-replicas end up with identical state even though requests arrive at
-different nodes in different orders.
+replicated service, such as resilient databases".  This example runs
+exactly that in the simulator: every replica feeds the totally ordered
+request stream into :class:`repro.app.kv.KVApp` — the application a live
+replica process runs — and the example checks that all replicas end with
+the same store digest although requests arrive at different nodes in
+different orders.
 
 Run with:  python examples/replicated_kv_store.py
 """
 
-import json
-from typing import Dict
+from itertools import count
 
 from repro import Deployment, ISSConfig, NetworkConfig, WorkloadConfig
-from repro.core.types import DeliveredRequest
+from repro.app.kv import KVApp, encode_cas, encode_get, encode_put
+
+#: Keys the operations spread over, and the gap between two rounds of
+#: submissions (one operation per client per round; virtual seconds).
+KEYS = 20
+INTERVAL = 0.02
 
 
-class KeyValueStateMachine:
-    """A deterministic state machine executing PUT/GET/DEL operations.
-
-    Operations are JSON-encoded in the request payload.  Because every
-    replica executes the same totally ordered stream (SMR Agreement +
-    Totality), all replicas reach the same state.
-    """
-
-    def __init__(self) -> None:
-        self.store: Dict[str, str] = {}
-        self.applied = 0
-
-    def apply(self, delivered: DeliveredRequest) -> None:
-        try:
-            operation = json.loads(delivered.request.payload.decode() or "{}")
-        except json.JSONDecodeError:
-            operation = {}
-        kind = operation.get("op")
-        if kind == "put":
-            self.store[operation["key"]] = operation["value"]
-        elif kind == "del":
-            self.store.pop(operation.get("key", ""), None)
-        # Reads ("get") need no state change; they are ordered for linearizability.
-        self.applied += 1
-
-    def digest(self) -> str:
-        return json.dumps(sorted(self.store.items()))
+def kv_operation(n: int) -> bytes:
+    """The ``n``-th operation: mostly puts, some reads and compare-and-swaps."""
+    key = f"key-{n % KEYS}"
+    if n % 7 == 0:
+        return encode_get(key)
+    if n % 5 == 0:
+        return encode_cas(key, f"v{n - KEYS}", f"v{n}")
+    return encode_put(key, f"v{n}")
 
 
 def main() -> None:
@@ -58,42 +44,24 @@ def main() -> None:
         view_change_timeout=5.0,
         epoch_change_timeout=5.0,
     )
-    workload = WorkloadConfig(num_clients=3, total_rate=150.0, duration=8.0, payload_size=64)
-    deployment = Deployment(config, network_config=NetworkConfig(num_datacenters=4), workload=workload)
+    # The generator's own requests (empty payloads, one per second) are no
+    # KV operations: every replica counts them as skipped.
+    workload = WorkloadConfig(num_clients=3, total_rate=1.0, duration=8.0, payload_size=0)
+    deployment = Deployment(
+        config, network_config=NetworkConfig(num_datacenters=4), workload=workload, app=KVApp
+    )
+    sim = deployment.sim
+    operations = count()
 
-    # One state machine per replica, fed by the node's SMR-DELIVER events.
-    state_machines = {node.node_id: KeyValueStateMachine() for node in deployment.nodes}
-    original_callback = deployment.collector.record_delivery
+    def submit_round() -> None:
+        for client in deployment.clients:
+            if client.outstanding_within_watermarks():
+                request = client.submit(kv_operation(next(operations)))
+                deployment.collector.record_submit(request.rid, sim.now)
+        if sim.now + INTERVAL < workload.duration:
+            sim.schedule_callback(INTERVAL, submit_round)
 
-    def deliver_and_execute(node_id, delivered):
-        state_machines[node_id].apply(delivered)
-        original_callback(node_id, delivered)
-
-    for node in deployment.nodes:
-        node.on_deliver = deliver_and_execute
-
-    # Replace the generated payloads with meaningful KV operations: monkey-patch
-    # each client's submit path through the generator's payload hook.
-    counter = {"n": 0}
-
-    def kv_payload() -> bytes:
-        counter["n"] += 1
-        key = f"key-{counter['n'] % 20}"
-        if counter["n"] % 5 == 0:
-            return json.dumps({"op": "del", "key": key}).encode()
-        if counter["n"] % 7 == 0:
-            return json.dumps({"op": "get", "key": key}).encode()
-        return json.dumps({"op": "put", "key": key, "value": f"v{counter['n']}"}).encode()
-
-    generator = deployment.generator
-    original_submit = generator._submit
-
-    def submit_with_kv_payload(client):
-        generator._payload = kv_payload()
-        original_submit(client)
-
-    generator._submit = submit_with_kv_payload
-
+    sim.schedule_callback(INTERVAL, submit_round)
     result = deployment.run()
 
     print("=== Replicated key-value store on ISS-PBFT ===")
@@ -101,15 +69,15 @@ def main() -> None:
     print(f"throughput         : {result.report.throughput:.1f} op/s")
     print(f"mean latency       : {result.report.latency.mean * 1000:.1f} ms")
 
-    digests = {node_id: sm.digest() for node_id, sm in state_machines.items()}
-    applied = {node_id: sm.applied for node_id, sm in state_machines.items()}
     print("\nreplica state:")
-    for node_id in sorted(digests):
-        print(f"  node {node_id}: applied={applied[node_id]:5d} keys={len(state_machines[node_id].store):3d} "
-              f"state-digest={hash(digests[node_id]) & 0xFFFFFFFF:08x}")
+    for node_id, app in sorted(deployment.apps.items()):
+        machine = app.machine
+        print(
+            f"  node {node_id}: applied={machine.applied:5d} skipped={machine.skipped:3d} "
+            f"keys={len(machine.store):3d} digest={machine.digest()[:16]}"
+        )
 
-    unique_states = set(digests.values())
-    if len(unique_states) == 1:
+    if len({app.machine.digest() for app in deployment.apps.values()}) == 1:
         print("\nAll replicas converged to the same key-value state — SMR holds.")
     else:
         raise SystemExit("Replica state divergence detected — this should never happen.")

@@ -1,97 +1,89 @@
 """Replicated key-value store over the delivered sequence.
 
-The service side is two small pieces:
-
-* :class:`KVStateMachine` — a deterministic dict with three operations
-  (``put``, ``get``, ``cas``), applied strictly in delivered order.  Every
-  replica applying the same delivered prefix holds the same store; that is
-  the entire correctness argument, inherited from SMR.
-* :class:`KVApp` — the per-replica glue: it consumes the node's delivery
-  stream (the same ``on_deliver`` hook the metrics collector uses in the
-  simulator), applies each KV payload, and sends the result of a get or a
-  cas back to the submitting client as a :class:`KVResultMsg`.  A put's
-  result is the value it wrote, which its client already knows: a put
-  completes on the ``f+1`` acknowledgement quorum and gets no result
-  message.  Non-KV payloads (ConfigTxs, raw benchmark padding) are counted
-  and skipped.
-
-The client side, :class:`KVClient`, wraps the ordinary
-:class:`~repro.core.client.Client` — signatures, bucket-leader targeting,
-``f+1`` acknowledgement quorums and the retry loop all come from there —
-and adds result collection for gets and cas: an operation's *value* is
-trusted once ``f+1`` replicas returned the same result (matching the
-weak-quorum argument for acknowledgements: at least one of any ``f+1``
-matching replies is from a correct replica).
-
-Operation payloads are a tiny length-prefixed binary codec (magic byte +
-UTF-8 fields), deliberately not pickle: request payloads cross trust
-boundaries, and the decoder must be safe on arbitrary bytes.
+* :class:`KVPut`, :class:`KVGet` and :class:`KVCas` are the operations:
+  registered codec types, so a request payload is a
+  :func:`~repro.runtime.codec.encode` body, and arbitrary bytes decode to a
+  registered object or a :class:`~repro.runtime.codec.CodecError`, nothing
+  else.  Any payload that is no operation (a ConfigTx, benchmark padding,
+  another type) is counted and skipped.
+* :class:`KVStateMachine` — a deterministic dict applied strictly in
+  delivered order: every replica applying the same delivered prefix holds
+  the same store (the SMR argument), which :meth:`~KVStateMachine.digest`
+  lets anyone check.
+* :class:`KVApp` — one replica's delivery listener.  It applies each
+  operation and returns the result of a get or a cas as a
+  :class:`KVResultMsg`, which the node sends to the client; a put completes
+  on the ``f+1`` acknowledgement quorum and gets none.  Recovery replays
+  through it and drops the replies.  The live node process and the
+  simulator (``Deployment(app=KVApp)``) build it the same way.
+* :class:`KVClient` wraps the ordinary :class:`~repro.core.client.Client`
+  (signatures, targeting, ack quorums, retries) and trusts a get's or a
+  cas's value once ``f+1`` replicas — counted by the transport's source —
+  returned it: at least one of them is correct.
 """
 
 from __future__ import annotations
 
 import asyncio
-import struct
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from ..core.client import Client
-from ..core.messages import client_endpoint
 from ..core.types import DeliveredRequest, RequestId
-from ..runtime.codec import BOOL, INT, STR, nested, optional, register
-
-#: Operation magic bytes (first byte of a KV payload).
-OP_PUT = 0x50  # 'P'
-OP_GET = 0x47  # 'G'
-OP_CAS = 0x43  # 'C'
-
-_LEN = struct.Struct(">I")
+from ..runtime.codec import BOOL, INT, STR, CodecError, decode, encode, nested, optional, register
 
 
-def _pack_fields(op: int, *fields: str) -> bytes:
-    """Encode ``op`` plus length-prefixed UTF-8 fields."""
-    out = [bytes([op])]
-    for field in fields:
-        raw = field.encode("utf-8")
-        out.append(_LEN.pack(len(raw)))
-        out.append(raw)
-    return b"".join(out)
+@dataclass(frozen=True)
+class KVPut:
+    """``put(key, value)``: unconditionally set the key."""
+
+    key: str
+    value: str
 
 
-def _unpack_fields(payload: bytes, count: int) -> Optional[Tuple[str, ...]]:
-    """Decode ``count`` length-prefixed UTF-8 fields after the magic byte."""
-    fields = []
-    offset = 1
-    for _ in range(count):
-        if offset + _LEN.size > len(payload):
-            return None
-        (length,) = _LEN.unpack_from(payload, offset)
-        offset += _LEN.size
-        if offset + length > len(payload):
-            return None
-        try:
-            fields.append(payload[offset : offset + length].decode("utf-8"))
-        except UnicodeDecodeError:
-            return None
-        offset += length
-    if offset != len(payload):
-        return None
-    return tuple(fields)
+@dataclass(frozen=True)
+class KVGet:
+    """``get(key)``: an *ordered* (linearizable) read."""
+
+    key: str
+
+
+@dataclass(frozen=True)
+class KVCas:
+    """``cas(key, expected, value)``: set iff the current value == expected."""
+
+    key: str
+    expected: str
+    value: str
+
+
+register(KVPut, 0x61, key=STR, value=STR)
+register(KVGet, 0x62, key=STR)
+register(KVCas, 0x63, key=STR, expected=STR, value=STR)
 
 
 def encode_put(key: str, value: str) -> bytes:
-    """Payload for ``put(key, value)``: unconditionally set the key."""
-    return _pack_fields(OP_PUT, key, value)
+    """Payload for ``put(key, value)``."""
+    return encode(KVPut(key, value))
 
 
 def encode_get(key: str) -> bytes:
-    """Payload for ``get(key)``: an *ordered* (linearizable) read."""
-    return _pack_fields(OP_GET, key)
+    """Payload for ``get(key)``."""
+    return encode(KVGet(key))
 
 
 def encode_cas(key: str, expected: str, value: str) -> bytes:
-    """Payload for ``cas(key, expected, value)``: set iff current == expected."""
-    return _pack_fields(OP_CAS, key, expected, value)
+    """Payload for ``cas(key, expected, value)``."""
+    return encode(KVCas(key, expected, value))
+
+
+def decode_op(payload: bytes) -> object:
+    """The registered object ``payload`` encodes (an operation or not), or None."""
+    try:
+        return decode(payload)
+    except CodecError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -119,39 +111,34 @@ class KVStateMachine:
 
     def apply(self, payload: bytes) -> Optional[KVResult]:
         """Apply one delivered payload; None when it is not a KV operation."""
-        decoded = decode_op(payload)
-        if decoded is None:
+        return self.execute(decode_op(payload))
+
+    def execute(self, op: object) -> Optional[KVResult]:
+        """Apply one decoded payload; None (and skipped) unless it is an op."""
+        if isinstance(op, KVPut):
+            self.store[op.key] = op.value
+            result = KVResult(ok=True, value=op.value)
+        elif isinstance(op, KVGet):
+            value = self.store.get(op.key)
+            result = KVResult(ok=value is not None, value=value)
+        elif isinstance(op, KVCas):
+            if self.store.get(op.key) == op.expected:
+                self.store[op.key] = op.value
+                result = KVResult(ok=True, value=op.value)
+            else:
+                result = KVResult(ok=False, value=self.store.get(op.key))
+        else:
             self.skipped += 1
             return None
         self.applied += 1
-        op, fields = decoded
-        if op == OP_PUT:
-            key, value = fields
-            self.store[key] = value
-            return KVResult(ok=True, value=value)
-        if op == OP_GET:
-            (key,) = fields
-            value = self.store.get(key)
-            return KVResult(ok=value is not None, value=value)
-        key, expected, value = fields
-        if self.store.get(key) == expected:
-            self.store[key] = value
-            return KVResult(ok=True, value=value)
-        return KVResult(ok=False, value=self.store.get(key))
+        return result
 
-
-def decode_op(payload: bytes) -> Optional[Tuple[int, Tuple[str, ...]]]:
-    """Decode a KV payload into ``(op, fields)``, or None if it is not one."""
-    if not payload:
-        return None
-    op = payload[0]
-    arity = {OP_PUT: 2, OP_GET: 1, OP_CAS: 3}.get(op)
-    if arity is None:
-        return None
-    fields = _unpack_fields(payload, arity)
-    if fields is None:
-        return None
-    return op, fields
+    def digest(self) -> str:
+        """SHA-256 (hex) over the sorted store, each pair as its put's payload."""
+        sha = hashlib.sha256()
+        for key, value in sorted(self.store.items()):
+            sha.update(encode_put(key, value))
+        return sha.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -177,35 +164,23 @@ register(KVResultMsg, 0x60, rid=nested(RequestId), node=INT, ok=BOOL, value=opti
 
 
 class KVApp:
-    """Per-replica application: apply delivered KV operations, answer reads.
+    """One replica's application: apply delivered KV operations, answer reads.
 
-    Plugs into the node as its ``on_deliver`` listener.  Every KV operation
-    is applied; only a get or a cas sends its result to the client, the
-    two operations whose callers wait for one.  During recovery
-    replay (``replaying`` set by the host) results are applied but not
-    re-sent — the pre-crash incarnation already responded, and clients
-    absorb duplicates by request id anyway.
+    Its :meth:`on_deliver` is the node's delivery listener.  Only a get or a
+    cas returns a result, the two operations whose callers wait for one.
+    Recovery replay drops it: the pre-crash incarnation already answered.
     """
 
-    def __init__(self, node_id: int, transport):
-        self.node_id = node_id
-        self.transport = transport
-        #: True while recovery replays the restored prefix through us.
-        self.replaying = False
+    def __init__(self) -> None:
         self.machine = KVStateMachine()
 
-    def on_deliver(self, node_id: int, item: DeliveredRequest) -> None:
-        """Delivery listener: apply the operation, answer a get or a cas."""
-        payload = item.request.payload
-        result = self.machine.apply(payload)
-        if result is None or self.replaying or payload[0] == OP_PUT:
-            return  # a put's caller completes on the acknowledgement quorum
-        rid = item.request.rid
-        self.transport.send(
-            self.node_id,
-            client_endpoint(rid.client),
-            KVResultMsg(rid=rid, node=self.node_id, ok=result.ok, value=result.value),
-        )
+    def on_deliver(self, node_id: int, item: DeliveredRequest) -> Optional[KVResultMsg]:
+        """Delivery listener: apply the operation; the reply of a get or a cas."""
+        op = decode_op(item.request.payload)
+        result = self.machine.execute(op)
+        if result is None or isinstance(op, KVPut):
+            return None  # a put's caller completes on the acknowledgement quorum
+        return KVResultMsg(rid=item.request.rid, node=node_id, ok=result.ok, value=result.value)
 
 
 @dataclass
@@ -257,7 +232,6 @@ class KVClient:
         )
         self.config = config
         self._pending: Dict[RequestId, _PendingOp] = {}
-        self.completed = 0
         # Take over the endpoint: KV results are consumed here, everything
         # else (acks, bucket assignments) flows to the wrapped client.
         transport.register(self.client.endpoint, self._on_message)
@@ -275,11 +249,13 @@ class KVClient:
             pending.acked.set_result(completed_at - submitted_at)
 
     def _on_result(self, src: int, message: KVResultMsg) -> None:
+        if message.node != src:
+            return  # a replica votes once, as itself
         pending = self._pending.get(message.rid)
         if pending is None or pending.resolved.done():
             return
         voters = pending.votes.setdefault((message.ok, message.value), set())
-        voters.add(message.node)
+        voters.add(src)
         if len(voters) >= self.config.weak_quorum:
             pending.resolved.set_result((message.ok, message.value))
 
@@ -310,7 +286,6 @@ class KVClient:
             value: Optional[str] = None
             if want_result:
                 ok, value = await asyncio.wait_for(pending.resolved, timeout)
-            self.completed += 1
             return KVOutcome(rid=request.rid, latency=latency, ok=ok, value=value)
         finally:
             del self._pending[request.rid]

@@ -67,8 +67,8 @@ class MirBFTNode(ISSNode):
             self.tracer.on_deliver_batch(self.sim.now, self.node_id, delivered)
         for item in delivered:
             self._send_client_response(item.request.rid, item.sn)
-            if self.on_deliver is not None:
-                self.on_deliver(self.node_id, item)
+        if self.on_deliver is not None:
+            self._notify_delivered(delivered)
         while (
             not self.crashed
             and self._awaiting_new_epoch is None

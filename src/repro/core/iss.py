@@ -84,8 +84,9 @@ from .types import (
 )
 from .validation import ClientWatermarks, RequestValidator
 
-#: Callback invoked for every request delivered at a node.
-DeliveryListener = Callable[[NodeId, DeliveredRequest], None]
+#: Callback invoked for every request delivered at a node.  A message it
+#: returns is the application's reply, sent to the request's client.
+DeliveryListener = Callable[[NodeId, DeliveredRequest], Optional[object]]
 
 
 class ISSNode:
@@ -678,11 +679,8 @@ class ISSNode:
                 self._send_delivery_responses(delivered)
             if self.tracer is not None:
                 self.tracer.on_deliver_batch(self.sim.now, self.node_id, delivered)
-            on_deliver = self.on_deliver
-            if on_deliver is not None:
-                node_id = self.node_id
-                for item in delivered:
-                    on_deliver(node_id, item)
+            if self.on_deliver is not None:
+                self._notify_delivered(delivered)
         # Epoch transitions: the current epoch may now be complete; epochs are
         # processed strictly sequentially (Algorithm 1, line 50).
         while self.manager.epoch_complete(self.current_epoch, self.log) and not self.crashed:
@@ -696,6 +694,16 @@ class ISSNode:
                 if self.retired:
                     return
             self._start_epoch(finished + 1)
+
+    def _notify_delivered(self, delivered: List[DeliveredRequest]) -> None:
+        """Hand each delivered request to the listener; a message it returns
+        is the application's reply, sent to the request's client."""
+        on_deliver = self.on_deliver
+        node_id = self.node_id
+        for item in delivered:
+            reply = on_deliver(node_id, item)
+            if reply is not None:
+                self.network.send(node_id, client_endpoint(item.request.rid.client), reply)
 
     # ======================================================= dynamic membership
     def _on_membership_activation(

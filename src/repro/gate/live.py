@@ -14,6 +14,10 @@ checks the deployment-backend claims end to end:
   reaches the surviving nodes' frontier and equals theirs on the shared
   range, proving the archive-replay → WAL-replay → state-transfer pipeline
   works against real files after a real SIGKILL, and
+* every replica's durable log, applied up to the shortest contiguous
+  durable prefix to a fresh :class:`~repro.app.kv.KVStateMachine`, yields
+  the **same store digest** — agreement at the application level, checked
+  from the files alone,
 * the victim is killed only after it **sealed at least three epochs**, and
   its restarted process ends recovery holding **fewer log entries in memory
   than its durable prefix** — sealed history is served from the archive on
@@ -38,7 +42,7 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
-from ..app.kv import KVClient
+from ..app.kv import KVClient, KVStateMachine
 from ..core.config import ISSConfig, PROTOCOL_PBFT
 from ..crypto.signatures import KeyStore
 from ..net.clock import WallClock
@@ -47,6 +51,7 @@ from ..net.deploy import (
     LiveDeployment,
     durable_prefix,
     durable_prefix_len,
+    durable_requests,
     durable_seals,
     live_base_port,
     live_host,
@@ -190,6 +195,18 @@ async def _drive(spec: LiveClusterSpec, deployment: LiveDeployment) -> Dict[str,
     }
 
 
+def kv_stores(spec: LiveClusterSpec) -> List[KVStateMachine]:
+    """Each replica's KV store, rebuilt from its durable log alone: the
+    requests of the shortest contiguous durable prefix, applied in order."""
+    logs = [durable_requests(spec, node) for node in range(spec.config.num_nodes)]
+    shared = min(len(log) for log in logs)
+    stores = [KVStateMachine() for _ in logs]
+    for store, log in zip(stores, logs):
+        for request in log[:shared]:
+            store.apply(request.payload)
+    return stores
+
+
 def run_live() -> Dict[str, object]:
     """4 PBFT processes on localhost, 40 KV puts in three phases around a
     ``kill -9`` + restart of node 2; the figures the ``live`` gate checks."""
@@ -207,6 +224,7 @@ def run_live() -> Dict[str, object]:
             durable_prefix(spec, node) for node in range(spec.config.num_nodes)
         ]
         victim = SCENARIO["victim"]
+        stores = kv_stores(spec)
         recovery = json.loads(
             Path(spec.node_dir(victim), RECOVERY_REPORT_FILENAME).read_text()
         )
@@ -230,6 +248,8 @@ def run_live() -> Dict[str, object]:
             "victim_log_resident_after_recovery": recovery["log_resident"],
             "restarts_performed": deployment.restarts_performed,
             "min_prefix_requests": min(len(prefix) for prefix in prefixes),
+            "kv_digests_equal": len({store.digest() for store in stores}) == 1,
+            "kv_applied_shared": stores[0].applied,
             "wall_seconds": driven["wall_seconds"],
             "latency_p50": driven["latency_p50"],
             "latency_max": driven["latency_max"],
@@ -259,6 +279,11 @@ CLAIMS = (
         lambda f: f["victim_prefix_matches_peers"],
         "LIVE SAFETY VIOLATION: the restarted node's durable prefix differs "
         "from a peer's on their shared range",
+    ),
+    (
+        lambda f: f["kv_digests_equal"],
+        "LIVE SAFETY VIOLATION: the replicas' KV stores, rebuilt from their "
+        "durable logs over the shared prefix, have different digests",
     ),
     (
         lambda f: f["victim_seals_at_kill"] >= SEALS_BEFORE_KILL,

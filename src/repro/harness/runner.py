@@ -24,6 +24,9 @@ node from it — archive plus WAL replay via
 everything ordered while the node was down.  A poll watcher (tick
 ``recovery_poll``) detects when the node is back at the cluster frontier and attaches one recovery record (downtime, WAL entries
 replayed, state-transfer bytes, time-to-caught-up) to the run's report.
+
+``app`` (e.g. :class:`~repro.app.kv.KVApp`) builds each node incarnation's
+application, as a live node process does (see :meth:`Deployment._build_node`).
 """
 
 from __future__ import annotations
@@ -133,6 +136,7 @@ class Deployment:
         drain_time: float = 5.0,
         sim_config: Optional[SimConfig] = None,
         obs: Optional[ObsConfig] = None,
+        app: Optional[Callable[[], object]] = None,
     ):
         self.config = config
         self.network_config = network_config or NetworkConfig()
@@ -184,6 +188,10 @@ class Deployment:
         self.recovery_poll = recovery_poll
         #: Open-ended state-transfer probe stagger handed to every node.
         self.probe_stagger = probe_stagger
+        #: Zero-argument factory of one node's application; ``None`` runs none.
+        self.app = app
+        #: Each node's current incarnation's application (empty without one).
+        self.apps: Dict[int, object] = {}
 
         # ``sim_config`` is accepted and ignored: it exists solely for the
         # frozen benchmarks/e2e/sim_runner.py caller and goes at the next
@@ -206,11 +214,6 @@ class Deployment:
         #: runner (:mod:`repro.gate.table`) pins ``ObsConfig.disabled()``.
         self.obs = obs if obs is not None else ObsConfig.from_env()
         self.tracer: Optional[RequestTracer] = None
-        #: Delivery listener handed to every node.  Deliver *span* events are
-        #: not recorded here but at the delivery-advance sites (one batched
-        #: event per advance, see ``RequestTracer.on_deliver_batch``) — the
-        #: per-item listener stays untouched whether tracing or not.
-        self._on_deliver = self.collector.record_delivery
         if self.obs.trace:
             self.tracer = RequestTracer(sample=self.obs.sample)
             self.collector.tracer = self.tracer
@@ -387,6 +390,18 @@ class Deployment:
         incarnation; everything else is fresh.
         """
         policy = self.policy_factory(self.config) if self.policy_factory else None
+        on_deliver = self.collector.record_delivery
+        if self.app is not None:
+            # A fresh application per incarnation, called after the
+            # collector: a restarted one rebuilds its state by recovery
+            # replay, as a live process does.
+            app = self.apps[node_id] = self.app()
+            record, apply = on_deliver, app.on_deliver
+
+            def on_deliver(node_id, item):
+                record(node_id, item)
+                return apply(node_id, item)
+
         node = self.node_class(
             node_id=node_id,
             config=self.config,
@@ -394,7 +409,7 @@ class Deployment:
             network=self.network,
             key_store=self.key_store,
             client_ids=self.client_ids,
-            on_deliver=self._on_deliver,
+            on_deliver=on_deliver,
             fault_injector=self.injector,
             straggler=self._behaviours.get((StragglerSpec, node_id)),
             byzantine=self._behaviours.get((ByzantineSpec, node_id)),

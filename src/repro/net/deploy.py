@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.config import ISSConfig
-from ..core.types import is_nil
+from ..core.types import Request, is_nil
 from ..storage.durable import (
     FSYNC_ALWAYS,
     SNAPSHOT_FILENAME,
@@ -219,24 +219,27 @@ def durable_seals(spec: LiveClusterSpec, node_id: int) -> int:
     )
 
 
-def durable_prefix(spec: LiveClusterSpec, node_id: int) -> List[Tuple[int, int]]:
+def durable_requests(spec: LiveClusterSpec, node_id: int) -> List[Request]:
     """One node's contiguous delivered request sequence, from disk alone.
 
     Walks sequence numbers from 0 while entries are present, flattening
-    each committed batch into ``(client, timestamp)`` request-id pairs (NIL
-    entries contribute nothing but extend the prefix).  This is the
-    delivered order an application replaying the durable log would see.
+    each committed batch (NIL entries contribute nothing but extend the
+    prefix).  This is the delivered order an application replaying the
+    durable log would see.
     """
     entries = durable_entries(spec, node_id)
-    prefix: List[Tuple[int, int]] = []
+    requests: List[Request] = []
     sn = 0
     while sn in entries:
-        entry = entries[sn]
-        if not is_nil(entry):
-            for request in entry.requests:
-                prefix.append((request.rid.client, request.rid.timestamp))
+        if not is_nil(entries[sn]):
+            requests.extend(entries[sn].requests)
         sn += 1
-    return prefix
+    return requests
+
+
+def durable_prefix(spec: LiveClusterSpec, node_id: int) -> List[Tuple[int, int]]:
+    """:func:`durable_requests` as ``(client, timestamp)`` request-id pairs."""
+    return [(r.rid.client, r.rid.timestamp) for r in durable_requests(spec, node_id)]
 
 
 def durable_prefix_len(spec: LiveClusterSpec, node_id: int) -> int:

@@ -6,7 +6,10 @@ simulator runs), wired to a :class:`~repro.net.clock.WallClock`, a
 :class:`~repro.net.transport.TcpTransport`, a
 :class:`~repro.storage.node_storage.NodeStorage` opened on its data
 directory (:class:`~repro.storage.disk.OsDisk`), and the replicated-KV
-application (:class:`~repro.app.kv.KVApp`).
+application (:class:`~repro.app.kv.KVApp`) as its delivery listener — built
+from the class alone, the value a simulated ``Deployment(app=KVApp)`` takes.
+The node sends the listener's replies; recovery replays the restored prefix
+through it and drops them.
 
 Startup distinguishes first boot from restart by looking at the data
 directory: prior state routes through the same
@@ -67,7 +70,7 @@ async def run_node(spec, node_id: int) -> None:
     await transport.start()
     storage = NodeStorage(node_id, OsDisk(spec.node_dir(node_id)))
     key_store = KeyStore(deployment_seed=spec.config.random_seed)
-    app = KVApp(node_id, transport)
+    app = KVApp()
     node = ISSNode(
         node_id=node_id,
         config=spec.config,
@@ -80,9 +83,7 @@ async def run_node(spec, node_id: int) -> None:
     )
     if storage.has_state():
         # Restart: recover from the fsync'd files, then chase the frontier.
-        app.replaying = True
         info = boot_from_storage(node, storage, now=clock.now)
-        app.replaying = False
         report = dict(info.as_dict(), log_resident=node.log.resident_count())
         Path(spec.node_dir(node_id), RECOVERY_REPORT_FILENAME).write_text(
             json.dumps(report)

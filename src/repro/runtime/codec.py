@@ -22,7 +22,8 @@ assigned by import order, which differs between processes); each package
 takes its own block — ``0x01`` runtime, ``0x10`` core types, ``0x18`` core
 messages, ``0x20`` PBFT, ``0x30`` HotStuff and threshold signatures,
 ``0x40`` Raft, ``0x50`` checkpoints and state transfer, ``0x60`` the KV
-application, ``0x70`` storage.
+application (its result message, then its operations: a KV request payload
+is a body of this codec too), ``0x70`` storage.
 
 **Body layout.**  ``version (1 B) | tag (1 B) | fields``.  An ``INT`` is 8
 bytes big-endian signed, a ``BOOL`` one byte, ``BYTES``/``STR`` (UTF-8) a

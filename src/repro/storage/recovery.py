@@ -120,11 +120,12 @@ class RecoveryManager:
             tracer.on_recovery(now, node.node_id, "wal-replay", info.wal_entries_replayed)
             tracer.on_recovery(now, node.node_id, "fast-forward", info.resume_epoch)
 
-        # Replay contiguous delivery so the application (and the metrics
-        # listeners) observe the restored prefix in the original order.
-        # Client responses are *not* re-sent: they went out before the
-        # crash, and clients treat replayed re-acknowledgements as
-        # duplicates anyway.
+        # Replay contiguous delivery through the node's delivery listener,
+        # so the application (and the metrics listeners) rebuild their state
+        # from the restored prefix in the original order.  Neither client
+        # acknowledgements nor the replies the listener returns are re-sent:
+        # they went out before the crash, and clients treat a replayed
+        # answer as a duplicate anyway.
         delivered = node.log.advance_delivery(now)
         info.requests_redelivered = len(delivered)
         if tracer is not None:

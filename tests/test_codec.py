@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.app.kv  # noqa: F401  (registers KVResultMsg)
+import repro.app.kv  # noqa: F401  (registers the KV operations and KVResultMsg)
 import repro.core.iss  # noqa: F401  (registers the ISS messages)
 import repro.hotstuff.messages  # noqa: F401
 import repro.pbft.messages  # noqa: F401
@@ -102,6 +102,7 @@ def test_every_wire_and_wal_type_is_registered():
         "RaftEntry", "AppendEntries", "AppendReply", "RequestVote", "VoteReply",
         "InstanceMessage", "MessageBatchMsg", "ClientRequestMsg", "ClientResponseMsg",
         "ClientResponseBatchMsg", "BucketAssignmentMsg", "KVResultMsg", "CheckpointMsg",
+        "KVPut", "KVGet", "KVCas",
         "StateRequest", "StateResponse", "WalRecord", "Request", "RequestId", "Batch",
         "Nil", "CheckpointCertificate", "PartialSignature", "ThresholdSignature",
     }
@@ -138,6 +139,7 @@ def _samples():
             certificate=CheckpointCertificate(2, 5, b"root", ((0, b"a"), (1, b"b"))),
         ),
         WalRecord(RECORD_COMMIT, epoch=2, sn=6, entry=NIL),
+        repro.app.kv.KVCas(key="k", expected="κ", value="v" * 5),
     ]
 
 

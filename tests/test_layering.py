@@ -305,6 +305,27 @@ def test_nothing_below_the_protocols_uses_pickle():
     assert not offenders, f"pickle named below the protocols: {offenders}"
 
 
+def test_the_application_has_no_payload_codec_of_its_own():
+    """Operations are :mod:`repro.runtime.codec` types: nothing under
+    ``app/`` imports ``struct``, ``json`` or ``pickle``, so no second
+    payload format can grow there."""
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "repro" / "app").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {module}"
+                for module in modules
+                if module.split(".")[0] in ("struct", "json", "pickle")
+            ]
+    assert not offenders, f"a second payload codec under app/: {offenders}"
+
+
 #: ``pathlib.Path`` methods that touch the file system.
 _PATH_IO_METHODS = {
     "exists", "iterdir", "mkdir", "open", "read_bytes", "read_text", "rename",

@@ -10,12 +10,11 @@ import asyncio
 import pytest
 
 from repro.app.kv import (
-    OP_CAS,
-    OP_GET,
-    OP_PUT,
+    KVCas,
+    KVGet,
+    KVPut,
     KVResultMsg,
     KVStateMachine,
-    decode_op,
     encode_cas,
     encode_get,
     encode_put,
@@ -476,10 +475,10 @@ def test_frame_encoding_round_trips():
 
 # ---------------------------------------------------------------- KV codec
 def test_kv_codec_round_trips():
-    assert decode_op(encode_put("k", "v")) == (OP_PUT, ("k", "v"))
-    assert decode_op(encode_get("k")) == (OP_GET, ("k",))
-    assert decode_op(encode_cas("k", "a", "b")) == (OP_CAS, ("k", "a", "b"))
-    assert decode_op(encode_put("κλειδί", "τιμή")) == (OP_PUT, ("κλειδί", "τιμή"))
+    assert decode(encode_put("k", "v")) == KVPut("k", "v")
+    assert decode(encode_get("k")) == KVGet("k")
+    assert decode(encode_cas("k", "a", "b")) == KVCas("k", "a", "b")
+    assert decode(encode_put("κλειδί", "τιμή")) == KVPut("κλειδί", "τιμή")
 
 
 @pytest.mark.parametrize(
@@ -487,17 +486,25 @@ def test_kv_codec_round_trips():
     [
         b"",
         b"\x00",
-        b"Z" + b"\x00\x00\x00\x01x",  # unknown op
-        b"P",  # missing fields
-        b"P\x00\x00\x00\x05ab",  # length past the end
-        b"P\x00\x00\x00\x01a\x00\x00\x00\x01b\xff",  # trailing garbage
-        b"P\x00\x00\x00\x02\xff\xfe\x00\x00\x00\x01b",  # invalid UTF-8
+        # Operations in the retired magic-byte format: no codec version byte.
+        b"Z" + b"\x00\x00\x00\x01x",
+        b"P",
+        b"P\x00\x00\x00\x05ab",
+        b"P\x00\x00\x00\x01a\x00\x00\x00\x01b\xff",
+        b"P\x00\x00\x00\x02\xff\xfe\x00\x00\x00\x01b",
         encode_config_tx(ConfigTx("add", 9)),  # a real non-KV payload from the log
         b"\x00" * 64,  # benchmark padding
+        encode_put("k", "v")[:-1],  # truncated operation
+        encode_get("k") + b"\x00",  # trailing byte
+        encode_get("k")[:2] + b"\x00\x00\x00\x02\xff\xfe",  # invalid UTF-8 key
+        encode(KVResultMsg(RequestId(1, 2), node=0, ok=True, value="v")),  # not an op
+        encode(PING),  # any other registered type
     ],
 )
 def test_kv_decode_rejects_non_kv_payloads(payload):
-    assert decode_op(payload) is None
+    machine = KVStateMachine()
+    assert machine.apply(payload) is None
+    assert (machine.applied, machine.skipped, machine.store) == (0, 1, {})
 
 
 def test_kv_state_machine_semantics():
@@ -565,7 +572,7 @@ def test_only_gets_and_cas_send_results_and_a_put_completes_on_acks():
         key_store = KeyStore(deployment_seed=1)
         nodes = []
         for node_id in range(4):
-            app = KVApp(node_id, transport)
+            app = KVApp()
             node = ISSNode(
                 node_id=node_id,
                 config=config,
@@ -597,6 +604,39 @@ def test_only_gets_and_cas_send_results_and_a_put_completes_on_acks():
         finally:
             for node in nodes:
                 node.crash()
+            await transport.close()
+
+    run(check())
+
+
+def test_a_result_counts_under_the_replica_that_sent_it():
+    """One replica sending ``f+1`` results under ``f+1`` node names must not
+    resolve an operation: its votes count once, under the transport's
+    ``src``, and a result naming another node is dropped."""
+    from repro.app.kv import KVClient
+    from repro.core.config import ISSConfig
+    from repro.core.messages import ClientResponseMsg
+    from repro.crypto.signatures import KeyStore
+
+    async def check():
+        clock = WallClock(seed=0)
+        transport = TcpTransport(clock, peers={})
+        config = ISSConfig(num_nodes=4, random_seed=1)
+        client = KVClient(0, config, clock, transport, KeyStore(deployment_seed=1))
+        endpoint, rid = client.client.endpoint, RequestId(0, 0)
+        try:
+            read = asyncio.ensure_future(client.get("k", timeout=10.0))
+            await asyncio.sleep(0)  # submitted: ``rid`` is pending
+            for node in range(config.weak_quorum):  # a genuine ack quorum
+                transport.send(node, endpoint, ClientResponseMsg(rid, sn=0, node=node))
+            for name in (3, 0):  # replica 3 votes as itself, then as node 0
+                transport.send(3, endpoint, KVResultMsg(rid, node=name, ok=True, value="x"))
+            await asyncio.sleep(0.05)
+            assert not read.done()
+            transport.send(1, endpoint, KVResultMsg(rid, node=1, ok=True, value="x"))
+            outcome = await asyncio.wait_for(read, 1.0)
+            assert (outcome.ok, outcome.value) == (True, "x")
+        finally:
             await transport.close()
 
     run(check())
