@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test docs-check gates bench
+.PHONY: test docs-check gates bench paired
 
 # Tier-1 test suite (the CI gate; see ROADMAP.md).
 test:
@@ -28,3 +28,14 @@ gates:
 # Hot-path microbenchmarks (diagnose what the benchmark's sim_n8 flags).
 bench:
 	$(PYTHON) benchmarks/bench_hotpath.py
+
+# Paired benchmark runs of two trees (a parent and a change), alternating
+# which goes first:
+#   make paired PARENT=../parent CHANGE=. WORKLOAD=live_bulk [PAIRS=10] [SEED=1]
+# Prepare both trees the same way (e.g. `git archive` of each commit).
+PAIRS ?= 10
+SEED ?= 1
+paired:
+	@test -n "$(PARENT)" -a -n "$(CHANGE)" -a -n "$(WORKLOAD)" || \
+		{ echo "usage: make paired PARENT=DIR CHANGE=DIR WORKLOAD=NAME [PAIRS=10] [SEED=1]"; exit 2; }
+	$(PYTHON) benchmarks/paired.py $(PARENT) $(CHANGE) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)

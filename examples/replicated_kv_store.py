@@ -56,8 +56,7 @@ def main() -> None:
     def submit_round() -> None:
         for client in deployment.clients:
             if client.outstanding_within_watermarks():
-                request = client.submit(kv_operation(next(operations)))
-                deployment.collector.record_submit(request.rid, sim.now)
+                client.submit(kv_operation(next(operations)))
         if sim.now + INTERVAL < workload.duration:
             sim.schedule_callback(INTERVAL, submit_round)
 

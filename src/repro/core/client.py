@@ -46,6 +46,8 @@ from .validation import sign_request
 #: Callback fired when the client has collected f+1 responses for a request:
 #: ``fn(client_id, request, submit_time, completion_time)``.
 CompletionListener = Callable[[ClientId, Request, float, float], None]
+#: ``(request id, submit time)``, once per request :meth:`Client.submit` sends.
+SubmitListener = Callable[[RequestId, float], None]
 
 
 @dataclass
@@ -67,6 +69,7 @@ class Client:
         network: Transport,
         key_store: KeyStore,
         on_complete: Optional[CompletionListener] = None,
+        on_submit: Optional[SubmitListener] = None,
         sign_requests: Optional[bool] = None,
         tracer=None,
         first_timestamp: int = 0,
@@ -77,6 +80,7 @@ class Client:
         self.network = network
         self.key_store = key_store
         self.on_complete = on_complete
+        self.on_submit = on_submit
         #: Observability hook (``repro.obs.RequestTracer``); ``None`` keeps
         #: every instrumentation site a single attribute test.
         self.tracer = tracer
@@ -131,8 +135,7 @@ class Client:
         request = Request(rid=rid, payload=payload)
         if self.sign_requests:
             request = sign_request(self.key_store, request)
-        self._pending[rid] = _PendingRequest(request=request, submitted_at=self.sim.now)
-        self.requests_submitted += 1
+        self._track_pending(request)
         if self.tracer is not None:
             self.tracer.on_submit(self.sim.now, self.client_id, rid)
         self._send_request(request)
@@ -141,12 +144,15 @@ class Client:
         return request
 
     def _track_pending(self, request: Request) -> None:
-        """Register a request built outside :meth:`submit` as pending (used
-        by misbehaving subclasses that craft their own request ids)."""
+        """Register a submitted request as pending and report it to
+        ``on_submit`` (misbehaving subclasses call this for the requests
+        they craft outside :meth:`submit`)."""
         self._pending[request.rid] = _PendingRequest(
             request=request, submitted_at=self.sim.now
         )
         self.requests_submitted += 1
+        if self.on_submit is not None:
+            self.on_submit(request.rid, self.sim.now)
 
     def _send_request(self, request: Request) -> None:
         targets = self._targets_for(request.rid)

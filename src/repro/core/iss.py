@@ -478,6 +478,7 @@ class ISSNode:
             cut_batch_fn=lambda sn, seg=segment: self._cut_batch(seg, sn),
             validate_batch_fn=lambda batch, seg=segment: self._validate_batch(seg, batch),
             deliver_fn=lambda sn, value, seg=segment: self._sb_deliver(seg, sn, value),
+            decided_value_fn=self.log.entry,
             pending_fn=lambda seg=segment: self.buckets.pending_in(seg.buckets),
             proposal_interval=interval,
             may_propose_fn=lambda sn, seg=segment: self._may_propose(seg, sn),
@@ -681,6 +682,8 @@ class ISSNode:
                 self.tracer.on_deliver_batch(self.sim.now, self.node_id, delivered)
             if self.on_deliver is not None:
                 self._notify_delivered(delivered)
+        # A run of ⊥ delivers no request but still moves the delivered prefix.
+        self.evict_delivered()
         # Epoch transitions: the current epoch may now be complete; epochs are
         # processed strictly sequentially (Algorithm 1, line 50).
         while self.manager.epoch_complete(self.current_epoch, self.log) and not self.crashed:
@@ -779,15 +782,21 @@ class ISSNode:
         self.orderer.stop_epoch(epoch)
         if self.storage is not None:
             self.storage.record_stable_checkpoint(certificate)
-            self.evict_sealed_history()
+            self.evict_delivered()
 
-    def evict_sealed_history(self) -> None:
-        """Drop from memory everything storage has sealed: the archive answers
-        for those positions from then on, state transfer of the just-sealed
-        epoch included.  A node without storage never evicts."""
-        if self.storage is not None:
-            archive = self.storage.snapshots
-            self.log.evict_through(archive.entry_count() - 1, archive)
+    def evict_delivered(self) -> None:
+        """Drop every delivered entry from memory: its WAL record was fsync'd
+        before delivery, so storage answers for it from then on — the sealed
+        archive below the latest compaction, the WAL above it.  The log
+        keeps the digests of the unsealed ones until a compaction seals
+        them.  A node without storage never evicts."""
+        storage = self.storage
+        if storage is not None:
+            self.log.evict_through(
+                self.log.first_undelivered - 1,
+                storage,
+                sealed_through=storage.snapshots.entry_count() - 1,
+            )
 
     def _maybe_request_state_transfer(self, checkpoint_epoch: EpochNr) -> None:
         """A stable checkpoint ahead of us means we fell behind: catch up."""

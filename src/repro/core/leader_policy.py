@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 from .config import ISSConfig, POLICY_BACKOFF, POLICY_BLACKLIST, POLICY_SIMPLE
 from .log import Log
 from .segment import epoch_seq_nrs
-from .types import EpochNr, NodeId, SegmentDescriptor, SeqNr, is_nil
+from .types import EpochNr, NodeId, SegmentDescriptor, SeqNr
 
 
 class FailureHistory:
@@ -50,8 +50,7 @@ class FailureHistory:
         """Fold one finished epoch into the history."""
         for segment in segments:
             for sn in segment.seq_nrs:
-                entry = log.entry(sn)
-                if entry is not None and is_nil(entry):
+                if log.holds_nil(sn):
                     previous = self._last_failure.get(segment.leader, -1)
                     if sn > previous:
                         self._last_failure[segment.leader] = sn

@@ -8,10 +8,18 @@ log exposes the two derived quantities ISS needs:
   line 54), and
 * per-request sequence numbers following Equation (2): the rank of the
   request across all non-``⊥`` entries delivered so far.
+
+What is in memory: the committed entries not yet delivered, and, on a
+node with storage, the digests of the delivered ones not yet sealed.  A
+delivered entry is already durable (the node fsyncs its WAL record before
+delivery), so the log hands it to the storage and reads it back from
+there on the rare paths that need a whole batch again: view change, state
+transfer, recovery.  A node without storage keeps every entry resident.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -30,12 +38,15 @@ class CommittedEntry:
 class Log:
     """Append-by-position log with contiguous delivery tracking.
 
-    A long-running node does not hold its whole history: once a prefix is
-    sealed in durable storage, :meth:`evict_through` drops it from memory
-    and every query below answers for those positions from the *archive* —
-    any object with ``entry_at(sn)`` and ``entries_of(seq_nrs)`` (the node
-    passes its storage's sealed archive in).  Callers cannot tell an
-    evicted position from a resident one.
+    A long-running node does not hold its whole history: once an entry is
+    delivered and durable, :meth:`evict_through` drops it from memory and
+    every query below answers for it from the *archive* — any object with
+    ``entry_at(sn)`` and ``entries_of(seq_nrs)`` (the node passes its
+    storage in, which reads sealed positions from its archive and the rest
+    from its WAL).  The log keeps the 32-byte digest of each evicted
+    position the archive has not sealed yet, so the epoch's checkpoint
+    root and a repeated commit never read an entry back.  Callers cannot
+    tell an evicted position from a resident one.
     """
 
     def __init__(self) -> None:
@@ -46,8 +57,13 @@ class Log:
         #: Positions ``0.._evicted_through`` live in ``_archive`` only.
         self._evicted_through: SeqNr = -1
         self._archive = None
-        #: The ``⊥`` positions among the evicted ones (kept: they are ints).
+        #: The ``⊥`` positions among the evicted ones, ascending (kept: they
+        #: are ints).
         self._evicted_nils: List[SeqNr] = []
+        #: Digests of the evicted positions above ``_sealed_through``.
+        self._evicted_digests: Dict[SeqNr, bytes] = {}
+        #: Highest position the archive has sealed, as last reported.
+        self._sealed_through: SeqNr = -1
 
     # ------------------------------------------------------------ mutation
     def commit(self, sn: SeqNr, entry: LogEntry, epoch: EpochNr, now: float) -> bool:
@@ -58,15 +74,9 @@ class Log:
         different value to an already-filled position raises — that would be
         an agreement violation and should never survive silently.
         """
-        existing = self.entry(sn)
+        existing = self._digest_at(sn)
         if existing is not None:
-            same_nil = is_nil(existing) and is_nil(entry)
-            same_batch = (
-                not is_nil(existing)
-                and not is_nil(entry)
-                and existing.digest() == entry.digest()
-            )
-            if same_nil or same_batch:
+            if existing == entry.digest():
                 return False
             raise ValueError(f"conflicting commit at sequence number {sn}")
         self._entries[sn] = CommittedEntry(sn=sn, entry=entry, epoch=epoch)
@@ -105,23 +115,34 @@ class Log:
         self._total_delivered_requests = next_request_sn
         return delivered
 
-    def evict_through(self, sn: SeqNr, archive) -> None:
+    def evict_through(self, sn: SeqNr, archive, sealed_through: SeqNr = -1) -> None:
         """Drop every *delivered* position at or below ``sn`` from memory.
 
         ``archive`` must hold all of them (``entry_at`` / ``entries_of``);
         it answers for them from now on.  Undelivered positions are never
         evicted — delivery reads them — so a bound beyond the delivered
-        prefix is cut back to it.
+        prefix is cut back to it.  ``sealed_through`` is the highest
+        position ``archive`` has sealed: the digests of evicted positions
+        up to it are dropped, the ones above it kept.
         """
-        through = min(sn, self._first_undelivered - 1)
-        if through <= self._evicted_through:
-            return
-        entries = self._entries
-        for position in range(self._evicted_through + 1, through + 1):
-            if entries.pop(position).entry is NIL:
-                self._evicted_nils.append(position)
-        self._evicted_through = through
         self._archive = archive
+        digests = self._evicted_digests
+        through = min(sn, self._first_undelivered - 1)
+        if through > self._evicted_through:
+            entries = self._entries
+            for position in range(self._evicted_through + 1, through + 1):
+                entry = entries.pop(position).entry
+                if entry is NIL:
+                    self._evicted_nils.append(position)
+                if position > sealed_through:
+                    digests[position] = _NIL_DIGEST if entry is NIL else entry.digest()
+            self._evicted_through = through
+        if sealed_through > self._sealed_through:
+            for position in range(
+                self._sealed_through + 1, min(sealed_through, self._evicted_through) + 1
+            ):
+                digests.pop(position, None)
+            self._sealed_through = sealed_through
 
     # ------------------------------------------------------------- queries
     def entry(self, sn: SeqNr) -> Optional[LogEntry]:
@@ -132,8 +153,28 @@ class Log:
             return self._archive.entry_at(sn)
         return None
 
+    def _digest_at(self, sn: SeqNr) -> Optional[bytes]:
+        """The digest of the entry at ``sn`` (``None`` when empty), read
+        back only for a sealed evicted position."""
+        committed = self._entries.get(sn)
+        if committed is not None:
+            return committed.entry.digest()
+        if 0 <= sn <= self._evicted_through:
+            digest = self._evicted_digests.get(sn)
+            return digest if digest is not None else self._archive.entry_at(sn).digest()
+        return None
+
     def has_entry(self, sn: SeqNr) -> bool:
         return sn in self._entries or 0 <= sn <= self._evicted_through
+
+    def holds_nil(self, sn: SeqNr) -> bool:
+        """True when position ``sn`` committed ``⊥`` (never reads back)."""
+        committed = self._entries.get(sn)
+        if committed is not None:
+            return committed.entry is NIL
+        nils = self._evicted_nils
+        index = bisect_left(nils, sn)
+        return index < len(nils) and nils[index] == sn
 
     def is_complete(self, seq_nrs: Iterable[SeqNr]) -> bool:
         """True when every given position holds an entry."""
@@ -187,7 +228,20 @@ class Log:
         Used to compute the checkpoint Merkle root ``D(e)``.
         """
         seq_nrs = list(seq_nrs)
-        found = self.entries_in(seq_nrs)
-        if len(found) != len(seq_nrs):
-            raise KeyError(f"no entry at sequence number {self.missing(seq_nrs)[0]}")
-        return [entry.digest() for _sn, entry in found]
+        missing = self.missing(seq_nrs)
+        if missing:
+            raise KeyError(f"no entry at sequence number {missing[0]}")
+        entries = self._entries
+        kept = self._evicted_digests
+        sealed = [sn for sn in seq_nrs if sn not in entries and sn not in kept]
+        archived = dict(self._archive.entries_of(sealed)) if sealed else {}
+        return [
+            entries[sn].entry.digest()
+            if sn in entries
+            else kept[sn] if sn in kept else archived[sn].digest()
+            for sn in seq_nrs
+        ]
+
+
+#: Digest of the ``⊥`` placeholder (``Nil.digest`` hashes on every call).
+_NIL_DIGEST = NIL.digest()

@@ -72,6 +72,7 @@ class SBContext:
         note_view_change_fn: Optional[Callable[[], None]] = None,
         tracer=None,
         membership=None,
+        decided_value_fn: Optional[Callable[[SeqNr], LogEntry]] = None,
     ):
         self.node_id = node_id
         self.config = config
@@ -99,6 +100,13 @@ class SBContext:
         self._cut_batch = cut_batch_fn
         self._validate_batch = validate_batch_fn
         self._deliver = deliver_fn
+        #: Without a host log to read decided values back from (a unit
+        #: test's bare context), the context remembers what it delivered.
+        self._delivered: Optional[dict] = None
+        if decided_value_fn is None:
+            self._delivered = {}
+            decided_value_fn = self._delivered.__getitem__
+        self._decided_value = decided_value_fn
         self._pending = pending_fn
         #: Minimum spacing between this leader's proposals (rate limiting,
         #: Section 4.4.1 / the fixed batch rate of Table 1).  Zero disables.
@@ -223,7 +231,17 @@ class SBContext:
     # ------------------------------------------------------------ delivery
     def deliver(self, sn: SeqNr, value: LogEntry) -> None:
         """Trigger SB-DELIVER(sn, value) at the host node."""
+        if self._delivered is not None:
+            self._delivered[sn] = value
         self._deliver(sn, value)
+
+    def decided_value(self, sn: SeqNr) -> LogEntry:
+        """The value delivered for ``sn``, read back from the host's log.
+
+        An instance need not keep a decided batch: the log holds it, or,
+        once delivered on a node with storage, reads it back from disk.
+        """
+        return self._decided_value(sn)
 
 
 class SBInstance(ABC):

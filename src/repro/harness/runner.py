@@ -291,6 +291,7 @@ class Deployment:
                 network=self.network,
                 key_store=self.key_store,
                 on_complete=self.collector.record_client_completion,
+                on_submit=self.collector.record_submit,
                 tracer=self.tracer,
             )
             spec = self._behaviours.get((MaliciousClientSpec, client_id))
@@ -329,10 +330,7 @@ class Deployment:
                 self.sim.schedule_at(spec.time, lambda s=spec: self._poll_eviction(s))
 
         self.generator = WorkloadGenerator(
-            clients=self.clients,
-            workload=self.workload,
-            sim=self.sim,
-            on_submit=lambda request, time: self.collector.record_submit(request.rid, time),
+            clients=self.clients, workload=self.workload, sim=self.sim
         )
 
     # ----------------------------------------------------------------- faults

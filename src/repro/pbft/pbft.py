@@ -42,6 +42,11 @@ class _Slot:
     #: Highest view in which a value was prepared, with its proof.
     prepared_proof: Optional[PreparedProof] = None
     committed: bool = False
+    #: Once committed, the slot keeps only the decided value's digest and
+    #: the view it was prepared in (None: committed without a local
+    #: prepare quorum); the value itself is read back from the host's log.
+    decided_digest: Optional[bytes] = None
+    decided_view: Optional[ViewNr] = None
     #: Views for which primary equivocation was already reported (once each).
     equivocation_reported: Set[ViewNr] = field(default_factory=set)
 
@@ -254,6 +259,16 @@ class PbftSB(SBInstance):
         slot.commits.clear()
         self._uncommitted -= 1
         value = slot.value if slot.value is not None else NIL
+        digest = slot.decided_digest = value.digest()
+        proof = slot.prepared_proof
+        if proof is not None and proof.digest == digest == proof.value.digest():
+            # The proof of the decided value is rebuilt from the log when a
+            # view change asks for it.  A proof of anything else (a value
+            # this node prepared but did not decide) is kept as it is.
+            slot.decided_view = proof.view
+            slot.prepared_proof = None
+        slot.preprepare = None
+        slot.value = None
         tracer = self.context.tracer
         if tracer is not None:
             tracer.on_sb(
@@ -313,15 +328,26 @@ class PbftSB(SBInstance):
         # still learn the decided value from the view-change quorum, or it
         # would re-propose ⊥ against a value the rest already delivered.
         prepared = tuple(
-            slot.prepared_proof
-            for slot in self._slots.values()
-            if slot.prepared_proof is not None
+            proof
+            for proof in map(self._proof_of, self._slots.values())
+            if proof is not None
         )
         message = ViewChange(new_view=new_view, prepared=prepared)
         self.context.broadcast(message)
         # Exponential backoff on the timeout so view changes stop after GST.
         self._view_timeout *= 2
         self._arm_view_timer()
+
+    def _proof_of(self, slot: _Slot) -> Optional[PreparedProof]:
+        """The slot's prepared proof, rebuilt for a decided value."""
+        if slot.decided_view is None:
+            return slot.prepared_proof
+        return PreparedProof(
+            view=slot.decided_view,
+            sn=slot.sn,
+            digest=slot.decided_digest,
+            value=self.context.decided_value(slot.sn),
+        )
 
     def _on_view_change(self, src: NodeId, message: ViewChange) -> None:
         if message.new_view <= self.view:
@@ -347,7 +373,7 @@ class PbftSB(SBInstance):
                 # commit round (lossy link, partition) has no other way to
                 # learn it before a stable checkpoint exists — and the
                 # checkpoint needs a quorum of *complete* logs first.
-                value = slot.value if slot.value is not None else NIL
+                value = self.context.decided_value(sn)
                 preprepares.append(
                     PrePrepare(view=new_view, sn=sn, value=value, digest=value.digest())
                 )
@@ -390,7 +416,7 @@ class PbftSB(SBInstance):
                 # that missed the original commit round can assemble a
                 # commit quorum (the primary's re-announced pre-prepare
                 # gives them the value; these votes give them the proof).
-                digest = (slot.value if slot.value is not None else NIL).digest()
+                digest = slot.decided_digest
                 if digest == preprepare.digest and message.new_view not in slot.commit_sent:
                     slot.commit_sent.add(message.new_view)
                     self.context.broadcast(

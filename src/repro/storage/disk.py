@@ -4,7 +4,9 @@ A disk offers ``append(name, data)`` (handed to the OS, not yet durable),
 ``fsync(name)``, ``replace(name, data)`` (atomic and durable),
 ``truncate(name, size)`` (durable; a missing file stays missing),
 ``size(name)`` (0 when missing), ``read(name, offset)`` (a stream over an
-existing file from ``offset``, used as a context manager) and ``close()``.  This is the only
+existing file from ``offset``, used as a context manager),
+``read_at(name, offset, size)`` (one positional read of ``size`` bytes) and
+``close()``.  This is the only
 module of :mod:`repro.storage` that touches the file system.  An
 :class:`OsDisk` is a node directory; a :class:`SimDisk` keeps each file's
 written bytes and synced length in memory and outlives the simulated node,
@@ -26,6 +28,8 @@ class OsDisk:
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self._handles: Dict[str, BinaryIO] = {}
+        #: One read-only descriptor per file :meth:`read_at` has read.
+        self._readers: Dict[str, int] = {}
 
     def __repr__(self) -> str:
         return f"OsDisk({str(self.directory)!r})"
@@ -34,6 +38,11 @@ class OsDisk:
         handle = self._handles.pop(name, None)
         if handle is not None:
             handle.close()
+
+    def _drop_reader(self, name: str) -> None:
+        fd = self._readers.pop(name, None)
+        if fd is not None:
+            os.close(fd)
 
     def append(self, name: str, data: bytes) -> None:
         """Write ``data`` at the end of ``name`` and flush it to the OS."""
@@ -65,6 +74,8 @@ class OsDisk:
             fh.flush()
             os.fsync(fh.fileno())
         self._drop_handle(name)
+        # A descriptor on the replaced file would go on reading the old one.
+        self._drop_reader(name)
         os.replace(tmp, path)
         self._fsync_directory()
 
@@ -92,10 +103,19 @@ class OsDisk:
         stream.seek(offset)
         return stream
 
+    def read_at(self, name: str, offset: int, size: int) -> bytes:
+        """Up to ``size`` bytes of ``name`` from ``offset`` (one ``pread``)."""
+        fd = self._readers.get(name)
+        if fd is None:
+            fd = self._readers[name] = os.open(self.directory / name, os.O_RDONLY)
+        return os.pread(fd, size, offset)
+
     def close(self) -> None:
-        """Close every append handle (idempotent)."""
+        """Close every append handle and read descriptor (idempotent)."""
         for name in list(self._handles):
             self._drop_handle(name)
+        for name in list(self._readers):
+            self._drop_reader(name)
 
     def _fsync_directory(self) -> None:
         """Make a create or rename in the directory durable (best effort:
@@ -145,6 +165,10 @@ class SimDisk:
     def read(self, name: str, offset: int = 0) -> "_SimReader":
         """A cursor over ``name`` from ``offset`` on."""
         return _SimReader(self._files[name], offset)
+
+    def read_at(self, name: str, offset: int, size: int) -> bytes:
+        """Up to ``size`` bytes of ``name`` from ``offset``."""
+        return bytes(self._files[name][offset:offset + size])
 
     def crash(self) -> None:
         """Lose power: every unsynced suffix is gone."""

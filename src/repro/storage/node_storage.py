@@ -7,6 +7,10 @@ at every stable checkpoint, compacts: the run of entries the checkpoint
 newly covers is sealed into the append-only archive
 (:class:`~repro.storage.snapshot.SnapshotStore`) and the WAL truncates
 below the checkpoint (Section 3.4's garbage collection, made durable).
+It also answers for every durable position (``entry_at`` /
+``entries_of``): sealed ones from the archive, the tail above them from
+the WAL.  That is what lets the node's log drop an entry from memory as
+soon as it is delivered (:meth:`repro.core.iss.ISSNode.evict_delivered`).
 
 What outlives a node is its disk (:mod:`repro.storage.disk`), not this
 object: every incarnation opens a fresh ``NodeStorage`` on it, which repairs
@@ -16,7 +20,7 @@ the node from that.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.types import CheckpointCertificate, EpochNr, LogEntry, NodeId, SeqNr
 from .disk import Disk
@@ -86,12 +90,13 @@ class NodeStorage:
     def _compact(self, certificate: CheckpointCertificate) -> None:
         """Seal everything at or below ``certificate.last_sn`` into the archive.
 
-        Only the run above what is already sealed is assembled and handed
-        to :meth:`SnapshotStore.seal` — everything below it was truncated
-        out of the WAL at the previous compaction — so a checkpoint costs
-        O(epoch), never O(total log).  The archive is made durable *before*
-        the WAL drops the covered records: a crash between the two leaves
-        the run in both places, which opening repairs.
+        Only the run above what is already sealed is handed to
+        :meth:`SnapshotStore.seal` — everything below it was truncated out
+        of the WAL at the previous compaction — as the WAL's commit frames,
+        copied one at a time, never re-encoded: a checkpoint moves O(epoch)
+        bytes, never O(total log), and runs no codec.  The archive is made
+        durable *before* the WAL drops the covered records: a crash between
+        the two leaves the run in both places, which opening repairs.
 
         A stable checkpoint can outrun the local log (2f+1 *peers* may vote
         before this node holds every entry of the epoch); in that case the
@@ -103,16 +108,11 @@ class NodeStorage:
         start = self.snapshots.entry_count()
         if last_sn < start:
             return
-        delta: Dict[SeqNr, Tuple[LogEntry, EpochNr]] = {}
-        for sn, entry, epoch in self.wal.commits():
-            if start <= sn <= last_sn:
-                delta[sn] = (entry, epoch)
-        if len(delta) != last_sn - start + 1:
+        run = self.wal.commit_frames(start, last_sn)
+        if run is None:
             self.deferred_compactions += 1
             return
-        self.snapshots.seal(
-            [(sn, *delta[sn]) for sn in range(start, last_sn + 1)], certificate
-        )
+        self.snapshots.seal(run, certificate)
         self.wal.truncate_below(last_sn + 1, certificate.epoch)
         self.compactions += 1
 
@@ -127,7 +127,23 @@ class NodeStorage:
 
     def durable_entry_count(self) -> int:
         """Entries recoverable from storage (sealed archive plus WAL tail)."""
-        return self.snapshots.entry_count() + len(self.wal.commits())
+        return self.snapshots.entry_count() + self.wal.commit_count()
+
+    def entry_at(self, sn: SeqNr) -> LogEntry:
+        """The durable entry at ``sn``: sealed positions from the archive,
+        the tail above them from the WAL."""
+        if sn < self.snapshots.entry_count():
+            return self.snapshots.entry_at(sn)
+        return self.wal.entry_at(sn)
+
+    def entries_of(self, seq_nrs: Iterable[SeqNr]) -> List[Tuple[SeqNr, LogEntry]]:
+        """``(sn, entry)`` for the given durable positions, in the given order."""
+        wanted = list(seq_nrs)
+        sealed_count = self.snapshots.entry_count()
+        found = dict(self.snapshots.entries_of([sn for sn in wanted if sn < sealed_count]))
+        return [
+            (sn, found[sn] if sn < sealed_count else self.wal.entry_at(sn)) for sn in wanted
+        ]
 
     def stats(self) -> Dict[str, int]:
         """Counters for reports and tests."""

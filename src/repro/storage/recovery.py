@@ -13,8 +13,8 @@ Recovery has three phases, mirroring production SMR restart procedures:
    watermark windows, counters) is advanced through every epoch the
    restored log completes, contiguous delivery replays the restored prefix
    to the application, the epoch to resume at (the first incomplete one)
-   is computed, and everything sealed leaves memory again
-   (:meth:`repro.core.iss.ISSNode.evict_sealed_history`).
+   is computed, and everything delivered leaves memory again
+   (:meth:`repro.core.iss.ISSNode.evict_delivered`).
 
 What storage cannot provide — entries ordered while the node was down —
 is fetched afterwards through the existing state-transfer protocol:
@@ -136,9 +136,9 @@ class RecoveryManager:
         if on_deliver is not None:
             for item in delivered:
                 on_deliver(node.node_id, item)
-        # Same rule as a live stable checkpoint: sealed history is served
-        # from the archive, not held in memory.
-        node.evict_sealed_history()
+        # Same rule as a live delivery: delivered history is served from
+        # storage, not held in memory.
+        node.evict_delivered()
         return info
 
 

@@ -25,18 +25,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..core.types import CheckpointCertificate, EpochNr, LogEntry, SeqNr
 from .disk import Disk
-from .wal import (
-    RECORD_CHECKPOINT,
-    RECORD_COMMIT,
-    WalRecord,
-    checkpoint_record,
-    frame,
-    read_frames,
-)
+from .wal import RECORD_CHECKPOINT, RECORD_COMMIT, checkpoint_record, frame, read_frames
 
 #: The archive's file name on a node's disk.
 SNAPSHOT_FILENAME = "snapshot.bin"
@@ -111,39 +104,39 @@ class SnapshotStore:
 
     # --------------------------------------------------------------- sealing
     def seal(
-        self, delta: Sequence[SealedEntry], certificate: CheckpointCertificate
+        self, run: Iterable[Tuple[SeqNr, bytes]], certificate: CheckpointCertificate
     ) -> None:
-        """Seal ``delta`` — the run directly above what is already sealed.
+        """Seal ``run`` — the commit frames directly above what is sealed.
 
-        ``delta`` must cover ``[entry_count(), certificate.last_sn]``
-        contiguously and in order; sealing a run with gaps (or one that does
-        not start where the archive ends) would make recovery silently
-        lossy, so it raises instead.  The run and its seal marker are
+        ``run`` yields ``(sn, frame)`` pairs, each frame a CRC-checked commit
+        frame copied from the WAL; they must cover ``[entry_count(),
+        certificate.last_sn]`` contiguously and in order.  Sealing a run
+        with gaps (or one that does not start where the archive ends)
+        would make recovery silently lossy, so it raises instead.  The
+        frames, unchanged and one at a time, and the seal marker are
         appended and fsync'd before this returns.
         """
-        start = self.entry_count()
-        if len(delta) != certificate.last_sn - start + 1 or any(
-            sn != start + offset for offset, (sn, _entry, _epoch) in enumerate(delta)
-        ):
-            raise ValueError(
-                f"sealed run must cover [{start}, {certificate.last_sn}] contiguously"
-            )
-        records = [
-            WalRecord(kind=RECORD_COMMIT, epoch=epoch, sn=sn, entry=entry)
-            for sn, entry, epoch in delta
-        ]
+        expected = start = self.entry_count()
         end = self._end
         try:
-            for record in records + [checkpoint_record(certificate)]:
-                data = frame(record)
+            for sn, data in run:
+                if sn != expected:
+                    break
                 self.disk.append(self.name, data)
                 end += len(data)
+                expected += 1
+            if expected != certificate.last_sn + 1 or expected == start:
+                raise ValueError(
+                    f"sealed run must cover [{start}, {certificate.last_sn}] contiguously"
+                )
+            marker = frame(checkpoint_record(certificate))
+            self.disk.append(self.name, marker)
             self.disk.fsync(self.name)
         except BaseException:
             # A half-appended run must not stay in front of later seals.
             self.disk.truncate(self.name, self._end)
             raise
-        self._note_run(end, certificate)
+        self._note_run(end + len(marker), certificate)
         self.seals_total += 1
 
     # --------------------------------------------------------------- queries

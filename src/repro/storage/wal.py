@@ -8,8 +8,12 @@ volatile state (PBFT prepares, Raft terms, view numbers) is **not**
 persisted; an uncommitted slot is re-learned from the peers after a restart.
 Compaction follows Section 3.4: once a checkpoint is stable, everything at
 or below it moves into the sealed archive (:mod:`repro.storage.snapshot`)
-and :meth:`WriteAheadLog.truncate_below` drops it, so the WAL — in memory and
-in ``wal.log`` — only ever holds the tail above the latest stable checkpoint.
+and :meth:`WriteAheadLog.truncate_below` drops it, so ``wal.log`` only ever
+holds the tail above the latest stable checkpoint.  Memory holds less: an
+index of that tail (kind, epoch, sequence number and frame position per
+record), with only the small records decoded; a committed batch is read
+back from the file when asked for, so a replica can drop it once it is
+delivered.
 
 Both files of a node's disk, ``wal.log`` and the archive's ``snapshot.bin``,
 are sequences of one frame — ``>II`` (payload length, CRC-32 of the payload)
@@ -18,8 +22,10 @@ byte the encoding the record's batch has on the wire — written by
 :func:`frame` and read by :func:`read_frames`.  Every WAL append is fsync'd
 before it returns.  A crash mid-append leaves a *torn tail* — a short or
 CRC-mismatching last frame — which opening drops and truncates; everything
-before it is intact by construction.  Compaction replaces ``wal.log``
-atomically, at O(tail).  A CRC-valid frame of another codec version was
+before it is intact by construction.  Compaction copies frames, it never
+re-encodes them: the archive receives the WAL's commit frames byte for byte,
+and ``wal.log`` is replaced atomically with its surviving frames, at
+O(tail).  A CRC-valid frame of another codec version was
 written by another version of the program, not torn by a crash: opening
 raises :class:`StorageFormatError` and truncates nothing.
 
@@ -36,7 +42,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..core.types import LOG_ENTRY, CheckpointCertificate, EpochNr, LogEntry, SeqNr
 from ..runtime.codec import (
@@ -184,32 +190,62 @@ def read_frames(
             yield record, offset
 
 
+class _Indexed(NamedTuple):
+    """One live WAL record: where its frame lies in the file, and what replay
+    and compaction need without reading it back.  ``record`` is the decoded
+    record of the small kinds; a commit's is ``None``, its batch stays on
+    disk."""
+
+    kind: str
+    epoch: EpochNr
+    sn: SeqNr
+    offset: int
+    length: int
+    record: Optional[WalRecord]
+
+
 class WriteAheadLog:
     """Append-only, truncatable record log in one file of a node's disk.
 
-    Opening replays every intact record into memory (the tail above the
-    latest stable checkpoint, so memory stays bounded by it) and truncates
-    a torn tail left by a crash mid-append.
+    Memory holds an index, not the records: per record its kind, epoch,
+    sequence number and frame position, plus the decoded record of the
+    small kinds (checkpoint, epoch start, membership).  A commit's batch is
+    read back from the file on demand (:meth:`entry_at`, :meth:`records`).
+    Opening indexes every intact record (the tail above the latest stable
+    checkpoint) and truncates a torn tail left by a crash mid-append.
     """
 
     def __init__(self, disk: Disk, name: str = WAL_FILENAME):
         self.disk = disk
         self.name = name
-        self._records: List[WalRecord] = []
+        self._index: List[_Indexed] = []
+        #: The live commit of each sequence number.
+        self._commits: Dict[SeqNr, _Indexed] = {}
         #: Records appended through this object (replayed ones do not count).
         self.appended_total = 0
         #: Records dropped by compaction so far.
         self.truncated_total = 0
-        good_offset = 0
-        for record, good_offset in read_frames(disk, name):
-            self._records.append(record)
+        self._end = 0
+        for record, end in read_frames(disk, name):
+            self._note(record, self._end, end - self._end)
+            self._end = end
         #: Whether opening found (and truncated) a torn tail.
-        self.torn_tail_detected = good_offset < disk.size(name)
+        self.torn_tail_detected = self._end < disk.size(name)
         if self.torn_tail_detected:
-            disk.truncate(name, good_offset)
+            disk.truncate(name, self._end)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._index)
+
+    def _note(self, record: WalRecord, offset: int, length: int) -> None:
+        """Index ``record``, whose frame is file bytes ``[offset, offset + length)``."""
+        small = None if record.kind == RECORD_COMMIT else record
+        self._add(_Indexed(record.kind, record.epoch, record.sn, offset, length, small))
+
+    def _add(self, slot: _Indexed) -> None:
+        self._index.append(slot)
+        if slot.kind == RECORD_COMMIT:
+            self._commits[slot.sn] = slot
 
     # -------------------------------------------------------------- appends
     def append_commit(self, sn: SeqNr, entry: LogEntry, epoch: EpochNr) -> None:
@@ -238,10 +274,42 @@ class WriteAheadLog:
 
     def _append(self, record: WalRecord) -> None:
         """Write the record's frame and fsync it before returning."""
-        self.disk.append(self.name, frame(record))
+        data = frame(record)
+        self.disk.append(self.name, data)
         self.disk.fsync(self.name)
-        self._records.append(record)
+        self._note(record, self._end, len(data))
+        self._end += len(data)
         self.appended_total += 1
+
+    # ------------------------------------------------------------- read-back
+    def _frame(self, slot: _Indexed) -> bytes:
+        """The frame of ``slot``, read back and checked against its CRC."""
+        data = self.disk.read_at(self.name, slot.offset, slot.length)
+        if len(data) != slot.length or zlib.crc32(
+            memoryview(data)[_FRAME_HEADER.size:]
+        ) != _FRAME_HEADER.unpack_from(data)[1]:
+            raise OSError(
+                f"{self.name} on {self.disk!r}: the frame at offset "
+                f"{slot.offset} changed since it was written"
+            )
+        return data
+
+    def entry_at(self, sn: SeqNr) -> LogEntry:
+        """The committed entry at ``sn``, read back from the file."""
+        slot = self._commits.get(sn)
+        if slot is None:
+            raise KeyError(f"sequence number {sn} has no commit in the WAL")
+        return decode(self._frame(slot), _FRAME_HEADER.size).entry
+
+    def commit_frames(
+        self, first: SeqNr, last: SeqNr
+    ) -> Optional[Iterator[Tuple[SeqNr, bytes]]]:
+        """``(sn, frame)`` of every commit in ``[first, last]``, in ``sn``
+        order, read one frame at a time; ``None`` when one is missing."""
+        commits = self._commits
+        if any(sn not in commits for sn in range(first, last + 1)):
+            return None
+        return ((sn, self._frame(commits[sn])) for sn in range(first, last + 1))
 
     # ------------------------------------------------------------ compaction
     def truncate_below(self, sn_bound: SeqNr, epoch_bound: EpochNr) -> int:
@@ -252,45 +320,56 @@ class WriteAheadLog:
         are anchored by the (newer) archive certificate and equally
         redundant.  Records above the bounds survive — including commits
         that ran ahead of the checkpoint.  The file is replaced atomically
-        with the survivors.
+        with the survivors' frames, copied byte for byte.
         """
-        kept: List[WalRecord] = []
-        for record in self._records:
-            if record.kind == RECORD_COMMIT:
-                redundant = record.sn < sn_bound
-            else:
-                redundant = record.epoch < epoch_bound
-            if not redundant:
-                kept.append(record)
-        dropped = len(self._records) - len(kept)
+        kept = [
+            slot
+            for slot in self._index
+            if (slot.sn >= sn_bound if slot.kind == RECORD_COMMIT else slot.epoch >= epoch_bound)
+        ]
+        dropped = len(self._index) - len(kept)
         if dropped:
-            self.disk.replace(self.name, b"".join(frame(record) for record in kept))
-        self._records = kept
+            frames = [self._frame(slot) for slot in kept]
+            self.disk.replace(self.name, b"".join(frames))
+            self._index = []
+            self._commits = {}
+            offset = 0
+            for slot, data in zip(kept, frames):
+                self._add(slot._replace(offset=offset))
+                offset += len(data)
+            self._end = offset
         self.truncated_total += dropped
         return dropped
 
     # -------------------------------------------------------------- queries
     def records(self) -> Iterator[WalRecord]:
-        """All live records in append order (the replay order)."""
-        return iter(self._records)
+        """All live records in append order (the replay order), streamed
+        from the file: it holds exactly the live records."""
+        return (record for record, _end in read_frames(self.disk, self.name))
 
     def commits(self) -> List[Tuple[SeqNr, LogEntry, EpochNr]]:
         """The live commit records as ``(sn, entry, epoch)`` tuples."""
         return [
             (r.sn, r.entry, r.epoch)
-            for r in self._records
+            for r in self.records()
             if r.kind == RECORD_COMMIT
         ]
+
+    def commit_count(self) -> int:
+        """Number of live commit records."""
+        return len(self._commits)
 
     def checkpoints(self) -> List[CheckpointCertificate]:
         """The live stable checkpoint certificates, in append order."""
         return [
-            r.certificate for r in self._records if r.kind == RECORD_CHECKPOINT
+            slot.record.certificate
+            for slot in self._index
+            if slot.kind == RECORD_CHECKPOINT
         ]
 
     def latest_epoch_started(self) -> Optional[EpochNr]:
         """The most recently recorded epoch start, if any survives."""
-        for record in reversed(self._records):
-            if record.kind == RECORD_EPOCH_START:
-                return record.epoch
+        for slot in reversed(self._index):
+            if slot.kind == RECORD_EPOCH_START:
+                return slot.epoch
         return None

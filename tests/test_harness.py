@@ -48,6 +48,21 @@ class TestDeployment:
         assert len(result.clients) == 2
         assert result.report.completed > 0
 
+    def test_a_request_submitted_directly_reaches_the_metrics(self):
+        """A client's own ``submit`` reports the submit time, so a request
+        that bypasses the workload generator is counted and timed."""
+        deployment = Deployment(tiny_config(), workload=tiny_workload(total_rate=2.0))
+        direct = []
+
+        def submit():
+            direct.append(deployment.clients[0].submit(b"direct"))
+
+        for delay in (0.5, 1.0, 1.5):
+            deployment.sim.schedule(delay, submit)
+        report = deployment.run().report
+        assert report.submitted == deployment.generator.submitted + len(direct)
+        assert report.completed == report.submitted
+
     def test_extra_stats_present(self):
         report = Deployment(tiny_config(), workload=tiny_workload()).run().report
         for key in ("messages_sent", "bytes_sent", "epochs_completed", "sim_events"):

@@ -121,11 +121,16 @@ class DictArchive:
 
     def __init__(self):
         self.sealed = {}
+        #: Entries read back through either method.
+        self.reads = 0
 
     def entry_at(self, sn):
+        self.reads += 1
         return self.sealed[sn]
 
     def entries_of(self, seq_nrs):
+        seq_nrs = list(seq_nrs)
+        self.reads += len(seq_nrs)
         return [(sn, self.sealed[sn]) for sn in seq_nrs]
 
 
@@ -157,6 +162,7 @@ def public_view(log: Log, positions):
         "highest_committed": log.highest_committed(),
         "committed_count": log.committed_count(),
         "nil_positions": log.nil_positions(),
+        "holds_nil": [log.holds_nil(sn) for sn in positions],
         "first_undelivered": log.first_undelivered,
         "total_delivered_requests": log.total_delivered_requests,
         # Re-committing the same value is a no-op, another value a conflict,
@@ -187,6 +193,26 @@ class TestEviction:
         with pytest.raises(ValueError):
             log.commit(1, entries[0], epoch=0, now=1.0)
 
+    def test_unsealed_evicted_positions_answer_digests_without_a_read_back(self):
+        """The checkpoint root, a repeated commit and the ⊥ test of an
+        evicted position nothing has sealed yet read no entry back."""
+        log, archive = Log(), DictArchive()
+        entries = [make_batch(make_request(timestamp=0)), NIL]
+        for sn, value in enumerate(entries):
+            log.commit(sn, value, epoch=0, now=0.0)
+        log.advance_delivery(now=0.0)
+        log.evict_through(1, archive, sealed_through=-1)
+        assert log.resident_count() == 0
+        assert log.digests_in(range(2)) == [value.digest() for value in entries]
+        assert not log.commit(0, Batch.of(entries[0].requests), epoch=0, now=1.0)
+        assert log.holds_nil(1) and not log.holds_nil(0)
+        assert archive.reads == 0
+        # Once sealed, the digest goes and the archive answers for it.
+        archive.sealed.update(enumerate(entries))
+        log.evict_through(1, archive, sealed_through=1)
+        assert log.digests_in(range(2)) == [value.digest() for value in entries]
+        assert archive.reads == 2
+
     def test_undelivered_positions_are_never_evicted(self):
         log, archive = Log(), DictArchive()
         for sn in (0, 1, 3):
@@ -213,7 +239,7 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("commit"), st.integers(0, 23), st.integers(0, 3)),
         st.tuples(st.just("deliver"), st.just(0), st.just(0)),
-        st.tuples(st.just("evict"), st.integers(-1, 23), st.just(0)),
+        st.tuples(st.just("evict"), st.integers(-1, 23), st.integers(-1, 23)),
     ),
     max_size=60,
 )
@@ -248,6 +274,7 @@ def test_evicting_log_matches_never_evicting_reference(operations):
             bound = min(sn, reference.first_undelivered - 1)
             for position in range(bound + 1):
                 archive.sealed[position] = reference.entry(position)
-            log.evict_through(sn, archive)
+            # ``size`` doubles as how far the archive counts as sealed.
+            log.evict_through(sn, archive, sealed_through=min(size, bound))
             assert log.resident_count() <= reference.committed_count() - (bound + 1)
         assert public_view(log, positions) == public_view(reference, positions)

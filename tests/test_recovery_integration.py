@@ -211,16 +211,17 @@ class TestCrashRestartRecovery:
 
 class TestEvictedHistory:
     def test_every_node_evicts_sealed_history_and_still_serves_all_of_it(self):
-        """Live nodes and the restarted one hold only the unsealed tail, yet
-        answer a joiner's open-ended probe from epoch 0 exactly as a log that
-        never evicted anything."""
+        """Live nodes and the restarted one hold only what they have not
+        delivered yet (sealed history comes from the archive, the delivered
+        unsealed tail from the WAL), yet answer a joiner's open-ended probe
+        from epoch 0 exactly as a log that never evicted anything."""
         _deployment, result, _peer_epochs = crash_restart_run(PROTOCOL_PBFT)
         probe = StateRequest(first_epoch=0, last_epoch=LATEST_STABLE)
         for node in result.nodes:
             storage = result.storages[node.node_id]
-            evicted = storage.snapshots.entry_count()
-            assert evicted > 0
-            assert node.log.resident_count() == node.log.committed_count() - evicted
+            assert storage.snapshots.entry_count() > 0
+            undelivered = node.log.committed_count() - node.log.first_undelivered
+            assert node.log.resident_count() == undelivered
             # The reference is rebuilt from storage, not from the node's log.
             reference = Log()
             for sn, entry, epoch in storage.snapshots.entries():

@@ -4,8 +4,9 @@ Client watermarks bound per-client state (Sec. 3.7) and a stable checkpoint
 garbage-collects everything below it (Sec. 3.4).  These tests pin the
 per-request and per-epoch state that has to go with them: the signature
 memo entry of a delivered request, the segment descriptors of finished
-epochs, the checkpoint votes of stable epochs, the PBFT voter sets of
-committed slots and the log entries already sealed into the archive.
+epochs, the checkpoint votes of stable epochs, the PBFT voter sets and
+decided values of committed slots, the decoded batches of WAL commits and
+every log entry already delivered (storage reads it back from disk).
 
 Within one epoch, nothing a replica or the simulator holds per request may
 outlive the request either: the workload generator's arrival timers, the
@@ -22,6 +23,7 @@ from repro.core.types import Batch
 from repro.harness.runner import Deployment
 from repro.pbft.pbft import PbftSB
 from repro.runtime.faults import CrashSpec, RestartSpec
+from repro.storage.wal import RECORD_COMMIT
 from tests.test_iss_node_unit import NodeHarness
 
 EPOCH_LENGTH = 8
@@ -67,12 +69,24 @@ def _memory_violations(node):
         for slot in instance._slots.values():
             if slot.committed and (slot.prepares or slot.commits):
                 problems.append(f"voters of committed slot {slot.sn}")
-    sealed = node.storage.snapshots.entry_count()
-    unsealed_tail = node.log.committed_count() - sealed
-    if node.log.resident_count() > unsealed_tail:
+            if slot.committed and (
+                slot.value is not None
+                or slot.preprepare is not None
+                or slot.prepared_proof is not None
+            ):
+                problems.append(f"decided value of committed slot {slot.sn}")
+    undelivered = node.log.committed_count() - node.log.first_undelivered
+    if node.log.resident_count() > undelivered:
         problems.append(
-            f"{node.log.resident_count()} entries resident, unsealed tail {unsealed_tail}"
+            f"{node.log.resident_count()} entries resident, {undelivered} undelivered"
         )
+    decoded = [
+        slot.sn
+        for slot in node.storage.wal._index
+        if slot.kind == RECORD_COMMIT and slot.record is not None
+    ]
+    if decoded:
+        problems.append(f"WAL commits held decoded: {decoded}")
     return problems
 
 

@@ -28,6 +28,7 @@ from repro.storage import (
     RECORD_COMMIT,
     RECORD_EPOCH_START,
 )
+from repro.storage.wal import WalRecord, frame
 from tests.conftest import make_batch, make_request
 
 
@@ -43,6 +44,11 @@ def fake_certificate(epoch: int, last_sn: int) -> CheckpointCertificate:
 
 def entry(sn: int):
     return make_batch(make_request(timestamp=sn))
+
+
+def run_frame(sn: int, value, epoch: int):
+    """``(sn, commit frame)``: one element of a run handed to ``seal``."""
+    return sn, frame(WalRecord(kind=RECORD_COMMIT, epoch=epoch, sn=sn, entry=value))
 
 
 class TestWriteAheadLog:
@@ -92,23 +98,25 @@ class TestSnapshotStore:
     def test_seal_requires_contiguous_run(self):
         store = SnapshotStore(SimDisk())
         with pytest.raises(ValueError):  # a gap inside the run
-            store.seal([(0, entry(0), 0), (2, entry(2), 0)], fake_certificate(0, 2))
+            store.seal(
+                [run_frame(0, entry(0), 0), run_frame(2, entry(2), 0)], fake_certificate(0, 2)
+            )
         with pytest.raises(ValueError):  # shorter than the certificate covers
-            store.seal([(0, entry(0), 0)], fake_certificate(0, 1))
+            store.seal([run_frame(0, entry(0), 0)], fake_certificate(0, 1))
         assert store.latest() is None
-        store.seal([(0, entry(0), 0)], fake_certificate(0, 0))
+        store.seal([run_frame(0, entry(0), 0)], fake_certificate(0, 0))
         with pytest.raises(ValueError):  # does not start where the archive ends
-            store.seal([(2, entry(2), 1)], fake_certificate(1, 2))
+            store.seal([run_frame(2, entry(2), 1)], fake_certificate(1, 2))
         with pytest.raises(ValueError):  # re-sealing what is already sealed
-            store.seal([(0, entry(0), 0)], fake_certificate(0, 0))
+            store.seal([run_frame(0, entry(0), 0)], fake_certificate(0, 0))
         assert store.entry_count() == 1
 
     def test_newer_seal_extends_older(self):
         store = SnapshotStore(SimDisk())
         first, second = fake_certificate(0, 0), fake_certificate(1, 2)
-        store.seal([(0, entry(0), 0)], first)
+        store.seal([run_frame(0, entry(0), 0)], first)
         assert store.latest() == Snapshot(epoch=0, last_sn=0, certificate=first)
-        store.seal([(1, entry(1), 1), (2, NIL, 1)], second)
+        store.seal([run_frame(1, entry(1), 1), run_frame(2, NIL, 1)], second)
         assert store.latest() == Snapshot(epoch=1, last_sn=2, certificate=second)
         assert store.entry_count() == len(store.latest()) == 3
         assert store.seals_total == 2
