@@ -48,8 +48,6 @@ _EXPORTS = {
     "Client": ".core.client",
     "Deployment": ".harness.runner",
     "DeploymentResult": ".harness.runner",
-    "run_experiment": ".harness.runner",
-    "find_peak_throughput": ".harness.runner",
     "RunReport": ".metrics.collector",
     "LatencySummary": ".metrics.collector",
     "MetricsCollector": ".metrics.collector",

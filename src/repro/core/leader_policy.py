@@ -199,10 +199,5 @@ def make_policy(config: ISSConfig) -> LeaderSelectionPolicy:
     if config.leader_policy == POLICY_BLACKLIST:
         return BlacklistPolicy(config.num_nodes, config.max_faulty)
     if config.leader_policy == POLICY_BACKOFF:
-        return BackoffPolicy(
-            config.num_nodes,
-            config.max_faulty,
-            ban_period=config.backoff_ban_period,
-            decrease=config.backoff_decrease,
-        )
+        return BackoffPolicy(config.num_nodes, config.max_faulty)
     raise ValueError(f"unknown leader policy {config.leader_policy!r}")

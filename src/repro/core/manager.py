@@ -32,13 +32,11 @@ class EpochManager:
         config: ISSConfig,
         policy: Optional[LeaderSelectionPolicy] = None,
         layout: str = LAYOUT_ROUND_ROBIN,
-        paranoid_checks: bool = True,
         membership=None,
     ):
         self.config = config
         self.policy = policy if policy is not None else make_policy(config)
         self.layout = layout
-        self.paranoid_checks = paranoid_checks
         self.history = FailureHistory()
         #: Optional ``repro.core.membership.MembershipTracker``; when set,
         #: leadersets and segments are computed from the epoch's committed
@@ -94,10 +92,9 @@ class EpochManager:
             layout=self.layout,
             active_nodes=active_nodes,
         )
-        if self.paranoid_checks:
-            validate_epoch_partition(
-                segments, epoch, self.config.epoch_length, self.config.num_buckets
-            )
+        validate_epoch_partition(
+            segments, epoch, self.config.epoch_length, self.config.num_buckets
+        )
         self._segments[epoch] = segments
         return segments
 

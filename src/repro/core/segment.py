@@ -127,8 +127,8 @@ def validate_epoch_partition(
     1. The segments' sequence numbers partition ``Sn(epoch)`` exactly.
     2. The segments' buckets partition the full bucket set exactly.
 
-    Raises ``ValueError`` on violation; used by tests and by the manager in
-    paranoid mode.
+    Raises ``ValueError`` on violation; the manager checks every epoch's
+    segments with it.
     """
     all_sns: List[SeqNr] = []
     all_buckets: List[BucketId] = []

@@ -1,14 +1,12 @@
 """Experiment harness: deployments and per-figure scenarios."""
 
-from .runner import Deployment, DeploymentResult, run_experiment, find_peak_throughput
+from .runner import Deployment, DeploymentResult
 from . import invariants
 from . import scenarios
 
 __all__ = [
     "Deployment",
     "DeploymentResult",
-    "run_experiment",
-    "find_peak_throughput",
     "invariants",
     "scenarios",
 ]

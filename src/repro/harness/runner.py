@@ -22,8 +22,9 @@ incarnation down, opens a fresh storage on the node's disk and rebuilds the
 node from it — archive plus WAL replay via
 :class:`~repro.storage.recovery.RecoveryManager`, then state transfer for
 everything ordered while the node was down.  A poll watcher (tick
-``recovery_poll``) detects when the node is back at the cluster frontier and attaches one recovery record (downtime, WAL entries
-replayed, state-transfer bytes, time-to-caught-up) to the run's report.
+:data:`RECOVERY_POLL`) detects when the node is back at the cluster frontier
+and attaches one recovery record (downtime, WAL entries replayed,
+state-transfer bytes, time-to-caught-up) to the run's report.
 
 ``app`` (e.g. :class:`~repro.app.kv.KVApp`) builds each node incarnation's
 application, as a live node process does (see :meth:`Deployment._build_node`).
@@ -76,10 +77,10 @@ from ..workload.generator import WorkloadGenerator
 #: Factory returning a fresh leader-selection policy for one node.
 PolicyFactory = Callable[[ISSConfig], LeaderSelectionPolicy]
 
-#: Default virtual-time tick of the post-restart catch-up watcher (seconds).
-#: It quantises *when* a recovery is declared caught-up, not what the
-#: protocol does.
-DEFAULT_RECOVERY_POLL_INTERVAL = 0.25
+#: Virtual-time tick (seconds) of the catch-up, join, reconvergence and
+#: eviction watchers.  It quantises *when* a recovery is declared caught-up,
+#: not what the protocol does.
+RECOVERY_POLL = 0.25
 
 #: The arming rule, whatever order ``faults`` lists its specs in.  Simulator
 #: ties are broken by the sequence number an event draws when it is
@@ -126,9 +127,8 @@ class Deployment:
         network_config: Optional[NetworkConfig] = None,
         workload: Optional[WorkloadConfig] = None,
         faults: Sequence[object] = (),
-        membership_enabled: Optional[bool] = None,
         durable_storage: Optional[bool] = None,
-        recovery_poll: float = DEFAULT_RECOVERY_POLL_INTERVAL,
+        recovery_poll: float = RECOVERY_POLL,
         probe_stagger: float = DEFAULT_PROBE_STAGGER,
         policy_factory: Optional[PolicyFactory] = None,
         node_class: Type[ISSNode] = ISSNode,
@@ -143,13 +143,10 @@ class Deployment:
         self.workload = workload or WorkloadConfig()
         #: The fault schedule, in the order it was given.
         self.faults = tuple(faults)
-        # Membership machinery defaults on exactly when a reconfiguration is
-        # scheduled, so static deployments keep their (golden-traced)
-        # schedules bit-identical; tests that submit ConfigTxs by hand can
-        # force it on without scheduling any spec.
-        if membership_enabled is None:
-            membership_enabled = bool(self.faults_of(MembershipSpec))
-        self.membership_enabled = membership_enabled
+        #: Membership machinery is on exactly when a reconfiguration is
+        #: scheduled, so static deployments keep their (golden-traced)
+        #: schedules bit-identical.
+        self.membership_enabled = bool(self.faults_of(MembershipSpec))
         #: Node ids joining beyond the genesis set, in ascending order.
         self._joining_ids = sorted(
             {
@@ -182,10 +179,15 @@ class Deployment:
         if durable_storage is None:
             durable_storage = bool(self.faults_of(RestartSpec))
         self.durable_storage = durable_storage
-        if recovery_poll <= 0:
-            raise ValueError(f"recovery_poll must be positive, got {recovery_poll}")
-        #: Tick of the catch-up / join / reconvergence / eviction watchers.
-        self.recovery_poll = recovery_poll
+        # ``recovery_poll`` has one legal value, :data:`RECOVERY_POLL`; like
+        # ``sim_config`` it stays accepted for the frozen
+        # benchmarks/e2e/sim_runner.py caller until the next benchmark
+        # re-anchor.
+        if recovery_poll != RECOVERY_POLL:
+            raise ValueError(
+                f"recovery_poll is fixed at {RECOVERY_POLL}, got {recovery_poll}"
+            )
+        self.recovery_poll = RECOVERY_POLL
         #: Open-ended state-transfer probe stagger handed to every node.
         self.probe_stagger = probe_stagger
         #: Zero-argument factory of one node's application; ``None`` runs none.
@@ -1056,41 +1058,3 @@ class Deployment:
             )
         return stats
 
-
-def run_experiment(
-    config: ISSConfig,
-    workload: WorkloadConfig,
-    network_config: Optional[NetworkConfig] = None,
-    **kwargs,
-) -> RunReport:
-    """Convenience wrapper: build a deployment, run it, return the report."""
-    deployment = Deployment(
-        config=config, network_config=network_config, workload=workload, **kwargs
-    )
-    return deployment.run().report
-
-
-def find_peak_throughput(
-    make_report: Callable[[float], RunReport],
-    offered_loads: Sequence[float],
-) -> Dict[str, object]:
-    """Sweep offered load and return the peak achieved throughput.
-
-    Mirrors the paper's methodology: "we run experiments with increasing the
-    client request submission rate until the throughput is saturated" and
-    report the highest measured throughput before saturation.
-    """
-    best_throughput = 0.0
-    best_load = 0.0
-    points = []
-    for load in offered_loads:
-        report = make_report(load)
-        points.append((load, report.throughput, report.latency.mean))
-        if report.throughput > best_throughput:
-            best_throughput = report.throughput
-            best_load = load
-    return {
-        "peak_throughput": best_throughput,
-        "at_offered_load": best_load,
-        "points": points,
-    }

@@ -41,7 +41,6 @@ from ..obs.config import ObsConfig
 from ..runtime.faults import (
     BYZ_CENSOR,
     BYZ_EQUIVOCATE,
-    BYZ_INVALID_VOTES,
     CLIENT_BUCKET_BIAS,
     CLIENT_DUPLICATE_FLOOD,
     CLIENT_FORGED_SIGNATURE,
@@ -147,10 +146,7 @@ WAN_ONE_WAY_LATENCY: Tuple[Tuple[float, ...], ...] = (
 
 
 def wan_regions(
-    num_regions: int = 4,
-    bandwidth_bps: float = SCALED_BANDWIDTH_BPS,
-    batch_flush_interval: float = DEFAULT_FLUSH_INTERVAL,
-    jitter: Optional[float] = None,
+    num_regions: int = 4, batch_flush_interval: float = DEFAULT_FLUSH_INTERVAL
 ) -> NetworkConfig:
     """Geo-realistic WAN: the first ``num_regions`` of :data:`WAN_REGIONS`.
 
@@ -161,9 +157,8 @@ def wan_regions(
     adds replicas without changing the latency geometry.  Region pairs
     spread from 13 ms (Dublin–Frankfurt) to 163 ms (Singapore–São Paulo).
 
-    ``batch_flush_interval`` defaults to the benchmark flush tick; pass
-    ``0.0`` to disable wire batching.  ``jitter`` defaults to the
-    NetworkConfig default.
+    The NIC is :data:`SCALED_BANDWIDTH_BPS`; ``batch_flush_interval``
+    defaults to the benchmark flush tick, ``0.0`` disables wire batching.
     """
     if not 1 <= num_regions <= len(WAN_REGIONS):
         raise ValueError(
@@ -173,15 +168,12 @@ def wan_regions(
         [WAN_ONE_WAY_LATENCY[a][b] for b in range(num_regions)]
         for a in range(num_regions)
     ]
-    kwargs: Dict[str, object] = dict(
-        bandwidth_bps=bandwidth_bps,
+    return NetworkConfig(
+        bandwidth_bps=SCALED_BANDWIDTH_BPS,
         num_datacenters=num_regions,
         dc_latency_matrix=matrix,
         batch_flush_interval=batch_flush_interval,
     )
-    if jitter is not None:
-        kwargs["jitter"] = jitter
-    return NetworkConfig(**kwargs)
 
 
 def iss_config(protocol: str, num_nodes: int, **overrides) -> ISSConfig:
@@ -573,11 +565,10 @@ def leader_policy_comparison(
     rate: float = 800.0,
     duration: float = 30.0,
     crash_kind: str = "epoch-start",
-    policies: Sequence[str] = (POLICY_SIMPLE, POLICY_BACKOFF, POLICY_BLACKLIST),
 ) -> List[Dict[str, object]]:
     """Mean / tail latency per leader-selection policy with one crash."""
     rows = []
-    for policy in policies:
+    for policy in (POLICY_SIMPLE, POLICY_BACKOFF, POLICY_BLACKLIST):
         if crash_kind == "epoch-start":
             crashes = epoch_start_crashes(1, num_nodes, epoch=0)
         else:
@@ -773,14 +764,14 @@ def crash_restart_sweep(
 
 
 def recovery_time_over_downtime(
-    protocol: str = PROTOCOL_PBFT,
     num_nodes: int = 4,
     rate: float = 800.0,
     downtimes: Sequence[float] = (5.0, 10.0, 15.0),
     crash_time: float = 3.0,
     tail_time: float = 15.0,
 ) -> List[Dict[str, object]]:
-    """Recovery-time curve: how catch-up cost grows with time spent down.
+    """Recovery-time curve (ISS-PBFT): how catch-up cost grows with time
+    spent down.
 
     Longer downtime ⇒ more epochs ordered without the victim ⇒ more state
     transfer on restart.  Each run extends the experiment so the node always
@@ -789,7 +780,7 @@ def recovery_time_over_downtime(
     rows: List[Dict[str, object]] = []
     for downtime in downtimes:
         (point,) = crash_restart_sweep(
-            (protocol,),
+            (PROTOCOL_PBFT,),
             num_nodes=num_nodes,
             rate=rate,
             duration=crash_time + downtime + tail_time,
@@ -801,7 +792,7 @@ def recovery_time_over_downtime(
         rows.append(
             dict(
                 point["recoveries"][0],
-                protocol=protocol,
+                protocol=PROTOCOL_PBFT,
                 downtime=downtime,
                 prefix_matches=point["prefixes_identical"],
                 caught_up=point["caught_up"],
@@ -815,21 +806,17 @@ def recovery_time_over_downtime(
 # ---------------------------------------------------------------------------
 
 def byzantine_leader_sweep(
-    protocols: Sequence[str] = (PROTOCOL_PBFT, PROTOCOL_HOTSTUFF),
-    behaviours: Sequence[str] = (BYZ_EQUIVOCATE, BYZ_CENSOR),
-    adversary_counts: Sequence[int] = (0, 1),
     num_nodes: int = 4,
     rate: float = 600.0,
     duration: float = 20.0,
 ) -> List[Dict[str, object]]:
-    """Throughput/latency with up to ``f`` active adversaries (Fig. 13 style).
+    """Throughput/latency of ISS-PBFT and ISS-HotStuff with no adversary,
+    one equivocating and one censoring leader (Fig. 13 style).
 
     A single zero-adversary row per protocol (``byz_behaviour="none"``)
-    gives the clean baseline every behaviour's curve is measured against —
+    gives the clean baseline every behaviour's row is measured against —
     the baseline deployment is behaviour-independent, so it runs once
-    instead of once per behaviour.  Censors target 4 buckets.  Equivocation
-    and forged votes target the BFT protocols; Raft (CFT) only appears when
-    paired with behaviours inside its fault model (censorship, replay).
+    instead of once per behaviour.  Censors target 4 buckets.
     """
 
     def point(protocol: str, behaviour: str, count: int) -> Dict[str, object]:
@@ -854,18 +841,10 @@ def byzantine_leader_sweep(
         return figures
 
     rows: List[Dict[str, object]] = []
-    attacked_counts = [count for count in adversary_counts if count > 0]
-    for protocol in protocols:
-        if 0 in adversary_counts:
-            rows.append(point(protocol, BYZ_EQUIVOCATE, 0))
-        for behaviour in behaviours:
-            if protocol == PROTOCOL_RAFT and behaviour in (
-                BYZ_EQUIVOCATE,
-                BYZ_INVALID_VOTES,
-            ):
-                continue
-            for count in attacked_counts:
-                rows.append(point(protocol, behaviour, count))
+    for protocol in (PROTOCOL_PBFT, PROTOCOL_HOTSTUFF):
+        rows.append(point(protocol, BYZ_EQUIVOCATE, 0))
+        for behaviour in (BYZ_EQUIVOCATE, BYZ_CENSOR):
+            rows.append(point(protocol, behaviour, 1))
     return rows
 
 
@@ -873,30 +852,24 @@ def censorship_rotation(
     num_nodes: int = 4,
     rate: float = 600.0,
     duration: float = 16.0,
-    censored_bucket_count: int = 4,
-    drain_time: float = 15.0,
-    seed: int = 42,
 ) -> Dict[str, object]:
     """Bucket rotation vs a censoring leader (the Section 3.2 defence).
 
-    One Byzantine leader censors a fixed bucket set for the whole run; the
-    row reports how much of the censored traffic still completed and the
-    latency penalty it paid waiting for its buckets to rotate to honest
-    leaders.  The generous ``drain_time`` lets requests submitted right
-    before the workload ends complete, so ``censored_completed`` can reach
-    ``censored_submitted``.
+    One Byzantine leader censors the first 4 buckets for the whole run;
+    the row reports how much of the censored traffic still completed and
+    the latency penalty it paid waiting for its buckets to rotate to
+    honest leaders.  The generous 15 s drain lets requests submitted
+    right before the workload ends complete, so ``censored_completed``
+    can reach ``censored_submitted``.
     """
-    buckets = censorship_targets(
-        iss_config(PROTOCOL_PBFT, num_nodes).num_buckets, censored_bucket_count
-    )
+    buckets = censorship_targets(iss_config(PROTOCOL_PBFT, num_nodes).num_buckets, 4)
     dep = deployment(
         PROTOCOL_PBFT,
         num_nodes,
         byzantine_leaders(1, num_nodes, behaviour=BYZ_CENSOR, buckets=buckets),
         rate=rate,
         duration=duration,
-        seed=seed,
-        drain_time=drain_time,
+        drain_time=15.0,
     )
     figures = row(dep, dep.run())
     submitted = figures["censored_submitted"]
@@ -985,33 +958,29 @@ def client_abuse_sweep(
 
 
 def watermark_stall(
-    num_nodes: int = 4,
-    num_clients: int = 6,
-    rate: float = 300.0,
-    duration: float = 10.0,
-    window: int = 256,
-    seed: int = 42,
-    drain_time: float = 10.0,
+    duration: float = 10.0, drain_time: float = 10.0
 ) -> Dict[str, object]:
     """A gap-leaving client tries to wedge the watermark machinery.
 
-    One abusive client alternates far-out timestamps with deliberate gaps,
-    so its contiguous-prefix low watermark can never advance.  The row shows
-    the defence working end to end: the abuser's window stalls (bounding its
-    in-flight requests by ``window``), correct clients' watermarks keep
-    advancing and their requests all complete, and node memory stays bounded
-    (out-of-order buffers capped by the window, delivered filters garbage
-    collected below the advanced watermarks).
+    Six clients offer 300 req/s to 4 ISS-PBFT nodes with a 256-request
+    watermark window.  The last client alternates far-out timestamps with
+    deliberate gaps, so its contiguous-prefix low watermark can never
+    advance.  The row shows the defence working end to end: the abuser's
+    window stalls (bounding its in-flight requests by the window), correct
+    clients' watermarks keep advancing and their requests all complete,
+    and node memory stays bounded (out-of-order buffers capped by the
+    window, delivered filters garbage collected below the advanced
+    watermarks).
     """
-    abuser = num_clients - 1
+    window = 256
+    abuser = 5
     dep = deployment(
         PROTOCOL_PBFT,
-        num_nodes,
+        4,
         [MaliciousClientSpec(client=abuser, behaviour=CLIENT_WATERMARK_ABUSE)],
-        rate=rate,
+        rate=300.0,
         duration=duration,
-        num_clients=num_clients,
-        seed=seed,
+        num_clients=6,
         drain_time=drain_time,
         client_watermark_window=window,
         send_client_responses=True,
@@ -1045,20 +1014,14 @@ def watermark_stall(
 # ---------------------------------------------------------------------------
 
 #: Flap periods swept by :func:`link_flap_sweep` (seconds).
-DEFAULT_FLAP_PERIODS = (1.0, 2.0, 4.0)
+FLAP_PERIODS = (1.0, 2.0, 4.0)
 
 
 def partition_minority(
-    protocol: str = PROTOCOL_PBFT,
-    num_nodes: int = 4,
-    rate: float = 400.0,
-    duration: float = 15.0,
-    partition_start: float = 3.0,
-    partition_duration: float = 6.0,
-    seed: int = 42,
+    duration: float = 15.0, partition_duration: float = 6.0
 ) -> Dict[str, object]:
-    """Isolate one node (a minority) mid-run, then heal (the canonical
-    partition experiment).
+    """Isolate one node (a minority) of 4 ISS-PBFT nodes at 3 s, then heal
+    (the canonical partition experiment; 400 req/s).
 
     While split, the majority side keeps ordering (the minority node's
     segment is filled with ⊥ after a view change) and clients ride out the
@@ -1068,12 +1031,10 @@ def partition_minority(
     ``time_to_reconverge`` measures the state-transfer path, not an epoch
     timer.
     """
-    specs = minority_partition(
-        1, num_nodes, partition_start, partition_start + partition_duration
-    )
+    specs = minority_partition(1, 4, 3.0, 3.0 + partition_duration)
     dep = deployment(
-        protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
-        drain_time=15.0, **GRACEFUL,
+        PROTOCOL_PBFT, 4, specs, rate=400.0, duration=duration, drain_time=15.0,
+        **GRACEFUL,
     )
     return dict(
         row(dep, dep.run()),
@@ -1082,17 +1043,9 @@ def partition_minority(
     )
 
 
-def partition_bridge(
-    protocol: str = PROTOCOL_PBFT,
-    num_nodes: int = 5,
-    bridge: int = 2,
-    rate: float = 400.0,
-    duration: float = 15.0,
-    partition_start: float = 3.0,
-    partition_duration: float = 6.0,
-    seed: int = 42,
-) -> Dict[str, object]:
-    """Split the cluster into two halves connected only through ``bridge``.
+def partition_bridge(duration: float = 15.0) -> Dict[str, object]:
+    """Split 5 ISS-PBFT nodes into two halves connected only through node 2,
+    from 3 s to 9 s (400 req/s).
 
     Neither half alone has a strong quorum, so ordering stalls for the
     partition window (graceful degradation: no equivocation, no divergence,
@@ -1100,125 +1053,91 @@ def partition_bridge(
     and checkpoints partially informed.  After heal everything reconverges
     and every request completes through the retry loop.
     """
-    specs = bridge_partition(
-        num_nodes, bridge, partition_start, partition_start + partition_duration
-    )
+    specs = bridge_partition(5, 2, 3.0, 9.0)
     dep = deployment(
-        protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
-        drain_time=15.0, **GRACEFUL,
+        PROTOCOL_PBFT, 5, specs, rate=400.0, duration=duration, drain_time=15.0,
+        **GRACEFUL,
     )
-    return dict(row(dep, dep.run()), scenario="partition_bridge", bridge=bridge)
+    return dict(row(dep, dep.run()), scenario="partition_bridge", bridge=2)
 
 
-def asymmetric_link(
-    protocol: str = PROTOCOL_PBFT,
-    num_nodes: int = 4,
-    src: int = 0,
-    dst: int = 3,
-    rate: float = 400.0,
-    duration: float = 15.0,
-    block_start: float = 3.0,
-    block_duration: float = 6.0,
-    seed: int = 42,
-) -> Dict[str, object]:
-    """One-way link failure: ``src`` cannot reach ``dst`` but ``dst`` still
-    reaches ``src`` — the asymmetric-connectivity case a symmetric
-    partition cannot express.
+def asymmetric_link(duration: float = 15.0) -> Dict[str, object]:
+    """One-way link failure among 4 ISS-PBFT nodes from 3 s to 9 s: node 0
+    cannot reach node 3 but node 3 still reaches node 0 — the
+    asymmetric-connectivity case a symmetric partition cannot express.
 
     The cluster keeps a full quorum (only one direction of one link is
     down), so ordering continues; the scenario shows protocol-level
     redundancy (broadcasts, retransmissions, client retries) absorbing a
     degraded mesh without any reconvergence machinery.
     """
-    specs = one_way_blocks(
-        [(src, dst)], block_start, block_start + block_duration
-    )
+    specs = one_way_blocks([(0, 3)], 3.0, 9.0)
     dep = deployment(
-        protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
-        drain_time=15.0, **GRACEFUL,
+        PROTOCOL_PBFT, 4, specs, rate=400.0, duration=duration, drain_time=15.0,
+        **GRACEFUL,
     )
-    return dict(
-        row(dep, dep.run()), scenario="asymmetric_link", blocked_link=(src, dst)
-    )
+    return dict(row(dep, dep.run()), scenario="asymmetric_link", blocked_link=(0, 3))
 
 
-def link_flap_sweep(
-    protocol: str = PROTOCOL_PBFT,
-    num_nodes: int = 4,
-    periods: Sequence[float] = DEFAULT_FLAP_PERIODS,
-    flap_up: float = 0.5,
-    retransmit: float = 0.5,
-    rate: float = 400.0,
-    duration: float = 12.0,
-    seed: int = 42,
-) -> List[Dict[str, object]]:
-    """Throughput/latency as one link flaps faster and faster.
+def link_flap_sweep(duration: float = 12.0) -> List[Dict[str, object]]:
+    """Throughput/latency of 4 ISS-PBFT nodes (400 req/s) as one link flaps
+    faster and faster.
 
-    Both directions of the (0, top) link oscillate (up for ``flap_up`` of
-    each period); one row per period of ``periods``.  The flapping link rides a
-    reliable transport (payloads dropped in a down-window are re-offered
-    after ``retransmit`` seconds), so flapping costs latency rather than
+    Both directions of the (0, 3) link oscillate (up for half of each
+    period); one row per period of :data:`FLAP_PERIODS`.  The flapping
+    link rides a reliable transport (payloads dropped in a down-window are
+    re-offered after 0.5 s), so flapping costs latency rather than
     correctness.  Without it a slow flap wedges the two endpoints: each
     misses the other's pre-prepares, neither can be rescued by a view
     change (a lone laggard never musters a view-change quorum), and with
     two of four nodes stuck in epoch 0 no checkpoint quorum ever forms —
     BFT message channels between correct nodes are assumed reliable.
     """
-    top = num_nodes - 1
     rows: List[Dict[str, object]] = []
-    for period in periods:
+    for period in FLAP_PERIODS:
         specs = flapping_links(
-            [(0, top), (top, 0)], flap_period=period, flap_up=flap_up,
-            retransmit=retransmit, seed=seed,
+            [(0, 3), (3, 0)], flap_period=period, flap_up=0.5, retransmit=0.5,
+            seed=42,
         )
         dep = deployment(
-            protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
-            drain_time=15.0, **GRACEFUL,
+            PROTOCOL_PBFT, 4, specs, rate=400.0, duration=duration, drain_time=15.0,
+            **GRACEFUL,
         )
         rows.append(
             dict(
                 row(dep, dep.run()),
                 scenario="link_flap_sweep",
                 flap_period=period,
-                flap_up=flap_up,
+                flap_up=0.5,
             )
         )
     return rows
 
 
-def partition_heal_retry_storm(
-    protocol: str = PROTOCOL_PBFT,
-    num_nodes: int = 4,
-    rate: float = 400.0,
-    duration: float = 15.0,
-    partition_start: float = 3.0,
-    partition_duration: float = 6.0,
-    retry_timeout: float = 0.5,
-    seed: int = 42,
-) -> Dict[str, object]:
+def partition_heal_retry_storm(duration: float = 15.0) -> Dict[str, object]:
     """Aggressive client retries against a partition: does backoff keep the
     post-heal resubmission burst bounded?
 
-    Clients run a deliberately hot retry loop (0.5 s initial timeout).
-    Exponential backoff with a cap plus jitter keeps the total retry count
-    bounded — each stuck request resends at most ``log2(cap/timeout)``
-    times before settling at the capped rate — and the nodes' idempotent
-    bucket queues absorb the duplicates that race the heal.  The row
-    reports the retry total and the duplicate count so regressions in
-    either direction (retry storms, lost liveness) are visible.
+    The :func:`partition_minority` split (one of 4 ISS-PBFT nodes cut off
+    from 3 s to 9 s), with clients running a deliberately hot retry loop
+    (0.5 s initial timeout).  Exponential backoff with a cap plus jitter
+    keeps the total retry count bounded — each stuck request resends at
+    most ``log2(cap/timeout)`` times before settling at the capped rate —
+    and the nodes' idempotent bucket queues absorb the duplicates that race
+    the heal.  The row reports the retry total and the duplicate count so
+    regressions in either direction (retry storms, lost liveness) are
+    visible.
     """
-    specs = minority_partition(
-        1, num_nodes, partition_start, partition_start + partition_duration
-    )
+    specs = minority_partition(1, 4, 3.0, 9.0)
     dep = deployment(
-        protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
-        drain_time=15.0, **dict(GRACEFUL, client_retry_timeout=retry_timeout),
+        PROTOCOL_PBFT, 4, specs, rate=400.0, duration=duration, drain_time=15.0,
+        **dict(GRACEFUL, client_retry_timeout=0.5),
     )
     result = dep.run()
     return dict(
         row(dep, result),
         scenario="partition_heal_retry_storm",
-        retry_timeout=retry_timeout,
+        retry_timeout=0.5,
         duplicates_absorbed=sum(
             sum(node.duplicate_requests.values()) for node in result.nodes
         ),
@@ -1237,127 +1156,99 @@ DEFAULT_MEMBERSHIP_EPOCH_LENGTH = 16
 #: Spacing between a rolling upgrade's remove and re-add (and between
 #: per-node cycles).  Must exceed the epoch duration at the scenario's
 #: request rate, or both ConfigTxs commit in one epoch and cancel out.
-DEFAULT_MEMBERSHIP_PERIOD = 6.0
+MEMBERSHIP_PERIOD = 6.0
 
 
 def membership_join(
     protocol: str = PROTOCOL_PBFT,
-    num_nodes: int = 4,
-    joiners: int = 1,
     join_time: float = 3.0,
-    rate: float = 400.0,
     duration: float = 20.0,
-    seed: int = 42,
 ) -> Dict[str, object]:
-    """Grow the cluster by ``joiners`` replicas mid-run.
+    """Grow a 4-replica cluster (400 req/s) by one replica at ``join_time``.
 
-    Each add-ConfigTx is ordered like any client request and activates at
+    The add-ConfigTx is ordered like any client request and activates at
     the next epoch boundary; the new replica boots empty, state-transfers
     the committed prefix and joins ordering.  The row's ``all_joined`` /
     ``time_to_join_max`` are the figures of merit; the quorum sizes grow
-    with the view (n → n + joiners) with no interruption to ordering.
+    with the view (4 → 5) with no interruption to ordering.
     """
-    specs = membership_additions(joiners, num_nodes, start=join_time)
+    specs = membership_additions(1, 4, start=join_time)
     dep = deployment(
-        protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
-        drain_time=12.0, epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
+        protocol, 4, specs, rate=400.0, duration=duration, drain_time=12.0,
+        epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
     )
-    return dict(row(dep, dep.run()), scenario="membership_join", joiners=joiners)
+    return dict(row(dep, dep.run()), scenario="membership_join", joiners=1)
 
 
-def membership_leave(
-    protocol: str = PROTOCOL_PBFT,
-    num_nodes: int = 5,
-    leavers: int = 1,
-    leave_time: float = 3.0,
-    rate: float = 400.0,
-    duration: float = 20.0,
-    seed: int = 42,
-) -> Dict[str, object]:
-    """Shrink the cluster by ``leavers`` replicas mid-run.
+def membership_leave() -> Dict[str, object]:
+    """Shrink a 5-replica ISS-PBFT cluster (400 req/s, 20 s) by one replica.
 
-    Victims are the highest-numbered nodes (node 0 stays inspectable).
-    The remove-ConfigTx commits in some epoch *e*, the view without the
-    victim takes effect at epoch *e+1*, and the victim retires itself
-    after sealing *e* — its delivered prefix ends exactly at the epoch
-    boundary, which :func:`~repro.harness.invariants.check_membership`
-    verifies.
+    The victim is the highest-numbered node (node 0 stays inspectable);
+    its remove-ConfigTx is submitted at 3 s.  It commits in some epoch
+    *e*, the view without the victim takes effect at epoch *e+1*, and the
+    victim retires itself after sealing *e* — its delivered prefix ends
+    exactly at the epoch boundary, which
+    :func:`~repro.harness.invariants.check_membership` verifies.
     """
-    victims = [num_nodes - 1 - i for i in range(leavers)]
-    if len(victims) >= num_nodes:
-        raise ValueError("cannot remove every node")
-    specs = membership_removals(victims, start=leave_time)
+    specs = membership_removals([4], start=3.0)
     dep = deployment(
-        protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
-        drain_time=12.0, epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
+        PROTOCOL_PBFT, 5, specs, rate=400.0, duration=20.0, drain_time=12.0,
+        epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
     )
-    return dict(row(dep, dep.run()), scenario="membership_leave", leavers=leavers)
+    return dict(row(dep, dep.run()), scenario="membership_leave", leavers=1)
 
 
-def rolling_upgrade(
-    protocol: str = PROTOCOL_PBFT,
-    num_nodes: int = 4,
-    period: float = DEFAULT_MEMBERSHIP_PERIOD,
-    rate: float = 300.0,
-    seed: int = 42,
-    tail: float = 6.0,
-) -> Dict[str, object]:
-    """Upgrade every replica in turn: remove it, then re-add it one
-    ``period`` later — the paper's reconfiguration story applied n times.
+def rolling_upgrade(protocol: str = PROTOCOL_PBFT) -> Dict[str, object]:
+    """Upgrade each of 4 replicas (300 req/s) in turn: remove it, then
+    re-add it :data:`MEMBERSHIP_PERIOD` later — the paper's
+    reconfiguration story applied n times.
 
     One node is out at a time, so the remaining replicas keep a strong
     quorum and ordering never stops; each re-added node recovers via
     snapshot + WAL replay + state transfer like a restarted replica.  The
     run's duration is derived from the schedule so the last re-add has an
-    epoch boundary plus catch-up time to land.  Row fields of merit:
+    epoch boundary plus 6 s of catch-up time to land.  Row fields of merit:
     ``upgraded`` (how many replicas completed the remove+re-add cycle),
     ``all_complete`` and ``prefixes_identical`` (the acceptance gate),
     and ``final_view`` (back to the genesis set).
     """
-    specs = rolling_upgrade_specs(num_nodes, start=3.0, period=period)
-    duration = 3.0 + 2 * period * num_nodes + tail
+    specs = rolling_upgrade_specs(4, start=3.0, period=MEMBERSHIP_PERIOD)
+    duration = 3.0 + 2 * MEMBERSHIP_PERIOD * 4 + 6.0
     dep = deployment(
-        protocol, num_nodes, specs, rate=rate, duration=duration, seed=seed,
-        drain_time=15.0, epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
+        protocol, 4, specs, rate=300.0, duration=duration, drain_time=15.0,
+        epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
     )
     figures = row(dep, dep.run())
     figures["scenario"] = "rolling_upgrade"
-    figures["period"] = period
+    figures["period"] = MEMBERSHIP_PERIOD
     figures["upgraded"] = sum(
         1
         for j in figures["joins"]
         if j.get("rejoined") and j["time_to_join"] >= 0.0
     )
     figures["upgrade_complete"] = (
-        figures["upgraded"] == num_nodes
-        and sorted(figures["final_view"]) == list(range(num_nodes))
+        figures["upgraded"] == 4 and sorted(figures["final_view"]) == [0, 1, 2, 3]
     )
     return figures
 
 
-def byzantine_eviction(
-    protocol: str = PROTOCOL_PBFT,
-    behaviour: str = BYZ_EQUIVOCATE,
-    num_nodes: int = 4,
-    rate: float = 400.0,
-    duration: float = 25.0,
-    seed: int = 42,
-) -> Dict[str, object]:
+def byzantine_eviction(protocol: str = PROTOCOL_PBFT) -> Dict[str, object]:
     """Close the detection loop: a Byzantine replica is evicted *from
     membership*, not just blacklisted from the leaderset.
 
-    The adversary (highest-numbered node) misbehaves, its segment's view
-    change fills the slots with ⊥ and records it in the shared failure
-    history; the harness's eviction watch then submits a remove-ConfigTx,
-    and the next epoch boundary activates a view without it.  The
-    blacklist policy kept it out of the *leaderset* within epochs; the
-    membership eviction removes it from quorums and checkpoints too.
+    The adversary (node 3 of 4, equivocating; 400 req/s for 25 s)
+    misbehaves, its segment's view change fills the slots with ⊥ and
+    records it in the shared failure history; the harness's eviction watch
+    then submits a remove-ConfigTx, and the next epoch boundary activates
+    a view without it.  The blacklist policy kept it out of the
+    *leaderset* within epochs; the membership eviction removes it from
+    quorums and checkpoints too.
     """
-    adversary = num_nodes - 1
-    byz = byzantine_leaders(1, num_nodes, behaviour=behaviour)
+    adversary = 3
+    byz = byzantine_leaders(1, 4, behaviour=BYZ_EQUIVOCATE)
     dep = deployment(
-        protocol, num_nodes, eviction_watch([adversary]) + byz, rate=rate,
-        duration=duration, seed=seed, drain_time=12.0,
+        protocol, 4, eviction_watch([adversary]) + byz, rate=400.0,
+        duration=25.0, drain_time=12.0,
         epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
     )
     figures = row(dep, dep.run())
@@ -1372,33 +1263,22 @@ def byzantine_eviction(
     return figures
 
 
-def combined_adversary(
-    protocol: str = PROTOCOL_PBFT,
-    num_nodes: int = 4,
-    num_abusive: int = 1,
-    client_behaviour: str = CLIENT_DUPLICATE_FLOOD,
-    byz_behaviour: str = BYZ_EQUIVOCATE,
-    num_clients: int = 8,
-    rate: float = 400.0,
-    duration: float = 25.0,
-    seed: int = 42,
-) -> Dict[str, object]:
+def combined_adversary(protocol: str = PROTOCOL_PBFT) -> Dict[str, object]:
     """Abusive clients and a Byzantine replica in one run.
 
     The regression the membership battery pins: client-side defences
     (watermarks, duplicate absorption) and replica-side eviction must
-    compose — the Byzantine replica ends up evicted from membership while
-    every *correct* client's requests still complete.
+    compose — the equivocating replica (node 3 of 4) ends up evicted from
+    membership while every *correct* client's requests still complete,
+    with one of 8 clients flooding duplicates (400 req/s for 25 s).
     """
-    adversary = num_nodes - 1
-    byz = byzantine_leaders(1, num_nodes, behaviour=byz_behaviour)
-    client_specs = abusive_clients(
-        num_abusive, num_clients, behaviour=client_behaviour
-    )
+    adversary = 3
+    byz = byzantine_leaders(1, 4, behaviour=BYZ_EQUIVOCATE)
+    client_specs = abusive_clients(1, 8, behaviour=CLIENT_DUPLICATE_FLOOD)
     dep = deployment(
-        protocol, num_nodes, eviction_watch([adversary]) + byz + client_specs,
-        rate=rate, duration=duration, num_clients=num_clients, seed=seed,
-        drain_time=12.0, epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
+        protocol, 4, eviction_watch([adversary]) + byz + client_specs,
+        rate=400.0, duration=25.0, num_clients=8, drain_time=12.0,
+        epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
     )
     figures = row(dep, dep.run())
     figures["scenario"] = "combined_adversary"

@@ -2,11 +2,13 @@
 
 The paper measures *throughput* as requests delivered per second and
 *end-to-end latency* as the time from a client submitting a request until it
-receives ``f+1`` responses (Section 6.1).  The collector supports both the
-full client-response path and the cheaper centralised equivalent: a request
-counts as completed the moment ``f+1`` distinct nodes have delivered it,
-which is exactly when the client-side quorum of responses becomes possible
-(minus one network hop that is identical for all configurations).
+receives ``f+1`` responses (Section 6.1).  The collector completes a request
+the moment ``f+1`` distinct nodes have delivered it
+(:meth:`MetricsCollector.record_delivery`).  A node delivers before its reply
+leaves it, so that moment always precedes the client's ``f+1``-th reply:
+:meth:`MetricsCollector.record_client_completion` then finds the request
+complete and records nothing, and simulated latency leaves out the reply leg
+whether nodes send client responses or not.
 """
 
 from __future__ import annotations

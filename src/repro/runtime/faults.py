@@ -404,12 +404,8 @@ def symmetric_split(
     right: Iterable[NodeId],
     start_time: float,
     heal_time: float,
-    bridges: Iterable[NodeId] = (),
 ) -> PartitionSpec:
-    """Convenience builder for the common two-group split."""
+    """Convenience builder for the common two-group split (no bridge)."""
     return PartitionSpec(
-        groups=(tuple(left), tuple(right)),
-        start_time=start_time,
-        heal_time=heal_time,
-        bridges=tuple(bridges),
+        groups=(tuple(left), tuple(right)), start_time=start_time, heal_time=heal_time
     )

@@ -11,14 +11,17 @@ Both specs are armed through the :class:`~repro.sim.faults.FaultInjector`
 (scheduled in virtual time like every other fault) and applied by the
 :class:`~repro.sim.network.Network` *before* wire batching, so drops and
 duplications act on individual payloads and can never hide inside a
-coalesced :class:`~repro.runtime.wire.MessageBatchMsg` frame.
+coalesced :class:`~repro.runtime.wire.MessageBatchMsg` frame.  Besides a
+crashed endpoint, they are the simulated network's only way to lose a
+message: random loss is a ``LinkFaultSpec.loss_rate`` on the
+links it names, never a network-wide setting, and :data:`DROP_CAUSES`
+lists every cause a drop is counted under.
 
 Determinism: every probabilistic effect (loss, duplication, delay jitter)
 draws from a per-installed-fault ``random.Random`` seeded from the spec and
 the link, and flapping is a pure function of virtual time — same seeds,
 same schedule, same run.  With no chaos spec installed the network's send
-path is unchanged (one truthiness test), so all existing golden traces
-replay bit-identically.
+path pays one truthiness test and draws from no fault RNG.
 """
 
 from __future__ import annotations
@@ -32,19 +35,10 @@ if TYPE_CHECKING:  # annotation only: the spec must not be importable from here
 #: Drop causes recorded by :class:`~repro.sim.network.NetworkStats`.
 DROP_CRASH = "crash"
 DROP_PARTITION = "partition"
-DROP_LINK_FILTER = "link-filter"
-DROP_RANDOM = "random"
 DROP_LINK_FAULT = "link-fault"
 DROP_NO_HANDLER = "no-handler"
 
-DROP_CAUSES = (
-    DROP_CRASH,
-    DROP_PARTITION,
-    DROP_LINK_FILTER,
-    DROP_RANDOM,
-    DROP_LINK_FAULT,
-    DROP_NO_HANDLER,
-)
+DROP_CAUSES = (DROP_CRASH, DROP_PARTITION, DROP_LINK_FAULT, DROP_NO_HANDLER)
 
 
 class ActiveLinkFault:

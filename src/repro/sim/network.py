@@ -10,14 +10,15 @@ many leaders, so the aggregate NIC capacity grows with ``n``.
 
 Messages are delivered point-to-point with a WAN propagation latency drawn
 from :class:`repro.sim.latency.LatencyModel` plus optional jitter, and can be
-dropped or blocked by crash faults and partitions.
+dropped by crash faults, partitions and link faults — the only ways a
+simulated message is lost.
 
 The per-link send routine is the single hottest path in large simulations
 (one run per message copy), so it is deliberately slim: ``multicast`` sizes
 a message and decides its batchability once for all destinations (``send``
 is its one-destination case), the wire-size accessor is resolved once per
-message *type*, fault/partition/filter checks cost one truthiness test each
-when no fault is configured, and delivery is scheduled through the
+message *type*, crash/partition/link-fault checks cost one truthiness test
+each when no fault is configured, and delivery is scheduled through the
 simulator's allocation-free callback path.
 
 When ``NetworkConfig.batch_flush_interval`` is positive, small batchable
@@ -46,10 +47,8 @@ from ..runtime.wire import (
 from .chaos import (
     DROP_CRASH,
     DROP_LINK_FAULT,
-    DROP_LINK_FILTER,
     DROP_NO_HANDLER,
     DROP_PARTITION,
-    DROP_RANDOM,
     ActiveLinkFault,
 )
 from .latency import LatencyModel
@@ -58,9 +57,9 @@ from .simulator import Simulator
 #: A message handler registered by an endpoint: ``handler(src, message)``.
 MessageHandler = Callable[[NodeId, object], None]
 
-#: Optional filter applied to every message: return False to drop it.
-#: Signature: ``fn(src, dst, message) -> bool``.
-LinkFilter = Callable[[NodeId, NodeId, object], bool]
+#: Fixed per-message processing overhead at the receiver (seconds), added
+#: to every remote delivery.
+PROCESSING_DELAY = 0.00002
 
 #: Per-node adversarial send hook (see :mod:`repro.sim.adversary`):
 #: ``fn(dst, message)`` returns the messages actually put on the wire
@@ -82,9 +81,9 @@ class NetworkStats:
     per_node_bytes_sent: Counter = field(default_factory=Counter)
     per_node_messages_sent: Counter = field(default_factory=Counter)
     #: ``messages_dropped`` broken down by cause (see
-    #: :data:`repro.sim.chaos.DROP_CAUSES`: crash / partition / link-filter /
-    #: random / link-fault / no-handler), so scenarios can tell a partition
-    #: drop from a lossy link from a crashed peer.
+    #: :data:`repro.sim.chaos.DROP_CAUSES`: crash / partition / link-fault /
+    #: no-handler), so scenarios can tell a partition drop from a lossy link
+    #: from a crashed peer.
     dropped_by_cause: Counter = field(default_factory=Counter)
     #: Lossy-link retransmissions performed by the retransmit transport
     #: (total and per source node).  Unlike the per-fault counters on
@@ -108,9 +107,11 @@ class Network:
     """Point-to-point authenticated-channel network simulation.
 
     Endpoints (nodes and clients) register a handler; ``send`` models NIC
-    serialisation at the sender, propagation latency, jitter, and a small
-    processing delay at the receiver before invoking the handler inside the
-    discrete-event simulator.
+    serialisation at the sender, propagation latency, jitter, and
+    :data:`PROCESSING_DELAY` at the receiver before invoking the handler
+    inside the discrete-event simulator.  A message is lost only to a crash,
+    a partition or a link fault; each drop is counted by cause in
+    :attr:`stats`.
     """
 
     def __init__(self, sim: Simulator, config: NetworkConfig, latency: LatencyModel):
@@ -130,7 +131,6 @@ class Network:
         #: Installed link faults per directed link (see :mod:`repro.sim.chaos`);
         #: empty in chaos-free runs, so the hot path pays one truthiness test.
         self._link_faults: Dict[Tuple[NodeId, NodeId], List[ActiveLinkFault]] = {}
-        self._link_filters: List[LinkFilter] = []
         #: Adversarial send hooks by node (empty in non-Byzantine runs, so
         #: the hot path pays one truthiness test).
         self._adversaries: Dict[NodeId, AdversarialSendHook] = {}
@@ -246,16 +246,6 @@ class Network:
         """
         self._adversaries[node] = hook
 
-    def add_link_filter(self, fn: LinkFilter) -> None:
-        """Install a message filter (drop/allow) evaluated on every send."""
-        self._link_filters.append(fn)
-
-    def _passes_filters(self, src: NodeId, dst: NodeId, message: object) -> bool:
-        for fn in self._link_filters:
-            if not fn(src, dst, message):
-                return False
-        return True
-
     def _blocked_by_partition(self, src: NodeId, dst: NodeId) -> bool:
         if not self._partition_group:
             return False
@@ -278,8 +268,9 @@ class Network:
 
         The call returns immediately; delivery (if any) happens later in
         virtual time.  Sends from or to crashed endpoints, across partitions,
-        through vetoing link filters, or hit by random drops are silently
-        discarded — exactly what an unreliable asynchronous network does.
+        or over a blocked, flapping or lossy link (see
+        :class:`~repro.runtime.faults.LinkFaultSpec`) are silently discarded
+        — exactly what an unreliable asynchronous network does.
 
         When ``src`` has an adversarial send hook installed (Byzantine
         faults, see :meth:`set_adversary`), the hook rewrites the message
@@ -302,8 +293,8 @@ class Network:
 
         Wire size and batchability are properties of the message, so they
         are computed once per call; everything that depends on the link —
-        adversary hook, link faults, partition, filters, batching buffer,
-        NIC and latency — runs per destination, in ``dsts`` order, through
+        adversary hook, link faults, partition, batching buffer, NIC and
+        latency — runs per destination, in ``dsts`` order, through
         the routine :meth:`send` uses.  ``src`` among ``dsts`` is the
         sender's own copy (see :meth:`repro.runtime.api.Transport.
         multicast`): it is handed to ``src``'s handler at the current
@@ -333,8 +324,9 @@ class Network:
         """The per-link routine for sends from ``src``.
 
         Every copy of a message runs the same chain — adversary hook, link
-        faults, forwarding — entered at the first stage that is active for
-        this sender, so a fault-free run pays for none of the others.
+        faults, forwarding (partition, crash) — entered at the first stage
+        that is active for this sender, so a fault-free run pays for none of
+        the others.
         Signature of each stage: ``(src, dst, message, size, batchable)``.
         """
         if self._adversaries and src in self._adversaries:
@@ -411,18 +403,13 @@ class Network:
     ) -> None:
         """Fault-cleared stage: batching detour or immediate send."""
         if batchable and src != dst:
-            # Partition blocks and link filters are a per-*message* contract,
-            # so they run here — on the payload, before it can hide inside a
-            # coalesced frame.
+            # A partition block is a per-*message* contract, so it runs
+            # here — on the payload, before it can hide inside a coalesced
+            # frame.
             if self._partition_group and self._blocked_by_partition(src, dst):
                 self.stats.record_drop(DROP_PARTITION)
                 if self.tracer is not None:
                     self._trace_drop(DROP_PARTITION, src, dst, message)
-                return
-            if self._link_filters and not self._passes_filters(src, dst, message):
-                self.stats.record_drop(DROP_LINK_FILTER)
-                if self.tracer is not None:
-                    self._trace_drop(DROP_LINK_FILTER, src, dst, message)
                 return
             self.batcher.enqueue(src, dst, message, size)
             return
@@ -450,24 +437,10 @@ class Network:
             if self.tracer is not None:
                 self._trace_drop(DROP_PARTITION, src, dst, message)
             return
-        # Coalesced frames skip the filter loop: each payload already passed
-        # it individually at enqueue time.
-        if self._link_filters and message.__class__ is not MessageBatchMsg:
-            if not self._passes_filters(src, dst, message):
-                stats.record_drop(DROP_LINK_FILTER)
-                if self.tracer is not None:
-                    self._trace_drop(DROP_LINK_FILTER, src, dst, message)
-                return
-        config = self.config
-        if config.drop_rate > 0 and self._rng.random() < config.drop_rate:
-            stats.record_drop(DROP_RANDOM)
-            if self.tracer is not None:
-                self._trace_drop(DROP_RANDOM, src, dst, message)
-            return
 
         # NIC serialisation at the sender: back-to-back messages queue up.
         now = self.sim.now
-        transmission = (size * 8) / config.bandwidth_bps
+        transmission = (size * 8) / self.config.bandwidth_bps
         nic_free = self._nic_free_at.get(src, 0.0)
         if nic_free < now:
             nic_free = now
@@ -478,7 +451,7 @@ class Network:
             arrival = departure
         else:
             propagation = self.latency.sample_latency(src, dst, self._rng)
-            arrival = departure + propagation + config.processing_delay
+            arrival = departure + propagation + PROCESSING_DELAY
             if self._link_faults:
                 # Degraded-link extra delay applies per wire message (frames
                 # included): a slow link delays whole transmissions, which is

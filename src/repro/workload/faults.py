@@ -62,21 +62,20 @@ def byzantine_leaders(
     count: int,
     num_nodes: int,
     behaviour: str = BYZ_EQUIVOCATE,
-    start_time: float = 0.0,
     buckets: Sequence[BucketId] = (),
     replay_factor: int = 3,
 ) -> List[ByzantineSpec]:
-    """``count`` actively Byzantine nodes (victims counted down from the top,
-    like every other schedule builder).  ``buckets`` is required for the
-    censorship behaviour; each adversary censors the same bucket set so the
-    censored-latency metric has one well-defined target population."""
+    """``count`` nodes Byzantine from the start (victims counted down from
+    the top, like every other schedule builder).  ``buckets`` is required
+    for the censorship behaviour; each adversary censors the same bucket
+    set so the censored-latency metric has one well-defined target
+    population."""
     _check_count(count, num_nodes)
     victims = [num_nodes - 1 - i for i in range(count)]
     return [
         ByzantineSpec(
             node=v,
             behaviour=behaviour,
-            start_time=start_time,
             buckets=tuple(buckets),
             replay_factor=replay_factor,
         )
@@ -88,17 +87,16 @@ def abusive_clients(
     count: int,
     num_clients: int,
     behaviour: str = CLIENT_WATERMARK_ABUSE,
-    start_time: float = 0.0,
     flood_factor: int = 3,
-    target_bucket: BucketId = 0,
-    jump: int = 1_000_000,
 ) -> List[MaliciousClientSpec]:
-    """``count`` abusive clients, counted down from the top like every other
-    schedule builder (so low-numbered clients — the ones tests inspect —
-    stay correct).  Forged-signature abusers impersonate *correct* clients
-    counted up from 0 (ids below ``num_clients - count``, so a victim is
-    never an abuser), distinct as long as there are at least as many
-    correct clients as abusers."""
+    """``count`` clients abusive from the start, counted down from the top
+    like every other schedule builder (so low-numbered clients — the ones
+    tests inspect — stay correct); the :class:`MaliciousClientSpec`
+    defaults give the watermark jump and the biased bucket.
+    Forged-signature abusers impersonate *correct* clients counted up from
+    0 (ids below ``num_clients - count``, so a victim is never an abuser),
+    distinct as long as there are at least as many correct clients as
+    abusers."""
     if count < 0:
         raise ValueError("abusive client count must be non-negative")
     if count >= num_clients:
@@ -114,10 +112,7 @@ def abusive_clients(
             MaliciousClientSpec(
                 client=client,
                 behaviour=behaviour,
-                start_time=start_time,
                 flood_factor=flood_factor,
-                target_bucket=target_bucket,
-                jump=jump,
                 victim=victim,
             )
         )
@@ -195,22 +190,18 @@ def flapping_links(
     pairs: Sequence[tuple],
     flap_period: float,
     flap_up: float = 0.5,
-    start_time: float = 0.0,
-    end_time: float = float("inf"),
     retransmit: float = 0.0,
     seed: int = 0,
 ) -> List[LinkFaultSpec]:
     """Links that oscillate between up and down on a deterministic schedule
-    (``flap_period`` seconds per cycle, up for the first ``flap_up``
-    fraction of each).  ``retransmit`` > 0 re-offers payloads lost to a
-    down window after that many seconds (a reliable transport riding out
-    the flaps)."""
+    for the whole run (``flap_period`` seconds per cycle, up for the first
+    ``flap_up`` fraction of each).  ``retransmit`` > 0 re-offers payloads
+    lost to a down window after that many seconds (a reliable transport
+    riding out the flaps)."""
     return [
         LinkFaultSpec(
             src=src,
             dst=dst,
-            start_time=start_time,
-            end_time=end_time,
             flap_period=flap_period,
             flap_up=flap_up,
             retransmit=retransmit,
@@ -221,10 +212,10 @@ def flapping_links(
 
 
 def membership_additions(
-    count: int, num_nodes: int, start: float = 3.0, spacing: float = 0.0
+    count: int, num_nodes: int, start: float = 3.0
 ) -> List[MembershipSpec]:
     """``count`` joiners (ids counted up from ``num_nodes``) submitted as
-    add-ConfigTxs from ``start``, ``spacing`` seconds apart.
+    add-ConfigTxs at ``start``.
 
     Joiner ids must be contiguous from the genesis ``num_nodes`` (the
     harness's node table is id-indexed), which this builder guarantees.
@@ -232,7 +223,7 @@ def membership_additions(
     if count < 0:
         raise ValueError("joiner count must be non-negative")
     return [
-        MembershipSpec(node=num_nodes + i, action=MEMBER_ADD, time=start + i * spacing)
+        MembershipSpec(node=num_nodes + i, action=MEMBER_ADD, time=start)
         for i in range(count)
     ]
 
@@ -247,15 +238,15 @@ def membership_removals(
     ]
 
 
-def eviction_watch(nodes: Sequence[NodeId], start: float = 0.0) -> List[MembershipSpec]:
+def eviction_watch(nodes: Sequence[NodeId]) -> List[MembershipSpec]:
     """Detection-driven removals: the harness polls the failure histories
-    from ``start`` and submits a remove-ConfigTx for each of ``nodes`` once
-    some correct replica has recorded it as a failed leader.  Pair with a
+    from the start of the run and submits a remove-ConfigTx for each of
+    ``nodes`` once some correct replica has recorded it as a failed leader.  Pair with a
     :class:`ByzantineSpec` for the same node to close the eviction loop:
     misbehave → view change → failure history → removal from membership.
     """
     return [
-        MembershipSpec(node=node, action=MEMBER_EVICT_DETECTED, time=start)
+        MembershipSpec(node=node, action=MEMBER_EVICT_DETECTED)
         for node in nodes
     ]
 

@@ -189,16 +189,18 @@ class TestNetworkCoalescing:
         assert network.stats.batches_sent == 1
         assert network.stats.payloads_batched == 2
 
-    def test_link_filters_apply_to_batchable_payloads(self):
+    def test_partitions_apply_to_batchable_payloads(self):
         sim, network, inboxes = make_network(flush_interval=0.01)
-        network.add_link_filter(
-            lambda src, dst, msg: not isinstance(msg, Prepare)
-        )
-        network.send(0, 1, vote(0))  # vetoed at enqueue time
+        network.partition([[0, 2], [1]])
+        network.send(0, 1, vote(0))  # dropped at enqueue time
+        network.send(0, 2, vote(1))
+        assert network.batcher.pending_payloads() == 1
+        network.heal_partition()
         network.send(0, 1, Commit(view=0, sn=0, digest=DIGEST))
         sim.run()
-        assert network.stats.messages_dropped == 1
+        assert network.stats.dropped_by_cause == {"partition": 1}
         assert [type(m) for _, m in inboxes[1]] == [Commit]
+        assert [type(m) for _, m in inboxes[2]] == [Prepare]
 
     def test_tick_boundary_separates_frames(self):
         sim, network, inboxes = make_network(flush_interval=0.01)

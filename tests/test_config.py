@@ -121,8 +121,6 @@ class TestOtherConfigs:
         NetworkConfig().validate()
         with pytest.raises(ConfigError):
             NetworkConfig(bandwidth_bps=0).validate()
-        with pytest.raises(ConfigError):
-            NetworkConfig(drop_rate=1.5).validate()
 
     def test_workload_config_validation(self):
         WorkloadConfig().validate()

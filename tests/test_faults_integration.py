@@ -3,13 +3,15 @@
 import pytest
 
 from repro.core.config import ISSConfig, WorkloadConfig, POLICY_BACKOFF, POLICY_SIMPLE
+from repro.core.leader_policy import BackoffPolicy
 from repro.core.types import is_nil
 from repro.harness.runner import Deployment
 from repro.obs import ObsConfig
 from repro.workload.faults import epoch_end_crashes, epoch_start_crashes, stragglers
 
 
-def build(protocol="pbft", num_nodes=4, rate=200.0, duration=20.0, faults=(), obs=None, **overrides):
+def build(protocol="pbft", num_nodes=4, rate=200.0, duration=20.0, faults=(), obs=None,
+          policy_factory=None, **overrides):
     defaults = dict(
         epoch_length=16,
         max_batch_size=32,
@@ -27,6 +29,7 @@ def build(protocol="pbft", num_nodes=4, rate=200.0, duration=20.0, faults=(), ob
         faults=faults,
         drain_time=10.0,
         obs=obs,
+        policy_factory=policy_factory,
     )
 
 
@@ -107,7 +110,9 @@ class TestLeaderPolicies:
     def test_backoff_policy_rebans_crashed_node(self):
         result = build(
             leader_policy=POLICY_BACKOFF,
-            backoff_ban_period=2,
+            policy_factory=lambda config: BackoffPolicy(
+                config.num_nodes, config.max_faulty, ban_period=2
+            ),
             faults=epoch_start_crashes(1, 4, epoch=0),
             duration=30.0,
         ).run()

@@ -6,7 +6,7 @@ from repro.baselines.single_leader import single_leader_policy
 from repro.core.config import ISSConfig, NetworkConfig, WorkloadConfig
 from repro.harness import scenarios
 from repro.harness.invariants import check_invariants
-from repro.harness.runner import Deployment, find_peak_throughput, run_experiment
+from repro.harness.runner import Deployment
 from repro.metrics.collector import RunReport
 from repro.runtime.faults import (
     BYZ_EQUIVOCATE,
@@ -79,11 +79,6 @@ class TestDeployment:
         b = Deployment(tiny_config(), workload=tiny_workload(random_seed=2)).run().report
         assert a.submitted != b.submitted or a.extra["sim_events"] != b.extra["sim_events"]
 
-    def test_run_experiment_wrapper(self):
-        report = run_experiment(tiny_config(), tiny_workload())
-        assert isinstance(report, RunReport)
-        assert report.throughput > 0
-
     def test_network_config_respected(self):
         network = NetworkConfig(bandwidth_bps=5e6)
         deployment = Deployment(tiny_config(), network_config=network, workload=tiny_workload())
@@ -91,26 +86,35 @@ class TestDeployment:
 
 
 class TestFindPeakThroughput:
-    def test_reports_best_point(self):
-        def fake_run(load):
-            throughput = min(load, 300.0)
-            return RunReport(
-                duration=1.0, submitted=int(load), completed=int(throughput),
-                throughput=throughput, latency=None,  # latency unused here
-            )
+    def test_reports_best_point(self, monkeypatch):
+        """``scenarios.scalability_peak`` runs every offered load and keeps
+        the first load reaching the highest throughput (saturation at 300)."""
 
-        # Replace latency with a real summary to keep the dataclass honest.
-        from repro.metrics.collector import LatencySummary
+        class Run:
+            def __init__(self, rate):
+                self.rate = rate
 
-        def run(load):
-            report = fake_run(load)
-            report.latency = LatencySummary.from_samples([1.0])
-            return report
+            def run(self):
+                return None
 
-        result = find_peak_throughput(run, offered_loads=[100.0, 200.0, 400.0, 800.0])
+        offered = []
+
+        def deployment(protocol, num_nodes, rate, duration, **system):
+            offered.append(rate)
+            return Run(rate)
+
+        def row(run, result):
+            return {"throughput": min(run.rate, 300.0), "latency_mean": run.rate / 1e3}
+
+        monkeypatch.setattr(scenarios, "deployment", deployment)
+        monkeypatch.setattr(scenarios, "row", row)
+        result = scenarios.scalability_peak(
+            "iss", "pbft", 4, offered_loads=[100.0, 200.0, 400.0, 800.0]
+        )
+        assert offered == [100.0, 200.0, 400.0, 800.0]
         assert result["peak_throughput"] == 300.0
         assert result["at_offered_load"] == 400.0
-        assert len(result["points"]) == 4
+        assert result["latency_at_peak"] == 0.4
 
 
 class TestScenarioHelpers:
@@ -171,8 +175,8 @@ class TestScenarioHelpers:
             return inspect.signature(function).parameters[parameter].default
 
         assert default(scenarios.client_abuse_sweep, "abusive_counts") == (0, 1, 2)
-        assert default(scenarios.link_flap_sweep, "periods") == (1.0, 2.0, 4.0)
-        assert default(scenarios.rolling_upgrade, "period") == 6.0
+        assert scenarios.FLAP_PERIODS == (1.0, 2.0, 4.0)
+        assert scenarios.MEMBERSHIP_PERIOD == 6.0
 
     def test_scalability_point_runs_quickly(self):
         row = scenarios.scalability_peak("iss", "pbft", 4, offered_loads=(200.0,), duration=3.0)

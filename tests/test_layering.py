@@ -360,3 +360,30 @@ def test_only_the_disk_module_touches_files_under_storage():
                 ):
                     offenders.append(where)
     assert not offenders, f"file system access outside storage/disk.py: {offenders}"
+
+
+def test_settings_nothing_varies_stay_gone():
+    """A setting no caller varies is a constant, and the simulated network
+    drops messages only through crashes, partitions and link faults."""
+    import dataclasses
+    import inspect
+
+    from repro.core.config import ISSConfig, NetworkConfig, WorkloadConfig
+    from repro.harness.runner import Deployment
+    from repro.sim.chaos import DROP_CAUSES
+    from repro.sim.network import Network
+
+    network_fields = {field.name for field in dataclasses.fields(NetworkConfig)}
+    assert not network_fields & {"drop_rate", "processing_delay"}
+    iss_fields = {field.name for field in dataclasses.fields(ISSConfig)}
+    assert "signature_size" not in iss_fields
+    assert not [name for name in iss_fields if name.startswith("backoff_")]
+    assert not hasattr(Network, "add_link_filter")
+    assert not {"link-filter", "random"} & set(DROP_CAUSES)
+    assert "membership_enabled" not in inspect.signature(Deployment.__init__).parameters
+    with pytest.raises(ValueError):
+        Deployment(
+            ISSConfig(num_nodes=4),
+            workload=WorkloadConfig(num_clients=1, duration=1.0),
+            recovery_poll=0.5,
+        )

@@ -191,22 +191,25 @@ class TestFaults:
         sim.run()
         assert len(inbox.messages) == 1
 
-    def test_link_filter_can_drop(self):
+    def test_link_fault_can_drop(self):
+        sim, net = build_network()
+        inboxes = [Inbox(), Inbox()]
+        net.register(0, inboxes[0])
+        net.register(1, inboxes[1])
+        net.install_link_fault(LinkFaultSpec(src=0, dst=1, block=True))
+        net.send(0, 1, "drop-me")
+        net.send(1, 0, "keep-me")
+        sim.run()
+        assert inboxes[1].messages == []
+        assert inboxes[0].messages == [(1, "keep-me")]
+        assert net.stats.dropped_by_cause == {"link-fault": 1}
+
+    def test_random_drop_rate(self):
         sim, net = build_network()
         inbox = Inbox()
         net.register(0, Inbox())
         net.register(1, inbox)
-        net.add_link_filter(lambda src, dst, msg: msg != "drop-me")
-        net.send(0, 1, "drop-me")
-        net.send(0, 1, "keep-me")
-        sim.run()
-        assert [m for _, m in inbox.messages] == ["keep-me"]
-
-    def test_random_drop_rate(self):
-        sim, net = build_network(drop_rate=0.5)
-        inbox = Inbox()
-        net.register(0, Inbox())
-        net.register(1, inbox)
+        net.install_link_fault(LinkFaultSpec(src=0, dst=1, loss_rate=0.5, seed=5))
         for _ in range(200):
             net.send(0, 1, "x")
         sim.run()
@@ -262,11 +265,11 @@ def _partition_with_bridge(net):
     net.partition([[0, 1], [2, 3, 4]], bridges=[3])
 
 
-def _vetoing_filter(net):
-    net.add_link_filter(
-        lambda src, dst, message: dst != 2
-        and not (dst == 4 and isinstance(message, InstanceMessage))
-    )
+def _one_way_blocks(net):
+    return [
+        net.install_link_fault(LinkFaultSpec(src=0, dst=2, block=True)),
+        net.install_link_fault(LinkFaultSpec(src=1, dst=4, block=True)),
+    ]
 
 
 def _lossy_links(net):
@@ -299,7 +302,7 @@ _MULTICAST_SCENARIOS = {
     "plain": lambda net: None,
     "crashed-destination": _crashed_destination,
     "partition-with-bridge": _partition_with_bridge,
-    "vetoing-filter": _vetoing_filter,
+    "one-way-blocks": _one_way_blocks,
     "lossy-links": _lossy_links,
     "rewriting-adversary": _rewriting_adversary,
 }
@@ -308,8 +311,7 @@ _MULTICAST_SCENARIOS = {
 def _drive(scenario, flush_interval, fan_out):
     """Run one fixed traffic pattern; return everything observable."""
     sim, net = build_network(
-        num_nodes=_NODES, jitter=0.2, drop_rate=0.05,
-        batch_flush_interval=flush_interval,
+        num_nodes=_NODES, jitter=0.2, batch_flush_interval=flush_interval,
     )
     deliveries = []
     for node in range(_NODES):
@@ -367,12 +369,10 @@ class TestMulticastEquivalence:
     @pytest.mark.parametrize("flush_interval", [0.0, 0.002], ids=["unbatched", "batched"])
     def test_scenarios_exercise_their_fault(self, flush_interval):
         """Guard against vacuous equivalence: each scenario really bites."""
-        plain = _drive("plain", flush_interval, _by_multicast)
-        assert plain["stats"]["dropped_by_cause"].get("random", 0) > 0
         causes = {
             "crashed-destination": "crash",
             "partition-with-bridge": "partition",
-            "vetoing-filter": "link-filter",
+            "one-way-blocks": "link-fault",
             "lossy-links": "link-fault",
         }
         for scenario, cause in causes.items():

@@ -7,13 +7,14 @@ sequences across nodes, including under faults and unreliable links.
 
 import pytest
 
-from repro.core.config import ISSConfig, NetworkConfig, WorkloadConfig
+from repro.core.config import ISSConfig, WorkloadConfig
 from repro.harness.runner import Deployment
+from repro.runtime.faults import LinkFaultSpec
 from repro.workload.faults import epoch_start_crashes
 
 
 def run_deployment(num_nodes=4, protocol="pbft", duration=8.0, rate=200.0,
-                   faults=(), drop_rate=0.0, **overrides):
+                   faults=(), **overrides):
     defaults = dict(
         epoch_length=16,
         max_batch_size=32,
@@ -28,10 +29,7 @@ def run_deployment(num_nodes=4, protocol="pbft", duration=8.0, rate=200.0,
     defaults.update(overrides)
     config = ISSConfig(num_nodes=num_nodes, protocol=protocol, **defaults)
     workload = WorkloadConfig(num_clients=4, total_rate=rate, duration=duration, payload_size=64)
-    network = NetworkConfig(drop_rate=drop_rate)
-    deployment = Deployment(
-        config, network_config=network, workload=workload, faults=faults, drain_time=10.0
-    )
+    deployment = Deployment(config, workload=workload, faults=faults, drain_time=10.0)
     # Track the exact delivered request sequence per node.
     sequences = {node.node_id: [] for node in deployment.nodes}
     collector_callback = deployment.collector.record_delivery
@@ -87,10 +85,18 @@ class TestTotalOrder:
             assert len(rids) == len(set(rids))
 
     def test_raft_total_order_with_lossy_links(self):
-        """Raft's retransmissions mask a lossy network; order still agrees."""
+        """Raft's retransmissions mask lossy links between every pair of
+        replicas; order still agrees."""
+        lossy = [
+            LinkFaultSpec(src=src, dst=dst, loss_rate=0.05, seed=src * 3 + dst)
+            for src in range(3)
+            for dst in range(3)
+            if src != dst
+        ]
         result, sequences = run_deployment(
-            protocol="raft", num_nodes=3, duration=10.0, rate=100.0, drop_rate=0.05
+            protocol="raft", num_nodes=3, duration=10.0, rate=100.0, faults=lossy
         )
         alive = [n.node_id for n in result.nodes if not n.crashed]
+        assert result.report.extra["dropped_link-fault"] > 0
         assert result.report.completed > 0
         assert_common_prefix(sequences, alive)
