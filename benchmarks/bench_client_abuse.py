@@ -13,7 +13,8 @@ latency degrade.
 Assertions pin the defence claims, not just the curves: every correct
 client's requests complete, delivered prefixes stay identical across all
 nodes, each abusive submission class is rejected and counted
-(``RunReport.client_abuse``), and per-client node memory stays bounded.
+(the ``client_abuse`` section of ``scenarios.row``), and per-client node
+memory stays bounded.
 
 The sweep attacks with up to 2 of 8 clients (``client_abuse_sweep``'s
 ``abusive_counts`` default); ``REPRO_BENCH_SCALE`` scales durations like

@@ -24,7 +24,7 @@ partitioning design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
 from ..core.iss import ISSNode
 from ..core.types import EpochNr, NodeId

@@ -16,7 +16,7 @@ idempotent queue of pending requests per bucket (Section 3.7), and
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .types import BucketId, EpochNr, NodeId, Request, RequestId

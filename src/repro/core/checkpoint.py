@@ -11,12 +11,12 @@ of replaying it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
-from ..crypto.hashing import hash_int, sha256
+from ..crypto.hashing import hash_int
 from ..crypto.merkle import merkle_root
-from ..crypto.signatures import SIGNATURE_SIZE, KeyStore
+from ..crypto.signatures import KeyStore
 from ..runtime.codec import BYTES, INT, register
 from ..runtime.wire import register_batchable
 from .config import ISSConfig
@@ -98,7 +98,7 @@ class CheckpointProtocol:
         self._stable: Dict[EpochNr, CheckpointCertificate] = {}
         self._announced_local: set = set()
         #: CHECKPOINT messages rejected for a bad or mis-attributed signature
-        #: (a Byzantine voter forging votes lands here; see RunReport).
+        #: (a Byzantine voter forging votes lands here).
         self.invalid_signatures_rejected = 0
 
     # ----------------------------------------------------------- local side

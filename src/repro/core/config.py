@@ -7,7 +7,7 @@ whole system runs on the discrete-event simulator in :mod:`repro.sim`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 

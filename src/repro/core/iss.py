@@ -63,7 +63,7 @@ from .messages import (
 )
 from .orderer import Orderer, default_factory
 from .sb import SBContext
-from .segment import LAYOUT_ROUND_ROBIN, epoch_seq_nrs
+from .segment import LAYOUT_ROUND_ROBIN
 from .state_transfer import (
     DEFAULT_PROBE_STAGGER,
     StateRequest,
@@ -75,7 +75,6 @@ from .types import (
     DeliveredRequest,
     EpochNr,
     LogEntry,
-    NIL,
     NodeId,
     Request,
     SegmentDescriptor,
@@ -518,7 +517,7 @@ class ISSNode:
     def _note_misbehaviour(self, kind: str, offender: NodeId) -> None:
         """Count provable misbehaviour reported by an SB instance.
 
-        Diagnostics only (surfaced per node through ``RunReport.byzantine``):
+        Diagnostics only (read per node by ``scenarios.row``):
         leaderset eviction is driven exclusively by the log-visible ``⊥``
         entries so all correct nodes keep computing identical leadersets.
         """

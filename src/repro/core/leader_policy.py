@@ -19,12 +19,10 @@ Three policies from the paper are implemented:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .config import ISSConfig, POLICY_BACKOFF, POLICY_BLACKLIST, POLICY_SIMPLE
 from .log import Log
-from .segment import epoch_seq_nrs
 from .types import EpochNr, NodeId, SegmentDescriptor, SeqNr
 
 
@@ -139,24 +137,17 @@ class BlacklistPolicy(LeaderSelectionPolicy):
 class BackoffPolicy(LeaderSelectionPolicy):
     """Ban suspected nodes for an exponentially growing number of epochs.
 
-    The ban doubles on every new suspicion and decreases linearly (by ``c``
-    epochs per well-behaved epoch) once the node is re-included.  If every
+    The ban doubles on every new suspicion and decreases linearly (by one
+    epoch per well-behaved epoch) once the node is re-included.  If every
     node is banned simultaneously the policy falls back to the full node set
     for that epoch — the paper "skips" such epochs, which in a simulation
     without external time would spin; using all nodes preserves liveness and
     is documented here as a deliberate deviation.
     """
 
-    def __init__(
-        self,
-        num_nodes: int,
-        max_faulty: int,
-        ban_period: int = 4,
-        decrease: int = 1,
-    ):
+    def __init__(self, num_nodes: int, max_faulty: int, ban_period: int = 4):
         super().__init__(num_nodes, max_faulty)
         self.ban_period = ban_period
-        self.decrease = decrease
         self._penalty: Dict[NodeId, int] = {node: 0 for node in self.all_nodes}
 
     @property
@@ -185,7 +176,7 @@ class BackoffPolicy(LeaderSelectionPolicy):
                 else:
                     self._penalty[node] = self.ban_period
             elif self._penalty[node] > 0:
-                self._penalty[node] = max(0, self._penalty[node] - self.decrease)
+                self._penalty[node] -= 1
 
     def penalty_of(self, node: NodeId) -> int:
         """Current ban counter of a node (test/inspection helper)."""

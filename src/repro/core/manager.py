@@ -10,7 +10,7 @@ bucket assignment).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .config import ISSConfig
 from .leader_policy import FailureHistory, LeaderSelectionPolicy, make_policy

@@ -9,11 +9,11 @@ state-transfer and client messages travel unwrapped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..runtime.codec import ANY, INT, fixed_tuple, nested, register, tuple_of
 from ..runtime.wire import is_batchable, register_batchable, wire_size
-from .types import BucketId, ClientId, EpochNr, NodeId, Request, RequestId, SeqNr
+from .types import BucketId, ClientId, EpochNr, NodeId, Request, RequestId
 
 #: Network endpoint ids of clients start here so they never collide with nodes.
 CLIENT_ENDPOINT_OFFSET = 1_000_000

@@ -179,7 +179,7 @@ class SBContext:
 
     def note_view_change(self) -> None:
         """Count one completed view/round change at the host node (feeds the
-        "view changes during partition" figure of ``RunReport.partitions``;
+        "view changes during partition" figure of ``scenarios.row``;
         the per-instance counters die with epoch garbage collection, this
         one survives)."""
         if self._note_view_change is not None:
@@ -221,7 +221,7 @@ class SBContext:
         issued conflicting proposals, e.g. f+1 prepare votes for a digest
         other than the locally accepted one) or ``"invalid-signature"`` (a
         vote whose signature failed verification).  The host only counts
-        these in its diagnostics (``RunReport``); leaderset eviction stays
+        these in its diagnostics; leaderset eviction stays
         driven by the log-visible ``⊥`` entries so every correct node keeps
         computing identical leadersets (Section 3.4).
         """

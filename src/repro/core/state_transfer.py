@@ -30,20 +30,18 @@ completeness — while the common case transfers each epoch exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..runtime.codec import INT, fixed_tuple, nested, register, tuple_of
-from .checkpoint import CheckpointProtocol, epoch_log_root
+from .checkpoint import CheckpointProtocol
 from .config import ISSConfig
 from .log import Log
 from .segment import epoch_seq_nrs
 from .types import (
     LOG_ENTRY,
-    Batch,
     CheckpointCertificate,
     EpochNr,
     LogEntry,
-    NIL,
     NodeId,
     SeqNr,
     is_nil,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hmac
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Set, Tuple
 
 #: Wire size of a simulated signature (matches ECDSA P-256).
 SIGNATURE_SIZE = 64

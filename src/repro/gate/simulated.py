@@ -268,8 +268,9 @@ def byzantine_figures(obs: ObsConfig) -> Figures:
         "equivocations_sent": deployment.injector.adversary_for(
             s["adversary"]
         ).equivocations_sent,
-        "equivocations_detected_total": int(
-            result.report.extra.get("equivocations_detected_total", 0.0)
+        # Summed over every node, the adversary included.
+        "equivocations_detected_total": sum(
+            node.equivocations_detected for node in result.nodes
         ),
         "nil_committed": row["nil_committed"],
         **_replay_figures(deployment, sample),
@@ -352,10 +353,6 @@ def client_abuse_figures(obs: ObsConfig) -> Figures:
     sample = result.nodes[0]
     per_client = row["client_abuse"]["per_client"]
     abusers = row["client_abuse"]["abusers"]
-
-    def rejected(client: int, reason: str) -> int:
-        return per_client.get(client, {}).get(reason, 0)
-
     return {
         "scenario": dict(s),
         "completed": result.report.completed,
@@ -363,11 +360,11 @@ def client_abuse_figures(obs: ObsConfig) -> Figures:
         "prefixes_identical": row["prefixes_identical"],
         "no_double_delivery": not check_no_double_delivery([sample]),
         "out_of_window_sent": abusers[s["watermark_abuser"]]["out_of_window_sent"],
-        "watermark_rejections": rejected(s["watermark_abuser"], "outside_watermarks"),
+        "watermark_rejections": per_client[s["watermark_abuser"]]["outside_watermarks"],
         "duplicates_sent": abusers[s["duplicate_flooder"]]["duplicates_sent"],
-        "duplicates_absorbed": rejected(s["duplicate_flooder"], "duplicates"),
+        "duplicates_absorbed": per_client[s["duplicate_flooder"]]["duplicates"],
         "forged_sent": abusers[s["forger"]]["forged_sent"],
-        "forgeries_rejected": rejected(s["forgery_victim"], "bad_signature"),
+        "forgeries_rejected": per_client[s["forgery_victim"]]["bad_signature"],
         "gc_entries_total": int(row["gc_entries_total"]),
         "out_of_order_max": row["out_of_order_max"],
         **_replay_figures(deployment, sample),

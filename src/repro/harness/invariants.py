@@ -24,6 +24,7 @@ import hashlib
 from typing import List, Sequence, Tuple
 
 from ..core.types import Batch, is_nil
+from ..sim.client_adversary import AbusiveClient
 
 
 def delivered_trace(node) -> List[Tuple[int, str]]:
@@ -125,10 +126,10 @@ def check_rejections_cover_forgeries(result) -> List[str]:
     forgeries).  Runs without abusive clients trivially satisfy this with
     0 ≥ 0.
     """
-    abuse = result.report.client_abuse
     forged = sum(
-        int(stats.get("forged_sent", 0))
-        for stats in (abuse.get("abusers") or {}).values()
+        client.forged_sent
+        for client in result.clients
+        if isinstance(client, AbusiveClient)
     )
     if forged == 0:
         return []
@@ -141,6 +142,25 @@ def check_rejections_cover_forgeries(result) -> List[str]:
     return []
 
 
+def membership_trackers(nodes) -> List[Tuple[object, object]]:
+    """``(node, tracker)`` for every node that derives its membership
+    views from the committed log (empty in static-configuration runs)."""
+    return [
+        (node, node.membership)
+        for node in nodes
+        if getattr(node, "membership", None) is not None
+    ]
+
+
+def reporting_tracker(nodes):
+    """The tracker a membership run's final view is read from: the
+    lowest-numbered live replica's, else a crashed one's (None in static
+    runs)."""
+    trackers = membership_trackers(nodes)
+    live = [tracker for node, tracker in trackers if not node.crashed]
+    return (live or [tracker for _, tracker in trackers] or [None])[0]
+
+
 def check_membership_views(result) -> List[str]:
     """Dynamic-membership safety: every replica derives the same view
     sequence from the committed log.
@@ -148,22 +168,17 @@ def check_membership_views(result) -> List[str]:
     For each epoch two replicas have both sealed, their activated views
     must hold the identical replica set — views are a deterministic
     function of the ordered ConfigTxs, so divergence here means the
-    reconfiguration machinery forked the configuration.  The harness's
-    reported ``final_view`` must match what the freshest replica computed,
-    and quorum arithmetic must agree node-for-node (same view ⇒ same n,
-    f, strong and weak quorums — the "keyset consistency" the checkpoint
-    and SB layers rely on).  Static-configuration runs return clean.
+    reconfiguration machinery forked the configuration.  The final view
+    of the :func:`reporting_tracker` must match what the freshest replica
+    computed, and quorum arithmetic must agree node-for-node (same view ⇒
+    same n, f, strong and weak quorums — the "keyset consistency" the
+    checkpoint and SB layers rely on).  Static-configuration runs return
+    clean.
     """
-    membership = result.report.membership
-    if not membership:
-        return []
     violations = []
-    trackers = [
-        (node, node.membership)
-        for node in result.nodes
-        if getattr(node, "membership", None) is not None
+    sealed = [
+        (n, t) for n, t in membership_trackers(result.nodes) if t.sealed_through >= 0
     ]
-    sealed = [(n, t) for n, t in trackers if t.sealed_through >= 0]
     if not sealed:
         return []
     ref_node, ref = max(sealed, key=lambda pair: pair[1].sealed_through)
@@ -189,10 +204,10 @@ def check_membership_views(result) -> List[str]:
                     f"{epoch} disagrees with node {ref_node.node_id}"
                 )
                 break
-    final_view = membership.get("final_view")
-    if final_view is not None and list(ref.current_view().nodes) != list(final_view):
+    final_view = list(reporting_tracker(result.nodes).current_view().nodes)
+    if final_view != list(ref.current_view().nodes):
         violations.append(
-            f"reported final view {list(final_view)} but node "
+            f"reported final view {final_view} but node "
             f"{ref_node.node_id} computed {list(ref.current_view().nodes)}"
         )
     return violations
@@ -201,22 +216,24 @@ def check_membership_views(result) -> List[str]:
 def check_removed_nodes_quiesced(result) -> List[str]:
     """A replica removed from membership stops delivering at the boundary.
 
-    Each activation record names the epoch its view takes effect; a
-    removed replica seals the preceding epoch, retires, and must never
-    deliver a position of the new epoch — a delivery past the boundary
-    would be a node acting under a configuration it is no longer part of.
-    Replicas that were later re-added (rolling upgrade) are represented by
-    their new incarnation and are exempt; so are replicas that were
-    simply crashed (not retired) when the removal activated.
+    Each activation the replicas' trackers recorded names the epoch its
+    view takes effect; a removed replica seals the preceding epoch,
+    retires, and must never deliver a position of the new epoch — a
+    delivery past the boundary would be a node acting under a
+    configuration it is no longer part of.  Replicas that were later
+    re-added (rolling upgrade) are represented by their new incarnation
+    and are exempt; so are replicas that were simply crashed (not retired)
+    when the removal activated.
     """
-    membership = result.report.membership
-    if not membership:
-        return []
+    removals = {}
+    for _, tracker in membership_trackers(result.nodes):
+        for epoch, _added, removed in tracker.activations:
+            removals.setdefault(epoch, removed)
     violations = []
     epoch_length = result.nodes[0].config.epoch_length
-    for record in membership.get("activations", ()):
-        boundary = record["epoch"] * epoch_length
-        for node_id in record.get("removed", ()):
+    for epoch, removed in sorted(removals.items()):
+        boundary = epoch * epoch_length
+        for node_id in removed:
             if node_id >= len(result.nodes):
                 continue
             node = result.nodes[node_id]
@@ -225,7 +242,7 @@ def check_removed_nodes_quiesced(result) -> List[str]:
             if node.log.first_undelivered > boundary:
                 violations.append(
                     f"node {node_id}: removed effective epoch "
-                    f"{record['epoch']} but delivered through position "
+                    f"{epoch} but delivered through position "
                     f"{node.log.first_undelivered} (> boundary {boundary})"
                 )
     return violations
@@ -240,8 +257,6 @@ def check_retired_prefix_identity(result) -> List[str]:
     membership runs additionally pin every retired replica's trace to be
     a prefix of the freshest live replica's.
     """
-    if not result.report.membership:
-        return []
     live = [node for node in result.nodes if not node.crashed]
     retired = [node for node in result.nodes if getattr(node, "retired", False)]
     if not live or not retired:

@@ -35,14 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from ..baselines.mirbft import MirBFTNode
 from ..core.client import Client
 from ..core.config import ISSConfig, NetworkConfig, SimConfig, WorkloadConfig
 from ..core.iss import ISSNode
 from ..core.leader_policy import LeaderSelectionPolicy
 from ..core.membership import ACTION_REMOVE, ConfigTx, encode_config_tx
 from ..core.segment import LAYOUT_ROUND_ROBIN
-from ..core.validation import REJECTION_REASONS
 from ..crypto.signatures import KeyStore
 from ..core.state_transfer import DEFAULT_PROBE_STAGGER
 from ..metrics.collector import MetricsCollector, RunReport
@@ -261,15 +259,16 @@ class Deployment:
         #: listener fires per node; joins/removals are processed on the
         #: first firing only).
         self._activated_epochs: set = set()
-        #: One record per view-changing activation (epoch, added, removed).
-        self._membership_activations: List[Dict[str, object]] = []
+        #: One record per view-changing activation (epoch, activated_at,
+        #: added, removed, resulting view).
+        self.activations: List[Dict[str, object]] = []
         #: One record per booted joiner (time-to-join filled by the poll
         #: watcher; -1 when the run ends first).
-        self._join_records: List[Dict[str, object]] = []
+        self.joins: List[Dict[str, object]] = []
         #: Nodes removed from membership (activated, not merely scheduled).
-        self._removed_nodes: set = set()
+        self.removed: set = set()
         #: One record per detection-driven eviction submitted.
-        self._eviction_records: List[Dict[str, object]] = []
+        self.evictions: List[Dict[str, object]] = []
         self._evictions_submitted: set = set()
 
         self.nodes: List[ISSNode] = [
@@ -659,7 +658,7 @@ class Deployment:
         if epoch in self._activated_epochs:
             return
         self._activated_epochs.add(epoch)
-        self._membership_activations.append(
+        self.activations.append(
             {
                 "epoch": int(epoch),
                 "activated_at": self.sim.now,
@@ -671,7 +670,7 @@ class Deployment:
         for joiner in added:
             self._boot_joiner(joiner, epoch)
         for node in removed:
-            self._removed_nodes.add(int(node))
+            self.removed.add(int(node))
 
     def _boot_joiner(self, node_id: int, epoch: int) -> None:
         """Bring a replica added at ``epoch`` into the running cluster.
@@ -716,7 +715,7 @@ class Deployment:
             "state_transfer_bytes": 0.0,
             "state_transfer_entries": 0.0,
         }
-        self._join_records.append(record)
+        self.joins.append(record)
         self._watch_catchup(node, record, "time_to_join", joined_at)
 
     def _poll_eviction(self, spec: MembershipSpec) -> None:
@@ -733,7 +732,7 @@ class Deployment:
             return
         if self._eviction_detected(spec.node):
             self._evictions_submitted.add(spec.node)
-            self._eviction_records.append(
+            self.evictions.append(
                 {"node": int(spec.node), "detected_at": self.sim.now}
             )
             self._submit_config_tx(ConfigTx(action=ACTION_REMOVE, node=spec.node))
@@ -747,48 +746,6 @@ class Deployment:
             for node in self.nodes
             if node.node_id != target and not node.crashed
         )
-
-    def _membership_stats(self) -> Optional[Dict[str, object]]:
-        """Reconfiguration diagnostics for membership runs (else None).
-
-        ``activations`` carries one record per view-changing epoch
-        boundary, ``joins`` one per booted replica (time-to-join,
-        state-transfer figures, log size at boot), ``removed`` the
-        activated removals, ``evictions`` the detection-driven ones, and
-        ``config_txs_committed``/``final_view`` come from a live node's
-        membership tracker — the committed-log-derived ground truth.
-        """
-        if not self.membership_enabled:
-            return None
-        # A live node's tracker if there is one (the sort is stable, so
-        # the lowest id wins), else a crashed node's.
-        members = [n for n in self.nodes if getattr(n, "membership", None) is not None]
-        members.sort(key=lambda n: n.crashed)
-        tracker = members[0].membership if members else None
-        return {
-            "specs": [
-                {"node": spec.node, "action": spec.action, "time": spec.time}
-                for spec in self.faults_of(MembershipSpec)
-            ],
-            "activations": [dict(r) for r in self._membership_activations],
-            "joins": [dict(r) for r in self._join_records],
-            "removed": sorted(self._removed_nodes),
-            "evictions": [dict(r) for r in self._eviction_records],
-            "config_txs_committed": [
-                {"epoch": int(e), "action": tx.action, "node": int(tx.node)}
-                for e, tx in (tracker.committed_txs if tracker is not None else [])
-            ],
-            "final_view": (
-                [int(n) for n in tracker.current_view().nodes]
-                if tracker is not None
-                else []
-            ),
-            "admin_submitted": (
-                self.admin_client.requests_submitted
-                if self.admin_client is not None
-                else 0
-            ),
-        }
 
     def _behind_frontier(self, node: ISSNode) -> bool:
         """Is the node behind the *most advanced* live peer?
@@ -847,14 +804,27 @@ class Deployment:
             self.collector.record_recovery(record)
         self._pending_recoveries = []
         counters = self.obs_counters()
-        report = self.collector.report(
-            duration=self.workload.duration,
-            extra=self._extra_stats(counters),
-            byzantine=self._byzantine_stats(),
-            client_abuse=self._client_abuse_stats(),
-            partitions=self._partition_stats(counters),
-            membership=self._membership_stats(),
-        )
+        stats = self.network.stats
+        alive = [n for n in self.nodes if not n.crashed]
+        sample = alive[0] if alive else self.nodes[0]
+        extra = {
+            "messages_sent": float(stats.messages_sent),
+            "bytes_sent": float(stats.bytes_sent),
+            "messages_dropped": float(stats.messages_dropped),
+            # The opaque total above, split by cause (every key always
+            # present so determinism checks compare identical dicts).
+            **{
+                f"dropped_{cause}": float(count)
+                for cause, count in counters["drops_by_cause"].items()
+            },
+            "epochs_completed": float(sample.epochs_completed),
+            "batches_committed": float(sample.batches_committed),
+            "nil_committed": float(sample.nil_committed),
+            "requests_submitted": float(self.generator.submitted),
+            "requests_deferred": float(self.generator.deferred),
+            "sim_events": float(self.sim.events_executed),
+        }
+        report = self.collector.report(duration=self.workload.duration, extra=extra)
         if self.sampler is not None:
             report.throughput_timeline = self.sampler.throughput_timeline(
                 limit=self.workload.duration
@@ -875,97 +845,6 @@ class Deployment:
             collector=self.collector,
             storages=self.storages,
         )
-
-    def _byzantine_stats(self) -> Optional[Dict[str, object]]:
-        """Per-node misbehaviour counters for adversarial runs (else None).
-
-        ``per_node`` carries, for every *current incarnation*, the number of
-        equivocations it detected (provable conflicting proposals) and the
-        forged signatures it rejected across all layers (client requests,
-        checkpoint votes, protocol votes); ``adversaries`` names the
-        scheduled Byzantine nodes and behaviours.
-        """
-        specs = self.faults_of(ByzantineSpec)
-        if not specs:
-            return None
-        return {
-            "per_node": {
-                node.node_id: {
-                    "equivocations_detected": node.equivocations_detected,
-                    "invalid_sigs_rejected": node.invalid_signatures_rejected(),
-                }
-                for node in self.nodes
-            },
-            "adversaries": {spec.node: spec.behaviour for spec in specs},
-        }
-
-    def _client_abuse_stats(self) -> Optional[Dict[str, object]]:
-        """Per-client abuse counters for runs with malicious clients (else
-        None).
-
-        ``per_client`` aggregates, across every *current node incarnation*,
-        the rejections attributed to each claimed client identity (forged
-        signatures count under the impersonated victim — the only identity a
-        node can observe) plus the duplicate submissions absorbed for it;
-        ``abusers`` carries each abusive client's own attack counters and
-        ``adversaries`` maps client id → behaviour.
-        """
-        specs = self.faults_of(MaliciousClientSpec)
-        if not specs:
-            return None
-        per_client: Dict[int, Dict[str, int]] = {}
-
-        def entry_for(client: int) -> Dict[str, int]:
-            entry = per_client.get(client)
-            if entry is None:
-                entry = per_client[client] = dict.fromkeys(
-                    (*REJECTION_REASONS, "duplicates"), 0
-                )
-            return entry
-
-        for node in self.nodes:
-            for client, reasons in node.validator.stats.by_client.items():
-                entry = entry_for(client)
-                for reason, count in reasons.items():
-                    entry[reason] += count
-            for client, count in node.duplicate_requests.items():
-                entry_for(client)["duplicates"] += count
-        abusers = {}
-        for spec in specs:
-            client = self.injector.abusive_client_for(spec.client)
-            if client is not None:
-                abusers[spec.client] = client.abuse_stats()
-        return {
-            "adversaries": {spec.client: spec.behaviour for spec in specs},
-            "per_client": per_client,
-            "abusers": abusers,
-        }
-
-    def _partition_stats(
-        self, counters: Dict[str, object]
-    ) -> Optional[Dict[str, object]]:
-        """Network-chaos diagnostics for runs with partitions or link faults
-        (else None).
-
-        ``partitions`` carries one record per scheduled partition — the
-        injector's schedule figures (groups, bridges, started_at, healed_at)
-        plus the harness's reconvergence data (laggards,
-        time_to_reconverge, view_changes_during; -1 means the run ended
-        before the event).  ``drops_by_cause`` splits the network's payload
-        drops by cause, ``link_faults`` lists per-installed-fault runtime
-        counters and ``client_retries_total`` sums the clients' retry loops
-        (0 with retries disabled) — the last three copied from the run's
-        :meth:`obs_counters`.
-        """
-        if not (self.faults_of(PartitionSpec) or self.faults_of(LinkFaultSpec)):
-            return None
-        return {
-            "partitions": [dict(record) for record in self.injector.partition_records()],
-            "drops_by_cause": dict(counters["drops_by_cause"]),
-            "link_faults": self.injector.link_fault_stats(),
-            "client_retries_total": counters["client_retries_total"],
-            "retransmissions_total": counters["retransmissions_total"],
-        }
 
     def obs_counters(self) -> Dict[str, object]:
         """End-of-run counters bundled into the ``metrics.json`` artifact.
@@ -994,67 +873,3 @@ class Deployment:
 
     def _client_retries_total(self) -> int:
         return sum(c.requests_retried for c in self.clients)
-
-    def _extra_stats(self, counters: Dict[str, object]) -> Dict[str, float]:
-        alive = [n for n in self.nodes if not n.crashed]
-        sample = alive[0] if alive else self.nodes[0]
-        stats = {
-            "messages_sent": float(self.network.stats.messages_sent),
-            "bytes_sent": float(self.network.stats.bytes_sent),
-            "messages_dropped": float(self.network.stats.messages_dropped),
-            # The opaque total above, split by cause (every key always
-            # present so determinism checks compare identical dicts).
-            **{
-                f"dropped_{cause}": float(count)
-                for cause, count in counters["drops_by_cause"].items()
-            },
-            "epochs_completed": float(sample.epochs_completed),
-            "batches_committed": float(sample.batches_committed),
-            "nil_committed": float(sample.nil_committed),
-            "requests_submitted": float(self.generator.submitted),
-            "requests_deferred": float(self.generator.deferred),
-            "sim_events": float(self.sim.events_executed),
-        }
-        if self.faults_of(RestartSpec):
-            stats["restarts_performed"] = float(len(self.injector.restarted_nodes()))
-        if self.faults_of(ByzantineSpec):
-            stats["equivocations_detected_total"] = float(
-                sum(n.equivocations_detected for n in self.nodes)
-            )
-            stats["invalid_sigs_rejected_total"] = float(
-                sum(n.invalid_signatures_rejected() for n in self.nodes)
-            )
-        if self.faults_of(MaliciousClientSpec):
-            stats["client_rejections_total"] = float(
-                sum(n.validator.stats.rejected for n in self.nodes)
-            )
-            stats["client_duplicates_total"] = float(
-                sum(sum(n.duplicate_requests.values()) for n in self.nodes)
-            )
-            stats["client_state_gc_entries_total"] = float(
-                sum(n.client_state_gc_entries for n in self.nodes)
-            )
-        if self.config.client_retry_timeout > 0:
-            stats["client_retries_total"] = float(counters["client_retries_total"])
-        if self.membership_enabled:
-            stats["membership_activations"] = float(len(self._membership_activations))
-            stats["config_txs_submitted"] = float(
-                self.admin_client.requests_submitted
-                if self.admin_client is not None
-                else 0
-            )
-            stats["nodes_retired"] = float(
-                sum(1 for n in self.nodes if getattr(n, "retired", False))
-            )
-        if self.storages:
-            stats["wal_appended_total"] = float(
-                sum(s.wal.appended_total for s in self.storages.values())
-            )
-            stats["snapshots_installed_total"] = float(
-                sum(s.snapshots.seals_total for s in self.storages.values())
-            )
-            stats["compactions_total"] = float(
-                sum(s.compactions for s in self.storages.values())
-            )
-        return stats
-

@@ -37,6 +37,7 @@ from ..core.config import (
 from ..core.iss import ISSNode
 from ..core.segment import LAYOUT_CONTIGUOUS, LAYOUT_ROUND_ROBIN
 from ..core.state_transfer import DEFAULT_PROBE_STAGGER
+from ..core.validation import REJECTION_REASONS
 from ..obs.config import ObsConfig
 from ..runtime.faults import (
     BYZ_CENSOR,
@@ -48,7 +49,9 @@ from ..runtime.faults import (
     MALICIOUS_CLIENT_BEHAVIOURS,
     ByzantineSpec,
     CrashSpec,
+    LinkFaultSpec,
     MaliciousClientSpec,
+    PartitionSpec,
     RestartSpec,
 )
 from ..sim.client_adversary import bias_capacity
@@ -62,13 +65,17 @@ from ..workload.faults import (
     eviction_watch,
     flapping_links,
     membership_additions,
-    membership_removals,
     minority_partition,
     one_way_blocks,
     rolling_upgrade_specs,
     stragglers,
 )
-from .invariants import check_invariants, delivered_trace, traces_agree
+from .invariants import (
+    check_invariants,
+    delivered_trace,
+    reporting_tracker,
+    traces_agree,
+)
 from .runner import Deployment, PolicyFactory
 
 
@@ -303,9 +310,10 @@ def row(deployment: Deployment, result) -> Dict[str, object]:
     the run sends client responses (without them no client learns of a
     completion), ``submitted``/``completed``/``all_complete`` over the
     *correct* clients (malicious ones excluded).  It then adds one section
-    per diagnostic the run's report produced — recoveries, byzantine,
-    client abuse, partitions, membership — so a row holds what its run
-    contained, whoever asks.
+    per kind of fault the run contained — recoveries, byzantine, client
+    abuse, partitions, membership — read from the run's own nodes,
+    clients, storages, fault injector and collector, so a row holds what
+    its run contained, whoever asks.
     """
     report = result.report
     abusive = {spec.client for spec in deployment.faults_of(MaliciousClientSpec)}
@@ -334,75 +342,72 @@ def row(deployment: Deployment, result) -> Dict[str, object]:
         )
     if report.recoveries:
         # One record per restart (see Deployment._on_node_restart).
+        storages = result.storages.values()
         figures.update(
             recoveries=report.recoveries,
             caught_up=all(
                 r["time_to_caught_up"] >= 0.0 for r in report.recoveries
             ),
-            wal_appended_total=report.extra.get("wal_appended_total", 0.0),
-            snapshots_installed_total=report.extra.get(
-                "snapshots_installed_total", 0.0
+            wal_appended_total=float(sum(s.wal.appended_total for s in storages)),
+            snapshots_installed_total=float(
+                sum(s.snapshots.seals_total for s in storages)
             ),
         )
-    if report.byzantine:
+    if deployment.faults_of(ByzantineSpec):
         figures.update(_byzantine_figures(deployment, result, correct))
-    if report.client_abuse:
+    if deployment.faults_of(MaliciousClientSpec):
         figures.update(_client_abuse_figures(deployment, result))
-    if report.partitions:
-        partitions = report.partitions
-        records = partitions["partitions"]
+    if deployment.faults_of(PartitionSpec) or deployment.faults_of(LinkFaultSpec):
+        counters = deployment.obs_counters()
+        records = deployment.injector.partition_records()
         figures.update(
             reconverged=all(r.get("time_to_reconverge", -1.0) >= 0.0 for r in records),
             time_to_reconverge=max(
                 (r.get("time_to_reconverge", -1.0) for r in records), default=0.0
             ),
             view_changes_during=sum(r.get("view_changes_during", 0) for r in records),
-            client_retries=partitions["client_retries_total"],
-            drops_by_cause=partitions["drops_by_cause"],
-            partition_records=records,
-            link_faults=partitions["link_faults"],
+            client_retries=counters["client_retries_total"],
+            drops_by_cause=counters["drops_by_cause"],
+            partition_records=[dict(r) for r in records],
+            link_faults=deployment.injector.link_fault_stats(),
         )
-    if report.membership:
-        membership = report.membership
-        joins = membership["joins"]
+    if deployment.membership_enabled:
+        tracker = reporting_tracker(result.nodes)
+        joins = deployment.joins
         figures.update(
             violations=check_invariants(result),
-            activations=membership["activations"],
-            final_view=membership["final_view"],
+            activations=deployment.activations,
+            final_view=[int(n) for n in tracker.current_view().nodes],
             joins=joins,
             all_joined=all(j["time_to_join"] >= 0.0 for j in joins),
             time_to_join_max=max((j["time_to_join"] for j in joins), default=0.0),
-            removed=membership["removed"],
-            evictions=membership["evictions"],
-            config_txs_committed=len(membership["config_txs_committed"]),
+            removed=sorted(deployment.removed),
+            evictions=deployment.evictions,
+            config_txs_committed=len(tracker.committed_txs),
         )
     return figures
 
 
 def _byzantine_figures(deployment: Deployment, result, correct) -> Dict[str, object]:
-    """The byzantine section of :func:`row`: the detection counters of
-    ``RunReport.byzantine`` summed over the ``correct`` nodes, whether the
-    leader-selection policy (Blacklist by default) evicted the adversaries
-    from the final epoch's leaderset, and the censored-bucket figures."""
-    report = result.report
+    """The byzantine section of :func:`row`: the ``correct`` nodes' own
+    detection counters, whether the leader-selection policy (Blacklist by
+    default) evicted the adversaries from the final epoch's leaderset,
+    and the collector's censored-bucket figures."""
     specs = deployment.faults_of(ByzantineSpec)
     sample = correct[0]
     final_leaders = sample.manager.leaders_for(sample.current_epoch)
-    per_node = report.byzantine.get("per_node", {})
     figures: Dict[str, object] = {
         "byz_behaviour": specs[0].behaviour if specs else "none",
         "adversaries": len(specs),
         "nil_committed": sample.nil_committed,
-        "equivocations_detected": sum(
-            per_node.get(n.node_id, {}).get("equivocations_detected", 0) for n in correct
-        ),
+        "equivocations_detected": sum(n.equivocations_detected for n in correct),
         "invalid_sigs_rejected": sum(
-            per_node.get(n.node_id, {}).get("invalid_sigs_rejected", 0) for n in correct
+            n.invalid_signatures_rejected() for n in correct
         ),
         "adversaries_evicted": all(spec.node not in final_leaders for spec in specs),
         "final_leaderset_size": len(final_leaders),
     }
-    censored = report.byzantine.get("censored")
+    censored = result.collector.censored()
     if censored is not None:
         figures["censored_submitted"] = censored["submitted"]
         figures["censored_completed"] = censored["completed"]
@@ -413,46 +418,65 @@ def _byzantine_figures(deployment: Deployment, result, correct) -> Dict[str, obj
 
 def _client_abuse_figures(deployment: Deployment, result) -> Dict[str, object]:
     """The client-abuse section of :func:`row`: whether each abusive
-    submission class was rejected-and-counted (``RunReport.client_abuse``)
-    and whether node memory stayed bounded (watermark out-of-order buffers,
-    delivered filter after GC)."""
+    submission class was rejected-and-counted at the nodes and whether
+    node memory stayed bounded (watermark out-of-order buffers, delivered
+    filter after GC).
+
+    ``client_abuse`` holds the raw counters: ``per_client`` sums, over the
+    current node incarnations, the rejections attributed to each claimed
+    client identity (forged signatures count under the impersonated
+    victim — the only identity a node can observe) plus the duplicate
+    submissions absorbed for it; ``abusers`` carries each abusive client's
+    own attack counters and ``adversaries`` maps client id → behaviour.
+    """
     config = deployment.config
     specs = deployment.faults_of(MaliciousClientSpec)
-    report = result.report
-    abuse = report.client_abuse
-    per_client = abuse.get("per_client", {})
-    abusers = abuse.get("abusers", {})
+    nodes = result.nodes
+    per_client: Dict[int, Dict[str, int]] = {}
 
-    def rejections(client_id: int, reason: str) -> int:
-        return per_client.get(client_id, {}).get(reason, 0)
+    def entry_for(client: int) -> Dict[str, int]:
+        return per_client.setdefault(
+            client, dict.fromkeys((*REJECTION_REASONS, "duplicates"), 0)
+        )
+
+    for node in nodes:
+        for client, reasons in node.validator.stats.by_client.items():
+            entry = entry_for(client)
+            for reason, count in reasons.items():
+                entry[reason] += count
+        for client, count in node.duplicate_requests.items():
+            entry_for(client)["duplicates"] += count
+    abusers = {spec.client: result.clients[spec.client].abuse_stats() for spec in specs}
 
     # Every protocol-violating submission class must be rejected and counted
     # at the nodes: far-out timestamps and post-wedge bias as watermark
     # rejections, forgeries as signature rejections (attributed to the
     # claimed victim), flood copies as absorbed duplicates.
+    def rejections(client_id: int, reason: str) -> int:
+        return per_client.get(client_id, {}).get(reason, 0)
+
     abuse_contained = True
     for spec in specs:
-        stats = abusers.get(spec.client, {})
+        stats = abusers[spec.client]
         if spec.behaviour == CLIENT_WATERMARK_ABUSE:
             abuse_contained &= rejections(
                 spec.client, "outside_watermarks"
-            ) >= stats.get("out_of_window_sent", 0) > 0
+            ) >= stats["out_of_window_sent"] > 0
         elif spec.behaviour == CLIENT_DUPLICATE_FLOOD:
             abuse_contained &= (
-                0 < stats.get("duplicates_sent", 0)
-                and rejections(spec.client, "duplicates") > 0
+                0 < stats["duplicates_sent"] and rejections(spec.client, "duplicates") > 0
             )
         elif spec.behaviour == CLIENT_FORGED_SIGNATURE:
             abuse_contained &= rejections(
                 spec.victim, "bad_signature"
-            ) >= stats.get("forged_sent", 0) > 0
+            ) >= stats["forged_sent"] > 0
         elif spec.behaviour == CLIENT_BUCKET_BIAS:
             # The c||t hash leaves timestamp-skipping as the only lever, and
             # the window wedges that after ~window/|B| accepted ids (the
             # exact per-(client, target) figure from bias_capacity).
-            abuse_contained &= 0 < stats.get("biased_sent", 0) and stats.get(
-                "requests_completed", 0
-            ) <= bias_capacity(
+            abuse_contained &= 0 < stats["biased_sent"] and stats[
+                "requests_completed"
+            ] <= bias_capacity(
                 spec.client,
                 spec.target_bucket,
                 config.client_watermark_window,
@@ -462,16 +486,18 @@ def _client_abuse_figures(deployment: Deployment, result) -> Dict[str, object]:
         "client_behaviour": specs[0].behaviour if specs else "none",
         "abusive": len(specs),
         "abuse_contained": abuse_contained,
-        "rejections_total": report.extra.get("client_rejections_total", 0.0),
-        "duplicates_total": report.extra.get("client_duplicates_total", 0.0),
-        "gc_entries_total": report.extra.get("client_state_gc_entries_total", 0.0),
-        "out_of_order_max": max(
-            node.watermarks.out_of_order_entries() for node in result.nodes
+        "rejections_total": float(sum(n.validator.stats.rejected for n in nodes)),
+        "duplicates_total": float(
+            sum(sum(n.duplicate_requests.values()) for n in nodes)
         ),
-        "delivered_filter_max": max(
-            len(node.buckets.delivered) for node in result.nodes
-        ),
-        "client_abuse": abuse,
+        "gc_entries_total": float(sum(n.client_state_gc_entries for n in nodes)),
+        "out_of_order_max": max(node.watermarks.out_of_order_entries() for node in nodes),
+        "delivered_filter_max": max(len(node.buckets.delivered) for node in nodes),
+        "client_abuse": {
+            "adversaries": {spec.client: spec.behaviour for spec in specs},
+            "per_client": per_client,
+            "abusers": abusers,
+        },
     }
 
 
@@ -988,7 +1014,7 @@ def watermark_stall(
     result = dep.run()
     sample = result.nodes[0]
     correct_clients = [c for c in result.clients if c.client_id != abuser]
-    abusive_stats = result.report.client_abuse["abusers"][abuser]
+    abusive_stats = result.clients[abuser].abuse_stats()
     return dict(
         row(dep, result),
         abuser=abuser,
@@ -1178,24 +1204,6 @@ def membership_join(
         epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
     )
     return dict(row(dep, dep.run()), scenario="membership_join", joiners=1)
-
-
-def membership_leave() -> Dict[str, object]:
-    """Shrink a 5-replica ISS-PBFT cluster (400 req/s, 20 s) by one replica.
-
-    The victim is the highest-numbered node (node 0 stays inspectable);
-    its remove-ConfigTx is submitted at 3 s.  It commits in some epoch
-    *e*, the view without the victim takes effect at epoch *e+1*, and the
-    victim retires itself after sealing *e* — its delivered prefix ends
-    exactly at the epoch boundary, which
-    :func:`~repro.harness.invariants.check_membership` verifies.
-    """
-    specs = membership_removals([4], start=3.0)
-    dep = deployment(
-        PROTOCOL_PBFT, 5, specs, rate=400.0, duration=20.0, drain_time=12.0,
-        epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
-    )
-    return dict(row(dep, dep.run()), scenario="membership_leave", leavers=1)
 
 
 def rolling_upgrade(protocol: str = PROTOCOL_PBFT) -> Dict[str, object]:

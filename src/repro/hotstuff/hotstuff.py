@@ -19,7 +19,6 @@ behaviour the paper's evaluation discusses (Section 6.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.sb import SBContext, SBInstance

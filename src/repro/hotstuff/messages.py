@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-from ..core.types import LOG_ENTRY, LogEntry, NIL, SeqNr, ViewNr, is_nil
+from ..core.types import LOG_ENTRY, LogEntry, SeqNr, ViewNr, is_nil
 from ..crypto.hashing import hash_int, sha256
 from ..crypto.threshold import PartialSignature, ThresholdSignature
 from ..runtime.codec import BYTES, INT, nested, optional, register

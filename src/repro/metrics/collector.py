@@ -59,7 +59,13 @@ def _percentile(ordered: Sequence[float], fraction: float) -> float:
 
 @dataclass
 class RunReport:
-    """Everything a benchmark needs from one experiment run."""
+    """What the collector measured in one experiment run.
+
+    Fault-specific figures (detection counters, abuse rejections, partition
+    records, membership activations) are not copied here: a finished run's
+    diagnostics are read from its nodes, clients and deployment by
+    :func:`repro.harness.scenarios.row`.
+    """
 
     duration: float
     submitted: int
@@ -75,35 +81,6 @@ class RunReport:
     #: One record per node restart: WAL entries replayed, state-transfer
     #: bytes, time-to-caught-up... (see ``Deployment._on_node_restart``).
     recoveries: List[Dict[str, float]] = field(default_factory=list)
-    #: Byzantine-fault diagnostics, empty for non-adversarial runs:
-    #: ``per_node`` maps node → {equivocations_detected,
-    #: invalid_sigs_rejected}, ``adversaries`` maps node → behaviour, and
-    #: ``censored`` summarises delivery of requests in censored buckets
-    #: (buckets, submitted, completed, latency: LatencySummary).
-    byzantine: Dict[str, object] = field(default_factory=dict)
-    #: Malicious-client diagnostics, empty for runs without abusive clients:
-    #: ``adversaries`` maps client → behaviour, ``per_client`` maps the
-    #: *claimed* client identity → cross-node rejection/duplicate counters
-    #: (bad_signature, outside_watermarks, unknown_client, duplicates), and
-    #: ``abusers`` carries each abusive client's own attack counters (see
-    #: :meth:`repro.sim.client_adversary.AbusiveClient.abuse_stats`).
-    client_abuse: Dict[str, object] = field(default_factory=dict)
-    #: Network-chaos diagnostics, empty for runs without partitions or link
-    #: faults: ``partitions`` lists one record per scheduled partition
-    #: (groups, bridges, started_at/healed_at, laggards,
-    #: time_to_reconverge, view_changes_during), ``drops_by_cause`` maps
-    #: drop cause → payload count, ``link_faults`` carries per-link runtime
-    #: counters, ``client_retries_total`` sums the clients' retry loops.
-    partitions: Dict[str, object] = field(default_factory=dict)
-    #: Dynamic-membership diagnostics, empty for static-configuration runs:
-    #: ``activations`` lists one record per view-changing epoch boundary
-    #: (epoch, added, removed, resulting view), ``joins`` one record per
-    #: booted replica (time_to_join, log_size_at_join, state-transfer
-    #: figures), ``removed``/``evictions`` the activated and
-    #: detection-driven removals, ``config_txs_committed`` the ordered
-    #: ConfigTxs as derived from the committed log, and ``final_view`` the
-    #: replica set after the last activation.
-    membership: Dict[str, object] = field(default_factory=dict)
     #: Per-node/cluster time series sampled by ``repro.obs.MetricsSampler``
     #: (``{"interval", "warmup", "times", "series"}``); empty unless the
     #: run enabled the observability sampler.
@@ -138,9 +115,9 @@ class MetricsCollector:
     def watch_buckets(self, buckets, num_buckets: int) -> None:
         """Track delivery latency of requests mapping to ``buckets``.
 
-        The harness arms this for censorship scenarios: the report then
-        carries a separate latency summary for exactly the requests a
-        Byzantine leader tries to suppress, which is how the benchmarks
+        The harness arms this for censorship scenarios: :meth:`censored`
+        then summarises the latency of exactly the requests a Byzantine
+        leader tries to suppress, which is how the benchmarks
         show censored buckets still completing (bucket rotation, Sec. 3.2).
         """
         if num_buckets < 1:
@@ -219,32 +196,25 @@ class MetricsCollector:
     def submitted_count(self) -> int:
         return sum(1 for t in self._submit_times.values() if t >= self.warmup)
 
+    def censored(self) -> Optional[Dict[str, object]]:
+        """The censored-bucket figures (buckets, submitted, completed,
+        latency: LatencySummary), or None when no bucket is watched."""
+        if self._censored_buckets is None:
+            return None
+        return {
+            "buckets": sorted(self._censored_buckets),
+            "submitted": self._censored_submitted,
+            "completed": len(self._censored_latencies),
+            "latency": LatencySummary.from_samples(self._censored_latencies),
+        }
+
     def report(
-        self,
-        duration: float,
-        extra: Optional[Dict[str, float]] = None,
-        byzantine: Optional[Dict[str, object]] = None,
-        client_abuse: Optional[Dict[str, object]] = None,
-        partitions: Optional[Dict[str, object]] = None,
-        membership: Optional[Dict[str, object]] = None,
+        self, duration: float, extra: Optional[Dict[str, float]] = None
     ) -> RunReport:
-        """Summarise the run; ``byzantine`` carries the harness's per-node
-        misbehaviour counters and is merged with the collector's own
-        censored-bucket figures, ``client_abuse`` the per-client abuse
-        counters of runs with malicious clients, ``partitions`` the
-        network-chaos diagnostics of runs with partitions or link faults,
-        ``membership`` the reconfiguration diagnostics of runs with
-        dynamic membership."""
+        """Summarise the run; ``extra`` holds the harness's free-form
+        counters."""
         measured = max(1e-9, duration - self.warmup)
         completed = len(self._latencies)
-        byz: Dict[str, object] = dict(byzantine or {})
-        if self._censored_buckets is not None:
-            byz["censored"] = {
-                "buckets": sorted(self._censored_buckets),
-                "submitted": self._censored_submitted,
-                "completed": len(self._censored_latencies),
-                "latency": LatencySummary.from_samples(self._censored_latencies),
-            }
         return RunReport(
             duration=duration,
             submitted=self.submitted_count(),
@@ -253,8 +223,4 @@ class MetricsCollector:
             latency=LatencySummary.from_samples(self._latencies),
             extra=dict(extra or {}),
             recoveries=[dict(r) for r in self._recoveries],
-            byzantine=byz,
-            client_abuse=dict(client_abuse or {}),
-            partitions=dict(partitions or {}),
-            membership=dict(membership or {}),
         )

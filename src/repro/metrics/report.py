@@ -7,7 +7,7 @@ and readable inside pytest-benchmark logs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

@@ -22,7 +22,7 @@ buckets, labelled with the bucket's right edge.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..metrics.collector import LatencySummary
 

@@ -10,9 +10,9 @@ in the simulation simply means their content is trusted to be attributable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
-from ..core.types import LOG_ENTRY, LogEntry, NIL, SeqNr, ViewNr, is_nil
+from ..core.types import LOG_ENTRY, LogEntry, SeqNr, ViewNr, is_nil
 from ..runtime.codec import BYTES, INT, nested, register, tuple_of
 from ..runtime.wire import register_batchable
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..core.types import LOG_ENTRY, LogEntry, SeqNr, is_nil
 from ..runtime.codec import BOOL, INT, nested, register, tuple_of

@@ -21,12 +21,11 @@ paper's evaluation attributes Raft's lower per-leader throughput to.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.pacing import ProposalPacer
 from ..core.sb import SBContext, SBInstance
-from ..core.types import Batch, LogEntry, NIL, NodeId, SeqNr, is_nil
+from ..core.types import Batch, NIL, NodeId, SeqNr, is_nil
 from ..runtime.api import Timer
 from .messages import AppendEntries, AppendReply, RaftEntry, RequestVote, VoteReply
 

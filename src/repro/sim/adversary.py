@@ -33,7 +33,7 @@ straggler behaviour.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from ..core.messages import InstanceMessage
 from ..core.types import Batch, NodeId

@@ -46,7 +46,7 @@ class ActiveLinkFault:
 
     Owns the per-fault RNG (seeded from spec seed and link endpoints, so
     installation order cannot perturb other randomness) and the drop/copy
-    counters the harness surfaces in ``RunReport.partitions``.
+    counters ``scenarios.row`` reports as ``link_faults``.
     """
 
     __slots__ = (

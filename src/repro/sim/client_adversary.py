@@ -44,7 +44,7 @@ Design constraints, mirrored from the replica-side adversaries:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.client import Client
 from ..core.messages import ClientRequestMsg
@@ -53,7 +53,6 @@ from ..core.validation import request_signing_payload, sign_request
 from ..runtime.faults import (
     CLIENT_BUCKET_BIAS,
     CLIENT_DUPLICATE_FLOOD,
-    CLIENT_FORGED_SIGNATURE,
     CLIENT_WATERMARK_ABUSE,
     MaliciousClientSpec,
 )
@@ -267,8 +266,8 @@ class AbusiveClient(Client):
 
     # ------------------------------------------------------------- reporting
     def abuse_stats(self) -> Dict[str, object]:
-        """Attack counters for ``RunReport.client_abuse`` (one entry per
-        abusive client)."""
+        """Attack counters of this client (the ``abusers`` entries of
+        ``scenarios.row``'s client-abuse section)."""
         return {
             "behaviour": self.spec.behaviour,
             "activated": self._abuse_active,

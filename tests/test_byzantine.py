@@ -7,7 +7,7 @@ Covers the acceptance claims of the adversary subsystem:
 * censored-bucket requests are eventually delivered once rotation hands
   the buckets to honest leaders (Blacklist policy active),
 * detection counters (equivocations detected, invalid signatures
-  rejected) surface through ``RunReport.byzantine``,
+  rejected) are counted on every correct node,
 * the machinery composes with the rest of the stack: wire batching on
   AND off, and a correct node crash/restarting in the same run as a
   Byzantine leader (the PR 3 liveness wedges showed SB changes must be
@@ -141,9 +141,8 @@ class TestEquivocation:
         # ...the attacked slots stalled into ⊥ and were attributed...
         assert all(node.nil_committed > 0 for node in correct)
         # ...every correct node proved the equivocation from f+1 votes...
-        per_node = report.byzantine["per_node"]
         for node in correct:
-            assert per_node[node.node_id]["equivocations_detected"] > 0
+            assert node.equivocations_detected > 0
         # ...and the Blacklist policy rotated the adversary out.
         sample = correct[0]
         assert 3 not in sample.manager.leaders_for(sample.current_epoch)
@@ -189,8 +188,7 @@ class TestCensorship:
         deployment, result = run_adversarial(
             config, specs, duration=10.0, drain_time=20.0
         )
-        report = result.report
-        censored = report.byzantine["censored"]
+        censored = result.collector.censored()
         assert censored["buckets"] == sorted(buckets)
         assert censored["submitted"] > 0
         # Every censored request completed once its bucket rotated to an
@@ -219,7 +217,7 @@ class TestCensorship:
             armed_dep.network.stats.messages_sent
             == clean_dep.network.stats.messages_sent
         )
-        censored = armed.report.byzantine["censored"]
+        censored = armed.collector.censored()
         assert censored["completed"] == censored["submitted"]
 
     @pytest.mark.parametrize("behaviour", [BYZ_CENSOR, BYZ_REPLAY])
@@ -239,7 +237,7 @@ class TestCensorship:
         assert check_prefix_identity(correct) == []
         assert result.report.completed > 0
         if behaviour == BYZ_CENSOR:
-            censored = result.report.byzantine["censored"]
+            censored = result.collector.censored()
             assert censored["completed"] == censored["submitted"] > 0
 
     def test_censorship_rotation_scenario(self):
@@ -258,11 +256,10 @@ class TestInvalidVotes:
         assert check_prefix_identity(correct) == []
         assert report.completed > 0
         assert deployment.injector.adversary_for(3).votes_forged > 0
-        per_node = report.byzantine["per_node"]
         # Forged checkpoint signatures are rejected (and counted) at every
         # correct node; epochs still stabilise on the honest 2f+1.
         for node in correct:
-            assert per_node[node.node_id]["invalid_sigs_rejected"] > 0
+            assert node.invalid_signatures_rejected() > 0
             assert node.epochs_completed > 0
 
     def test_hotstuff_rejects_forged_partials(self):

@@ -352,7 +352,7 @@ class TestPartitionRecovery:
         # The heal hook must detect it as a laggard and state-transfer it
         # back to the frontier, recording time_to_reconverge.
         deployment, result = run_partitioned()
-        records = result.report.partitions["partitions"]
+        records = scenarios.row(deployment, result)["partition_records"]
         assert len(records) == 1
         record = records[0]
         isolated = deployment.config.num_nodes - 1
@@ -362,11 +362,11 @@ class TestPartitionRecovery:
         assert len(frontiers) == 1
 
     def test_clients_complete_through_partition_via_retry(self):
-        _, result = run_partitioned()
+        deployment, result = run_partitioned()
         assert all(
             c.requests_completed == c.requests_submitted for c in result.clients
         )
-        assert result.report.partitions["client_retries_total"] > 0
+        assert scenarios.row(deployment, result)["client_retries"] > 0
 
     def test_bridge_partition_reconverges(self):
         # Neither half has a quorum alone (n=5, quorum 3, split 2|1|2):
@@ -381,7 +381,7 @@ class TestPartitionRecovery:
             drain_time=15.0,
         )
         result = deployment.run()
-        record = result.report.partitions["partitions"][0]
+        record = scenarios.row(deployment, result)["partition_records"][0]
         assert record["time_to_reconverge"] >= 0.0
         assert all(
             c.requests_completed == c.requests_submitted for c in result.clients
@@ -394,10 +394,10 @@ class TestPartitionRecovery:
         assert min(n.log.first_undelivered for n in result.nodes) >= frontier - 4
 
     def test_partition_drops_surface_in_report(self):
-        _, result = run_partitioned()
-        partitions = result.report.partitions
-        assert partitions["drops_by_cause"]["partition"] > 0
-        assert partitions["drops_by_cause"]["link-fault"] == 0
+        deployment, result = run_partitioned()
+        drops = scenarios.row(deployment, result)["drops_by_cause"]
+        assert drops["partition"] > 0
+        assert drops["link-fault"] == 0
 
     def test_asymmetric_block_absorbed_without_recovery(self):
         config = chaos_test_config()
@@ -412,7 +412,7 @@ class TestPartitionRecovery:
         assert all(
             c.requests_completed == c.requests_submitted for c in result.clients
         )
-        assert result.report.partitions["drops_by_cause"]["link-fault"] > 0
+        assert scenarios.row(deployment, result)["drops_by_cause"]["link-fault"] > 0
 
     def test_flapping_link_with_retransmit_keeps_liveness(self):
         config = chaos_test_config()
@@ -429,7 +429,7 @@ class TestPartitionRecovery:
         assert all(
             c.requests_completed == c.requests_submitted for c in result.clients
         )
-        faults = result.report.partitions["link_faults"]
+        faults = scenarios.row(deployment, result)["link_faults"]
         assert sum(f["payloads_retransmitted"] for f in faults) > 0
 
     def test_lossy_link_stats_surface_per_fault(self):
@@ -444,7 +444,7 @@ class TestPartitionRecovery:
             drain_time=8.0,
         )
         result = deployment.run()
-        faults = result.report.partitions["link_faults"]
+        faults = scenarios.row(deployment, result)["link_faults"]
         assert len(faults) == 1
         assert faults[0]["src"] == 2 and faults[0]["dst"] == 1
         assert faults[0]["payloads_dropped"] > 0

@@ -5,9 +5,10 @@ Covers the acceptance claims of the client-side adversary subsystem:
 * with f abusive clients (watermark abuse, duplicate flooding, bucket
   bias, forged signatures) every correct client's requests complete and
   all nodes deliver identical request sequences,
-* every abusive submission class is rejected and counted in
-  ``RunReport.client_abuse`` (watermark rejections, absorbed duplicates,
-  signature rejections attributed to the claimed victim),
+* every abusive submission class is rejected and counted in the
+  client-abuse section of ``scenarios.row`` (watermark rejections,
+  absorbed duplicates, signature rejections attributed to the claimed
+  victim),
 * the out-of-order-completion watermark wedge is fixed client-side
   (failing-before/passing-after regression tests),
 * per-client node state stays bounded: delivered filters and signature
@@ -175,10 +176,10 @@ class TestWatermarkAbuse:
         config = abusive_config()
         specs = abusive_clients(1, 6, behaviour=CLIENT_WATERMARK_ABUSE)
         deployment, result = run_abusive(config, specs)
-        report = result.report
+        abuse = row(deployment, result)["client_abuse"]
         abuser = specs[0].client
-        stats = report.client_abuse["abusers"][abuser]
-        per_client = report.client_abuse["per_client"]
+        stats = abuse["abusers"][abuser]
+        per_client = abuse["per_client"]
         # The attack ran: far-out timestamps and deliberate gaps were sent...
         assert stats["out_of_window_sent"] > 0 and stats["gaps_left"] > 0
         # ...every far-out submission was rejected at the watermark window
@@ -230,12 +231,12 @@ class TestDuplicateFlood:
         deployment, result = run_abusive(
             config, specs, batch_flush_interval=flush_interval
         )
-        report = result.report
+        abuse = row(deployment, result)["client_abuse"]
         abuser = specs[0].client
-        stats = report.client_abuse["abusers"][abuser]
+        stats = abuse["abusers"][abuser]
         assert stats["duplicates_sent"] > 0
         # The nodes absorbed and counted the flood...
-        assert report.client_abuse["per_client"][abuser]["duplicates"] > 0
+        assert abuse["per_client"][abuser]["duplicates"] > 0
         # ...and no request was delivered twice at any node.
         for node in result.nodes:
             rids = [
@@ -275,8 +276,8 @@ class TestBucketBias:
             )
         ]
         deployment, result = run_abusive(config, specs, duration=10.0)
-        report = result.report
-        stats = report.client_abuse["abusers"][5]
+        abuse = row(deployment, result)["client_abuse"]
+        stats = abuse["abusers"][5]
         assert stats["biased_sent"] > 0
         # Only ~1/|B| of the window's timestamps map to the target bucket —
         # after that the skipped timestamps wedge the abuser out of the
@@ -290,7 +291,7 @@ class TestBucketBias:
         assert 0 < stats["requests_completed"] <= bound
         assert bound <= config.client_watermark_window // config.num_buckets + 8
         # The overflow was rejected at the watermark window and counted.
-        assert report.client_abuse["per_client"][5]["outside_watermarks"] > 0
+        assert abuse["per_client"][5]["outside_watermarks"] > 0
         # Correct clients — including any mapping to the target bucket — are
         # unharmed.
         for client in correct_clients(result, specs):
@@ -315,12 +316,12 @@ class TestForgedSignatures:
         specs = abusive_clients(1, 6, behaviour=CLIENT_FORGED_SIGNATURE)
         victim = specs[0].victim
         deployment, result = run_abusive(config, specs)
-        report = result.report
-        stats = report.client_abuse["abusers"][specs[0].client]
+        abuse = row(deployment, result)["client_abuse"]
+        stats = abuse["abusers"][specs[0].client]
         assert stats["forged_sent"] > 0
         # Every forgery was rejected at the signature check, attributed to
         # the claimed (victim) identity — the only one nodes can observe.
-        per_client = report.client_abuse["per_client"]
+        per_client = abuse["per_client"]
         assert per_client[victim]["bad_signature"] >= stats["forged_sent"]
         # The impersonated victim is unharmed: its own requests complete.
         victim_client = result.clients[victim]
@@ -343,13 +344,13 @@ class TestMixedAbuseAndReplicaFaults:
         deployment, result = run_abusive(
             config, specs, batch_flush_interval=0.02
         )
-        report = result.report
-        assert report.client_abuse["adversaries"] == {
+        abuse = row(deployment, result)["client_abuse"]
+        assert abuse["adversaries"] == {
             5: CLIENT_WATERMARK_ABUSE,
             4: CLIENT_DUPLICATE_FLOOD,
         }
-        assert report.client_abuse["per_client"][5]["outside_watermarks"] > 0
-        assert report.client_abuse["per_client"][4]["duplicates"] > 0
+        assert abuse["per_client"][5]["outside_watermarks"] > 0
+        assert abuse["per_client"][4]["duplicates"] > 0
         for client in correct_clients(result, specs):
             assert client.requests_completed == client.requests_submitted
         assert check_prefix_identity(result.nodes) == []

@@ -24,6 +24,7 @@ from repro.harness.scenarios import (
     DEFAULT_MEMBERSHIP_EPOCH_LENGTH,
     GRACEFUL,
     iss_config,
+    row,
 )
 from repro.net.deploy import prefixes_identical
 from repro.obs.config import ObsConfig
@@ -85,15 +86,16 @@ def test_arming_order_is_independent_of_list_order(monkeypatch):
         schedule(self, spec)
 
     monkeypatch.setattr(FaultInjector, "schedule", recording)
-    runs = []
+    runs, rows = [], []
     for faults in (CANONICAL, SHUFFLED):
         del armed[:]
         deployment = build(faults, duration=10.0, drain_time=6.0)
         assert armed == CANONICAL
         assert deployment.faults == tuple(faults)
         runs.append(deployment.run())
+        rows.append(row(deployment, runs[-1]))
     assert check_runs_equivalent(*runs) == []
-    assert runs[0].report.membership["final_view"] == [1, 2, 3, 4]
+    assert rows[0]["final_view"] == [1, 2, 3, 4]
     assert len(runs[0].report.recoveries) == 1
 
 

@@ -242,9 +242,8 @@ class TestScenarioRow:
         assert row["submitted"] < sum(c.requests_submitted for c in result.clients)
         assert row["all_complete"]
         # Correct live nodes only: detection is summed over nodes 0-2.
-        per_node = result.report.byzantine["per_node"]
         assert row["equivocations_detected"] == sum(
-            per_node[n]["equivocations_detected"] for n in (0, 1, 2)
+            result.nodes[n].equivocations_detected for n in (0, 1, 2)
         )
         assert row["prefixes_identical"]
 

@@ -387,3 +387,52 @@ def test_settings_nothing_varies_stay_gone():
             workload=WorkloadConfig(num_clients=1, duration=1.0),
             recovery_poll=0.5,
         )
+
+
+def test_no_unused_imports():
+    """Every module-level import under ``src/repro`` (package ``__init__``
+    re-exports and ``from __future__`` aside) is referenced as a name in
+    its module or listed in the module's ``__all__``."""
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                used |= {entry.value for entry in node.value.elts}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            offenders += [
+                f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {alias.name}"
+                for alias in node.names
+                if (alias.asname or alias.name).split(".")[0] not in used
+            ]
+    assert not offenders, f"unused imports: {offenders}"
+
+
+def test_a_run_is_read_once():
+    """A finished run's fault diagnostics are read from its objects by
+    ``scenarios.row``: the report carries no per-fault section and the
+    deployment builds no ``_*_stats`` digest of them."""
+    import dataclasses
+    import inspect
+
+    from repro.harness.runner import Deployment
+    from repro.metrics.collector import MetricsCollector, RunReport
+
+    fields = {field.name for field in dataclasses.fields(RunReport)}
+    assert not fields & {"byzantine", "client_abuse", "partitions", "membership"}
+    parameters = list(inspect.signature(MetricsCollector.report).parameters)
+    assert parameters == ["self", "duration", "extra"]
+    stats_builders = [
+        name for name in vars(Deployment) if name.startswith("_") and name.endswith("_stats")
+    ]
+    assert not stats_builders, f"Deployment still digests a run: {stats_builders}"

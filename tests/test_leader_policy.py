@@ -94,14 +94,14 @@ class TestBlacklistPolicy:
 
 class TestBackoffPolicy:
     def test_ban_applied_after_failure(self):
-        policy = BackoffPolicy(num_nodes=4, max_faulty=1, ban_period=2, decrease=1)
+        policy = BackoffPolicy(num_nodes=4, max_faulty=1, ban_period=2)
         history = history_with_failures({2: (6, 0)})
         policy.epoch_finished(0, history)
         assert 2 not in policy.leaders(1, history)
         assert policy.penalty_of(2) == 2
 
     def test_ban_decreases_linearly_when_behaving(self):
-        policy = BackoffPolicy(num_nodes=4, max_faulty=1, ban_period=2, decrease=1)
+        policy = BackoffPolicy(num_nodes=4, max_faulty=1, ban_period=2)
         history = history_with_failures({2: (6, 0)})
         policy.epoch_finished(0, history)
         policy.epoch_finished(1, history)  # behaved in epoch 1
@@ -110,7 +110,7 @@ class TestBackoffPolicy:
         assert 2 in policy.leaders(3, history)
 
     def test_ban_doubles_on_repeat_offense(self):
-        policy = BackoffPolicy(num_nodes=4, max_faulty=1, ban_period=4, decrease=1)
+        policy = BackoffPolicy(num_nodes=4, max_faulty=1, ban_period=4)
         history = FailureHistory()
         log = Log()
         log.commit(0, NIL, epoch=0, now=0.0)
@@ -125,7 +125,7 @@ class TestBackoffPolicy:
         assert policy.penalty_of(1) == 7  # 4*2 - 1
 
     def test_falls_back_to_all_nodes_when_everyone_banned(self):
-        policy = BackoffPolicy(num_nodes=2, max_faulty=0, ban_period=3, decrease=1)
+        policy = BackoffPolicy(num_nodes=2, max_faulty=0, ban_period=3)
         history = history_with_failures({0: (0, 0), 1: (1, 0)})
         policy.epoch_finished(0, history)
         assert policy.leaders(1, history) == [0, 1]

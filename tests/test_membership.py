@@ -49,7 +49,6 @@ from repro.harness.scenarios import (
     combined_adversary,
     iss_config,
     membership_join,
-    membership_leave,
     rolling_upgrade,
 )
 from repro.harness import scenarios
@@ -376,20 +375,20 @@ def _deployment(flush: float = DEFAULT_FLUSH_INTERVAL, seed: int = 7):
 
 
 def test_same_seed_reconfiguration_is_deterministic():
-    a = _deployment().run()
+    dep = _deployment()
+    a = dep.run()
     b = _deployment().run()
     assert check_runs_equivalent(a, b) == []
-    assert a.report.membership["final_view"] == [1, 2, 3, 4]
+    assert scenarios.row(dep, a)["final_view"] == [1, 2, 3, 4]
 
 
 def test_reconfiguration_with_batching_on_and_off():
     """Wire batching changes the schedule, never the outcome: both runs are
     clean and converge to the same final view."""
-    batched = _deployment(flush=DEFAULT_FLUSH_INTERVAL).run()
-    unbatched = _deployment(flush=0.0).run()
-    for result in (batched, unbatched):
+    for dep in (_deployment(flush=DEFAULT_FLUSH_INTERVAL), _deployment(flush=0.0)):
+        result = dep.run()
         assert check_invariants(result) == []
-        assert result.report.membership["final_view"] == [1, 2, 3, 4]
+        assert scenarios.row(dep, result)["final_view"] == [1, 2, 3, 4]
         assert all(
             c.requests_completed == c.requests_submitted for c in result.clients
         )
@@ -397,8 +396,8 @@ def test_reconfiguration_with_batching_on_and_off():
 
 def test_static_runs_carry_no_membership_machinery():
     """Without membership specs the machinery is fully disabled: no admin
-    client, no tracker, an empty membership report — the schedule-neutrality
-    the golden traces pin."""
+    client, no tracker, no membership section in the row — the
+    schedule-neutrality the golden traces pin."""
     config = membership_test_config("pbft", 4)
     deployment = Deployment(
         config,
@@ -412,5 +411,6 @@ def test_static_runs_carry_no_membership_machinery():
     )
     assert deployment.admin_client is None
     result = deployment.run()
-    assert result.report.membership == {}
+    assert "final_view" not in scenarios.row(deployment, result)
+    assert deployment.activations == [] and deployment.joins == []
     assert all(node.membership is None for node in result.nodes)
