@@ -199,6 +199,7 @@ def bench_pbft_vote(slots: int = 2_000) -> float:
     COMMIT multicast, which goes to a no-op).
     """
     from repro.core.config import ISSConfig
+    from repro.core.membership import genesis_view
     from repro.core.sb import SBContext
     from repro.core.types import Batch, SegmentDescriptor
     from repro.pbft.messages import Prepare, PrePrepare
@@ -206,13 +207,14 @@ def bench_pbft_vote(slots: int = 2_000) -> float:
 
     nodes = 32
     sim = Simulator(seed=1)
+    config = ISSConfig(num_nodes=nodes, epoch_length=slots, batch_rate=None)
     context = SBContext(
         node_id=1,
-        config=ISSConfig(num_nodes=nodes, epoch_length=slots, batch_rate=None),
+        config=config,
         segment=SegmentDescriptor(
             epoch=0, leader=0, seq_nrs=tuple(range(slots)), buckets=(0,)
         ),
-        all_nodes=range(nodes),
+        membership=genesis_view(config),
         send_fn=lambda dst, msg: None,
         local_fn=lambda msg: None,
         multicast_fn=lambda dsts, msg: None,

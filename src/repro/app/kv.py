@@ -230,7 +230,6 @@ class KVClient:
             on_complete=self._on_ack_quorum,
             first_timestamp=first_timestamp,
         )
-        self.config = config
         self._pending: Dict[RequestId, _PendingOp] = {}
         # Take over the endpoint: KV results are consumed here, everything
         # else (acks, bucket assignments) flows to the wrapped client.
@@ -256,7 +255,7 @@ class KVClient:
             return
         voters = pending.votes.setdefault((message.ok, message.value), set())
         voters.add(src)
-        if len(voters) >= self.config.weak_quorum:
+        if len(voters) >= self.client.ack_quorum:
             pending.resolved.set_result((message.ok, message.value))
 
     # ------------------------------------------------------------ operations

@@ -3,8 +3,9 @@
 At the end of every epoch — once the log holds an entry for each of the
 epoch's sequence numbers — every node broadcasts a signed CHECKPOINT message
 carrying the epoch's last sequence number and the Merkle root of the epoch's
-entry digests.  A quorum of ``2f+1`` matching, correctly signed CHECKPOINT
-messages forms a *stable checkpoint*, after which the epoch's SB instances
+entry digests.  A strong quorum of the epoch's membership view (``2f+1``
+when n = 3f+1) of matching, correctly signed CHECKPOINT messages from
+members forms a *stable checkpoint*, after which the epoch's SB instances
 can be garbage collected and slow nodes can state-transfer the epoch instead
 of replaying it.
 """
@@ -21,6 +22,7 @@ from ..runtime.codec import BYTES, INT, register
 from ..runtime.wire import register_batchable
 from .config import ISSConfig
 from .log import Log
+from .membership import MembershipTracker
 from .segment import epoch_last_sn, epoch_seq_nrs
 from .types import CheckpointCertificate, EpochNr, NodeId, SeqNr
 
@@ -66,7 +68,7 @@ class CheckpointProtocol:
     The host ISS node calls :meth:`local_epoch_complete` when its own log
     covers an epoch and :meth:`handle_message` for incoming CHECKPOINT
     messages; :attr:`on_stable` fires exactly once per epoch when the
-    ``2f+1`` quorum is reached locally.
+    strong quorum is reached locally.
     """
 
     def __init__(
@@ -76,23 +78,19 @@ class CheckpointProtocol:
         key_store: KeyStore,
         broadcast_fn: Callable[[object], None],
         on_stable: Callable[[EpochNr, CheckpointCertificate], None],
-        view_fn: Optional[Callable[[EpochNr], object]] = None,
-        view_sealed_fn: Optional[Callable[[EpochNr], bool]] = None,
+        membership: MembershipTracker,
     ):
         self.node_id = node_id
         self.config = config
         self.key_store = key_store
         self._broadcast = broadcast_fn
         self.on_stable = on_stable
-        #: Dynamic-membership hooks: ``view_fn`` maps an epoch to its
-        #: MembershipView so the quorum size and the admissible signer set
-        #: follow the committed configuration; ``view_sealed_fn`` reports
-        #: whether that view is authoritative yet (a catching-up node only
-        #: estimates views beyond its seal frontier, so the signer-subset
-        #: check is deferred there — quorum-many valid distinct signatures
-        #: are still required).  None = static genesis configuration.
-        self._view_fn = view_fn
-        self._view_sealed = view_sealed_fn
+        #: The node's membership tracker: each epoch's view gives the
+        #: quorum size and the admissible signer set.  A catching-up node
+        #: only estimates views beyond its seal frontier, so the signer-set
+        #: check is deferred there (quorum-many valid distinct signatures
+        #: are still required).
+        self.membership = membership
         #: Signatures per (epoch, last_sn, root) of unstable epochs: sender -> signature.
         self._received: Dict[Tuple[EpochNr, SeqNr, bytes], Dict[NodeId, bytes]] = {}
         self._stable: Dict[EpochNr, CheckpointCertificate] = {}
@@ -137,22 +135,15 @@ class CheckpointProtocol:
         self._record(message)
 
     def _quorum_for(self, epoch: EpochNr) -> int:
-        if self._view_fn is None:
-            return self.config.strong_quorum
-        return self._view_fn(epoch).strong_quorum
+        return self.membership.view_for(epoch).strong_quorum
 
     def _members_for(self, epoch: EpochNr):
-        """Admissible signer set of ``epoch``, or None when unknown/static.
-
-        Only sealed epochs have an authoritative view; for epochs beyond
-        the local seal frontier (a node still catching up) no signer-subset
-        restriction applies.
-        """
-        if self._view_fn is None:
+        """Admissible signer set of ``epoch``, or None while its view is
+        only an estimate (beyond the seal frontier of a node catching up
+        on a reconfigured cluster)."""
+        if not self.membership.view_settled(epoch):
             return None
-        if self._view_sealed is not None and not self._view_sealed(epoch):
-            return None
-        return self._view_fn(epoch).nodes
+        return self.membership.view_for(epoch).nodes
 
     def _record(self, message: CheckpointMsg) -> None:
         if message.epoch in self._stable:
@@ -200,9 +191,10 @@ class CheckpointProtocol:
         reached quorum would, so the epoch's SB instances are garbage
         collected; returns False when the epoch was already stable.
 
-        The epoch is also marked announced: it is provably stable at 2f+1
-        peers already, so broadcasting our own CHECKPOINT vote for it when
-        the local log later completes would only add stale wire noise.
+        The epoch is also marked announced: it is provably stable at a
+        strong quorum of peers already, so broadcasting our own CHECKPOINT
+        vote for it when the local log later completes would only add stale
+        wire noise.
         """
         epoch = certificate.epoch
         # Even when already stable: verify_certificate memoized its signers.
@@ -232,12 +224,12 @@ class CheckpointProtocol:
     def verify_certificate(self, certificate: CheckpointCertificate) -> bool:
         """Check a certificate received from a peer (used by state transfer).
 
-        Under dynamic membership the quorum size and the admissible signer
-        set are those of the certificate's epoch as far as this node has
-        sealed it; for epochs beyond the local seal frontier the latest
-        sealed view applies (a catching-up node tightens retroactively as
-        it seals — certificates are re-served on demand, never cached
-        unverified).
+        The quorum size and the admissible signer set are those of the
+        certificate's epoch as far as this node has sealed it; for epochs
+        beyond the local seal frontier of a reconfigured cluster the latest
+        sealed view's quorum applies and signers are not restricted (a
+        catching-up node tightens retroactively as it seals — certificates
+        are re-served on demand, never cached unverified).
         """
         if len(certificate.signatures) < self._quorum_for(certificate.epoch):
             return False

@@ -88,6 +88,8 @@ class Client:
             config.client_signatures if sign_requests is None else sign_requests
         )
         self.endpoint = client_endpoint(client_id)
+        #: f+1 replies: at least one comes from a correct replica.
+        self.ack_quorum = config.weak_quorum
         #: ``first_timestamp`` lets a re-launched client (live CLI) resume
         #: after its own delivered prefix instead of reusing timestamps the
         #: node-side watermarks have already passed; it must equal the
@@ -251,7 +253,7 @@ class Client:
         if pending is None or pending.completed:
             return
         pending.responders.add(src)
-        if len(pending.responders) >= self.config.weak_quorum:
+        if len(pending.responders) >= self.ack_quorum:
             pending.completed = True
             self.requests_completed += 1
             if self.tracer is not None:
@@ -285,7 +287,7 @@ class Client:
         key = (message.epoch, message.assignment)
         votes = self._assignment_votes.setdefault(key, set())
         votes.add(src)
-        if len(votes) < self.config.weak_quorum:
+        if len(votes) < self.ack_quorum:
             return
         # Quorum-confirmed: adopt the new assignment and re-submit everything
         # still pending so the new leaders are guaranteed to have it.

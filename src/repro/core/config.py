@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
+from .membership import genesis_view
+
 
 #: Protocols supported as Sequenced Broadcast implementations.
 PROTOCOL_PBFT = "pbft"
@@ -145,24 +147,23 @@ class ISSConfig:
         self.validate()
 
     # -- derived quantities ------------------------------------------------
+    # The genesis view's sizes: the arithmetic lives in MembershipView only.
     @property
     def max_faulty(self) -> int:
         """Maximum number of tolerated faults f for the configured model."""
-        if self.byzantine:
-            return (self.num_nodes - 1) // 3
-        return (self.num_nodes - 1) // 2
+        return genesis_view(self).max_faulty
 
     @property
     def strong_quorum(self) -> int:
-        """Quorum size guaranteeing intersection in correct nodes (2f+1 / f+1)."""
-        if self.byzantine:
-            return 2 * self.max_faulty + 1
-        return self.max_faulty + 1
+        """Quorum size any two of which intersect in a correct node
+        (⌈(n+f+1)/2⌉ Byzantine, a majority crash; see
+        :attr:`repro.core.membership.MembershipView.strong_quorum`)."""
+        return genesis_view(self).strong_quorum
 
     @property
     def weak_quorum(self) -> int:
         """Smallest set guaranteed to contain one correct node (f+1)."""
-        return self.max_faulty + 1
+        return genesis_view(self).weak_quorum
 
     @property
     def num_buckets(self) -> int:

@@ -72,6 +72,7 @@ from .state_transfer import (
 )
 from .types import (
     Batch,
+    ClientId,
     DeliveredRequest,
     EpochNr,
     LogEntry,
@@ -108,7 +109,7 @@ class ISSNode:
         storage: Optional[NodeStorage] = None,
         probe_stagger: float = DEFAULT_PROBE_STAGGER,
         tracer=None,
-        membership_enabled: bool = False,
+        admin_client: Optional[ClientId] = None,
     ):
         self.node_id = node_id
         self.config = config
@@ -145,12 +146,11 @@ class ISSNode:
             self.watermarks,
             verify_signatures=config.client_signatures,
         )
-        #: Dynamic membership (None = static genesis configuration).  The
-        #: tracker derives every epoch's replica set from the committed log,
-        #: so it is reconstructed for free by WAL replay and state transfer.
-        self.membership = (
-            MembershipTracker(config, self.log) if membership_enabled else None
-        )
+        #: Every epoch's replica set, derived from the ConfigTxs of
+        #: ``admin_client`` — the one identity whose ConfigTxs count — in the
+        #: committed log, so WAL replay and state transfer rebuild it for
+        #: free.  Without an admin the genesis view governs every epoch.
+        self.membership = MembershipTracker(config, admin_client)
         #: Harness hook fired on every membership activation:
         #: ``listener(node_id, epoch, view, added, removed)``.
         self.membership_listener = None
@@ -164,9 +164,11 @@ class ISSNode:
         #: they must not retire the new incarnation.
         self.join_epoch: EpochNr = 0
         self.manager = EpochManager(
-            config, policy=policy, layout=layout, membership=self.membership
+            config, self.membership, policy=policy, layout=layout
         )
+        #: Meaningful once :meth:`start_at` ran; until then 0 is a placeholder.
         self.current_epoch: EpochNr = 0
+        self._started = False
         #: Batches this node proposed and SB has not yet decided, per sequence
         #: number (for resurrection).
         self._proposed: Dict[SeqNr, Batch] = {}
@@ -185,14 +187,7 @@ class ISSNode:
             key_store=key_store,
             broadcast_fn=self._broadcast_to_nodes,
             on_stable=self._on_stable_checkpoint,
-            view_fn=(
-                self.membership.view_for if self.membership is not None else None
-            ),
-            view_sealed_fn=(
-                (lambda epoch: epoch <= self.membership.sealed_through + 1)
-                if self.membership is not None
-                else None
-            ),
+            membership=self.membership,
         )
         self.state_transfer = StateTransfer(
             node_id=node_id,
@@ -239,7 +234,11 @@ class ISSNode:
 
     def start_at(self, epoch: EpochNr) -> None:
         """Boot the node at ``epoch`` (0 for a fresh boot, the recovery
-        manager's resume epoch after a restart)."""
+        manager's resume epoch after a restart).  Instance messages buffered
+        before the boot for epochs below ``epoch`` are stale and go."""
+        self._started = True
+        for stale in [e for e in self._pending_messages if e < epoch]:
+            del self._pending_messages[stale]
         self._start_epoch(epoch)
 
     def crash(self) -> None:
@@ -293,15 +292,9 @@ class ISSNode:
 
     # ============================================================== networking
     def _active_nodes(self) -> Sequence[NodeId]:
-        """The replica set this node currently addresses.
-
-        The current epoch's membership view under dynamic reconfiguration;
-        the genesis ``range(n)`` otherwise (identical values, so static
-        deployments keep a bit-identical schedule).
-        """
-        if self.membership is not None:
-            return self.membership.view_for(self.current_epoch).nodes
-        return range(self.config.num_nodes)
+        """The replica set this node currently addresses: the current
+        epoch's membership view."""
+        return self.membership.view_for(self.current_epoch).nodes
 
     def _peer_nodes(self) -> List[NodeId]:
         """Every active node except this one (state-transfer peer set)."""
@@ -447,11 +440,6 @@ class ISSNode:
 
     def _build_context(self, segment: SegmentDescriptor, interval: float) -> SBContext:
         is_straggler_leader = self.straggler is not None and segment.leader == self.node_id
-        view = (
-            self.membership.view_for(segment.epoch)
-            if self.membership is not None
-            else None
-        )
         node_id = self.node_id
         instance_id = segment.instance_id
         network = self.network
@@ -459,10 +447,7 @@ class ISSNode:
             node_id=node_id,
             config=self.config,
             segment=segment,
-            all_nodes=(
-                list(view.nodes) if view is not None else list(range(self.config.num_nodes))
-            ),
-            membership=view,
+            membership=self.membership.view_for(segment.epoch),
             send_fn=lambda dst, payload: network.send(
                 node_id, dst, InstanceMessage(instance_id, payload)
             ),
@@ -630,7 +615,7 @@ class ISSNode:
                 self.buckets.resurrect(proposed.requests)
         else:
             self.batches_committed += 1
-            self._mark_delivered(value.requests)
+            self._mark_delivered(sn, value.requests)
         self._after_commit()
 
     def _apply_transferred_entry(self, sn: SeqNr, entry: LogEntry, epoch: EpochNr) -> None:
@@ -654,13 +639,15 @@ class ISSNode:
         self.log.commit(sn, entry, epoch, self.sim.now)
         if not is_nil(entry):
             self.batches_committed += 1
-            self._mark_delivered(entry.requests)
+            self._mark_delivered(sn, entry.requests)
 
-    def _mark_delivered(self, requests: Sequence[Request]) -> None:
+    def _mark_delivered(self, sn: SeqNr, requests: Sequence[Request]) -> None:
         """Bookkeeping of every delivery path (SB-DELIVER, state transfer,
         recovery replay).  The signature memo entry and the proposal-index
         entry go too: the delivered filter, then the watermark, answers for
-        the request from now on (``_validate_batch`` checks it first)."""
+        the request from now on (``_validate_batch`` checks it first).  The
+        membership tracker notes the batch's ConfigTxs for the epoch's seal."""
+        self.membership.note_commit(sn, requests)
         verified = self.validator.verify_signatures
         proposed_pop = self._proposed_this_epoch.pop
         for request in requests:
@@ -691,7 +678,7 @@ class ISSNode:
             self.checkpoints.local_epoch_complete(finished, self.log)
             self.advance_client_watermarks()
             self.epochs_completed += 1
-            if activation is not None and (activation[0] or activation[1]):
+            if activation[0] or activation[1]:
                 self._on_membership_activation(finished + 1, *activation)
                 if self.retired:
                     return
@@ -847,9 +834,11 @@ class ISSNode:
     def _on_unrouted_instance_message(self, src: NodeId, message: InstanceMessage) -> None:
         """A protocol message for an instance this node does not host."""
         epoch = message.instance_id[0]
-        if epoch > self.current_epoch:
-            # Future epoch: buffer until we get there; if we are far behind,
-            # also trigger state transfer for the missing epochs.
+        if epoch > self.current_epoch or not self._started:
+            # An epoch this node has not started (any epoch before start(),
+            # whose current_epoch is only a placeholder): buffer until we
+            # get there; if we are far behind, also trigger state transfer
+            # for the missing epochs.
             self._pending_messages.setdefault(epoch, []).append((src, message))
             if epoch > self.current_epoch + 1:
                 self._maybe_request_state_transfer(epoch - 1)

@@ -75,10 +75,10 @@ class LeaderSelectionPolicy(ABC):
         self.all_nodes: List[NodeId] = list(range(num_nodes))
 
     def set_membership(self, nodes: Sequence[NodeId], max_faulty: int) -> None:
-        """Adopt a new membership view (dynamic reconfiguration).
+        """Adopt an epoch's membership view (dynamic reconfiguration).
 
-        Called by the epoch manager before computing an epoch's leaderset
-        when the active replica set differs from genesis.  Deterministic at
+        Called by the epoch manager before computing every epoch's
+        leaderset (the genesis view in a static deployment).  Deterministic at
         every node because the view itself is derived from the committed
         log.  Stateful policies override to initialise per-node state for
         joining replicas.

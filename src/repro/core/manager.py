@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 from .config import ISSConfig
 from .leader_policy import FailureHistory, LeaderSelectionPolicy, make_policy
 from .log import Log
+from .membership import MembershipTracker
 from .segment import (
     LAYOUT_ROUND_ROBIN,
     build_segments,
@@ -30,17 +31,16 @@ class EpochManager:
     def __init__(
         self,
         config: ISSConfig,
+        membership: MembershipTracker,
         policy: Optional[LeaderSelectionPolicy] = None,
         layout: str = LAYOUT_ROUND_ROBIN,
-        membership=None,
     ):
         self.config = config
         self.policy = policy if policy is not None else make_policy(config)
         self.layout = layout
         self.history = FailureHistory()
-        #: Optional ``repro.core.membership.MembershipTracker``; when set,
-        #: leadersets and segments are computed from the epoch's committed
-        #: membership view instead of the static genesis configuration.
+        #: Leadersets and segments are computed from each epoch's committed
+        #: membership view (the genesis view in a static deployment).
         self.membership = membership
         #: Segment descriptors of the last finished epoch onwards.
         self._segments: Dict[EpochNr, List[SegmentDescriptor]] = {}
@@ -57,15 +57,11 @@ class EpochManager:
         """
         if epoch in self._leaders:
             return self._leaders[epoch]
-        if self.membership is not None:
-            view = self.membership.view_for(epoch)
-            self.policy.set_membership(view.nodes, view.max_faulty)
-            fallback = list(view.nodes)
-        else:
-            fallback = sorted(range(self.config.num_nodes))
+        view = self.membership.view_for(epoch)
+        self.policy.set_membership(view.nodes, view.max_faulty)
         selected = self.policy.leaders(epoch, self.history)
         if not selected:
-            selected = fallback
+            selected = list(view.nodes)
         cap = self.config.max_leaders()
         if len(selected) > cap:
             start = (epoch * cap) % len(selected)
@@ -80,9 +76,6 @@ class EpochManager:
         if epoch in self._segments:
             return self._segments[epoch]
         leaders = self.leaders_for(epoch)
-        active_nodes = (
-            self.membership.view_for(epoch).nodes if self.membership is not None else None
-        )
         segments = build_segments(
             epoch=epoch,
             leaders=leaders,
@@ -90,7 +83,7 @@ class EpochManager:
             epoch_length=self.config.epoch_length,
             num_buckets=self.config.num_buckets,
             layout=self.layout,
-            active_nodes=active_nodes,
+            active_nodes=self.membership.view_for(epoch).nodes,
         )
         validate_epoch_partition(
             segments, epoch, self.config.epoch_length, self.config.num_buckets
@@ -104,12 +97,10 @@ class EpochManager:
         return log.is_complete(epoch_seq_nrs(epoch, self.config.epoch_length))
 
     def finish_epoch(self, epoch: EpochNr, log: Log):
-        """Fold the finished epoch into the failure history and the policy.
-
-        Under dynamic membership this also *seals* the epoch: its committed
-        ConfigTxs are folded into the next epoch's view.  Returns the
-        ``(added, removed)`` node tuples of that activation (both empty when
-        nothing changed), or ``None`` without a membership tracker.
+        """Fold the finished epoch into the failure history and the policy,
+        and *seal* it: its committed ConfigTxs are folded into the next
+        epoch's view.  Returns the ``(added, removed)`` node tuples of that
+        activation (both empty when nothing changed).
         """
         segments = self.segments_for(epoch)
         self.history.record_epoch(epoch, segments, log)
@@ -117,9 +108,7 @@ class EpochManager:
         # Nothing asks for older descriptors again (they would be rebuilt).
         for old in [e for e in self._segments if e < epoch]:
             del self._segments[old]
-        if self.membership is not None:
-            return self.membership.seal_epoch(epoch)
-        return None
+        return self.membership.seal_epoch(epoch)
 
     # ------------------------------------------------------------- reporting
     def proposal_interval(self, epoch: EpochNr) -> float:

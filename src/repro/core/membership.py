@@ -3,8 +3,9 @@
 ISS already recomputes leader sets, segments, and bucket assignments
 deterministically at every epoch boundary, which makes the boundary the
 natural reconfiguration point.  A membership change is submitted as an
-ordinary client request whose payload carries a *configuration
-transaction* (``ConfigTx``): add or remove one replica.  The request is
+ordinary request of the deployment's admin client whose payload carries
+a *configuration transaction* (``ConfigTx``): add or remove one replica.
+Any other client's magic-prefixed payload is plain data.  The request is
 validated, bucketed, ordered, and committed exactly like any other
 request; once the epoch that contains it completes, every node folds the
 epoch's committed ConfigTxs — in sequence-number order — into the
@@ -12,6 +13,8 @@ membership view of the *next* epoch.  Because the fold is a pure
 function of the committed log prefix, every correct node (including
 nodes that reconstruct their log via WAL replay or state transfer)
 derives the same view for every epoch without any extra agreement round.
+A static deployment is the one-view case: no admin, so the genesis view
+governs every epoch and supplies every quorum size.
 
 The bucket space stays fixed at its genesis size; membership changes
 only alter which leaders own which buckets, so request-to-bucket hashing
@@ -23,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .types import EpochNr, NodeId, is_nil
+from .types import ClientId, EpochNr, NodeId, Request, SeqNr
 
 #: Magic prefix marking a request payload as a configuration transaction.
 #: Ordinary client payloads are opaque application bytes; the prefix keeps
-#: the committed-entry scan cheap (a startswith per request).
+#: noting a committed batch cheap (a startswith per admin request).
 CONFIG_TX_MAGIC = b"\x00ISSCFG1\x00"
 
 ACTION_ADD = "add"
@@ -78,11 +81,11 @@ def decode_config_tx(payload: bytes) -> Optional[ConfigTx]:
 class MembershipView:
     """The replica set of one epoch plus the derived quorum sizes.
 
-    ``f`` mirrors the arithmetic of :class:`repro.core.config.ISSConfig`
-    (``(n - 1) // 3`` Byzantine, ``(n - 1) // 2`` crash); the strong
-    quorum uses the generalised intersecting form — see
-    :attr:`strong_quorum` — because dynamic views are not limited to the
-    ``n = 3f + 1`` shape of the static configuration.
+    The one place the fault threshold and the quorum sizes are computed:
+    ``f`` is ``(n - 1) // 3`` Byzantine and ``(n - 1) // 2`` crash, and
+    the strong quorum is the intersecting form of :attr:`strong_quorum`.
+    A static deployment is the one-view case (:func:`genesis_view`), and
+    :class:`repro.core.config.ISSConfig` reads its sizes from that view.
     """
 
     nodes: Tuple[NodeId, ...]
@@ -105,16 +108,16 @@ class MembershipView:
 
     @property
     def strong_quorum(self) -> int:
-        """Generalised intersecting quorum, not the genesis ``2f+1``.
+        """Intersecting quorum for any view size.
 
-        Dynamic views can have any size, so the quorum must guarantee
-        intersection for any n ≥ 3f+1: ⌈(n+f+1)/2⌉ in the Byzantine
-        model (which coincides with 2f+1 exactly when n = 3f+1, the only
-        shape the static configuration ever has) and a strict majority in
-        the crash model.  With the naive formulas a shrunken view — n=3,
-        f=0, "quorum" of 1 — lets a view change revoke a committed batch:
-        two disjoint single-node quorums certify different entries for
-        the same sequence number and state transfer propagates the fork.
+        ⌈(n+f+1)/2⌉ in the Byzantine model (which coincides with ``2f+1``
+        exactly when n = 3f+1) and a strict majority in the crash model:
+        any two quorums share a correct node (Byzantine) or a node
+        (crash).  ``2f+1`` alone is not enough once n ≢ 1 (mod 3): at
+        n=6, f=1 it is 3, so the two halves of a 3|3 split each form a
+        "quorum" and order different batches at the same position; a
+        shrunken view (n=3, f=0, "quorum" of 1) lets a view change revoke
+        a committed batch the same way.
         """
         n = len(self.nodes)
         if self.byzantine:
@@ -162,22 +165,43 @@ class MembershipTracker:
     ``view(0)`` is the genesis configuration; ``view(e + 1)`` is ``view(e)``
     with the ConfigTxs committed in epoch ``e``'s sequence numbers folded in,
     in sequence-number order (ties within a batch resolve in batch order).
-    Epochs *seal* strictly in order as they complete — the same order in
-    which the epoch manager finishes them — so the fold is incremental and
-    each view is computed exactly once.  Because sealing only reads the log,
-    a node that rebuilds its log through WAL replay or state transfer
-    reconstructs identical views for free.
+    Only requests of the ``admin_client`` identity count as ConfigTxs; with
+    no admin (a static deployment) every epoch has the genesis view.
+
+    Every delivery path of the node (SB-DELIVER, state transfer, recovery
+    replay) hands each committed batch to :meth:`note_commit`, and epochs
+    *seal* strictly in order as they complete — the same order in which
+    the epoch manager finishes them — folding what was noted.  A seal reads
+    nothing back from the log, so a node that rebuilds its log through WAL
+    replay or state transfer reconstructs identical views for free.
     """
 
-    def __init__(self, config, log) -> None:
+    def __init__(self, config, admin_client: Optional[ClientId]) -> None:
         self.config = config
-        self.log = log
+        self.admin_client = admin_client
         self._views: Dict[EpochNr, MembershipView] = {0: genesis_view(config)}
         self._sealed_through: EpochNr = -1
+        #: The admin's ConfigTxs per unsealed epoch, by sequence number.
+        self._noted: Dict[EpochNr, Dict[SeqNr, List[ConfigTx]]] = {}
         #: (epoch, added, removed) per activation that changed the view.
         self.activations: List[Tuple[EpochNr, Tuple[NodeId, ...], Tuple[NodeId, ...]]] = []
         #: ConfigTxs committed so far, in seal order (for metrics/tests).
         self.committed_txs: List[Tuple[EpochNr, ConfigTx]] = []
+
+    def note_commit(self, sn: SeqNr, requests: Sequence[Request]) -> None:
+        """Note the admin's ConfigTxs among one committed batch's requests."""
+        admin = self.admin_client
+        if admin is None:
+            return
+        txs = []
+        for request in requests:
+            if request.rid.client == admin:
+                tx = decode_config_tx(request.payload)
+                if tx is not None:
+                    txs.append(tx)
+        if txs:
+            epoch = sn // self.config.epoch_length
+            self._noted.setdefault(epoch, {})[sn] = txs
 
     def view_for(self, epoch: EpochNr) -> MembershipView:
         """The membership view governing ``epoch``.
@@ -198,6 +222,15 @@ class MembershipTracker:
             bound -= 1
         return self._views[0]
 
+    def view_settled(self, epoch: EpochNr) -> bool:
+        """Whether :meth:`view_for` is authoritative for ``epoch``.
+
+        True up to the epoch after the seal frontier; beyond it a node still
+        catching up only estimates.  Without an admin no view ever changes,
+        so every epoch's view is settled.
+        """
+        return self.admin_client is None or epoch <= self._sealed_through + 1
+
     def seal_epoch(self, epoch: EpochNr) -> Tuple[Tuple[NodeId, ...], Tuple[NodeId, ...]]:
         """Fold epoch ``epoch``'s committed ConfigTxs into ``view(epoch+1)``.
 
@@ -214,7 +247,9 @@ class MembershipTracker:
             for missing in range(self._sealed_through + 1, epoch):
                 self.seal_epoch(missing)
         current = self.view_for(epoch)
-        txs = self._txs_in_epoch(epoch)
+        noted = self._noted.pop(epoch, {})
+        txs = [tx for sn in sorted(noted) for tx in noted[sn]]
+        self.committed_txs.extend((epoch, tx) for tx in txs)
         new_view = current.apply(txs)
         self._sealed_through = epoch
         if new_view is not current:
@@ -226,20 +261,6 @@ class MembershipTracker:
             self.activations.append((epoch + 1, added, removed))
             return (added, removed)
         return ((), ())
-
-    def _txs_in_epoch(self, epoch: EpochNr) -> List[ConfigTx]:
-        first = epoch * self.config.epoch_length
-        txs: List[ConfigTx] = []
-        for sn in range(first, first + self.config.epoch_length):
-            entry = self.log.entry(sn)
-            if entry is None or is_nil(entry):
-                continue
-            for request in entry.requests:
-                tx = decode_config_tx(request.payload)
-                if tx is not None:
-                    txs.append(tx)
-                    self.committed_txs.append((epoch, tx))
-        return txs
 
     @property
     def sealed_through(self) -> EpochNr:

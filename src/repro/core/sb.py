@@ -19,9 +19,10 @@ This module defines the interface between ISS and its SB implementations
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .config import ISSConfig
+from .membership import MembershipView
 from .types import Batch, EpochNr, LogEntry, NodeId, SegmentDescriptor, SeqNr
 from ..runtime.api import Timer
 
@@ -52,7 +53,7 @@ class SBContext:
         node_id: NodeId,
         config: ISSConfig,
         segment: SegmentDescriptor,
-        all_nodes: Iterable[NodeId],
+        membership: MembershipView,
         send_fn: Callable[[NodeId, object], None],
         local_fn: Callable[[object], None],
         multicast_fn: Callable[[Sequence[NodeId], object], None],
@@ -71,27 +72,23 @@ class SBContext:
         report_misbehaviour_fn: Optional[Callable[[str, NodeId], None]] = None,
         note_view_change_fn: Optional[Callable[[], None]] = None,
         tracer=None,
-        membership=None,
         decided_value_fn: Optional[Callable[[SeqNr], LogEntry]] = None,
     ):
         self.node_id = node_id
         self.config = config
         self.segment = segment
-        self.all_nodes: List[NodeId] = list(all_nodes)
-        #: Membership view of the instance's epoch under dynamic
-        #: reconfiguration (``repro.core.membership.MembershipView``); None
-        #: means the genesis configuration, whose arithmetic the static
-        #: config carries.
+        #: Membership view of the instance's epoch (the genesis view in a
+        #: static deployment): the nodes it talks to and its quorum sizes.
         self.membership = membership
+        self.all_nodes: List[NodeId] = list(membership.nodes)
         # An instance's membership never changes (a reconfiguration takes
         # effect at an epoch boundary, and instances live inside one
         # epoch), so the sizes every vote is compared against are fixed
         # here instead of being re-derived per vote.
-        sizes = membership if membership is not None else config
-        self.num_nodes: int = sizes.num_nodes
-        self.max_faulty: int = sizes.max_faulty
-        self.strong_quorum: int = sizes.strong_quorum
-        self.weak_quorum: int = sizes.weak_quorum
+        self.num_nodes: int = membership.num_nodes
+        self.max_faulty: int = membership.max_faulty
+        self.strong_quorum: int = membership.strong_quorum
+        self.weak_quorum: int = membership.weak_quorum
         self._send = send_fn
         self._local = local_fn
         self._multicast = multicast_fn

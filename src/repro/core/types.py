@@ -305,7 +305,7 @@ class SegmentDescriptor:
 
 @dataclass
 class CheckpointCertificate:
-    """A stable checkpoint: 2f+1 matching signed CHECKPOINT messages."""
+    """A stable checkpoint: a strong quorum of matching signed CHECKPOINTs."""
 
     epoch: EpochNr
     last_sn: SeqNr

@@ -1,6 +1,6 @@
 """Simulated BLS-style threshold signatures.
 
-HotStuff quorum certificates aggregate ``2f+1`` partial signatures into one
+HotStuff quorum certificates aggregate a strong quorum of partial signatures into one
 constant-size certificate (the paper uses BLS via the DEDIS kyber library).
 This module reproduces the interface and the properties the protocol relies
 on — a certificate verifies only if at least ``threshold`` distinct,

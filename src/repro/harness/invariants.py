@@ -142,23 +142,11 @@ def check_rejections_cover_forgeries(result) -> List[str]:
     return []
 
 
-def membership_trackers(nodes) -> List[Tuple[object, object]]:
-    """``(node, tracker)`` for every node that derives its membership
-    views from the committed log (empty in static-configuration runs)."""
-    return [
-        (node, node.membership)
-        for node in nodes
-        if getattr(node, "membership", None) is not None
-    ]
-
-
 def reporting_tracker(nodes):
     """The tracker a membership run's final view is read from: the
-    lowest-numbered live replica's, else a crashed one's (None in static
-    runs)."""
-    trackers = membership_trackers(nodes)
-    live = [tracker for node, tracker in trackers if not node.crashed]
-    return (live or [tracker for _, tracker in trackers] or [None])[0]
+    lowest-numbered live replica's, else a crashed one's."""
+    live = [node for node in nodes if not node.crashed]
+    return (live or list(nodes))[0].membership
 
 
 def check_membership_views(result) -> List[str]:
@@ -172,12 +160,14 @@ def check_membership_views(result) -> List[str]:
     of the :func:`reporting_tracker` must match what the freshest replica
     computed, and quorum arithmetic must agree node-for-node (same view ⇒
     same n, f, strong and weak quorums — the "keyset consistency" the
-    checkpoint and SB layers rely on).  Static-configuration runs return
-    clean.
+    checkpoint and SB layers rely on).  In a static run every view is the
+    genesis one.
     """
     violations = []
     sealed = [
-        (n, t) for n, t in membership_trackers(result.nodes) if t.sealed_through >= 0
+        (node, node.membership)
+        for node in result.nodes
+        if node.membership.sealed_through >= 0
     ]
     if not sealed:
         return []
@@ -226,8 +216,8 @@ def check_removed_nodes_quiesced(result) -> List[str]:
     when the removal activated.
     """
     removals = {}
-    for _, tracker in membership_trackers(result.nodes):
-        for epoch, _added, removed in tracker.activations:
+    for node in result.nodes:
+        for epoch, _added, removed in node.membership.activations:
             removals.setdefault(epoch, removed)
     violations = []
     epoch_length = result.nodes[0].config.epoch_length
@@ -272,7 +262,7 @@ def check_retired_prefix_identity(result) -> List[str]:
 
 
 def check_membership(result) -> List[str]:
-    """All dynamic-membership invariants (no-ops on static runs)."""
+    """All dynamic-membership invariants (trivially clean on static runs)."""
     return (
         check_membership_views(result)
         + check_removed_nodes_quiesced(result)

@@ -141,10 +141,6 @@ class Deployment:
         self.workload = workload or WorkloadConfig()
         #: The fault schedule, in the order it was given.
         self.faults = tuple(faults)
-        #: Membership machinery is on exactly when a reconfiguration is
-        #: scheduled, so static deployments keep their (golden-traced)
-        #: schedules bit-identical.
-        self.membership_enabled = bool(self.faults_of(MembershipSpec))
         #: Node ids joining beyond the genesis set, in ascending order.
         self._joining_ids = sorted(
             {
@@ -227,11 +223,13 @@ class Deployment:
 
         self.client_ids = list(range(self.workload.num_clients))
         #: Admin pseudo-client identity submitting ConfigTxs (the id just
-        #: past the workload's clients); None in static deployments.  It is
-        #: part of ``client_ids`` so every node's validator and watermark
-        #: tracker knows it, but never part of the workload generator.
+        #: past the workload's clients), the one identity whose ConfigTxs
+        #: every node counts; None when no membership change is scheduled.
+        #: It is part of ``client_ids`` so every node's validator and
+        #: watermark tracker knows it, but never part of the workload
+        #: generator.
         self.admin_client_id: Optional[int] = None
-        if self.membership_enabled:
+        if self.faults_of(MembershipSpec):
             self.admin_client_id = self.workload.num_clients
             self.client_ids.append(self.admin_client_id)
         censored = sorted(
@@ -303,7 +301,7 @@ class Deployment:
                 client = Client(**common)
             self.clients.append(client)
         endpoint_clients = list(self.clients)
-        if self.membership_enabled:
+        if self.admin_client_id is not None:
             # The admin client rides the ordinary request path (signed,
             # bucketed, watermarked) but is driven by membership specs, not
             # the workload generator, and reports no completions.
@@ -417,10 +415,9 @@ class Deployment:
             storage=self.storages.get(node_id),
             probe_stagger=self.probe_stagger,
             tracer=self.tracer,
-            membership_enabled=self.membership_enabled,
+            admin_client=self.admin_client_id,
         )
-        if self.membership_enabled:
-            node.membership_listener = self._on_membership_activation
+        node.membership_listener = self._on_membership_activation
         return node
 
     def _register_probes(self, sampler: MetricsSampler) -> None:

@@ -51,6 +51,7 @@ from ..runtime.faults import (
     CrashSpec,
     LinkFaultSpec,
     MaliciousClientSpec,
+    MembershipSpec,
     PartitionSpec,
     RestartSpec,
 )
@@ -371,7 +372,7 @@ def row(deployment: Deployment, result) -> Dict[str, object]:
             partition_records=[dict(r) for r in records],
             link_faults=deployment.injector.link_fault_stats(),
         )
-    if deployment.membership_enabled:
+    if deployment.faults_of(MembershipSpec):
         tracker = reporting_tracker(result.nodes)
         joins = deployment.joins
         figures.update(
@@ -752,43 +753,6 @@ def epoch_length_ablation(
 # Crash-recovery scenarios — crash → restart → WAL replay + state transfer
 # ---------------------------------------------------------------------------
 
-def crash_restart_sweep(
-    protocols: Sequence[str] = (PROTOCOL_PBFT, PROTOCOL_HOTSTUFF, PROTOCOL_RAFT),
-    num_nodes: int = 4,
-    rate: float = 800.0,
-    duration: float = 30.0,
-    crash_time: float = 3.0,
-    downtime: float = 12.0,
-) -> List[Dict[str, object]]:
-    """Crash→restart→catch-up across SB protocols (one row per protocol):
-    node 1 crashes at ``crash_time`` and restarts ``downtime`` seconds
-    later from its durable storage; the row's recovery section holds the
-    harness's recovery record."""
-    victim = 1
-    rows = []
-    for protocol in protocols:
-        dep = deployment(
-            protocol,
-            num_nodes,
-            [
-                CrashSpec(node=victim, trigger="at-time", time=crash_time),
-                RestartSpec(node=victim, time=crash_time + downtime),
-            ],
-            rate=rate,
-            duration=duration,
-            seed=11,
-        )
-        rows.append(
-            dict(
-                row(dep, dep.run()),
-                victim=victim,
-                crash_time=crash_time,
-                downtime=downtime,
-            )
-        )
-    return rows
-
-
 def recovery_time_over_downtime(
     num_nodes: int = 4,
     rate: float = 800.0,
@@ -799,20 +763,27 @@ def recovery_time_over_downtime(
     """Recovery-time curve (ISS-PBFT): how catch-up cost grows with time
     spent down.
 
-    Longer downtime ⇒ more epochs ordered without the victim ⇒ more state
-    transfer on restart.  Each run extends the experiment so the node always
-    gets ``tail_time`` seconds of post-restart run time to catch up in.
+    Node 1 crashes at ``crash_time`` and restarts ``downtime`` seconds
+    later from its durable storage.  Longer downtime ⇒ more epochs ordered
+    without the victim ⇒ more state transfer on restart.  Each run extends
+    the experiment so the node always gets ``tail_time`` seconds of
+    post-restart run time to catch up in.
     """
+    victim = 1
     rows: List[Dict[str, object]] = []
     for downtime in downtimes:
-        (point,) = crash_restart_sweep(
-            (PROTOCOL_PBFT,),
-            num_nodes=num_nodes,
+        dep = deployment(
+            PROTOCOL_PBFT,
+            num_nodes,
+            [
+                CrashSpec(node=victim, trigger="at-time", time=crash_time),
+                RestartSpec(node=victim, time=crash_time + downtime),
+            ],
             rate=rate,
             duration=crash_time + downtime + tail_time,
-            crash_time=crash_time,
-            downtime=downtime,
+            seed=11,
         )
+        point = row(dep, dep.run())
         # The recovery record (time_to_caught_up, WAL entries replayed,
         # snapshot entries, state-transfer bytes/entries) and its verdicts.
         rows.append(

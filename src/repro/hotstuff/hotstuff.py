@@ -4,7 +4,7 @@ Each ISS segment runs its own HotStuff instance rooted at a fresh genesis
 certificate.  Every segment sequence number corresponds to one block in the
 chain; three *dummy* blocks are appended after the last real one so the
 three-chain commit rule can "flush the pipeline" and every real block gets
-decided (Figure 4).  Quorum certificates aggregate 2f+1 votes with the
+decided (Figure 4).  Quorum certificates aggregate strong-quorum votes with the
 simulated threshold-signature scheme.
 
 The segment leader leads every round; only when the pacemaker times out does

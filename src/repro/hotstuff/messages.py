@@ -14,7 +14,7 @@ from ..runtime.wire import register_batchable
 
 @dataclass(frozen=True)
 class QuorumCertificate:
-    """Certificate that 2f+1 nodes voted for the block of ``view``.
+    """Certificate that a strong quorum voted for the block of ``view``.
 
     ``signature`` is the combined threshold signature over the block digest;
     the genesis certificate carries ``None``.

@@ -80,6 +80,9 @@ async def run_node(spec, node_id: int) -> None:
         client_ids=list(spec.client_ids),
         on_deliver=app.on_deliver,
         storage=storage,
+        # No admin identity: a live cluster keeps its genesis membership,
+        # whatever a KV client's payload looks like.
+        admin_client=None,
     )
     if storage.has_state():
         # Restart: recover from the fsync'd files, then chase the frontier.

@@ -9,9 +9,9 @@ globally via the ``REPRO_TRACE*`` environment variables (see
 :mod:`repro.obs.config`).
 
 Modules: :mod:`~repro.obs.config` (knobs), :mod:`~repro.obs.tracer`
-(event log + hooks), :mod:`~repro.obs.metrics` (registry + simulated-clock
-sampler), :mod:`~repro.obs.spans` (post-run span assembly),
-:mod:`~repro.obs.export` (JSONL / Chrome trace-event / metrics artifacts).
+(event log + hooks), :mod:`~repro.obs.metrics` (simulated-clock sampler),
+:mod:`~repro.obs.spans` (post-run span assembly), :mod:`~repro.obs.export`
+(JSONL / Chrome trace-event / metrics artifacts).
 """
 
 from .config import ObsConfig
@@ -22,17 +22,13 @@ from .export import (
     write_jsonl,
     write_run_artifacts,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, MetricsSampler
+from .metrics import MetricsSampler
 from .spans import assemble_spans, chain_violation, phase_breakdown, slowest_spans
 from .tracer import RequestTracer
 
 __all__ = [
     "ObsConfig",
     "RequestTracer",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "MetricsSampler",
     "assemble_spans",
     "chain_violation",

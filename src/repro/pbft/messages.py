@@ -59,7 +59,7 @@ class Prepare:
 @register_batchable
 @dataclass(frozen=True)
 class Commit:
-    """Second-phase vote; 2f+1 of these commit the value.  Batchable."""
+    """Second-phase vote; a strong quorum of these commits the value.  Batchable."""
 
     view: ViewNr
     sn: SeqNr

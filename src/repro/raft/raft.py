@@ -87,10 +87,6 @@ class RaftSB(SBInstance):
         self._election_timer = self._heartbeat_timer = None
 
     # ------------------------------------------------------------ utilities
-    @property
-    def _majority(self) -> int:
-        return self.context.num_nodes // 2 + 1
-
     def _last_log_index(self) -> int:
         return len(self.log) - 1
 
@@ -273,7 +269,7 @@ class RaftSB(SBInstance):
             if self.log[index].term != self.term:
                 continue
             acks = sum(1 for node in self.context.all_nodes if self._match_index.get(node, -1) >= index)
-            if acks >= self._majority:
+            if acks >= self.context.strong_quorum:
                 self.commit_index = index
                 self._apply_committed()
                 self._replicate_to_all()  # propagate the new commit index
@@ -332,7 +328,7 @@ class RaftSB(SBInstance):
             return
         votes = self._votes_received.setdefault(self.term, {self.context.node_id})
         votes.add(src)
-        if len(votes) >= self._majority:
+        if len(votes) >= self.context.strong_quorum:
             self._become_leader(initial=False)
 
     # -------------------------------------------------------------- queries

@@ -39,7 +39,7 @@ class NodeStorage:
         #: Successful compactions (run sealed + WAL truncated).
         self.compactions = 0
         #: Stable checkpoints whose prefix was locally incomplete (the node
-        #: heard 2f+1 votes before holding every entry); compaction is
+        #: heard a quorum of votes before holding every entry); compaction is
         #: deferred until a later checkpoint covers the gap.
         self.deferred_compactions = 0
         latest = self.snapshots.latest()
@@ -98,7 +98,7 @@ class NodeStorage:
         durable *before* the WAL drops the covered records: a crash between
         the two leaves the run in both places, which opening repairs.
 
-        A stable checkpoint can outrun the local log (2f+1 *peers* may vote
+        A stable checkpoint can outrun the local log (a quorum of *peers* may vote
         before this node holds every entry of the epoch); in that case the
         run has gaps and compaction is deferred — the WAL keeps its
         records and a later checkpoint retries once state transfer has

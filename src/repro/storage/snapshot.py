@@ -2,7 +2,7 @@
 
 At every stable checkpoint the entries the checkpoint covers are *sealed*:
 appended, in sequence-number order, to an archive that only ever grows, and
-closed by the ``2f+1``-signed :class:`~repro.core.types.CheckpointCertificate`
+closed by the quorum-signed :class:`~repro.core.types.CheckpointCertificate`
 that proves the prefix is the agreed one.  A seal costs what it covers — the
 run of entries between the previous certificate and the new one — never the
 history below it.  Because ISS's application state *is* the delivered log,

@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import pytest
 
 from repro.core.config import ISSConfig, NetworkConfig
+from repro.core.membership import genesis_view
 from repro.core.sb import SBContext, SBInstance
 from repro.core.types import Batch, NIL, Request, RequestId, SegmentDescriptor, is_nil
 from repro.crypto.signatures import KeyStore
@@ -130,7 +131,7 @@ class SBTestBed:
             node_id=node,
             config=self.config,
             segment=self.segment,
-            all_nodes=list(range(self.num_nodes)),
+            membership=genesis_view(self.config),
             send_fn=lambda dst, msg, node=node: self.network.send(node, dst, msg),
             local_fn=lambda msg, node=node: self.sim.call_soon(
                 lambda: self.instances[node].handle_message(node, msg)

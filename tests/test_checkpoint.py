@@ -10,6 +10,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.config import ISSConfig
 from repro.core.log import Log
+from repro.core.membership import MembershipTracker
 from repro.core.types import NIL
 from repro.crypto.signatures import KeyStore
 from tests.conftest import make_batch, make_request
@@ -38,6 +39,7 @@ class Harness:
                 key_store=self.key_store,
                 broadcast_fn=lambda msg, node=node: self.outbox.append((node, msg)),
                 on_stable=lambda epoch, cert, node=node: self.stable[node].__setitem__(epoch, cert),
+                membership=MembershipTracker(self.config, None),
             )
 
     def flush(self):

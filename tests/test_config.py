@@ -30,6 +30,10 @@ class TestISSConfig:
         config = ISSConfig(num_nodes=7)
         assert config.strong_quorum == 5
         assert config.weak_quorum == 3
+        # Off the n = 3f+1 shape the quorum is ⌈(n+f+1)/2⌉, not 2f+1: two
+        # halves of 6 (or 4 of 8, 16 of 32) are not two quorums.
+        for num_nodes, quorum in ((6, 4), (8, 6), (32, 22)):
+            assert ISSConfig(num_nodes=num_nodes).strong_quorum == quorum
 
     def test_num_buckets_scales_with_nodes(self):
         config = ISSConfig(num_nodes=4, buckets_per_leader=16)

@@ -105,8 +105,9 @@ def test_faults_of_reads_one_kind_in_list_order():
     assert deployment.faults_of(MembershipSpec) == [JOIN, LEAVE]
     assert deployment.faults_of(StragglerSpec) == []
     # The defaults still derive from the list.
-    assert deployment.membership_enabled and deployment.durable_storage
-    assert not build([CRASH]).durable_storage
+    assert deployment.admin_client is not None and deployment.durable_storage
+    static = build([CRASH])
+    assert static.admin_client is None and not static.durable_storage
 
 
 # ------------------------------------------------------------- one spelling

@@ -8,6 +8,7 @@ from repro.core.messages import InstanceMessage
 from repro.core.types import Batch, NIL, SegmentDescriptor, is_nil
 from repro.core.validation import sign_request
 from repro.crypto.signatures import KeyStore
+from repro.pbft.messages import PrePrepare
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
@@ -229,6 +230,20 @@ class TestInstanceMessageRouting:
         message = InstanceMessage(instance_id=(1, 0), payload="future")
         harness.node.on_message(1, message)
         assert harness.node._pending_messages.get(1)
+
+    def test_epoch_zero_message_before_start_is_buffered(self):
+        """Before ``start()`` no epoch has started, epoch 0 included: a
+        PRE-PREPARE that arrives first is kept and reaches its instance."""
+        harness = NodeHarness()
+        batch = Batch.of(())
+        # Node 1 leads sn 1 of epoch 0 (round-robin over 4 leaders).
+        proposal = PrePrepare(view=0, sn=1, value=batch, digest=batch.digest())
+        harness.node.on_message(1, InstanceMessage(instance_id=(0, 1), payload=proposal))
+        assert harness.node._pending_messages.get(0)
+        harness.node.start()
+        assert not harness.node._pending_messages
+        instance = harness.node.orderer.instances[(0, 1)]
+        assert instance._slots[1].preprepare == proposal
 
     def test_crashed_node_ignores_messages(self):
         harness = NodeHarness()

@@ -366,7 +366,6 @@ def test_settings_nothing_varies_stay_gone():
     """A setting no caller varies is a constant, and the simulated network
     drops messages only through crashes, partitions and link faults."""
     import dataclasses
-    import inspect
 
     from repro.core.config import ISSConfig, NetworkConfig, WorkloadConfig
     from repro.harness.runner import Deployment
@@ -380,13 +379,38 @@ def test_settings_nothing_varies_stay_gone():
     assert not [name for name in iss_fields if name.startswith("backoff_")]
     assert not hasattr(Network, "add_link_filter")
     assert not {"link-filter", "random"} & set(DROP_CAUSES)
-    assert "membership_enabled" not in inspect.signature(Deployment.__init__).parameters
     with pytest.raises(ValueError):
         Deployment(
             ISSConfig(num_nodes=4),
             workload=WorkloadConfig(num_clients=1, duration=1.0),
             recovery_poll=0.5,
         )
+
+
+#: The strong-quorum arithmetic: ``2 * f + 1``, ``(n + f + 2) // 2`` and
+#: the crash model's ``n // 2 + 1``.
+_QUORUM_FORMULAS = re.compile(
+    r"2 \* [\w.]*(?:max_faulty|\bf\b)[\w.]* \+ 1|\+ 2\) // 2|// 2 \+ 1"
+)
+
+
+def test_one_membership_path():
+    """A static deployment is the one-view case of dynamic membership: no
+    switch turns the tracker on, no code tests whether it exists, and the
+    quorum sizes are computed in ``core/membership.py`` only."""
+    switches, fallbacks, formulas = [], [], set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        where = str(path.relative_to(REPO_ROOT / "src" / "repro"))
+        text = path.read_text()
+        if "membership_enabled" in text:
+            switches.append(where)
+        if re.search(r"membership is (?:not )?None", text):
+            fallbacks.append(where)
+        if _QUORUM_FORMULAS.search(text):
+            formulas.add(where)
+    assert not switches, f"membership_enabled in {switches}"
+    assert not fallbacks, f"a membership-is-None fallback in {fallbacks}"
+    assert formulas == {"core/membership.py"}, formulas
 
 
 def test_no_unused_imports():

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import ISSConfig, POLICY_BLACKLIST
 from repro.core.log import Log
 from repro.core.manager import EpochManager
+from repro.core.membership import MembershipTracker, genesis_view
 from repro.core.orderer import Orderer, default_factory
 from repro.core.sb import SBContext, SBInstance
 from repro.core.segment import epoch_seq_nrs
@@ -36,7 +37,7 @@ def make_context(segment: SegmentDescriptor, config: ISSConfig) -> SBContext:
         node_id=0,
         config=config,
         segment=segment,
-        all_nodes=list(range(config.num_nodes)),
+        membership=genesis_view(config),
         send_fn=lambda dst, msg: None,
         local_fn=lambda msg: None,
         multicast_fn=lambda dsts, msg: None,
@@ -59,7 +60,7 @@ class TestEpochManager:
             batch_rate=overrides.pop("batch_rate", 16.0),
             **overrides,
         )
-        return EpochManager(config)
+        return EpochManager(config, MembershipTracker(config, None))
 
     def test_leaders_default_to_all_nodes(self):
         manager = self.make_manager()

@@ -11,7 +11,7 @@ Three layers:
   invariants plus the membership-specific ones
   (:func:`repro.harness.invariants.check_membership`);
 * determinism contracts: same-seed runs are bit-identical, and static
-  runs carry no membership machinery at all.
+  runs never leave the genesis view.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import NetworkConfig, WorkloadConfig
-from repro.core.log import Log
 from repro.core.membership import (
     ACTION_ADD,
     ACTION_REMOVE,
@@ -136,20 +135,28 @@ def _batch(client: int, timestamp: int, payload: bytes) -> Batch:
     return Batch.of([Request(rid=RequestId(client, timestamp), payload=payload)])
 
 
+#: The admin identity of the tracker unit tests; client 1 is ordinary.
+ADMIN = 0
+
+
 def _tracker(epoch_length: int = 4) -> MembershipTracker:
     config = membership_test_config("pbft", 4, epoch_length=epoch_length)
-    return MembershipTracker(config, Log())
+    return MembershipTracker(config, ADMIN)
+
+
+def _commit(tracker: MembershipTracker, sn: int, batch: Batch) -> None:
+    tracker.note_commit(sn, batch.requests)
 
 
 def test_tracker_seals_config_txs_in_order():
     tracker = _tracker()
-    log = tracker.log
-    log.commit(0, _batch(0, 1, encode_config_tx(ConfigTx(ACTION_ADD, 4))), 0, 0.0)
-    log.commit(1, _batch(1, 1, b"app payload"), 0, 0.0)
-    log.commit(2, _batch(0, 2, encode_config_tx(ConfigTx(ACTION_REMOVE, 4))), 0, 0.0)
-    log.commit(3, _batch(1, 2, b"more app"), 0, 0.0)
+    _commit(tracker, 2, _batch(ADMIN, 2, encode_config_tx(ConfigTx(ACTION_REMOVE, 4))))
+    _commit(tracker, 0, _batch(ADMIN, 1, encode_config_tx(ConfigTx(ACTION_ADD, 4))))
+    _commit(tracker, 1, _batch(1, 1, b"app payload"))
+    _commit(tracker, 3, _batch(1, 2, b"more app"))
     added, removed = tracker.seal_epoch(0)
-    # add then remove within one epoch cancels before activation
+    # add then remove within one epoch cancels before activation, whatever
+    # order the positions committed in
     assert (added, removed) == ((), ())
     assert tracker.view_for(1).nodes == (0, 1, 2, 3)
     assert [tx.action for _e, tx in tracker.committed_txs] == [
@@ -159,13 +166,12 @@ def test_tracker_seals_config_txs_in_order():
 
 def test_tracker_activation_is_exactly_once():
     tracker = _tracker()
-    log = tracker.log
     payload = encode_config_tx(ConfigTx(ACTION_ADD, 4))
     # The same ConfigTx committed twice (retried submission, two rids).
-    log.commit(0, _batch(0, 1, payload), 0, 0.0)
-    log.commit(1, _batch(0, 2, payload), 0, 0.0)
-    log.commit(2, _batch(1, 1, b"app"), 0, 0.0)
-    log.commit(3, _batch(1, 2, b"app"), 0, 0.0)
+    _commit(tracker, 0, _batch(ADMIN, 1, payload))
+    _commit(tracker, 1, _batch(ADMIN, 2, payload))
+    _commit(tracker, 2, _batch(1, 1, b"app"))
+    _commit(tracker, 3, _batch(1, 2, b"app"))
     assert tracker.seal_epoch(0) == ((4,), ())
     assert tracker.view_for(1).nodes == (0, 1, 2, 3, 4)
     # Sealing again is a no-op — activation happened exactly once.
@@ -175,20 +181,39 @@ def test_tracker_activation_is_exactly_once():
 
 def test_tracker_rebuilt_log_derives_identical_views():
     """The view sequence is a pure function of the committed log prefix —
-    a node that reconstructs its log (WAL replay, state transfer) derives
-    the same views without any extra agreement."""
-    first = _tracker()
-    log = first.log
-    log.commit(0, _batch(0, 1, encode_config_tx(ConfigTx(ACTION_ADD, 4))), 0, 0.0)
-    for sn in range(1, 8):
-        log.commit(sn, _batch(1, sn, b"app"), sn // 4, 0.0)
-    first.seal_epoch(0)
-    first.seal_epoch(1)
-    rebuilt = MembershipTracker(first.config, log)
-    rebuilt.seal_epoch(0)
-    rebuilt.seal_epoch(1)
+    a node that reconstructs its log (WAL replay, state transfer, in any
+    commit order) derives the same views without any extra agreement."""
+    commits = [(0, _batch(ADMIN, 1, encode_config_tx(ConfigTx(ACTION_ADD, 4))))]
+    commits += [(sn, _batch(1, sn, b"app")) for sn in range(1, 8)]
+    first, rebuilt = _tracker(), _tracker()
+    for sn, batch in commits:
+        _commit(first, sn, batch)
+    for sn, batch in reversed(commits):
+        _commit(rebuilt, sn, batch)
+    for tracker in (first, rebuilt):
+        tracker.seal_epoch(0)
+        tracker.seal_epoch(1)
     for epoch in range(3):
         assert rebuilt.view_for(epoch).nodes == first.view_for(epoch).nodes
+    assert rebuilt.view_for(2).nodes == (0, 1, 2, 3, 4)
+
+
+def test_only_the_admin_reconfigures():
+    """A magic-prefixed payload of any other client is plain data, and a
+    tracker without an admin keeps the genesis view forever."""
+    config = membership_test_config("pbft", 4, epoch_length=4)
+    forged = encode_config_tx(ConfigTx(ACTION_REMOVE, 0))
+    for tracker in (MembershipTracker(config, ADMIN), MembershipTracker(config, None)):
+        for sn in range(4):
+            tracker.note_commit(sn, _batch(1, sn, forged).requests)
+        assert tracker.seal_epoch(0) == ((), ())
+        assert tracker.view_for(1).nodes == (0, 1, 2, 3)
+        assert tracker.committed_txs == []
+    static = MembershipTracker(config, None)
+    static.note_commit(0, _batch(ADMIN, 0, forged).requests)
+    assert static.seal_epoch(0) == ((), ())
+    # Nothing can change a static view, so every epoch's view is settled.
+    assert static.view_settled(1_000) and not _tracker().view_settled(5)
 
 
 def test_genesis_view_matches_config():
@@ -284,6 +309,25 @@ def test_sb_contexts_fix_their_epochs_quorums(monkeypatch):
         sizes.add((view.num_nodes, view.strong_quorum))
     # n=4: 2f+1 = 3; n=5: ⌈(n+f+1)/2⌉ = 4; n=3: f=0 but quorum 2, not 1.
     assert sizes == {(4, 3), (5, 4), (3, 2)}
+
+
+def test_ordinary_client_config_tx_changes_no_view():
+    """Only the admin identity reconfigures: a workload client's
+    magic-prefixed payload is ordered and delivered like any other, and
+    the views follow the scheduled join alone."""
+    dep = scenarios.deployment(
+        "pbft", 4, [MembershipSpec(node=4, action=MEMBER_ADD, time=2.0)],
+        rate=300.0, duration=10.0, drain_time=12.0,
+        epoch_length=DEFAULT_MEMBERSHIP_EPOCH_LENGTH, **GRACEFUL,
+    )
+    forged = encode_config_tx(ConfigTx(ACTION_REMOVE, 1))
+    dep.sim.schedule_at(3.0, lambda: dep.clients[0].submit(forged))
+    result = dep.run()
+    row = scenarios.row(dep, result)
+    assert row["violations"] == []
+    assert row["final_view"] == [0, 1, 2, 3, 4]
+    assert [a["removed"] for a in row["activations"]] == [[]]
+    assert row["config_txs_committed"] == 1
 
 
 def test_new_node_bootstrap_lands_prefix_identical():
@@ -395,9 +439,9 @@ def test_reconfiguration_with_batching_on_and_off():
 
 
 def test_static_runs_carry_no_membership_machinery():
-    """Without membership specs the machinery is fully disabled: no admin
-    client, no tracker, no membership section in the row — the
-    schedule-neutrality the golden traces pin."""
+    """Without membership specs there is no admin client, no activation
+    and no membership section in the row: every node's tracker keeps the
+    genesis view — the schedule-neutrality the golden traces pin."""
     config = membership_test_config("pbft", 4)
     deployment = Deployment(
         config,
@@ -413,4 +457,3 @@ def test_static_runs_carry_no_membership_machinery():
     result = deployment.run()
     assert "final_view" not in scenarios.row(deployment, result)
     assert deployment.activations == [] and deployment.joins == []
-    assert all(node.membership is None for node in result.nodes)

@@ -3,6 +3,7 @@
 from typing import List, Tuple
 
 from repro.core.config import ISSConfig
+from repro.core.membership import genesis_view
 from repro.core.pacing import ProposalPacer
 from repro.core.sb import SBContext
 from repro.core.types import Batch, SegmentDescriptor
@@ -42,7 +43,7 @@ class PacerHarness:
             node_id=0,
             config=self.config,
             segment=segment,
-            all_nodes=[0, 1, 2, 3],
+            membership=genesis_view(self.config),
             send_fn=lambda dst, msg: None,
             local_fn=lambda msg: None,
             multicast_fn=lambda dsts, msg: None,

@@ -164,6 +164,7 @@ class _LoneInstance:
 
     def __init__(self, node_id, num_nodes=4, leader=0, seq_nrs=(0, 1)):
         from repro.core.config import ISSConfig
+        from repro.core.membership import genesis_view
         from repro.core.sb import SBContext
         from repro.sim.simulator import Simulator
 
@@ -172,12 +173,13 @@ class _LoneInstance:
         self.reports = []
         self.delivered = {}
         segment = SegmentDescriptor(epoch=0, leader=leader, seq_nrs=tuple(seq_nrs), buckets=(0,))
+        config = ISSConfig(num_nodes=num_nodes, epoch_length=8, batch_rate=None)
         self.instance = PbftSB(
             SBContext(
                 node_id=node_id,
-                config=ISSConfig(num_nodes=num_nodes, epoch_length=8, batch_rate=None),
+                config=config,
                 segment=segment,
-                all_nodes=list(range(num_nodes)),
+                membership=genesis_view(config),
                 send_fn=lambda dst, msg: None,
                 local_fn=lambda msg: None,
                 multicast_fn=lambda dsts, msg: self.multicasts.append(msg),

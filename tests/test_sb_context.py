@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import ISSConfig
+from repro.core.membership import genesis_view
 from repro.core.messages import (
     BucketAssignmentMsg,
     ClientRequestMsg,
@@ -31,7 +32,7 @@ class ContextHarness:
             node_id=node_id,
             config=self.config,
             segment=self.segment,
-            all_nodes=list(range(num_nodes)),
+            membership=genesis_view(self.config),
             send_fn=lambda dst, msg: self.sent.append((dst, msg)),
             local_fn=lambda msg: self.local.append(msg),
             multicast_fn=lambda dsts, msg: self.multicasts.append((list(dsts), msg)),

@@ -5,6 +5,7 @@ import pytest
 from repro.core.checkpoint import CheckpointProtocol
 from repro.core.config import ISSConfig
 from repro.core.log import Log
+from repro.core.membership import MembershipTracker
 from repro.core.state_transfer import StateRequest, StateResponse, StateTransfer
 from repro.core.types import NIL
 from repro.crypto.signatures import KeyStore
@@ -28,6 +29,7 @@ class Harness:
                 key_store=self.key_store,
                 broadcast_fn=lambda msg: None,
                 on_stable=lambda epoch, cert: None,
+                membership=MembershipTracker(self.config, None),
             )
             self.transfers[node] = StateTransfer(
                 node_id=node,
