@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .types import BucketId, EpochNr, NodeId, Request, RequestId
 
@@ -284,12 +284,14 @@ class BucketQueue:
 
 
 class BucketPool:
-    """All bucket queues of one node plus the delivered-request filter.
+    """All bucket queues of one node: the requests pending a proposal.
 
     Nodes add every valid request they receive to the corresponding queue,
     but only propose from queues currently assigned to segments they lead.
-    Delivered requests are remembered so they are never re-added or
-    re-proposed (duplication prevention across epochs, Section 3.2).
+    The pool does not know what the node has committed: the node asks its
+    client watermarks (:meth:`repro.core.validation.ClientWatermarks.committed`)
+    before it adds or resurrects a request (duplication prevention across
+    epochs, Section 3.2).
 
     A bucket's queue is created when a request first enters it
     (:meth:`add_request`, :meth:`resurrect`, :meth:`queue`); every read
@@ -303,9 +305,6 @@ class BucketPool:
             raise ValueError("num_buckets must be >= 1")
         self.num_buckets = num_buckets
         self._queues: Dict[BucketId, BucketQueue] = {}
-        #: Request ids delivered at this node; read directly by hot loops
-        #: (batch validation), mutated only through :meth:`mark_delivered`.
-        self.delivered: Set[RequestId] = set()
 
     def queue(self, bucket: BucketId) -> BucketQueue:
         """The queue of ``bucket``, created on first use."""
@@ -320,10 +319,8 @@ class BucketPool:
         return rid._mix % self.num_buckets
 
     def add_request(self, request: Request) -> bool:
-        """Add a request to its bucket unless it was already delivered."""
+        """Add a request to its bucket's queue (see :meth:`BucketQueue.add`)."""
         rid = request.rid
-        if rid in self.delivered:
-            return False
         return self.queue(rid._mix % self.num_buckets).add(request)
 
     def remove_request(self, rid: RequestId) -> Optional[Request]:
@@ -331,47 +328,19 @@ class BucketPool:
         return queue.remove(rid) if queue is not None else None
 
     def mark_delivered(self, request: Request) -> None:
-        """Record delivery and drop the request from its pending queue."""
+        """Drop a committed request from its pending queue, arrival order
+        included."""
         rid = request.rid
-        self.delivered.add(rid)
         queue = self._queues.get(rid._mix % self.num_buckets)
         if queue is not None:
             queue.remove(rid)
             queue.forget_history(rid)
 
-    def is_delivered(self, rid: RequestId) -> bool:
-        return rid in self.delivered
-
-    def forget_delivered_below(self, client: int, old_low: int, new_low: int) -> int:
-        """Garbage-collect delivered request ids of ``client`` with timestamps
-        in ``[old_low, new_low)``.
-
-        Called at epoch transitions once the client's low watermark advanced
-        to ``new_low``: every timestamp below the watermark is outside the
-        client's window forever, so the validator rejects any resubmission
-        before it can reach the queues and the delivered filter no longer
-        needs to remember it.  The range is exactly the contiguous delivered
-        prefix the watermark slid over, so every id in it is expected to be
-        present.  Returns the number of entries dropped.
-        """
-        dropped = 0
-        delivered = self.delivered
-        for timestamp in range(old_low, new_low):
-            rid = RequestId(client=client, timestamp=timestamp)
-            if rid in delivered:
-                delivered.discard(rid)
-                dropped += 1
-        return dropped
-
     def resurrect(self, requests: Iterable[Request]) -> None:
         """Return unsuccessfully proposed requests to their queues
-        (Algorithm 2, ``resurrectRequests``), skipping any that committed in
-        the meantime."""
+        (Algorithm 2, ``resurrectRequests``)."""
         for request in requests:
-            rid = request.rid
-            if rid in self.delivered:
-                continue
-            self.queue(rid._mix % self.num_buckets).resurrect(request)
+            self.queue(request.rid._mix % self.num_buckets).resurrect(request)
 
     def pending_in(self, buckets: Iterable[BucketId]) -> int:
         """Number of pending requests across the given buckets."""
@@ -415,6 +384,3 @@ class BucketPool:
 
     def total_pending(self) -> int:
         return sum(len(q) for q in self._queues.values())
-
-    def delivered_count(self) -> int:
-        return len(self.delivered)

@@ -221,9 +221,6 @@ class ISSNode:
         #: delivered or already-pending requests; abusive flooders inflate
         #: this, honest epoch-driven resubmission contributes too).
         self.duplicate_requests: Dict[int, int] = {}
-        #: Delivered-filter entries garbage collected below advanced client
-        #: watermarks (see :meth:`_gc_client_state`).
-        self.client_state_gc_entries = 0
 
         network.register(node_id, self.on_message)
 
@@ -341,18 +338,8 @@ class ISSNode:
         self.requests_received += 1
         rid = request.rid
         tracer = self.tracer
-        if self.buckets.is_delivered(rid):
-            # Re-transmission of an already delivered request: re-acknowledge.
-            if tracer is not None:
-                tracer.on_duplicate(self.sim.now, self.node_id, rid)
-            self._note_duplicate(rid.client)
-            self._send_client_response(rid, -1)
-            return False
-        if rid.timestamp < self.watermarks.low_watermark(rid.client):
-            # Below the low watermark the request was necessarily delivered
-            # (the watermark only advances over the contiguous delivered
-            # prefix) and its delivered-filter entry has been garbage
-            # collected — re-acknowledge exactly like the branch above.
+        if self.watermarks.committed(rid.client, rid.timestamp):
+            # Re-transmission of an already committed request: re-acknowledge.
             if tracer is not None:
                 tracer.on_duplicate(self.sim.now, self.node_id, rid)
             self._note_duplicate(rid.client)
@@ -567,7 +554,7 @@ class ISSNode:
         requests = batch.requests
         allowed_buckets = segment.bucket_set()
         num_buckets = self.buckets.num_buckets
-        delivered = self.buckets.delivered
+        committed = self.watermarks.committed
         proposed = self._proposed_this_epoch
         proposed_get = proposed.get
         is_valid = self.validator.is_valid
@@ -580,7 +567,7 @@ class ISSNode:
             seen_add(rid)
             if rid._mix % num_buckets not in allowed_buckets:
                 return False
-            if rid in delivered:
+            if committed(rid.client, rid.timestamp):
                 return False
             earlier = proposed_get(rid)
             if earlier is not None and earlier != digest:
@@ -611,8 +598,14 @@ class ISSNode:
             self.nil_committed += 1
             if proposed is not None:
                 # Our own proposal was aborted: return its requests to the
-                # bucket queues so a later segment can re-propose them.
-                self.buckets.resurrect(proposed.requests)
+                # bucket queues so a later segment can re-propose them,
+                # except those that committed elsewhere in the meantime.
+                committed = self.watermarks.committed
+                self.buckets.resurrect(
+                    request
+                    for request in proposed.requests
+                    if not committed(request.rid.client, request.rid.timestamp)
+                )
         else:
             self.batches_committed += 1
             self._mark_delivered(sn, value.requests)
@@ -630,7 +623,7 @@ class ISSNode:
         """Apply one already-persisted entry without re-persisting it.
 
         The recovery manager replays snapshot and WAL entries through this
-        method; the bookkeeping mirrors SB-DELIVER (delivered sets, client
+        method; the bookkeeping mirrors SB-DELIVER (bucket queues, client
         watermarks, commit counters) minus the persist hook and the
         delivery/epoch advancement, which recovery drives itself.
         """
@@ -642,11 +635,11 @@ class ISSNode:
             self._mark_delivered(sn, entry.requests)
 
     def _mark_delivered(self, sn: SeqNr, requests: Sequence[Request]) -> None:
-        """Bookkeeping of every delivery path (SB-DELIVER, state transfer,
+        """Bookkeeping of every commit path (SB-DELIVER, state transfer,
         recovery replay).  The signature memo entry and the proposal-index
-        entry go too: the delivered filter, then the watermark, answers for
-        the request from now on (``_validate_batch`` checks it first).  The
-        membership tracker notes the batch's ConfigTxs for the epoch's seal."""
+        entry go too: the client watermarks answer for the request from now
+        on (``_validate_batch`` asks them first).  The membership tracker
+        notes the batch's ConfigTxs for the epoch's seal."""
         self.membership.note_commit(sn, requests)
         verified = self.validator.verify_signatures
         proposed_pop = self._proposed_this_epoch.pop
@@ -676,7 +669,7 @@ class ISSNode:
             finished = self.current_epoch
             activation = self.manager.finish_epoch(finished, self.log)
             self.checkpoints.local_epoch_complete(finished, self.log)
-            self.advance_client_watermarks()
+            self.watermarks.advance_epoch()
             self.epochs_completed += 1
             if activation[0] or activation[1]:
                 self._on_membership_activation(finished + 1, *activation)
@@ -730,34 +723,6 @@ class ISSNode:
             return
         self.retired = True
         self.crash()
-
-    def advance_client_watermarks(self) -> None:
-        """One epoch transition's worth of Section 3.7 client bookkeeping:
-        advance every client's watermark window and garbage-collect the
-        per-client state the advance makes unreachable.  Called on live
-        epoch transitions here and by the recovery fast-forward
-        (:class:`~repro.storage.recovery.RecoveryManager`) — the pairing is
-        a contract; advancing without collecting reintroduces unbounded
-        delivered-filter growth."""
-        advanced = self.watermarks.advance_epoch()
-        if advanced:
-            self._gc_client_state(advanced)
-
-    def _gc_client_state(self, advanced) -> None:
-        """Garbage-collect per-client state below advanced low watermarks.
-
-        ``advanced`` is the ``(client, old_low, new_low)`` list returned by
-        :meth:`ClientWatermarks.advance_epoch`.  Timestamps below the new
-        watermark can never be validly resubmitted (the validator rejects
-        them before they reach any queue, and re-transmissions are
-        re-acknowledged from the watermark itself), so the delivered filter
-        no longer needs to remember them — without this it grows linearly
-        for the lifetime of a run.
-        """
-        dropped = 0
-        for client, old_low, new_low in advanced:
-            dropped += self.buckets.forget_delivered_below(client, old_low, new_low)
-        self.client_state_gc_entries += dropped
 
     # ============================================================ checkpointing
     def _on_stable_checkpoint(self, epoch: EpochNr, certificate) -> None:

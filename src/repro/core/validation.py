@@ -7,20 +7,21 @@ a client can have in flight, which in turn bounds how much a malicious client
 can bias the request-to-bucket distribution; ISS advances the windows at
 epoch transitions.
 
-The watermark window is also what makes per-node client state *collectable*:
-once a client's low watermark passes a timestamp, no request with that
-timestamp can ever be validly resubmitted, so the delivered filter entries
-holding it can be dropped (see :meth:`repro.core.iss.ISSNode._gc_client_state`).
+The watermark tracker is also a node's one record of which requests it has
+committed (:meth:`ClientWatermarks.committed`): a timestamp below the
+client's contiguous committed prefix, or in its out-of-order set, which the
+window bounds.  Duplicate refusal, batch validation and resurrection all ask
+it, so no per-request filter grows with a client's history.
 
 The validator keeps no cache of its own: signature checks are memoized once,
 in :meth:`repro.crypto.signatures.KeyStore.verify_digest`, until the request
-is delivered and the delivered filter answers for it.
+commits and the watermark tracker answers for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Set
 
 from ..crypto.signatures import KeyStore
 from .types import ClientId, Request
@@ -88,8 +89,16 @@ class ClientWatermarks:
         low = self._low.get(client, 0)
         return low <= timestamp < low + self.window
 
+    def committed(self, client: ClientId, timestamp: int) -> bool:
+        """Whether this node has committed ``(client, timestamp)``."""
+        if timestamp < self._prefix.get(client, 0):
+            return True
+        pending = self._out_of_order.get(client)
+        return pending is not None and timestamp in pending
+
     def note_delivered(self, client: ClientId, timestamp: int) -> None:
-        """Record a delivered request (called on every SMR-DELIVER)."""
+        """Record a committed request (called on every SB-DELIVER, state
+        transfer and recovery replay)."""
         prefix = self._prefix.get(client, 0)
         if timestamp < prefix:
             return
@@ -114,21 +123,12 @@ class ClientWatermarks:
             pending = self._out_of_order[client] = set()
         pending.add(timestamp)
 
-    def advance_epoch(self) -> List[Tuple[ClientId, int, int]]:
-        """Advance every client's window at an epoch transition.
-
-        Returns the ``(client, old_low, new_low)`` triple of every window
-        that moved — exactly the timestamp ranges whose requests can never
-        be validly resubmitted again, which is what drives the per-client
-        state garbage collection in the ISS node.
-        """
-        advanced: List[Tuple[ClientId, int, int]] = []
+    def advance_epoch(self) -> None:
+        """Advance every client's window at an epoch transition."""
         for client, prefix in self._prefix.items():
-            old = self._low.get(client, 0)
-            if prefix <= old:
+            if prefix <= self._low.get(client, 0):
                 continue
             self._low[client] = prefix
-            advanced.append((client, old, prefix))
             # Defensive prune: deliveries replayed out of order (recovery,
             # state transfer) must never strand timestamps at or below the
             # advanced watermark in the out-of-order buffer.
@@ -139,7 +139,6 @@ class ClientWatermarks:
                     pending.discard(ts)
                 if not pending:
                     del self._out_of_order[client]
-        return advanced
 
     # ------------------------------------------------------------ inspection
     def out_of_order_entries(self) -> int:

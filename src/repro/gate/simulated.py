@@ -365,7 +365,6 @@ def client_abuse_figures(obs: ObsConfig) -> Figures:
         "duplicates_absorbed": per_client[s["duplicate_flooder"]]["duplicates"],
         "forged_sent": abusers[s["forger"]]["forged_sent"],
         "forgeries_rejected": per_client[s["forgery_victim"]]["bad_signature"],
-        "gc_entries_total": int(row["gc_entries_total"]),
         "out_of_order_max": row["out_of_order_max"],
         **_replay_figures(deployment, sample),
     }
@@ -401,11 +400,6 @@ CLIENT_ABUSE_CLAIMS: Tuple[Claim, ...] = (
         lambda f: f["duplicates_sent"] > 0 and f["duplicates_absorbed"] > 0,
         "CLIENT-ABUSE CONTAINMENT REGRESSION: the duplicate flood was not "
         "absorbed and counted",
-    ),
-    (
-        lambda f: f["gc_entries_total"] > 0,
-        "CLIENT-ABUSE MEMORY REGRESSION: no per-client state was garbage "
-        "collected below the advanced watermarks",
     ),
     (
         lambda f: f["out_of_order_max"]

@@ -103,7 +103,6 @@ GATES: Dict[str, Gate] = {
                 "duplicates_absorbed",
                 "forged_sent",
                 "forgeries_rejected",
-                "gc_entries_total",
                 *REPLAY_KEYS,
             ),
             bench="BENCH_client_abuse.json",

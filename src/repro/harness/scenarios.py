@@ -420,8 +420,7 @@ def _byzantine_figures(deployment: Deployment, result, correct) -> Dict[str, obj
 def _client_abuse_figures(deployment: Deployment, result) -> Dict[str, object]:
     """The client-abuse section of :func:`row`: whether each abusive
     submission class was rejected-and-counted at the nodes and whether
-    node memory stayed bounded (watermark out-of-order buffers, delivered
-    filter after GC).
+    node memory stayed bounded (watermark out-of-order buffers).
 
     ``client_abuse`` holds the raw counters: ``per_client`` sums, over the
     current node incarnations, the rejections attributed to each claimed
@@ -491,9 +490,7 @@ def _client_abuse_figures(deployment: Deployment, result) -> Dict[str, object]:
         "duplicates_total": float(
             sum(sum(n.duplicate_requests.values()) for n in nodes)
         ),
-        "gc_entries_total": float(sum(n.client_state_gc_entries for n in nodes)),
         "out_of_order_max": max(node.watermarks.out_of_order_entries() for node in nodes),
-        "delivered_filter_max": max(len(node.buckets.delivered) for node in nodes),
         "client_abuse": {
             "adversaries": {spec.client: spec.behaviour for spec in specs},
             "per_client": per_client,
@@ -966,8 +963,7 @@ def watermark_stall(
     window stalls (bounding its in-flight requests by the window), correct
     clients' watermarks keep advancing and their requests all complete,
     and node memory stays bounded (out-of-order buffers capped by the
-    window, delivered filters garbage collected below the advanced
-    watermarks).
+    window).
     """
     window = 256
     abuser = 5

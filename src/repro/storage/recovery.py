@@ -106,11 +106,8 @@ class RecoveryManager:
             # The pre-crash incarnation already broadcast its CHECKPOINT for
             # this epoch; announcing again would only add stale wire noise.
             node.checkpoints.mark_announced(resume)
-            # Same contract as a live epoch transition: advance the client
-            # watermarks AND collect the per-client state the advance makes
-            # unreachable, so the restarted incarnation does not re-retain
-            # the whole pre-crash delivered history.
-            node.advance_client_watermarks()
+            # Same as a live epoch transition: advance the client watermarks.
+            node.watermarks.advance_epoch()
             node.epochs_completed += 1
             resume += 1
         info.resume_epoch = resume

@@ -199,14 +199,6 @@ class TestBucketPool:
         assert pool.add_request(request)
         assert request.rid in pool.queue(pool.bucket_of(request.rid))
 
-    def test_delivered_requests_never_readded(self):
-        pool = BucketPool(num_buckets=8)
-        request = make_request()
-        pool.add_request(request)
-        pool.mark_delivered(request)
-        assert not pool.add_request(request)
-        assert pool.is_delivered(request.rid)
-
     def test_cut_batch_respects_max_size_and_order(self):
         pool = BucketPool(num_buckets=4)
         requests = [make_request(client=c, timestamp=t) for c in range(3) for t in range(10)]
@@ -226,18 +218,6 @@ class TestBucketPool:
         for request in cut:
             assert pool.bucket_of(request.rid) in allowed
 
-    def test_resurrect_skips_delivered(self):
-        pool = BucketPool(num_buckets=4)
-        kept, gone = make_request(client=0, timestamp=0), make_request(client=0, timestamp=1)
-        pool.add_request(kept)
-        pool.add_request(gone)
-        cut = pool.cut_batch(list(range(4)), max_size=10)
-        assert len(cut) == 2
-        pool.mark_delivered(gone)
-        pool.resurrect([kept, gone])
-        assert pool.total_pending() == 1
-        assert not pool.is_delivered(kept.rid)
-
     def test_pending_in_counts_by_bucket(self):
         pool = BucketPool(num_buckets=4)
         for i in range(20):
@@ -248,27 +228,3 @@ class TestBucketPool:
     def test_invalid_pool_size(self):
         with pytest.raises(ValueError):
             BucketPool(0)
-
-    def test_forget_delivered_below_collects_the_prefix(self):
-        """Delivered-filter GC drops exactly the watermark-covered range and
-        reports how much it collected."""
-        pool = BucketPool(num_buckets=8)
-        requests = [make_request(client=1, timestamp=t) for t in range(6)]
-        for request in requests:
-            pool.add_request(request)
-            pool.mark_delivered(request)
-        assert pool.delivered_count() == 6
-        assert pool.forget_delivered_below(1, 0, 4) == 4
-        assert pool.delivered_count() == 2
-        for timestamp in range(4):
-            assert not pool.is_delivered(RequestId(1, timestamp))
-        for timestamp in (4, 5):
-            assert pool.is_delivered(RequestId(1, timestamp))
-        # Idempotent: re-collecting the same range drops nothing more.
-        assert pool.forget_delivered_below(1, 0, 4) == 0
-        # Other clients' state is untouched.
-        other = make_request(client=2, timestamp=0)
-        pool.add_request(other)
-        pool.mark_delivered(other)
-        pool.forget_delivered_below(1, 4, 6)
-        assert pool.is_delivered(other.rid)

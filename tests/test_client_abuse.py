@@ -375,32 +375,30 @@ class TestMixedAbuseAndReplicaFaults:
 
 
 class TestBoundedClientState:
-    def test_delivered_filter_and_signature_cache_are_collected(self):
-        """Long-run growth of per-client node state is bounded by GC at
-        epoch transitions (the PR's unbounded-growth bugfix)."""
+    def test_client_state_and_signature_cache_are_bounded(self):
+        """Per-client node state does not grow with the run: the watermark
+        tracker answers for every committed request from a prefix per
+        client plus out-of-order buffers bounded by the window, and the
+        signature memo lets go of a request when it commits."""
         config = abusive_config()
-        deployment, result = run_abusive(
-            abusive_config(), [], duration=15.0, rate=400.0
-        )
+        deployment, result = run_abusive(config, [], duration=15.0, rate=400.0)
+        window = config.client_watermark_window
         for node in result.nodes:
             delivered_total = node.delivered_count()
             assert delivered_total > 0
-            # Without GC the filter would hold every delivered id.
-            assert node.client_state_gc_entries > 0
-            assert len(node.buckets.delivered) < delivered_total
-            # The signature memo lets go of a request at delivery.
             assert len(node.key_store._verified) < delivered_total
-            # Everything below each client's low watermark is gone.
+            marks = node.watermarks
+            assert marks.out_of_order_entries() <= window * len(result.clients)
             for client in result.clients:
-                low = node.watermarks.low_watermark(client.client_id)
-                for ts in range(low):
-                    rid = RequestId(client=client.client_id, timestamp=ts)
-                    assert not node.buckets.is_delivered(rid)
+                low = marks.low_watermark(client.client_id)
+                assert low > 0
+                assert all(marks.committed(client.client_id, ts) for ts in range(low))
+                assert len(marks._out_of_order.get(client.client_id, ())) <= window
 
     def test_recovery_replay_also_collects_client_state(self):
-        """A restarted node must not re-retain the whole pre-crash delivered
-        history: the recovery fast-forward applies the same watermark GC as
-        live epoch transitions (regression: replay used to skip it)."""
+        """A restarted node's recovery fast-forward advances the client
+        watermarks over the replayed prefix, as live epoch transitions do,
+        so the rebuilt client state is a prefix per client again."""
         from repro.runtime.faults import CrashSpec, RestartSpec
 
         config = abusive_config(seed=11)
@@ -416,13 +414,19 @@ class TestBoundedClientState:
         result = deployment.run()
         restarted = result.nodes[1]
         assert restarted.delivered_count() > 0
-        # The replayed prefix completed epochs, so recovery itself must have
-        # collected the watermark-covered ranges out of the rebuilt filters.
-        assert restarted.client_state_gc_entries > 0
-        assert len(restarted.buckets.delivered) < restarted.delivered_count()
+        lows = {
+            client.client_id: restarted.watermarks.low_watermark(client.client_id)
+            for client in result.clients
+        }
+        assert all(low > 0 for low in lows.values()), lows
+        for client, low in lows.items():
+            assert all(restarted.watermarks.committed(client, ts) for ts in range(low))
+        assert restarted.watermarks.out_of_order_entries() <= (
+            config.client_watermark_window * len(result.clients)
+        )
 
     def test_gcd_resubmission_still_reacked_not_readded(self):
-        """A resubmission of a delivered-and-collected request must be
+        """A resubmission of a request below the low watermark must be
         re-acknowledged from the watermark, never re-enter a queue."""
         config = abusive_config()
         deployment, result = run_abusive(config, [], duration=8.0)
@@ -431,10 +435,10 @@ class TestBoundedClientState:
         low = node.watermarks.low_watermark(client.client_id)
         assert low > 0
         rid = RequestId(client=client.client_id, timestamp=0)
-        assert not node.buckets.is_delivered(rid)  # GC'd
+        assert node.watermarks.committed(rid.client, rid.timestamp)
         duplicates_before = node.duplicate_requests.get(client.client_id, 0)
         pending_before = node.pending_requests()
-        # Replay the client's very first (delivered, GC'd) request.
+        # Replay the client's very first request, below the low watermark.
         first = next(
             sn_entry
             for sn in range(node.log.first_undelivered)
@@ -443,9 +447,12 @@ class TestBoundedClientState:
             and any(r.rid == rid for r in sn_entry.requests)
         )
         request = next(r for r in first.requests if r.rid == rid)
+        sent = []
+        node.network.send = lambda src, dst, message: sent.append(message)
         assert node.submit_request(request) is False
         assert node.pending_requests() == pending_before
         assert node.duplicate_requests[client.client_id] == duplicates_before + 1
+        assert [message.entries for message in sent] == [((rid, -1),)]
 
 
 class TestScenarios:
@@ -475,7 +482,6 @@ class TestScenarios:
         assert figures["all_complete"]
         assert figures["prefixes_identical"]
         assert figures["out_of_order_bounded"]
-        assert figures["gc_entries_total"] > 0
 
     def test_forged_signature_needs_client_signatures(self):
         """Signature-free (Raft CFT) configurations reject the pairing

@@ -73,6 +73,22 @@ class TestRequestHandling:
         assert not harness.node.submit_request(request)
         assert harness.node.pending_requests() == 1
 
+    def test_committed_request_never_requeued(self):
+        """A re-sent request the node committed, delivered in order or not,
+        is refused as a duplicate and never re-enters a bucket queue."""
+        harness = NodeHarness()
+        node = harness.node
+        node.start()
+        segment_of = {sn: s for s in node.manager.segments_for(0) for sn in s.seq_nrs}
+        done, waiting = harness.signed_request(timestamp=0), harness.signed_request(timestamp=1)
+        node._sb_deliver(segment_of[0], 0, Batch.of([done]))
+        node._sb_deliver(segment_of[2], 2, Batch.of([waiting]))  # position 1 still open
+        assert node.log.first_undelivered == 1
+        for request in (done, waiting):
+            assert not harness.node.submit_request(request)
+        assert harness.node.pending_requests() == 0
+        assert harness.node.duplicate_requests[0] == 2
+
     def test_signature_verification_can_be_disabled(self):
         harness = NodeHarness(client_signatures=False)
         assert harness.node.submit_request(make_request(client=0))

@@ -460,3 +460,21 @@ def test_a_run_is_read_once():
         name for name in vars(Deployment) if name.startswith("_") and name.endswith("_stats")
     ]
     assert not stats_builders, f"Deployment still digests a run: {stats_builders}"
+
+
+def test_one_record_of_committed_requests():
+    """A replica's client watermarks are its one record of which requests
+    it committed: the bucket pool keeps no delivered set beside them and
+    no garbage collector empties one."""
+    from repro.core.buckets import BucketPool
+
+    pool = BucketPool(num_buckets=4)
+    assert not any(isinstance(value, (set, frozenset)) for value in vars(pool).values())
+    names = re.compile(r"\b(?:is_delivered|forget_delivered_below|client_state_gc_entries)\b")
+    offenders = [
+        str(path.relative_to(REPO_ROOT))
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        if names.search(path.read_text())
+    ]
+    assert not offenders, f"a second record of committed requests in {offenders}"
+    assert not hasattr(BucketPool, "delivered")

@@ -141,29 +141,41 @@ def test_bucket_queue_fifo(timestamps):
 @settings(max_examples=50, deadline=None)
 @given(
     operations=st.lists(
-        st.tuples(st.sampled_from(["add", "remove", "resurrect", "deliver"]), st.integers(0, 15)),
+        st.tuples(
+            st.sampled_from(["add", "remove", "resurrect", "deliver", "epoch"]),
+            st.integers(0, 15),
+        ),
         min_size=1,
         max_size=80,
     )
 )
 def test_bucket_pool_never_duplicates_or_revives_delivered(operations):
-    """Whatever the interleaving, a delivered request never reappears and the
-    pool never holds two copies of the same request."""
+    """Driven as a node drives it — adds and resurrections asked of the
+    client watermarks first, commits noted in both — a delivered request
+    never reappears, whatever the interleaving with epoch transitions, and
+    the pool never holds two copies of the same request."""
     pool = BucketPool(num_buckets=4)
+    marks = ClientWatermarks(window=16)
     delivered = set()
     requests = {ts: Request(rid=RequestId(0, ts)) for ts in range(16)}
     for op, ts in operations:
         request = requests[ts]
         if op == "add":
-            pool.add_request(request)
+            if not marks.committed(0, ts):
+                pool.add_request(request)
         elif op == "remove":
             pool.remove_request(request.rid)
         elif op == "resurrect":
-            pool.resurrect([request])
+            if not marks.committed(0, ts):
+                pool.resurrect([request])
         elif op == "deliver":
             pool.mark_delivered(request)
+            marks.note_delivered(0, ts)
             delivered.add(request.rid)
+        else:
+            marks.advance_epoch()
         for rid in delivered:
+            assert marks.committed(rid.client, rid.timestamp)
             assert rid not in pool.queue(pool.bucket_of(rid))
     total_pending = pool.total_pending()
     distinct_pending = len({r.rid for b in range(4) for r in pool.queue(b).pending()})

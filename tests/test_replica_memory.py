@@ -189,10 +189,12 @@ def _in_flight_violations(deployment):
     if node_sets > incomplete:
         problems.append(f"collector: {node_sets} delivery-node sets, {incomplete} incomplete")
     for node in deployment.nodes:
-        delivered = node.buckets.delivered
-        stale = sum(1 for rid in node._proposed_this_epoch if rid in delivered)
+        committed = node.watermarks.committed
+        stale = sum(
+            1 for rid in node._proposed_this_epoch if committed(rid.client, rid.timestamp)
+        )
         if stale:
-            problems.append(f"node {node.node_id}: {stale} delivered ids in the proposal index")
+            problems.append(f"node {node.node_id}: {stale} committed ids in the proposal index")
         for queue in node.buckets._queues.values():
             if len(queue._heap) > 2 * len(queue) + HEAP_SLACK:
                 problems.append(

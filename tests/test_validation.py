@@ -75,17 +75,20 @@ class TestClientWatermarks:
         assert not marks.in_window(0, 2)  # below low is out too
 
     def test_advance_epoch_reports_moved_windows(self):
-        """advance_epoch returns (client, old_low, new_low) for every window
-        that moved — the ranges driving per-client state GC."""
+        """advance_epoch moves exactly the windows whose committed prefix
+        grew, each to the end of that prefix."""
         marks = ClientWatermarks(window=8)
         for ts in range(3):
             marks.note_delivered(0, ts)
         marks.note_delivered(1, 1)  # gapped: prefix stays 0
-        assert marks.advance_epoch() == [(0, 0, 3)]
-        # Nothing moved since: an empty report, no spurious re-advancement.
-        assert marks.advance_epoch() == []
+        marks.advance_epoch()
+        assert (marks.low_watermark(0), marks.low_watermark(1)) == (3, 0)
+        # Nothing committed since: no spurious re-advancement.
+        marks.advance_epoch()
+        assert (marks.low_watermark(0), marks.low_watermark(1)) == (3, 0)
         marks.note_delivered(0, 3)
-        assert marks.advance_epoch() == [(0, 3, 4)]
+        marks.advance_epoch()
+        assert (marks.low_watermark(0), marks.low_watermark(1)) == (4, 0)
 
     def test_advance_epoch_with_gapped_prefix(self):
         """A gap pins the watermark at the gap even when far newer
@@ -93,10 +96,11 @@ class TestClientWatermarks:
         marks = ClientWatermarks(window=16)
         for ts in (1, 3, 5, 7, 9):  # 0 never delivered
             marks.note_delivered(0, ts)
-        assert marks.advance_epoch() == []
+        marks.advance_epoch()
         assert marks.low_watermark(0) == 0
         marks.note_delivered(0, 0)  # the gap fills: prefix jumps over 1
-        assert marks.advance_epoch() == [(0, 0, 2)]
+        marks.advance_epoch()
+        assert marks.low_watermark(0) == 2
 
     def test_out_of_order_sets_dropped_when_prefix_catches_up(self):
         """No empty per-client sets are retained — quiet clients cost no
@@ -110,7 +114,21 @@ class TestClientWatermarks:
         assert marks.tracked_gap_clients() == 0
         assert marks.out_of_order_entries() == 0
         assert marks.low_watermark(0) == 0  # low moves at epochs only
-        assert marks.advance_epoch() == [(0, 0, 3)]
+        marks.advance_epoch()
+        assert marks.low_watermark(0) == 3
+
+    def test_committed_below_prefix_and_out_of_order(self):
+        """The one record of what a node committed: every timestamp below
+        the contiguous prefix and each one buffered above it, whether or
+        not the window has moved."""
+        marks = ClientWatermarks(window=8)
+        for ts in (0, 1, 4):
+            marks.note_delivered(0, ts)
+        assert [ts for ts in range(6) if marks.committed(0, ts)] == [0, 1, 4]
+        assert not marks.committed(1, 0)
+        marks.advance_epoch()
+        assert marks.low_watermark(0) == 2
+        assert [ts for ts in range(6) if marks.committed(0, ts)] == [0, 1, 4]
 
     def test_in_order_clients_never_allocate_buffers(self):
         marks = ClientWatermarks(window=8)
