@@ -339,11 +339,16 @@ class ISSNode:
         rid = request.rid
         tracer = self.tracer
         if self.watermarks.committed(rid.client, rid.timestamp):
-            # Re-transmission of an already committed request: re-acknowledge.
+            # Re-transmission of an already committed request: re-acknowledge
+            # it once it is delivered in order.  Until then its ordinary
+            # acknowledgement (_send_delivery_responses) is still to come; an
+            # earlier one would let f+1 replicas complete a request that a
+            # lagging segment still holds behind an open position.
             if tracer is not None:
                 tracer.on_duplicate(self.sim.now, self.node_id, rid)
             self._note_duplicate(rid.client)
-            self._send_client_response(rid, -1)
+            if not self.log.awaits_delivery(rid):
+                self._send_client_response(rid, -1)
             return False
         if not self.validator.is_valid(request):
             if tracer is not None:

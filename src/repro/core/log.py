@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .types import DeliveredRequest, EpochNr, LogEntry, NIL, SeqNr, is_nil
+from .types import DeliveredRequest, EpochNr, LogEntry, NIL, RequestId, SeqNr, is_nil
 
 
 @dataclass
@@ -64,6 +64,8 @@ class Log:
         self._evicted_digests: Dict[SeqNr, bytes] = {}
         #: Highest position the archive has sealed, as last reported.
         self._sealed_through: SeqNr = -1
+        #: Ids of the requests committed but not yet delivered in order.
+        self._undelivered_rids: Set[RequestId] = set()
 
     # ------------------------------------------------------------ mutation
     def commit(self, sn: SeqNr, entry: LogEntry, epoch: EpochNr, now: float) -> bool:
@@ -80,6 +82,8 @@ class Log:
                 return False
             raise ValueError(f"conflicting commit at sequence number {sn}")
         self._entries[sn] = CommittedEntry(sn=sn, entry=entry, epoch=epoch)
+        if entry is not NIL:
+            self._undelivered_rids.update(request.rid for request in entry.requests)
         return True
 
     def advance_delivery(self, now: float) -> List[DeliveredRequest]:
@@ -91,6 +95,7 @@ class Log:
         delivered: List[DeliveredRequest] = []
         append = delivered.append
         entries = self._entries
+        undelivered_discard = self._undelivered_rids.discard
         next_request_sn = self._total_delivered_requests
         while True:
             committed = entries.get(self._first_undelivered)
@@ -101,6 +106,7 @@ class Log:
                 batch_sn = committed.sn
                 epoch = committed.epoch
                 for request in entry.requests:
+                    undelivered_discard(request.rid)
                     append(
                         DeliveredRequest(
                             request=request,
@@ -163,6 +169,11 @@ class Log:
             digest = self._evicted_digests.get(sn)
             return digest if digest is not None else self._archive.entry_at(sn).digest()
         return None
+
+    def awaits_delivery(self, rid: RequestId) -> bool:
+        """True while a committed request waits for a lower position: it
+        is not delivered in order yet, so no client may be told it is."""
+        return rid in self._undelivered_rids
 
     def has_entry(self, sn: SeqNr) -> bool:
         return sn in self._entries or 0 <= sn <= self._evicted_through

@@ -62,7 +62,7 @@ class RequestId:
     client's public key).
 
     Request ids key every hot collection in the system (bucket queues,
-    delivered sets, validation caches), so the hash and the bucket-mixing
+    the proposal index, validation caches), so the hash and the bucket-mixing
     value are computed once at construction instead of per lookup.
     """
 

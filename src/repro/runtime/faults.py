@@ -190,8 +190,9 @@ class MaliciousClientSpec:
       skipped timestamps, so the contiguous-prefix low watermark never
       advances and the abuser eventually wedges *itself* out of the window.
     * ``"duplicate-flood"`` — submit each request ``flood_factor`` times to
-      every node, and re-submit already-delivered requests; bucket-queue /
-      delivered-filter idempotence must absorb the flood.
+      every node, and re-submit already-delivered requests; bucket-queue
+      idempotence and the client watermarks' committed record must absorb
+      the flood.
     * ``"bucket-bias"`` — craft request ids (by skipping timestamps) that
       all map to ``target_bucket``, attempting to overload one bucket; the
       payload-excluded ``c||t`` hash plus the watermark window bound the

@@ -18,8 +18,8 @@ Four behaviours, one per defence:
   in-flight requests while correct clients are untouched.
 * **duplicate flooding** — every request sent ``flood_factor`` times to
   every node, plus re-submissions of already-delivered requests; bucket
-  queue idempotence and the delivered filter absorb the flood without a
-  single double delivery.
+  queue idempotence and the client watermarks' committed record absorb
+  the flood without a single double delivery.
 * **bucket bias** — request ids crafted (by skipping timestamps) to all
   map to one target bucket.  Because the bucket hash covers only
   ``c || t`` (payload excluded) the *only* lever is the timestamp, and

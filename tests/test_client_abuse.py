@@ -11,9 +11,9 @@ Covers the acceptance claims of the client-side adversary subsystem:
   victim),
 * the out-of-order-completion watermark wedge is fixed client-side
   (failing-before/passing-after regression tests),
-* per-client node state stays bounded: delivered filters and signature
-  caches are garbage collected below advanced watermarks, watermark
-  out-of-order buffers are pruned and capped by the window,
+* per-client node state stays bounded: the client watermarks keep a
+  prefix per client plus out-of-order buffers pruned and capped by the
+  window, and the signature memo lets go of a request when it commits,
 * the machinery composes with wire batching on AND off, and
 * the seeded client-abuse gate scenario replays against its golden trace
   (``tests/test_gates.py``).
@@ -327,7 +327,7 @@ class TestForgedSignatures:
         victim_client = result.clients[victim]
         assert victim_client.requests_completed == victim_client.requests_submitted
         # Nothing forged was ever delivered: no forged timestamp (descending
-        # from the window top) appears in any node's delivered filter or log.
+        # from the window top) appears in any node's log.
         assert check_prefix_identity(result.nodes) == []
         for node in result.nodes:
             assert node.validator.stats.bad_signature >= stats["forged_sent"]

@@ -8,8 +8,9 @@ sequences across nodes, including under faults and unreliable links.
 import pytest
 
 from repro.core.config import ISSConfig, WorkloadConfig
+from repro.harness import scenarios
 from repro.harness.runner import Deployment
-from repro.runtime.faults import LinkFaultSpec
+from repro.runtime.faults import LinkFaultSpec, StragglerSpec
 from repro.workload.faults import epoch_start_crashes
 
 
@@ -100,3 +101,48 @@ class TestTotalOrder:
         assert result.report.extra["dropped_link-fault"] > 0
         assert result.report.completed > 0
         assert_common_prefix(sequences, alive)
+
+
+@pytest.mark.parametrize("protocol", ["pbft", "hotstuff", "raft"])
+def test_no_client_completes_before_in_order_delivery(protocol):
+    """A straggling leader keeps its segment's positions open while later
+    ones commit.  Clients retrying meanwhile must not gather f+1 replies
+    for a request no replica has delivered in order: an acknowledgement
+    means delivery, so nothing submitted after it can be ordered first."""
+    deployment = scenarios.deployment(
+        protocol,
+        4,
+        [StragglerSpec(node=3, delay=1.5, propose_empty=False)],
+        rate=400.0,
+        duration=4.0,
+        drain_time=6.0,
+        seed=7,
+        send_client_responses=True,
+        client_retry_timeout=0.5,
+        client_retry_max_timeout=4.0,
+    )
+    delivered = set()
+    early = []
+
+    def tracking(listener):
+        def on_deliver(node_id, item):
+            delivered.add(item.request.rid)
+            return listener(node_id, item)
+
+        return on_deliver
+
+    def checking(listener):
+        def on_complete(client_id, request, submitted_at, now):
+            if request.rid not in delivered:
+                early.append(request.rid)
+            listener(client_id, request, submitted_at, now)
+
+        return on_complete
+
+    for node in deployment.nodes:
+        node.on_deliver = tracking(node.on_deliver)
+    for client in deployment.clients:
+        client.on_complete = checking(client.on_complete)
+    result = deployment.run()
+    assert result.report.completed > 0
+    assert len(early) == 0, f"{len(early)} completions before any in-order delivery"
