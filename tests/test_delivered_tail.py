@@ -27,17 +27,17 @@ from repro.storage.wal import WAL_FILENAME, WriteAheadLog
 FILES = (WAL_FILENAME, SNAPSHOT_FILENAME)
 
 #: SHA-256 over each file's content at every quarter virtual second of
-#: :func:`test_compaction_writes_the_bytes_re_encoding_wrote`'s run,
-#: recorded when compaction still re-encoded every record.
+#: :func:`test_compaction_writes_the_bytes_re_encoding_wrote`'s run, recorded
+#: with a compaction that decodes and re-encodes every record it moves.
 DISK_SHA256 = {
-    (0, WAL_FILENAME): "51423176fccbb6a7f9c02a1c00a851c9e4c4ece9af859859c87903e02b55f8b6",
-    (0, SNAPSHOT_FILENAME): "f8055c548cec2753e9eae1296c53cde14f9ad3133009d8be6f198ec71d3f891d",
-    (1, WAL_FILENAME): "c7c3f01c514ae6059a213ceac8dc536689aabffd35eb7c2c35c771dfef423ceb",
-    (1, SNAPSHOT_FILENAME): "f8055c548cec2753e9eae1296c53cde14f9ad3133009d8be6f198ec71d3f891d",
-    (2, WAL_FILENAME): "5e8b7bf1e189025f06da9d95001567040914d78e26b66d8d79224a1370f6e2d1",
-    (2, SNAPSHOT_FILENAME): "9fcae615cf960ea640f3c4a90869b77bfae4b93b83cfa73c35ba1fcf33171b72",
-    (3, WAL_FILENAME): "01afc1d8d0c1766947826c73f2f47eef37d5840017eb50f273b7fbd97eada99e",
-    (3, SNAPSHOT_FILENAME): "d49f62a263b4b09435caadedaeb1e18bcfbcab7697c222bcb64870db05d9c8e6",
+    (0, WAL_FILENAME): "0dd0a2baecd6e32ac60bee1be95a25e333eb36f15f44b77bbfd4062ce4f60d6b",
+    (0, SNAPSHOT_FILENAME): "051559ed46eac85cb96e0a8d8a6ed4e61e55e6fed2f4f4a05af23d559d01c4cc",
+    (1, WAL_FILENAME): "1557b85eeb49f323534bf9382c86705def5065a8dde602288f25bd91061a0270",
+    (1, SNAPSHOT_FILENAME): "051559ed46eac85cb96e0a8d8a6ed4e61e55e6fed2f4f4a05af23d559d01c4cc",
+    (2, WAL_FILENAME): "4cf28576e6bc0039e8d92247d130f96a753ff1960f770f5d2bdcd3b005e9b324",
+    (2, SNAPSHOT_FILENAME): "0bf36d6bea9b7b8ab3a34ac4202929e9ff48f7d4f0735bdbc0127193c2f39c24",
+    (3, WAL_FILENAME): "740511faf2a74f47f4646ddfdc044555ca5ed26be0dc06a1e5a88f268c95837f",
+    (3, SNAPSHOT_FILENAME): "3d4d00999f11b7edff69968924066acecbb683ccb562d09a47cc184eed6dd812",
 }
 
 
