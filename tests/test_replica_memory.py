@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.buckets import HEAP_SLACK
 from repro.core.config import ISSConfig, WorkloadConfig
-from repro.core.types import Batch
+from repro.core.types import Batch, is_nil
 from repro.harness.runner import Deployment
 from repro.pbft.pbft import PbftSB
 from repro.runtime.faults import CrashSpec, RestartSpec
@@ -195,6 +195,17 @@ def _in_flight_violations(deployment):
         )
         if stale:
             problems.append(f"node {node.node_id}: {stale} committed ids in the proposal index")
+        log = node.log
+        waiting = sum(
+            len(held.entry)
+            for sn, held in log._entries.items()
+            if sn >= log.first_undelivered and not is_nil(held.entry)
+        )
+        if len(log._undelivered_rids) > waiting:
+            problems.append(
+                f"node {node.node_id}: {len(log._undelivered_rids)} ids awaiting "
+                f"delivery, {waiting} requests committed above the delivered prefix"
+            )
         for queue in node.buckets._queues.values():
             if len(queue._heap) > 2 * len(queue) + HEAP_SLACK:
                 problems.append(
