@@ -83,7 +83,9 @@ class Log:
             raise ValueError(f"conflicting commit at sequence number {sn}")
         self._entries[sn] = CommittedEntry(sn=sn, entry=entry, epoch=epoch)
         if entry is not NIL:
-            self._undelivered_rids.update(request.rid for request in entry.requests)
+            undelivered = self._undelivered_rids
+            for request in entry.requests:
+                undelivered.add(request.rid)
         return True
 
     def advance_delivery(self, now: float) -> List[DeliveredRequest]:

@@ -91,10 +91,9 @@ class ClientWatermarks:
 
     def committed(self, client: ClientId, timestamp: int) -> bool:
         """Whether this node has committed ``(client, timestamp)``."""
-        if timestamp < self._prefix.get(client, 0):
-            return True
-        pending = self._out_of_order.get(client)
-        return pending is not None and timestamp in pending
+        return timestamp < self._prefix.get(client, 0) or timestamp in self._out_of_order.get(
+            client, ()
+        )
 
     def note_delivered(self, client: ClientId, timestamp: int) -> None:
         """Record a committed request (called on every SB-DELIVER, state
