@@ -9,8 +9,9 @@ log exposes the two derived quantities ISS needs:
 * per-request sequence numbers following Equation (2): the rank of the
   request across all non-``⊥`` entries delivered so far.
 
-What is in memory: the committed entries not yet delivered, and, on a
-node with storage, the digests of the delivered ones not yet sealed.  A
+What is in memory: the committed entries not yet delivered with the ids of
+their requests (a re-sent one is acknowledged only once delivered), and,
+on a node with storage, the digests of the delivered ones not yet sealed.  A
 delivered entry is already durable (the node fsyncs its WAL record before
 delivery), so the log hands it to the storage and reads it back from
 there on the rare paths that need a whole batch again: view change, state
