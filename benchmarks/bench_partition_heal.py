@@ -15,10 +15,9 @@ identical across correct nodes, every partition record reconverges after
 its heal, and drops are attributed to their cause per payload.
 
 On success the duration sweep (plus the bridge row) is written to
-``BENCH_partition_heal.json`` in the repository root.  The same artefact
-is also refreshed by the CI gate ``python -m repro.gate partition`` with
-its pinned single-scenario figures — whichever ran last wins; both stamp a
-``source`` key so the trajectory stays attributable.
+``BENCH_partition_heal.json`` in the repository root, its one producer (the
+CI gate ``python -m repro.gate partition`` pins its single scenario in
+``tests/data/golden_trace_partition.json`` instead).
 
 ``REPRO_BENCH_SCALE`` scales durations like every other figure benchmark.
 """
@@ -85,7 +84,7 @@ def test_partition_heal_sweep(benchmark):
     benchmark.extra_info["rows"] = rows + [bridge]
 
     # Only figures that passed every assertion may refresh the tracked
-    # artefact (same rule as the partition gate).
+    # artefact.
     BENCH_OUTPUT.write_text(
         json.dumps(
             {

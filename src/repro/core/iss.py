@@ -16,7 +16,7 @@ This module ties together everything the paper's Algorithms 1–3 describe:
   :class:`~repro.storage.node_storage.NodeStorage`, every commit, epoch
   start and stable checkpoint is recorded through a narrow persist hook so
   a crashed node can be rebuilt by
-  :class:`~repro.storage.recovery.RecoveryManager` (WAL replay + snapshot)
+  :class:`~repro.storage.recovery.RecoveryManager` (WAL replay)
   and catch up on whatever it missed via state transfer.
 
 Wire efficiency: client acknowledgements are aggregated per (client, commit
@@ -127,7 +127,7 @@ class ISSNode:
         #: ``_cut_batch``; send-level behaviours live in the network hook).
         self.byzantine = byzantine if byzantine and byzantine.node == node_id else None
         self.layout = layout
-        #: Durable storage (WAL + snapshots); ``None`` disables persistence.
+        #: Durable storage (the WAL); ``None`` disables persistence.
         self.storage = storage
         #: While True (set between restart and caught-up), stable
         #: checkpoints for the *current* epoch also trigger state transfer.
@@ -627,7 +627,7 @@ class ISSNode:
     def restore_entry(self, sn: SeqNr, entry: LogEntry, epoch: EpochNr) -> None:
         """Apply one already-persisted entry without re-persisting it.
 
-        The recovery manager replays snapshot and WAL entries through this
+        The recovery manager replays the WAL's entries through this
         method; the bookkeeping mirrors SB-DELIVER (bucket queues, client
         watermarks, commit counters) minus the persist hook and the
         delivery/epoch advancement, which recovery drives itself.
@@ -732,7 +732,7 @@ class ISSNode:
     # ============================================================ checkpointing
     def _on_stable_checkpoint(self, epoch: EpochNr, certificate) -> None:
         """Garbage-collect the epoch's instances once its checkpoint is stable,
-        and persist the certificate (which compacts the WAL below it)."""
+        and persist the certificate (which seals the run below it)."""
         if self.tracer is not None:
             self.tracer.on_checkpoint(self.sim.now, self.node_id, epoch)
         self.orderer.stop_epoch(epoch)
@@ -742,16 +742,15 @@ class ISSNode:
 
     def evict_delivered(self) -> None:
         """Drop every delivered entry from memory: its WAL record was fsync'd
-        before delivery, so storage answers for it from then on — the sealed
-        archive below the latest compaction, the WAL above it.  The log
-        keeps the digests of the unsealed ones until a compaction seals
-        them.  A node without storage never evicts."""
+        before delivery, so storage answers for it from then on.  The log
+        keeps the digests of the unsealed ones until a stable checkpoint
+        seals them.  A node without storage never evicts."""
         storage = self.storage
         if storage is not None:
             self.log.evict_through(
                 self.log.first_undelivered - 1,
                 storage,
-                sealed_through=storage.snapshots.entry_count() - 1,
+                sealed_through=storage.sealed_count() - 1,
             )
 
     def _maybe_request_state_transfer(self, checkpoint_epoch: EpochNr) -> None:

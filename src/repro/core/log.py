@@ -43,8 +43,7 @@ class Log:
     delivered and durable, :meth:`evict_through` drops it from memory and
     every query below answers for it from the *archive* — any object with
     ``entry_at(sn)`` and ``entries_of(seq_nrs)`` (the node passes its
-    storage in, which reads sealed positions from its archive and the rest
-    from its WAL).  The log keeps the 32-byte digest of each evicted
+    storage in, which reads them back from its WAL).  The log keeps the 32-byte digest of each evicted
     position the archive has not sealed yet, so the epoch's checkpoint
     root and a repeated commit never read an entry back.  Callers cannot
     tell an evicted position from a resident one.

@@ -1,7 +1,7 @@
 """Live-deployment driver of the ``live`` gate (``python -m repro.gate live``).
 
 Boots a **real** 4-node PBFT cluster on localhost — one OS process per
-replica, TCP between them, fsync'd WAL/snapshot files under a temp
+replica, TCP between them, an fsync'd WAL per replica under a temp
 directory — drives replicated-KV traffic at it, then ``kill -9``'s one
 replica mid-run and restarts it over its surviving files.  The gate
 checks the deployment-backend claims end to end:
@@ -12,7 +12,7 @@ checks the deployment-backend claims end to end:
   the processes, are **identical** over every shared position, and
 * the restarted victim **catches up**: its contiguous durable prefix
   reaches the surviving nodes' frontier and equals theirs on the shared
-  range, proving the archive-replay → WAL-replay → state-transfer pipeline
+  range, proving the WAL-replay → state-transfer pipeline
   works against real files after a real SIGKILL, and
 * every replica's durable log, applied up to the shortest contiguous
   durable prefix to a fresh :class:`~repro.app.kv.KVStateMachine`, yields
@@ -20,7 +20,7 @@ checks the deployment-backend claims end to end:
   from the files alone,
 * the victim is killed only after it **sealed at least three epochs**, and
   its restarted process ends recovery holding **fewer log entries in memory
-  than its durable prefix** — sealed history is served from the archive on
+  than its durable prefix** — sealed history is served from the file on
   the recovery path too, not only after a live checkpoint.
 
 Wall-clock figures (elapsed seconds, latencies) are reported but **not**
@@ -79,8 +79,8 @@ RUN_TIMEOUT = 180.0
 #: Victim catch-up poll deadline after the final write phase (wall seconds).
 CATCHUP_TIMEOUT = 60.0
 
-#: Epochs the victim must have sealed into its archive before it is killed,
-#: so the restart replays an archive of several runs, not a WAL alone.
+#: Epochs the victim must have sealed before it is killed, so the restart
+#: replays several sealed runs, not an unsealed log alone.
 SEALS_BEFORE_KILL = 3
 
 #: Deadline for reaching :data:`SEALS_BEFORE_KILL` (wall seconds).

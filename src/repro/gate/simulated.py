@@ -166,7 +166,7 @@ PERF_CLAIMS: Tuple[Claim, ...] = (
 # ---------------------------------------------------------------------------
 
 #: Crashes *after* the victim's first stable checkpoint so every recovery
-#: phase is exercised: snapshot apply, WAL-tail replay, certificate
+#: phase is exercised: sealed-run replay, WAL-tail replay, certificate
 #: restoration, and state transfer for the epochs ordered while it was down.
 RECOVERY_SCENARIO = dict(
     protocol=PROTOCOL_PBFT,

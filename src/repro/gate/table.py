@@ -123,7 +123,6 @@ GATES: Dict[str, Gate] = {
                 "client_retries",
                 *REPLAY_KEYS,
             ),
-            bench="BENCH_partition_heal.json",
         ),
         Gate(
             "membership",

@@ -15,11 +15,11 @@ a fixed order (see ``_ARMED_BEFORE_CLIENTS``).
 Crash recovery: when the faults hold a restart (or ``durable_storage=True``),
 every node owns a :class:`~repro.storage.disk.SimDisk` that outlives it, and
 each incarnation runs on a :class:`~repro.storage.node_storage.NodeStorage`
-opened on that disk — the same file-backed WAL and sealed archive a live
-replica keeps in its directory.  A crash keeps only what was synced.  A
+opened on that disk — the same file-backed WAL a live replica keeps in
+its directory.  A crash keeps only what was synced.  A
 scheduled :class:`~repro.runtime.faults.RestartSpec` tears the crashed
 incarnation down, opens a fresh storage on the node's disk and rebuilds the
-node from it — archive plus WAL replay via
+node from it — WAL replay via
 :class:`~repro.storage.recovery.RecoveryManager`, then state transfer for
 everything ordered while the node was down.  A poll watcher (tick
 :data:`RECOVERY_POLL`) detects when the node is back at the cluster frontier
@@ -480,7 +480,7 @@ class Deployment:
 
         Recovery mirrors a production replica restart
         (:func:`~repro.storage.recovery.boot_from_storage`): replay the
-        checkpoint-anchored snapshot and the WAL tail into a fresh node,
+        WAL and its checkpoint certificates into a fresh node,
         boot it at the first epoch storage does not complete, then let the
         open-ended state-transfer probe fetch everything ordered while the
         node was down (all of it, after a diskless restart).  A watcher polls until

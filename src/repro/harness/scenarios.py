@@ -351,7 +351,7 @@ def row(deployment: Deployment, result) -> Dict[str, object]:
             ),
             wal_appended_total=float(sum(s.wal.appended_total for s in storages)),
             snapshots_installed_total=float(
-                sum(s.snapshots.seals_total for s in storages)
+                sum(s.wal.seals_total for s in storages)
             ),
         )
     if deployment.faults_of(ByzantineSpec):

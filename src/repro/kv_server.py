@@ -1,11 +1,11 @@
 """Replicated-KV cluster launcher (``python -m repro.kv_server``).
 
 Boots a live localhost cluster — one OS process per replica, TCP between
-them, fsync'd WAL/snapshot files under ``--data-dir`` — serving the
+them, an fsync'd WAL per replica under ``--data-dir`` — serving the
 replicated key-value application, and runs until Ctrl-C (SIGINT) tears
 every replica down cleanly.  Data directories persist across launches:
 re-running over the same ``--data-dir`` routes every node through the
-WAL/snapshot recovery pipeline, so a cluster can be stopped and resumed.
+WAL recovery pipeline, so a cluster can be stopped and resumed.
 
 The client side is ``python -m repro.kv_client`` (or the installed
 ``repro-kv-client`` script); its ``--nodes``/``--protocol``/``--seed``

@@ -8,12 +8,12 @@ directory, the port layout, the known client ids and the batching knob.
 :func:`repro.net.host.node_main`, with ``kill()`` delivering a real
 SIGKILL and ``restart()`` booting a fresh process over the same data
 directory — which is precisely what routes the restart through the
-on-disk WAL/snapshot recovery pipeline.
+on-disk WAL recovery pipeline.
 
 The deployment also knows how to *audit* a cluster from its files:
 :func:`durable_prefix` reconstructs a node's contiguous delivered request
-sequence from its WAL and sealed archive alone (no RPC, no cooperation from
-the process), and :func:`prefixes_identical` checks the SMR safety claim over
+sequence from its ``wal.log`` alone (no RPC, no cooperation from the
+process), and :func:`prefixes_identical` checks the SMR safety claim over
 the shared positions.  The ``live`` gate and the docs examples rest on
 these.
 
@@ -29,18 +29,11 @@ import os
 import socket
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.config import ISSConfig
 from ..core.types import Request, is_nil
-from ..storage.durable import (
-    FSYNC_ALWAYS,
-    SNAPSHOT_FILENAME,
-    WAL_FILENAME,
-    check_fsync,
-    iter_frames,
-)
+from ..storage.durable import FSYNC_ALWAYS, check_fsync, read_records
 from ..storage.wal import RECORD_CHECKPOINT, RECORD_COMMIT
 
 #: Defaults for the env-overridable port/host layout.
@@ -193,30 +186,32 @@ class LiveDeployment:
 
 # ------------------------------------------------------------- disk auditing
 def durable_entries(spec: LiveClusterSpec, node_id: int) -> Dict[int, object]:
-    """Read one node's durable log entries (``sn -> entry``) from its files.
+    """Read one node's durable log entries (``sn -> entry``) from its file.
 
     Pure file reads — safe on a dead node's directory and on a running
     node's (the frame reader stops at a concurrent append's torn tail).
-    The WAL is read *before* the sealed archive: a record leaves the WAL
-    only after the archive holding it was fsync'd, and the archive only
-    grows, so this order cannot miss an entry to a compaction running
-    between the two reads — the opposite order can.
     """
-    directory = Path(spec.node_dir(node_id))
-    entries: Dict[int, object] = {}
-    for filename in (WAL_FILENAME, SNAPSHOT_FILENAME):
-        for record, _end in iter_frames(directory / filename):
-            if record.kind == RECORD_COMMIT:
-                entries[record.sn] = record.entry
-    return entries
+    return {
+        record.sn: record.entry
+        for record in read_records(spec.node_dir(node_id))
+        if record.kind == RECORD_COMMIT
+    }
 
 
 def durable_seals(spec: LiveClusterSpec, node_id: int) -> int:
-    """Seal markers in one node's archive: stable checkpoints it compacted."""
-    archive = Path(spec.node_dir(node_id)) / SNAPSHOT_FILENAME
-    return sum(
-        1 for record, _end in iter_frames(archive) if record.kind == RECORD_CHECKPOINT
-    )
+    """Runs sealed in one node's log: checkpoint records appended once every
+    position at or below them was durable (the rule of
+    :class:`~repro.storage.wal.WriteAheadLog`)."""
+    present, sealed_count, seals = set(), 0, 0
+    for record in read_records(spec.node_dir(node_id)):
+        if record.kind == RECORD_COMMIT:
+            present.add(record.sn)
+        elif record.kind == RECORD_CHECKPOINT and record.sn >= sealed_count and all(
+            sn in present for sn in range(sealed_count, record.sn + 1)
+        ):
+            sealed_count = record.sn + 1
+            seals += 1
+    return seals
 
 
 def durable_requests(spec: LiveClusterSpec, node_id: int) -> List[Request]:

@@ -14,8 +14,8 @@ through it and drops them.
 Startup distinguishes first boot from restart by looking at the data
 directory: prior state routes through the same
 :class:`~repro.storage.recovery.RecoveryManager` pipeline the simulator's
-restart path uses — sealed-archive replay, WAL-tail replay (over records
-that genuinely survived a ``kill -9`` via fsync), epoch fast-forward,
+restart path uses — WAL replay (over records that genuinely survived a
+``kill -9`` via fsync), certificate restoration, epoch fast-forward,
 eviction of the sealed history from memory (the outcome is left in
 ``recovery.json`` for whoever audits the directory) — then the node
 resumes at the first incomplete epoch in aggressive-catchup mode and

@@ -112,7 +112,7 @@ class RestartSpec:
 
     The victim must have crashed (via a :class:`CrashSpec`) before
     ``time``; restarting a node that never crashed is a no-op.  Recovery
-    itself — WAL replay, snapshot load, state transfer — is performed by
+    itself — WAL replay, state transfer — is performed by
     the harness through :attr:`FaultInjector.on_restart`.
     """
 
@@ -246,7 +246,7 @@ class MembershipSpec:
     * ``"add"`` — at virtual time ``time`` the deployment's admin client
       submits a ConfigTx adding replica ``node``; once the transaction
       commits and its epoch seals, the new replica boots and catches up
-      via snapshot apply → WAL replay → state transfer (the same path a
+      via WAL replay → state transfer (the same path a
       restarted node takes).
     * ``"remove"`` — ditto for removing ``node``; the replica is quiesced
       at the activation boundary (its in-flight SB instances have all

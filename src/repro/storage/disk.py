@@ -1,13 +1,13 @@
 """The file seam of one node's storage, and its two disks.
 
 A disk offers ``append(name, data)`` (handed to the OS, not yet durable),
-``fsync(name)``, ``replace(name, data)`` (atomic and durable),
-``truncate(name, size)`` (durable; a missing file stays missing),
-``size(name)`` (0 when missing), ``read(name, offset)`` (a stream over an
-existing file from ``offset``, used as a context manager),
+``fsync(name)``, ``truncate(name, size)`` (durable; a missing file stays
+missing), ``size(name)`` (0 when missing), ``read(name, offset)`` (a stream
+over an existing file from ``offset``, used as a context manager),
 ``read_at(name, offset, size)`` (one positional read of ``size`` bytes) and
-``close()``.  This is the only
-module of :mod:`repro.storage` that touches the file system.  An
+``close()``.  Nothing rewrites a file: appends and the truncation of a torn
+tail are its only writes.  This is the only module of :mod:`repro.storage`
+that touches the file system.  An
 :class:`OsDisk` is a node directory; a :class:`SimDisk` keeps each file's
 written bytes and synced length in memory and outlives the simulated node,
 so a restart opens what a restarted process would find.
@@ -39,11 +39,6 @@ class OsDisk:
         if handle is not None:
             handle.close()
 
-    def _drop_reader(self, name: str) -> None:
-        fd = self._readers.pop(name, None)
-        if fd is not None:
-            os.close(fd)
-
     def append(self, name: str, data: bytes) -> None:
         """Write ``data`` at the end of ``name`` and flush it to the OS."""
         handle = self._handles.get(name)
@@ -64,20 +59,6 @@ class OsDisk:
         handle = self._handles.get(name)
         if handle is not None:
             os.fsync(handle.fileno())
-
-    def replace(self, name: str, data: bytes) -> None:
-        """Temp file, fsync, ``os.replace``, fsync the directory."""
-        path = self.directory / name
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._drop_handle(name)
-        # A descriptor on the replaced file would go on reading the old one.
-        self._drop_reader(name)
-        os.replace(tmp, path)
-        self._fsync_directory()
 
     def truncate(self, name: str, size: int) -> None:
         """Cut ``name`` back to ``size`` bytes and fsync it."""
@@ -114,11 +95,12 @@ class OsDisk:
         """Close every append handle and read descriptor (idempotent)."""
         for name in list(self._handles):
             self._drop_handle(name)
-        for name in list(self._readers):
-            self._drop_reader(name)
+        for fd in self._readers.values():
+            os.close(fd)
+        self._readers.clear()
 
     def _fsync_directory(self) -> None:
-        """Make a create or rename in the directory durable (best effort:
+        """Make a file's creation in the directory durable (best effort:
         not every file system can sync a directory)."""
         try:
             fd = os.open(self.directory, os.O_RDONLY)
@@ -146,11 +128,6 @@ class SimDisk:
     def fsync(self, name: str) -> None:
         """Everything written to ``name`` so far survives a crash."""
         self._synced[name] = self.size(name)
-
-    def replace(self, name: str, data: bytes) -> None:
-        """Atomically and durably replace the content of ``name``."""
-        self._files[name] = bytearray(data)
-        self._synced[name] = len(data)
 
     def truncate(self, name: str, size: int) -> None:
         """Durably cut ``name`` back to ``size`` bytes."""
@@ -181,8 +158,7 @@ class SimDisk:
 
 class _SimReader:
     """A read cursor over one :class:`SimDisk` file.  Like an open file
-    descriptor it copies only what it reads, and keeps the bytes it was
-    opened on if the file is replaced meanwhile."""
+    descriptor it copies only what it reads."""
 
     def __init__(self, data: bytearray, offset: int):
         self._data = data

@@ -1,24 +1,23 @@
 """The path-based names of a node directory, for the live backend's callers.
 
 A node's data directory is an :class:`~repro.storage.disk.OsDisk` holding
-``wal.log`` and ``snapshot.bin`` (frames of :mod:`repro.storage.wal`), and
-it is opened like every node disk, as a
-:class:`~repro.storage.node_storage.NodeStorage`.  Every append is fsync'd
-before it returns: that is the durability the recovery proof needs, not a
-setting.  ``fsync=`` (here and on :class:`~repro.net.deploy.LiveClusterSpec`)
-is vestigial and accepts ``"always"`` only, because the frozen
-``benchmarks/e2e`` passes it.
+one file, ``wal.log`` (frames of :mod:`repro.storage.wal`), and it is opened
+like every node disk, as a :class:`~repro.storage.node_storage.NodeStorage`.
+Every append is fsync'd before it returns: that is the durability the
+recovery proof needs, not a setting.  ``fsync=`` (here and on
+:class:`~repro.net.deploy.LiveClusterSpec`) is vestigial and accepts
+``"always"`` only, because the frozen ``benchmarks/e2e`` passes it; so is
+:data:`SNAPSHOT_FILENAME`, the name of a file no longer written.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Tuple, Union
+from typing import Iterator, Union
 
 from .disk import OsDisk
 from .node_storage import NodeStorage
-from .snapshot import SNAPSHOT_FILENAME
-from .wal import WAL_FILENAME, StorageFormatError, WalRecord, read_frames
+from .wal import SNAPSHOT_FILENAME, WAL_FILENAME, StorageFormatError, WalRecord, read_frames
 
 __all__ = ["SNAPSHOT_FILENAME", "WAL_FILENAME", "StorageFormatError"]
 
@@ -43,6 +42,8 @@ def DurableNodeStorage(  # noqa: N802 — the frozen benchmark's spelling
     return NodeStorage(node_id, OsDisk(directory))
 
 
-def iter_frames(path: Path, offset: int = 0) -> Iterator[Tuple[WalRecord, int]]:
-    """:func:`~repro.storage.wal.read_frames` over the file at ``path``."""
-    return read_frames(OsDisk(Path(path).parent), Path(path).name, offset)
+def read_records(directory: Union[str, Path]) -> Iterator[WalRecord]:
+    """The intact records of the node directory's ``wal.log``, in append
+    order.  Pure reads, never a repair: safe on a running node's directory
+    (the scan stops at a concurrent append's torn tail)."""
+    return (record for record, _end in read_frames(OsDisk(directory)))

@@ -2,11 +2,11 @@
 
 Recovery has three phases, mirroring production SMR restart procedures:
 
-1. **Snapshot apply** — the sealed archive (every entry below the latest
-   stable checkpoint) is streamed into the fresh node's log, delivered
-   sets and client watermarks.
-2. **WAL replay** — commit records above the snapshot are re-applied and
-   stable checkpoint certificates are restored into the node's checkpoint
+1. **Log replay** — one pass over ``wal.log`` in append order, decoding
+   each record once: every commit record is re-applied to the fresh node's
+   log, delivered sets and client watermarks.
+2. **Certificates** — the certificate of the latest seal and every stable
+   checkpoint certificate above it are restored into the node's checkpoint
    protocol (so completed epochs are not re-announced and their SB
    instances are never re-opened).
 3. **Fast-forward** — epoch bookkeeping (leader-policy failure history,
@@ -43,7 +43,7 @@ class RecoveryInfo:
     node_id: int
     #: First epoch the restored log does *not* complete — where to resume.
     resume_epoch: int
-    #: Entries replayed from the snapshot / from the WAL tail.
+    #: Sealed positions replayed / commits replayed above them.
     snapshot_entries: int = 0
     wal_entries_replayed: int = 0
     #: Stable checkpoint certificates restored from storage.
@@ -81,23 +81,25 @@ class RecoveryManager:
         """
         info = RecoveryInfo(node_id=node.node_id, resume_epoch=0)
 
-        # Phase 1: snapshot apply (streamed from the sealed archive).
-        snapshot = self.storage.latest_snapshot()
-        if snapshot is not None:
-            for sn, entry, epoch in self.storage.snapshots.entries():
-                node.restore_entry(sn, entry, epoch)
-            info.snapshot_entries = len(snapshot)
-            if node.checkpoints.restore_stable(snapshot.certificate):
-                info.certificates_restored += 1
-
-        # Phase 2: WAL replay (commits and certificates, in append order).
-        for record in self.storage.wal.records():
+        # Phase 1: one pass over the log, in append order.
+        wal = self.storage.wal
+        sealed = wal.sealed
+        info.snapshot_entries = wal.sealed_count()
+        certificates = [] if sealed is None else [sealed]
+        for record in wal.records():
             if record.kind == RECORD_COMMIT:
                 node.restore_entry(record.sn, record.entry, record.epoch)
-                info.wal_entries_replayed += 1
-            elif record.kind == RECORD_CHECKPOINT:
-                if node.checkpoints.restore_stable(record.certificate):
-                    info.certificates_restored += 1
+                if record.sn >= info.snapshot_entries:
+                    info.wal_entries_replayed += 1
+            elif record.kind == RECORD_CHECKPOINT and (
+                sealed is None or record.epoch >= sealed.epoch
+            ):
+                certificates.append(record.certificate)
+
+        # Phase 2: the latest seal's certificate, then the ones above it.
+        for certificate in certificates:
+            if node.checkpoints.restore_stable(certificate):
+                info.certificates_restored += 1
 
         # Phase 3: fast-forward epoch bookkeeping over the restored prefix.
         resume = 0

@@ -2,14 +2,15 @@
 delivered and its WAL record is fsync'd, and reads it back from storage on
 the paths that need a whole batch again.
 
-* Compaction copies frames instead of re-encoding records, and writes the
-  very bytes re-encoding wrote: the SHA-256 of every node's ``wal.log`` and
-  ``snapshot.bin``, sampled through a crash-restart run, is pinned.
+* A stable checkpoint seals in memory and copies nothing, so ``wal.log``
+  holds every commit record a replica ever made, as it was first encoded:
+  the SHA-256 of every node's ``wal.log``, sampled through a crash-restart
+  run, is pinned.
 * A PBFT view change re-announces committed values the new primary no
   longer holds in memory: its NEW-VIEW reads them back from ``wal.log``.
 * A restarted replica catches up from a peer that serves a stable epoch
-  still in its ``wal.log`` (its compaction was deferred), not from its
-  archive.
+  it has not sealed yet (its seal was deferred), from the index of
+  unsealed commits.
 """
 
 import hashlib
@@ -21,23 +22,17 @@ from repro.harness.invariants import check_invariants, delivered_trace, traces_a
 from repro.harness.runner import Deployment
 from repro.pbft.pbft import PbftSB
 from repro.runtime.faults import CrashSpec, RestartSpec
-from repro.storage.snapshot import SNAPSHOT_FILENAME
 from repro.storage.wal import WAL_FILENAME, WriteAheadLog
 
-FILES = (WAL_FILENAME, SNAPSHOT_FILENAME)
-
-#: SHA-256 over each file's content at every quarter virtual second of
-#: :func:`test_compaction_writes_the_bytes_re_encoding_wrote`'s run, recorded
-#: with a compaction that decodes and re-encodes every record it moves.
+#: SHA-256 over each node's ``wal.log`` at every quarter virtual second of
+#: :func:`test_compaction_writes_the_bytes_re_encoding_wrote`'s run.  At
+#: every sample point the file's commit records equal those the older
+#: two-file layout held in its archive and its WAL together, byte for byte.
 DISK_SHA256 = {
-    (0, WAL_FILENAME): "0dd0a2baecd6e32ac60bee1be95a25e333eb36f15f44b77bbfd4062ce4f60d6b",
-    (0, SNAPSHOT_FILENAME): "051559ed46eac85cb96e0a8d8a6ed4e61e55e6fed2f4f4a05af23d559d01c4cc",
-    (1, WAL_FILENAME): "1557b85eeb49f323534bf9382c86705def5065a8dde602288f25bd91061a0270",
-    (1, SNAPSHOT_FILENAME): "051559ed46eac85cb96e0a8d8a6ed4e61e55e6fed2f4f4a05af23d559d01c4cc",
-    (2, WAL_FILENAME): "4cf28576e6bc0039e8d92247d130f96a753ff1960f770f5d2bdcd3b005e9b324",
-    (2, SNAPSHOT_FILENAME): "0bf36d6bea9b7b8ab3a34ac4202929e9ff48f7d4f0735bdbc0127193c2f39c24",
-    (3, WAL_FILENAME): "740511faf2a74f47f4646ddfdc044555ca5ed26be0dc06a1e5a88f268c95837f",
-    (3, SNAPSHOT_FILENAME): "3d4d00999f11b7edff69968924066acecbb683ccb562d09a47cc184eed6dd812",
+    (0, WAL_FILENAME): "1a19d3af4cda649d2580cbb0c79f0814a3c7a11fb0df943139c69405054c30e3",
+    (1, WAL_FILENAME): "836b9862d808be3e551d5910299b1faeed5cca4608225541edf084291215760e",
+    (2, WAL_FILENAME): "98f7e2f10d0305f16825bab87dc3f2e4f1f87f711308d474164ff9241e244a2d",
+    (3, WAL_FILENAME): "644d006e5c69389bea782c76757402ecef321b60707bbe6ef3a63ddc201dc979",
 }
 
 
@@ -103,19 +98,18 @@ def test_compaction_writes_the_bytes_re_encoding_wrote():
         for node in range(4):
             storage = deployment.storages[node]
             wal_commits.append(storage.wal.commit_count())
-            for name in FILES:
-                if storage.disk.size(name):
-                    with storage.disk.read(name) as stream:
-                        hashes[node, name].update(stream.read())
-                hashes[node, name].update(b"|")
+            if storage.disk.size(WAL_FILENAME):
+                with storage.disk.read(WAL_FILENAME) as stream:
+                    hashes[node, WAL_FILENAME].update(stream.read())
+            hashes[node, WAL_FILENAME].update(b"|")
         if deployment.sim.now < 6.0:
             deployment.sim.schedule(0.25, sample)
 
     deployment.sim.schedule(0.25, sample)
     result = deployment.run()
-    assert result.storages[2].stats()["deferred_compactions"] == 1
-    # The samples catch commits that ran ahead of a checkpoint, which the
-    # WAL rewrite copies into the new file.
+    assert result.storages[2].stats()["deferred_seals"] == 1
+    # The samples catch commits that ran ahead of a checkpoint: unsealed
+    # positions beyond one epoch.
     assert max(wal_commits) > 8
     assert {key: h.hexdigest() for key, h in hashes.items()} == DISK_SHA256
 
@@ -141,10 +135,10 @@ def test_new_view_re_announces_committed_values_read_back_from_storage(monkeypat
 
 
 def test_a_restart_catches_up_from_a_peer_serving_its_tail_from_the_wal(monkeypatch):
-    """Replica 0 restarts first and defers a compaction (2f+1 peers sealed
-    the epoch before its own log was whole); it then holds that stable
-    epoch in ``wal.log`` only.  Replica 2 restarts inside that window and
-    probes replica 0 first, which answers from ``wal.log``."""
+    """Replica 0 restarts first and defers a seal (a quorum of peers made
+    the epoch stable before its own log was whole); it then holds that
+    stable epoch unsealed.  Replica 2 restarts inside that window and
+    probes replica 0 first, which answers from its unsealed commits."""
     served = _spy_wal_reads(monkeypatch, StateTransfer, "build_responses")
     deployment = Deployment(
         _config(7, random_seed=3),
@@ -159,7 +153,7 @@ def test_a_restart_catches_up_from_a_peer_serving_its_tail_from_the_wal(monkeypa
     )
     result = deployment.run()
     assert served
-    assert result.storages[0].stats()["deferred_compactions"] >= 1
+    assert result.storages[0].stats()["deferred_seals"] >= 1
     assert result.nodes[2].state_transfer.entries_applied > 0
     assert len(result.report.recoveries) == 2
     _assert_safe(result)

@@ -219,20 +219,39 @@ def test_fault_specs_module_is_bottom_layer():
     assert loaded == []
 
 
-def test_whole_prefix_snapshot_api_is_gone():
-    """A checkpoint seals a run (``SnapshotStore.seal``); nothing installs or
-    materialises the whole prefix any more, inside or outside ``storage/``."""
-    from dataclasses import fields
+#: A string that names a file (``wal.log``) or a file suffix (``.tmp``).
+_FILE_NAME = re.compile(r"[\w-]*\.[A-Za-z]\w{0,4}")
 
-    from repro.storage.snapshot import Snapshot, SnapshotStore
 
-    assert not hasattr(SnapshotStore, "install")
-    assert "entries" not in {field.name for field in fields(Snapshot)}
+def test_one_durable_file():
+    """A replica's directory holds one file, ``wal.log``, and nothing
+    rewrites it: no string under ``src/repro/storage/`` names another file
+    (``SNAPSHOT_FILENAME``, the older layout's archive, is named once, to be
+    refused), and neither disk has a ``replace``.  Nothing installs or
+    materialises a whole-prefix snapshot either, inside ``storage/`` or out."""
+    from repro.storage.disk import OsDisk, SimDisk
+    from repro.storage.durable import SNAPSHOT_FILENAME, WAL_FILENAME
+
+    assert not hasattr(OsDisk, "replace") and not hasattr(SimDisk, "replace")
     source_root = REPO_ROOT / "src" / "repro"
+    named = {}
+    for path in sorted((source_root / "storage").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and _FILE_NAME.fullmatch(node.value)
+            ):
+                named.setdefault(node.value, []).append(
+                    f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+                )
+    legacy = named.pop(SNAPSHOT_FILENAME, [])
+    assert set(named) <= {WAL_FILENAME}, f"files named under storage/: {named}"
+    assert len(legacy) <= 1, f"{SNAPSHOT_FILENAME} named more than once: {legacy}"
+    assert not (source_root / "storage" / "snapshot.py").exists()
+
     offenders = []
     for path in sorted(source_root.rglob("*.py")):
-        if source_root / "storage" in path.parents:
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Attribute):
                 continue
@@ -242,7 +261,7 @@ def test_whole_prefix_snapshot_api_is_gone():
                 and (base.endswith("snapshot") or base.endswith("snapshot()"))
             ):
                 offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
-    assert not offenders, f"whole-prefix snapshot access outside storage/: {offenders}"
+    assert not offenders, f"whole-prefix snapshot access: {offenders}"
 
 
 def test_log_does_not_import_storage():
@@ -335,7 +354,7 @@ _PATH_IO_METHODS = {
 
 def test_only_the_disk_module_touches_files_under_storage():
     """``storage/`` reaches the file system through its ``Disk`` seam
-    (append, fsync, replace, truncate, size, read): no module under
+    (append, fsync, truncate, size, read): no module under
     ``src/repro/storage/`` but ``disk.py`` imports ``os``, ``io`` or
     ``shutil``, calls ``open(`` or calls a ``Path`` I/O method."""
     storage = REPO_ROOT / "src" / "repro" / "storage"

@@ -6,8 +6,8 @@ order **at least two more epochs**, and is then restarted from its durable
 storage.  For each SB protocol (PBFT, HotStuff, Raft) the restarted node
 must
 
-* recover its pre-crash state via WAL replay (plus snapshot, when it
-  crashed after a stable checkpoint),
+* recover its pre-crash state via WAL replay (sealed runs included, when
+  it crashed after a stable checkpoint),
 * fetch everything ordered while it was down via state transfer,
 * catch up to the cluster frontier (recorded ``time_to_caught_up`` ≥ 0), and
 * thereafter hold a delivered sequence identical to a never-crashed peer's.
@@ -42,6 +42,7 @@ from repro.gate.table import GATES
 from repro.harness.invariants import delivered_trace, traces_agree
 from repro.runtime.faults import CrashSpec, RestartSpec
 from repro.storage.disk import SimDisk
+from repro.storage.wal import RECORD_COMMIT
 
 VICTIM = 1
 
@@ -162,17 +163,17 @@ class TestCrashRestartRecovery:
         assert traces[VICTIM][:slowest] == traces[reference.node_id][:slowest]
 
     def test_snapshot_and_certificates_used_when_crash_follows_checkpoint(self):
-        """Crashing after the first stable checkpoint exercises snapshot
-        apply and certificate restoration, not just WAL replay."""
+        """Crashing after the first stable checkpoint exercises sealed-run
+        replay and certificate restoration, not just unsealed commits."""
         _deployment, result, _peer_epochs = crash_restart_run(PROTOCOL_PBFT)
         recovery = result.report.recoveries[0]
         assert recovery["snapshot_entries"] > 0
         assert recovery["certificates_restored"] > 0
         assert recovery["resume_epoch"] > 0
-        # The restarted incarnation's storage shows the compaction trail.
+        # The restarted incarnation's storage shows the sealing trail.
         stats = result.storages[VICTIM].stats()
-        assert stats["compactions"] > 0
-        assert stats["wal_truncated_total"] > 0
+        assert stats["seals"] > 0
+        assert stats["sealed_entries"] > recovery["snapshot_entries"]
 
     def test_restart_opens_a_fresh_storage_on_the_victims_disk(self):
         """What outlives the crash is the node's disk, not a storage object:
@@ -184,9 +185,8 @@ class TestCrashRestartRecovery:
         assert restarted is not crashed
         assert isinstance(restarted.disk, SimDisk) and restarted.disk is crashed.disk
         assert result.nodes[VICTIM].storage is restarted
-        assert restarted.compactions > crashed.compactions > 0
+        assert restarted.wal.seals_total > crashed.wal.seals_total > 0
         assert restarted.wal.appended_total > crashed.wal.appended_total
-        assert restarted.snapshots.seals_total > crashed.snapshots.seals_total
 
     def test_recovery_is_seed_deterministic(self):
         """A second run of the shared PBFT scenario (same seed) reproduces
@@ -212,22 +212,21 @@ class TestCrashRestartRecovery:
 class TestEvictedHistory:
     def test_every_node_evicts_sealed_history_and_still_serves_all_of_it(self):
         """Live nodes and the restarted one hold only what they have not
-        delivered yet (sealed history comes from the archive, the delivered
-        unsealed tail from the WAL), yet answer a joiner's open-ended probe
+        delivered yet (storage reads back sealed history and the delivered
+        unsealed tail alike), yet answer a joiner's open-ended probe
         from epoch 0 exactly as a log that never evicted anything."""
         _deployment, result, _peer_epochs = crash_restart_run(PROTOCOL_PBFT)
         probe = StateRequest(first_epoch=0, last_epoch=LATEST_STABLE)
         for node in result.nodes:
             storage = result.storages[node.node_id]
-            assert storage.snapshots.entry_count() > 0
+            assert storage.sealed_count() > 0
             undelivered = node.log.committed_count() - node.log.first_undelivered
             assert node.log.resident_count() == undelivered
             # The reference is rebuilt from storage, not from the node's log.
             reference = Log()
-            for sn, entry, epoch in storage.snapshots.entries():
-                reference.commit(sn, entry, epoch, now=0.0)
-            for sn, entry, epoch in storage.wal.commits():
-                reference.commit(sn, entry, epoch, now=0.0)
+            for record in storage.wal.records():
+                if record.kind == RECORD_COMMIT:
+                    reference.commit(record.sn, record.entry, record.epoch, now=0.0)
             assert reference.committed_count() == node.log.committed_count()
             served = node.state_transfer.build_responses(probe, node.log)
             assert served == node.state_transfer.build_responses(probe, reference)

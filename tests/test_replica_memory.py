@@ -5,8 +5,9 @@ garbage-collects everything below it (Sec. 3.4).  These tests pin the
 per-request and per-epoch state that has to go with them: the signature
 memo entry of a delivered request, the segment descriptors of finished
 epochs, the checkpoint votes of stable epochs, the PBFT voter sets and
-decided values of committed slots, the decoded batches of WAL commits and
-every log entry already delivered (storage reads it back from disk).
+decided values of committed slots, the decoded batches of WAL commits, the
+index slots of sealed positions and every log entry already delivered
+(storage reads it back from disk).
 
 Within one epoch, nothing a replica or the simulator holds per request may
 outlive the request either: the workload generator's arrival timers, the
@@ -23,7 +24,6 @@ from repro.core.types import Batch, is_nil
 from repro.harness.runner import Deployment
 from repro.pbft.pbft import PbftSB
 from repro.runtime.faults import CrashSpec, RestartSpec
-from repro.storage.wal import RECORD_COMMIT
 from tests.test_iss_node_unit import NodeHarness
 
 EPOCH_LENGTH = 8
@@ -80,13 +80,17 @@ def _memory_violations(node):
         problems.append(
             f"{node.log.resident_count()} entries resident, {undelivered} undelivered"
         )
+    wal = node.storage.wal
     decoded = [
-        slot.sn
-        for slot in node.storage.wal._index
-        if slot.kind == RECORD_COMMIT and slot.record is not None
+        sn
+        for sn, slot in wal._commits.items()
+        if not all(type(field) is int for field in slot)
     ]
     if decoded:
         problems.append(f"WAL commits held decoded: {decoded}")
+    sealed = [sn for sn in wal._commits if sn < wal.sealed_count()]
+    if sealed:
+        problems.append(f"index slots of sealed positions: {sealed}")
     return problems
 
 

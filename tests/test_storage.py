@@ -1,11 +1,11 @@
-"""Unit tests for the durable storage subsystem (WAL, snapshots, recovery).
+"""Unit tests for the durable storage subsystem (WAL, sealing, recovery).
 
 Integration coverage — full crash→restart→catch-up across the three SB
 protocols — lives in ``tests/test_recovery_integration.py``; these tests pin
 the storage-layer mechanics in isolation, on the simulator's ``SimDisk``:
-append/truncate discipline, snapshot contiguity, compaction (including the
-deferred case), and WAL-only recovery of a fresh ISS node.  Crash behaviour
-of the files themselves is ``tests/test_durable_storage.py``'s.
+append discipline, sealing at stable checkpoints (including the deferred
+case), and WAL-only recovery of a fresh ISS node.  Crash behaviour of the
+file itself is ``tests/test_durable_storage.py``'s.
 """
 
 import pytest
@@ -21,14 +21,11 @@ from repro.storage import (
     NodeStorage,
     RecoveryManager,
     SimDisk,
-    Snapshot,
-    SnapshotStore,
     WriteAheadLog,
     RECORD_CHECKPOINT,
     RECORD_COMMIT,
     RECORD_EPOCH_START,
 )
-from repro.storage.wal import WalRecord, frame
 from tests.conftest import make_batch, make_request
 
 
@@ -46,9 +43,9 @@ def entry(sn: int):
     return make_batch(make_request(timestamp=sn))
 
 
-def run_frame(sn: int, value, epoch: int):
-    """``(sn, commit frame)``: one element of a run handed to ``seal``."""
-    return sn, frame(WalRecord(kind=RECORD_COMMIT, epoch=epoch, sn=sn, entry=value))
+def commit_sns(wal: WriteAheadLog):
+    """The positions of the log's commit records, in append order."""
+    return [record.sn for record in wal.records() if record.kind == RECORD_COMMIT]
 
 
 class TestWriteAheadLog:
@@ -67,108 +64,85 @@ class TestWriteAheadLog:
         ]
         assert len(wal) == 4
         assert wal.appended_total == 4
-        assert [sn for sn, _e, _ep in wal.commits()] == [0, 1]
-        assert [c.epoch for c in wal.checkpoints()] == [0]
-        assert wal.latest_epoch_started() == 0
+        assert commit_sns(wal) == [0, 1]
+        assert [r.certificate.epoch for r in wal.records() if r.certificate] == [0]
 
-    def test_truncate_below_drops_covered_records_only(self):
+    def test_a_seal_keeps_every_record_and_drops_only_index_slots(self):
         wal = WriteAheadLog(SimDisk())
         wal.append_epoch_start(0)
         for sn in range(4):
             wal.append_commit(sn, entry(sn), 0)
-        wal.append_checkpoint(fake_certificate(0, 3))
         wal.append_epoch_start(1)
         wal.append_commit(4, entry(4), 1)  # ran ahead of the checkpoint
-        dropped = wal.truncate_below(4, 1)
-        # 4 commits + the epoch-0 start and certificate are covered.
-        assert dropped == 6
-        assert [sn for sn, _e, _ep in wal.commits()] == [4]
-        assert wal.latest_epoch_started() == 1
-        assert wal.truncated_total == 6
-        assert wal.appended_total == 8
+        wal.append_checkpoint(fake_certificate(0, 3))
+        # Nothing leaves the file; the sealed positions leave the index.
+        assert len(wal) == wal.appended_total == 8
+        assert commit_sns(wal) == [0, 1, 2, 3, 4]
+        assert wal.sealed_count() == 4 and wal.commit_count() == 1
+        assert wal.seals_total == 1
+        # The log answers for every position, sealed or not, and only those.
+        assert [wal.entry_at(sn) for sn in range(5)] == [entry(sn) for sn in range(5)]
+        assert wal.entries_of([4, 0, 2]) == [(4, entry(4)), (0, entry(0)), (2, entry(2))]
+        for sn in (-1, 5):
+            with pytest.raises(KeyError):
+                wal.entry_at(sn)
 
-    def test_truncate_is_idempotent(self):
+    def test_sealed_runs_interleave_in_the_file(self):
+        """Commit order is not sn order: a run's frames share the file with
+        the next epoch's and with late fills, and reads step over them."""
         wal = WriteAheadLog(SimDisk())
-        wal.append_commit(0, entry(0), 0)
-        assert wal.truncate_below(1, 1) == 1
-        assert wal.truncate_below(1, 1) == 0
-
-
-class TestSnapshotStore:
-    def test_seal_requires_contiguous_run(self):
-        store = SnapshotStore(SimDisk())
-        with pytest.raises(ValueError):  # a gap inside the run
-            store.seal(
-                [run_frame(0, entry(0), 0), run_frame(2, entry(2), 0)], fake_certificate(0, 2)
-            )
-        with pytest.raises(ValueError):  # shorter than the certificate covers
-            store.seal([run_frame(0, entry(0), 0)], fake_certificate(0, 1))
-        assert store.latest() is None
-        store.seal([run_frame(0, entry(0), 0)], fake_certificate(0, 0))
-        with pytest.raises(ValueError):  # does not start where the archive ends
-            store.seal([run_frame(2, entry(2), 1)], fake_certificate(1, 2))
-        with pytest.raises(ValueError):  # re-sealing what is already sealed
-            store.seal([run_frame(0, entry(0), 0)], fake_certificate(0, 0))
-        assert store.entry_count() == 1
-
-    def test_newer_seal_extends_older(self):
-        store = SnapshotStore(SimDisk())
-        first, second = fake_certificate(0, 0), fake_certificate(1, 2)
-        store.seal([run_frame(0, entry(0), 0)], first)
-        assert store.latest() == Snapshot(epoch=0, last_sn=0, certificate=first)
-        store.seal([run_frame(1, entry(1), 1), run_frame(2, NIL, 1)], second)
-        assert store.latest() == Snapshot(epoch=1, last_sn=2, certificate=second)
-        assert store.entry_count() == len(store.latest()) == 3
-        assert store.seals_total == 2
-        # The archive answers for every sealed position, and only for those.
-        assert [sn for sn, _e, _ep in store.entries()] == [0, 1, 2]
-        assert [(sn, ep) for sn, _e, ep in store.entries(start=1)] == [(1, 1), (2, 1)]
-        assert store.entry_at(1) == entry(1) and store.entry_at(2) is NIL
-        assert store.entries_of([2, 0]) == [(2, NIL), (0, entry(0))]
-        with pytest.raises(KeyError):
-            store.entry_at(3)
+        for sn in (0, 2, 4, 5):
+            wal.append_commit(sn, entry(sn), sn // 3)
+        wal.append_checkpoint(fake_certificate(0, 2))  # sn 1 missing: deferred
+        wal.append_commit(1, entry(1), 0)  # a state-transfer fill
+        wal.append_commit(3, entry(3), 1)
+        wal.append_checkpoint(fake_certificate(1, 5))
+        assert wal.deferred_total == 1 and wal.seals_total == 1
+        assert wal.sealed_count() == 6 and wal.commit_count() == 0
+        assert wal.entries_of(range(6)) == [(sn, entry(sn)) for sn in range(6)]
 
 
 class TestNodeStorageCompaction:
+    """A stable checkpoint compacts the index, not the file: it seals the
+    run it covers into one anchor."""
+
     def test_stable_checkpoint_compacts_wal_into_snapshot(self):
         storage = NodeStorage(0, SimDisk())
         storage.record_epoch_start(0)
         for sn in range(4):
             storage.record_commit(sn, entry(sn), 0)
         storage.record_stable_checkpoint(fake_certificate(0, 3))
-        snapshot = storage.latest_snapshot()
-        assert snapshot is not None and snapshot.last_sn == 3
-        assert [sn for sn, _e, _ep in storage.snapshots.entries()] == [0, 1, 2, 3]
-        assert len(storage.wal.commits()) == 0
-        assert storage.compactions == 1
-        assert storage.durable_entry_count() == 4
+        assert storage.wal.sealed.last_sn == 3
+        assert storage.sealed_count() == storage.durable_entry_count() == 4
+        assert storage.wal.commit_count() == 0
+        assert storage.stats()["seals"] == 1
 
     def test_incomplete_prefix_defers_compaction(self):
-        """A stable checkpoint can outrun the local log (2f+1 peers vote
-        first); compaction waits until the gap is filled."""
+        """A stable checkpoint can outrun the local log (a quorum of peers
+        votes first); sealing waits until the gap is filled."""
         storage = NodeStorage(0, SimDisk())
         storage.record_commit(0, entry(0), 0)
         storage.record_commit(2, entry(2), 0)  # sn 1 missing
         storage.record_stable_checkpoint(fake_certificate(0, 2))
-        assert storage.latest_snapshot() is None
-        assert storage.deferred_compactions == 1
+        assert storage.wal.sealed is None
+        assert storage.stats()["deferred_seals"] == 1
         # State transfer fills the hole; the next checkpoint retries.
         storage.record_commit(1, entry(1), 0)
         for sn in range(3, 6):
             storage.record_commit(sn, entry(sn), 1)
         storage.record_stable_checkpoint(fake_certificate(1, 5))
-        snapshot = storage.latest_snapshot()
-        assert snapshot is not None and snapshot.last_sn == 5
-        assert storage.compactions == 1
+        assert storage.wal.sealed.last_sn == 5
+        assert storage.stats()["seals"] == 1
 
     def test_stale_checkpoint_does_not_regress_snapshot(self):
         storage = NodeStorage(0, SimDisk())
         for sn in range(2):
             storage.record_commit(sn, entry(sn), 0)
         storage.record_stable_checkpoint(fake_certificate(0, 1))
-        before = storage.latest_snapshot()
+        before = storage.wal.sealed
         storage.record_stable_checkpoint(fake_certificate(0, 0))
-        assert storage.latest_snapshot() is before
+        assert storage.wal.sealed is before
+        assert storage.stats()["seals"] == 1 and storage.stats()["deferred_seals"] == 0
 
 
 class RecoveryHarness:
