@@ -129,8 +129,10 @@ class ISSNode:
         self.layout = layout
         #: Durable storage (the WAL); ``None`` disables persistence.
         self.storage = storage
-        #: While True (set between restart and caught-up), stable
-        #: checkpoints for the *current* epoch also trigger state transfer.
+        #: Catch-up mode: while True (from a restart, a join or a heal until
+        #: the node completes an epoch ahead of its stable certificate), a
+        #: stable checkpoint for the *current* epoch triggers state transfer
+        #: at once, not after :data:`STALLED_CATCHUP_GRACE`.
         self._catchup_aggressive = False
         #: Pending stalled-epoch re-check (:data:`STALLED_CATCHUP_GRACE`);
         #: at most one armed at a time.
@@ -248,20 +250,19 @@ class ISSNode:
             self._wedge_timer = None
 
     def begin_recovery_catchup(self) -> None:
-        """Post-restart: fetch everything the peers can prove stable.
+        """After a restart, a join or a heal: fetch everything the peers
+        can prove stable.
 
-        Sends the open-ended state-transfer probe and switches the
-        checkpoint handler into aggressive mode (a stable checkpoint for
-        the *current* epoch with an incomplete local log also triggers
-        transfer — the epoch's SB instances were garbage collected at the
-        peers, so votes alone can no longer complete it here).
+        Sends the open-ended state-transfer probe and enters catch-up mode
+        (a stable checkpoint for the *current* epoch with an incomplete
+        local log triggers transfer at once — the epoch's SB instances were
+        garbage collected at the peers, so votes alone can no longer
+        complete it here).  The node leaves the mode by itself, at the
+        first epoch it completes before that epoch's stable certificate
+        exists (see :meth:`_after_commit`).
         """
         self._catchup_aggressive = True
         self.state_transfer.request_latest(self.current_epoch, self._peer_nodes())
-
-    def end_recovery_catchup(self) -> None:
-        """Leave aggressive catch-up mode (the node is back at the frontier)."""
-        self._catchup_aggressive = False
 
     def nudge_stalled_instances(self) -> None:
         """Partition healed: prod every live SB instance to re-examine
@@ -676,6 +677,13 @@ class ISSNode:
             self.checkpoints.local_epoch_complete(finished, self.log)
             self.watermarks.advance_epoch()
             self.epochs_completed += 1
+            if (
+                self._catchup_aggressive
+                and self.checkpoints.stable_checkpoint(finished) is None
+            ):
+                # Completed ahead of the epoch's certificate (our own vote is
+                # already counted): the node keeps pace, catch-up is over.
+                self._catchup_aggressive = False
             if activation[0] or activation[1]:
                 self._on_membership_activation(finished + 1, *activation)
                 if self.retired:
@@ -760,33 +768,24 @@ class ISSNode:
                 self.current_epoch, checkpoint_epoch, self._peer_nodes()
             )
         elif (
-            self._catchup_aggressive
-            and checkpoint_epoch == self.current_epoch
+            checkpoint_epoch == self.current_epoch
             and self.checkpoints.stable_checkpoint(checkpoint_epoch) is not None
             and not self.manager.epoch_complete(checkpoint_epoch, self.log)
         ):
-            # Post-restart: the current epoch is provably decided (stable
-            # checkpoint) but our log has holes we can no longer fill via
-            # SB — the instances were garbage collected at the peers.
-            # Force a transfer even if an earlier request is in flight.
-            self.state_transfer.request_missing(
-                checkpoint_epoch, checkpoint_epoch, self._peer_nodes(), force=True
-            )
-        elif (
-            self._wedge_timer is None
-            and checkpoint_epoch == self.current_epoch
-            and self.checkpoints.stable_checkpoint(checkpoint_epoch) is not None
-            and not self.manager.epoch_complete(checkpoint_epoch, self.log)
-        ):
-            # Same wedge outside the restart path: persistent message loss
-            # left holes in an epoch the peers have already garbage
-            # collected.  The in-flight commits get one grace period to
-            # land; if the epoch is still incomplete afterwards only a
-            # transfer can complete it.
-            self._wedge_timer = self.sim.schedule(
-                STALLED_CATCHUP_GRACE,
-                lambda: self._catchup_if_wedged(checkpoint_epoch),
-            )
+            # The current epoch is provably decided but our log has holes
+            # the peers' garbage-collected SB instances no longer fill.  In
+            # catch-up mode transfer at once, even if an earlier request is
+            # in flight; otherwise (persistent message loss) the in-flight
+            # commits get one grace period to land first.
+            if self._catchup_aggressive:
+                self.state_transfer.request_missing(
+                    checkpoint_epoch, checkpoint_epoch, self._peer_nodes(), force=True
+                )
+            elif self._wedge_timer is None:
+                self._wedge_timer = self.sim.schedule(
+                    STALLED_CATCHUP_GRACE,
+                    lambda: self._catchup_if_wedged(checkpoint_epoch),
+                )
 
     def _catchup_if_wedged(self, epoch: EpochNr) -> None:
         """Grace period expired: force a transfer if the epoch is still stuck."""

@@ -21,8 +21,10 @@ scheduled :class:`~repro.runtime.faults.RestartSpec` tears the crashed
 incarnation down, opens a fresh storage on the node's disk and rebuilds the
 node from it — WAL replay via
 :class:`~repro.storage.recovery.RecoveryManager`, then state transfer for
-everything ordered while the node was down.  A poll watcher (tick
-:data:`RECOVERY_POLL`) detects when the node is back at the cluster frontier
+everything ordered while the node was down; the node leaves its catch-up
+mode by itself.  A poll watcher (:func:`watch_catchup`, tick
+:data:`RECOVERY_POLL`) only measures: it reads every node's state, which no
+real replica can, to record when the node is back at the cluster frontier,
 and attaches one recovery record (downtime, WAL entries replayed,
 state-transfer bytes, time-to-caught-up) to the run's report.
 
@@ -69,7 +71,7 @@ from ..sim.network import Network
 from ..sim.simulator import Simulator
 from ..storage.disk import SimDisk
 from ..storage.node_storage import NodeStorage
-from ..storage.recovery import boot_from_storage, watch_catchup
+from ..storage.recovery import boot_from_storage
 from ..workload.generator import WorkloadGenerator
 
 #: Factory returning a fresh leader-selection policy for one node.
@@ -100,6 +102,36 @@ _ARMED_BEFORE_CLIENTS = (
 
 #: Kinds whose spec *is* the target's behaviour: at most one per target.
 _ONE_PER_TARGET = (StragglerSpec, ByzantineSpec, MaliciousClientSpec)
+
+
+def watch_catchup(
+    scheduler,
+    interval: float,
+    still_current: Callable[[], bool],
+    caught_up: Callable[[], bool],
+    on_caught_up: Callable[[], None],
+) -> None:
+    """Poll every ``interval`` until a booted node is back at the frontier.
+
+    The one measuring watcher behind restarts, joins and post-heal
+    reconvergence; it steers nothing (a node ends its own catch-up).  A
+    watch is bound to the incarnation(s) it was started for: the tick that
+    finds ``still_current()`` false gives up silently (whoever replaced the
+    incarnation started a watch of its own, and the caller's record keeps
+    its "never caught up" marker).  Otherwise the tick that finds
+    ``caught_up()`` runs ``on_caught_up()`` — which fills the record — and
+    any other tick re-arms.
+    """
+
+    def tick() -> None:
+        if not still_current():
+            return
+        if caught_up():
+            on_caught_up()
+            return
+        scheduler.schedule_callback(interval, tick)
+
+    scheduler.schedule_callback(interval, tick)
 
 
 @dataclass
@@ -483,9 +515,10 @@ class Deployment:
         WAL and its checkpoint certificates into a fresh node,
         boot it at the first epoch storage does not complete, then let the
         open-ended state-transfer probe fetch everything ordered while the
-        node was down (all of it, after a diskless restart).  A watcher polls until
-        the node is back at the cluster frontier and only then attaches the
-        recovery record (so ``time_to_caught_up`` includes state transfer).
+        node was down (all of it, after a diskless restart).  A watcher polls
+        until the node is back at the cluster frontier and only then attaches
+        the recovery record (so ``time_to_caught_up`` includes state
+        transfer); it measures and never steers the node.
         """
         restarted_at = self.sim.now
         self._reopen_storage(node_id)
@@ -534,7 +567,6 @@ class Deployment:
             record[elapsed_key] = self.sim.now - since
             record["state_transfer_bytes"] = float(node.state_transfer.bytes_received)
             record["state_transfer_entries"] = float(node.state_transfer.entries_applied)
-            node.end_recovery_catchup()
             then()
 
         watch_catchup(
@@ -561,9 +593,11 @@ class Deployment:
         """Reconverge the cluster after a heal, without an epoch-timer wait.
 
         Any live node that fell behind the frontier while cut off (typically
-        the minority side) gets the restart path's aggressive catch-up: an
+        the minority side) gets the restart path's catch-up mode: an
         open-ended ``LATEST_STABLE`` state-transfer probe plus transfer on
-        current-epoch stable checkpoints.  A poll watcher then records
+        current-epoch stable checkpoints, until the node leaves the mode by
+        itself.  Choosing the laggards reads every node's state, which no
+        real replica can.  A poll watcher then records
         ``time_to_reconverge`` the tick every laggard is back at the
         frontier (it stays -1 if the run ends first).
         """
@@ -619,9 +653,7 @@ class Deployment:
             # A fellow laggard must not serve as the frontier reference —
             # two equally-wedged nodes would declare each other caught up.
             others = [n for n in waiting if n is not node]
-            if self._caught_up(node, exclude=others):
-                node.end_recovery_catchup()
-            else:
+            if not self._caught_up(node, exclude=others):
                 laggards.append(node)
         return not laggards
 

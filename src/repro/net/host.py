@@ -13,16 +13,12 @@ through it and drops them.
 
 Startup distinguishes first boot from restart by looking at the data
 directory: prior state routes through the same
-:class:`~repro.storage.recovery.RecoveryManager` pipeline the simulator's
-restart path uses — WAL replay (over records that genuinely survived a
-``kill -9`` via fsync), certificate restoration, epoch fast-forward,
-eviction of the sealed history from memory (the outcome is left in
-``recovery.json`` for whoever audits the directory) — then the node
-resumes at the first incomplete epoch in aggressive-catchup mode and
-:func:`~repro.storage.recovery.watch_catchup` ends catchup once the node
-completes an epoch beyond its recovered frontier (the same watcher as the
-harness's caught-up poll, with the only "done" test a child process can
-run for lack of a peers' frontier view).
+:func:`~repro.storage.recovery.boot_from_storage` the simulator's restart
+path uses — WAL replay (over records that genuinely survived a ``kill -9``
+via fsync), certificate restoration, epoch fast-forward, eviction of the
+sealed history from memory (the outcome is left in ``recovery.json`` for
+whoever audits the directory) — then the node resumes at the first
+incomplete epoch in catch-up mode, which it leaves by itself.
 
 The process runs until SIGTERM (clean drain) or SIGKILL (the crash the
 recovery path exists for).
@@ -40,12 +36,9 @@ from ..core.iss import ISSNode
 from ..crypto.signatures import KeyStore
 from ..storage.disk import OsDisk
 from ..storage.node_storage import NodeStorage
-from ..storage.recovery import boot_from_storage, watch_catchup
+from ..storage.recovery import boot_from_storage
 from .clock import WallClock
 from .transport import TcpTransport
-
-#: Tick of the post-restart catchup-end watcher (wall seconds).
-CATCHUP_POLL_INTERVAL = 0.5
 
 #: What a restarted replica leaves in its data directory about its recovery:
 #: :meth:`~repro.storage.recovery.RecoveryInfo.as_dict` plus
@@ -90,16 +83,6 @@ async def run_node(spec, node_id: int) -> None:
         report = dict(info.as_dict(), log_resident=node.log.resident_count())
         Path(spec.node_dir(node_id), RECOVERY_REPORT_FILENAME).write_text(
             json.dumps(report)
-        )
-        # Completing an epoch at or beyond the resume point means state
-        # transfer filled everything ordered while the process was down and
-        # live delivery has taken over.
-        watch_catchup(
-            clock,
-            CATCHUP_POLL_INTERVAL,
-            still_current=lambda: not node.crashed,
-            caught_up=lambda: node.epochs_completed > info.resume_epoch,
-            on_caught_up=node.end_recovery_catchup,
         )
     else:
         node.start()

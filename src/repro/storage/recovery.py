@@ -20,7 +20,9 @@ What storage cannot provide — entries ordered while the node was down —
 is fetched afterwards through the existing state-transfer protocol:
 :func:`boot_from_storage` starts the node at the resume epoch and calls
 ``begin_recovery_catchup()``, which probes peers for everything they can
-prove stable (see :mod:`repro.core.state_transfer`).
+prove stable (see :mod:`repro.core.state_transfer`).  The node ends its
+catch-up itself, at the first epoch it completes ahead of that epoch's
+stable certificate; nothing here watches it.
 
 Determinism: recovery is a pure function of the storage contents and the
 node's configuration.  Same seed ⇒ same crash ⇒ same WAL ⇒ same recovery,
@@ -30,7 +32,7 @@ which the restart golden trace pins (``tests/data/golden_trace_recovery.json``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from .node_storage import NodeStorage
 from .wal import RECORD_CHECKPOINT, RECORD_COMMIT
@@ -97,9 +99,13 @@ class RecoveryManager:
                 certificates.append(record.certificate)
 
         # Phase 2: the latest seal's certificate, then the ones above it.
+        # They were read back from the file: storage is detached meanwhile,
+        # so the node's stable-checkpoint hook does not append them again.
+        storage, node.storage = node.storage, None
         for certificate in certificates:
             if node.checkpoints.restore_stable(certificate):
                 info.certificates_restored += 1
+        node.storage = storage
 
         # Phase 3: fast-forward epoch bookkeeping over the restored prefix.
         resume = 0
@@ -159,33 +165,3 @@ def boot_from_storage(
     node.start_at(info.resume_epoch)
     node.begin_recovery_catchup()
     return info
-
-
-def watch_catchup(
-    scheduler,
-    interval: float,
-    still_current: Callable[[], bool],
-    caught_up: Callable[[], bool],
-    on_caught_up: Callable[[], None],
-) -> None:
-    """Poll every ``interval`` until a booted node is back at the frontier.
-
-    The one catch-up watcher behind restarts, joins, post-heal
-    reconvergence and the live per-node process.  A watch is bound to the
-    incarnation(s) it was started for: the tick that finds
-    ``still_current()`` false gives up silently (whoever replaced the
-    incarnation started a watch of its own, and the caller's record keeps
-    its "never caught up" marker).  Otherwise the tick that finds
-    ``caught_up()`` runs ``on_caught_up()`` — which ends the aggressive
-    catch-up and fills the record — and any other tick re-arms.
-    """
-
-    def tick() -> None:
-        if not still_current():
-            return
-        if caught_up():
-            on_caught_up()
-            return
-        scheduler.schedule_callback(interval, tick)
-
-    scheduler.schedule_callback(interval, tick)

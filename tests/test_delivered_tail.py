@@ -31,7 +31,7 @@ from repro.storage.wal import WAL_FILENAME, WriteAheadLog
 DISK_SHA256 = {
     (0, WAL_FILENAME): "1a19d3af4cda649d2580cbb0c79f0814a3c7a11fb0df943139c69405054c30e3",
     (1, WAL_FILENAME): "836b9862d808be3e551d5910299b1faeed5cca4608225541edf084291215760e",
-    (2, WAL_FILENAME): "98f7e2f10d0305f16825bab87dc3f2e4f1f87f711308d474164ff9241e244a2d",
+    (2, WAL_FILENAME): "845cf3db99f094b6b91b05e703459a1a8eb84edb5e1d52e9902ac76417313906",
     (3, WAL_FILENAME): "644d006e5c69389bea782c76757402ecef321b60707bbe6ef3a63ddc201dc979",
 }
 

@@ -17,7 +17,7 @@ import pytest
 from repro import kv_client
 from repro.core.config import NetworkConfig, WorkloadConfig
 from repro.harness.invariants import check_runs_equivalent, traces_agree
-from repro.harness.runner import Deployment
+from repro.harness.runner import Deployment, watch_catchup
 from repro.harness.scenarios import (
     PAYLOAD_BYTES,
     SCALED_BANDWIDTH_BPS,
@@ -41,7 +41,6 @@ from repro.runtime.faults import (
 )
 from repro.sim.faults import FaultInjector
 from repro.sim.simulator import Simulator
-from repro.storage.recovery import watch_catchup
 
 
 def build(faults, duration=1.0, **kwargs):

@@ -497,3 +497,40 @@ def test_one_record_of_committed_requests():
     ]
     assert not offenders, f"a second record of committed requests in {offenders}"
     assert not hasattr(BucketPool, "delivered")
+
+
+#: Attribute names that end a node's catch-up mode from outside it.
+_CATCHUP_EXIT = re.compile(r"(?:end|exit|leave|stop|finish)\w*catch_?up")
+
+
+def test_a_replica_ends_its_own_catchup():
+    """Catch-up mode is the replica's own decision: the measuring watcher
+    ``watch_catchup`` is defined only under ``harness/`` and nothing under
+    ``net/`` or ``storage/`` names it, and no module outside ``core/``
+    calls a catch-up exit or clears the mode flag."""
+    source_root = REPO_ROOT / "src" / "repro"
+    definitions, polls, exits = [], [], []
+    for path in sorted(source_root.rglob("*.py")):
+        where = path.relative_to(source_root)
+        package = where.parts[0]
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "watch_catchup":
+                definitions.append(str(where))
+            if package in ("net", "storage") and (
+                (isinstance(node, ast.Name) and node.id == "watch_catchup")
+                or (
+                    isinstance(node, ast.ImportFrom)
+                    and any(alias.name == "watch_catchup" for alias in node.names)
+                )
+            ):
+                polls.append(f"{where}:{node.lineno}")
+            if (
+                package != "core"
+                and isinstance(node, ast.Attribute)
+                and (_CATCHUP_EXIT.search(node.attr) or node.attr == "_catchup_aggressive")
+            ):
+                exits.append(f"{where}:{node.lineno}: {node.attr}")
+    assert definitions and all(d.startswith("harness/") for d in definitions), definitions
+    assert not polls, f"watch_catchup reached from net/ or storage/: {polls}"
+    assert not exits, f"catch-up ended from outside core/: {exits}"

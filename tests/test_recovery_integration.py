@@ -144,11 +144,13 @@ class TestCrashRestartRecovery:
         # ...state transfer fetched what was ordered while down...
         assert recovery["state_transfer_entries"] > 0
         assert recovery["state_transfer_bytes"] > 0
-        # ...and the node reached the cluster frontier.
+        # ...and the node reached the cluster frontier...
         assert recovery["time_to_caught_up"] >= 0.0
         assert recovery["downtime"] == pytest.approx(restart_time - crash_time)
 
         victim = result.nodes[VICTIM]
+        # ...and ended its catch-up mode by itself.
+        assert not victim._catchup_aggressive
         peers = [node for node in result.nodes if node.node_id != VICTIM]
         # Identical committed sequence: same digest at every position shared
         # with every peer, and a delivered frontier no shorter than the

@@ -4,15 +4,18 @@ Integration coverage — full crash→restart→catch-up across the three SB
 protocols — lives in ``tests/test_recovery_integration.py``; these tests pin
 the storage-layer mechanics in isolation, on the simulator's ``SimDisk``:
 append discipline, sealing at stable checkpoints (including the deferred
-case), and WAL-only recovery of a fresh ISS node.  Crash behaviour of the
-file itself is ``tests/test_durable_storage.py``'s.
+case), WAL-only recovery of a fresh ISS node and the catch-up mode it
+boots into.  Crash behaviour of the file itself is
+``tests/test_durable_storage.py``'s.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.core.config import ISSConfig, NetworkConfig
 from repro.core.iss import ISSNode
-from repro.core.types import CheckpointCertificate, NIL
+from repro.core.types import Batch, CheckpointCertificate, NIL
 from repro.crypto.signatures import KeyStore
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
@@ -26,6 +29,8 @@ from repro.storage import (
     RECORD_COMMIT,
     RECORD_EPOCH_START,
 )
+from repro.storage.recovery import boot_from_storage
+from repro.storage.wal import read_frames
 from tests.conftest import make_batch, make_request
 
 
@@ -209,3 +214,54 @@ class TestRecoveryManager:
         assert info.resume_epoch == 0
         assert info.wal_entries_replayed == 0
         assert info.requests_redelivered == 0
+
+    def test_restarts_append_no_certificate_they_read_back(self):
+        """Recovery restores the certificates it reads from the file without
+        appending them again: two restarts on one disk leave one checkpoint
+        record per epoch (epoch 0's seals its run, epoch 1's is deferred)."""
+        storage = NodeStorage(0, SimDisk())
+        for sn in range(4):
+            storage.record_commit(sn, entry(sn), 0)
+        storage.record_stable_checkpoint(fake_certificate(0, 3))
+        for sn in (4, 6, 7):  # sn 5 missing
+            storage.record_commit(sn, entry(sn), 1)
+        storage.record_stable_checkpoint(fake_certificate(1, 7))
+        for _restart in range(2):
+            storage.disk.crash()
+            storage = storage.reopen()
+            harness = RecoveryHarness(storage=storage)
+            info = boot_from_storage(harness.node, storage, now=0.0)
+            assert info.certificates_restored == 2
+            harness.node.crash()
+        checkpoints = Counter(
+            record.epoch
+            for record, _end in read_frames(storage.disk)
+            if record.kind == RECORD_CHECKPOINT
+        )
+        assert checkpoints == {0: 1, 1: 1}
+
+
+def deliver_epoch(node, epoch):
+    """SB-deliver an empty batch at every position of ``epoch``."""
+    for segment in node.manager.segments_for(epoch):
+        for sn in segment.seq_nrs:
+            node._sb_deliver(segment, sn, Batch.of(()))
+
+
+class TestCatchupMode:
+    def test_node_leaves_catchup_at_the_first_epoch_it_completes_uncertified(self):
+        """A booted node stays in catch-up mode while it completes epochs
+        the peers already certified, and leaves it by itself at the first
+        epoch it completes before that epoch's stable certificate exists."""
+        harness = RecoveryHarness()
+        for sn in range(4):
+            harness.storage.record_commit(sn, entry(sn), 0)
+        node = harness.node
+        info = boot_from_storage(node, harness.storage, now=0.0)
+        assert info.resume_epoch == 1 and node._catchup_aggressive
+        for epoch in (1, 2):
+            node.checkpoints.restore_stable(fake_certificate(epoch, 4 * epoch + 3))
+            deliver_epoch(node, epoch)
+            assert node.current_epoch == epoch + 1 and node._catchup_aggressive
+        deliver_epoch(node, 3)
+        assert node.current_epoch == 4 and not node._catchup_aggressive
