@@ -12,6 +12,9 @@ This module ties together everything the paper's Algorithms 1–3 describe:
 * contiguous delivery with per-request sequence numbers (Equation 2) and
   client responses,
 * epoch transitions, checkpointing, garbage collection and state transfer,
+* rejoining after a partition heals: a peer heard again after a view
+  change timeout of silence starts this node's own catch-up (see
+  :meth:`ISSNode._on_peer_return`),
 * durable persistence: when the node owns a
   :class:`~repro.storage.node_storage.NodeStorage`, every commit, epoch
   start and stable checkpoint is recorded through a narrow persist hook so
@@ -38,6 +41,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -57,6 +61,7 @@ from .membership import MembershipTracker
 from .messages import (
     BucketAssignmentMsg,
     ClientRequestMsg,
+    CLIENT_ENDPOINT_OFFSET,
     ClientResponseBatchMsg,
     InstanceMessage,
     client_endpoint,
@@ -201,6 +206,13 @@ class ISSNode:
             probe_stagger=probe_stagger,
         )
 
+        #: When each replica (this one included) was last heard from: a
+        #: peer speaking again after a view change timeout of silence may
+        #: mean a healed partition (see :meth:`_on_peer_return`).
+        self._last_heard: Dict[NodeId, float] = {}
+        #: Peers back from such a silence whose epoch no message has shown
+        #: yet (see :meth:`_on_peer_return`).
+        self._returned: Set[NodeId] = set()
         #: Instance messages buffered for epochs we have not started yet.
         self._pending_messages: Dict[EpochNr, List[Tuple[NodeId, InstanceMessage]]] = {}
         #: Statistics.
@@ -257,28 +269,15 @@ class ISSNode:
         (a stable checkpoint for the *current* epoch with an incomplete
         local log triggers transfer at once — the epoch's SB instances were
         garbage collected at the peers, so votes alone can no longer
-        complete it here).  The node leaves the mode by itself, at the
-        first epoch it completes before that epoch's stable certificate
-        exists (see :meth:`_after_commit`).
+        complete it here).  Recovery calls it after WAL replay; the node
+        calls it itself when a peer returns from a silence that looks like
+        a healed partition (:meth:`_on_peer_return`).  The node leaves the
+        mode by itself, at the first epoch it completes before that epoch's
+        stable certificate exists (see :meth:`_after_commit`).
         """
         self._catchup_aggressive = True
+        self._returned.clear()
         self.state_transfer.request_latest(self.current_epoch, self._peer_nodes())
-
-    def nudge_stalled_instances(self) -> None:
-        """Partition healed: prod every live SB instance to re-examine
-        liveness immediately (see :meth:`repro.core.sb.SBInstance.nudge`).
-
-        State transfer only serves checkpoint-backed prefixes; epochs where
-        *no* side kept a quorum (a bridge partition, say) have no stable
-        checkpoint to transfer, and their decided-but-unfinished instances
-        can only complete through the protocol's own view/round machinery —
-        whose timers were exponentially backed off during the outage.
-        Called by the harness's heal hook; never on the clean path.
-        """
-        if self.crashed:
-            return
-        for instance in list(self.orderer.active_instances()):
-            instance.nudge()
 
     def submit_request(self, request: Request) -> bool:
         """Entry point for a locally injected request (bypassing the network).
@@ -315,6 +314,12 @@ class ISSNode:
         """Network entry point: dispatch by message type."""
         if self.crashed:
             return
+        if src < CLIENT_ENDPOINT_OFFSET:
+            now = self.sim.now
+            last_heard = self._last_heard
+            if now - last_heard.get(src, now) >= self.config.view_change_timeout:
+                self._on_peer_return(src)  # still counts src as silent
+            last_heard[src] = now
         if message.__class__ is InstanceMessage:
             # The n² path: one table hit, then straight into the instance.
             instance = self.orderer.instances.get(message.instance_id)
@@ -325,6 +330,8 @@ class ISSNode:
         elif isinstance(message, ClientRequestMsg):
             self._handle_client_request(message.request)
         elif isinstance(message, CheckpointMsg):
+            if src in self._returned:
+                self._returned_peer_shown(src, message.epoch >= self.current_epoch)
             self.checkpoints.handle_message(src, message)
             self._maybe_request_state_transfer(message.epoch)
         elif isinstance(message, StateRequest):
@@ -333,6 +340,58 @@ class ISSNode:
         elif isinstance(message, StateResponse):
             self.state_transfer.handle_response(response=message, log=self.log)
             self._after_commit()
+
+    def _on_peer_return(self, src: NodeId) -> None:
+        """``src`` spoke after at least a view change timeout of silence.
+
+        The replica's own heal trigger, run before the message is handled.
+        If so many peers of the current view were silent that long that
+        the rest could not form a strong quorum with this node, this node
+        was cut off: it probes for state and nudges its stalled instances,
+        whose timers backed off while no quorum could answer.  Otherwise
+        the peer's next message that shows its epoch — a checkpoint vote,
+        or an instance message for an epoch this node has not started or
+        no longer hosts — decides: the node catches up if the peer is ahead
+        (see :meth:`_returned_peer_shown`).  A node already catching up
+        does neither.
+        """
+        if src == self.node_id or self._catchup_aggressive:
+            return
+        view = self.membership.view_for(self.current_epoch)
+        now = self.sim.now
+        timeout = self.config.view_change_timeout
+        last_heard = self._last_heard
+        silent = sum(
+            1
+            for peer in view.nodes
+            if peer != self.node_id and now - last_heard.get(peer, now) >= timeout
+        )
+        if view.num_nodes - silent < view.strong_quorum:
+            self.begin_recovery_catchup()
+            self._nudge_stalled_instances()
+        else:
+            self._returned.add(src)
+
+    def _returned_peer_shown(self, src: NodeId, ahead: bool) -> None:
+        """A returned peer's message showed its epoch: an instance message
+        this node buffers or a checkpoint vote for this node's epoch or a
+        later one puts the peer ahead, and this node catches up."""
+        self._returned.discard(src)
+        if ahead and not self._catchup_aggressive:
+            self.begin_recovery_catchup()
+
+    def _nudge_stalled_instances(self) -> None:
+        """Prod every live SB instance to re-examine liveness now (see
+        :meth:`repro.core.sb.SBInstance.nudge`).
+
+        State transfer only serves checkpoint-backed prefixes; epochs where
+        *no* side kept a quorum (a bridge partition, say) have no stable
+        checkpoint to transfer, and their decided-but-unfinished instances
+        can only complete through the protocol's own view/round machinery —
+        whose timers were exponentially backed off during the outage.
+        """
+        for instance in list(self.orderer.active_instances()):
+            instance.nudge()
 
     # ======================================================== client requests
     def _handle_client_request(self, request: Request) -> bool:
@@ -802,7 +861,10 @@ class ISSNode:
     def _on_unrouted_instance_message(self, src: NodeId, message: InstanceMessage) -> None:
         """A protocol message for an instance this node does not host."""
         epoch = message.instance_id[0]
-        if epoch > self.current_epoch or not self._started:
+        ahead = epoch > self.current_epoch or not self._started
+        if src in self._returned:
+            self._returned_peer_shown(src, ahead)
+        if ahead:
             # An epoch this node has not started (any epoch before start(),
             # whose current_epoch is only a placeholder): buffer until we
             # get there; if we are far behind, also trigger state transfer

@@ -276,11 +276,13 @@ class SBInstance(ABC):
         """Stop all activity (cancel timers); called at garbage collection."""
 
     def nudge(self) -> None:
-        """Connectivity was restored (e.g. a partition healed): re-examine
-        liveness *now* instead of waiting out timers that were exponentially
-        backed off during the outage.
+        """Connectivity was restored: re-examine liveness *now* instead of
+        waiting out timers that were exponentially backed off during the
+        outage.
 
-        Default no-op; view/round-based protocols override it to restart
-        their stalled-progress machinery at the base timeout.  Never called
-        on the clean path, so implementations may send messages freely.
+        The host calls it on its own instances only, when a peer returns
+        after this node had lost a strong quorum (a healed partition; see
+        ``ISSNode._on_peer_return``), never on the clean path.  Default
+        no-op, which HotStuff and Raft keep; PBFT overrides it to demand
+        the next view at the base timeout.
         """

@@ -472,6 +472,9 @@ def partition_figures(obs: ObsConfig) -> Figures:
         "prefixes_identical": row["prefixes_identical"],
         "no_double_delivery": not check_no_double_delivery([sample]),
         "laggards": list(row["partition_records"][0]["laggards"]),
+        "isolated_probes_sent": (
+            result.nodes[s["isolated_node"]].state_transfer.probes_sent
+        ),
         "time_to_reconverge": row["time_to_reconverge"],
         "view_changes_during": row["view_changes_during"],
         "partition_drops": drops["partition"],
@@ -502,8 +505,13 @@ PARTITION_CLAIMS: Tuple[Claim, ...] = (
     ),
     (
         lambda f: f["scenario"]["isolated_node"] in f["laggards"],
-        "PARTITION RECOVERY REGRESSION: the isolated node was not detected "
-        "as a laggard at heal time",
+        "PARTITION MEASUREMENT REGRESSION: the isolated node was not behind "
+        "the frontier at heal time",
+    ),
+    (
+        lambda f: f["isolated_probes_sent"] >= 1,
+        "PARTITION RECOVERY REGRESSION: the isolated node never sent its own "
+        "open-ended state-transfer probe after the heal",
     ),
     (
         lambda f: f["time_to_reconverge"] >= 0,

@@ -115,6 +115,7 @@ GATES: Dict[str, Gate] = {
             pinned=(
                 "completed",
                 "laggards",
+                "isolated_probes_sent",
                 "time_to_reconverge",
                 "view_changes_during",
                 "partition_drops",

@@ -590,16 +590,15 @@ class Deployment:
         )
 
     def _on_partition_heal(self, spec: PartitionSpec, record: Dict[str, object]) -> None:
-        """Reconverge the cluster after a heal, without an epoch-timer wait.
+        """Measure the cluster's reconvergence after a heal; steer nothing.
 
-        Any live node that fell behind the frontier while cut off (typically
-        the minority side) gets the restart path's catch-up mode: an
-        open-ended ``LATEST_STABLE`` state-transfer probe plus transfer on
-        current-epoch stable checkpoints, until the node leaves the mode by
-        itself.  Choosing the laggards reads every node's state, which no
-        real replica can.  A poll watcher then records
-        ``time_to_reconverge`` the tick every laggard is back at the
-        frontier (it stays -1 if the run ends first).
+        Each replica notices the heal itself: a peer heard again after a
+        view change timeout of silence starts its own catch-up (see
+        :meth:`ISSNode._on_peer_return`).  This hook only reads node state,
+        as :func:`watch_catchup` does: it records ``view_changes_during``,
+        the ``laggards`` behind the frontier at heal time, and — through a
+        poll watcher — ``time_to_reconverge``, the tick every laggard is
+        back at the frontier (it stays -1 if the run ends first).
         """
         start = record.pop("_view_changes_at_start", 0)
         record["view_changes_during"] = (
@@ -620,11 +619,6 @@ class Deployment:
             record["time_to_reconverge"] = 0.0
             return
         record["time_to_reconverge"] = -1.0
-        for node in laggards:
-            node.begin_recovery_catchup()
-            # Checkpoint-less epochs (no side kept a quorum) can only
-            # complete through the protocol's own view/round machinery.
-            node.nudge_stalled_instances()
 
         def on_caught_up() -> None:
             record["time_to_reconverge"] = self.sim.now - float(record["healed_at"])

@@ -1019,10 +1019,12 @@ def partition_minority(
     While split, the majority side keeps ordering (the minority node's
     segment is filled with ⊥ after a view change) and clients ride out the
     unreachable leader via retry/backoff; the minority node's jittered,
-    backed-off timers keep it from storming view changes it can't win.  On
-    heal the harness triggers state-transfer catch-up immediately, so
-    ``time_to_reconverge`` measures the state-transfer path, not an epoch
-    timer.
+    backed-off timers keep it from storming view changes it can't win.
+    When the partition outlasts the view change timeout, the isolated
+    node notices the heal itself at the first peer it hears again (it had
+    lost its quorum): it probes for state and nudges its stalled
+    instances, so ``time_to_reconverge`` measures the state-transfer path,
+    not an epoch timer.
     """
     specs = minority_partition(1, 4, 3.0, 3.0 + partition_duration)
     dep = deployment(

@@ -376,19 +376,6 @@ class HotStuffSB(SBInstance):
         self.context.send(self.round_leader(self._round), message)
         self._arm_round_timer()
 
-    def nudge(self) -> None:
-        """Partition healed: advance the pacemaker now at base backoff.
-
-        The resulting NewRound hands our high QC to the next leader, and a
-        peer that already finished the segment answers with *its* high QC
-        (see :meth:`_on_new_round`), closing the three-chain for a node
-        that was cut off — no backed-off timer wait.
-        """
-        if self._stopped or self._all_delivered():
-            return
-        self._round_timeout = self._base_round_timeout
-        self._on_round_timeout()
-
     def _on_new_round(self, src: NodeId, message: NewRound) -> None:
         # Learn the carried QC first, independent of round bookkeeping: a
         # NewRound may be the only vehicle that brings a lagging node the

@@ -126,7 +126,10 @@ class PbftSB(SBInstance):
         """Follower acceptance rules (Section 4.2, rules (a)–(d))."""
         if message.sn not in self._slots:
             return False
-        if message.view != self.view:
+        if message.view != self.view or message.view < self._highest_vc_sent:
+            # After demanding view v+1 a replica takes no part in views up
+            # to v (Castro & Liskov §4.4): its VIEW-CHANGE reported only
+            # what it had prepared by then.
             return False
         if src != self.primary_of(message.view):
             return False
@@ -193,7 +196,8 @@ class PbftSB(SBInstance):
         if accepted.digest != digest:
             # Only a vote against the accepted proposal can add evidence.
             self._maybe_detect_equivocation(slot)
-        elif len(voters) >= self._quorum:
+        elif len(voters) >= self._quorum and view >= self._highest_vc_sent:
+            # No COMMIT for a view this replica already demanded to leave.
             self._send_commit(slot, view, digest)
 
     def _maybe_detect_equivocation(self, slot: _Slot) -> None:

@@ -24,8 +24,7 @@ kind:
 * :class:`PartitionSpec` / :class:`LinkFaultSpec` — split and heal the
   network, install and remove link degradations.  When a partition heals
   the injector fires :attr:`FaultInjector.on_partition_heal` — the harness
-  hooks the state-transfer catch-up there so nodes that fell behind while
-  cut off reconverge immediately instead of waiting out an epoch timer.
+  measures reconvergence there; the replicas notice the heal themselves.
 * :class:`MembershipSpec` — fire :attr:`FaultInjector.on_membership_change`
   when an add/remove falls due; the harness submits the ConfigTx.
 """
@@ -93,7 +92,7 @@ class FaultInjector:
             Callable[[PartitionSpec, Dict[str, object]], None]
         ] = None
         #: Called right after a partition heals: ``fn(spec, record)``.  The
-        #: harness triggers the lagging nodes' state-transfer catch-up here.
+        #: harness records the laggards and their reconvergence time here.
         self.on_partition_heal: Optional[
             Callable[[PartitionSpec, Dict[str, object]], None]
         ] = None

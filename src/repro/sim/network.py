@@ -205,9 +205,8 @@ class Network:
         """Drop the current partition.
 
         This is purely a connectivity change: nodes that fell behind while
-        cut off do *not* magically catch up — the fault injector's heal path
-        (see :meth:`repro.sim.faults.FaultInjector.heal_partition_now`)
-        notifies the harness, which triggers the state-transfer catch-up.
+        cut off catch up only through the protocol — each notices the heal
+        when it hears a long-silent peer again (``ISSNode._on_peer_return``).
         """
         self._partition_group = {}
         self._partition_bridges = set()

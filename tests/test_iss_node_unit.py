@@ -268,3 +268,66 @@ class TestInstanceMessageRouting:
         harness.node.on_message(1, InstanceMessage(instance_id=(0, 0), payload="x"))
         # No buffering, no processing.
         assert not harness.node._pending_messages
+
+
+class TestRejoinAfterSilence:
+    """A replica notices a healed partition itself: a peer heard again after
+    ``view_change_timeout`` (3 s here) of silence starts its catch-up when
+    the node had lost a strong quorum, or when the peer shows it is ahead."""
+
+    def started(self):
+        harness = NodeHarness()
+        node = harness.node
+        node.start()
+        nudged = []
+        for instance in node.orderer.active_instances():
+            instance.nudge = lambda iid=instance.instance_id: nudged.append(iid)
+        return harness, node, nudged
+
+    @staticmethod
+    def speak(harness, peer, at, epoch=0):
+        """``peer`` sends node 0 one message of an ``epoch`` instance at ``at``."""
+        message = InstanceMessage(instance_id=(epoch, peer), payload="vote")
+        harness.sim.schedule(at - harness.sim.now, lambda: harness.node.on_message(peer, message))
+
+    def test_lost_quorum_then_a_peer_returns(self):
+        """Silent for 4 s: n − q + 1 = 2 of 3 peers were enough.  The first
+        peer back starts one open-ended probe and nudges every instance;
+        the others' return adds nothing while the node catches up."""
+        harness, node, nudged = self.started()
+        for peer in (1, 2, 3):
+            self.speak(harness, peer, at=0.1)
+        harness.sim.run(until=4.0)
+        assert node.state_transfer.probes_sent == 0 and nudged == []
+        self.speak(harness, 1, at=4.1)
+        harness.sim.run(until=4.2)
+        assert node.state_transfer.probes_sent == 1
+        assert sorted(nudged) == sorted(node.orderer.instances)
+        self.speak(harness, 2, at=4.3)
+        self.speak(harness, 3, at=4.4)
+        harness.sim.run(until=4.5)
+        assert node.state_transfer.probes_sent == 1
+        assert len(nudged) == len(node.orderer.instances)
+
+    def _f_silent_then_back(self, epoch):
+        """Peers 1 and 2 keep talking; peer 3 (f = 1) is silent for 4 s and
+        then sends a message of an ``epoch`` instance."""
+        harness, node, nudged = self.started()
+        for at in (0.1, 1.1, 2.1, 3.1, 4.1):
+            self.speak(harness, 1, at)
+            self.speak(harness, 2, at)
+        self.speak(harness, 3, at=0.1)
+        self.speak(harness, 3, at=4.15, epoch=epoch)
+        harness.sim.run(until=4.2)
+        return node, nudged
+
+    def test_losing_only_f_peers_is_no_heal(self):
+        node, nudged = self._f_silent_then_back(epoch=0)
+        assert node.state_transfer.probes_sent == 0
+        assert nudged == []
+
+    def test_a_peer_returning_ahead_starts_catchup(self):
+        node, nudged = self._f_silent_then_back(epoch=1)
+        assert node._pending_messages.get(1)
+        assert node.state_transfer.probes_sent == 1
+        assert nudged == []

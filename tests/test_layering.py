@@ -534,3 +534,26 @@ def test_a_replica_ends_its_own_catchup():
     assert definitions and all(d.startswith("harness/") for d in definitions), definitions
     assert not polls, f"watch_catchup reached from net/ or storage/: {polls}"
     assert not exits, f"catch-up ended from outside core/: {exits}"
+
+
+#: Replica methods that start a catch-up or prod SB instances.
+_REPLICA_STEERING = re.compile(r"^_?(?:begin_recovery_catchup|nudge_stalled_instances|nudge)$")
+
+
+def test_the_heal_hook_steers_no_replica():
+    """A replica notices a healed partition itself (``ISSNode`` hears a
+    peer again after a view change timeout of silence): nothing under
+    ``harness/`` or ``sim/`` starts a catch-up or nudges an instance, and
+    HotStuff keeps the no-op nudge of ``SBInstance``."""
+    from repro.core.sb import SBInstance
+    from repro.hotstuff.hotstuff import HotStuffSB
+
+    source_root = REPO_ROOT / "src" / "repro"
+    calls = []
+    for package in ("harness", "sim"):
+        for path in sorted((source_root / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and _REPLICA_STEERING.match(node.attr):
+                    calls.append(f"{path.relative_to(source_root)}:{node.lineno}: {node.attr}")
+    assert not calls, f"a harness hook steers a replica: {calls}"
+    assert HotStuffSB.nudge is SBInstance.nudge

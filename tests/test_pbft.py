@@ -288,6 +288,43 @@ class TestEquivocationDetection:
         assert lone.reports == [("equivocation", 1)]  # view 1's primary
 
 
+class TestViewChangeAbandonsTheOldView:
+    """After sending VIEW-CHANGE for view v+1 a replica takes no further
+    part in any view up to v (Castro & Liskov, §4.4): the VIEW-CHANGE it
+    sent carries only what it had prepared by then, so a later PREPARE or
+    COMMIT in view v could decide a value the new view never learns."""
+
+    def setup_method(self):
+        from repro.pbft.messages import PrePrepare, Prepare
+        from tests.conftest import make_batch, make_request
+
+        batch = make_batch(make_request(timestamp=1))
+        self.proposal = PrePrepare(view=0, sn=0, value=batch, digest=batch.digest())
+        self.vote = Prepare(view=0, sn=0, digest=batch.digest())
+
+    @staticmethod
+    def sent(lone):
+        return [type(m).__name__ for m in lone.multicasts]
+
+    def test_no_prepare_for_the_old_view(self):
+        lone = _LoneInstance(node_id=1)
+        pbft = lone.instance
+        pbft.nudge()  # demands view 1 now
+        assert self.sent(lone) == ["ViewChange"]
+        pbft.handle_message(0, self.proposal)
+        assert self.sent(lone) == ["ViewChange"]
+
+    def test_no_commit_for_the_old_view(self):
+        lone = _LoneInstance(node_id=1)
+        pbft = lone.instance
+        pbft.handle_message(0, self.proposal)
+        pbft.nudge()
+        assert self.sent(lone) == ["Prepare", "ViewChange"]
+        for voter in (0, 1, 2, 3):
+            pbft.handle_message(voter, self.vote)
+        assert self.sent(lone) == ["Prepare", "ViewChange"]
+
+
 class TestCommitBookkeeping:
     def test_uncommitted_counter_tracks_slots(self):
         """The O(1) all-committed test agrees with a scan of the slots at
