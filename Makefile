@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test docs-check gates bench paired
+.PHONY: test docs-check gates artefacts bench paired
 
 # Tier-1 test suite (the CI gate; see ROADMAP.md).
 test:
@@ -24,6 +24,14 @@ gate-%:
 # (CI runs benchmarks/run_perf_smoke.py: this, then docs-check.)
 gates:
 	$(PYTHON) -m repro.gate --all
+
+# Regenerate the tracked artefacts of the three simulated producers that no
+# gate writes: BENCH_partition_heal.json, BENCH_recovery_time.json and
+# BENCH_membership.json (~30 s).  Their schedules are deterministic, so a
+# change that keeps behaviour leaves `git diff` clean after this.
+artefacts:
+	$(PYTHON) -m pytest -q -p no:cacheprovider benchmarks/bench_partition_heal.py \
+		benchmarks/bench_recovery_time.py benchmarks/bench_membership.py
 
 # Hot-path microbenchmarks (diagnose what the benchmark's sim_n8 flags).
 bench:

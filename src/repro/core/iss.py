@@ -13,8 +13,8 @@ This module ties together everything the paper's Algorithms 1–3 describe:
   client responses,
 * epoch transitions, checkpointing, garbage collection and state transfer,
 * rejoining after a partition heals: a peer heard again after a view
-  change timeout of silence starts this node's own catch-up (see
-  :meth:`ISSNode._on_peer_return`),
+  change timeout of silence starts this node's own catch-up (the rule is
+  :class:`~repro.core.state_transfer.StateTransfer`'s; this node feeds it),
 * durable persistence: when the node owns a
   :class:`~repro.storage.node_storage.NodeStorage`, every commit, epoch
   start and stable checkpoint is recorded through a narrow persist hook so
@@ -41,7 +41,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -134,11 +133,6 @@ class ISSNode:
         self.layout = layout
         #: Durable storage (the WAL); ``None`` disables persistence.
         self.storage = storage
-        #: Catch-up mode: while True (from a restart, a join or a heal until
-        #: the node completes an epoch ahead of its stable certificate), a
-        #: stable checkpoint for the *current* epoch triggers state transfer
-        #: at once, not after :data:`STALLED_CATCHUP_GRACE`.
-        self._catchup_aggressive = False
         #: Pending stalled-epoch re-check (:data:`STALLED_CATCHUP_GRACE`);
         #: at most one armed at a time.
         self._wedge_timer = None
@@ -206,13 +200,6 @@ class ISSNode:
             probe_stagger=probe_stagger,
         )
 
-        #: When each replica (this one included) was last heard from: a
-        #: peer speaking again after a view change timeout of silence may
-        #: mean a healed partition (see :meth:`_on_peer_return`).
-        self._last_heard: Dict[NodeId, float] = {}
-        #: Peers back from such a silence whose epoch no message has shown
-        #: yet (see :meth:`_on_peer_return`).
-        self._returned: Set[NodeId] = set()
         #: Instance messages buffered for epochs we have not started yet.
         self._pending_messages: Dict[EpochNr, List[Tuple[NodeId, InstanceMessage]]] = {}
         #: Statistics.
@@ -259,25 +246,12 @@ class ISSNode:
         self.state_transfer.stop()
         if self._wedge_timer is not None:
             self._wedge_timer.cancel()
-            self._wedge_timer = None
 
     def begin_recovery_catchup(self) -> None:
-        """After a restart, a join or a heal: fetch everything the peers
-        can prove stable.
-
-        Sends the open-ended state-transfer probe and enters catch-up mode
-        (a stable checkpoint for the *current* epoch with an incomplete
-        local log triggers transfer at once — the epoch's SB instances were
-        garbage collected at the peers, so votes alone can no longer
-        complete it here).  Recovery calls it after WAL replay; the node
-        calls it itself when a peer returns from a silence that looks like
-        a healed partition (:meth:`_on_peer_return`).  The node leaves the
-        mode by itself, at the first epoch it completes before that epoch's
-        stable certificate exists (see :meth:`_after_commit`).
-        """
-        self._catchup_aggressive = True
-        self._returned.clear()
-        self.state_transfer.request_latest(self.current_epoch, self._peer_nodes())
+        """After a restart, a join or a heal: enter catch-up mode and fetch
+        everything the peers can prove stable (recovery calls it after WAL
+        replay; see :meth:`StateTransfer.begin_catchup`)."""
+        self.state_transfer.begin_catchup(self.current_epoch, self._peer_nodes())
 
     def submit_request(self, request: Request) -> bool:
         """Entry point for a locally injected request (bypassing the network).
@@ -316,9 +290,16 @@ class ISSNode:
             return
         if src < CLIENT_ENDPOINT_OFFSET:
             now = self.sim.now
-            last_heard = self._last_heard
-            if now - last_heard.get(src, now) >= self.config.view_change_timeout:
-                self._on_peer_return(src)  # still counts src as silent
+            transfer = self.state_transfer
+            last_heard = transfer.last_heard
+            if now - last_heard.get(src, now) >= transfer.silence and transfer.cut_off(
+                src, now, self.membership.view_for(self.current_epoch)
+            ):
+                # Cut off: catch up, and nudge the instances whose timers
+                # backed off while no quorum could answer.
+                self.begin_recovery_catchup()
+                for instance in list(self.orderer.active_instances()):
+                    instance.nudge()
             last_heard[src] = now
         if message.__class__ is InstanceMessage:
             # The n² path: one table hit, then straight into the instance.
@@ -330,8 +311,8 @@ class ISSNode:
         elif isinstance(message, ClientRequestMsg):
             self._handle_client_request(message.request)
         elif isinstance(message, CheckpointMsg):
-            if src in self._returned:
-                self._returned_peer_shown(src, message.epoch >= self.current_epoch)
+            if self.state_transfer.returned_ahead(src, message.epoch >= self.current_epoch):
+                self.begin_recovery_catchup()
             self.checkpoints.handle_message(src, message)
             self._maybe_request_state_transfer(message.epoch)
         elif isinstance(message, StateRequest):
@@ -340,58 +321,6 @@ class ISSNode:
         elif isinstance(message, StateResponse):
             self.state_transfer.handle_response(response=message, log=self.log)
             self._after_commit()
-
-    def _on_peer_return(self, src: NodeId) -> None:
-        """``src`` spoke after at least a view change timeout of silence.
-
-        The replica's own heal trigger, run before the message is handled.
-        If so many peers of the current view were silent that long that
-        the rest could not form a strong quorum with this node, this node
-        was cut off: it probes for state and nudges its stalled instances,
-        whose timers backed off while no quorum could answer.  Otherwise
-        the peer's next message that shows its epoch — a checkpoint vote,
-        or an instance message for an epoch this node has not started or
-        no longer hosts — decides: the node catches up if the peer is ahead
-        (see :meth:`_returned_peer_shown`).  A node already catching up
-        does neither.
-        """
-        if src == self.node_id or self._catchup_aggressive:
-            return
-        view = self.membership.view_for(self.current_epoch)
-        now = self.sim.now
-        timeout = self.config.view_change_timeout
-        last_heard = self._last_heard
-        silent = sum(
-            1
-            for peer in view.nodes
-            if peer != self.node_id and now - last_heard.get(peer, now) >= timeout
-        )
-        if view.num_nodes - silent < view.strong_quorum:
-            self.begin_recovery_catchup()
-            self._nudge_stalled_instances()
-        else:
-            self._returned.add(src)
-
-    def _returned_peer_shown(self, src: NodeId, ahead: bool) -> None:
-        """A returned peer's message showed its epoch: an instance message
-        this node buffers or a checkpoint vote for this node's epoch or a
-        later one puts the peer ahead, and this node catches up."""
-        self._returned.discard(src)
-        if ahead and not self._catchup_aggressive:
-            self.begin_recovery_catchup()
-
-    def _nudge_stalled_instances(self) -> None:
-        """Prod every live SB instance to re-examine liveness now (see
-        :meth:`repro.core.sb.SBInstance.nudge`).
-
-        State transfer only serves checkpoint-backed prefixes; epochs where
-        *no* side kept a quorum (a bridge partition, say) have no stable
-        checkpoint to transfer, and their decided-but-unfinished instances
-        can only complete through the protocol's own view/round machinery —
-        whose timers were exponentially backed off during the outage.
-        """
-        for instance in list(self.orderer.active_instances()):
-            instance.nudge()
 
     # ======================================================== client requests
     def _handle_client_request(self, request: Request) -> bool:
@@ -736,13 +665,7 @@ class ISSNode:
             self.checkpoints.local_epoch_complete(finished, self.log)
             self.watermarks.advance_epoch()
             self.epochs_completed += 1
-            if (
-                self._catchup_aggressive
-                and self.checkpoints.stable_checkpoint(finished) is None
-            ):
-                # Completed ahead of the epoch's certificate (our own vote is
-                # already counted): the node keeps pace, catch-up is over.
-                self._catchup_aggressive = False
+            self.state_transfer.epoch_finished(finished)
             if activation[0] or activation[1]:
                 self._on_membership_activation(finished + 1, *activation)
                 if self.retired:
@@ -820,50 +743,46 @@ class ISSNode:
                 sealed_through=storage.sealed_count() - 1,
             )
 
-    def _maybe_request_state_transfer(self, checkpoint_epoch: EpochNr) -> None:
-        """A stable checkpoint ahead of us means we fell behind: catch up."""
+    def _stalled(self, epoch: EpochNr) -> bool:
+        """``epoch`` is the current one and provably decided, but the local
+        log has holes the peers' garbage-collected SB instances no longer
+        fill."""
+        return (
+            epoch == self.current_epoch
+            and self.checkpoints.stable_checkpoint(epoch) is not None
+            and not self.manager.epoch_complete(epoch, self.log)
+        )
+
+    def _maybe_request_state_transfer(self, checkpoint_epoch: EpochNr, graced: bool = False) -> None:
+        """A stable checkpoint ahead of us means we fell behind: catch up.
+
+        A stalled current epoch is fetched at once in catch-up mode, even if
+        an earlier request is in flight.  Otherwise (persistent message loss)
+        the in-flight commits get one grace period to land first; the timer
+        calls back with ``graced`` and the epoch is fetched if still stalled.
+        """
         if checkpoint_epoch > self.current_epoch:
             self.state_transfer.request_missing(
                 self.current_epoch, checkpoint_epoch, self._peer_nodes()
             )
-        elif (
-            checkpoint_epoch == self.current_epoch
-            and self.checkpoints.stable_checkpoint(checkpoint_epoch) is not None
-            and not self.manager.epoch_complete(checkpoint_epoch, self.log)
-        ):
-            # The current epoch is provably decided but our log has holes
-            # the peers' garbage-collected SB instances no longer fill.  In
-            # catch-up mode transfer at once, even if an earlier request is
-            # in flight; otherwise (persistent message loss) the in-flight
-            # commits get one grace period to land first.
-            if self._catchup_aggressive:
+        elif self._stalled(checkpoint_epoch):
+            if graced or self.state_transfer.catching_up:
                 self.state_transfer.request_missing(
                     checkpoint_epoch, checkpoint_epoch, self._peer_nodes(), force=True
                 )
-            elif self._wedge_timer is None:
+            elif self._wedge_timer is None or not self._wedge_timer.active:
                 self._wedge_timer = self.sim.schedule(
                     STALLED_CATCHUP_GRACE,
-                    lambda: self._catchup_if_wedged(checkpoint_epoch),
+                    lambda: self._maybe_request_state_transfer(checkpoint_epoch, graced=True),
                 )
-
-    def _catchup_if_wedged(self, epoch: EpochNr) -> None:
-        """Grace period expired: force a transfer if the epoch is still stuck."""
-        self._wedge_timer = None
-        if self.crashed or epoch != self.current_epoch:
-            return
-        if self.manager.epoch_complete(epoch, self.log):
-            return
-        if self.checkpoints.stable_checkpoint(epoch) is None:
-            return
-        self.state_transfer.request_missing(epoch, epoch, self._peer_nodes(), force=True)
 
     # ======================================================= instance messages
     def _on_unrouted_instance_message(self, src: NodeId, message: InstanceMessage) -> None:
         """A protocol message for an instance this node does not host."""
         epoch = message.instance_id[0]
         ahead = epoch > self.current_epoch or not self._started
-        if src in self._returned:
-            self._returned_peer_shown(src, ahead)
+        if self.state_transfer.returned_ahead(src, ahead):
+            self.begin_recovery_catchup()
         if ahead:
             # An epoch this node has not started (any epoch before start(),
             # whose current_epoch is only a placeholder): buffer until we

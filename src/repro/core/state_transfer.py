@@ -25,17 +25,27 @@ requests shrink to the outstanding contiguous runs) and no-op when
 nothing is.  Every peer is therefore still asked eventually — a crashed
 or lagging early responder costs stagger intervals of delay, never
 completeness — while the common case transfers each epoch exactly once.
+
+The same object holds the one catch-up rule, for a restart, a join and a
+healed partition, in both backends.  *Catch-up mode* begins with the
+open-ended probe and ends at the first epoch the node completes before
+that epoch's stable certificate exists; while in it, the node fetches a
+stable current epoch at once instead of after a grace period.  A peer
+heard again after a view change timeout of silence may mean a heal: the
+node catches up if it had lost a strong quorum, or else once the peer's
+next epoch-bearing message shows it ahead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..runtime.codec import INT, fixed_tuple, nested, register, tuple_of
 from .checkpoint import CheckpointProtocol
 from .config import ISSConfig
 from .log import Log
+from .membership import MembershipView
 from .segment import epoch_seq_nrs
 from .types import (
     LOG_ENTRY,
@@ -103,12 +113,14 @@ register(
 
 
 class StateTransfer:
-    """Per-node state-transfer helper.
+    """Per-node state transfer and the catch-up rule that drives it.
 
     The host node calls :meth:`request_missing` when it detects it is behind,
     answers peers' requests through :meth:`build_responses`, and applies
     verified responses through :meth:`handle_response` (which feeds entries
-    into the log via the supplied callback).
+    into the log via the supplied callback).  For the catch-up rule it
+    stores each replica message's arrival in :attr:`last_heard` and feeds
+    :meth:`cut_off`, :meth:`returned_ahead` and :meth:`epoch_finished`.
     """
 
     def __init__(
@@ -145,6 +157,63 @@ class StateTransfer:
         self._ranged_requests = 0
         #: Outstanding escalation/expiry timers (cancelled on host crash).
         self._probe_timers: List[object] = []
+        #: Catch-up mode (see :meth:`begin_catchup`, :meth:`epoch_finished`).
+        self.catching_up = False
+        #: A peer heard again after this much silence is returning.
+        self.silence = config.view_change_timeout
+        #: When the host last heard each replica (itself included); the
+        #: host stores every replica message's arrival time here.
+        self.last_heard: Dict[NodeId, float] = {}
+        #: Returning peers whose epoch no message has shown yet.
+        self._returned: Set[NodeId] = set()
+
+    # ------------------------------------------------------------- catch-up
+    def begin_catchup(self, first_epoch: EpochNr, peers: List[NodeId]) -> None:
+        """Enter catch-up mode and probe for everything stable from
+        ``first_epoch`` on (after a restart, a join or a heal)."""
+        self.catching_up = True
+        self._returned.clear()
+        self.request_latest(first_epoch, peers)
+
+    def cut_off(self, src: NodeId, now: float, view: MembershipView) -> bool:
+        """``src`` spoke at ``now`` after at least :attr:`silence` of silence.
+
+        True when so many peers of the host's ``view`` (``src`` still
+        counted) were silent that long that the rest could not form a strong
+        quorum with the host: it was cut off and should catch up.  Otherwise
+        ``src`` is returning (see :meth:`returned_ahead`).  The host's own
+        messages, or a host already catching up, decide nothing."""
+        node_id = self.node_id
+        if src == node_id or self.catching_up:
+            return False
+        last_heard = self.last_heard
+        silent = sum(
+            1
+            for peer in view.nodes
+            if peer != node_id and now - last_heard.get(peer, now) >= self.silence
+        )
+        if view.num_nodes - silent < view.strong_quorum:
+            return True
+        self._returned.add(src)
+        return False
+
+    def returned_ahead(self, src: NodeId, ahead: bool) -> bool:
+        """A message of ``src`` showed its epoch, ahead of the host's or not.
+
+        True when ``src`` is a returning peer shown ahead and the host is not
+        catching up yet: the host should begin.  Either way the first such
+        message settles ``src``."""
+        if src not in self._returned:
+            return False
+        self._returned.discard(src)
+        return ahead and not self.catching_up
+
+    def epoch_finished(self, epoch: EpochNr) -> None:
+        """The host completed ``epoch``.  Completing it before the epoch's
+        stable certificate exists (the host's own vote is already counted)
+        means the host keeps pace: catch-up mode ends."""
+        if self.catching_up and self.checkpoints.stable_checkpoint(epoch) is None:
+            self.catching_up = False
 
     # ----------------------------------------------------------- requesting
     def request_missing(

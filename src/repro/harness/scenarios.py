@@ -1022,9 +1022,9 @@ def partition_minority(
     backed-off timers keep it from storming view changes it can't win.
     When the partition outlasts the view change timeout, the isolated
     node notices the heal itself at the first peer it hears again (it had
-    lost its quorum): it probes for state and nudges its stalled
-    instances, so ``time_to_reconverge`` measures the state-transfer path,
-    not an epoch timer.
+    lost its quorum; see ``StateTransfer.cut_off``): it probes for state
+    and nudges its stalled instances, so ``time_to_reconverge`` measures
+    the state-transfer path, not an epoch timer.
     """
     specs = minority_partition(1, 4, 3.0, 3.0 + partition_duration)
     dep = deployment(

@@ -506,10 +506,11 @@ _CATCHUP_EXIT = re.compile(r"(?:end|exit|leave|stop|finish)\w*catch_?up")
 def test_a_replica_ends_its_own_catchup():
     """Catch-up mode is the replica's own decision: the measuring watcher
     ``watch_catchup`` is defined only under ``harness/`` and nothing under
-    ``net/`` or ``storage/`` names it, and no module outside ``core/``
-    calls a catch-up exit or clears the mode flag."""
+    ``net/`` or ``storage/`` names it, no module outside ``core/`` calls a
+    catch-up exit, and only ``core/state_transfer.py`` assigns the mode
+    flag ``catching_up``."""
     source_root = REPO_ROOT / "src" / "repro"
-    definitions, polls, exits = [], [], []
+    definitions, polls, exits, flag_writes = [], [], [], []
     for path in sorted(source_root.rglob("*.py")):
         where = path.relative_to(source_root)
         package = where.parts[0]
@@ -528,16 +529,26 @@ def test_a_replica_ends_its_own_catchup():
             if (
                 package != "core"
                 and isinstance(node, ast.Attribute)
-                and (_CATCHUP_EXIT.search(node.attr) or node.attr == "_catchup_aggressive")
+                and _CATCHUP_EXIT.search(node.attr)
             ):
                 exits.append(f"{where}:{node.lineno}: {node.attr}")
+            if (
+                str(where) != "core/state_transfer.py"
+                and isinstance(node, ast.Attribute)
+                and node.attr == "catching_up"
+                and isinstance(node.ctx, ast.Store)
+            ):
+                flag_writes.append(f"{where}:{node.lineno}")
     assert definitions and all(d.startswith("harness/") for d in definitions), definitions
     assert not polls, f"watch_catchup reached from net/ or storage/: {polls}"
     assert not exits, f"catch-up ended from outside core/: {exits}"
+    assert not flag_writes, f"catch-up mode set outside StateTransfer: {flag_writes}"
 
 
 #: Replica methods that start a catch-up or prod SB instances.
-_REPLICA_STEERING = re.compile(r"^_?(?:begin_recovery_catchup|nudge_stalled_instances|nudge)$")
+_REPLICA_STEERING = re.compile(
+    r"^_?(?:begin_recovery_catchup|begin_catchup|cut_off|nudge_stalled_instances|nudge)$"
+)
 
 
 def test_the_heal_hook_steers_no_replica():

@@ -150,7 +150,7 @@ class TestCrashRestartRecovery:
 
         victim = result.nodes[VICTIM]
         # ...and ended its catch-up mode by itself.
-        assert not victim._catchup_aggressive
+        assert not victim.state_transfer.catching_up
         peers = [node for node in result.nodes if node.node_id != VICTIM]
         # Identical committed sequence: same digest at every position shared
         # with every peer, and a delivered frontier no shorter than the

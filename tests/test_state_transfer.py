@@ -431,3 +431,94 @@ class TestStaggeredEscalation:
         harness.transfers[1].request_missing(0, 1, peers=[0, 2, 3])
         harness.transfers[1].stop()
         assert all(timer.cancelled for timer in harness.timers)
+
+
+#: Virtual time at which the catch-up rule tests' host hears a peer.
+NOW = 100.0
+
+
+def heard(transfer, num_nodes, silent_peers):
+    """Store arrival times at ``transfer``'s host (node 0): the first
+    ``silent_peers`` peers exactly one :attr:`silence` ago, the rest 1 s ago."""
+    for peer in range(1, num_nodes):
+        silent = peer <= silent_peers
+        transfer.last_heard[peer] = NOW - (transfer.silence if silent else 1.0)
+
+
+def genesis_view(harness):
+    return MembershipTracker(harness.config, None).view_for(0)
+
+
+class TestCatchupRule:
+    """The catch-up rule over a bare StateTransfer, without a node."""
+
+    @pytest.mark.parametrize(
+        "num_nodes, silent_peers",
+        [(4, 1), (4, 2), (4, 3), (6, 2), (6, 3), (6, 4), (6, 5)],
+    )
+    def test_cut_off_once_the_silent_peers_leave_no_strong_quorum(
+        self, num_nodes, silent_peers
+    ):
+        """Peer 1 speaks after a silence, counted among ``silent_peers``:
+        the host was cut off exactly when at least ``n − strong_quorum + 1``
+        peers were silent; otherwise peer 1 is returning."""
+        harness = Harness(num_nodes=num_nodes)
+        transfer = harness.transfers[0]
+        view = genesis_view(harness)
+        heard(transfer, num_nodes, silent_peers)
+        expected = silent_peers >= num_nodes - view.strong_quorum + 1
+        assert transfer.cut_off(1, NOW, view) is expected
+        assert transfer.returned_ahead(1, ahead=True) is (not expected)
+
+    def test_own_message_or_catching_up_decides_nothing(self):
+        harness = Harness(num_nodes=4)
+        transfer = harness.transfers[0]
+        view = genesis_view(harness)
+        heard(transfer, 4, silent_peers=3)
+        assert not transfer.cut_off(0, NOW, view)
+        transfer.catching_up = True
+        assert not transfer.cut_off(1, NOW, view)
+        transfer.catching_up = False
+        assert not transfer.returned_ahead(1, ahead=True)
+
+    @pytest.mark.parametrize("returned", [True, False])
+    @pytest.mark.parametrize("ahead", [True, False])
+    @pytest.mark.parametrize("catching_up", [True, False])
+    def test_returned_ahead(self, returned, ahead, catching_up):
+        """Only a returning peer shown ahead of a host not yet catching up
+        starts a catch-up; its first epoch-bearing message settles it."""
+        harness = Harness(num_nodes=4)
+        transfer = harness.transfers[0]
+        if returned:
+            heard(transfer, 4, silent_peers=1)
+            assert not transfer.cut_off(1, NOW, genesis_view(harness))
+        transfer.catching_up = catching_up
+        expected = returned and ahead and not catching_up
+        assert transfer.returned_ahead(1, ahead) is expected
+        assert not transfer.returned_ahead(1, ahead)
+
+    def test_begin_catchup_probes_and_forgets_returning_peers(self):
+        harness = Harness(num_nodes=4)
+        transfer = harness.transfers[0]
+        heard(transfer, 4, silent_peers=1)
+        transfer.cut_off(1, NOW, genesis_view(harness))
+        transfer.begin_catchup(2, peers=[1, 2, 3])
+        assert transfer.catching_up
+        assert not transfer.returned_ahead(1, ahead=True)
+        assert [(dst, msg) for _src, dst, msg in harness.sent] == [
+            (peer, StateRequest(first_epoch=2, last_epoch=-1)) for peer in (1, 2, 3)
+        ]
+
+    @pytest.mark.parametrize("certified", [True, False])
+    @pytest.mark.parametrize("catching_up", [True, False])
+    def test_epoch_finished(self, certified, catching_up):
+        """Catch-up ends at the first epoch the host completes before that
+        epoch's stable certificate exists, and never starts here."""
+        harness = Harness(num_nodes=4)
+        transfer = harness.transfers[0]
+        if certified:
+            harness.fill_epoch(0)
+            harness.make_stable(0)
+        transfer.catching_up = catching_up
+        transfer.epoch_finished(0)
+        assert transfer.catching_up is (catching_up and certified)

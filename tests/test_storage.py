@@ -258,10 +258,10 @@ class TestCatchupMode:
             harness.storage.record_commit(sn, entry(sn), 0)
         node = harness.node
         info = boot_from_storage(node, harness.storage, now=0.0)
-        assert info.resume_epoch == 1 and node._catchup_aggressive
+        assert info.resume_epoch == 1 and node.state_transfer.catching_up
         for epoch in (1, 2):
             node.checkpoints.restore_stable(fake_certificate(epoch, 4 * epoch + 3))
             deliver_epoch(node, epoch)
-            assert node.current_epoch == epoch + 1 and node._catchup_aggressive
+            assert node.current_epoch == epoch + 1 and node.state_transfer.catching_up
         deliver_epoch(node, 3)
-        assert node.current_epoch == 4 and not node._catchup_aggressive
+        assert node.current_epoch == 4 and not node.state_transfer.catching_up
