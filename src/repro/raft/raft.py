@@ -204,7 +204,7 @@ class RaftSB(SBInstance):
                     del self.log[index:]
                 else:
                     continue
-            if not self._validate_entry(src, entry):
+            if not self._validate_entry(entry):
                 self.context.send(
                     src, AppendReply(term=self.term, success=False, match_index=self._last_log_index())
                 )
@@ -217,14 +217,16 @@ class RaftSB(SBInstance):
             src, AppendReply(term=self.term, success=True, match_index=self._last_log_index())
         )
 
-    def _validate_entry(self, src: NodeId, entry: RaftEntry) -> bool:
+    def _validate_entry(self, entry: RaftEntry) -> bool:
         if entry.sn == NOOP_SN:
             return is_nil(entry.value)
         if entry.sn not in self.segment.seq_nrs:
             return False
         if is_nil(entry.value):
             return True
-        if src != self.context.segment.leader:
+        # Only the segment leader, at its initial term 0, appends batches; a
+        # failover leader appends ⊥ but relays the batches it holds.
+        if entry.term != 0:
             return False
         if not isinstance(entry.value, Batch):
             return False

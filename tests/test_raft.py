@@ -147,9 +147,20 @@ class TestLeaderFailure:
     def test_blank_entry_is_accepted_only_as_nil(self):
         bed = make_bed()
         follower = bed.instances[1]
-        assert follower._validate_entry(2, RaftEntry(term=1, sn=NOOP_SN, value=NIL))
+        assert follower._validate_entry(RaftEntry(term=1, sn=NOOP_SN, value=NIL))
         batch = Batch.of(())
-        assert not follower._validate_entry(0, RaftEntry(term=1, sn=NOOP_SN, value=batch))
+        assert not follower._validate_entry(RaftEntry(term=1, sn=NOOP_SN, value=batch))
+
+    def test_only_the_segment_leaders_term_carries_batches(self):
+        """A batch is valid only at term 0, the segment leader's: a failover
+        leader relays the batches it holds, but cannot introduce one."""
+        bed = make_bed()
+        follower = bed.instances[1]
+        sn = follower.segment.seq_nrs[0]
+        batch = Batch.of(())
+        assert follower._validate_entry(RaftEntry(term=0, sn=sn, value=batch))
+        assert not follower._validate_entry(RaftEntry(term=1, sn=sn, value=batch))
+        assert follower._validate_entry(RaftEntry(term=1, sn=sn, value=NIL))
 
     def test_election_timeout_range_doubles_on_failed_election(self):
         bed = make_bed(num_nodes=5)

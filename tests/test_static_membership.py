@@ -6,7 +6,8 @@ signer set of every checkpoint is the epoch's view, with or without a
 scheduled reconfiguration:
 
 * a 6-node cluster split 3|3 keeps one log — two halves of 3 are not two
-  quorums (the ``2f+1 = 3`` rule let each half order its own batches);
+  quorums (the ``2f+1 = 3`` rule let each half order its own batches) —
+  and, given time after the heal, orders every request;
 * a static node refuses a checkpoint certificate signed by non-members and
   never counts a non-member's CHECKPOINT vote.
 """
@@ -42,6 +43,46 @@ def test_split_six_nodes_keeps_one_log(protocol):
     )
     result = dep.run()
     assert traces_agree([delivered_trace(node) for node in result.nodes])
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        "pbft",
+        pytest.param(
+            "hotstuff",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="FOUND (CHANGES.md): ISS-HotStuff at n = 6 does not "
+                "recover from a 3|3 split",
+            ),
+        ),
+        "raft",
+    ],
+)
+def test_split_six_nodes_recovers(protocol):
+    """3|3 for 7 s, then heal, in a 58 s run: every replica completes at
+    least 5 epochs and ends with no request pending.  Raft used to wedge
+    here with 0 epochs: followers refused the segment leader's batch that
+    a failover leader relayed, because the sender was not the segment
+    leader."""
+    dep = scenarios.deployment(
+        protocol,
+        6,
+        [symmetric_split(range(3), range(3, 6), 1.0, 8.0)],
+        rate=100,
+        duration=58,
+        drain_time=8,
+        seed=3,
+    )
+    result = dep.run()
+    figures = {
+        node.node_id: (node.epochs_completed, node.pending_requests())
+        for node in result.nodes
+    }
+    assert all(
+        epochs >= 5 and pending == 0 for epochs, pending in figures.values()
+    ), figures
 
 
 def _signed_vote(key_store, sender: int, epoch: int = 0) -> CheckpointMsg:
