@@ -125,8 +125,13 @@ class RaftSB(SBInstance):
         self._send_heartbeats()
 
     def _leader_append(self, sn: SeqNr, batch: Batch) -> None:
-        """Pacer callback at the initial (segment) leader."""
-        if self._stopped or self.role != LEADER:
+        """Pacer callback at the initial (segment) leader.
+
+        Only term 0 carries batches (see :meth:`_validate_entry`): once this
+        node has left term 0, even as a re-elected leader that filled the
+        remaining sequence numbers with ⊥, its pacer's batches are dropped.
+        """
+        if self._stopped or self.role != LEADER or self.term != 0:
             return
         tracer = self.context.tracer
         if tracer is not None:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import ISSConfig
 from repro.core.types import NIL, Batch, SegmentDescriptor, is_nil
-from repro.raft.messages import RaftEntry
+from repro.raft.messages import AppendReply, RaftEntry
 from repro.raft.raft import FOLLOWER, LEADER, NOOP_SN, RaftSB
 from tests.conftest import SBTestBed
 
@@ -161,6 +161,34 @@ class TestLeaderFailure:
         assert follower._validate_entry(RaftEntry(term=0, sn=sn, value=batch))
         assert not follower._validate_entry(RaftEntry(term=1, sn=sn, value=batch))
         assert follower._validate_entry(RaftEntry(term=1, sn=sn, value=NIL))
+
+    def test_reelected_segment_leader_proposes_no_more_batches(self):
+        """The segment leader steps down with sequence numbers still to
+        propose and wins a later term: its pacer keeps firing, but no batch
+        leaves term 0, so followers never reject its appends."""
+        bed = make_bed(seq_nrs=tuple(range(8)))
+        rejections = []
+        send = bed.network.send
+
+        def counting_send(src, dst, message):
+            if isinstance(message, AppendReply) and not message.success:
+                rejections.append((src, dst))
+            send(src, dst, message)
+
+        bed.network.send = counting_send
+        bed.start_all()
+        bed.run(until=0.5)
+        leader = bed.instances[0]
+        assert leader._remaining_sns()
+        leader.handle_message(1, AppendReply(term=1, success=False, match_index=-1))
+        assert leader.role == FOLLOWER
+        leader._on_election_timeout()
+        bed.run(until=10.0)
+        assert leader.role == LEADER and leader.term == 2
+        bed.assert_termination()
+        bed.assert_agreement()
+        assert all(entry.term == 0 or is_nil(entry.value) for entry in leader.log)
+        assert len(rejections) <= 2
 
     def test_election_timeout_range_doubles_on_failed_election(self):
         bed = make_bed(num_nodes=5)
