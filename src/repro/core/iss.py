@@ -288,19 +288,14 @@ class ISSNode:
         """Network entry point: dispatch by message type."""
         if self.crashed:
             return
-        if src < CLIENT_ENDPOINT_OFFSET:
-            now = self.sim.now
-            transfer = self.state_transfer
-            last_heard = transfer.last_heard
-            if now - last_heard.get(src, now) >= transfer.silence and transfer.cut_off(
-                src, now, self.membership.view_for(self.current_epoch)
-            ):
-                # Cut off: catch up, and nudge the instances whose timers
-                # backed off while no quorum could answer.
-                self.begin_recovery_catchup()
-                for instance in list(self.orderer.active_instances()):
-                    instance.nudge()
-            last_heard[src] = now
+        if src < CLIENT_ENDPOINT_OFFSET and self.state_transfer.heard(
+            src, self.sim.now, self.current_epoch
+        ):
+            # Cut off: catch up, and nudge the instances whose timers backed
+            # off while no quorum could answer.
+            self.begin_recovery_catchup()
+            for instance in list(self.orderer.active_instances()):
+                instance.nudge()
         if message.__class__ is InstanceMessage:
             # The n² path: one table hit, then straight into the instance.
             instance = self.orderer.instances.get(message.instance_id)
@@ -743,29 +738,23 @@ class ISSNode:
                 sealed_through=storage.sealed_count() - 1,
             )
 
-    def _stalled(self, epoch: EpochNr) -> bool:
-        """``epoch`` is the current one and provably decided, but the local
-        log has holes the peers' garbage-collected SB instances no longer
-        fill."""
-        return (
-            epoch == self.current_epoch
-            and self.checkpoints.stable_checkpoint(epoch) is not None
-            and not self.manager.epoch_complete(epoch, self.log)
-        )
-
     def _maybe_request_state_transfer(self, checkpoint_epoch: EpochNr, graced: bool = False) -> None:
-        """A stable checkpoint ahead of us means we fell behind: catch up.
-
-        A stalled current epoch is fetched at once in catch-up mode, even if
-        an earlier request is in flight.  Otherwise (persistent message loss)
-        the in-flight commits get one grace period to land first; the timer
-        calls back with ``graced`` and the epoch is fetched if still stalled.
-        """
+        """A stable checkpoint ahead of us means we fell behind: catch up."""
         if checkpoint_epoch > self.current_epoch:
             self.state_transfer.request_missing(
                 self.current_epoch, checkpoint_epoch, self._peer_nodes()
             )
-        elif self._stalled(checkpoint_epoch):
+        elif (
+            checkpoint_epoch == self.current_epoch
+            and self.checkpoints.stable_checkpoint(checkpoint_epoch) is not None
+            and not self.manager.epoch_complete(checkpoint_epoch, self.log)
+        ):
+            # The current epoch is provably decided but our log has holes
+            # the peers' garbage-collected SB instances no longer fill.  In
+            # catch-up mode transfer at once, even if an earlier request is
+            # in flight; otherwise (persistent message loss) the in-flight
+            # commits get one grace period to land first, and the timer
+            # calls back with ``graced`` to fetch the epoch if still stuck.
             if graced or self.state_transfer.catching_up:
                 self.state_transfer.request_missing(
                     checkpoint_epoch, checkpoint_epoch, self._peer_nodes(), force=True

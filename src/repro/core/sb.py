@@ -282,7 +282,7 @@ class SBInstance(ABC):
 
         The host calls it on its own instances only, when a peer returns
         after this node had lost a strong quorum (a healed partition; see
-        ``StateTransfer.cut_off``), never on the clean path.  Default
+        ``StateTransfer.heard``), never on the clean path.  Default
         no-op, which HotStuff and Raft keep; PBFT overrides it to demand
         the next view at the base timeout.
         """

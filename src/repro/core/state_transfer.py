@@ -45,7 +45,6 @@ from ..runtime.codec import INT, fixed_tuple, nested, register, tuple_of
 from .checkpoint import CheckpointProtocol
 from .config import ISSConfig
 from .log import Log
-from .membership import MembershipView
 from .segment import epoch_seq_nrs
 from .types import (
     LOG_ENTRY,
@@ -119,8 +118,8 @@ class StateTransfer:
     answers peers' requests through :meth:`build_responses`, and applies
     verified responses through :meth:`handle_response` (which feeds entries
     into the log via the supplied callback).  For the catch-up rule it
-    stores each replica message's arrival in :attr:`last_heard` and feeds
-    :meth:`cut_off`, :meth:`returned_ahead` and :meth:`epoch_finished`.
+    reports every replica message through :meth:`heard` and feeds
+    :meth:`returned_ahead` and :meth:`epoch_finished`.
     """
 
     def __init__(
@@ -159,11 +158,8 @@ class StateTransfer:
         self._probe_timers: List[object] = []
         #: Catch-up mode (see :meth:`begin_catchup`, :meth:`epoch_finished`).
         self.catching_up = False
-        #: A peer heard again after this much silence is returning.
-        self.silence = config.view_change_timeout
-        #: When the host last heard each replica (itself included); the
-        #: host stores every replica message's arrival time here.
-        self.last_heard: Dict[NodeId, float] = {}
+        #: When the host last heard each replica (itself included).
+        self._last_heard: Dict[NodeId, float] = {}
         #: Returning peers whose epoch no message has shown yet.
         self._returned: Set[NodeId] = set()
 
@@ -175,27 +171,31 @@ class StateTransfer:
         self._returned.clear()
         self.request_latest(first_epoch, peers)
 
-    def cut_off(self, src: NodeId, now: float, view: MembershipView) -> bool:
-        """``src`` spoke at ``now`` after at least :attr:`silence` of silence.
+    def heard(self, src: NodeId, now: float, epoch: EpochNr) -> bool:
+        """The host heard replica ``src`` at ``now``, in its ``epoch``.
 
-        True when so many peers of the host's ``view`` (``src`` still
-        counted) were silent that long that the rest could not form a strong
-        quorum with the host: it was cut off and should catch up.  Otherwise
-        ``src`` is returning (see :meth:`returned_ahead`).  The host's own
-        messages, or a host already catching up, decide nothing."""
-        node_id = self.node_id
-        if src == node_id or self.catching_up:
-            return False
-        last_heard = self.last_heard
-        silent = sum(
-            1
-            for peer in view.nodes
-            if peer != node_id and now - last_heard.get(peer, now) >= self.silence
-        )
-        if view.num_nodes - silent < view.strong_quorum:
-            return True
-        self._returned.add(src)
-        return False
+        A peer heard again after at least a view change timeout of silence
+        either finds the host cut off or is returning.  True when so many
+        peers of the epoch's view (``src`` still counted) were silent that
+        long that the rest could not form a strong quorum with the host: it
+        should catch up.  Otherwise ``src`` is returning (see
+        :meth:`returned_ahead`).  The host's own messages, or a host already
+        catching up, decide nothing."""
+        last_heard = self._last_heard
+        silence = self.config.view_change_timeout
+        cut_off = False
+        if now - last_heard.get(src, now) >= silence and src != self.node_id and not self.catching_up:
+            view = self.checkpoints.membership.view_for(epoch)
+            silent = sum(
+                1
+                for peer in view.nodes
+                if peer != self.node_id and now - last_heard.get(peer, now) >= silence
+            )
+            cut_off = view.num_nodes - silent < view.strong_quorum
+            if not cut_off:
+                self._returned.add(src)
+        last_heard[src] = now
+        return cut_off
 
     def returned_ahead(self, src: NodeId, ahead: bool) -> bool:
         """A message of ``src`` showed its epoch, ahead of the host's or not.

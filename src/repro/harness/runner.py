@@ -594,7 +594,7 @@ class Deployment:
 
         Each replica notices the heal itself: a peer heard again after a
         view change timeout of silence starts its own catch-up (see
-        :meth:`StateTransfer.cut_off`).  This hook only reads node state,
+        :meth:`StateTransfer.heard`).  This hook only reads node state,
         as :func:`watch_catchup` does: it records ``view_changes_during``,
         the ``laggards`` behind the frontier at heal time, and — through a
         poll watcher — ``time_to_reconverge``, the tick every laggard is

@@ -1022,7 +1022,7 @@ def partition_minority(
     backed-off timers keep it from storming view changes it can't win.
     When the partition outlasts the view change timeout, the isolated
     node notices the heal itself at the first peer it hears again (it had
-    lost its quorum; see ``StateTransfer.cut_off``): it probes for state
+    lost its quorum; see ``StateTransfer.heard``): it probes for state
     and nudges its stalled instances, so ``time_to_reconverge`` measures
     the state-transfer path, not an epoch timer.
     """

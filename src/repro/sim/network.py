@@ -206,7 +206,7 @@ class Network:
 
         This is purely a connectivity change: nodes that fell behind while
         cut off catch up only through the protocol — each notices the heal
-        when it hears a long-silent peer again (``StateTransfer.cut_off``).
+        when it hears a long-silent peer again (``StateTransfer.heard``).
         """
         self._partition_group = {}
         self._partition_bridges = set()

@@ -437,16 +437,13 @@ class TestStaggeredEscalation:
 NOW = 100.0
 
 
-def heard(transfer, num_nodes, silent_peers):
-    """Store arrival times at ``transfer``'s host (node 0): the first
-    ``silent_peers`` peers exactly one :attr:`silence` ago, the rest 1 s ago."""
-    for peer in range(1, num_nodes):
-        silent = peer <= silent_peers
-        transfer.last_heard[peer] = NOW - (transfer.silence if silent else 1.0)
-
-
-def genesis_view(harness):
-    return MembershipTracker(harness.config, None).view_for(0)
+def hear_all(transfer, num_nodes, silent_peers):
+    """The host (node 0) hears every replica once: itself and the first
+    ``silent_peers`` peers exactly one view change timeout before
+    :data:`NOW`, the rest 1 s before.  A first message decides nothing."""
+    silence = transfer.config.view_change_timeout
+    for node in range(num_nodes):
+        assert not transfer.heard(node, NOW - (silence if node <= silent_peers else 1.0), 0)
 
 
 class TestCatchupRule:
@@ -464,21 +461,30 @@ class TestCatchupRule:
         peers were silent; otherwise peer 1 is returning."""
         harness = Harness(num_nodes=num_nodes)
         transfer = harness.transfers[0]
-        view = genesis_view(harness)
-        heard(transfer, num_nodes, silent_peers)
-        expected = silent_peers >= num_nodes - view.strong_quorum + 1
-        assert transfer.cut_off(1, NOW, view) is expected
+        strong_quorum = harness.checkpoints[0].membership.view_for(0).strong_quorum
+        hear_all(transfer, num_nodes, silent_peers)
+        expected = silent_peers >= num_nodes - strong_quorum + 1
+        assert transfer.heard(1, NOW, 0) is expected
         assert transfer.returned_ahead(1, ahead=True) is (not expected)
 
     def test_own_message_or_catching_up_decides_nothing(self):
         harness = Harness(num_nodes=4)
         transfer = harness.transfers[0]
-        view = genesis_view(harness)
-        heard(transfer, 4, silent_peers=3)
-        assert not transfer.cut_off(0, NOW, view)
+        hear_all(transfer, 4, silent_peers=3)
+        assert not transfer.heard(0, NOW, 0)
         transfer.catching_up = True
-        assert not transfer.cut_off(1, NOW, view)
+        assert not transfer.heard(1, NOW, 0)
         transfer.catching_up = False
+        assert not transfer.returned_ahead(1, ahead=True)
+
+    def test_each_arrival_restarts_the_silence(self):
+        """A peer heard within a view change timeout of its last message
+        decides nothing, however silent the others are."""
+        harness = Harness(num_nodes=4)
+        transfer = harness.transfers[0]
+        hear_all(transfer, 4, silent_peers=3)
+        assert transfer.heard(1, NOW, 0)
+        assert not transfer.heard(1, NOW + 1.0, 0)
         assert not transfer.returned_ahead(1, ahead=True)
 
     @pytest.mark.parametrize("returned", [True, False])
@@ -490,8 +496,8 @@ class TestCatchupRule:
         harness = Harness(num_nodes=4)
         transfer = harness.transfers[0]
         if returned:
-            heard(transfer, 4, silent_peers=1)
-            assert not transfer.cut_off(1, NOW, genesis_view(harness))
+            hear_all(transfer, 4, silent_peers=1)
+            assert not transfer.heard(1, NOW, 0)
         transfer.catching_up = catching_up
         expected = returned and ahead and not catching_up
         assert transfer.returned_ahead(1, ahead) is expected
@@ -500,8 +506,8 @@ class TestCatchupRule:
     def test_begin_catchup_probes_and_forgets_returning_peers(self):
         harness = Harness(num_nodes=4)
         transfer = harness.transfers[0]
-        heard(transfer, 4, silent_peers=1)
-        transfer.cut_off(1, NOW, genesis_view(harness))
+        hear_all(transfer, 4, silent_peers=1)
+        assert not transfer.heard(1, NOW, 0)
         transfer.begin_catchup(2, peers=[1, 2, 3])
         assert transfer.catching_up
         assert not transfer.returned_ahead(1, ahead=True)
